@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/parallel_campaign.hpp"
 #include "atlas/state_digest.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
@@ -13,34 +14,23 @@
 namespace spta::analysis {
 namespace {
 
-/// Per-worker arenas: one reusable Platform and one KernelStore per pool
-/// worker. The platform arena is bit-identity-safe for the same reason as
-/// in parallel_campaign.cpp (full per-run reset protocol); the kernel
-/// store is safe because entry-state digests embed per-run seeds, so a
-/// stale entry can never match a different run's state — sharing the
-/// store across runs only adds hits, never wrong ones.
+/// Per-worker arenas: the shared WorkerArenas (platform + frame scratch)
+/// plus one KernelStore per pool worker. The kernel store is safe to
+/// reuse because entry-state digests embed per-run seeds, so a stale
+/// entry can never match a different run's state — sharing the store
+/// across runs only adds hits, never wrong ones.
 class AtlasArenas {
  public:
   AtlasArenas(const sim::PlatformConfig& config, std::size_t workers)
-      : config_(config),
-        platforms_(workers),
-        stores_(workers),
-        memo_stats_(workers) {}
+      : workers_(config, workers), stores_(workers), memo_stats_(workers) {}
 
-  sim::Platform& Platform() {
-    const std::size_t w = WorkerIndex();
-    if (platforms_[w] == nullptr) {
-      platforms_[w] = std::make_unique<sim::Platform>(config_, 0);
-    }
-    return *platforms_[w];
-  }
+  sim::Platform& Platform() { return workers_.Platform(); }
+  apps::FrameScratch& Frame() { return workers_.Frame(); }
 
   atlas::KernelStore& Store() {
-    const std::size_t w = WorkerIndex();
-    if (stores_[w] == nullptr) {
-      stores_[w] = std::make_unique<atlas::KernelStore>();
-    }
-    return *stores_[w];
+    auto& store = stores_[WorkerIndex()];
+    if (store == nullptr) store = std::make_unique<atlas::KernelStore>();
+    return *store;
   }
 
   atlas::MemoRunStats& MemoStats() { return memo_stats_[WorkerIndex()]; }
@@ -67,15 +57,62 @@ class AtlasArenas {
  private:
   std::size_t WorkerIndex() const {
     const std::size_t w = ThreadPool::CurrentWorkerIndex();
-    SPTA_CHECK_MSG(w != ThreadPool::kNotAWorker && w < platforms_.size(),
+    SPTA_CHECK_MSG(w != ThreadPool::kNotAWorker && w < stores_.size(),
                    "campaign body must run on a pool worker");
     return w;
   }
 
-  const sim::PlatformConfig& config_;
-  std::vector<std::unique_ptr<sim::Platform>> platforms_;
+  WorkerArenas workers_;
   std::vector<std::unique_ptr<atlas::KernelStore>> stores_;
   std::vector<atlas::MemoRunStats> memo_stats_;
+};
+
+/// One memoised measurement of `t` on the calling worker's arenas.
+RunSample MeasureMemoized(AtlasArenas& arenas, const trace::Trace& t,
+                          const atlas::Segmentation& segmentation,
+                          std::uint32_t path_id, Seed run_seed,
+                          const DualHash& config_digest) {
+  SPTA_OBS_SPAN("sim", "simulate");
+  RunSample s;
+  s.detail = atlas::RunMemoized(arenas.Platform(), t, segmentation, run_seed,
+                                config_digest, &arenas.Store(),
+                                &arenas.MemoStats());
+  s.cycles = static_cast<double>(s.detail.cycles);
+  s.path_id = path_id;
+  return s;
+}
+
+/// A TVCA campaign's frames with each fixed-suite frame mined once;
+/// fresh-input frames are mined per run (memoisation then only pays
+/// within a run).
+class MinedTvcaFrames {
+ public:
+  MinedTvcaFrames(const apps::TvcaApp& app, const CampaignConfig& config,
+                  const DualHash& config_digest)
+      : config_(config), config_digest_(config_digest), frames_(app, config) {
+    for (const apps::TvcaFrame& f : frames_.suite()) {
+      suite_segments_.push_back(atlas::MineKernels(f.trace));
+    }
+  }
+
+  RunSample Measure(AtlasArenas& arenas, std::size_t r) const {
+    const apps::TvcaFrame& frame = frames_.ForRun(r, arenas.Frame());
+    const Seed run_seed = TvcaRunSeed(config_, r);
+    if (!suite_segments_.empty()) {
+      return MeasureMemoized(
+          arenas, frame.trace,
+          suite_segments_[r % config_.distinct_scenarios], frame.path_id,
+          run_seed, config_digest_);
+    }
+    return MeasureMemoized(arenas, frame.trace, atlas::MineKernels(frame.trace),
+                           frame.path_id, run_seed, config_digest_);
+  }
+
+ private:
+  const CampaignConfig& config_;
+  const DualHash& config_digest_;
+  TvcaFrames frames_;
+  std::vector<atlas::Segmentation> suite_segments_;
 };
 
 }  // namespace
@@ -95,14 +132,10 @@ std::vector<RunSample> RunFixedTraceCampaignMemoized(
                     runs);
   ParallelFor(pool, runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    RunSample s;
-    s.detail = atlas::RunMemoized(arenas.Platform(), t, segmentation,
-                                  FixedTraceRunSeed(master_seed, r),
-                                  config_digest, &arenas.Store(),
-                                  &arenas.MemoStats());
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = static_cast<std::uint32_t>(t.path_signature);
-    samples[r] = s;
+    samples[r] = MeasureMemoized(arenas, t, segmentation,
+                                 static_cast<std::uint32_t>(t.path_signature),
+                                 FixedTraceRunSeed(master_seed, r),
+                                 config_digest);
   });
   arenas.Aggregate(stats);
   return samples;
@@ -115,18 +148,7 @@ std::vector<RunSample> RunTvcaCampaignMemoized(
   SPTA_REQUIRE(config.runs >= 1);
   std::vector<RunSample> samples(config.runs);
   const DualHash config_digest = atlas::ConfigDigest(platform_config);
-
-  // Fixed scenario suite: build AND mine each distinct frame once.
-  std::vector<apps::TvcaFrame> suite;
-  std::vector<atlas::Segmentation> suite_segments;
-  if (config.distinct_scenarios > 0) {
-    suite.reserve(config.distinct_scenarios);
-    suite_segments.reserve(config.distinct_scenarios);
-    for (std::size_t i = 0; i < config.distinct_scenarios; ++i) {
-      suite.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
-      suite_segments.push_back(atlas::MineKernels(suite.back().trace));
-    }
-  }
+  const MinedTvcaFrames frames(app, config, config_digest);
 
   ThreadPool pool(jobs);
   AtlasArenas arenas(platform_config, pool.size());
@@ -134,27 +156,7 @@ std::vector<RunSample> RunTvcaCampaignMemoized(
                     config.runs);
   ParallelFor(pool, config.runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    const Seed run_seed = TvcaRunSeed(config, r);
-    RunSample s;
-    if (!suite.empty()) {
-      const std::size_t scenario = r % config.distinct_scenarios;
-      s.detail = atlas::RunMemoized(
-          arenas.Platform(), suite[scenario].trace,
-          suite_segments[scenario], run_seed, config_digest,
-          &arenas.Store(), &arenas.MemoStats());
-      s.path_id = suite[scenario].path_id;
-    } else {
-      const apps::TvcaFrame frame =
-          app.BuildFrame(TvcaScenarioSeed(config, r));
-      const atlas::Segmentation segmentation =
-          atlas::MineKernels(frame.trace);
-      s.detail = atlas::RunMemoized(arenas.Platform(), frame.trace,
-                                    segmentation, run_seed, config_digest,
-                                    &arenas.Store(), &arenas.MemoStats());
-      s.path_id = frame.path_id;
-    }
-    s.cycles = static_cast<double>(s.detail.cycles);
-    samples[r] = s;
+    samples[r] = frames.Measure(arenas, r);
   });
   arenas.Aggregate(stats);
   return samples;
@@ -177,14 +179,9 @@ bool RunFixedTraceCampaignMemoizedCheckpointed(
   ThreadPool pool(jobs);
   AtlasArenas arenas(platform_config, pool.size());
   auto measure = [&](std::size_t r) {
-    RunSample s;
-    s.detail = atlas::RunMemoized(arenas.Platform(), t, segmentation,
-                                  FixedTraceRunSeed(master_seed, r),
-                                  config_digest, &arenas.Store(),
-                                  &arenas.MemoStats());
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = static_cast<std::uint32_t>(t.path_signature);
-    return s;
+    return MeasureMemoized(arenas, t, segmentation,
+                           static_cast<std::uint32_t>(t.path_signature),
+                           FixedTraceRunSeed(master_seed, r), config_digest);
   };
   const bool ok =
       RunCheckpointedCampaign(header, pool, options, measure, out, error);
@@ -205,42 +202,10 @@ bool RunTvcaCampaignMemoizedCheckpointed(
   header.workload_digest = TvcaWorkloadDigest();
 
   const DualHash config_digest = atlas::ConfigDigest(platform_config);
-  std::vector<apps::TvcaFrame> suite;
-  std::vector<atlas::Segmentation> suite_segments;
-  if (config.distinct_scenarios > 0) {
-    suite.reserve(config.distinct_scenarios);
-    suite_segments.reserve(config.distinct_scenarios);
-    for (std::size_t i = 0; i < config.distinct_scenarios; ++i) {
-      suite.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
-      suite_segments.push_back(atlas::MineKernels(suite.back().trace));
-    }
-  }
-
+  const MinedTvcaFrames frames(app, config, config_digest);
   ThreadPool pool(jobs);
   AtlasArenas arenas(platform_config, pool.size());
-  auto measure = [&](std::size_t r) {
-    const Seed run_seed = TvcaRunSeed(config, r);
-    RunSample s;
-    if (!suite.empty()) {
-      const std::size_t scenario = r % config.distinct_scenarios;
-      s.detail = atlas::RunMemoized(
-          arenas.Platform(), suite[scenario].trace,
-          suite_segments[scenario], run_seed, config_digest,
-          &arenas.Store(), &arenas.MemoStats());
-      s.path_id = suite[scenario].path_id;
-    } else {
-      const apps::TvcaFrame frame =
-          app.BuildFrame(TvcaScenarioSeed(config, r));
-      const atlas::Segmentation segmentation =
-          atlas::MineKernels(frame.trace);
-      s.detail = atlas::RunMemoized(arenas.Platform(), frame.trace,
-                                    segmentation, run_seed, config_digest,
-                                    &arenas.Store(), &arenas.MemoStats());
-      s.path_id = frame.path_id;
-    }
-    s.cycles = static_cast<double>(s.detail.cycles);
-    return s;
-  };
+  auto measure = [&](std::size_t r) { return frames.Measure(arenas, r); };
   const bool ok =
       RunCheckpointedCampaign(header, pool, options, measure, out, error);
   arenas.Aggregate(stats);

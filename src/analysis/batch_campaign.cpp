@@ -82,7 +82,7 @@ std::vector<Chunk> BuildTvcaChunks(
     const std::vector<sim::batch::PreparedTrace>& prepared_suite,
     std::size_t lanes, const std::vector<char>* have) {
   std::vector<Chunk> chunks;
-  for (std::size_t s = 0; s < config.distinct_scenarios; ++s) {
+  for (std::size_t s = 0; s < suite.size(); ++s) {
     Chunk current{&prepared_suite[s], suite[s].path_id, {}};
     for (std::size_t r = s; r < config.runs;
          r += config.distinct_scenarios) {
@@ -260,14 +260,13 @@ std::vector<RunSample> RunTvcaCampaignBatched(
     return RunTvcaCampaignParallel(platform_config, app, config, jobs);
   }
   lanes = ClampLanes(lanes);
-  std::vector<apps::TvcaFrame> suite;
+  const TvcaFrames frames(app, config);
+  const std::vector<apps::TvcaFrame>& suite = frames.suite();
   std::vector<sim::batch::PreparedTrace> prepared_suite;
-  suite.reserve(config.distinct_scenarios);
-  prepared_suite.reserve(config.distinct_scenarios);
-  for (std::size_t i = 0; i < config.distinct_scenarios; ++i) {
-    suite.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
+  prepared_suite.reserve(suite.size());
+  for (const apps::TvcaFrame& frame : suite) {
     prepared_suite.push_back(
-        sim::batch::PrepareTrace(suite.back().trace, platform_config));
+        sim::batch::PrepareTrace(frame.trace, platform_config));
   }
   const auto chunks =
       BuildTvcaChunks(config, suite, prepared_suite, lanes, nullptr);
@@ -329,14 +328,13 @@ bool RunTvcaCampaignBatchedCheckpointed(
   header.distinct_scenarios = config.distinct_scenarios;
   header.workload_digest = TvcaWorkloadDigest();
 
-  std::vector<apps::TvcaFrame> suite;
+  const TvcaFrames frames(app, config);
+  const std::vector<apps::TvcaFrame>& suite = frames.suite();
   std::vector<sim::batch::PreparedTrace> prepared_suite;
-  suite.reserve(config.distinct_scenarios);
-  prepared_suite.reserve(config.distinct_scenarios);
-  for (std::size_t i = 0; i < config.distinct_scenarios; ++i) {
-    suite.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
+  prepared_suite.reserve(suite.size());
+  for (const apps::TvcaFrame& frame : suite) {
     prepared_suite.push_back(
-        sim::batch::PrepareTrace(suite.back().trace, platform_config));
+        sim::batch::PrepareTrace(frame.trace, platform_config));
   }
   ThreadPool pool(jobs);
   return RunChunkedCheckpointed(

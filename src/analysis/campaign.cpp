@@ -1,6 +1,6 @@
 #include "analysis/campaign.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
@@ -23,6 +23,35 @@ Seed FixedTraceRunSeed(std::uint64_t master_seed, std::size_t run_index) {
   return DeriveSeed(master_seed, run_index);
 }
 
+RunSample Measure(sim::Platform& platform, const trace::Trace& t,
+                  std::uint32_t path_id, Seed run_seed,
+                  const std::function<void(sim::Platform&)>& after_reset) {
+  SPTA_OBS_SPAN("sim", "simulate");
+  RunSample s;
+  s.detail = platform.RunWithHook(t, run_seed, after_reset);
+  s.cycles = static_cast<double>(s.detail.cycles);
+  s.path_id = path_id;
+  return s;
+}
+
+TvcaFrames::TvcaFrames(const apps::TvcaApp& app, const CampaignConfig& config)
+    : app_(app), config_(config) {
+  // Runs r and r + distinct_scenarios share a frame, so a campaign
+  // shorter than its suite reaches only its first `runs` scenarios.
+  const std::size_t distinct =
+      std::min(config.distinct_scenarios, config.runs);
+  suite_.reserve(distinct);
+  for (std::size_t i = 0; i < distinct; ++i) {
+    suite_.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
+  }
+}
+
+const apps::TvcaFrame& TvcaFrames::ForRun(std::size_t run_index,
+                                          apps::FrameScratch& scratch) const {
+  if (!suite_.empty()) return suite_[run_index % config_.distinct_scenarios];
+  return app_.BuildFrame(TvcaScenarioSeed(config_, run_index), scratch);
+}
+
 std::vector<RunSample> RunTvcaCampaign(sim::Platform& platform,
                                        const apps::TvcaApp& app,
                                        const CampaignConfig& config) {
@@ -30,32 +59,13 @@ std::vector<RunSample> RunTvcaCampaign(sim::Platform& platform,
   SPTA_OBS_SPAN_ARG("campaign", "tvca_campaign", "runs", config.runs);
   std::vector<RunSample> samples;
   samples.reserve(config.runs);
-
-  // Frame cache: building a frame trace (interpretation) is more expensive
-  // than simulating it, and campaigns with a fixed test-vector suite reuse
-  // scenarios many times.
-  std::unordered_map<std::uint64_t, apps::TvcaFrame> frame_cache;
-
+  const TvcaFrames frames(app, config);
+  apps::FrameScratch scratch;
   for (std::size_t r = 0; r < config.runs; ++r) {
-    const std::uint64_t scenario_seed = TvcaScenarioSeed(config, r);
-    auto it = frame_cache.find(scenario_seed);
-    if (it == frame_cache.end()) {
-      it = frame_cache.emplace(scenario_seed, app.BuildFrame(scenario_seed))
-               .first;
-    }
-    const apps::TvcaFrame& frame = it->second;
-
-    const Seed run_seed = TvcaRunSeed(config, r);
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    RunSample s;
-    s.detail = platform.Run(frame.trace, run_seed);
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = frame.path_id;
-    samples.push_back(s);
-    // Unbounded caching is fine for the fixed-suite case; for fresh-input
-    // campaigns every scenario is distinct, so drop it again to bound
-    // memory.
-    if (config.distinct_scenarios == 0) frame_cache.erase(it);
+    const apps::TvcaFrame& frame = frames.ForRun(r, scratch);
+    samples.push_back(
+        Measure(platform, frame.trace, frame.path_id, TvcaRunSeed(config, r)));
   }
   return samples;
 }
@@ -70,11 +80,9 @@ std::vector<RunSample> RunFixedTraceCampaign(sim::Platform& platform,
   samples.reserve(runs);
   for (std::size_t r = 0; r < runs; ++r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    RunSample s;
-    s.detail = platform.Run(t, FixedTraceRunSeed(master_seed, r));
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = static_cast<std::uint32_t>(t.path_signature);
-    samples.push_back(s);
+    samples.push_back(Measure(platform, t,
+                              static_cast<std::uint32_t>(t.path_signature),
+                              FixedTraceRunSeed(master_seed, r)));
   }
   return samples;
 }

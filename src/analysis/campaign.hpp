@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -44,9 +45,39 @@ Seed TvcaRunSeed(const CampaignConfig& config, std::size_t run_index);
 /// Per-run platform seed of a fixed-trace campaign.
 Seed FixedTraceRunSeed(std::uint64_t master_seed, std::size_t run_index);
 
-/// Executes a TVCA campaign on `platform`. Frame traces are cached per
-/// scenario, so re-running the same scenario under a different platform
-/// seed costs only simulation time.
+/// One measurement: runs `t` on `platform` under `run_seed` inside the
+/// `sim/simulate` span. `after_reset` is Platform::RunWithHook's
+/// fault-injection window; null means a plain Platform::Run.
+RunSample Measure(sim::Platform& platform, const trace::Trace& t,
+                  std::uint32_t path_id, Seed run_seed,
+                  const std::function<void(sim::Platform&)>& after_reset = {});
+
+/// The frames of a TVCA campaign. A fixed scenario suite
+/// (distinct_scenarios > 0) is built once, up front, and shared read-only;
+/// a fresh-input campaign builds run r's frame into the caller's scratch,
+/// so a worker that reuses one scratch allocates no frame memory after
+/// its first run. Either way run r measures exactly
+/// app.BuildFrame(TvcaScenarioSeed(config, r)).
+class TvcaFrames {
+ public:
+  TvcaFrames(const apps::TvcaApp& app, const CampaignConfig& config);
+
+  /// Run `run_index`'s frame: a suite entry, or `scratch.frame` rebuilt.
+  const apps::TvcaFrame& ForRun(std::size_t run_index,
+                                apps::FrameScratch& scratch) const;
+
+  /// The prebuilt suite (one frame per scenario the campaign reaches;
+  /// empty for fresh inputs).
+  const std::vector<apps::TvcaFrame>& suite() const { return suite_; }
+
+ private:
+  const apps::TvcaApp& app_;
+  CampaignConfig config_;
+  std::vector<apps::TvcaFrame> suite_;
+};
+
+/// Executes a TVCA campaign on `platform`, building frames as TvcaFrames
+/// does: a fixed suite once, fresh inputs into one reused scratch.
 std::vector<RunSample> RunTvcaCampaign(sim::Platform& platform,
                                        const apps::TvcaApp& app,
                                        const CampaignConfig& config);

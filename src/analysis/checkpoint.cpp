@@ -9,11 +9,11 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <sstream>
 
+#include "analysis/parallel_campaign.hpp"
 #include "common/assert.hpp"
 #include "common/atomic_file.hpp"
 #include "common/hash.hpp"
@@ -358,6 +358,7 @@ bool RunCheckpointedCampaign(
 
   ParallelFor(pool, header.runs, [&](std::size_t r) {
     if (have[r] || stop.load(std::memory_order_relaxed)) return;
+    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     const RunSample s = measure(r);
     std::lock_guard<std::mutex> lock(journal_mutex);
     if (stop.load(std::memory_order_relaxed) || append_failed) return;
@@ -404,37 +405,13 @@ bool RunTvcaCampaignCheckpointed(const sim::PlatformConfig& platform_config,
   header.distinct_scenarios = config.distinct_scenarios;
   header.workload_digest = TvcaWorkloadDigest();
 
-  std::vector<apps::TvcaFrame> suite;
-  if (config.distinct_scenarios > 0) {
-    suite.reserve(config.distinct_scenarios);
-    for (std::size_t i = 0; i < config.distinct_scenarios; ++i) {
-      suite.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
-    }
-  }
-
+  const TvcaFrames frames(app, config);
   ThreadPool pool(jobs);
-  std::vector<std::unique_ptr<sim::Platform>> arenas(pool.size());
+  WorkerArenas arenas(platform_config, pool.size());
   auto measure = [&](std::size_t r) {
-    const std::size_t w = ThreadPool::CurrentWorkerIndex();
-    SPTA_CHECK_MSG(w != ThreadPool::kNotAWorker && w < arenas.size(),
-                   "campaign body must run on a pool worker");
-    if (arenas[w] == nullptr) {
-      arenas[w] = std::make_unique<sim::Platform>(platform_config, 0);
-    }
-    const Seed run_seed = TvcaRunSeed(config, r);
-    apps::TvcaFrame local;
-    const apps::TvcaFrame* frame;
-    if (!suite.empty()) {
-      frame = &suite[r % config.distinct_scenarios];
-    } else {
-      local = app.BuildFrame(TvcaScenarioSeed(config, r));
-      frame = &local;
-    }
-    RunSample s;
-    s.detail = arenas[w]->Run(frame->trace, run_seed);
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = frame->path_id;
-    return s;
+    const apps::TvcaFrame& frame = frames.ForRun(r, arenas.Frame());
+    return Measure(arenas.Platform(), frame.trace, frame.path_id,
+                   TvcaRunSeed(config, r));
   };
   return RunCheckpointedCampaign(header, pool, options, measure, out, error);
 }
@@ -452,19 +429,11 @@ bool RunFixedTraceCampaignCheckpointed(
   header.workload_digest = FixedTraceWorkloadDigest(t);
 
   ThreadPool pool(jobs);
-  std::vector<std::unique_ptr<sim::Platform>> arenas(pool.size());
+  WorkerArenas arenas(platform_config, pool.size());
   auto measure = [&](std::size_t r) {
-    const std::size_t w = ThreadPool::CurrentWorkerIndex();
-    SPTA_CHECK_MSG(w != ThreadPool::kNotAWorker && w < arenas.size(),
-                   "campaign body must run on a pool worker");
-    if (arenas[w] == nullptr) {
-      arenas[w] = std::make_unique<sim::Platform>(platform_config, 0);
-    }
-    RunSample s;
-    s.detail = arenas[w]->Run(t, FixedTraceRunSeed(master_seed, r));
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = static_cast<std::uint32_t>(t.path_signature);
-    return s;
+    return Measure(arenas.Platform(), t,
+                   static_cast<std::uint32_t>(t.path_signature),
+                   FixedTraceRunSeed(master_seed, r));
   };
   return RunCheckpointedCampaign(header, pool, options, measure, out, error);
 }

@@ -1,45 +1,32 @@
 #include "analysis/parallel_campaign.hpp"
 
-#include <memory>
-
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
 #include "sim/platform.hpp"
 
 namespace spta::analysis {
-namespace {
 
-/// One reusable sim::Platform per pool worker. Platform::Run performs the
-/// full per-run reset protocol (flush + reseed of every core and the shared
-/// memory path), so a run's result is a pure function of (platform config,
-/// trace, run seed) — reusing one arena across runs is bit-identical to
-/// constructing a fresh Platform per run, while making the campaign's
-/// steady state allocation-free (the arena's line/stamp/ring arrays are
-/// built once per worker, not once per run). Slot w is touched only by
-/// worker w, so no locks are needed.
-class PlatformArenas {
- public:
-  PlatformArenas(const sim::PlatformConfig& config, std::size_t workers)
-      : config_(config), arenas_(workers) {}
+WorkerArenas::WorkerArenas(const sim::PlatformConfig& config,
+                           std::size_t workers)
+    : config_(config), slots_(workers) {}
 
-  sim::Platform& ForCurrentWorker() {
-    const std::size_t w = ThreadPool::CurrentWorkerIndex();
-    SPTA_CHECK_MSG(w != ThreadPool::kNotAWorker && w < arenas_.size(),
-                   "campaign body must run on a pool worker");
-    auto& arena = arenas_[w];
-    if (arena == nullptr) {
-      arena = std::make_unique<sim::Platform>(config_, /*master_seed=*/0);
-    }
-    return *arena;
+WorkerArenas::Slot& WorkerArenas::Current() {
+  const std::size_t w = ThreadPool::CurrentWorkerIndex();
+  SPTA_CHECK_MSG(w != ThreadPool::kNotAWorker && w < slots_.size(),
+                 "campaign body must run on a pool worker");
+  return slots_[w];
+}
+
+sim::Platform& WorkerArenas::Platform() {
+  Slot& slot = Current();
+  if (slot.platform == nullptr) {
+    slot.platform = std::make_unique<sim::Platform>(config_, /*master_seed=*/0);
   }
+  return *slot.platform;
+}
 
- private:
-  const sim::PlatformConfig& config_;
-  std::vector<std::unique_ptr<sim::Platform>> arenas_;
-};
-
-}  // namespace
+apps::FrameScratch& WorkerArenas::Frame() { return Current().frame; }
 
 std::size_t DefaultJobs() { return ThreadPool::DefaultThreadCount(); }
 
@@ -48,39 +35,16 @@ std::vector<RunSample> RunTvcaCampaignParallel(
     const CampaignConfig& config, std::size_t jobs) {
   SPTA_REQUIRE(config.runs >= 1);
   std::vector<RunSample> samples(config.runs);
-
-  // Fixed test-vector suite: build the (few) distinct frames once; workers
-  // only read them. Fresh-input campaigns have one frame per run, built by
-  // whichever worker owns the run — same BuildFrame(seed) call the serial
-  // runner makes, so the traces are identical.
-  std::vector<apps::TvcaFrame> suite;
-  if (config.distinct_scenarios > 0) {
-    suite.reserve(config.distinct_scenarios);
-    for (std::size_t i = 0; i < config.distinct_scenarios; ++i) {
-      suite.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
-    }
-  }
-
+  const TvcaFrames frames(app, config);
   ThreadPool pool(jobs);
-  PlatformArenas arenas(platform_config, pool.size());
+  WorkerArenas arenas(platform_config, pool.size());
   SPTA_OBS_SPAN_ARG("campaign", "tvca_campaign_parallel", "runs",
                     config.runs);
   ParallelFor(pool, config.runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    const Seed run_seed = TvcaRunSeed(config, r);
-    apps::TvcaFrame local;
-    const apps::TvcaFrame* frame;
-    if (!suite.empty()) {
-      frame = &suite[r % config.distinct_scenarios];
-    } else {
-      local = app.BuildFrame(TvcaScenarioSeed(config, r));
-      frame = &local;
-    }
-    RunSample s;
-    s.detail = arenas.ForCurrentWorker().Run(frame->trace, run_seed);
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = frame->path_id;
-    samples[r] = s;
+    const apps::TvcaFrame& frame = frames.ForRun(r, arenas.Frame());
+    samples[r] = Measure(arenas.Platform(), frame.trace, frame.path_id,
+                         TvcaRunSeed(config, r));
   });
   return samples;
 }
@@ -91,17 +55,14 @@ std::vector<RunSample> RunFixedTraceCampaignParallel(
   SPTA_REQUIRE(runs >= 1);
   std::vector<RunSample> samples(runs);
   ThreadPool pool(jobs);
-  PlatformArenas arenas(platform_config, pool.size());
+  WorkerArenas arenas(platform_config, pool.size());
   SPTA_OBS_SPAN_ARG("campaign", "fixed_trace_campaign_parallel", "runs",
                     runs);
   ParallelFor(pool, runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    const Seed run_seed = FixedTraceRunSeed(master_seed, r);
-    RunSample s;
-    s.detail = arenas.ForCurrentWorker().Run(t, run_seed);
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = static_cast<std::uint32_t>(t.path_signature);
-    samples[r] = s;
+    samples[r] = Measure(arenas.Platform(), t,
+                         static_cast<std::uint32_t>(t.path_signature),
+                         FixedTraceRunSeed(master_seed, r));
   });
   return samples;
 }

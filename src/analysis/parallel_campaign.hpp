@@ -2,14 +2,14 @@
 //
 // The parallel runners fan the N independent simulation runs of a campaign
 // out across a fixed-size worker pool. Determinism contract: every worker
-// owns ONE reusable sim::Platform arena (constructed on first use, reused
-// for every run that worker claims), and each run derives its scenario and
-// platform-PRNG seeds purely from (campaign master seed, run index) via the
-// helpers in campaign.hpp; each result is written into a pre-sized vector
-// at its run index (no locks, no appends on the hot path). The resulting
-// sample vector is therefore BIT-IDENTICAL to the serial runner's and
-// invariant to the job count and to scheduling order, while the campaign's
-// steady state performs zero allocation.
+// owns ONE arena (WorkerArenas: a reusable sim::Platform and a frame
+// scratch, reused for every run that worker claims), and each run derives
+// its scenario and platform-PRNG seeds purely from (campaign master seed,
+// run index) via the helpers in campaign.hpp; each result is written into
+// a pre-sized vector at its run index (no locks, no appends on the hot
+// path). The resulting sample vector is therefore BIT-IDENTICAL to the
+// serial runner's and invariant to the job count and to scheduling order,
+// while the campaign's steady state performs zero allocation.
 //
 // This leans on two audited properties (see parallel_campaign_test.cpp):
 //  * sim::Platform holds no shared or static mutable state, and
@@ -17,11 +17,16 @@
 //    result is a pure function of (platform config, trace, run seed) —
 //    independent of the construction-time master seed and of any earlier
 //    runs on the same instance (which is what makes arena reuse safe).
+//    TvcaApp::BuildFrame(seed, scratch) overwrites every buffer it fills,
+//    so a reused scratch yields the same frame as a fresh one.
 //  * apps::TvcaApp is immutable after construction (const methods over
-//    const members), so one instance is safely shared across workers.
+//    const members; the programs it decodes on first use are published
+//    through std::call_once), so one instance is safely shared across
+//    workers.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "analysis/campaign.hpp"
@@ -30,6 +35,34 @@
 #include "trace/record.hpp"
 
 namespace spta::analysis {
+
+/// The per-worker arenas of a pool-run campaign: for each worker, one
+/// reusable sim::Platform and one apps::FrameScratch side by side. Every
+/// pool runner (parallel, checkpointed, memoised, faulted) takes its
+/// platform and frame buffers from here. The platform is built on the
+/// worker's first run; the scratch holds no memory until the worker
+/// builds its first frame, so a fixed-suite campaign pays nothing for it.
+/// Slot w is touched only by pool worker w, so no locks are needed.
+class WorkerArenas {
+ public:
+  WorkerArenas(const sim::PlatformConfig& config, std::size_t workers);
+
+  /// The calling pool worker's platform. Aborts off the pool.
+  sim::Platform& Platform();
+  /// The calling pool worker's frame scratch. Aborts off the pool.
+  apps::FrameScratch& Frame();
+
+ private:
+  // Cache-line aligned so workers never write to a shared line.
+  struct alignas(64) Slot {
+    std::unique_ptr<sim::Platform> platform;
+    apps::FrameScratch frame;
+  };
+  Slot& Current();
+
+  const sim::PlatformConfig& config_;
+  std::vector<Slot> slots_;
+};
 
 /// Default worker count: the hardware concurrency (>= 1).
 std::size_t DefaultJobs();

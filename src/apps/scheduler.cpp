@@ -1,6 +1,7 @@
 #include "apps/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/assert.hpp"
@@ -43,14 +44,24 @@ void FrameComposer::AppendDispatcher(trace::Trace& out, int job_index) const {
 
 trace::Trace FrameComposer::ComposeMajorFrame(
     const std::vector<FrameSlot>& slots) const {
+  trace::Trace out;
+  ComposeMajorFrame(slots, out);
+  return out;
+}
+
+void FrameComposer::ComposeMajorFrame(std::span<const FrameSlot> slots,
+                                      trace::Trace& out) const {
   SPTA_REQUIRE(!slots.empty());
   std::vector<const FrameSlot*> order;
   order.reserve(slots.size());
-  int max_minor = 0;
+  std::size_t records = 0;
   for (const auto& s : slots) {
     SPTA_REQUIRE(s.job_trace != nullptr && s.jobs >= 1 && s.minor >= 0);
+    SPTA_REQUIRE(s.job_trace != &out);
     order.push_back(&s);
-    max_minor = std::max(max_minor, s.minor);
+    records += static_cast<std::size_t>(s.jobs) *
+               (options_.dispatch_overhead_instructions +
+                s.job_trace->records.size());
   }
   // Minor frame first, then priority within the minor frame.
   std::stable_sort(order.begin(), order.end(),
@@ -58,7 +69,13 @@ trace::Trace FrameComposer::ComposeMajorFrame(
                      if (a->minor != b->minor) return a->minor < b->minor;
                      return a->priority < b->priority;
                    });
-  trace::Trace out;
+  out.records.clear();
+  // Grow to the next power of two, as repeated push_back would: frames of
+  // nearly equal length (the TVCA paths differ by a few percent) then
+  // reuse one buffer instead of reallocating for every new maximum.
+  if (out.records.capacity() < records) {
+    out.records.reserve(std::bit_ceil(records));
+  }
   std::uint64_t sig = 0x9e3779b9u;
   int job_index = 0;
   for (const FrameSlot* slot : order) {
@@ -70,7 +87,6 @@ trace::Trace FrameComposer::ComposeMajorFrame(
     }
   }
   out.path_signature = sig;
-  return out;
 }
 
 Cycles Hyperperiod(const std::vector<PeriodicTaskSpec>& tasks) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,12 @@ class FrameComposer {
   explicit FrameComposer(Options options);
 
   trace::Trace ComposeMajorFrame(const std::vector<FrameSlot>& slots) const;
+
+  /// As above, but composes into `out`: its records are replaced and its
+  /// capacity is kept, so a reused frame buffer stops allocating once it
+  /// has held the largest frame. The job traces must not alias `out`.
+  void ComposeMajorFrame(std::span<const FrameSlot> slots,
+                         trace::Trace& out) const;
 
  private:
   void AppendDispatcher(trace::Trace& out, int job_index) const;

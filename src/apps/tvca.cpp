@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
+#include "obs/trace.hpp"
 #include "prng/xoshiro.hpp"
 #include "trace/interpreter.hpp"
 
@@ -119,6 +120,13 @@ TvcaApp::TvcaApp(const TvcaConfig& config)
 
 const Program& TvcaApp::program(TvcaTask task) const {
   return programs_[static_cast<std::size_t>(task)];
+}
+
+const trace::DecodedProgram& TvcaApp::Decoded(TvcaTask task) const {
+  const auto i = static_cast<std::size_t>(task);
+  std::call_once(decode_once_[i],
+                 [&] { decoded_[i] = trace::DecodedProgram(programs_[i]); });
+  return decoded_[i];
 }
 
 Program TvcaApp::BuildSensorProgram() const {
@@ -531,8 +539,15 @@ trace::Trace TvcaApp::BuildTaskTrace(TvcaTask task,
 
 trace::Trace TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
                                      const TvcaScenario& scenario) const {
-  const Program& prog = program(task);
-  trace::Interpreter interp(prog);
+  trace::Trace out;
+  BuildTaskTrace(task, input_seed, scenario, out);
+  return out;
+}
+
+void TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
+                             const TvcaScenario& scenario,
+                             trace::Trace& out) const {
+  trace::Interpreter interp(Decoded(task));
   prng::Xoshiro128pp rng(DeriveSeed(input_seed, ToString(task)));
 
   if (task == TvcaTask::kSensorAcq) {
@@ -590,28 +605,33 @@ trace::Trace TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
     interp.WriteFp(kQState, 2, 0.0);
     interp.WriteFp(kQState, 3, 0.0);
   }
-  return interp.Run();
+  SPTA_OBS_SPAN_ARG("trace", "interpret", "task", task);
+  interp.Run(out);
 }
 
 TvcaFrame TvcaApp::BuildFrame(std::uint64_t scenario_seed) const {
-  TvcaFrame frame;
+  FrameScratch scratch;
+  BuildFrame(scenario_seed, scratch);
+  return std::move(scratch.frame);
+}
+
+const TvcaFrame& TvcaApp::BuildFrame(std::uint64_t scenario_seed,
+                                     FrameScratch& scratch) const {
+  SPTA_OBS_SPAN("apps", "build_frame");
+  TvcaFrame& frame = scratch.frame;
   frame.scenario = DrawScenario(scenario_seed);
   frame.path_id = frame.scenario.PathId();
 
   // Job inputs differ across the two releases of each actuator task, but
   // every job of the frame shares the frame's mode flags (the path).
-  const trace::Trace sensor =
-      BuildTaskTrace(TvcaTask::kSensorAcq, scenario_seed, frame.scenario);
-  const trace::Trace x1 =
-      BuildTaskTrace(TvcaTask::kActuatorX, scenario_seed, frame.scenario);
-  const trace::Trace x2 =
-      BuildTaskTrace(TvcaTask::kActuatorX,
-                     DeriveSeed(scenario_seed, "x-job2"), frame.scenario);
-  const trace::Trace y1 =
-      BuildTaskTrace(TvcaTask::kActuatorY, scenario_seed, frame.scenario);
-  const trace::Trace y2 =
-      BuildTaskTrace(TvcaTask::kActuatorY,
-                     DeriveSeed(scenario_seed, "y-job2"), frame.scenario);
+  auto& [sensor, x1, x2, y1, y2] = scratch.jobs;
+  BuildTaskTrace(TvcaTask::kSensorAcq, scenario_seed, frame.scenario, sensor);
+  BuildTaskTrace(TvcaTask::kActuatorX, scenario_seed, frame.scenario, x1);
+  BuildTaskTrace(TvcaTask::kActuatorX, DeriveSeed(scenario_seed, "x-job2"),
+                 frame.scenario, x2);
+  BuildTaskTrace(TvcaTask::kActuatorY, scenario_seed, frame.scenario, y1);
+  BuildTaskTrace(TvcaTask::kActuatorY, DeriveSeed(scenario_seed, "y-job2"),
+                 frame.scenario, y2);
 
   FrameComposer::Options opts;
   opts.dispatch_overhead_instructions = config_.dispatch_overhead;
@@ -620,14 +640,17 @@ TvcaFrame TvcaApp::BuildFrame(std::uint64_t scenario_seed) const {
   // that rate (one job per minor frame). Minor frame 1 re-executes the
   // actuator code and data after the sensor task has competed for cache
   // space — the reuse pattern a real rate-group schedule produces.
-  const std::vector<FrameSlot> slots = {
+  const std::array<FrameSlot, 5> slots = {{
       {&sensor, 1, /*priority=*/1, /*minor=*/0},
       {&x1, 1, 2, 0},
       {&y1, 1, 3, 0},
       {&x2, 1, 2, 1},
       {&y2, 1, 3, 1},
-  };
-  frame.trace = composer.ComposeMajorFrame(slots);
+  }};
+  {
+    SPTA_OBS_SPAN("apps", "compose");
+    composer.ComposeMajorFrame(slots, frame.trace);
+  }
   // Ensure runs on the same modes but different fine-grained inputs are
   // still distinguishable as the same application path.
   frame.trace.path_signature = frame.path_id;

@@ -21,10 +21,12 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "apps/scheduler.hpp"
 #include "common/types.hpp"
+#include "trace/interpreter.hpp"
 #include "trace/program.hpp"
 #include "trace/record.hpp"
 
@@ -90,6 +92,16 @@ struct TvcaFrame {
   std::uint32_t path_id = 0;
 };
 
+/// Caller-owned buffers for building frames in place: the five job traces
+/// and the composed frame. BuildFrame(seed, scratch) overwrites all of
+/// them and keeps their capacity, so a scratch reused across frames stops
+/// allocating once it has held the longest path. A new scratch holds no
+/// memory until its first frame. Campaign runners keep one per worker.
+struct FrameScratch {
+  std::array<trace::Trace, 5> jobs;
+  TvcaFrame frame;
+};
+
 class TvcaApp {
  public:
   TvcaApp() : TvcaApp(TvcaConfig{}) {}
@@ -110,10 +122,20 @@ class TvcaApp {
   trace::Trace BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
                               const TvcaScenario& scenario) const;
 
+  /// As above, writing the trace into `out` (see Interpreter::Run(Trace&)).
+  void BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
+                      const TvcaScenario& scenario, trace::Trace& out) const;
+
   /// Builds the full major frame: sensor acquisition (highest priority),
   /// then two actuator-X jobs, then two actuator-Y jobs, composed with
   /// dispatcher overhead between jobs.
   TvcaFrame BuildFrame(std::uint64_t scenario_seed) const;
+
+  /// As above, building into `scratch`; returns `scratch.frame`, which
+  /// stays valid until the scratch's next frame. Same frame as
+  /// BuildFrame(scenario_seed), record for record.
+  const TvcaFrame& BuildFrame(std::uint64_t scenario_seed,
+                              FrameScratch& scratch) const;
 
   /// The periodic task set (periods/deadlines in cycles, rate-monotonic
   /// priorities) used by the schedulability examples.
@@ -129,8 +151,16 @@ class TvcaApp {
   trace::Program BuildActuatorProgram(const char* name, int dim,
                                       int steps) const;
 
+  /// programs_[task] decoded for the interpreter on first use. Decoding
+  /// fills ~0.4 MB of tables; done eagerly it made constructing an app
+  /// (which users do before any job, and often without one) half again
+  /// as costly.
+  const trace::DecodedProgram& Decoded(TvcaTask task) const;
+
   TvcaConfig config_;
   std::array<trace::Program, 3> programs_;
+  mutable std::array<std::once_flag, 3> decode_once_;
+  mutable std::array<trace::DecodedProgram, 3> decoded_;
 };
 
 }  // namespace spta::apps

@@ -1,40 +1,17 @@
 #include "fault/campaign.hpp"
 
 #include <atomic>
-#include <memory>
+#include <functional>
 
+#include "analysis/parallel_campaign.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/plan.hpp"
+#include "obs/trace.hpp"
 #include "sim/platform.hpp"
 
 namespace spta::fault {
 namespace {
-
-/// Per-worker reusable Platform, mirroring the arena pattern of
-/// analysis/parallel_campaign.cpp: Run/RunWithHook performs the full
-/// per-run reset protocol, so reuse is bit-identical to a fresh Platform
-/// per run and the steady state allocates nothing.
-class PlatformArenas {
- public:
-  PlatformArenas(const sim::PlatformConfig& config, std::size_t workers)
-      : config_(config), arenas_(workers) {}
-
-  sim::Platform& ForCurrentWorker() {
-    const std::size_t w = ThreadPool::CurrentWorkerIndex();
-    SPTA_CHECK_MSG(w != ThreadPool::kNotAWorker && w < arenas_.size(),
-                   "campaign body must run on a pool worker");
-    auto& arena = arenas_[w];
-    if (arena == nullptr) {
-      arena = std::make_unique<sim::Platform>(config_, /*master_seed=*/0);
-    }
-    return *arena;
-  }
-
- private:
-  const sim::PlatformConfig& config_;
-  std::vector<std::unique_ptr<sim::Platform>> arenas_;
-};
 
 /// True when run `r`'s reseed write is dropped. Run 0 never drops: its
 /// seed is the value the stale register holds.
@@ -42,6 +19,19 @@ bool ReseedDropped(const FaultCampaignConfig& config, std::size_t r) {
   if (r == 0 || config.reseed_dropout <= 0.0) return false;
   return Roll(config.EffectiveFaultSeed(), "reseed", r)
       .Chance(config.reseed_dropout);
+}
+
+/// The fault-injection window of run `r`: SEU flips after the reset
+/// protocol, counted into `flips`; null when the plan has no SEUs.
+std::function<void(sim::Platform&)> SeuHook(const FaultCampaignConfig& config,
+                                            std::size_t r,
+                                            std::atomic<std::uint64_t>& flips) {
+  if (!config.seu.Enabled()) return {};
+  return [&config, r, &flips](sim::Platform& p) {
+    const SeuReport rep =
+        InjectSeus(p, config.seu, config.EffectiveFaultSeed(), r);
+    flips.fetch_add(rep.flips, std::memory_order_relaxed);
+  };
 }
 
 }  // namespace
@@ -68,43 +58,18 @@ FaultCampaignResult RunTvcaCampaignWithFaults(
   result.samples.resize(config.base.runs);
   std::atomic<std::uint64_t> flips{0};
   std::atomic<std::uint64_t> drops{0};
-  const Seed fault_seed = config.EffectiveFaultSeed();
-
-  std::vector<apps::TvcaFrame> suite;
-  if (config.base.distinct_scenarios > 0) {
-    suite.reserve(config.base.distinct_scenarios);
-    for (std::size_t i = 0; i < config.base.distinct_scenarios; ++i) {
-      suite.push_back(app.BuildFrame(analysis::TvcaScenarioSeed(config.base, i)));
-    }
-  }
-
+  const analysis::TvcaFrames frames(app, config.base);
   ThreadPool pool(jobs);
-  PlatformArenas arenas(platform_config, pool.size());
+  analysis::WorkerArenas arenas(platform_config, pool.size());
   ParallelFor(pool, config.base.runs, [&](std::size_t r) {
+    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     bool dropped = false;
     const Seed run_seed = FaultedTvcaRunSeed(config, r, &dropped);
     if (dropped) drops.fetch_add(1, std::memory_order_relaxed);
-    apps::TvcaFrame local;
-    const apps::TvcaFrame* frame;
-    if (!suite.empty()) {
-      frame = &suite[r % config.base.distinct_scenarios];
-    } else {
-      local = app.BuildFrame(analysis::TvcaScenarioSeed(config.base, r));
-      frame = &local;
-    }
-    analysis::RunSample s;
-    if (config.seu.Enabled()) {
-      s.detail = arenas.ForCurrentWorker().RunWithHook(
-          frame->trace, run_seed, [&](sim::Platform& p) {
-            const SeuReport rep = InjectSeus(p, config.seu, fault_seed, r);
-            flips.fetch_add(rep.flips, std::memory_order_relaxed);
-          });
-    } else {
-      s.detail = arenas.ForCurrentWorker().Run(frame->trace, run_seed);
-    }
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = frame->path_id;
-    result.samples[r] = s;
+    const apps::TvcaFrame& frame = frames.ForRun(r, arenas.Frame());
+    result.samples[r] =
+        analysis::Measure(arenas.Platform(), frame.trace, frame.path_id,
+                          run_seed, SeuHook(config, r, flips));
   });
   result.faults_injected = flips.load();
   result.reseeds_dropped = drops.load();
@@ -119,27 +84,16 @@ FaultCampaignResult RunFixedTraceCampaignWithFaults(
   result.samples.resize(config.base.runs);
   std::atomic<std::uint64_t> flips{0};
   std::atomic<std::uint64_t> drops{0};
-  const Seed fault_seed = config.EffectiveFaultSeed();
-
   ThreadPool pool(jobs);
-  PlatformArenas arenas(platform_config, pool.size());
+  analysis::WorkerArenas arenas(platform_config, pool.size());
   ParallelFor(pool, config.base.runs, [&](std::size_t r) {
+    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     bool dropped = false;
     const Seed run_seed = FaultedFixedTraceRunSeed(config, r, &dropped);
     if (dropped) drops.fetch_add(1, std::memory_order_relaxed);
-    analysis::RunSample s;
-    if (config.seu.Enabled()) {
-      s.detail = arenas.ForCurrentWorker().RunWithHook(
-          t, run_seed, [&](sim::Platform& p) {
-            const SeuReport rep = InjectSeus(p, config.seu, fault_seed, r);
-            flips.fetch_add(rep.flips, std::memory_order_relaxed);
-          });
-    } else {
-      s.detail = arenas.ForCurrentWorker().Run(t, run_seed);
-    }
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = static_cast<std::uint32_t>(t.path_signature);
-    result.samples[r] = s;
+    result.samples[r] = analysis::Measure(
+        arenas.Platform(), t, static_cast<std::uint32_t>(t.path_signature),
+        run_seed, SeuHook(config, r, flips));
   });
   result.faults_injected = flips.load();
   result.reseeds_dropped = drops.load();

@@ -4,8 +4,9 @@
 // campaign.hpp): the platform seed, the scenario seed AND the fault
 // schedule of run r are pure functions of the configuration, so the
 // faulted campaign is bit-replayable in any execution order and for any
-// --jobs. The runners mirror analysis::Run*CampaignParallel (per-worker
-// Platform arenas, pre-sized result vector) with two additions:
+// --jobs. The runners mirror analysis::Run*CampaignParallel (the shared
+// per-worker analysis::WorkerArenas, pre-sized result vector) with two
+// additions:
 //   - SEU flips applied in the post-reset injection window of every run
 //     (sim::Platform::RunWithHook),
 //   - reseed dropout: with probability `reseed_dropout` per run, the

@@ -22,9 +22,61 @@ std::uint8_t MantissaClass(double value) {
       cls >= kFpuOperandClasses ? kFpuOperandClasses - 1 : cls);
 }
 
-// Fills the register-operand fields of `rec` from the IR instruction, in
-// the encoded (file-tagged) form the hazard model expects.
-void FillRegs(const IrInst& inst, TraceRecord& rec) {
+// The timing op class each IR operation retires as.
+OpClass OpClassOf(IrOp op) {
+  switch (op) {
+    case IrOp::kIMul:
+      return OpClass::kIntMul;
+    case IrOp::kIDiv:
+      return OpClass::kIntDiv;
+    case IrOp::kFMul:
+      return OpClass::kFpMul;
+    case IrOp::kFDiv:
+      return OpClass::kFpDiv;
+    case IrOp::kFSqrt:
+      return OpClass::kFpSqrt;
+    case IrOp::kFConst:
+    case IrOp::kFMove:
+    case IrOp::kFAdd:
+    case IrOp::kFSub:
+    case IrOp::kFAbs:
+    case IrOp::kFNeg:
+    case IrOp::kFCmpLt:
+    case IrOp::kIToF:
+    case IrOp::kFToI:
+      return OpClass::kFpAdd;
+    case IrOp::kLoadI:
+    case IrOp::kLoadF:
+      return OpClass::kLoad;
+    case IrOp::kStoreI:
+    case IrOp::kStoreF:
+      return OpClass::kStore;
+    case IrOp::kJump:
+    case IrOp::kBranchIfZero:
+    case IrOp::kBranchIfNeg:
+    case IrOp::kHalt:
+      return OpClass::kBranch;
+    case IrOp::kIConst:
+    case IrOp::kIMove:
+    case IrOp::kIAdd:
+    case IrOp::kISub:
+    case IrOp::kIAddImm:
+    case IrOp::kIAnd:
+    case IrOp::kIXor:
+    case IrOp::kIShl:
+    case IrOp::kIShr:
+    case IrOp::kICmpLt:
+      break;
+  }
+  return OpClass::kIntAlu;
+}
+
+// Fills the static fields of `rec` from the IR instruction: the timing
+// op class, and the register operands in the encoded (file-tagged) form
+// the hazard model expects. A kJump's branch is always taken.
+void FillStatic(const IrInst& inst, TraceRecord& rec) {
+  rec.op = OpClassOf(inst.op);
+  rec.branch_taken = inst.op == IrOp::kJump;
   const auto I = [](RegId r) { return static_cast<std::uint8_t>(r); };
   const auto F = [](RegId r) {
     return static_cast<std::uint8_t>(r | kFpRegFlag);
@@ -119,14 +171,40 @@ std::uint8_t FpuSqrtOperandClass(double operand) {
   return MantissaClass(std::sqrt(std::fabs(operand)));
 }
 
+DecodedProgram::DecodedProgram(const Program& program)
+    : name_(program.name), arrays_(program.arrays), entry_(program.entry) {
+  program.Validate();
+  const std::size_t n = program.StaticInstructionCount();
+  insts_.reserve(n);
+  templates_.reserve(n);
+  blocks_.reserve(program.blocks.size());
+  for (const BasicBlock& block : program.blocks) {
+    blocks_.push_back({static_cast<std::uint32_t>(insts_.size()),
+                       static_cast<std::uint32_t>(block.insts.size())});
+    for (std::size_t i = 0; i < block.insts.size(); ++i) {
+      TraceRecord rec;
+      rec.pc = block.code_base + 4 * static_cast<Address>(i);
+      FillStatic(block.insts[i], rec);
+      insts_.push_back(block.insts[i]);
+      templates_.push_back(rec);
+    }
+  }
+}
+
 Interpreter::Interpreter(const Program& program, Options options)
-    : program_(program),
-      options_(options),
-      iregs_(kNumRegs, 0),
-      fregs_(kNumRegs, 0.0),
-      storage_(program.arrays.size()) {
-  for (std::size_t a = 0; a < program.arrays.size(); ++a) {
-    const DataObject& obj = program.arrays[a];
+    : owned_(std::in_place, program), code_(*owned_), options_(options) {
+  ZeroArrays();
+}
+
+Interpreter::Interpreter(const DecodedProgram& program, Options options)
+    : code_(program), options_(options) {
+  ZeroArrays();
+}
+
+void Interpreter::ZeroArrays() {
+  storage_.resize(code_.arrays_.size());
+  for (std::size_t a = 0; a < code_.arrays_.size(); ++a) {
+    const DataObject& obj = code_.arrays_[a];
     if (obj.is_fp) {
       storage_[a].fps.assign(obj.elem_count, 0.0);
     } else {
@@ -147,8 +225,8 @@ void Interpreter::SetFpReg(RegId reg, double value) {
 
 const DataObject& Interpreter::CheckedArray(ArrayId array,
                                             bool want_fp) const {
-  SPTA_REQUIRE(array < program_.arrays.size());
-  const DataObject& obj = program_.arrays[array];
+  SPTA_REQUIRE(array < code_.arrays_.size());
+  const DataObject& obj = code_.arrays_[array];
   SPTA_REQUIRE_MSG(obj.is_fp == want_fp,
                    "array '" << obj.name << "' type mismatch");
   return obj;
@@ -191,8 +269,8 @@ double Interpreter::ReadFp(ArrayId array, std::size_t index) const {
   return storage_[array].fps[index];
 }
 
-std::size_t Interpreter::CheckedIndex(const IrInst& inst,
-                                      const DataObject& obj) const {
+std::size_t Interpreter::CheckedIndex(const IrInst& inst) const {
+  const DataObject& obj = code_.arrays_[inst.array];
   const std::int64_t idx = iregs_[inst.src1] + inst.imm;
   SPTA_CHECK_MSG(idx >= 0 && static_cast<std::size_t>(idx) < obj.elem_count,
                  "out-of-bounds access to '" << obj.name << "': index " << idx
@@ -201,204 +279,176 @@ std::size_t Interpreter::CheckedIndex(const IrInst& inst,
 }
 
 Trace Interpreter::Run() {
+  Trace out;
+  Run(out);
+  return out;
+}
+
+void Interpreter::Run(Trace& out) {
   SPTA_REQUIRE_MSG(!has_run_, "Interpreter::Run may be called once");
   has_run_ = true;
 
-  Trace out;
+  out.records.clear();
   std::uint64_t path_hash = 0x5bd1e995u;
-  BlockId block_id = program_.entry;
+  BlockId block_id = code_.entry_;
   bool halted = false;
 
   while (!halted) {
     path_hash = HashCombine(path_hash, static_cast<std::uint64_t>(block_id));
-    const BasicBlock& block =
-        program_.blocks[static_cast<std::size_t>(block_id)];
-    for (std::size_t i = 0; i < block.insts.size(); ++i) {
-      SPTA_CHECK_MSG(steps_ < options_.max_steps,
-                     "step limit " << options_.max_steps << " exceeded in '"
-                                   << program_.name << "'");
-      ++steps_;
-      const IrInst& inst = block.insts[i];
-      TraceRecord rec;
-      rec.pc = block.code_base + 4 * static_cast<Address>(i);
-      FillRegs(inst, rec);
+    const DecodedProgram::Block block =
+        code_.blocks_[static_cast<std::size_t>(block_id)];
+    // One step-limit check per block: aborts exactly when some instruction
+    // of this block would be the (max_steps + 1)-th.
+    SPTA_CHECK_MSG(block.size <= options_.max_steps - steps_,
+                   "step limit " << options_.max_steps << " exceeded in '"
+                                 << code_.name_ << "'");
+    steps_ += block.size;
 
-      switch (inst.op) {
+    // Emit the block's static records, then patch the dynamic fields
+    // (mem_addr, branch_taken, fpu_operand_class) while executing.
+    const std::size_t emitted = out.records.size();
+    const auto templates = code_.templates_.begin() + block.first;
+    out.records.insert(out.records.end(), templates, templates + block.size);
+    TraceRecord* rec = out.records.data() + emitted;
+    const IrInst* inst = code_.insts_.data() + block.first;
+
+    for (std::uint32_t i = 0; i < block.size; ++i, ++rec, ++inst) {
+      switch (inst->op) {
         case IrOp::kIConst:
-          iregs_[inst.dst] = inst.imm;
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = inst->imm;
           break;
         case IrOp::kIMove:
-          iregs_[inst.dst] = iregs_[inst.src1];
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = iregs_[inst->src1];
           break;
         case IrOp::kIAdd:
-          iregs_[inst.dst] = iregs_[inst.src1] + iregs_[inst.src2];
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = iregs_[inst->src1] + iregs_[inst->src2];
           break;
         case IrOp::kISub:
-          iregs_[inst.dst] = iregs_[inst.src1] - iregs_[inst.src2];
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = iregs_[inst->src1] - iregs_[inst->src2];
           break;
         case IrOp::kIMul:
-          iregs_[inst.dst] = iregs_[inst.src1] * iregs_[inst.src2];
-          rec.op = OpClass::kIntMul;
+          iregs_[inst->dst] = iregs_[inst->src1] * iregs_[inst->src2];
           break;
         case IrOp::kIDiv:
-          SPTA_CHECK_MSG(iregs_[inst.src2] != 0, "integer division by zero");
-          iregs_[inst.dst] = iregs_[inst.src1] / iregs_[inst.src2];
-          rec.op = OpClass::kIntDiv;
+          SPTA_CHECK_MSG(iregs_[inst->src2] != 0, "integer division by zero");
+          iregs_[inst->dst] = iregs_[inst->src1] / iregs_[inst->src2];
           break;
         case IrOp::kIAddImm:
-          iregs_[inst.dst] = iregs_[inst.src1] + inst.imm;
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = iregs_[inst->src1] + inst->imm;
           break;
         case IrOp::kIAnd:
-          iregs_[inst.dst] = iregs_[inst.src1] & iregs_[inst.src2];
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = iregs_[inst->src1] & iregs_[inst->src2];
           break;
         case IrOp::kIXor:
-          iregs_[inst.dst] = iregs_[inst.src1] ^ iregs_[inst.src2];
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = iregs_[inst->src1] ^ iregs_[inst->src2];
           break;
         case IrOp::kIShl:
-          iregs_[inst.dst] = static_cast<std::int64_t>(
-              static_cast<std::uint64_t>(iregs_[inst.src1])
-              << (inst.imm & 63));
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = static_cast<std::int64_t>(
+              static_cast<std::uint64_t>(iregs_[inst->src1])
+              << (inst->imm & 63));
           break;
         case IrOp::kIShr:
-          iregs_[inst.dst] = static_cast<std::int64_t>(
-              static_cast<std::uint64_t>(iregs_[inst.src1]) >>
-              (inst.imm & 63));
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] = static_cast<std::int64_t>(
+              static_cast<std::uint64_t>(iregs_[inst->src1]) >>
+              (inst->imm & 63));
           break;
         case IrOp::kICmpLt:
-          iregs_[inst.dst] =
-              iregs_[inst.src1] < iregs_[inst.src2] ? 1 : 0;
-          rec.op = OpClass::kIntAlu;
+          iregs_[inst->dst] =
+              iregs_[inst->src1] < iregs_[inst->src2] ? 1 : 0;
           break;
         case IrOp::kFConst:
-          fregs_[inst.dst] = inst.fimm;
-          rec.op = OpClass::kFpAdd;
+          fregs_[inst->dst] = inst->fimm;
           break;
         case IrOp::kFMove:
-          fregs_[inst.dst] = fregs_[inst.src1];
-          rec.op = OpClass::kFpAdd;
+          fregs_[inst->dst] = fregs_[inst->src1];
           break;
         case IrOp::kFAdd:
-          fregs_[inst.dst] = fregs_[inst.src1] + fregs_[inst.src2];
-          rec.op = OpClass::kFpAdd;
+          fregs_[inst->dst] = fregs_[inst->src1] + fregs_[inst->src2];
           break;
         case IrOp::kFSub:
-          fregs_[inst.dst] = fregs_[inst.src1] - fregs_[inst.src2];
-          rec.op = OpClass::kFpAdd;
+          fregs_[inst->dst] = fregs_[inst->src1] - fregs_[inst->src2];
           break;
         case IrOp::kFMul:
-          fregs_[inst.dst] = fregs_[inst.src1] * fregs_[inst.src2];
-          rec.op = OpClass::kFpMul;
+          fregs_[inst->dst] = fregs_[inst->src1] * fregs_[inst->src2];
           break;
         case IrOp::kFDiv: {
-          const double a = fregs_[inst.src1];
-          const double b = fregs_[inst.src2];
-          SPTA_CHECK_MSG(b != 0.0, "FP division by zero in '"
-                                       << program_.name << "'");
-          rec.fpu_operand_class = FpuDivOperandClass(a, b);
-          fregs_[inst.dst] = a / b;
-          rec.op = OpClass::kFpDiv;
+          const double a = fregs_[inst->src1];
+          const double b = fregs_[inst->src2];
+          SPTA_CHECK_MSG(b != 0.0, "FP division by zero in '" << code_.name_
+                                                              << "'");
+          rec->fpu_operand_class = FpuDivOperandClass(a, b);
+          fregs_[inst->dst] = a / b;
           break;
         }
         case IrOp::kFSqrt: {
-          const double a = fregs_[inst.src1];
-          rec.fpu_operand_class = FpuSqrtOperandClass(a);
-          fregs_[inst.dst] = std::sqrt(std::fabs(a));
-          rec.op = OpClass::kFpSqrt;
+          const double a = fregs_[inst->src1];
+          rec->fpu_operand_class = FpuSqrtOperandClass(a);
+          fregs_[inst->dst] = std::sqrt(std::fabs(a));
           break;
         }
         case IrOp::kFAbs:
-          fregs_[inst.dst] = std::fabs(fregs_[inst.src1]);
-          rec.op = OpClass::kFpAdd;
+          fregs_[inst->dst] = std::fabs(fregs_[inst->src1]);
           break;
         case IrOp::kFNeg:
-          fregs_[inst.dst] = -fregs_[inst.src1];
-          rec.op = OpClass::kFpAdd;
+          fregs_[inst->dst] = -fregs_[inst->src1];
           break;
         case IrOp::kFCmpLt:
-          iregs_[inst.dst] =
-              fregs_[inst.src1] < fregs_[inst.src2] ? 1 : 0;
-          rec.op = OpClass::kFpAdd;
+          iregs_[inst->dst] =
+              fregs_[inst->src1] < fregs_[inst->src2] ? 1 : 0;
           break;
         case IrOp::kIToF:
-          fregs_[inst.dst] = static_cast<double>(iregs_[inst.src1]);
-          rec.op = OpClass::kFpAdd;
+          fregs_[inst->dst] = static_cast<double>(iregs_[inst->src1]);
           break;
         case IrOp::kFToI:
-          iregs_[inst.dst] = static_cast<std::int64_t>(fregs_[inst.src1]);
-          rec.op = OpClass::kFpAdd;
+          iregs_[inst->dst] = static_cast<std::int64_t>(fregs_[inst->src1]);
           break;
         case IrOp::kLoadI: {
-          const DataObject& obj = program_.arrays[inst.array];
-          const std::size_t idx = CheckedIndex(inst, obj);
-          iregs_[inst.dst] = storage_[inst.array].ints[idx];
-          rec.op = OpClass::kLoad;
-          rec.mem_addr = obj.base + idx * obj.elem_size();
+          const std::size_t idx = CheckedIndex(*inst);
+          iregs_[inst->dst] = storage_[inst->array].ints[idx];
+          rec->mem_addr = code_.arrays_[inst->array].base + idx * 4;
           break;
         }
         case IrOp::kStoreI: {
-          const DataObject& obj = program_.arrays[inst.array];
-          const std::size_t idx = CheckedIndex(inst, obj);
-          storage_[inst.array].ints[idx] =
-              static_cast<std::int32_t>(iregs_[inst.src2]);
-          rec.op = OpClass::kStore;
-          rec.mem_addr = obj.base + idx * obj.elem_size();
+          const std::size_t idx = CheckedIndex(*inst);
+          storage_[inst->array].ints[idx] =
+              static_cast<std::int32_t>(iregs_[inst->src2]);
+          rec->mem_addr = code_.arrays_[inst->array].base + idx * 4;
           break;
         }
         case IrOp::kLoadF: {
-          const DataObject& obj = program_.arrays[inst.array];
-          const std::size_t idx = CheckedIndex(inst, obj);
-          fregs_[inst.dst] = storage_[inst.array].fps[idx];
-          rec.op = OpClass::kLoad;
-          rec.mem_addr = obj.base + idx * obj.elem_size();
+          const std::size_t idx = CheckedIndex(*inst);
+          fregs_[inst->dst] = storage_[inst->array].fps[idx];
+          rec->mem_addr = code_.arrays_[inst->array].base + idx * 8;
           break;
         }
         case IrOp::kStoreF: {
-          const DataObject& obj = program_.arrays[inst.array];
-          const std::size_t idx = CheckedIndex(inst, obj);
-          storage_[inst.array].fps[idx] = fregs_[inst.src2];
-          rec.op = OpClass::kStore;
-          rec.mem_addr = obj.base + idx * obj.elem_size();
+          const std::size_t idx = CheckedIndex(*inst);
+          storage_[inst->array].fps[idx] = fregs_[inst->src2];
+          rec->mem_addr = code_.arrays_[inst->array].base + idx * 8;
           break;
         }
         case IrOp::kJump:
-          rec.op = OpClass::kBranch;
-          rec.branch_taken = true;
-          block_id = inst.target;
+          block_id = inst->target;
           break;
         case IrOp::kBranchIfZero: {
-          const bool taken = iregs_[inst.src1] == 0;
-          rec.op = OpClass::kBranch;
-          rec.branch_taken = taken;
-          block_id = taken ? inst.target : inst.target2;
+          const bool taken = iregs_[inst->src1] == 0;
+          rec->branch_taken = taken;
+          block_id = taken ? inst->target : inst->target2;
           break;
         }
         case IrOp::kBranchIfNeg: {
-          const bool taken = iregs_[inst.src1] < 0;
-          rec.op = OpClass::kBranch;
-          rec.branch_taken = taken;
-          block_id = taken ? inst.target : inst.target2;
+          const bool taken = iregs_[inst->src1] < 0;
+          rec->branch_taken = taken;
+          block_id = taken ? inst->target : inst->target2;
           break;
         }
         case IrOp::kHalt:
-          rec.op = OpClass::kBranch;
-          rec.branch_taken = false;
           halted = true;
           break;
       }
-      out.records.push_back(rec);
     }
   }
   out.path_signature = path_hash;
-  return out;
 }
 
 }  // namespace spta::trace

@@ -3,6 +3,7 @@
 // meaningful paths.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -340,6 +341,83 @@ TEST(TvcaTest, TaskNames) {
   EXPECT_STREQ(ToString(TvcaTask::kSensorAcq), "sensor-acq");
   EXPECT_STREQ(ToString(TvcaTask::kActuatorX), "actuator-x");
   EXPECT_STREQ(ToString(TvcaTask::kActuatorY), "actuator-y");
+}
+
+// --- FrameScratch: in-place frames are the by-value frames ----------------
+
+/// The first scenario seed of each of the eight paths.
+std::array<std::uint64_t, 8> FirstSeedPerPath(const TvcaApp& app) {
+  std::array<std::uint64_t, 8> seeds{};
+  std::array<bool, 8> found{};
+  std::size_t missing = 8;
+  for (std::uint64_t seed = 0; missing > 0; ++seed) {
+    const std::uint32_t path = app.DrawScenario(seed).PathId();
+    if (!found[path]) {
+      found[path] = true;
+      seeds[path] = seed;
+      --missing;
+    }
+  }
+  return seeds;
+}
+
+std::array<const void*, 6> BufferAddresses(const FrameScratch& scratch) {
+  std::array<const void*, 6> out{};
+  for (std::size_t j = 0; j < scratch.jobs.size(); ++j) {
+    out[j] = scratch.jobs[j].records.data();
+  }
+  out[5] = scratch.frame.trace.records.data();
+  return out;
+}
+
+TEST(FrameScratchTest, ReusedScratchBuildsTheByValueFrames) {
+  const TvcaApp app;
+  const auto by_path = FirstSeedPerPath(app);
+  // Path 7 (every mode on) is the longest frame, path 0 the shortest: the
+  // scratch shrinks and regrows across the sequence and visits all eight.
+  const std::uint64_t seeds[] = {by_path[7], by_path[0], by_path[3],
+                                 by_path[4], by_path[1], by_path[6],
+                                 by_path[2], by_path[5], by_path[7]};
+  FrameScratch scratch;
+  for (const std::uint64_t seed : seeds) {
+    SCOPED_TRACE(seed);
+    const TvcaFrame fresh = app.BuildFrame(seed);
+    const TvcaFrame& reused = app.BuildFrame(seed, scratch);
+    EXPECT_EQ(&reused, &scratch.frame);
+    EXPECT_EQ(reused.path_id, fresh.path_id);
+    EXPECT_EQ(reused.trace.path_signature, fresh.trace.path_signature);
+    ASSERT_EQ(reused.trace.records.size(), fresh.trace.records.size());
+    EXPECT_TRUE(reused.trace.records == fresh.trace.records);
+  }
+}
+
+TEST(FrameScratchTest, InterpreterRunIntoUsedTraceMatchesFreshTrace) {
+  const TvcaApp app;
+  const trace::Program& p = app.program(TvcaTask::kActuatorX);
+  trace::Interpreter fresh(p);
+  const trace::Trace expected = fresh.Run();
+  // A longer, different trace left in the buffer must not leak through.
+  trace::Trace used = app.BuildTaskTrace(TvcaTask::kSensorAcq, 5);
+  ASSERT_GT(used.records.size(), expected.records.size());
+  trace::Interpreter again(p);
+  again.Run(used);
+  EXPECT_EQ(used.path_signature, expected.path_signature);
+  ASSERT_EQ(used.records.size(), expected.records.size());
+  EXPECT_TRUE(used.records == expected.records);
+}
+
+// Deterministic stand-in for "no steady-state page faults": once the
+// scratch has held the longest path, no later frame reallocates any of
+// its six buffers.
+TEST(FrameScratchTest, BuffersStopMovingAfterTheLongestPath) {
+  const TvcaApp app;
+  FrameScratch scratch;
+  app.BuildFrame(FirstSeedPerPath(app)[7], scratch);
+  const auto addresses = BufferAddresses(scratch);
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    app.BuildFrame(seed, scratch);
+    EXPECT_EQ(BufferAddresses(scratch), addresses) << "seed " << seed;
+  }
 }
 
 }  // namespace

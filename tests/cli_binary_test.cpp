@@ -3,11 +3,14 @@
 // The binary path is injected at build time via SPTA_CLI_PATH.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -28,12 +31,72 @@ std::string Slurp(const std::string& path) {
   return ss.str();
 }
 
+/// One complete ("X") event of a --trace-out export.
+struct Span {
+  std::string name;
+  double ts = 0.0;
+  double dur = 0.0;
+  long tid = -1;
+};
+
+/// The value of `"key":` in one exported event line (strings unquoted).
+std::string EventField(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  std::size_t pos = line.find(tag);
+  if (pos == std::string::npos) return "";
+  pos += tag.size();
+  if (line[pos] == '"') {
+    return line.substr(pos + 1, line.find('"', pos + 1) - pos - 1);
+  }
+  return line.substr(pos, line.find_first_of(",}", pos) - pos);
+}
+
+/// The complete events of a --trace-out export (one event per line).
+std::vector<Span> CompleteSpans(const std::string& doc) {
+  std::vector<Span> spans;
+  std::istringstream in(doc);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (EventField(line, "ph") != "X") continue;
+    spans.push_back({EventField(line, "name"),
+                     std::stod(EventField(line, "ts")),
+                     std::stod(EventField(line, "dur")),
+                     std::stol(EventField(line, "tid"))});
+  }
+  return spans;
+}
+
+/// How many `name` spans there are, and whether each lies inside a `run`
+/// span on its thread.
+std::size_t CountInsideRuns(const std::vector<Span>& spans,
+                            const std::string& name, bool* all_inside) {
+  constexpr double kSlackUs = 0.001;  // ts and dur are printed to 1 ns
+  std::size_t count = 0;
+  *all_inside = true;
+  for (const Span& s : spans) {
+    if (s.name != name) continue;
+    ++count;
+    *all_inside &= std::any_of(spans.begin(), spans.end(), [&](const Span& r) {
+      return r.name == "run" && r.tid == s.tid && r.ts <= s.ts + kSlackUs &&
+             s.ts + s.dur <= r.ts + r.dur + kSlackUs;
+    });
+  }
+  return count;
+}
+
 class CliBinaryTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    csv_ = ::testing::TempDir() + "spta_cli_test_samples.csv";
-  }
+  void SetUp() override { csv_ = TempPath("samples.csv"); }
   void TearDown() override { std::remove(csv_.c_str()); }
+
+  /// A temp file private to the running test. ctest runs the tests of this
+  /// fixture as parallel processes, so no two may share a path.
+  static std::string TempPath(const std::string& suffix) {
+    return ::testing::TempDir() + "spta_cli_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + suffix;
+  }
+
   std::string csv_;
 };
 
@@ -57,9 +120,9 @@ TEST_F(CliBinaryTest, CampaignWritesWellFormedCsv) {
 // trace must be a Chrome/Perfetto trace_event document, and the counter
 // CSV must carry one row per run plus the aggregate JSON sidecar.
 TEST_F(CliBinaryTest, CampaignObsFlagsProduceTraceAndCounters) {
-  const std::string trace_json = ::testing::TempDir() + "spta_cli_trace.json";
-  const std::string counters = ::testing::TempDir() + "spta_cli_counters.csv";
-  const std::string plain_csv = ::testing::TempDir() + "spta_cli_plain.csv";
+  const std::string trace_json = TempPath("trace.json");
+  const std::string counters = TempPath("counters.csv");
+  const std::string plain_csv = TempPath("plain.csv");
   ASSERT_EQ(RunCli("campaign --platform rand --runs 40 --seed 7 --output " +
                    csv_ + " --trace-out " + trace_json + " --counters-out " +
                    counters),
@@ -75,6 +138,19 @@ TEST_F(CliBinaryTest, CampaignObsFlagsProduceTraceAndCounters) {
   EXPECT_NE(trace.find("\"name\":\"tvca_campaign_parallel\""),
             std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
+  // Each run splits into the pipeline's layers: one frame build (five
+  // job interpretations and one composition) and one simulation.
+  const std::vector<Span> spans = CompleteSpans(trace);
+  for (const auto& [layer, per_run] :
+       {std::pair<std::string, std::size_t>{"build_frame", 1},
+        {"interpret", 5},
+        {"compose", 1},
+        {"simulate", 1}}) {
+    SCOPED_TRACE(layer);
+    bool inside = false;
+    EXPECT_EQ(CountInsideRuns(spans, layer, &inside), 40 * per_run);
+    EXPECT_TRUE(inside);
+  }
 
   const std::string counter_csv = Slurp(counters);
   EXPECT_NE(counter_csv.find("run,path_id,cycles,"), std::string::npos);
@@ -94,7 +170,7 @@ TEST_F(CliBinaryTest, AnalyzeRoundTripSucceeds) {
   ASSERT_EQ(RunCli("campaign --platform rand --runs 250 --seed 9 --output " +
                    csv_),
             0);
-  const std::string out = ::testing::TempDir() + "spta_cli_analyze.txt";
+  const std::string out = TempPath("analyze.txt");
   EXPECT_EQ(RunCli("analyze --input " + csv_ + " --per-path", out), 0);
   const std::string report = Slurp(out);
   EXPECT_NE(report.find("Ljung-Box"), std::string::npos);
@@ -115,10 +191,9 @@ TEST_F(CliBinaryTest, AnalyzeRejectsMissingFile) {
 // --batch-lanes must not perturb the sample: the batched CSV is
 // byte-identical to the serial runner's, for the checkpointed path too.
 TEST_F(CliBinaryTest, BatchLanesCsvIsByteIdenticalToSerial) {
-  const std::string batched = ::testing::TempDir() + "spta_cli_batched.csv";
-  const std::string serial_ctr = ::testing::TempDir() + "spta_cli_serial_ctr";
-  const std::string batched_ctr =
-      ::testing::TempDir() + "spta_cli_batched_ctr";
+  const std::string batched = TempPath("batched.csv");
+  const std::string serial_ctr = TempPath("serial_ctr");
+  const std::string batched_ctr = TempPath("batched_ctr");
   ASSERT_EQ(RunCli("campaign --platform rand --runs 48 --seed 11 "
                    "--scenarios 6 --jobs 2 --counters-out " +
                    serial_ctr + " --output " + csv_),
@@ -151,7 +226,7 @@ TEST_F(CliBinaryTest, ConvergenceRunsOnCampaignOutput) {
   ASSERT_EQ(RunCli("campaign --platform rand --runs 450 --seed 4 --output " +
                    csv_),
             0);
-  const std::string out = ::testing::TempDir() + "spta_cli_conv.txt";
+  const std::string out = TempPath("conv.txt");
   const int rc = RunCli(
       "convergence --input " + csv_ + " --initial 150 --step 150 --tol 0.05",
       out);

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <iterator>
+#include <ostream>
 #include <span>
 #include <vector>
 
@@ -377,6 +378,12 @@ struct KernelUnderTest {
   std::function<trace::Program()> make_program;
   std::function<void(trace::Interpreter&, std::uint64_t)> poke;
 };
+
+// Print a case as its kernel name. gtest's default byte dump of this
+// struct shows the address of `name` and of the two std::function
+// targets, so the CTest name of each case would change with every build
+// and load address.
+void PrintTo(const KernelUnderTest& k, std::ostream* os) { *os << k.name; }
 
 class StaticSoundnessSweep
     : public ::testing::TestWithParam<KernelUnderTest> {};

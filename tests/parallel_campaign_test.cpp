@@ -10,15 +10,23 @@
 // -DSPTA_SANITIZE=thread to get the data-race proof (see README).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <functional>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "analysis/atlas_campaign.hpp"
 #include "analysis/campaign.hpp"
+#include "analysis/checkpoint.hpp"
 #include "analysis/parallel_campaign.hpp"
 #include "apps/tvca.hpp"
 #include "common/thread_pool.hpp"
+#include "fault/campaign.hpp"
+#include "fault/seu.hpp"
 #include "sim/platform.hpp"
 #include "trace/synthetic.hpp"
 
@@ -102,6 +110,121 @@ TEST(ParallelCampaignTest, FreshInputCampaignBitIdentical) {
       sim::RandLeon3Config(), app, cc, 4);
   ExpectSameSamples(serial, parallel);
 }
+
+// ---------------------------------------------------------------------------
+// Fresh inputs (distinct_scenarios == 0) through every pool runner. Each
+// worker builds run r's frame into its own reused FrameScratch on its own
+// reused Platform; these pin that the reuse is invisible: every runner
+// reproduces a reference that builds each frame by value and measures it
+// on a Platform constructed for that run alone.
+
+/// The reference samples: run r measures app.BuildFrame(scenario seed) on
+/// a fresh Platform under TvcaRunSeed, with `hook(platform, r)` in the
+/// RunWithHook window when given.
+std::vector<analysis::RunSample> FreshReference(
+    const apps::TvcaApp& app, const analysis::CampaignConfig& cc,
+    const std::function<void(sim::Platform&, std::size_t)>& hook = {}) {
+  std::vector<analysis::RunSample> samples;
+  for (std::size_t r = 0; r < cc.runs; ++r) {
+    const apps::TvcaFrame frame =
+        app.BuildFrame(analysis::TvcaScenarioSeed(cc, r));
+    sim::Platform platform(sim::RandLeon3Config(), /*master_seed=*/r);
+    analysis::RunSample s;
+    s.detail = platform.RunWithHook(
+        frame.trace, analysis::TvcaRunSeed(cc, r), [&](sim::Platform& p) {
+          if (hook) hook(p, r);
+        });
+    s.cycles = static_cast<double>(s.detail.cycles);
+    s.path_id = frame.path_id;
+    samples.push_back(s);
+  }
+  return samples;
+}
+
+class FreshInputRunners : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  FreshInputRunners() {
+    cc_.runs = 24;
+    cc_.distinct_scenarios = 0;
+    cc_.master_seed = 31;
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    journal_ = ::testing::TempDir() + "spta_fresh_" + name + ".ckpt";
+    std::remove(journal_.c_str());
+  }
+  ~FreshInputRunners() override { std::remove(journal_.c_str()); }
+
+  std::size_t jobs() const { return GetParam(); }
+
+  const apps::TvcaApp app_{SmallTvca()};
+  analysis::CampaignConfig cc_;
+  std::string journal_;
+};
+
+TEST_P(FreshInputRunners, ParallelAndSerialMatchTheReference) {
+  const auto reference = FreshReference(app_, cc_);
+  ExpectSameSamples(reference, analysis::RunTvcaCampaignParallel(
+                                   sim::RandLeon3Config(), app_, cc_, jobs()));
+  sim::Platform platform(sim::RandLeon3Config(), cc_.master_seed);
+  ExpectSameSamples(reference,
+                    analysis::RunTvcaCampaign(platform, app_, cc_));
+}
+
+TEST_P(FreshInputRunners, MemoizedMatchesTheReference) {
+  ExpectSameSamples(FreshReference(app_, cc_),
+                    analysis::RunTvcaCampaignMemoized(sim::RandLeon3Config(),
+                                                      app_, cc_, jobs()));
+}
+
+TEST_P(FreshInputRunners, CheckpointedKillAndResumeMatchTheReference) {
+  analysis::CheckpointOptions opts;
+  opts.journal_path = journal_;
+  opts.abort_after_appends = cc_.runs / 3;
+  analysis::CheckpointedCampaignResult killed;
+  std::string error;
+  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(
+      sim::RandLeon3Config(), app_, cc_, jobs(), opts, &killed, &error))
+      << error;
+  ASSERT_FALSE(killed.completed);
+
+  opts.abort_after_appends = 0;
+  opts.resume = true;
+  analysis::CheckpointedCampaignResult resumed;
+  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(
+      sim::RandLeon3Config(), app_, cc_, jobs(), opts, &resumed, &error))
+      << error;
+  ASSERT_TRUE(resumed.completed);
+  EXPECT_EQ(resumed.resumed_runs, cc_.runs / 3);
+  ExpectSameSamples(FreshReference(app_, cc_), resumed.samples);
+}
+
+TEST_P(FreshInputRunners, FaultRunnerWithZeroRatesMatchesTheReference) {
+  fault::FaultCampaignConfig fc;
+  fc.base = cc_;
+  const auto faulted = fault::RunTvcaCampaignWithFaults(
+      sim::RandLeon3Config(), app_, fc, jobs());
+  EXPECT_FALSE(faulted.Tainted());
+  ExpectSameSamples(FreshReference(app_, cc_), faulted.samples);
+}
+
+TEST_P(FreshInputRunners, FaultRunnerWithSeusMatchesTheReference) {
+  fault::FaultCampaignConfig fc;
+  fc.base = cc_;
+  fc.seu.upsets_per_run = 3.0;
+  fc.fault_seed = 4242;
+  const auto faulted = fault::RunTvcaCampaignWithFaults(
+      sim::RandLeon3Config(), app_, fc, jobs());
+  EXPECT_EQ(faulted.faults_injected, 3u * cc_.runs);
+  ExpectSameSamples(
+      FreshReference(app_, cc_,
+                     [&](sim::Platform& p, std::size_t r) {
+                       fault::InjectSeus(p, fc.seu, fc.fault_seed, r);
+                     }),
+      faulted.samples);
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, FreshInputRunners, ::testing::Values(1u, 4u));
 
 TEST(ParallelCampaignTest, JobCountsAgreeWithEachOther) {
   const apps::TvcaApp app(SmallTvca());

@@ -277,6 +277,48 @@ TEST(InterpreterDeathTest, DivisionByZeroCaught) {
   EXPECT_DEATH(interp.Run(), "division by zero");
 }
 
+TEST(InterpreterDeathTest, FpDivisionByZeroCaught) {
+  ProgramBuilder b("fdiv0");
+  const BlockId blk = b.NewBlock();
+  b.SetEntry(blk);
+  b.SwitchTo(blk);
+  b.FConst(1, 1.0);
+  b.FConst(2, 0.0);
+  b.FDiv(3, 1, 2);
+  b.Halt();
+  const Program p = b.Build();
+  Interpreter interp(p);
+  EXPECT_DEATH(interp.Run(), "FP division by zero");
+}
+
+// The step limit is checked once per block, yet it must fire exactly as a
+// per-instruction check would: a run of exactly max_steps instructions
+// completes, one instruction fewer aborts.
+TEST(InterpreterDeathTest, StepLimitIsExact) {
+  const Program p = SumProgram(10);
+  Interpreter probe(p);
+  probe.Run();
+  Interpreter::Options opts;
+  opts.max_steps = probe.steps_executed();
+  Interpreter exact(p, opts);
+  EXPECT_EQ(exact.Run().instruction_count(), probe.steps_executed());
+  opts.max_steps = probe.steps_executed() - 1;
+  Interpreter short_by_one(p, opts);
+  EXPECT_DEATH(short_by_one.Run(), "step limit");
+}
+
+TEST(InterpreterTest, DecodedProgramRunsLikeTheProgram) {
+  const Program p = SumProgram(7);
+  const DecodedProgram decoded(p);
+  Interpreter from_program(p);
+  Interpreter from_decoded(decoded);
+  const Trace a = from_program.Run();
+  const Trace b2 = from_decoded.Run();
+  EXPECT_EQ(from_decoded.int_reg(20), 28);
+  EXPECT_EQ(a.path_signature, b2.path_signature);
+  EXPECT_TRUE(a.records == b2.records);
+}
+
 TEST(FpuOperandClassTest, PowersOfTwoAreEasiest) {
   EXPECT_EQ(FpuDivOperandClass(8.0, 2.0), 0);
   EXPECT_EQ(FpuSqrtOperandClass(4.0), 0);
