@@ -1,10 +1,8 @@
 #include "analysis/batch_campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 
 #include "analysis/parallel_campaign.hpp"
 #include "common/assert.hpp"
@@ -12,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "sim/batch/batch_platform.hpp"
 #include "sim/batch/prepared_trace.hpp"
+#include "sim/batch/simd.hpp"
 
 namespace spta::analysis {
 namespace {
@@ -29,7 +28,11 @@ class BatchArenas {
  public:
   BatchArenas(const sim::PlatformConfig& config, std::size_t lanes,
               std::size_t workers)
-      : config_(config), lanes_(lanes), arenas_(workers) {}
+      : config_(config), lanes_(lanes), arenas_(workers) {
+    // The SIMD scan dispatch resolves lazily on first use; resolve it here,
+    // before the pool starts, so workers only read it (simd.hpp).
+    (void)sim::batch::ActiveScanIsa();
+  }
 
   sim::batch::BatchPlatform& ForCurrentWorker() {
     const std::size_t w = ThreadPool::CurrentWorkerIndex();
@@ -106,122 +109,67 @@ RunSample ToSample(const Chunk& chunk, sim::RunResult detail) {
   return s;
 }
 
-/// Executes `chunks` on the pool; `emit(run_index, sample)` is called for
-/// every completed run (concurrently, distinct indices). `keep_going`
-/// lets the checkpointed runner cut measurement short after an abort.
+/// Simulates one chunk on the calling worker's batch kernel and emits
+/// each lane's sample under its absolute run index.
+void RunChunk(BatchArenas& arenas, const Chunk& chunk,
+              const std::function<Seed(std::size_t)>& seed_of,
+              const EmitSample& emit) {
+  SPTA_OBS_SPAN_ARG("campaign", "run_batch", "lanes", chunk.runs.size());
+  std::vector<Seed> seeds;
+  seeds.reserve(chunk.runs.size());
+  for (const std::size_t r : chunk.runs) seeds.push_back(seed_of(r));
+  auto results = arenas.ForCurrentWorker().RunBatch(*chunk.prepared, seeds);
+  for (std::size_t i = 0; i < chunk.runs.size(); ++i) {
+    emit(chunk.runs[i], ToSample(chunk, results[i]));
+  }
+}
+
+/// Runs every chunk on the pool.
 void ExecuteChunks(ThreadPool& pool, BatchArenas& arenas,
                    const std::vector<Chunk>& chunks,
                    const std::function<Seed(std::size_t)>& seed_of,
-                   const std::function<bool()>& keep_going,
-                   const std::function<void(std::size_t, RunSample)>& emit) {
+                   const EmitSample& emit) {
   ParallelFor(pool, chunks.size(), [&](std::size_t c) {
-    if (!keep_going()) return;
-    const Chunk& chunk = chunks[c];
-    SPTA_OBS_SPAN_ARG("campaign", "run_batch", "lanes", chunk.runs.size());
-    std::vector<Seed> seeds;
-    seeds.reserve(chunk.runs.size());
-    for (const std::size_t r : chunk.runs) seeds.push_back(seed_of(r));
-    auto results =
-        arenas.ForCurrentWorker().RunBatch(*chunk.prepared, seeds);
-    for (std::size_t i = 0; i < chunk.runs.size(); ++i) {
-      emit(chunk.runs[i], ToSample(chunk, results[i]));
-    }
+    RunChunk(arenas, chunks[c], seed_of, emit);
   });
 }
 
-constexpr auto kAlwaysGo = []() { return true; };
+/// One PreparedTrace per suite frame, in suite order.
+std::vector<sim::batch::PreparedTrace> PrepareSuite(
+    const std::vector<apps::TvcaFrame>& suite,
+    const sim::PlatformConfig& platform_config) {
+  std::vector<sim::batch::PreparedTrace> prepared_suite;
+  prepared_suite.reserve(suite.size());
+  for (const apps::TvcaFrame& frame : suite) {
+    prepared_suite.push_back(
+        sim::batch::PrepareTrace(frame.trace, platform_config));
+  }
+  return prepared_suite;
+}
 
-/// Journaled execution shared by both batched checkpointed runners: the
-/// resume/restore and append disciplines are the serial skeleton's; only
-/// the measurement fan-out (chunks instead of single runs) differs.
+/// Journaled execution of both batched checkpointed runners: the
+/// skeleton's work units are the chunks `build_chunks` makes over the runs
+/// the journal is missing.
 bool RunChunkedCheckpointed(
     const sim::PlatformConfig& platform_config, std::size_t lanes,
-    ThreadPool& pool, const CheckpointHeader& header,
+    std::size_t jobs, const CheckpointHeader& header,
     const CheckpointOptions& options,
     const std::function<std::vector<Chunk>(const std::vector<char>&)>&
         build_chunks,
     const std::function<Seed(std::size_t)>& seed_of,
     CheckpointedCampaignResult* out, std::string* error) {
-  SPTA_REQUIRE(!options.journal_path.empty());
-  *out = CheckpointedCampaignResult{};
-  out->samples.resize(header.runs);
-  std::vector<char> have(header.runs, 0);
-
-  CheckpointJournal journal;
-  if (options.resume) {
-    CheckpointLoad load;
-    if (!LoadCheckpoint(options.journal_path, &load, error)) return false;
-    if (load.header.campaign_seed != header.campaign_seed ||
-        load.header.runs != header.runs ||
-        load.header.distinct_scenarios != header.distinct_scenarios ||
-        load.header.workload_digest != header.workload_digest) {
-      if (error != nullptr) {
-        *error = options.journal_path +
-                 ": journal belongs to a different campaign (seed/runs/"
-                 "scenarios/workload mismatch); refusing to resume";
-      }
-      return false;
-    }
-    for (std::size_t r = 0; r < header.runs; ++r) {
-      if (load.samples[r].has_value()) {
-        out->samples[r] = *load.samples[r];
-        have[r] = 1;
-      }
-    }
-    out->resumed_runs = load.completed;
-    out->torn_lines = load.torn_lines;
-    if (!journal.OpenExisting(options.journal_path, options.fsync_interval,
-                              error)) {
-      return false;
-    }
-  } else {
-    if (!journal.OpenNew(options.journal_path, header,
-                         options.fsync_interval, error)) {
-      return false;
-    }
-  }
-
-  const std::vector<Chunk> chunks = build_chunks(have);
+  ThreadPool pool(jobs);
   BatchArenas arenas(platform_config, lanes, pool.size());
-
-  // Appends are serialized under a mutex; the abort hook fires under the
-  // same mutex, so the journal holds EXACTLY abort_after_appends new
-  // records when it triggers — even when the abort lands mid-batch (the
-  // rest of that batch's lanes are simply not appended).
-  std::mutex journal_mutex;
-  std::atomic<bool> stop{false};
-  std::size_t appended = 0;
-  bool append_failed = false;
-  std::string append_error;
-
-  ExecuteChunks(
-      pool, arenas, chunks, seed_of,
-      [&]() { return !stop.load(std::memory_order_relaxed); },
-      [&](std::size_t r, RunSample s) {
-        std::lock_guard<std::mutex> lock(journal_mutex);
-        if (stop.load(std::memory_order_relaxed) || append_failed) return;
-        if (options.abort_after_appends != 0 &&
-            appended >= options.abort_after_appends) {
-          stop.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (!journal.Append(r, s, &append_error)) {
-          append_failed = true;
-          return;
-        }
-        ++appended;
-        out->samples[r] = s;
-        have[r] = 1;
-      });
-
-  if (append_failed) {
-    if (error != nullptr) *error = append_error;
-    return false;
-  }
-  if (!journal.Close(error)) return false;
-  out->completed =
-      std::all_of(have.begin(), have.end(), [](char h) { return h != 0; });
-  return true;
+  std::vector<Chunk> chunks;
+  const CampaignWork work{
+      [&](const std::vector<char>& have) {
+        chunks = build_chunks(have);
+        return chunks.size();
+      },
+      [&](std::size_t c, const EmitSample& emit) {
+        RunChunk(arenas, chunks[c], seed_of, emit);
+      }};
+  return RunCheckpointedCampaign(header, pool, options, work, out, error);
 }
 
 }  // namespace
@@ -245,7 +193,6 @@ std::vector<RunSample> RunFixedTraceCampaignBatched(
   ExecuteChunks(
       pool, arenas, chunks,
       [&](std::size_t r) { return FixedTraceRunSeed(master_seed, r); },
-      kAlwaysGo,
       [&](std::size_t r, RunSample s) { samples[r] = std::move(s); });
   return samples;
 }
@@ -262,12 +209,8 @@ std::vector<RunSample> RunTvcaCampaignBatched(
   lanes = ClampLanes(lanes);
   const TvcaFrames frames(app, config);
   const std::vector<apps::TvcaFrame>& suite = frames.suite();
-  std::vector<sim::batch::PreparedTrace> prepared_suite;
-  prepared_suite.reserve(suite.size());
-  for (const apps::TvcaFrame& frame : suite) {
-    prepared_suite.push_back(
-        sim::batch::PrepareTrace(frame.trace, platform_config));
-  }
+  const std::vector<sim::batch::PreparedTrace> prepared_suite =
+      PrepareSuite(suite, platform_config);
   const auto chunks =
       BuildTvcaChunks(config, suite, prepared_suite, lanes, nullptr);
   std::vector<RunSample> samples(config.runs);
@@ -277,7 +220,7 @@ std::vector<RunSample> RunTvcaCampaignBatched(
                     config.runs);
   ExecuteChunks(
       pool, arenas, chunks,
-      [&](std::size_t r) { return TvcaRunSeed(config, r); }, kAlwaysGo,
+      [&](std::size_t r) { return TvcaRunSeed(config, r); },
       [&](std::size_t r, RunSample s) { samples[r] = std::move(s); });
   return samples;
 }
@@ -297,9 +240,8 @@ bool RunFixedTraceCampaignBatchedCheckpointed(
 
   const sim::batch::PreparedTrace prepared =
       sim::batch::PrepareTrace(t, platform_config);
-  ThreadPool pool(jobs);
   return RunChunkedCheckpointed(
-      platform_config, lanes, pool, header, options,
+      platform_config, lanes, jobs, header, options,
       [&](const std::vector<char>& have) {
         return BuildFixedChunks(
             prepared, static_cast<std::uint32_t>(t.path_signature), runs,
@@ -330,15 +272,10 @@ bool RunTvcaCampaignBatchedCheckpointed(
 
   const TvcaFrames frames(app, config);
   const std::vector<apps::TvcaFrame>& suite = frames.suite();
-  std::vector<sim::batch::PreparedTrace> prepared_suite;
-  prepared_suite.reserve(suite.size());
-  for (const apps::TvcaFrame& frame : suite) {
-    prepared_suite.push_back(
-        sim::batch::PrepareTrace(frame.trace, platform_config));
-  }
-  ThreadPool pool(jobs);
+  const std::vector<sim::batch::PreparedTrace> prepared_suite =
+      PrepareSuite(suite, platform_config);
   return RunChunkedCheckpointed(
-      platform_config, lanes, pool, header, options,
+      platform_config, lanes, jobs, header, options,
       [&](const std::vector<char>& have) {
         return BuildTvcaChunks(config, suite, prepared_suite, lanes, &have);
       },

@@ -5,9 +5,10 @@
 // lockstep pass, multiplying the per-trace preprocessing and the cache-hot
 // event stream across seeds. Batching COMPOSES with thread parallelism —
 // the batch is the work unit a pool worker claims — and with the
-// checkpoint/resume journal (batched checkpointed campaigns write the same
-// journal format and header as the serial runners, so a journal started
-// serially can be finished batched and vice versa).
+// checkpoint/resume journal: the batched checkpointed runners hand their
+// batches to the same journaling skeleton as the serial runners
+// (RunCheckpointedCampaign), so a journal started serially can be
+// finished batched and vice versa.
 //
 // Determinism contract (inherited from campaign.hpp's seed derivation and
 // BatchPlatform's lane bit-identity): the sample vector is BIT-IDENTICAL

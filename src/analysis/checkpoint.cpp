@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cerrno>
@@ -299,14 +300,11 @@ std::uint64_t FixedTraceWorkloadDigest(const trace::Trace& t) {
                      HashCombine(t.path_signature, t.records.size()));
 }
 
-/// Shared runner skeleton: the per-run measurement differs (TVCA frame vs
-/// fixed trace vs atlas-memoized), the journaling/resume discipline
-/// doesn't. Exported so the atlas campaign runners reuse it verbatim.
-bool RunCheckpointedCampaign(
-    const CheckpointHeader& header, ThreadPool& pool,
-    const CheckpointOptions& options,
-    const std::function<RunSample(std::size_t)>& measure,
-    CheckpointedCampaignResult* out, std::string* error) {
+bool RunCheckpointedCampaign(const CheckpointHeader& header, ThreadPool& pool,
+                             const CheckpointOptions& options,
+                             const CampaignWork& work,
+                             CheckpointedCampaignResult* out,
+                             std::string* error) {
   SPTA_REQUIRE(!options.journal_path.empty());
   *out = CheckpointedCampaignResult{};
   out->samples.resize(header.runs);
@@ -349,17 +347,14 @@ bool RunCheckpointedCampaign(
   // The measurement fan-out. Appends are serialized under a mutex; the
   // abort hook fires under the same mutex so the journal holds EXACTLY
   // abort_after_appends new records when it triggers (a deterministic
-  // simulated crash, whatever the thread schedule).
+  // simulated crash, whatever the thread schedule), even when it lands
+  // inside a unit that covers several runs.
   std::mutex journal_mutex;
   std::atomic<bool> stop{false};
   std::size_t appended = 0;
   bool append_failed = false;
   std::string append_error;
-
-  ParallelFor(pool, header.runs, [&](std::size_t r) {
-    if (have[r] || stop.load(std::memory_order_relaxed)) return;
-    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    const RunSample s = measure(r);
+  const EmitSample emit = [&](std::size_t r, RunSample s) {
     std::lock_guard<std::mutex> lock(journal_mutex);
     if (stop.load(std::memory_order_relaxed) || append_failed) return;
     if (options.abort_after_appends != 0 &&
@@ -372,8 +367,12 @@ bool RunCheckpointedCampaign(
       return;
     }
     ++appended;
-    out->samples[r] = s;
+    out->samples[r] = std::move(s);
     have[r] = 1;
+  };
+
+  ParallelFor(pool, work.plan(have), [&](std::size_t u) {
+    if (!stop.load(std::memory_order_relaxed)) work.run(u, emit);
   });
 
   if (append_failed) {
@@ -381,15 +380,37 @@ bool RunCheckpointedCampaign(
     return false;
   }
   if (!journal.Close(error)) return false;
-  out->completed = true;
-  for (const char h : have) {
-    if (!h) {
-      out->completed = false;
-      break;
-    }
-  }
+  out->completed =
+      std::all_of(have.begin(), have.end(), [](char h) { return h != 0; });
   return true;
 }
+
+namespace {
+
+/// One work unit per missing run, measured by `measure(r)` on the
+/// calling pool worker.
+bool RunPerRunCheckpointed(const CheckpointHeader& header, ThreadPool& pool,
+                           const CheckpointOptions& options,
+                           const std::function<RunSample(std::size_t)>& measure,
+                           CheckpointedCampaignResult* out,
+                           std::string* error) {
+  std::vector<std::size_t> missing;
+  const CampaignWork work{
+      [&](const std::vector<char>& have) {
+        for (std::size_t r = 0; r < have.size(); ++r) {
+          if (!have[r]) missing.push_back(r);
+        }
+        return missing.size();
+      },
+      [&](std::size_t u, const EmitSample& emit) {
+        const std::size_t r = missing[u];
+        SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
+        emit(r, measure(r));
+      }};
+  return RunCheckpointedCampaign(header, pool, options, work, out, error);
+}
+
+}  // namespace
 
 bool RunTvcaCampaignCheckpointed(const sim::PlatformConfig& platform_config,
                                  const apps::TvcaApp& app,
@@ -413,7 +434,7 @@ bool RunTvcaCampaignCheckpointed(const sim::PlatformConfig& platform_config,
     return Measure(arenas.Platform(), frame.trace, frame.path_id,
                    TvcaRunSeed(config, r));
   };
-  return RunCheckpointedCampaign(header, pool, options, measure, out, error);
+  return RunPerRunCheckpointed(header, pool, options, measure, out, error);
 }
 
 bool RunFixedTraceCampaignCheckpointed(
@@ -435,7 +456,7 @@ bool RunFixedTraceCampaignCheckpointed(
                    static_cast<std::uint32_t>(t.path_signature),
                    FixedTraceRunSeed(master_seed, r));
   };
-  return RunCheckpointedCampaign(header, pool, options, measure, out, error);
+  return RunPerRunCheckpointed(header, pool, options, measure, out, error);
 }
 
 }  // namespace spta::analysis

@@ -122,17 +122,32 @@ struct CheckpointedCampaignResult {
   std::size_t torn_lines = 0;
 };
 
-/// Generic journaling skeleton shared by every checkpointed runner
-/// (TVCA, fixed-trace, and the atlas memoized variants). `measure(r)`
-/// must be a pure function of the run index (the seed-derivation
-/// contract) and run on a worker of `pool`; completed runs are appended
-/// to the journal under a mutex, resume restores them instead of
-/// re-measuring.
-bool RunCheckpointedCampaign(
-    const CheckpointHeader& header, ThreadPool& pool,
-    const CheckpointOptions& options,
-    const std::function<RunSample(std::size_t)>& measure,
-    CheckpointedCampaignResult* out, std::string* error);
+/// Receives the sample of run `r`. Concurrent calls carry distinct runs.
+using EmitSample = std::function<void(std::size_t r, RunSample sample)>;
+
+/// The measurement side of a checkpointed campaign, split into work
+/// units. Once the journal is restored, `plan(have)` is called once
+/// (have[r] != 0 for every journalled run) and returns the number of units
+/// that cover the missing runs. `run(u, emit)` then measures unit u on a
+/// worker of the pool and emits one sample per run it covers. A per-run
+/// runner makes one unit per missing run; a batched runner one unit per
+/// lockstep batch. Every sample must be a pure function of its run index
+/// (the seed-derivation contract).
+struct CampaignWork {
+  std::function<std::size_t(const std::vector<char>& have)> plan;
+  std::function<void(std::size_t unit, const EmitSample& emit)> run;
+};
+
+/// The journaling skeleton every checkpointed runner shares: it creates
+/// or resumes the journal (refusing one whose header names another
+/// campaign), restores the journalled runs, fans `work`'s units out on
+/// `pool` and appends each emitted sample under one mutex, so the
+/// `abort_after_appends` hook stops the journal at exactly that count.
+bool RunCheckpointedCampaign(const CheckpointHeader& header, ThreadPool& pool,
+                             const CheckpointOptions& options,
+                             const CampaignWork& work,
+                             CheckpointedCampaignResult* out,
+                             std::string* error);
 
 /// RunTvcaCampaignParallel with journaling. Bit-identical samples to the
 /// plain runner for any jobs / interruption pattern (seed contract).

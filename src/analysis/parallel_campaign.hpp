@@ -38,7 +38,7 @@ namespace spta::analysis {
 
 /// The per-worker arenas of a pool-run campaign: for each worker, one
 /// reusable sim::Platform and one apps::FrameScratch side by side. Every
-/// pool runner (parallel, checkpointed, memoised, faulted) takes its
+/// pool runner (parallel, checkpointed, faulted) takes its
 /// platform and frame buffers from here. The platform is built on the
 /// worker's first run; the scratch holds no memory until the worker
 /// builds its first frame, so a fixed-suite campaign pays nothing for it.

@@ -8,9 +8,8 @@
 //
 // without touching the records themselves: a Segment is a (begin, length,
 // iterations) window into the original record array, so the concatenation
-// of all segments replays the trace exactly. The memoized runner
-// (memo_runner.hpp) uses the segmentation to fast-forward kernel
-// iterations whose entry micro-architectural state it has already timed.
+// of all segments replays the trace exactly. INGEST and `spta_cli trace
+// info|mine` report the segmentation.
 //
 // Detection is the classic back-edge heuristic: scanning left to right,
 // a pc that recurs at distance p is a loop-candidate period; the candidate
@@ -86,8 +85,8 @@ struct MineOptions {
 Segmentation MineKernels(const trace::Trace& t,
                          const MineOptions& options = {});
 
-/// Content digest of one kernel body (the identity used by the kernel
-/// store and the service-side kernel-table cache).
+/// Content digest of one kernel body (the identity used by the
+/// service-side kernel-table cache).
 DualHash KernelDigest(const trace::TraceRecord* body, std::size_t length);
 
 }  // namespace spta::atlas

@@ -5,26 +5,10 @@
 namespace spta::obs {
 namespace {
 
-std::atomic<std::uint64_t> g_hits{0};
-std::atomic<std::uint64_t> g_misses{0};
-std::atomic<std::uint64_t> g_bypasses{0};
-std::atomic<std::uint64_t> g_inserts{0};
-std::atomic<std::uint64_t> g_fast_forwarded{0};
 std::atomic<std::uint64_t> g_packed{0};
 std::atomic<std::uint64_t> g_unpacked{0};
 
 }  // namespace
-
-void AddAtlasMemoCounters(std::uint64_t hits, std::uint64_t misses,
-                          std::uint64_t bypasses, std::uint64_t inserts,
-                          std::uint64_t fast_forwarded_records) {
-  g_hits.fetch_add(hits, std::memory_order_relaxed);
-  g_misses.fetch_add(misses, std::memory_order_relaxed);
-  g_bypasses.fetch_add(bypasses, std::memory_order_relaxed);
-  g_inserts.fetch_add(inserts, std::memory_order_relaxed);
-  g_fast_forwarded.fetch_add(fast_forwarded_records,
-                             std::memory_order_relaxed);
-}
 
 void CountAtlasPack() { g_packed.fetch_add(1, std::memory_order_relaxed); }
 
@@ -34,23 +18,12 @@ void CountAtlasUnpack() {
 
 AtlasCountersSnapshot AtlasCounters() {
   AtlasCountersSnapshot s;
-  s.kernel_hits = g_hits.load(std::memory_order_relaxed);
-  s.kernel_misses = g_misses.load(std::memory_order_relaxed);
-  s.kernel_bypasses = g_bypasses.load(std::memory_order_relaxed);
-  s.kernel_inserts = g_inserts.load(std::memory_order_relaxed);
-  s.fast_forwarded_records =
-      g_fast_forwarded.load(std::memory_order_relaxed);
   s.traces_packed = g_packed.load(std::memory_order_relaxed);
   s.traces_unpacked = g_unpacked.load(std::memory_order_relaxed);
   return s;
 }
 
 void ResetAtlasCountersForTest() {
-  g_hits.store(0, std::memory_order_relaxed);
-  g_misses.store(0, std::memory_order_relaxed);
-  g_bypasses.store(0, std::memory_order_relaxed);
-  g_inserts.store(0, std::memory_order_relaxed);
-  g_fast_forwarded.store(0, std::memory_order_relaxed);
   g_packed.store(0, std::memory_order_relaxed);
   g_unpacked.store(0, std::memory_order_relaxed);
 }

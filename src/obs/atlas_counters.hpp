@@ -1,12 +1,10 @@
 // Process-wide atlas (src/atlas) counters.
 //
-// The kernel-memoization layer runs inside per-worker arenas with no
-// shared state; campaigns fold their per-worker MemoRunStats into these
-// global atomics when they finish so operators can see hit/miss/bypass
-// behavior through the usual surfaces (spta_cli --obs-* outputs and the
-// spta_serve METRICS / METRICS_PROM endpoints) without threading stats
-// through every call site. Deliberately separate from RunCounters, whose
-// per-run CSV schema is frozen by golden tests.
+// The trace pack/unpack paths (`spta_cli trace pack|unpack`) bump these
+// global atomics; spta_serve exports them on METRICS_PROM, so container
+// traffic is visible without threading stats through every call site.
+// Deliberately separate from RunCounters, whose per-run CSV schema is
+// frozen by golden tests.
 #pragma once
 
 #include <cstdint>
@@ -14,19 +12,9 @@
 namespace spta::obs {
 
 struct AtlasCountersSnapshot {
-  std::uint64_t kernel_hits = 0;       ///< Fast-forwarded iterations.
-  std::uint64_t kernel_misses = 0;     ///< Simulated + recorded.
-  std::uint64_t kernel_bypasses = 0;   ///< Simulated, memoization off.
-  std::uint64_t kernel_inserts = 0;    ///< Kernel-store insertions.
-  std::uint64_t fast_forwarded_records = 0;
   std::uint64_t traces_packed = 0;     ///< Atlas containers written.
   std::uint64_t traces_unpacked = 0;   ///< Atlas containers decoded.
 };
-
-/// Folds one campaign's (or one worker's) memoization totals in.
-void AddAtlasMemoCounters(std::uint64_t hits, std::uint64_t misses,
-                          std::uint64_t bypasses, std::uint64_t inserts,
-                          std::uint64_t fast_forwarded_records);
 
 /// Counts one atlas container written / decoded.
 void CountAtlasPack();

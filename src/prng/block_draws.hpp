@@ -20,7 +20,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/hash.hpp"
 #include "prng/hw_prng.hpp"
 
 namespace spta::prng {
@@ -67,41 +66,6 @@ class BlockDraws {
   /// Uniform double in [0, 1) — one word, identical to HwPrng::UniformUnit.
   double UniformUnit() {
     return static_cast<double>(Next()) * 0x1.0p-32;
-  }
-
-  /// Advances the stream by exactly `n` words, as if Next() had been
-  /// called `n` times and the results discarded: the engine state, the
-  /// buffer position and the `stats().words` accounting all land exactly
-  /// where serving the words one by one would have put them, across any
-  /// number of refill boundaries. This is the fast-forward primitive of
-  /// the atlas kernel memoizer: replaying a cached kernel iteration must
-  /// consume the recorded number of replacement-stream words word-exactly
-  /// or every subsequent draw of the run would diverge.
-  void SkipWords(std::uint64_t n) {
-    while (n > 0) {
-      if (pos_ == fill_) Refill();
-      const std::uint64_t take =
-          n < static_cast<std::uint64_t>(fill_ - pos_)
-              ? n
-              : static_cast<std::uint64_t>(fill_ - pos_);
-      pos_ += static_cast<std::size_t>(take);
-      n -= take;
-    }
-  }
-
-  /// Folds `n` skipped-over UniformBelow rejections into the stats. The
-  /// skipped words themselves are advanced by SkipWords; this keeps the
-  /// rejection attribution bit-identical to a replayed run.
-  void AddRejections(std::uint64_t n) { rejections_ += n; }
-
-  /// Mixes the effective stream state into `h`: the engine registers plus
-  /// the pre-clocked-but-unserved buffer words. Two streams with equal
-  /// digests serve identical word sequences forever. Requires Engine to
-  /// expose AppendStateDigest (HwPrng does); only instantiated when called.
-  void AppendStateDigest(DualHash& h) const {
-    engine_.AppendStateDigest(h);
-    h.Mix(fill_ - pos_);
-    for (std::size_t i = pos_; i < fill_; ++i) h.Mix(buffer_[i]);
   }
 
   /// Words already drawn from the engine but not yet served (test hook for

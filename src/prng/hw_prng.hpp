@@ -57,15 +57,6 @@ class HwPrng {
   /// Number of warm-up clocks applied at construction.
   static constexpr int kWarmupSteps = 64;
 
-  /// Mixes the full generator state (both registers) into `h`. Equal
-  /// digests imply identical future output words — the generator is a pure
-  /// function of its 43+37 register bits. Used by the atlas kernel
-  /// memoizer's µarch-state digest.
-  void AppendStateDigest(DualHash& h) const {
-    h.Mix(lfsr_.state());
-    h.Mix(casr_.state());
-  }
-
  private:
   Lfsr43 lfsr_;
   Casr37 casr_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
 #include "common/hash.hpp"
 #include "evt/block_maxima.hpp"
 #include "mbpta/mbpta.hpp"
@@ -104,6 +105,34 @@ std::uint64_t AnalysisVerifier(
 AnalysisEngine::AnalysisEngine(std::size_t cache_capacity)
     : cache_(cache_capacity) {}
 
+AnalysisEngine::Ticket::~Ticket() { engine_->Release(*this); }
+
+std::shared_ptr<AnalysisEngine::Ticket> AnalysisEngine::TakeTicket(
+    std::uint64_t key) {
+  std::lock_guard<std::mutex> lock(tickets_mutex_);
+  const std::uint64_t number = queues_[key].issued++;
+  return std::shared_ptr<Ticket>(new Ticket(this, key, number));
+}
+
+void AnalysisEngine::WaitForTurn(const Ticket& ticket) {
+  std::unique_lock<std::mutex> lock(tickets_mutex_);
+  turn_changed_.wait(lock, [&] {
+    return queues_.at(ticket.key_).serving == ticket.number_;
+  });
+}
+
+void AnalysisEngine::Release(const Ticket& ticket) {
+  {
+    std::lock_guard<std::mutex> lock(tickets_mutex_);
+    const auto it = queues_.find(ticket.key_);
+    TicketQueue& queue = it->second;
+    queue.released.insert(ticket.number_);
+    while (queue.released.erase(queue.serving) != 0) ++queue.serving;
+    if (queue.serving == queue.issued) queues_.erase(it);
+  }
+  turn_changed_.notify_all();
+}
+
 void AnalysisEngine::InsertCached(std::uint64_t key, std::uint64_t verifier,
                                   std::string body) {
   if (store_ != nullptr) store_->Put(key, verifier, body);
@@ -125,7 +154,7 @@ bool AnalysisEngine::TryServeCached(
 bool AnalysisEngine::Analyze(
     std::span<const mbpta::PathObservation> observations,
     const AnalysisConfig& config, AnalysisOutcome* outcome,
-    std::string* error) {
+    std::string* error, std::shared_ptr<Ticket> ticket) {
   // Validate what the batch pipeline enforces as SPTA_REQUIRE
   // preconditions: a daemon answers ERR, it does not abort.
   if (config.min_blocks < 1) {
@@ -194,6 +223,9 @@ bool AnalysisEngine::Analyze(
 
   outcome->key = AnalysisKey(observations, config);
   const std::uint64_t verifier = AnalysisVerifier(observations, config);
+  if (ticket == nullptr) ticket = TakeTicket(outcome->key);
+  SPTA_REQUIRE(ticket->key_ == outcome->key);
+  WaitForTurn(*ticket);
   if (auto body = cache_.Lookup(outcome->key, verifier)) {
     outcome->cache_hit = true;
     DecodeBody(*body, &outcome->result, &outcome->report);

@@ -221,25 +221,9 @@ std::string ServiceMetrics::RenderProm(
                        queue_wait_micros_total_ * 1e-6);
   prom.Exemplar(queue_exemplar_.trace_id, queue_exemplar_.micros * 1e-6);
 
-  // Atlas (columnar traces + kernel memoization) counters: process-wide
-  // atomics fed by campaigns and the trace pack/unpack paths (INGEST, CLI).
+  // Atlas container counters: process-wide atomics fed by the trace
+  // pack/unpack paths.
   const obs::AtlasCountersSnapshot atlas = obs::AtlasCounters();
-  prom.Declare("spta_atlas_kernel_hits_total", "counter",
-               "Kernel iterations fast-forwarded from the kernel store.");
-  prom.Sample("spta_atlas_kernel_hits_total", u(atlas.kernel_hits));
-  prom.Declare("spta_atlas_kernel_misses_total", "counter",
-               "Kernel iterations simulated and recorded.");
-  prom.Sample("spta_atlas_kernel_misses_total", u(atlas.kernel_misses));
-  prom.Declare("spta_atlas_kernel_bypasses_total", "counter",
-               "Kernel iterations simulated with memoization bypassed.");
-  prom.Sample("spta_atlas_kernel_bypasses_total", u(atlas.kernel_bypasses));
-  prom.Declare("spta_atlas_kernel_inserts_total", "counter",
-               "Kernel-store insertions.");
-  prom.Sample("spta_atlas_kernel_inserts_total", u(atlas.kernel_inserts));
-  prom.Declare("spta_atlas_fast_forwarded_records_total", "counter",
-               "Trace records skipped by kernel fast-forwarding.");
-  prom.Sample("spta_atlas_fast_forwarded_records_total",
-              u(atlas.fast_forwarded_records));
   prom.Declare("spta_atlas_traces_packed_total", "counter",
                "Atlas trace containers written.");
   prom.Sample("spta_atlas_traces_packed_total", u(atlas.traces_packed));

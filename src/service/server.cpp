@@ -129,7 +129,8 @@ bool Server::CollectObservations(
 
 Response Server::RunAnalysis(
     const Request& request, std::vector<mbpta::PathObservation> observations,
-    Clock::time_point deadline, bool has_deadline) {
+    Clock::time_point deadline, bool has_deadline,
+    std::shared_ptr<AnalysisEngine::Ticket> ticket) {
   if (has_deadline && Clock::now() > deadline) {
     metrics_.CountDeadlineMiss();
     return ErrResponse("deadline", "deadline expired before execution");
@@ -143,7 +144,7 @@ Response Server::RunAnalysis(
   AnalysisOutcome outcome;
   std::string error;
   if (!engine_.Analyze(observations, AnalysisConfig::FromArgs(request.args),
-                       &outcome, &error)) {
+                       &outcome, &error, std::move(ticket))) {
     return ErrResponse("analysis", error);
   }
   const double micros =
@@ -437,10 +438,10 @@ bool Server::ServeStream(std::istream& in, std::ostream& out) {
       // slot, so cache hits stay cheap even while the pool is saturated
       // with cold analyses. A probe miss is not double-counted (see
       // ResultCache::LookupIfPresent); the worker's Lookup scores it.
+      AnalysisOutcome cached;
       {
         SPTA_OBS_SPAN("service", "cache_probe");
         const auto probe_start = Clock::now();
-        AnalysisOutcome cached;
         if (engine_.TryServeCached(
                 observations, AnalysisConfig::FromArgs(request.args),
                 &cached)) {
@@ -474,9 +475,13 @@ bool Server::ServeStream(std::istream& in, std::ostream& out) {
       const auto enqueued = Clock::now();
       const std::uint64_t enqueued_ns =
           obs::Tracer::Enabled() ? obs::Tracer::NowNs() : 0;
+      // The ticket fixes this request's place among identical analyses
+      // in request order (AnalysisEngine::TakeTicket).
+      std::lock_guard<std::mutex> dispatch(dispatch_mutex_);
       pool_.Submit([this, id, &writer, request = std::move(request),
                     observations = std::move(observations), deadline,
-                    has_deadline, enqueued, enqueued_ns]() mutable {
+                    has_deadline, enqueued, enqueued_ns,
+                    ticket = engine_.TakeTicket(cached.key)]() mutable {
         // Cross-thread hop: re-install the request's context on the
         // worker so queue_wait and the analysis spans stay in its tree.
         obs::ScopedTraceContext trace_scope(request.trace);
@@ -496,7 +501,7 @@ bool Server::ServeStream(std::istream& in, std::ostream& out) {
         Response response;
         try {
           response = RunAnalysis(request, std::move(observations), deadline,
-                                 has_deadline);
+                                 has_deadline, std::move(ticket));
         } catch (const std::exception& e) {
           response = ErrResponse("internal", e.what());
         } catch (...) {

@@ -176,11 +176,14 @@ class Server {
   /// cache keyed by the trace's content digest — re-ingesting the same
   /// trace (in either container) is a cache hit.
   Response HandleIngest(const Request& request);
-  /// Runs on a worker. `observations` was snapshotted at accept time.
+  /// Runs on a worker. `observations` was snapshotted at accept time;
+  /// `ticket` (optional) is the request's place in the engine's
+  /// single-flight queue.
   Response RunAnalysis(const Request& request,
                        std::vector<mbpta::PathObservation> observations,
                        std::chrono::steady_clock::time_point deadline,
-                       bool has_deadline);
+                       bool has_deadline,
+                       std::shared_ptr<AnalysisEngine::Ticket> ticket = nullptr);
 
   /// Parses the request's sample source: inline payload or session
   /// snapshot. False → `error` is the ERR message.
@@ -203,6 +206,11 @@ class Server {
 
   std::mutex slots_mutex_;
   std::size_t analyses_in_flight_ = 0;
+  /// Held while a reader takes an analysis ticket and submits its task, so
+  /// the pool queue holds tasks in ticket order across connections: a
+  /// worker then only ever waits for a ticket whose task is already
+  /// running.
+  std::mutex dispatch_mutex_;
 
   std::atomic<bool> shutdown_{false};
   std::mutex connections_mutex_;

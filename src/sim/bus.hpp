@@ -8,7 +8,6 @@
 
 #include <cstdint>
 
-#include "common/hash.hpp"
 #include "common/types.hpp"
 #include "sim/config.hpp"
 
@@ -38,30 +37,6 @@ class Bus {
 
   const BusConfig& config() const { return config_; }
   const BusStats& stats() const { return stats_; }
-
-  // --- Atlas kernel-memoization surface (src/atlas) -----------------------
-
-  /// Mixes the busy horizon into `h` relative to core time `now`, clamped
-  /// at zero: a bus that freed up in the past behaves exactly like one that
-  /// frees up at `now` for every future Acquire (start = max(ready,
-  /// free_at_) with ready >= now).
-  void AppendStateDigest(DualHash& h, Cycles now) const {
-    h.Mix(free_at_ > now ? free_at_ - now : 0);
-  }
-
-  /// Rebases the busy horizon from core time `old_now` to `new_now`,
-  /// preserving the clamped offset (memoized fast-forward; see
-  /// AppendStateDigest for why clamping is behaviorally transparent).
-  void FastForward(Cycles old_now, Cycles new_now) {
-    free_at_ = new_now + (free_at_ > old_now ? free_at_ - old_now : 0);
-  }
-
-  /// Folds a recorded iteration's bus stats into the counters.
-  void ApplyStatsDelta(const BusStats& delta) {
-    stats_.transactions += delta.transactions;
-    stats_.busy_cycles += delta.busy_cycles;
-    stats_.wait_cycles += delta.wait_cycles;
-  }
 
  private:
   BusConfig config_;

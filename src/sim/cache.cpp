@@ -55,32 +55,6 @@ std::uint32_t Cache::Victim(std::uint32_t set) {
   return 0;
 }
 
-void Cache::AppendStateDigest(DualHash& h) const {
-  h.Mix(placement_seed_);
-  for (std::uint32_t set = 0; set < sets_; ++set) {
-    const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
-    h.Mix(ref_bits_[set]);
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-      h.Mix(tags_[base + w]);
-      // Stable stamp rank: the count of ways that LRU victimization would
-      // prefer over way w (strictly older stamp, or equal stamp at a lower
-      // scan index — Victim()'s tie-break). Rank vectors, unlike absolute
-      // stamps, are invariant under the monotonically growing access
-      // clock, and equal ranks imply identical victim choices under any
-      // future access sequence.
-      std::uint32_t rank = 0;
-      for (std::uint32_t w2 = 0; w2 < config_.ways; ++w2) {
-        if (stamps_[base + w2] < stamps_[base + w] ||
-            (stamps_[base + w2] == stamps_[base + w] && w2 < w)) {
-          ++rank;
-        }
-      }
-      h.Mix(rank);
-    }
-  }
-  replacement_rng_.AppendStateDigest(h);
-}
-
 void Cache::Flush() {
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
   std::fill(stamps_.begin(), stamps_.end(), 0);

@@ -118,35 +118,6 @@ class Cache {
   /// under the normal measurement protocol.
   prng::DrawStats draw_stats() const { return replacement_rng_.stats(); }
 
-  // --- Atlas kernel-memoization surface (src/atlas) -----------------------
-
-  /// Mixes the behavior-determining state into `h`, normalized to be
-  /// invariant under time translation: tags, per-set LRU stamp *ranks*
-  /// (absolute stamps and the access clock grow monotonically, but victim
-  /// selection only compares stamps within a set — equal rank orderings
-  /// behave identically forever), NRU reference bits, the placement seed
-  /// and the replacement stream state. The MRU shortcut is excluded: it is
-  /// observationally transparent (Access() documents this). Two caches
-  /// with equal digests produce identical hit/miss/victim/draw sequences
-  /// for any future access stream.
-  void AppendStateDigest(DualHash& h) const;
-
-  /// Folds a recorded access/miss delta into the counters (memoized
-  /// fast-forward replays the stats of a skipped kernel iteration).
-  void ApplyStatsDelta(const CacheStats& delta) {
-    stats_.accesses += delta.accesses;
-    stats_.misses += delta.misses;
-  }
-
-  /// Replacement-stream access for memoized fast-forward (SkipWords) and
-  /// state digesting. Off the measurement hot path.
-  prng::BlockDraws<prng::HwPrng>& replacement_rng() {
-    return replacement_rng_;
-  }
-  const prng::BlockDraws<prng::HwPrng>& replacement_rng() const {
-    return replacement_rng_;
-  }
-
   // --- Fault-injection surface (src/fault) -------------------------------
   // SEU-style state corruption for the seeded fault-injection subsystem:
   // a single-event upset in the tag/valid array is modeled by XORing one

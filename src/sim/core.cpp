@@ -123,47 +123,9 @@ void Core::RetireRecord(const trace::TraceRecord& rec) {
   }
 }
 
-void Core::ApplyReplay(const ReplayDelta& delta) {
-  const Cycles old_now = now_;
-  now_ += delta.cycles;
-  retired_ += delta.instructions;
-  il1_.ApplyStatsDelta(delta.il1);
-  dl1_.ApplyStatsDelta(delta.dl1);
-  itlb_.ApplyStatsDelta(delta.itlb);
-  dtlb_.ApplyStatsDelta(delta.dtlb);
-  fpu_.ApplyStatsDelta(delta.fpu);
-  store_buffer_.ApplyStatsDelta(delta.store_buffer);
-  store_buffer_.FastForward(old_now, now_);
-  il1_.replacement_rng().SkipWords(delta.rng_words[ReplayDelta::kIl1]);
-  il1_.replacement_rng().AddRejections(
-      delta.rng_rejections[ReplayDelta::kIl1]);
-  dl1_.replacement_rng().SkipWords(delta.rng_words[ReplayDelta::kDl1]);
-  dl1_.replacement_rng().AddRejections(
-      delta.rng_rejections[ReplayDelta::kDl1]);
-  itlb_.replacement_rng().SkipWords(delta.rng_words[ReplayDelta::kItlb]);
-  itlb_.replacement_rng().AddRejections(
-      delta.rng_rejections[ReplayDelta::kItlb]);
-  dtlb_.replacement_rng().SkipWords(delta.rng_words[ReplayDelta::kDtlb]);
-  dtlb_.replacement_rng().AddRejections(
-      delta.rng_rejections[ReplayDelta::kDtlb]);
-  memory_->FastForward(old_now, now_);
-  memory_->MutableBus().ApplyStatsDelta(delta.bus);
-  memory_->MutableDram().ApplyStatsDelta(delta.dram);
-  if (Cache* l2 = memory_->MutableL2()) {
-    l2->ApplyStatsDelta(delta.l2);
-    l2->replacement_rng().SkipWords(delta.rng_words[ReplayDelta::kL2]);
-    l2->replacement_rng().AddRejections(
-        delta.rng_rejections[ReplayDelta::kL2]);
-  }
-}
-
 RunResult Core::Finish() {
   SPTA_REQUIRE_MSG(trace_ != nullptr && cursor_ == trace_->records.size(),
                    "Finish called before the trace was fully retired");
-  return FinishResult();
-}
-
-RunResult Core::FinishResult() {
   now_ = store_buffer_.DrainAll(now_);
   RunResult r;
   r.cycles = now_;

@@ -55,31 +55,6 @@ struct RunResult {
   }
 };
 
-/// Recorded effects of one simulated kernel iteration, replayable by
-/// Core::ApplyReplay when the entry state digest matches (src/atlas
-/// memoization). Stats are deltas except store_buffer.high_water, which
-/// carries the iteration's absolute maximum occupancy (applied as a max).
-/// PRNG consumption is per stream so each BlockDraws can be advanced by
-/// exactly the words the recorded iteration served.
-struct ReplayDelta {
-  /// Stream indices for rng_words / rng_rejections.
-  enum Stream { kIl1 = 0, kDl1, kItlb, kDtlb, kL2, kStreamCount };
-
-  Cycles cycles = 0;
-  std::uint64_t instructions = 0;
-  CacheStats il1;
-  CacheStats dl1;
-  TlbStats itlb;
-  TlbStats dtlb;
-  FpuStats fpu;
-  StoreBufferStats store_buffer;
-  BusStats bus;
-  DramStats dram;
-  CacheStats l2;
-  std::uint64_t rng_words[kStreamCount] = {};
-  std::uint64_t rng_rejections[kStreamCount] = {};
-};
-
 class Core {
  public:
   /// `memory` is the shared memory system; it must outlive the core.
@@ -114,47 +89,6 @@ class Core {
   /// Local clock (cycles retired so far).
   Cycles now() const { return now_; }
   CoreId id() const { return id_; }
-
-  // --- Atlas kernel-memoization surface (src/atlas) -----------------------
-
-  /// Retires `count` records starting at `records` (the span-at-a-time
-  /// drive used by the segmented memoized runner). Same retire sequence as
-  /// Run() over the same records.
-  void RetireSpan(const trace::TraceRecord* records, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) RetireRecord(records[i]);
-  }
-
-  /// Mixes the complete behavior-determining µarch state into `h`: L1s,
-  /// TLBs, the load-delay register, the store buffer and the shared memory
-  /// path, all normalized to be time-translation invariant. Two cores with
-  /// equal digests retire any future record sequence with identical cycle
-  /// deltas, event counters and PRNG consumption.
-  void AppendStateDigest(DualHash& h) const {
-    il1_.AppendStateDigest(h);
-    dl1_.AppendStateDigest(h);
-    itlb_.AppendStateDigest(h);
-    dtlb_.AppendStateDigest(h);
-    h.Mix(pending_load_reg_);
-    store_buffer_.AppendStateDigest(h, now_);
-    memory_->AppendStateDigest(h, now_);
-  }
-
-  /// Replays a recorded iteration without simulating it: advances the
-  /// clock and retire count, folds every stat delta in, skips each
-  /// replacement stream by the recorded word count and rebases the
-  /// time-bearing store-buffer/bus state. Only valid when the current
-  /// state digest equals the recorded entry digest AND the recorded exit
-  /// digest equals the recorded entry digest (self-fixed-point) — then the
-  /// result is bit-identical to simulating by construction.
-  void ApplyReplay(const ReplayDelta& delta);
-
-  /// Finish() without the attached-trace requirement, for runners that
-  /// drive the core via RetireSpan instead of AttachTrace/Run.
-  RunResult FinishResult();
-
-  Fpu& fpu() { return fpu_; }
-  StoreBuffer& store_buffer() { return store_buffer_; }
-  MemorySystem& memory() { return *memory_; }
 
   // --- Fault-injection surface (src/fault) -------------------------------
   // Mutable access to the per-core arrays so the seeded injector can flip

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "common/types.hpp"
 #include "sim/config.hpp"
 
@@ -40,24 +39,6 @@ class Dram {
 
   const DramConfig& config() const { return config_; }
   const DramStats& stats() const { return stats_; }
-
-  // --- Atlas kernel-memoization surface (src/atlas) -----------------------
-
-  /// Mixes the per-bank open rows into `h`. The row-buffer state carries
-  /// no absolute-time component (refresh phase is `now % refresh_interval`
-  /// and is digested by MemorySystem, which knows `now`).
-  void AppendStateDigest(DualHash& h) const {
-    for (const std::int64_t row : open_row_) {
-      h.Mix(static_cast<std::uint64_t>(row));
-    }
-  }
-
-  /// Folds a recorded iteration's DRAM stats into the counters.
-  void ApplyStatsDelta(const DramStats& delta) {
-    stats_.accesses += delta.accesses;
-    stats_.row_hits += delta.row_hits;
-    stats_.refresh_stall_cycles += delta.refresh_stall_cycles;
-  }
 
  private:
   DramConfig config_;

@@ -34,14 +34,6 @@ class Fpu {
   const FpuStats& stats() const { return stats_; }
   void ResetStats() { stats_ = FpuStats{}; }
 
-  /// Folds a recorded iteration's FPU stats into the counters (src/atlas
-  /// memoized fast-forward). The FPU itself is stateless, so counters are
-  /// its only replayable effect.
-  void ApplyStatsDelta(const FpuStats& delta) {
-    stats_.operations += delta.operations;
-    stats_.total_cycles += delta.total_cycles;
-  }
-
  private:
   FpuConfig config_;
   FpuStats stats_;

@@ -43,33 +43,6 @@ class MemorySystem {
   /// the platform has no L2. Off the hot path.
   Cache* MutableL2() { return l2_ ? &*l2_ : nullptr; }
 
-  // --- Atlas kernel-memoization surface (src/atlas) -----------------------
-
-  /// Mixes the shared-path state into `h` relative to core time `now`:
-  /// the bus busy horizon (clamped offset), DRAM open rows, the refresh
-  /// phase (`now % refresh_interval` — the only absolute-time dependence
-  /// in DRAM timing) and the L2 when present.
-  void AppendStateDigest(DualHash& h, Cycles now) const {
-    bus_.AppendStateDigest(h, now);
-    dram_.AppendStateDigest(h);
-    if (dram_.config().refresh_interval > 0) {
-      h.Mix(now % dram_.config().refresh_interval);
-    }
-    if (l2_) l2_->AppendStateDigest(h);
-  }
-
-  /// Rebases time-bearing state (the bus horizon) from `old_now` to
-  /// `new_now` after a memoized fast-forward. DRAM needs no rebasing: row
-  /// state is time-free and the refresh phase advances with `now` by the
-  /// same recorded cycle delta in both the recorded and replayed timeline.
-  void FastForward(Cycles old_now, Cycles new_now) {
-    bus_.FastForward(old_now, new_now);
-  }
-
-  /// Mutable access for memoized stats replay and L2 draw fast-forward.
-  Bus& MutableBus() { return bus_; }
-  Dram& MutableDram() { return dram_; }
-
  private:
   Bus bus_;
   Dram dram_;

@@ -46,12 +46,6 @@ class Platform {
   RunResult RunWithHook(const trace::Trace& t, Seed run_seed,
                         const std::function<void(Platform&)>& after_reset);
 
-  /// Performs the full per-run reset protocol without executing anything —
-  /// the entry point for external runners (src/atlas memoized execution)
-  /// that then drive core(0) directly via RetireSpan/FinishResult. Run()
-  /// is exactly BeginRun() followed by core(0).Run(t).
-  void BeginRun(Seed run_seed) { ResetAll(run_seed); }
-
   const PlatformConfig& config() const { return config_; }
   const MemorySystem& memory() const { return memory_; }
   /// Mutable core access for the fault-injection subsystem (src/fault).

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/hash.hpp"
 #include "common/types.hpp"
 #include "sim/config.hpp"
 
@@ -75,53 +74,6 @@ class StoreBuffer {
 
   std::size_t in_flight() const { return count_; }
   const StoreBufferStats& stats() const { return stats_; }
-
-  // --- Atlas kernel-memoization surface (src/atlas) -----------------------
-
-  /// Mixes the behavior-determining state into `h`, relative to core time
-  /// `now`: the in-flight completion offsets in FIFO order and the FIFO
-  /// drain horizon (last_completion_). Offsets are clamped at zero — an
-  /// entry or horizon in the past behaves exactly like one at `now` (every
-  /// future comparison is against times >= now), so clamping makes the
-  /// digest invariant to how long ago completed stores completed.
-  void AppendStateDigest(DualHash& h, Cycles now) const {
-    h.Mix(count_);
-    for (std::size_t i = 0; i < count_; ++i) {
-      std::size_t slot = head_ + i;
-      if (slot >= ring_.size()) slot -= ring_.size();
-      h.Mix(ring_[slot] > now ? ring_[slot] - now : 0);
-    }
-    h.Mix(last_completion_ > now ? last_completion_ - now : 0);
-  }
-
-  /// Rebases the absolute completion times from core time `old_now` to
-  /// `new_now`, preserving the (clamped) relative offsets — the memoized
-  /// fast-forward that replaces simulating a kernel iteration whose entry
-  /// and exit states are digest-equal. Past times clamp to `new_now`,
-  /// which is behaviorally identical (see AppendStateDigest).
-  void FastForward(Cycles old_now, Cycles new_now) {
-    for (std::size_t i = 0; i < count_; ++i) {
-      std::size_t slot = head_ + i;
-      if (slot >= ring_.size()) slot -= ring_.size();
-      ring_[slot] =
-          new_now + (ring_[slot] > old_now ? ring_[slot] - old_now : 0);
-    }
-    last_completion_ =
-        new_now +
-        (last_completion_ > old_now ? last_completion_ - old_now : 0);
-  }
-
-  /// Folds a recorded iteration's stats into the counters: event counts
-  /// sum, the high-water mark maxes against the iteration's own maximum
-  /// occupancy (`high_water` in `delta` carries that absolute maximum).
-  void ApplyStatsDelta(const StoreBufferStats& delta) {
-    stats_.stores += delta.stores;
-    stats_.full_stalls += delta.full_stalls;
-    stats_.stall_cycles += delta.stall_cycles;
-    if (delta.high_water > stats_.high_water) {
-      stats_.high_water = delta.high_water;
-    }
-  }
 
  private:
   void PopFront() {

@@ -46,25 +46,6 @@ std::uint32_t Tlb::Victim() {
   return 0;
 }
 
-void Tlb::AppendStateDigest(DualHash& h) const {
-  const std::uint32_t n = static_cast<std::uint32_t>(vpns_.size());
-  for (std::uint32_t i = 0; i < n; ++i) {
-    h.Mix(vpns_[i]);
-    h.Mix(ref_[i]);
-    // Stable stamp rank (see Cache::AppendStateDigest): invariant under
-    // the monotone access clock, equal ranks imply identical LRU victims.
-    std::uint32_t rank = 0;
-    for (std::uint32_t j = 0; j < n; ++j) {
-      if (stamps_[j] < stamps_[i] ||
-          (stamps_[j] == stamps_[i] && j < i)) {
-        ++rank;
-      }
-    }
-    h.Mix(rank);
-  }
-  replacement_rng_.AppendStateDigest(h);
-}
-
 void Tlb::Flush() {
   std::fill(vpns_.begin(), vpns_.end(), kInvalidVpn);
   std::fill(stamps_.begin(), stamps_.end(), 0);

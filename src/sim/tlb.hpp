@@ -95,28 +95,6 @@ class Tlb {
   /// attribution); resets per run with the reseeding protocol.
   prng::DrawStats draw_stats() const { return replacement_rng_.stats(); }
 
-  // --- Atlas kernel-memoization surface (src/atlas) -----------------------
-
-  /// Time-translation-invariant state digest: VPNs, LRU stamp ranks
-  /// (stable, tie-broken by entry index like Victim()), NRU reference
-  /// bits and the replacement stream. The MRU shortcut is excluded (pure
-  /// lookup optimization). See Cache::AppendStateDigest.
-  void AppendStateDigest(DualHash& h) const;
-
-  /// Folds a recorded access/miss delta into the counters.
-  void ApplyStatsDelta(const TlbStats& delta) {
-    stats_.accesses += delta.accesses;
-    stats_.misses += delta.misses;
-  }
-
-  /// Replacement-stream access for memoized fast-forward and digesting.
-  prng::BlockDraws<prng::HwPrng>& replacement_rng() {
-    return replacement_rng_;
-  }
-  const prng::BlockDraws<prng::HwPrng>& replacement_rng() const {
-    return replacement_rng_;
-  }
-
   // --- Fault-injection surface (src/fault) -------------------------------
   // Mirrors Cache::CorruptTagBit: an SEU in the VPN/valid array is one XORed
   // bit of one entry (validity is sentinel-encoded in the VPN). Never called

@@ -1,16 +1,12 @@
-// src/atlas battery: columnar container, kernel mining, memoized replay.
+// src/atlas battery: columnar container and kernel mining.
 //
-// Four property families:
+// Three property families:
 //   * container: round-trips (frozen + fuzzed traces), golden encodings,
 //     hostile-input rejection (truncations, bit flips, alien bytes) with
 //     typed errors — never a crash;
 //   * mining: segments partition the trace and reconstruct it exactly;
-//   * memoization: RunMemoized is bit-identical to Platform::Run across
-//     platform configs, seeds and workloads, and actually fast-forwards
-//     (>= 90% hit rate on a kernel-dominated trace);
-//   * integration: memoized campaigns equal the legacy runners sample for
-//     sample (any job count, checkpoint journals interoperable), and the
-//     service INGEST verb validates, mines and caches kernel tables.
+//   * integration: the service INGEST verb validates, mines and caches
+//     kernel tables, and METRICS_PROM exports the container counters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,22 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "analysis/atlas_campaign.hpp"
-#include "analysis/campaign.hpp"
-#include "analysis/checkpoint.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "apps/tvca.hpp"
 #include "apps/kernels.hpp"
 #include "atlas/format.hpp"
-#include "atlas/kernel_store.hpp"
-#include "atlas/memo_runner.hpp"
 #include "atlas/mine.hpp"
-#include "atlas/state_digest.hpp"
-#include "obs/atlas_counters.hpp"
 #include "prng/xoshiro.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
-#include "sim/platform.hpp"
 #include "trace/interpreter.hpp"
 #include "trace/trace_io.hpp"
 
@@ -42,7 +29,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Workload builders (the frozen traces of golden_regression_test plus a
-// synthetic kernel-loop trace for memoization-specific properties).
+// synthetic kernel-loop trace for the mining and INGEST properties).
 
 apps::TvcaConfig ReducedTvcaConfig() {
   apps::TvcaConfig tc;
@@ -87,12 +74,8 @@ trace::Trace FirTrace() {
 }
 
 /// Synthetic loop trace: prologue . body x `iterations` . epilogue, with
-/// the body touching the same addresses every iteration (so the warmed
-/// micro-architectural state reaches a fixed point and memoization can
-/// fast-forward). The single store per iteration drains (~31 cycles on
-/// the LEON3 presets) well within one iteration (~50 cycles), so the
-/// store-buffer backlog — genuine state — does not creep between
-/// iterations and the entry digest converges after the warm-up laps.
+/// the body touching the same addresses every iteration, so every
+/// iteration is record-for-record equal and mining finds one kernel.
 trace::Trace KernelLoopTrace(std::size_t iterations,
                              std::size_t body_records = 48) {
   trace::Trace t;
@@ -389,247 +372,6 @@ TEST(AtlasMineTest, KernelIterationsAreFieldwiseEqualToBody) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel store.
-
-TEST(AtlasKernelStoreTest, CollisionDetectedAndCapacityBounded) {
-  atlas::KernelStore store(/*capacity=*/2);
-  DualHash a;
-  a.Mix(1);
-  DualHash colliding = a;
-  colliding.hi ^= 0xdeadbeef;  // same lo bucket, different verifier
-
-  atlas::KernelStore::Entry e;
-  e.fixed_point = true;
-  store.Insert(a, e);
-  EXPECT_NE(store.Lookup(a), nullptr);
-  EXPECT_EQ(store.Lookup(colliding), nullptr);  // collision, not a hit
-  EXPECT_EQ(store.stats().collisions, 1u);
-
-  DualHash b, c;
-  b.Mix(2);
-  c.Mix(3);
-  store.Insert(b, e);
-  store.Insert(c, e);  // capacity 2 exceeded -> wholesale clear
-  EXPECT_EQ(store.stats().clears, 1u);
-  EXPECT_EQ(store.Lookup(a), nullptr);
-  EXPECT_NE(store.Lookup(c), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Memoized replay: bit-identity with Platform::Run.
-
-void ExpectSameResult(const sim::RunResult& memo, const sim::RunResult& ref,
-                      const char* label) {
-  EXPECT_EQ(memo.cycles, ref.cycles) << label;
-  EXPECT_EQ(memo.instructions, ref.instructions) << label;
-  EXPECT_EQ(memo.il1.accesses, ref.il1.accesses) << label;
-  EXPECT_EQ(memo.il1.misses, ref.il1.misses) << label;
-  EXPECT_EQ(memo.dl1.accesses, ref.dl1.accesses) << label;
-  EXPECT_EQ(memo.dl1.misses, ref.dl1.misses) << label;
-  EXPECT_EQ(memo.itlb.accesses, ref.itlb.accesses) << label;
-  EXPECT_EQ(memo.itlb.misses, ref.itlb.misses) << label;
-  EXPECT_EQ(memo.dtlb.accesses, ref.dtlb.accesses) << label;
-  EXPECT_EQ(memo.dtlb.misses, ref.dtlb.misses) << label;
-  EXPECT_EQ(memo.fpu.operations, ref.fpu.operations) << label;
-  EXPECT_EQ(memo.fpu.total_cycles, ref.fpu.total_cycles) << label;
-  EXPECT_EQ(memo.store_buffer.stores, ref.store_buffer.stores) << label;
-  EXPECT_EQ(memo.store_buffer.full_stalls, ref.store_buffer.full_stalls)
-      << label;
-  EXPECT_EQ(memo.store_buffer.stall_cycles, ref.store_buffer.stall_cycles)
-      << label;
-  EXPECT_EQ(memo.store_buffer.high_water, ref.store_buffer.high_water)
-      << label;
-  EXPECT_EQ(memo.prng.words, ref.prng.words) << label;
-  EXPECT_EQ(memo.prng.rejections, ref.prng.rejections) << label;
-  EXPECT_EQ(memo.bus.transactions, ref.bus.transactions) << label;
-  EXPECT_EQ(memo.bus.busy_cycles, ref.bus.busy_cycles) << label;
-  EXPECT_EQ(memo.bus.wait_cycles, ref.bus.wait_cycles) << label;
-  EXPECT_EQ(memo.dram.accesses, ref.dram.accesses) << label;
-  EXPECT_EQ(memo.dram.row_hits, ref.dram.row_hits) << label;
-  EXPECT_EQ(memo.dram.refresh_stall_cycles, ref.dram.refresh_stall_cycles)
-      << label;
-}
-
-sim::PlatformConfig L2RefreshConfig() {
-  sim::PlatformConfig config = sim::RandLeon3Config();
-  config.name = "rand+l2+refresh";
-  config.l2.enabled = true;
-  config.dram.refresh_interval = 7810;
-  return config;
-}
-
-TEST(AtlasMemoTest, BitIdenticalToPlainRunAcrossConfigsAndSeeds) {
-  const struct {
-    const char* name;
-    trace::Trace t;
-  } workloads[] = {{"kernel-loop", KernelLoopTrace(120)},
-                   {"tvca-reduced", ReducedTvcaTrace()},
-                   {"matmul", MatmulTrace()},
-                   {"fir", FirTrace()}};
-  const sim::PlatformConfig configs[] = {
-      sim::DetLeon3Config(), sim::RandLeon3Config(),
-      sim::RandLeon3OperationConfig(), L2RefreshConfig()};
-  for (const auto& config : configs) {
-    const DualHash config_digest = atlas::ConfigDigest(config);
-    sim::Platform reference(config, 1);
-    sim::Platform memoized(config, 1);
-    for (const auto& w : workloads) {
-      const atlas::Segmentation seg = atlas::MineKernels(w.t);
-      atlas::KernelStore store;
-      for (Seed seed = 1; seed <= 5; ++seed) {
-        const std::string label = std::string(config.name) + "/" + w.name +
-                                  "/seed" + std::to_string(seed);
-        const sim::RunResult ref = reference.Run(w.t, seed);
-        const sim::RunResult memo = atlas::RunMemoized(
-            memoized, w.t, seg, seed, config_digest, &store);
-        ExpectSameResult(memo, ref, label.c_str());
-      }
-    }
-  }
-}
-
-TEST(AtlasMemoTest, HitRateOnKernelDominatedTrace) {
-  const trace::Trace t = KernelLoopTrace(150);
-  const atlas::Segmentation seg = atlas::MineKernels(t);
-  ASSERT_GE(seg.KernelRecords(), t.records.size() * 9 / 10);
-
-  const sim::PlatformConfig config = sim::RandLeon3Config();
-  const DualHash config_digest = atlas::ConfigDigest(config);
-  sim::Platform platform(config, 1);
-  atlas::KernelStore store;
-  atlas::MemoRunStats stats;
-  const sim::RunResult memo =
-      atlas::RunMemoized(platform, t, seg, 7, config_digest, &store, &stats);
-
-  sim::Platform reference(config, 1);
-  ExpectSameResult(memo, reference.Run(t, 7), "hit-rate run");
-
-  // Acceptance: >= 90% of kernel iterations fast-forwarded on a trace
-  // with >= 100 identical iterations.
-  EXPECT_GE(stats.kernel_iterations, 100u);
-  EXPECT_GE(stats.HitRate(), 0.9) << stats.hits << "/"
-                                  << stats.kernel_iterations;
-  EXPECT_GT(stats.fast_forwarded_records, 0u);
-
-  // Re-running the same seed on a warm store hits from iteration one's
-  // converged state onward (same per-run seeds -> same entry digests).
-  atlas::MemoRunStats warm;
-  atlas::RunMemoized(platform, t, seg, 7, config_digest, &store, &warm);
-  EXPECT_GE(warm.HitRate(), stats.HitRate());
-}
-
-TEST(AtlasMemoTest, StoreSharedAcrossRunsStaysBitIdentical) {
-  const trace::Trace t = KernelLoopTrace(60);
-  const atlas::Segmentation seg = atlas::MineKernels(t);
-  const sim::PlatformConfig config = sim::RandLeon3Config();
-  const DualHash config_digest = atlas::ConfigDigest(config);
-  sim::Platform reference(config, 1);
-  sim::Platform memoized(config, 1);
-  atlas::KernelStore store;  // ONE store across every seed
-  for (Seed seed = 1; seed <= 10; ++seed) {
-    ExpectSameResult(
-        atlas::RunMemoized(memoized, t, seg, seed, config_digest, &store),
-        reference.Run(t, seed), "shared-store");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Campaign integration.
-
-TEST(AtlasCampaignTest, FixedTraceMemoizedMatchesParallel) {
-  const trace::Trace t = KernelLoopTrace(80);
-  const sim::PlatformConfig config = sim::RandLeon3Config();
-  const auto reference =
-      analysis::RunFixedTraceCampaignParallel(config, t, 40, 99, 2);
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
-    analysis::AtlasCampaignStats stats;
-    const auto memo = analysis::RunFixedTraceCampaignMemoized(
-        config, t, 40, 99, jobs, &stats);
-    ASSERT_EQ(memo.size(), reference.size());
-    for (std::size_t r = 0; r < memo.size(); ++r) {
-      EXPECT_EQ(memo[r].cycles, reference[r].cycles) << "run " << r;
-      EXPECT_EQ(memo[r].path_id, reference[r].path_id) << "run " << r;
-      ExpectSameResult(memo[r].detail, reference[r].detail, "campaign");
-    }
-    EXPECT_GT(stats.memo.hits, 0u) << "memoization never engaged";
-  }
-}
-
-TEST(AtlasCampaignTest, TvcaMemoizedMatchesParallel) {
-  const apps::TvcaApp app(ReducedTvcaConfig());
-  const sim::PlatformConfig config = sim::RandLeon3Config();
-  for (const std::size_t scenarios : {std::size_t{0}, std::size_t{4}}) {
-    analysis::CampaignConfig cc;
-    cc.runs = 24;
-    cc.master_seed = 5;
-    cc.distinct_scenarios = scenarios;
-    const auto reference =
-        analysis::RunTvcaCampaignParallel(config, app, cc, 2);
-    const auto memo = analysis::RunTvcaCampaignMemoized(config, app, cc, 2);
-    ASSERT_EQ(memo.size(), reference.size());
-    for (std::size_t r = 0; r < memo.size(); ++r) {
-      EXPECT_EQ(memo[r].cycles, reference[r].cycles)
-          << "scenarios " << scenarios << " run " << r;
-      EXPECT_EQ(memo[r].path_id, reference[r].path_id);
-    }
-  }
-}
-
-TEST(AtlasCampaignTest, CheckpointJournalsInteroperateWithLegacy) {
-  const trace::Trace t = KernelLoopTrace(80);
-  const sim::PlatformConfig config = sim::RandLeon3Config();
-  const std::string journal =
-      ::testing::TempDir() + "spta_atlas_interop.ckpt";
-  std::remove(journal.c_str());
-
-  // Phase 1: LEGACY checkpointed runner, crashed after 10 appends.
-  analysis::CheckpointOptions copts;
-  copts.journal_path = journal;
-  copts.abort_after_appends = 10;
-  analysis::CheckpointedCampaignResult partial;
-  std::string error;
-  ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
-      config, t, 30, 77, 2, copts, &partial, &error))
-      << error;
-  ASSERT_FALSE(partial.completed);
-
-  // Phase 2: resume the SAME journal through the MEMOIZED runner.
-  copts.abort_after_appends = 0;
-  copts.resume = true;
-  analysis::CheckpointedCampaignResult resumed;
-  analysis::AtlasCampaignStats stats;
-  ASSERT_TRUE(analysis::RunFixedTraceCampaignMemoizedCheckpointed(
-      config, t, 30, 77, 2, copts, &resumed, &error, &stats))
-      << error;
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_EQ(resumed.resumed_runs, 10u);
-
-  // The merged sample equals an uninterrupted legacy campaign bit for bit.
-  const auto reference =
-      analysis::RunFixedTraceCampaignParallel(config, t, 30, 77, 2);
-  ASSERT_EQ(resumed.samples.size(), reference.size());
-  for (std::size_t r = 0; r < reference.size(); ++r) {
-    EXPECT_EQ(resumed.samples[r].cycles, reference[r].cycles) << r;
-    EXPECT_EQ(resumed.samples[r].path_id, reference[r].path_id) << r;
-  }
-  std::remove(journal.c_str());
-}
-
-TEST(AtlasCampaignTest, CountersReachObsSurface) {
-  obs::ResetAtlasCountersForTest();
-  const trace::Trace t = KernelLoopTrace(80);
-  analysis::AtlasCampaignStats stats;
-  analysis::RunFixedTraceCampaignMemoized(sim::RandLeon3Config(), t, 10, 1,
-                                          2, &stats);
-  const obs::AtlasCountersSnapshot snap = obs::AtlasCounters();
-  EXPECT_EQ(snap.kernel_hits, stats.memo.hits);
-  EXPECT_EQ(snap.kernel_misses, stats.memo.misses);
-  EXPECT_EQ(snap.kernel_bypasses, stats.memo.bypasses);
-  EXPECT_EQ(snap.fast_forwarded_records, stats.memo.fast_forwarded_records);
-  EXPECT_GT(snap.kernel_hits, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Service INGEST.
 
 service::Response Roundtrip(service::Server& server,
@@ -701,8 +443,9 @@ TEST(AtlasServiceTest, IngestRejectsHostilePayloadsWithoutDying) {
 TEST(AtlasServiceTest, PromExportsAtlasCounters) {
   service::Server server;
   const std::string prom = server.RenderPromText();
-  EXPECT_NE(prom.find("spta_atlas_kernel_hits_total"), std::string::npos);
   EXPECT_NE(prom.find("spta_atlas_traces_packed_total"), std::string::npos);
+  EXPECT_NE(prom.find("spta_atlas_traces_unpacked_total"), std::string::npos);
+  EXPECT_EQ(prom.find("spta_atlas_kernel_"), std::string::npos);
 }
 
 }  // namespace

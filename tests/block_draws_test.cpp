@@ -177,57 +177,6 @@ TEST(BlockDrawsTest, IndependentLanesRefillWithoutCrossPerturbation) {
   }
 }
 
-TEST(BlockDrawsTest, SkipWordsExactAcrossRefillBoundaries) {
-  // The atlas memoizer fast-forwards replacement streams with SkipWords;
-  // the skip must land on exactly the word a draw-by-draw consumer would
-  // see next, for every alignment relative to the refill boundary —
-  // including skips that cross several refills in one call.
-  for (const std::uint64_t skip :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{kBlock - 6},
-        std::uint64_t{kBlock - 5}, std::uint64_t{kBlock - 4},
-        std::uint64_t{kBlock}, std::uint64_t{kBlock + 1},
-        std::uint64_t{3 * kBlock + 7}}) {
-    BlockDraws<HwPrng> reference{HwPrng(99)};
-    BlockDraws<HwPrng> skipping{HwPrng(99)};
-    // Misalign both streams off the block start first so the skip starts
-    // mid-buffer.
-    for (int i = 0; i < 5; ++i) {
-      reference.Next();
-      skipping.Next();
-    }
-    for (std::uint64_t i = 0; i < skip; ++i) reference.Next();
-    skipping.SkipWords(skip);
-    // The served-word counter must agree with the drawn stream exactly
-    // (the memoizer's stats replay depends on it) ...
-    ASSERT_EQ(skipping.stats().words, reference.stats().words)
-        << "skip " << skip;
-    // ... and so must the effective stream state.
-    DualHash drawn, skipped;
-    reference.AppendStateDigest(drawn);
-    skipping.AppendStateDigest(skipped);
-    ASSERT_TRUE(drawn == skipped) << "skip " << skip;
-    for (int i = 0; i < 600; ++i) {
-      ASSERT_EQ(reference.Next(), skipping.Next())
-          << "skip " << skip << " word " << i;
-    }
-  }
-}
-
-TEST(BlockDrawsTest, AddRejectionsFoldsIntoStatsOnly) {
-  BlockDraws<HwPrng> draws{HwPrng(7)};
-  draws.Next();
-  const std::uint64_t words_before = draws.stats().words;
-  const std::uint64_t next_peek = [&] {
-    BlockDraws<HwPrng> probe{HwPrng(7)};
-    probe.Next();
-    return probe.Next();
-  }();
-  draws.AddRejections(3);
-  EXPECT_EQ(draws.stats().rejections, 3u);
-  EXPECT_EQ(draws.stats().words, words_before);  // no words consumed
-  EXPECT_EQ(draws.Next(), next_peek);            // stream untouched
-}
-
 TEST(BlockDrawsTest, RejectionThresholdMatchesDocumentedFormula) {
   for (std::uint32_t bound : {1u, 2u, 3u, 5u, 64u, 1000u, 0x80000000u}) {
     const std::uint64_t threshold = HwPrng::RejectionThreshold(bound);

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/batch_campaign.hpp"
 #include "analysis/checkpoint.hpp"
 #include "analysis/parallel_campaign.hpp"
 #include "analysis/sample_io.hpp"
@@ -192,6 +193,33 @@ TEST_F(CheckpointTest, ResumeRefusesAnAlienJournal) {
   EXPECT_FALSE(analysis::RunTvcaCampaignCheckpointed(config, app, cc, 1, opts,
                                                      &result, &error));
   EXPECT_NE(error.find("journal"), std::string::npos) << error;
+
+  // The batched runner goes through the same skeleton: a TVCA journal is
+  // alien to a fixed-trace campaign, and so is its own journal under
+  // another seed. A refused resume leaves the journal untouched.
+  const trace::Trace t = app.BuildFrame(/*scenario_seed=*/42).trace;
+  const std::string tvca_journal = Slurp(path_);
+  error.clear();
+  EXPECT_FALSE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
+      config, t, cc.runs, /*master_seed=*/100, /*lanes=*/4, /*jobs=*/2, opts,
+      &result, &error));
+  EXPECT_NE(error.find("journal"), std::string::npos) << error;
+  EXPECT_EQ(Slurp(path_), tvca_journal);
+
+  opts.resume = false;
+  ASSERT_TRUE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
+      config, t, cc.runs, /*master_seed=*/100, /*lanes=*/4, /*jobs=*/2, opts,
+      &result, &error))
+      << error;
+  ASSERT_TRUE(result.completed);
+  const std::string batched_journal = Slurp(path_);
+  opts.resume = true;
+  error.clear();
+  EXPECT_FALSE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
+      config, t, cc.runs, /*master_seed=*/101, /*lanes=*/4, /*jobs=*/2, opts,
+      &result, &error));
+  EXPECT_NE(error.find("journal"), std::string::npos) << error;
+  EXPECT_EQ(Slurp(path_), batched_journal);
 }
 
 TEST_F(CheckpointTest, CheckpointedRunMatchesThePlainParallelRunner) {
@@ -242,6 +270,33 @@ TEST_F(CheckpointTest, ResumingACompleteJournalReExecutesNothing) {
   ASSERT_EQ(second.samples.size(), first.samples.size());
   for (std::size_t i = 0; i < first.samples.size(); ++i) {
     EXPECT_EQ(second.samples[i].cycles, first.samples[i].cycles);
+  }
+
+  // Same for the batched runner: every run is restored and the journal
+  // gains no line.
+  const trace::Trace t = app.BuildFrame(/*scenario_seed=*/42).trace;
+  opts.resume = false;
+  analysis::CheckpointedCampaignResult batched_first;
+  ASSERT_TRUE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
+      config, t, cc.runs, cc.master_seed, /*lanes=*/4, /*jobs=*/2, opts,
+      &batched_first, &error))
+      << error;
+  ASSERT_TRUE(batched_first.completed);
+  const std::string journal = Slurp(path_);
+
+  opts.resume = true;
+  analysis::CheckpointedCampaignResult batched_second;
+  ASSERT_TRUE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
+      config, t, cc.runs, cc.master_seed, /*lanes=*/4, /*jobs=*/2, opts,
+      &batched_second, &error))
+      << error;
+  EXPECT_TRUE(batched_second.completed);
+  EXPECT_EQ(batched_second.resumed_runs, 10u);
+  EXPECT_EQ(Slurp(path_), journal);
+  ASSERT_EQ(batched_second.samples.size(), batched_first.samples.size());
+  for (std::size_t i = 0; i < batched_first.samples.size(); ++i) {
+    EXPECT_EQ(batched_second.samples[i].cycles,
+              batched_first.samples[i].cycles);
   }
 }
 

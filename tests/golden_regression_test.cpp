@@ -13,14 +13,9 @@
 #include <span>
 #include <vector>
 
-#include "analysis/atlas_campaign.hpp"
 #include "analysis/batch_campaign.hpp"
 #include "analysis/campaign.hpp"
 #include "analysis/parallel_campaign.hpp"
-#include "atlas/kernel_store.hpp"
-#include "atlas/memo_runner.hpp"
-#include "atlas/mine.hpp"
-#include "atlas/state_digest.hpp"
 #include "apps/kernels.hpp"
 #include "apps/tvca.hpp"
 #include "mbpta/mbpta.hpp"
@@ -249,79 +244,6 @@ TEST(GoldenRegressionTest, BatchedCampaignPwcetQuantilesMatchSerial) {
     if (serial_fit.usable) {
       for (const double p : {1e-9, 1e-12, 1e-15}) {
         EXPECT_EQ(serial_fit.PwcetAt(p), batched_fit.PwcetAt(p))
-            << "master " << master << " p " << p;
-      }
-    }
-  }
-}
-
-/// Replays a golden table through the atlas memoized runner — one shared
-/// KernelStore across every seed, the production arrangement — so the
-/// pinned per-seed numbers also guard the kernel fast-forward path.
-void ExpectMemoMatches(const sim::PlatformConfig& config,
-                       const trace::Trace& t,
-                       std::span<const SeedGolden> goldens,
-                       const char* workload) {
-  const atlas::Segmentation segmentation = atlas::MineKernels(t);
-  const DualHash config_digest = atlas::ConfigDigest(config);
-  sim::Platform platform(config, 1);
-  atlas::KernelStore store;
-  for (const auto& g : goldens) {
-    ExpectResultMatches(atlas::RunMemoized(platform, t, segmentation,
-                                           g.seed, config_digest, &store),
-                        g, workload);
-  }
-}
-
-TEST(GoldenRegressionTest, AtlasMemoizedPathReproducesPerSeedGoldens) {
-  const apps::TvcaApp app(ReducedTvcaConfig());
-  const auto frame = app.BuildFrame(42);
-  ExpectMemoMatches(sim::DetLeon3Config(), frame.trace,
-                    {&kReducedTvcaDetGolden, 1}, "tvca-reduced det memo");
-  ExpectMemoMatches(sim::RandLeon3Config(), frame.trace,
-                    kReducedTvcaRandGoldens, "tvca-reduced rand memo");
-
-  const trace::Trace matmul = MatmulTrace();
-  ExpectMemoMatches(sim::DetLeon3Config(), matmul, {kMatmulGoldens, 1},
-                    "matmul det memo");
-  ExpectMemoMatches(sim::RandLeon3Config(), matmul,
-                    std::span<const SeedGolden>(kMatmulGoldens).subspan(1),
-                    "matmul rand memo");
-
-  const trace::Trace fir = FirTrace();
-  ExpectMemoMatches(sim::DetLeon3Config(), fir, {kFirGoldens, 1},
-                    "fir det memo");
-  ExpectMemoMatches(sim::RandLeon3Config(), fir,
-                    std::span<const SeedGolden>(kFirGoldens).subspan(1),
-                    "fir rand memo");
-}
-
-// pWCET-quantile equality for the memoized campaign path (the --atlas
-// flag): same sample as the serial runner, hence the same fit and the
-// same quantiles to the last bit.
-TEST(GoldenRegressionTest, AtlasCampaignPwcetQuantilesMatchSerial) {
-  const apps::TvcaApp app(ReducedTvcaConfig());
-  const auto platform_config = sim::RandLeon3Config();
-  for (const std::uint64_t master : {11ull, 22ull, 33ull}) {
-    analysis::CampaignConfig cc;
-    cc.runs = 120;
-    cc.master_seed = master;
-    cc.distinct_scenarios = 6;
-
-    sim::Platform platform(platform_config, master);
-    const auto serial_times =
-        analysis::ExtractTimes(analysis::RunTvcaCampaign(platform, app, cc));
-    const auto memo_times = analysis::ExtractTimes(
-        analysis::RunTvcaCampaignMemoized(platform_config, app, cc,
-                                          /*jobs=*/2));
-    ASSERT_EQ(serial_times, memo_times) << "master " << master;
-
-    const auto serial_fit = mbpta::AnalyzeSample(serial_times);
-    const auto memo_fit = mbpta::AnalyzeSample(memo_times);
-    ASSERT_EQ(serial_fit.usable, memo_fit.usable) << "master " << master;
-    if (serial_fit.usable) {
-      for (const double p : {1e-9, 1e-12, 1e-15}) {
-        EXPECT_EQ(serial_fit.PwcetAt(p), memo_fit.PwcetAt(p))
             << "master " << master << " p " << p;
       }
     }

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/atlas_campaign.hpp"
 #include "analysis/campaign.hpp"
 #include "analysis/checkpoint.hpp"
 #include "analysis/parallel_campaign.hpp"
@@ -169,12 +168,6 @@ TEST_P(FreshInputRunners, ParallelAndSerialMatchTheReference) {
   sim::Platform platform(sim::RandLeon3Config(), cc_.master_seed);
   ExpectSameSamples(reference,
                     analysis::RunTvcaCampaign(platform, app_, cc_));
-}
-
-TEST_P(FreshInputRunners, MemoizedMatchesTheReference) {
-  ExpectSameSamples(FreshReference(app_, cc_),
-                    analysis::RunTvcaCampaignMemoized(sim::RandLeon3Config(),
-                                                      app_, cc_, jobs()));
 }
 
 TEST_P(FreshInputRunners, CheckpointedKillAndResumeMatchTheReference) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "analysis/campaign.hpp"
@@ -118,6 +119,13 @@ struct LoopCase {
   std::size_t footprint_kb;
   bool randomized;
 };
+
+// Print a case as "<footprint>KiB_<platform>", e.g. "24KiB_rand". gtest's
+// default byte dump of this struct includes its uninitialised padding,
+// so the CTest name of a case would change with every build.
+void PrintTo(const LoopCase& c, std::ostream* os) {
+  *os << c.footprint_kb << "KiB_" << (c.randomized ? "rand" : "det");
+}
 
 class LoopBoundSweep : public ::testing::TestWithParam<LoopCase> {};
 

@@ -427,6 +427,42 @@ TEST(ServerPipeTest, CacheHitOnIdenticalResubmission) {
   EXPECT_EQ(stats.misses, 1u);
 }
 
+// Single flight: K identical ANALYZEs pipelined into a K-worker server run
+// one EVT fit. The first request computes and answers cache=miss; each
+// later one either waits for that computation or is served by the reader's
+// cache probe, and answers cache=hit with the same bytes. A debug sleep
+// before each analysis keeps all K in flight together, so without single
+// flight the K workers all miss and fit the same sample concurrently.
+TEST(ServerPipeTest, PipelinedIdenticalAnalyzesComputeOnce) {
+  constexpr std::size_t kRequests = 8;
+  service::ServerOptions options;
+  options.workers = kRequests;
+  options.enable_debug_hooks = true;
+  service::Server server(options);
+  const auto obs = SyntheticSample(240, 19);
+
+  service::Args no_iid;
+  no_iid.Set("require_iid", "0");
+  no_iid.Set("debug_sleep_ms", "200");
+  std::vector<service::Request> script(kRequests,
+                                       AnalyzeInlineRequest(obs, no_iid));
+  script.push_back(MakeRequest(service::RequestKind::kShutdown));
+  const auto responses = RunScript(server, script);
+  ASSERT_EQ(responses.size(), kRequests + 1);
+
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(responses[i].ok) << i << ": " << responses[i].payload;
+    EXPECT_EQ(responses[i].args.GetString("cache"), i == 0 ? "miss" : "hit")
+        << "response " << i;
+    EXPECT_EQ(responses[i].args.GetString("pwcet"),
+              responses[0].args.GetString("pwcet"));
+    EXPECT_EQ(responses[i].payload, responses[0].payload);
+  }
+  const auto stats = server.engine().cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kRequests - 1);
+}
+
 TEST(ServerPipeTest, LruEvictionBoundsTheCache) {
   service::ServerOptions options;
   options.cache_capacity = 2;

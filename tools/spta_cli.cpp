@@ -45,7 +45,7 @@
 //
 //   spta_cli simulate  --trace in.trc --platform rand|det|rand-op
 //                      --runs N [--seed S] [--jobs J] [--batch-lanes L]
-//                      [--atlas] [--output samples.csv]
+//                      [--output samples.csv]
 //                      [--checkpoint J.ckpt [--resume] [--fsync-interval N]]
 //                      [--seu-rate R] [--reseed-dropout P] [--fault-seed S]
 //       Replays a recorded trace N times (fresh platform seed per run)
@@ -71,14 +71,6 @@
 //       Perfetto-loadable document — offline stitching of a distributed
 //       trace when no spta_fleet supervisor did it (docs/OBSERVABILITY.md).
 //
-// --atlas (campaign/simulate) replays runs through the kernel-memoized
-// path (docs/TRACES.md): repeated kernel iterations whose entry state was
-// already timed are fast-forwarded from a per-worker kernel store. The
-// samples are bit-identical to the non-memoized runners for any --jobs;
-// composes with --checkpoint (same journal format). With --batch-lanes
-// the lockstep SIMD kernel already amortizes per-run costs, so batching
-// takes precedence and memoization is bypassed.
-//
 // File outputs are crash-safe: the CSV is staged in a tmp file, fsync'd
 // and renamed into place, so a crash mid-export never publishes a
 // truncated sample.
@@ -94,7 +86,6 @@
 #include <set>
 #include <sstream>
 
-#include "analysis/atlas_campaign.hpp"
 #include "analysis/batch_campaign.hpp"
 #include "atlas/format.hpp"
 #include "atlas/mine.hpp"
@@ -131,7 +122,7 @@ int Usage() {
                "<campaign|analyze|convergence|record|simulate|trace> [flags]\n"
                "  campaign    --platform rand|det|rand-op --runs N "
                "[--seed S] [--scenarios K] [--jobs J] [--batch-lanes L] "
-               "[--atlas] [--output FILE]\n"
+               "[--output FILE]\n"
                "              [--checkpoint FILE [--resume] "
                "[--fsync-interval N]] [--seu-rate R] [--reseed-dropout P] "
                "[--fault-seed S] [--annotate]\n"
@@ -143,7 +134,7 @@ int Usage() {
                "  record      --trace FILE [--scenario S]\n"
                "  simulate    --trace FILE --platform rand|det|rand-op "
                "--runs N [--seed S] [--jobs J] [--batch-lanes L] "
-               "[--atlas] [--output FILE] "
+               "[--output FILE] "
                "[--checkpoint FILE [--resume]] [--seu-rate R] "
                "[--reseed-dropout P] [--fault-seed S] "
                "[--trace-out FILE] [--counters-out FILE]\n"
@@ -389,21 +380,6 @@ std::uint64_t FileSizeOrZero(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
-/// Reports the memoization behavior of a finished --atlas campaign.
-void ReportAtlasStats(const analysis::AtlasCampaignStats& stats) {
-  std::fprintf(
-      stderr,
-      "spta_cli: atlas memo: %llu hits, %llu misses, %llu bypasses "
-      "(hit rate %.1f%%); %llu records fast-forwarded, "
-      "%llu store inserts\n",
-      static_cast<unsigned long long>(stats.memo.hits),
-      static_cast<unsigned long long>(stats.memo.misses),
-      static_cast<unsigned long long>(stats.memo.bypasses),
-      stats.memo.HitRate() * 100.0,
-      static_cast<unsigned long long>(stats.memo.fast_forwarded_records),
-      static_cast<unsigned long long>(stats.store_inserts));
-}
-
 int RunTraceInfo(const std::string& path, bool full_table) {
   atlas::TraceFormat format = atlas::TraceFormat::kLegacy;
   const trace::Trace t = LoadAnyTraceOrDie(path, &format);
@@ -627,19 +603,12 @@ int RunCampaign(const Flags& flags) {
 
   const std::size_t jobs = JobsFlag(flags);
   const std::size_t batch_lanes = BatchLanesFlag(flags);
-  const bool use_atlas = flags.GetBool("atlas");
   const apps::TvcaApp app;
   const fault::FaultCampaignConfig fc = FaultPlanFromFlags(flags, cc);
   const bool faulty = fc.seu.Enabled() || fc.reseed_dropout > 0.0;
   if (faulty && batch_lanes > 0) {
     std::fprintf(stderr,
                  "spta_cli: --batch-lanes runs clean campaigns only "
-                 "(drop the fault flags)\n");
-    return 2;
-  }
-  if (faulty && use_atlas) {
-    std::fprintf(stderr,
-                 "spta_cli: --atlas runs clean campaigns only "
                  "(drop the fault flags)\n");
     return 2;
   }
@@ -658,14 +627,10 @@ int RunCampaign(const Flags& flags) {
                  "spta_cli: %zu runs on %s (%zu jobs, journal %s)...\n",
                  cc.runs, config.name.c_str(), jobs,
                  copts.journal_path.c_str());
-    analysis::AtlasCampaignStats atlas_stats;
     bool ok;
     if (batch_lanes > 0) {
       ok = analysis::RunTvcaCampaignBatchedCheckpointed(
           config, app, cc, batch_lanes, jobs, copts, &result, &error);
-    } else if (use_atlas) {
-      ok = analysis::RunTvcaCampaignMemoizedCheckpointed(
-          config, app, cc, jobs, copts, &result, &error, &atlas_stats);
     } else {
       ok = analysis::RunTvcaCampaignCheckpointed(config, app, cc, jobs,
                                                  copts, &result, &error);
@@ -674,7 +639,6 @@ int RunCampaign(const Flags& flags) {
       std::fprintf(stderr, "spta_cli: %s\n", error.c_str());
       return 2;
     }
-    if (use_atlas && batch_lanes == 0) ReportAtlasStats(atlas_stats);
     return FinishCheckpointed(flags, result);
   }
 
@@ -695,11 +659,6 @@ int RunCampaign(const Flags& flags) {
   if (batch_lanes > 0) {
     samples =
         analysis::RunTvcaCampaignBatched(config, app, cc, batch_lanes, jobs);
-  } else if (use_atlas) {
-    analysis::AtlasCampaignStats atlas_stats;
-    samples =
-        analysis::RunTvcaCampaignMemoized(config, app, cc, jobs, &atlas_stats);
-    ReportAtlasStats(atlas_stats);
   } else {
     samples = analysis::RunTvcaCampaignParallel(config, app, cc, jobs);
   }
@@ -826,18 +785,11 @@ int RunSimulate(const Flags& flags) {
   cc.runs = runs;
   cc.master_seed = seed;
   const std::size_t batch_lanes = BatchLanesFlag(flags);
-  const bool use_atlas = flags.GetBool("atlas");
   const fault::FaultCampaignConfig fc = FaultPlanFromFlags(flags, cc);
   const bool faulty = fc.seu.Enabled() || fc.reseed_dropout > 0.0;
   if (faulty && batch_lanes > 0) {
     std::fprintf(stderr,
                  "spta_cli: --batch-lanes runs clean campaigns only "
-                 "(drop the fault flags)\n");
-    return 2;
-  }
-  if (faulty && use_atlas) {
-    std::fprintf(stderr,
-                 "spta_cli: --atlas runs clean campaigns only "
                  "(drop the fault flags)\n");
     return 2;
   }
@@ -852,14 +804,10 @@ int RunSimulate(const Flags& flags) {
     const analysis::CheckpointOptions copts = CheckpointFromFlags(flags);
     analysis::CheckpointedCampaignResult result;
     std::string error;
-    analysis::AtlasCampaignStats atlas_stats;
     bool ok;
     if (batch_lanes > 0) {
       ok = analysis::RunFixedTraceCampaignBatchedCheckpointed(
           config, t, runs, seed, batch_lanes, jobs, copts, &result, &error);
-    } else if (use_atlas) {
-      ok = analysis::RunFixedTraceCampaignMemoizedCheckpointed(
-          config, t, runs, seed, jobs, copts, &result, &error, &atlas_stats);
     } else {
       ok = analysis::RunFixedTraceCampaignCheckpointed(
           config, t, runs, seed, jobs, copts, &result, &error);
@@ -868,7 +816,6 @@ int RunSimulate(const Flags& flags) {
       std::fprintf(stderr, "spta_cli: %s\n", error.c_str());
       return 2;
     }
-    if (use_atlas && batch_lanes == 0) ReportAtlasStats(atlas_stats);
     return FinishCheckpointed(flags, result);
   }
 
@@ -888,11 +835,6 @@ int RunSimulate(const Flags& flags) {
   if (batch_lanes > 0) {
     samples = analysis::RunFixedTraceCampaignBatched(config, t, runs, seed,
                                                      batch_lanes, jobs);
-  } else if (use_atlas) {
-    analysis::AtlasCampaignStats atlas_stats;
-    samples = analysis::RunFixedTraceCampaignMemoized(config, t, runs, seed,
-                                                      jobs, &atlas_stats);
-    ReportAtlasStats(atlas_stats);
   } else {
     samples = analysis::RunFixedTraceCampaignParallel(config, t, runs, seed,
                                                       jobs);
