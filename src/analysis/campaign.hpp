@@ -45,26 +45,38 @@ Seed TvcaRunSeed(const CampaignConfig& config, std::size_t run_index);
 /// Per-run platform seed of a fixed-trace campaign.
 Seed FixedTraceRunSeed(std::uint64_t master_seed, std::size_t run_index);
 
-/// One measurement: runs `t` on `platform` under `run_seed` inside the
-/// `sim/simulate` span. `after_reset` is Platform::RunWithHook's
-/// fault-injection window; null means a plain Platform::Run.
-RunSample Measure(sim::Platform& platform, const trace::Trace& t,
+/// One measurement: runs the frame given as the ordered span list `spans`
+/// on `platform` under `run_seed` inside the `sim/simulate` span.
+/// `after_reset` is Platform::RunWithHook's fault-injection window; null
+/// means a plain run.
+RunSample Measure(sim::Platform& platform,
+                  std::span<const trace::RecordSpan> spans,
                   std::uint32_t path_id, Seed run_seed,
                   const std::function<void(sim::Platform&)>& after_reset = {});
+
+/// A campaign frame to measure: its records as an ordered span list and
+/// its application path.
+struct FrameView {
+  std::span<const trace::RecordSpan> spans;
+  std::uint32_t path_id = 0;
+};
 
 /// The frames of a TVCA campaign. A fixed scenario suite
 /// (distinct_scenarios > 0) is built once, up front, and shared read-only;
 /// a fresh-input campaign builds run r's frame into the caller's scratch,
 /// so a worker that reuses one scratch allocates no frame memory after
-/// its first run. Either way run r measures exactly
+/// its first run. Either way run r measures exactly the records of
 /// app.BuildFrame(TvcaScenarioSeed(config, r)).
 class TvcaFrames {
  public:
   TvcaFrames(const apps::TvcaApp& app, const CampaignConfig& config);
+  // suite_spans_ points into suite_: a copy would view the original.
+  TvcaFrames(const TvcaFrames&) = delete;
+  TvcaFrames& operator=(const TvcaFrames&) = delete;
 
-  /// Run `run_index`'s frame: a suite entry, or `scratch.frame` rebuilt.
-  const apps::TvcaFrame& ForRun(std::size_t run_index,
-                                apps::FrameScratch& scratch) const;
+  /// Run `run_index`'s frame: a suite entry as a one-span list, or the
+  /// span list of a frame rebuilt into `scratch`.
+  FrameView ForRun(std::size_t run_index, apps::FrameScratch& scratch) const;
 
   /// The prebuilt suite (one frame per scenario the campaign reaches;
   /// empty for fresh inputs).
@@ -74,6 +86,8 @@ class TvcaFrames {
   const apps::TvcaApp& app_;
   CampaignConfig config_;
   std::vector<apps::TvcaFrame> suite_;
+  /// suite_[i]'s records as one span, so a suite frame is a one-span view.
+  std::vector<trace::RecordSpan> suite_spans_;
 };
 
 /// Executes a TVCA campaign on `platform`, building frames as TvcaFrames

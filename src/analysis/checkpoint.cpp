@@ -430,8 +430,8 @@ bool RunTvcaCampaignCheckpointed(const sim::PlatformConfig& platform_config,
   ThreadPool pool(jobs);
   WorkerArenas arenas(platform_config, pool.size());
   auto measure = [&](std::size_t r) {
-    const apps::TvcaFrame& frame = frames.ForRun(r, arenas.Frame());
-    return Measure(arenas.Platform(), frame.trace, frame.path_id,
+    const FrameView frame = frames.ForRun(r, arenas.Frame());
+    return Measure(arenas.Platform(), frame.spans, frame.path_id,
                    TvcaRunSeed(config, r));
   };
   return RunPerRunCheckpointed(header, pool, options, measure, out, error);
@@ -451,8 +451,9 @@ bool RunFixedTraceCampaignCheckpointed(
 
   ThreadPool pool(jobs);
   WorkerArenas arenas(platform_config, pool.size());
+  const trace::RecordSpan whole(t.records);
   auto measure = [&](std::size_t r) {
-    return Measure(arenas.Platform(), t,
+    return Measure(arenas.Platform(), {&whole, 1},
                    static_cast<std::uint32_t>(t.path_signature),
                    FixedTraceRunSeed(master_seed, r));
   };

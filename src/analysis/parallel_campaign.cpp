@@ -42,8 +42,8 @@ std::vector<RunSample> RunTvcaCampaignParallel(
                     config.runs);
   ParallelFor(pool, config.runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    const apps::TvcaFrame& frame = frames.ForRun(r, arenas.Frame());
-    samples[r] = Measure(arenas.Platform(), frame.trace, frame.path_id,
+    const FrameView frame = frames.ForRun(r, arenas.Frame());
+    samples[r] = Measure(arenas.Platform(), frame.spans, frame.path_id,
                          TvcaRunSeed(config, r));
   });
   return samples;
@@ -58,9 +58,10 @@ std::vector<RunSample> RunFixedTraceCampaignParallel(
   WorkerArenas arenas(platform_config, pool.size());
   SPTA_OBS_SPAN_ARG("campaign", "fixed_trace_campaign_parallel", "runs",
                     runs);
+  const trace::RecordSpan whole(t.records);
   ParallelFor(pool, runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    samples[r] = Measure(arenas.Platform(), t,
+    samples[r] = Measure(arenas.Platform(), {&whole, 1},
                          static_cast<std::uint32_t>(t.path_signature),
                          FixedTraceRunSeed(master_seed, r));
   });

@@ -1,7 +1,6 @@
 #include "apps/scheduler.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 
 #include "common/assert.hpp"
@@ -11,7 +10,8 @@ namespace spta::apps {
 
 FrameComposer::FrameComposer(Options options) : options_(options) {}
 
-void FrameComposer::AppendDispatcher(trace::Trace& out, int job_index) const {
+void FrameComposer::AppendDispatcher(std::vector<trace::TraceRecord>& out,
+                                     int job_index) const {
   // A deterministic stand-in for the RTOS dispatch path: walk the TCB
   // array (loads), update the ready queue (stores), take the dispatch
   // branch. Code and data live in a dedicated kernel region so the
@@ -38,30 +38,23 @@ void FrameComposer::AppendDispatcher(trace::Trace& out, int job_index) const {
     } else {
       r.op = OpClass::kIntAlu;
     }
-    out.records.push_back(r);
+    out.push_back(r);
   }
 }
 
-trace::Trace FrameComposer::ComposeMajorFrame(
-    const std::vector<FrameSlot>& slots) const {
-  trace::Trace out;
-  ComposeMajorFrame(slots, out);
-  return out;
-}
-
-void FrameComposer::ComposeMajorFrame(std::span<const FrameSlot> slots,
-                                      trace::Trace& out) const {
+std::uint64_t FrameComposer::ComposeSpans(
+    std::span<const FrameSlot> slots, std::vector<trace::TraceRecord>& dispatch,
+    std::vector<trace::RecordSpan>& spans) const {
   SPTA_REQUIRE(!slots.empty());
+  const std::size_t n = options_.dispatch_overhead_instructions;
+  SPTA_REQUIRE(dispatch.size() % std::max<std::size_t>(n, 1) == 0);
   std::vector<const FrameSlot*> order;
   order.reserve(slots.size());
-  std::size_t records = 0;
+  std::size_t jobs = 0;
   for (const auto& s : slots) {
     SPTA_REQUIRE(s.job_trace != nullptr && s.jobs >= 1 && s.minor >= 0);
-    SPTA_REQUIRE(s.job_trace != &out);
     order.push_back(&s);
-    records += static_cast<std::size_t>(s.jobs) *
-               (options_.dispatch_overhead_instructions +
-                s.job_trace->records.size());
+    jobs += static_cast<std::size_t>(s.jobs);
   }
   // Minor frame first, then priority within the minor frame.
   std::stable_sort(order.begin(), order.end(),
@@ -69,24 +62,31 @@ void FrameComposer::ComposeMajorFrame(std::span<const FrameSlot> slots,
                      if (a->minor != b->minor) return a->minor < b->minor;
                      return a->priority < b->priority;
                    });
-  out.records.clear();
-  // Grow to the next power of two, as repeated push_back would: frames of
-  // nearly equal length (the TVCA paths differ by a few percent) then
-  // reuse one buffer instead of reallocating for every new maximum.
-  if (out.records.capacity() < records) {
-    out.records.reserve(std::bit_ceil(records));
+  // Build every missing block before taking spans into `dispatch`.
+  for (std::size_t k = n == 0 ? jobs : dispatch.size() / n; k < jobs; ++k) {
+    AppendDispatcher(dispatch, static_cast<int>(k));
   }
+  spans.clear();
   std::uint64_t sig = 0x9e3779b9u;
-  int job_index = 0;
+  std::size_t job_index = 0;
   for (const FrameSlot* slot : order) {
     for (int j = 0; j < slot->jobs; ++j) {
-      AppendDispatcher(out, job_index++);
-      out.records.insert(out.records.end(), slot->job_trace->records.begin(),
-                         slot->job_trace->records.end());
+      spans.emplace_back(dispatch.data() + job_index++ * n, n);
+      spans.emplace_back(slot->job_trace->records);
       sig = HashCombine(sig, slot->job_trace->path_signature);
     }
   }
-  out.path_signature = sig;
+  return sig;
+}
+
+trace::Trace FrameComposer::ComposeMajorFrame(
+    const std::vector<FrameSlot>& slots) const {
+  std::vector<trace::TraceRecord> dispatch;
+  std::vector<trace::RecordSpan> spans;
+  trace::Trace out;
+  out.path_signature = ComposeSpans(slots, dispatch, spans);
+  trace::Flatten(spans, out.records);
+  return out;
 }
 
 Cycles Hyperperiod(const std::vector<PeriodicTaskSpec>& tasks) {

@@ -60,16 +60,27 @@ class FrameComposer {
   FrameComposer() : FrameComposer(Options{}) {}
   explicit FrameComposer(Options options);
 
+  /// Composes the frame without copying it: replaces `spans` (capacity
+  /// kept) with the frame's ordered span list — for each job in execution
+  /// order, its dispatcher block, then the job trace's records — and
+  /// returns the frame's path signature. This defines the composition
+  /// order; every other form of the frame flattens this list.
+  ///
+  /// `dispatch` caches dispatcher blocks: block k, the dispatch before the
+  /// frame's k-th job, is records [k*n, (k+1)*n) with n the dispatch
+  /// overhead. Missing blocks are appended, so a caller that keeps
+  /// `dispatch` across frames (always with the same Options) builds each
+  /// block once. The spans point into `dispatch` and the job traces.
+  std::uint64_t ComposeSpans(std::span<const FrameSlot> slots,
+                             std::vector<trace::TraceRecord>& dispatch,
+                             std::vector<trace::RecordSpan>& spans) const;
+
+  /// The flattened span list as one trace.
   trace::Trace ComposeMajorFrame(const std::vector<FrameSlot>& slots) const;
 
-  /// As above, but composes into `out`: its records are replaced and its
-  /// capacity is kept, so a reused frame buffer stops allocating once it
-  /// has held the largest frame. The job traces must not alias `out`.
-  void ComposeMajorFrame(std::span<const FrameSlot> slots,
-                         trace::Trace& out) const;
-
  private:
-  void AppendDispatcher(trace::Trace& out, int job_index) const;
+  void AppendDispatcher(std::vector<trace::TraceRecord>& out,
+                        int job_index) const;
 
   Options options_;
 };

@@ -611,14 +611,19 @@ void TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
 
 TvcaFrame TvcaApp::BuildFrame(std::uint64_t scenario_seed) const {
   FrameScratch scratch;
-  BuildFrame(scenario_seed, scratch);
-  return std::move(scratch.frame);
+  const FrameSpans& spans = BuildFrame(scenario_seed, scratch);
+  TvcaFrame frame;
+  frame.scenario = spans.scenario;
+  frame.path_id = spans.path_id;
+  trace::Flatten(spans.spans, frame.trace.records);
+  frame.trace.path_signature = frame.path_id;
+  return frame;
 }
 
-const TvcaFrame& TvcaApp::BuildFrame(std::uint64_t scenario_seed,
-                                     FrameScratch& scratch) const {
+const FrameSpans& TvcaApp::BuildFrame(std::uint64_t scenario_seed,
+                                      FrameScratch& scratch) const {
   SPTA_OBS_SPAN("apps", "build_frame");
-  TvcaFrame& frame = scratch.frame;
+  FrameSpans& frame = scratch.frame;
   frame.scenario = DrawScenario(scenario_seed);
   frame.path_id = frame.scenario.PathId();
 
@@ -649,11 +654,15 @@ const TvcaFrame& TvcaApp::BuildFrame(std::uint64_t scenario_seed,
   }};
   {
     SPTA_OBS_SPAN("apps", "compose");
-    composer.ComposeMajorFrame(slots, frame.trace);
+    if (scratch.dispatch_overhead != config_.dispatch_overhead) {
+      scratch.dispatch.clear();
+      scratch.dispatch_overhead = config_.dispatch_overhead;
+    }
+    // The frame's path is its path id, not the composed job signature, so
+    // runs on the same modes but different fine-grained inputs are the
+    // same application path.
+    composer.ComposeSpans(slots, scratch.dispatch, frame.spans);
   }
-  // Ensure runs on the same modes but different fine-grained inputs are
-  // still distinguishable as the same application path.
-  frame.trace.path_signature = frame.path_id;
   return frame;
 }
 

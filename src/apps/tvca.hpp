@@ -92,14 +92,29 @@ struct TvcaFrame {
   std::uint32_t path_id = 0;
 };
 
+/// One major frame as an ordered list of record spans: dispatcher block
+/// k, then job k, for k = 0..4 (FrameComposer::ComposeSpans). The spans
+/// point into the FrameScratch that built it and stay valid until the
+/// scratch's next frame. sim::Core::Run retires the list as one stream.
+struct FrameSpans {
+  std::vector<trace::RecordSpan> spans;
+  TvcaScenario scenario;
+  std::uint32_t path_id = 0;
+};
+
 /// Caller-owned buffers for building frames in place: the five job traces
-/// and the composed frame. BuildFrame(seed, scratch) overwrites all of
-/// them and keeps their capacity, so a scratch reused across frames stops
-/// allocating once it has held the longest path. A new scratch holds no
+/// and the dispatcher blocks the frame's spans point into. There is no
+/// composed frame buffer. BuildFrame(seed, scratch) overwrites the job
+/// traces and keeps their capacity, so a scratch reused across frames
+/// stops allocating once it has held the longest path; the dispatcher
+/// blocks are built on the scratch's first frame. A new scratch holds no
 /// memory until its first frame. Campaign runners keep one per worker.
 struct FrameScratch {
   std::array<trace::Trace, 5> jobs;
-  TvcaFrame frame;
+  std::vector<trace::TraceRecord> dispatch;
+  /// The dispatch overhead `dispatch` was built for.
+  std::size_t dispatch_overhead = 0;
+  FrameSpans frame;
 };
 
 class TvcaApp {
@@ -127,15 +142,15 @@ class TvcaApp {
                       const TvcaScenario& scenario, trace::Trace& out) const;
 
   /// Builds the full major frame: sensor acquisition (highest priority),
-  /// then two actuator-X jobs, then two actuator-Y jobs, composed with
-  /// dispatcher overhead between jobs.
-  TvcaFrame BuildFrame(std::uint64_t scenario_seed) const;
+  /// then the first actuator-X and actuator-Y jobs, then the second ones,
+  /// each preceded by a dispatcher block. Returns it as a span list into
+  /// `scratch` (`scratch.frame`), valid until the scratch's next frame.
+  const FrameSpans& BuildFrame(std::uint64_t scenario_seed,
+                               FrameScratch& scratch) const;
 
-  /// As above, building into `scratch`; returns `scratch.frame`, which
-  /// stays valid until the scratch's next frame. Same frame as
-  /// BuildFrame(scenario_seed), record for record.
-  const TvcaFrame& BuildFrame(std::uint64_t scenario_seed,
-                              FrameScratch& scratch) const;
+  /// As above, flattened into one owned trace: the same records, in the
+  /// same order.
+  TvcaFrame BuildFrame(std::uint64_t scenario_seed) const;
 
   /// The periodic task set (periods/deadlines in cycles, rate-monotonic
   /// priorities) used by the schedulability examples.

@@ -66,9 +66,9 @@ FaultCampaignResult RunTvcaCampaignWithFaults(
     bool dropped = false;
     const Seed run_seed = FaultedTvcaRunSeed(config, r, &dropped);
     if (dropped) drops.fetch_add(1, std::memory_order_relaxed);
-    const apps::TvcaFrame& frame = frames.ForRun(r, arenas.Frame());
+    const analysis::FrameView frame = frames.ForRun(r, arenas.Frame());
     result.samples[r] =
-        analysis::Measure(arenas.Platform(), frame.trace, frame.path_id,
+        analysis::Measure(arenas.Platform(), frame.spans, frame.path_id,
                           run_seed, SeuHook(config, r, flips));
   });
   result.faults_injected = flips.load();
@@ -86,14 +86,16 @@ FaultCampaignResult RunFixedTraceCampaignWithFaults(
   std::atomic<std::uint64_t> drops{0};
   ThreadPool pool(jobs);
   analysis::WorkerArenas arenas(platform_config, pool.size());
+  const trace::RecordSpan whole(t.records);
   ParallelFor(pool, config.base.runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     bool dropped = false;
     const Seed run_seed = FaultedFixedTraceRunSeed(config, r, &dropped);
     if (dropped) drops.fetch_add(1, std::memory_order_relaxed);
     result.samples[r] = analysis::Measure(
-        arenas.Platform(), t, static_cast<std::uint32_t>(t.path_signature),
-        run_seed, SeuHook(config, r, flips));
+        arenas.Platform(), {&whole, 1},
+        static_cast<std::uint32_t>(t.path_signature), run_seed,
+        SeuHook(config, r, flips));
   });
   result.faults_injected = flips.load();
   result.reseeds_dropped = drops.load();

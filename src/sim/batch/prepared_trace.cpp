@@ -1,9 +1,8 @@
 #include "sim/batch/prepared_trace.hpp"
 
-#include <bit>
-
 #include "common/assert.hpp"
 #include "common/hash.hpp"
+#include "sim/fetch_rule.hpp"
 
 namespace spta::sim::batch {
 
@@ -29,8 +28,6 @@ std::uint64_t TimingDigest(const PlatformConfig& config) {
 PreparedTrace PrepareTrace(const trace::Trace& t,
                            const PlatformConfig& config) {
   using trace::OpClass;
-  SPTA_REQUIRE(std::has_single_bit(config.il1.line_bytes));
-  SPTA_REQUIRE(std::has_single_bit(config.itlb.page_bytes));
 
   PreparedTrace out;
   out.instructions = t.records.size();
@@ -41,27 +38,16 @@ PreparedTrace PrepareTrace(const trace::Trace& t,
   // The FPU latency model is lane-invariant (record-determined in both
   // modes), so one replay here yields every lane's latencies and stats.
   Fpu fpu(config.fpu);
-  const std::uint32_t line_shift = static_cast<std::uint32_t>(
-      std::countr_zero(config.il1.line_bytes));
-  const std::uint32_t page_shift = static_cast<std::uint32_t>(
-      std::countr_zero(config.itlb.page_bytes));
-
-  bool have_prev = false;
-  std::uint64_t prev_line = 0;
-  std::uint64_t prev_page = 0;
+  FetchRule fetch(config);
   std::uint8_t pending_load_reg = trace::kNoReg;
 
   for (const trace::TraceRecord& rec : t.records) {
-    const std::uint64_t pc_line = rec.pc >> line_shift;
-    const std::uint64_t pc_page = rec.pc >> page_shift;
     // The fetch outcome is statically a hit only when the previous
-    // record's fetch (its LAST access to each fetch structure) touched the
-    // same line/page; the first record of a run starts from flushed state.
-    const bool itlb_full = !have_prev || pc_page != prev_page;
-    const bool il1_full = !have_prev || pc_line != prev_line;
-    prev_line = pc_line;
-    prev_page = pc_page;
-    have_prev = true;
+    // record's fetch touched the same line/page (sim/fetch_rule.hpp); the
+    // first record of a run starts from flushed state.
+    const FetchRule::Repeat repeat = fetch.Next(rec.pc);
+    const bool itlb_full = !repeat.page;
+    const bool il1_full = !repeat.line;
 
     Cycles cost = 0;
     if (rec.Reads(pending_load_reg)) cost += config.pipeline.load_use_stall;

@@ -6,11 +6,10 @@
 //    value-dependent — both are functions of the record alone), load-use
 //    stalls, branch penalties, and the instruction-fetch hit/miss outcome
 //    of records whose pc stays within the previous record's cache line and
-//    page. Every record performs an ITLB and IL1 access on its own pc and
-//    both structures always allocate, so after any record the MRU slot of
-//    each fetch structure holds that record's page/line — a following
-//    record with the same page (line) is a GUARANTEED MRU hit in every
-//    lane, independent of seed. None of this depends on the run seed.
+//    page: such a record is a GUARANTEED MRU hit in every lane,
+//    independent of seed (the rule in sim/fetch_rule.hpp, which
+//    sim::Core's retire loop applies too). None of this depends on the
+//    run seed.
 //
 //  * LANE-VARIANT: the remaining ITLB/IL1 outcomes (page or line changed),
 //    every DTLB/DL1 access (the data side's MRU slot is NOT statically

@@ -96,6 +96,18 @@ class Cache {
     return false;
   }
 
+  /// Applies `count` >= 1 accesses that hit the MRU line, in O(1): the
+  /// same counters, final stamp and reference bit as `count` Access calls
+  /// on that line (each intermediate restamp is overwritten by the next,
+  /// and the reference bit is idempotent). Valid only while the MRU slot
+  /// holds the accessed line (the sim/fetch_rule.hpp guarantee).
+  void MruHits(std::uint64_t count) {
+    stats_.accesses += count;
+    access_clock_ += count;
+    stamps_[mru_index_] = access_clock_;
+    ref_bits_[mru_set_] |= 1ULL << mru_way_;
+  }
+
   /// Invalidates all lines (the per-run cache flush of the MBPTA protocol).
   void Flush();
 

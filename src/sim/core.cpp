@@ -15,7 +15,8 @@ Core::Core(const PlatformConfig& config, CoreId id, MemorySystem* memory,
       itlb_(config.itlb, DeriveSeed(seed, "itlb")),
       dtlb_(config.dtlb, DeriveSeed(seed, "dtlb")),
       fpu_(config.fpu),
-      store_buffer_(config.store_buffer) {
+      store_buffer_(config.store_buffer),
+      fetch_(config) {
   SPTA_REQUIRE(memory != nullptr);
 }
 
@@ -33,6 +34,10 @@ void Core::Reseed(Seed seed) {
   now_ = 0;
   retired_ = 0;
   pending_load_reg_ = trace::kNoReg;
+  // The fetch structures were just flushed: no fetch is a guaranteed hit
+  // until one has been made, and hits deferred before the flush are void.
+  fetch_.Reset();
+  fetch_run_ = 0;
   trace_ = nullptr;
   cursor_ = 0;
 }
@@ -47,67 +52,68 @@ bool Core::HasWork() const {
   return trace_ != nullptr && cursor_ < trace_->records.size();
 }
 
-void Core::Step() {
-  SPTA_REQUIRE(HasWork());
-  RetireRecord(trace_->records[cursor_]);
-  ++cursor_;
-}
-
-void Core::RetireRecord(const trace::TraceRecord& rec) {
+inline void Core::Retire(const trace::TraceRecord& rec, Registers& r) {
   using trace::OpClass;
-  ++retired_;
 
   // --- Instruction fetch: ITLB, then IL1. -------------------------------
-  if (!itlb_.Access(rec.pc)) {
-    now_ += config_.itlb.miss_penalty;
-  }
-  if (!il1_.Access(rec.pc)) {
-    now_ = memory_->LineFill(id_, rec.pc, now_);
+  // A fetch from the previous fetch's line and page is a guaranteed MRU
+  // hit in both (sim/fetch_rule.hpp): count it and apply the whole run at
+  // once before the next full fetch. Neither changes the clock.
+  const FetchRule::Repeat repeat = r.fetch.Next(rec.pc);
+  if (repeat.line && repeat.page) {
+    ++r.fetch_run;
+  } else {
+    ApplyFetchRun(r.fetch_run);
+    if (!itlb_.Access(rec.pc)) {
+      r.now += config_.itlb.miss_penalty;
+    }
+    if (!il1_.Access(rec.pc)) {
+      r.now = memory_->LineFill(id_, rec.pc, r.now);
+    }
   }
 
   // --- Load delay slot: consuming the previous load's result stalls. ----
-  if (rec.Reads(pending_load_reg_)) {
-    now_ += config_.pipeline.load_use_stall;
+  if (rec.Reads(r.pending_load_reg)) {
+    r.now += config_.pipeline.load_use_stall;
   }
-  pending_load_reg_ =
-      rec.op == OpClass::kLoad ? rec.dst_reg : trace::kNoReg;
+  r.pending_load_reg = rec.op == OpClass::kLoad ? rec.dst_reg : trace::kNoReg;
 
   // --- Execute: base pipeline latency per op class. ----------------------
   switch (rec.op) {
     case OpClass::kIntAlu:
     case OpClass::kNop:
-      now_ += config_.pipeline.int_alu;
+      r.now += config_.pipeline.int_alu;
       break;
     case OpClass::kIntMul:
-      now_ += config_.pipeline.int_mul;
+      r.now += config_.pipeline.int_mul;
       break;
     case OpClass::kIntDiv:
-      now_ += config_.pipeline.int_div;
+      r.now += config_.pipeline.int_div;
       break;
     case OpClass::kBranch:
-      now_ += config_.pipeline.int_alu;
-      if (rec.branch_taken) now_ += config_.pipeline.taken_branch_penalty;
+      r.now += config_.pipeline.int_alu;
+      if (rec.branch_taken) r.now += config_.pipeline.taken_branch_penalty;
       break;
     case OpClass::kFpAdd:
     case OpClass::kFpMul:
     case OpClass::kFpDiv:
     case OpClass::kFpSqrt:
-      now_ += fpu_.Latency(rec.op, rec.fpu_operand_class);
+      r.now += fpu_.Latency(rec.op, rec.fpu_operand_class);
       break;
     case OpClass::kLoad: {
-      now_ += config_.pipeline.int_alu;  // address generation + access slot
+      r.now += config_.pipeline.int_alu;  // address generation + access slot
       if (!dtlb_.Access(rec.mem_addr)) {
-        now_ += config_.dtlb.miss_penalty;
+        r.now += config_.dtlb.miss_penalty;
       }
       if (!dl1_.Access(rec.mem_addr, /*allocate_on_miss=*/true)) {
-        now_ = memory_->LineFill(id_, rec.mem_addr, now_);
+        r.now = memory_->LineFill(id_, rec.mem_addr, r.now);
       }
       break;
     }
     case OpClass::kStore: {
-      now_ += config_.pipeline.int_alu;
+      r.now += config_.pipeline.int_alu;
       if (!dtlb_.Access(rec.mem_addr)) {
-        now_ += config_.dtlb.miss_penalty;
+        r.now += config_.dtlb.miss_penalty;
       }
       // Write-through no-write-allocate: lookup updates the line on hit but
       // never allocates; the write always goes to the bus via the buffer.
@@ -115,7 +121,7 @@ void Core::RetireRecord(const trace::TraceRecord& rec) {
       const Address addr = rec.mem_addr;
       // Push is a template over the callable: the bus dispatch inlines here
       // with no std::function type erasure on the per-store path.
-      now_ = store_buffer_.Push(now_, [this, addr](Cycles ready) {
+      r.now = store_buffer_.Push(r.now, [this, addr](Cycles ready) {
         return memory_->Store(id_, addr, ready);
       });
       break;
@@ -123,9 +129,19 @@ void Core::RetireRecord(const trace::TraceRecord& rec) {
   }
 }
 
+void Core::Step() {
+  SPTA_REQUIRE(HasWork());
+  Registers r = LoadRegisters();
+  Retire(trace_->records[cursor_], r);
+  StoreRegisters(r);
+  ++cursor_;
+  ++retired_;
+}
+
 RunResult Core::Finish() {
-  SPTA_REQUIRE_MSG(trace_ != nullptr && cursor_ == trace_->records.size(),
+  SPTA_REQUIRE_MSG(!HasWork(),
                    "Finish called before the trace was fully retired");
+  ApplyFetchRun(fetch_run_);
   now_ = store_buffer_.DrainAll(now_);
   RunResult r;
   r.cycles = now_;
@@ -148,16 +164,23 @@ RunResult Core::Finish() {
   return r;
 }
 
-RunResult Core::Run(const trace::Trace& t) {
-  AttachTrace(&t);
-  // Tight single-core loop: iterate the record array directly instead of
-  // the HasWork()/Step() protocol (which re-checks bounds per record and
-  // exists for multicore interleaving). Same retire sequence, same result.
-  const trace::TraceRecord* records = t.records.data();
-  const std::size_t count = t.records.size();
-  for (std::size_t i = 0; i < count; ++i) RetireRecord(records[i]);
-  cursor_ = count;
+RunResult Core::Run(std::span<const trace::RecordSpan> spans) {
+  trace_ = nullptr;  // Run replaces any attached trace.
+  // Tight single-core loop over the record arrays, without the
+  // HasWork()/Step() protocol (which re-checks bounds per record and
+  // exists for multicore interleaving). Same retire body, same result.
+  Registers r = LoadRegisters();
+  for (const trace::RecordSpan span : spans) {
+    for (const trace::TraceRecord& rec : span) Retire(rec, r);
+    retired_ += span.size();
+  }
+  StoreRegisters(r);
   return Finish();
+}
+
+RunResult Core::Run(const trace::Trace& t) {
+  const trace::RecordSpan whole(t.records);
+  return Run(std::span<const trace::RecordSpan>(&whole, 1));
 }
 
 }  // namespace spta::sim

@@ -10,11 +10,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/types.hpp"
 #include "sim/bus.hpp"
 #include "sim/cache.hpp"
 #include "sim/config.hpp"
+#include "sim/fetch_rule.hpp"
 #include "sim/fpu.hpp"
 #include "sim/memory_system.hpp"
 #include "sim/store_buffer.hpp"
@@ -78,12 +80,18 @@ class Core {
   /// local clock. Requires HasWork().
   void Step();
 
-  /// Finishes the run: drains the store buffer into the local clock and
-  /// returns the result. Requires the attached trace to be fully retired.
+  /// Finishes the run: applies any deferred fetch hits, drains the store
+  /// buffer into the local clock and returns the result. Requires an
+  /// attached trace to be fully retired.
   RunResult Finish();
 
-  /// Convenience single-core execution: Reseed is NOT called (callers
-  /// decide the per-run protocol); runs the whole trace and finishes.
+  /// Single-core execution: Reseed is NOT called (callers decide the
+  /// per-run protocol); retires the spans' records back to back, as one
+  /// record stream, and finishes. This is the retire loop; every other
+  /// way of running a core reuses its body.
+  RunResult Run(std::span<const trace::RecordSpan> spans);
+
+  /// Run over the one-span list of `t`'s records.
   RunResult Run(const trace::Trace& t);
 
   /// Local clock (cycles retired so far).
@@ -93,13 +101,60 @@ class Core {
   // --- Fault-injection surface (src/fault) -------------------------------
   // Mutable access to the per-core arrays so the seeded injector can flip
   // tag/VPN bits between the per-run reset and execution. Off the hot path.
-  Cache& il1() { return il1_; }
+  // Handing out a fetch structure voids the fetch rule's guarantee, so the
+  // deferred hits are applied first and the next fetch is a full lookup.
+  Cache& il1() {
+    ReleaseFetchState();
+    return il1_;
+  }
   Cache& dl1() { return dl1_; }
-  Tlb& itlb() { return itlb_; }
+  Tlb& itlb() {
+    ReleaseFetchState();
+    return itlb_;
+  }
   Tlb& dtlb() { return dtlb_; }
 
  private:
-  void RetireRecord(const trace::TraceRecord& rec);
+  /// The retire loop's per-record state, copied into locals for one Run or
+  /// Step so it stays in registers across the out-of-line memory-system
+  /// calls, and stored back afterwards.
+  struct Registers {
+    Cycles now;
+    std::uint8_t pending_load_reg;
+    FetchRule fetch;
+    /// Fetches that hit the previous fetch's IL1 line and ITLB page and
+    /// are not yet applied to the IL1 and ITLB (see ApplyFetchRun).
+    std::uint64_t fetch_run;
+  };
+
+  Registers LoadRegisters() const {
+    return {now_, pending_load_reg_, fetch_, fetch_run_};
+  }
+  void StoreRegisters(const Registers& r) {
+    now_ = r.now;
+    pending_load_reg_ = r.pending_load_reg;
+    fetch_ = r.fetch;
+    fetch_run_ = r.fetch_run;
+  }
+
+  /// Retires one record. The one retire body: Run and Step both inline it.
+  [[gnu::always_inline]] inline void Retire(const trace::TraceRecord& rec,
+                                            Registers& r);
+
+  /// Applies `run` deferred guaranteed-MRU fetch hits to the IL1 and ITLB
+  /// as one MruHits update each, and clears it. Must run before anything
+  /// else touches or reads the fetch structures.
+  void ApplyFetchRun(std::uint64_t& run) {
+    if (run == 0) return;
+    itlb_.MruHits(run);
+    il1_.MruHits(run);
+    run = 0;
+  }
+
+  void ReleaseFetchState() {
+    ApplyFetchRun(fetch_run_);
+    fetch_.Reset();
+  }
 
   const PlatformConfig& config_;
   CoreId id_;
@@ -113,6 +168,8 @@ class Core {
   Cycles now_ = 0;
   std::uint64_t retired_ = 0;
   std::uint8_t pending_load_reg_ = trace::kNoReg;
+  FetchRule fetch_;
+  std::uint64_t fetch_run_ = 0;
   const trace::Trace* trace_ = nullptr;
   std::size_t cursor_ = 0;
 };

@@ -4,19 +4,24 @@
 
 namespace spta::sim {
 
-bool IsFpuOp(trace::OpClass op) {
-  switch (op) {
-    case trace::OpClass::kFpAdd:
-    case trace::OpClass::kFpMul:
-    case trace::OpClass::kFpDiv:
-    case trace::OpClass::kFpSqrt:
-      return true;
-    default:
-      return false;
+Fpu::Fpu(const FpuConfig& config) : config_(config) {
+  // Fixed-latency ops always charge their single latency; in worst-case
+  // mode the jittery ops charge their maximum regardless of operands.
+  for (std::size_t i = 0; i < latency_.size(); ++i) {
+    const auto op = static_cast<trace::OpClass>(kFirstOp + i);
+    for (std::uint8_t cls = 0; cls < trace::kFpuOperandClasses; ++cls) {
+      Cycles lat = WorstCaseLatency(op);
+      if (config_.mode != FpuMode::kWorstCaseFixed &&
+          trace::IsJitteryFpu(op)) {
+        const auto c = static_cast<Cycles>(cls);
+        lat = op == trace::OpClass::kFpDiv
+                  ? config_.div_base + config_.div_step * c
+                  : config_.sqrt_base + config_.sqrt_step * c;
+      }
+      latency_[i][cls] = lat;
+    }
   }
 }
-
-Fpu::Fpu(const FpuConfig& config) : config_(config) {}
 
 Cycles Fpu::WorstCaseLatency(trace::OpClass op) const {
   const auto worst_class = static_cast<Cycles>(trace::kFpuOperandClasses - 1);
@@ -33,38 +38,6 @@ Cycles Fpu::WorstCaseLatency(trace::OpClass op) const {
       SPTA_REQUIRE_MSG(false, "not an FPU op");
       return 0;
   }
-}
-
-Cycles Fpu::Latency(trace::OpClass op, std::uint8_t operand_class) {
-  SPTA_REQUIRE(IsFpuOp(op));
-  SPTA_REQUIRE(operand_class < trace::kFpuOperandClasses);
-  Cycles lat;
-  if (config_.mode == FpuMode::kWorstCaseFixed ||
-      !trace::IsJitteryFpu(op)) {
-    lat = WorstCaseLatency(op);
-    // Fixed-latency ops always charge their (single) latency; in worst-case
-    // mode the jittery ops charge their maximum regardless of operands.
-    if (!trace::IsJitteryFpu(op)) {
-      switch (op) {
-        case trace::OpClass::kFpAdd:
-          lat = config_.add_latency;
-          break;
-        case trace::OpClass::kFpMul:
-          lat = config_.mul_latency;
-          break;
-        default:
-          break;
-      }
-    }
-  } else {
-    const auto cls = static_cast<Cycles>(operand_class);
-    lat = op == trace::OpClass::kFpDiv
-              ? config_.div_base + config_.div_step * cls
-              : config_.sqrt_base + config_.sqrt_step * cls;
-  }
-  ++stats_.operations;
-  stats_.total_cycles += lat;
-  return lat;
 }
 
 }  // namespace spta::sim

@@ -7,6 +7,9 @@
 // without user-controlled experiments. Both modes are modeled here.
 #pragma once
 
+#include <array>
+
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "sim/config.hpp"
 #include "trace/record.hpp"
@@ -18,13 +21,27 @@ struct FpuStats {
   Cycles total_cycles = 0;
 };
 
+/// True for op classes handled by the FPU.
+inline bool IsFpuOp(trace::OpClass op) {
+  return op >= trace::OpClass::kFpAdd && op <= trace::OpClass::kFpSqrt;
+}
+
 class Fpu {
  public:
   explicit Fpu(const FpuConfig& config);
 
-  /// Latency of one FP operation given its operand class. Non-FPU op
-  /// classes are rejected (precondition).
-  Cycles Latency(trace::OpClass op, std::uint8_t operand_class);
+  /// Latency of one FP operation given its operand class, read from the
+  /// table the constructor fills. Non-FPU op classes are rejected
+  /// (precondition).
+  Cycles Latency(trace::OpClass op, std::uint8_t operand_class) {
+    SPTA_REQUIRE(IsFpuOp(op));
+    SPTA_REQUIRE(operand_class < trace::kFpuOperandClasses);
+    const Cycles lat = latency_[static_cast<std::size_t>(op) - kFirstOp]
+                               [operand_class];
+    ++stats_.operations;
+    stats_.total_cycles += lat;
+    return lat;
+  }
 
   /// Worst-case latency of `op` across all operand classes (what the
   /// analysis-phase fixed mode charges).
@@ -35,11 +52,15 @@ class Fpu {
   void ResetStats() { stats_ = FpuStats{}; }
 
  private:
+  static constexpr std::size_t kFirstOp =
+      static_cast<std::size_t>(trace::OpClass::kFpAdd);
+  static constexpr std::size_t kOps =
+      static_cast<std::size_t>(trace::OpClass::kFpSqrt) - kFirstOp + 1;
+
   FpuConfig config_;
+  /// Latency by FPU op (kFpAdd..kFpSqrt) and operand class.
+  std::array<std::array<Cycles, trace::kFpuOperandClasses>, kOps> latency_{};
   FpuStats stats_;
 };
-
-/// True for op classes handled by the FPU.
-bool IsFpuOp(trace::OpClass op);
 
 }  // namespace spta::sim

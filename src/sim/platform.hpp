@@ -46,6 +46,12 @@ class Platform {
   RunResult RunWithHook(const trace::Trace& t, Seed run_seed,
                         const std::function<void(Platform&)>& after_reset);
 
+  /// As above for a frame given as an ordered span list, retired back to
+  /// back as one record stream (Core::Run).
+  RunResult RunWithHook(std::span<const trace::RecordSpan> spans,
+                        Seed run_seed,
+                        const std::function<void(Platform&)>& after_reset);
+
   const PlatformConfig& config() const { return config_; }
   const MemorySystem& memory() const { return memory_; }
   /// Mutable core access for the fault-injection subsystem (src/fault).

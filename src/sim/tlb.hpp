@@ -81,6 +81,15 @@ class Tlb {
     return false;
   }
 
+  /// Applies `count` >= 1 accesses that hit the MRU entry, in O(1); see
+  /// Cache::MruHits. Valid only while the MRU slot holds the page.
+  void MruHits(std::uint64_t count) {
+    stats_.accesses += count;
+    access_clock_ += count;
+    stamps_[mru_] = access_clock_;
+    ref_[mru_] = 1;
+  }
+
   /// Invalidates all entries.
   void Flush();
 

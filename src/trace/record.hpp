@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,12 @@ bool IsJitteryFpu(OpClass op);
 inline constexpr std::uint8_t kNoReg = 0xff;
 inline constexpr std::uint8_t kFpRegFlag = 0x40;
 
-/// One retired instruction.
+/// One retired instruction. The two addresses come first so the six
+/// one-byte fields pack behind them into 24 bytes.
 struct TraceRecord {
   Address pc = 0;          ///< Instruction fetch address.
-  OpClass op = OpClass::kNop;
   Address mem_addr = 0;    ///< Effective address (loads/stores only).
+  OpClass op = OpClass::kNop;
   /// Operand "difficulty" class for FDIV/FSQRT, in [0, kFpuOperandClasses):
   /// higher classes take more cycles on a value-dependent FPU.
   std::uint8_t fpu_operand_class = 0;
@@ -67,6 +69,18 @@ struct TraceRecord {
   /// comparing record sequences).
   bool operator==(const TraceRecord& other) const = default;
 };
+
+static_assert(sizeof(TraceRecord) == 24,
+              "a frame is ~225k records; keep the record at 24 bytes");
+
+/// A contiguous run of records. A frame is an ordered list of these
+/// (sim::Core::Run retires them back to back), so a frame made of job
+/// traces and dispatcher blocks never has to be copied into one buffer.
+using RecordSpan = std::span<const TraceRecord>;
+
+/// Replaces `out` with the spans' records in order.
+void Flatten(std::span<const RecordSpan> spans,
+             std::vector<TraceRecord>& out);
 
 /// Number of distinct FPU operand-difficulty classes the timing model knows.
 inline constexpr std::uint8_t kFpuOperandClasses = 4;

@@ -343,7 +343,7 @@ TEST(TvcaTest, TaskNames) {
   EXPECT_STREQ(ToString(TvcaTask::kActuatorY), "actuator-y");
 }
 
-// --- FrameScratch: in-place frames are the by-value frames ----------------
+// --- FrameScratch: span frames are the by-value frames --------------------
 
 /// The first scenario seed of each of the eight paths.
 std::array<std::uint64_t, 8> FirstSeedPerPath(const TvcaApp& app) {
@@ -361,12 +361,14 @@ std::array<std::uint64_t, 8> FirstSeedPerPath(const TvcaApp& app) {
   return seeds;
 }
 
-std::array<const void*, 6> BufferAddresses(const FrameScratch& scratch) {
-  std::array<const void*, 6> out{};
+/// The five job buffers, the dispatcher blocks and the span list.
+std::array<const void*, 7> BufferAddresses(const FrameScratch& scratch) {
+  std::array<const void*, 7> out{};
   for (std::size_t j = 0; j < scratch.jobs.size(); ++j) {
     out[j] = scratch.jobs[j].records.data();
   }
-  out[5] = scratch.frame.trace.records.data();
+  out[5] = scratch.dispatch.data();
+  out[6] = scratch.frame.spans.data();
   return out;
 }
 
@@ -378,16 +380,31 @@ TEST(FrameScratchTest, ReusedScratchBuildsTheByValueFrames) {
   const std::uint64_t seeds[] = {by_path[7], by_path[0], by_path[3],
                                  by_path[4], by_path[1], by_path[6],
                                  by_path[2], by_path[5], by_path[7]};
+  const std::size_t n = app.config().dispatch_overhead;
   FrameScratch scratch;
   for (const std::uint64_t seed : seeds) {
     SCOPED_TRACE(seed);
     const TvcaFrame fresh = app.BuildFrame(seed);
-    const TvcaFrame& reused = app.BuildFrame(seed, scratch);
+    const FrameSpans& reused = app.BuildFrame(seed, scratch);
     EXPECT_EQ(&reused, &scratch.frame);
     EXPECT_EQ(reused.path_id, fresh.path_id);
-    EXPECT_EQ(reused.trace.path_signature, fresh.trace.path_signature);
-    ASSERT_EQ(reused.trace.records.size(), fresh.trace.records.size());
-    EXPECT_TRUE(reused.trace.records == fresh.trace.records);
+    EXPECT_EQ(fresh.trace.path_signature, fresh.path_id);
+    std::vector<trace::TraceRecord> flat;
+    trace::Flatten(reused.spans, flat);
+    ASSERT_EQ(flat.size(), fresh.trace.records.size());
+    EXPECT_TRUE(flat == fresh.trace.records);
+
+    // Dispatcher block k, then job k: sensor, X1, Y1, X2, Y2. Every span
+    // points into the scratch; nothing is a copy.
+    const std::size_t job_order[] = {0, 1, 3, 2, 4};
+    ASSERT_EQ(reused.spans.size(), 10u);
+    for (std::size_t k = 0; k < 5; ++k) {
+      EXPECT_EQ(reused.spans[2 * k].data(), scratch.dispatch.data() + k * n);
+      EXPECT_EQ(reused.spans[2 * k].size(), n);
+      const trace::Trace& job = scratch.jobs[job_order[k]];
+      EXPECT_EQ(reused.spans[2 * k + 1].data(), job.records.data());
+      EXPECT_EQ(reused.spans[2 * k + 1].size(), job.records.size());
+    }
   }
 }
 
@@ -407,8 +424,8 @@ TEST(FrameScratchTest, InterpreterRunIntoUsedTraceMatchesFreshTrace) {
 }
 
 // Deterministic stand-in for "no steady-state page faults": once the
-// scratch has held the longest path, no later frame reallocates any of
-// its six buffers.
+// scratch has held the longest path, no later frame reallocates a job
+// buffer, the dispatcher blocks or the span list.
 TEST(FrameScratchTest, BuffersStopMovingAfterTheLongestPath) {
   const TvcaApp app;
   FrameScratch scratch;

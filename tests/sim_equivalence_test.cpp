@@ -199,6 +199,77 @@ TEST(SimEquivalenceTest, TlbAllReplacementPolicies) {
   }
 }
 
+// MruHits(k) is k Access calls on the MRU line: two caches driven by one
+// stream, one taking bulk hits and one taking them access by access, agree
+// on every later hit/miss (so on every later victim, which the LRU stamps
+// and NRU reference bits decide), on the statistics and on every tag slot.
+TEST(SimEquivalenceTest, CacheMruHitsEqualRepeatedAccess) {
+  for (const auto placement : kPlacements) {
+    for (const auto replacement : kReplacements) {
+      SCOPED_TRACE(static_cast<int>(placement) * 3 +
+                   static_cast<int>(replacement));
+      // Small enough that the stream keeps evicting.
+      const CacheConfig config{2 * 1024, 32, 4, placement, replacement};
+      Cache bulk(config, 5);
+      Cache stepwise(config, 5);
+      prng::Xoshiro128pp rng(11);
+      const auto ops = MakeStream(99, 6000, config.line_bytes);
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        ASSERT_EQ(bulk.Access(ops[i].addr, ops[i].allocate),
+                  stepwise.Access(ops[i].addr, ops[i].allocate))
+            << "access " << i;
+        // An allocating access leaves its line in the MRU slot.
+        if (ops[i].allocate && rng.UniformBelow(8) == 0) {
+          const std::uint32_t k = 1 + rng.UniformBelow(64);
+          bulk.MruHits(k);
+          for (std::uint32_t j = 0; j < k; ++j) {
+            ASSERT_TRUE(stepwise.Access(ops[i].addr));
+          }
+        }
+      }
+      EXPECT_EQ(bulk.stats().accesses, stepwise.stats().accesses);
+      EXPECT_EQ(bulk.stats().misses, stepwise.stats().misses);
+      EXPECT_EQ(bulk.draw_stats().words, stepwise.draw_stats().words);
+      for (std::size_t slot = 0; slot < bulk.TagSlots(); ++slot) {
+        ASSERT_EQ(bulk.TagAt(slot), stepwise.TagAt(slot)) << "slot " << slot;
+      }
+    }
+  }
+}
+
+TEST(SimEquivalenceTest, TlbMruHitsEqualRepeatedAccess) {
+  for (const auto replacement : kReplacements) {
+    for (std::uint32_t entries : {4u, 8u, 64u}) {
+      SCOPED_TRACE(static_cast<int>(replacement));
+      SCOPED_TRACE(entries);
+      TlbConfig config;
+      config.entries = entries;
+      config.replacement = replacement;
+      Tlb bulk(config, 5);
+      Tlb stepwise(config, 5);
+      prng::Xoshiro128pp rng(entries);
+      Address page = 0;
+      for (std::size_t i = 0; i < 6000; ++i) {
+        if (rng.UniformBelow(4) == 0) page = rng.UniformBelow(96);
+        const Address addr = page * config.page_bytes + rng.UniformBelow(4096);
+        ASSERT_EQ(bulk.Access(addr), stepwise.Access(addr)) << "access " << i;
+        if (rng.UniformBelow(8) == 0) {
+          const std::uint32_t k = 1 + rng.UniformBelow(64);
+          bulk.MruHits(k);
+          for (std::uint32_t j = 0; j < k; ++j) {
+            ASSERT_TRUE(stepwise.Access(addr));
+          }
+        }
+      }
+      EXPECT_EQ(bulk.stats().accesses, stepwise.stats().accesses);
+      EXPECT_EQ(bulk.stats().misses, stepwise.stats().misses);
+      for (std::size_t slot = 0; slot < bulk.EntrySlots(); ++slot) {
+        ASSERT_EQ(bulk.VpnAt(slot), stepwise.VpnAt(slot)) << "slot " << slot;
+      }
+    }
+  }
+}
+
 // End-to-end anchor: platform cycle counts for every placement x
 // replacement combination on a fixed blend trace, frozen from the
 // pre-refactor tree. Indices follow the enum order (placement: modulo,

@@ -2,8 +2,13 @@
 // buffer, core timing and the platform measurement protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
+#include "apps/tvca.hpp"
+#include "common/hash.hpp"
+#include "prng/xoshiro.hpp"
 #include "sim/bus.hpp"
 #include "sim/core.hpp"
 #include "sim/dram.hpp"
@@ -455,6 +460,171 @@ TEST(PlatformTest, ConcurrentMatchesSingleWhenAlone) {
                                                   nullptr};
   const Cycles concurrent = p.RunConcurrent(slots, 11)[0].cycles;
   EXPECT_EQ(single, concurrent);
+}
+
+// --- The retire loop: span lists, Step, deferred fetch hits --------------
+
+/// Every RunResult field folded into one word.
+std::uint64_t ResultDigest(const RunResult& r) {
+  const std::uint64_t fields[] = {
+      r.cycles, r.instructions, r.il1.accesses, r.il1.misses,
+      r.dl1.accesses, r.dl1.misses, r.itlb.accesses, r.itlb.misses,
+      r.dtlb.accesses, r.dtlb.misses, r.fpu.operations, r.fpu.total_cycles,
+      r.store_buffer.stores, r.store_buffer.full_stalls,
+      r.store_buffer.stall_cycles, r.store_buffer.high_water, r.prng.words,
+      r.prng.rejections, r.bus.transactions, r.bus.busy_cycles,
+      r.bus.wait_cycles, r.dram.accesses, r.dram.row_hits,
+      r.dram.refresh_stall_cycles};
+  std::uint64_t h = 0;
+  for (const std::uint64_t f : fields) h = HashCombine(h, f);
+  return h;
+}
+
+/// Cuts `records` into spans: random cuts, plus empty spans (at both ends
+/// and in the middle), a cut between two records on one IL1 line and a
+/// cut where the pc crosses an ITLB page.
+std::vector<trace::RecordSpan> SplitSpans(
+    const std::vector<trace::TraceRecord>& records,
+    const PlatformConfig& config, std::uint64_t seed) {
+  const std::size_t n = records.size();
+  prng::Xoshiro128pp rng(seed);
+  std::vector<std::size_t> cuts = {0, 0, n, n};
+  for (int i = 0; i < 24; ++i) cuts.push_back(rng.UniformBelow(n + 1));
+  const std::size_t middle = rng.UniformBelow(n + 1);
+  cuts.insert(cuts.end(), {middle, middle});
+  bool same_line = false;
+  bool new_page = false;
+  for (std::size_t i = 1; i < n && !(same_line && new_page); ++i) {
+    const Address a = records[i - 1].pc;
+    const Address b = records[i].pc;
+    if (!same_line && a / config.il1.line_bytes == b / config.il1.line_bytes) {
+      cuts.push_back(i);
+      same_line = true;
+    }
+    if (!new_page && a / config.itlb.page_bytes != b / config.itlb.page_bytes) {
+      cuts.push_back(i);
+      new_page = true;
+    }
+  }
+  EXPECT_TRUE(same_line && new_page);
+  std::sort(cuts.begin(), cuts.end());
+  std::vector<trace::RecordSpan> spans;
+  for (std::size_t i = 1; i < cuts.size(); ++i) {
+    spans.emplace_back(records.data() + cuts[i - 1], cuts[i] - cuts[i - 1]);
+  }
+  return spans;
+}
+
+struct NamedConfig {
+  const char* name;
+  PlatformConfig config;
+};
+
+std::vector<NamedConfig> RetireConfigs() {
+  return {{"DET", DetLeon3Config()},
+          {"RAND", RandLeon3Config()},
+          {"RAND-operation", RandLeon3OperationConfig()}};
+}
+
+// A frame retired as a split span list, as one span and Step by Step (the
+// RunConcurrent path with one busy core) gives one result, field for
+// field; and every record is exactly one fetch, deferred or not.
+TEST(RetireLoopTest, SplitSpansEqualOneSpanAndStepwise) {
+  const apps::TvcaApp app;
+  const trace::Trace frame = app.BuildFrame(42).trace;
+  for (const auto& [name, config] : RetireConfigs()) {
+    SCOPED_TRACE(name);
+    Platform p(config, 1);
+    for (Seed seed : {Seed{1}, Seed{2}}) {
+      SCOPED_TRACE(seed);
+      const RunResult whole = p.Run(frame, seed);
+      EXPECT_EQ(whole.instructions, frame.records.size());
+      EXPECT_EQ(whole.il1.accesses, whole.instructions);
+      EXPECT_EQ(whole.itlb.accesses, whole.instructions);
+      const auto spans = SplitSpans(frame.records, config, seed);
+      const RunResult split = p.RunWithHook(spans, seed, {});
+      EXPECT_EQ(ResultDigest(split), ResultDigest(whole));
+      EXPECT_EQ(split.cycles, whole.cycles);
+      EXPECT_EQ(split.il1.misses, whole.il1.misses);
+      std::vector<const trace::Trace*> slots(config.cores, nullptr);
+      slots[0] = &frame;
+      const RunResult stepped = p.RunConcurrent(slots, seed)[0];
+      EXPECT_EQ(ResultDigest(stepped), ResultDigest(whole));
+      EXPECT_EQ(stepped.cycles, whole.cycles);
+    }
+  }
+}
+
+// The retire loop reproduces the per-record retire loop it replaced:
+// every RunResult field of a TVCA frame run alone and of a four-core
+// RunConcurrent (the Step path, with bus and DRAM interference), frozen
+// from the earlier implementation.
+TEST(RetireLoopTest, ResultsMatchThePerRecordLoop) {
+  const apps::TvcaApp app;
+  const trace::Trace frame = app.BuildFrame(42).trace;
+  const trace::Trace sensor =
+      app.BuildTaskTrace(apps::TvcaTask::kSensorAcq, 7);
+  const trace::Trace actx = app.BuildTaskTrace(apps::TvcaTask::kActuatorX, 8);
+  const trace::Trace acty = app.BuildTaskTrace(apps::TvcaTask::kActuatorY, 9);
+  struct Golden {
+    std::uint64_t run[2];         // Run, seeds 1 and 2
+    std::uint64_t concurrent[4];  // RunConcurrent, seed 9, per core
+  };
+  const Golden goldens[] = {
+      {{0xfed92e00091ad600ULL, 0xfed92e00091ad600ULL},
+       {0xb386753959418829ULL, 0x8bd2053ebe394209ULL, 0x48f47a1e2de9ddcfULL,
+        0xd1fe71445a513351ULL}},
+      {{0x551a539f8f66a88fULL, 0x4dca686feb30a8e9ULL},
+       {0xa85267232cbde5d7ULL, 0xa435b9ff6529573bULL, 0xa676648598712c13ULL,
+        0x600307b69e88abd9ULL}},
+      {{0x752bd01a32e6bf54ULL, 0x13e65a6f73e1b4c8ULL},
+       {0x85f3956a7aed27b5ULL, 0xa435b9ff6529573bULL, 0xa676648598712c13ULL,
+        0x600307b69e88abd9ULL}},
+  };
+  const auto configs = RetireConfigs();
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    SCOPED_TRACE(configs[c].name);
+    Platform p(configs[c].config, 1);
+    EXPECT_EQ(ResultDigest(p.Run(frame, 1)), goldens[c].run[0]);
+    EXPECT_EQ(ResultDigest(p.Run(frame, 2)), goldens[c].run[1]);
+    const std::vector<const trace::Trace*> slots = {&frame, &sensor, &actx,
+                                                    &acty};
+    const std::vector<RunResult> results = p.RunConcurrent(slots, 9);
+    for (std::size_t core = 0; core < results.size(); ++core) {
+      EXPECT_EQ(ResultDigest(results[core]), goldens[c].concurrent[core])
+          << "core " << core;
+    }
+  }
+}
+
+// Reseed flushes the fetch structures, so a run's first fetch is a full
+// lookup even when it reuses the line the previous run fetched last.
+TEST(RetireLoopTest, ReseedForgetsThePreviousFetch) {
+  trace::Trace t;
+  for (int i = 0; i < 40; ++i) {
+    trace::TraceRecord r;
+    r.pc = 0x40000000 + 4 * (i % 4);  // one 32-byte line throughout
+    r.op = trace::OpClass::kIntAlu;
+    t.records.push_back(r);
+  }
+  for (const auto& [name, config] : RetireConfigs()) {
+    SCOPED_TRACE(name);
+    Platform fresh(config, 1);
+    const RunResult expected = fresh.Run(t, 5);
+    EXPECT_EQ(expected.il1.misses, 1u);
+    EXPECT_EQ(expected.itlb.misses, 1u);
+    Platform reused(config, 1);
+    reused.Run(t, 4);
+    EXPECT_EQ(ResultDigest(reused.Run(t, 5)), ResultDigest(expected));
+    // Also when the previous run was abandoned mid-stream by Step.
+    MemorySystem mem(config.bus, config.dram);
+    Core core(config, 0, &mem, 1);
+    core.Reseed(4);
+    core.AttachTrace(&t);
+    for (int i = 0; i < 10; ++i) core.Step();
+    core.Reseed(5);
+    EXPECT_EQ(core.Run(t).il1.accesses, t.records.size());
+  }
 }
 
 TEST(ConfigTest, PresetsValidateAndDiffer) {
