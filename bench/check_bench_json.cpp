@@ -9,6 +9,8 @@
 //   BENCH_fault_overhead.json   zero-fault-path A/B gate (docs/FAULTS.md)
 //   BENCH_obs_overhead.json     disabled-span A/B gate
 //                               (docs/OBSERVABILITY.md)
+//   BENCH_block_frame.json      block-frame vs record-frame A/B
+//                               (bit-identity required)
 //
 // When given a second binary (micro_sim_batch), it also runs the batch
 // kernel bench at SPTA_BENCH_RUNS=64 — twice: once with the auto-detected
@@ -212,6 +214,7 @@ int main(int argc, char** argv) {
   const std::string hotpath_json = dir + "/BENCH_sim_hotpath.json";
   const std::string fault_json = dir + "/BENCH_fault_overhead.json";
   const std::string obs_json = dir + "/BENCH_obs_overhead.json";
+  const std::string block_json = dir + "/BENCH_block_frame.json";
 
   ::setenv("SPTA_BENCH_RUNS", "50", /*overwrite=*/1);
   ::setenv("SPTA_BENCH_JSON_DIR", dir.c_str(), /*overwrite=*/1);
@@ -272,9 +275,22 @@ int main(int argc, char** argv) {
     Fail("obs_overhead: enabled leg recorded no trace events");
   }
 
+  // The block-frame artifact: the block loop must reproduce the record
+  // loop's frozen checksum.
+  std::map<std::string, std::string> block_numbers;
+  ValidateReport(block_json, "block_frame",
+                 {"record_runs_per_sec", "block_runs_per_sec",
+                  "block_over_record_time", "checksum_match"},
+                 &block_numbers);
+  if (block_numbers.count("checksum_match") &&
+      Number(block_numbers, "checksum_match", 0.0) != 1.0) {
+    Fail("block_frame: block-frame runs were not bit-identical to records");
+  }
+
   std::remove(hotpath_json.c_str());
   std::remove(fault_json.c_str());
   std::remove(obs_json.c_str());
+  std::remove(block_json.c_str());
 
   // Batch-kernel artifact: run the bench twice — auto ISA and the forced
   // scalar fallback — so the 64-run batched-vs-serial bit-identity smoke

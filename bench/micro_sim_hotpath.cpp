@@ -13,7 +13,9 @@
 // emitted BENCH_sim_hotpath.json carries both numbers so the speedup claim
 // stays auditable. The checksum re-verifies bit-identity on the fly: any
 // drift in observable behavior shows up here before it shows up in a
-// pWCET figure.
+// pWCET figure. A last leg retires the same frame as a block-stream frame
+// (the fresh-input campaign form) against the record frame, and both must
+// reproduce the checksum.
 #include <algorithm>
 #include <chrono>
 #include <ctime>
@@ -309,6 +311,68 @@ int main() {
   obs_report.Set("checksum_match",
                  obs_bits_match && enabled_bits_match ? 1.0 : 0.0);
   if (obs_report.Write().empty()) failed = true;
+
+  // --- block-frame leg -------------------------------------------------
+  // The same frame as a block stream (TvcaApp::BuildFrame into a scratch:
+  // dispatcher record spans plus the jobs' block streams) retired by the
+  // block loop, A/B-interleaved against the record leg on the same seeds
+  // with the gates' thread-CPU-time median rule. Both legs must reproduce
+  // the frozen checksum; the block/record time ratio is informational.
+  apps::FrameScratch scratch;
+  const apps::FrameSpans& blocks = app.BuildFrame(/*scenario_seed=*/42, scratch);
+  const std::function<void(sim::Platform&)> no_hook;
+  double record_leg_s = 0.0, block_leg_s = 0.0;
+  unsigned long long record_sum = 0, block_sum = 0;
+  std::vector<double> block_pair_pct;
+  block_pair_pct.reserve(ab_pairs);
+  for (std::size_t i = 0; i < std::max<std::size_t>(ab_pairs, 60); ++i) {
+    const auto seed = analysis::FixedTraceRunSeed(kMasterSeed, i);
+    const auto timed_record = [&] {
+      const double t0 = ThreadCpuSeconds();
+      const Cycles cycles = platform.Run(trace, seed).cycles;
+      if (i < 60) record_sum += cycles;
+      return ThreadCpuSeconds() - t0;
+    };
+    const auto timed_block = [&] {
+      const double t0 = ThreadCpuSeconds();
+      const Cycles cycles =
+          platform.RunWithHook(blocks.segments, seed, no_hook).cycles;
+      if (i < 60) block_sum += cycles;
+      return ThreadCpuSeconds() - t0;
+    };
+    double a = 0.0, b = 0.0;
+    if (i % 2 == 0) {
+      a = timed_record();
+      b = timed_block();
+    } else {
+      b = timed_block();
+      a = timed_record();
+    }
+    record_leg_s += a;
+    block_leg_s += b;
+    block_pair_pct.push_back(PairOverheadPct(a, b));
+  }
+  const double block_ratio = 1.0 + MedianOf(block_pair_pct) / 100.0;
+  const bool block_bits_match =
+      record_sum == kChecksum60 && block_sum == kChecksum60;
+  std::printf(
+      "\nblock-frame leg (%zu A/B pairs): record %.2f runs/sec, "
+      "block %.2f runs/sec -> median pair block/record time %.3f\n",
+      block_pair_pct.size(),
+      static_cast<double>(block_pair_pct.size()) / record_leg_s,
+      static_cast<double>(block_pair_pct.size()) / block_leg_s, block_ratio);
+  std::printf("  checksum(60) record %llu, block %llu: %s\n", record_sum,
+              block_sum, block_bits_match ? "OK" : "MISMATCH (expected 52746737)");
+  failed = failed || !block_bits_match;
+
+  bench::JsonReport block_report("block_frame", block_pair_pct.size());
+  block_report.Set("record_runs_per_sec",
+                   static_cast<double>(block_pair_pct.size()) / record_leg_s);
+  block_report.Set("block_runs_per_sec",
+                   static_cast<double>(block_pair_pct.size()) / block_leg_s);
+  block_report.Set("block_over_record_time", block_ratio);
+  block_report.Set("checksum_match", block_bits_match ? 1.0 : 0.0);
+  if (block_report.Write().empty()) failed = true;
 
   return failed ? 1 : 0;
 }

@@ -24,12 +24,12 @@ Seed FixedTraceRunSeed(std::uint64_t master_seed, std::size_t run_index) {
 }
 
 RunSample Measure(sim::Platform& platform,
-                  std::span<const trace::RecordSpan> spans,
+                  std::span<const trace::Segment> segments,
                   std::uint32_t path_id, Seed run_seed,
                   const std::function<void(sim::Platform&)>& after_reset) {
   SPTA_OBS_SPAN("sim", "simulate");
   RunSample s;
-  s.detail = platform.RunWithHook(spans, run_seed, after_reset);
+  s.detail = platform.RunWithHook(segments, run_seed, after_reset);
   s.cycles = static_cast<double>(s.detail.cycles);
   s.path_id = path_id;
   return s;
@@ -42,10 +42,10 @@ TvcaFrames::TvcaFrames(const apps::TvcaApp& app, const CampaignConfig& config)
   const std::size_t distinct =
       std::min(config.distinct_scenarios, config.runs);
   suite_.reserve(distinct);
-  suite_spans_.reserve(distinct);
+  suite_segments_.reserve(distinct);
   for (std::size_t i = 0; i < distinct; ++i) {
     suite_.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
-    suite_spans_.emplace_back(suite_.back().trace.records);
+    suite_segments_.push_back({suite_.back().trace.records, nullptr});
   }
 }
 
@@ -53,11 +53,11 @@ FrameView TvcaFrames::ForRun(std::size_t run_index,
                              apps::FrameScratch& scratch) const {
   if (!suite_.empty()) {
     const std::size_t i = run_index % config_.distinct_scenarios;
-    return {{&suite_spans_[i], 1}, suite_[i].path_id};
+    return {{&suite_segments_[i], 1}, suite_[i].path_id};
   }
   const apps::FrameSpans& frame =
       app_.BuildFrame(TvcaScenarioSeed(config_, run_index), scratch);
-  return {frame.spans, frame.path_id};
+  return {frame.segments, frame.path_id};
 }
 
 std::vector<RunSample> RunTvcaCampaign(sim::Platform& platform,
@@ -73,7 +73,8 @@ std::vector<RunSample> RunTvcaCampaign(sim::Platform& platform,
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     const FrameView frame = frames.ForRun(r, scratch);
     samples.push_back(
-        Measure(platform, frame.spans, frame.path_id, TvcaRunSeed(config, r)));
+        Measure(platform, frame.segments, frame.path_id,
+                TvcaRunSeed(config, r)));
   }
   return samples;
 }
@@ -86,7 +87,7 @@ std::vector<RunSample> RunFixedTraceCampaign(sim::Platform& platform,
   SPTA_OBS_SPAN_ARG("campaign", "fixed_trace_campaign", "runs", runs);
   std::vector<RunSample> samples;
   samples.reserve(runs);
-  const trace::RecordSpan whole(t.records);
+  const trace::Segment whole{t.records, nullptr};
   for (std::size_t r = 0; r < runs; ++r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     samples.push_back(Measure(platform, {&whole, 1},

@@ -16,7 +16,7 @@
 #include "apps/tvca.hpp"
 #include "mbpta/per_path.hpp"
 #include "sim/platform.hpp"
-#include "trace/record.hpp"
+#include "trace/interpreter.hpp"
 
 namespace spta::analysis {
 
@@ -45,19 +45,20 @@ Seed TvcaRunSeed(const CampaignConfig& config, std::size_t run_index);
 /// Per-run platform seed of a fixed-trace campaign.
 Seed FixedTraceRunSeed(std::uint64_t master_seed, std::size_t run_index);
 
-/// One measurement: runs the frame given as the ordered span list `spans`
-/// on `platform` under `run_seed` inside the `sim/simulate` span.
+/// One measurement: runs the frame given as the ordered segment list
+/// `segments` on `platform` under `run_seed` inside the `sim/simulate`
+/// span.
 /// `after_reset` is Platform::RunWithHook's fault-injection window; null
 /// means a plain run.
 RunSample Measure(sim::Platform& platform,
-                  std::span<const trace::RecordSpan> spans,
+                  std::span<const trace::Segment> segments,
                   std::uint32_t path_id, Seed run_seed,
                   const std::function<void(sim::Platform&)>& after_reset = {});
 
-/// A campaign frame to measure: its records as an ordered span list and
-/// its application path.
+/// A campaign frame to measure: its ordered segment list and its
+/// application path.
 struct FrameView {
-  std::span<const trace::RecordSpan> spans;
+  std::span<const trace::Segment> segments;
   std::uint32_t path_id = 0;
 };
 
@@ -70,12 +71,12 @@ struct FrameView {
 class TvcaFrames {
  public:
   TvcaFrames(const apps::TvcaApp& app, const CampaignConfig& config);
-  // suite_spans_ points into suite_: a copy would view the original.
+  // suite_segments_ points into suite_: a copy would view the original.
   TvcaFrames(const TvcaFrames&) = delete;
   TvcaFrames& operator=(const TvcaFrames&) = delete;
 
-  /// Run `run_index`'s frame: a suite entry as a one-span list, or the
-  /// span list of a frame rebuilt into `scratch`.
+  /// Run `run_index`'s frame: a suite entry as a one-segment list, or the
+  /// segment list of a frame rebuilt into `scratch`.
   FrameView ForRun(std::size_t run_index, apps::FrameScratch& scratch) const;
 
   /// The prebuilt suite (one frame per scenario the campaign reaches;
@@ -86,8 +87,9 @@ class TvcaFrames {
   const apps::TvcaApp& app_;
   CampaignConfig config_;
   std::vector<apps::TvcaFrame> suite_;
-  /// suite_[i]'s records as one span, so a suite frame is a one-span view.
-  std::vector<trace::RecordSpan> suite_spans_;
+  /// suite_[i]'s records as one segment, so a suite frame is a
+  /// one-segment view.
+  std::vector<trace::Segment> suite_segments_;
 };
 
 /// Executes a TVCA campaign on `platform`, building frames as TvcaFrames

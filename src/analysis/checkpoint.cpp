@@ -431,7 +431,7 @@ bool RunTvcaCampaignCheckpointed(const sim::PlatformConfig& platform_config,
   WorkerArenas arenas(platform_config, pool.size());
   auto measure = [&](std::size_t r) {
     const FrameView frame = frames.ForRun(r, arenas.Frame());
-    return Measure(arenas.Platform(), frame.spans, frame.path_id,
+    return Measure(arenas.Platform(), frame.segments, frame.path_id,
                    TvcaRunSeed(config, r));
   };
   return RunPerRunCheckpointed(header, pool, options, measure, out, error);
@@ -451,7 +451,7 @@ bool RunFixedTraceCampaignCheckpointed(
 
   ThreadPool pool(jobs);
   WorkerArenas arenas(platform_config, pool.size());
-  const trace::RecordSpan whole(t.records);
+  const trace::Segment whole{t.records, nullptr};
   auto measure = [&](std::size_t r) {
     return Measure(arenas.Platform(), {&whole, 1},
                    static_cast<std::uint32_t>(t.path_signature),

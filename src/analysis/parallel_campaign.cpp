@@ -43,7 +43,7 @@ std::vector<RunSample> RunTvcaCampaignParallel(
   ParallelFor(pool, config.runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     const FrameView frame = frames.ForRun(r, arenas.Frame());
-    samples[r] = Measure(arenas.Platform(), frame.spans, frame.path_id,
+    samples[r] = Measure(arenas.Platform(), frame.segments, frame.path_id,
                          TvcaRunSeed(config, r));
   });
   return samples;
@@ -58,7 +58,7 @@ std::vector<RunSample> RunFixedTraceCampaignParallel(
   WorkerArenas arenas(platform_config, pool.size());
   SPTA_OBS_SPAN_ARG("campaign", "fixed_trace_campaign_parallel", "runs",
                     runs);
-  const trace::RecordSpan whole(t.records);
+  const trace::Segment whole{t.records, nullptr};
   ParallelFor(pool, runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     samples[r] = Measure(arenas.Platform(), {&whole, 1},

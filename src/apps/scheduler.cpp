@@ -44,7 +44,7 @@ void FrameComposer::AppendDispatcher(std::vector<trace::TraceRecord>& out,
 
 std::uint64_t FrameComposer::ComposeSpans(
     std::span<const FrameSlot> slots, std::vector<trace::TraceRecord>& dispatch,
-    std::vector<trace::RecordSpan>& spans) const {
+    std::vector<trace::Segment>& segments) const {
   SPTA_REQUIRE(!slots.empty());
   const std::size_t n = options_.dispatch_overhead_instructions;
   SPTA_REQUIRE(dispatch.size() % std::max<std::size_t>(n, 1) == 0);
@@ -52,7 +52,8 @@ std::uint64_t FrameComposer::ComposeSpans(
   order.reserve(slots.size());
   std::size_t jobs = 0;
   for (const auto& s : slots) {
-    SPTA_REQUIRE(s.job_trace != nullptr && s.jobs >= 1 && s.minor >= 0);
+    SPTA_REQUIRE((s.job_trace != nullptr) != (s.job_blocks != nullptr) &&
+                 s.jobs >= 1 && s.minor >= 0);
     order.push_back(&s);
     jobs += static_cast<std::size_t>(s.jobs);
   }
@@ -66,14 +67,19 @@ std::uint64_t FrameComposer::ComposeSpans(
   for (std::size_t k = n == 0 ? jobs : dispatch.size() / n; k < jobs; ++k) {
     AppendDispatcher(dispatch, static_cast<int>(k));
   }
-  spans.clear();
+  segments.clear();
   std::uint64_t sig = 0x9e3779b9u;
   std::size_t job_index = 0;
   for (const FrameSlot* slot : order) {
     for (int j = 0; j < slot->jobs; ++j) {
-      spans.emplace_back(dispatch.data() + job_index++ * n, n);
-      spans.emplace_back(slot->job_trace->records);
-      sig = HashCombine(sig, slot->job_trace->path_signature);
+      segments.push_back({{dispatch.data() + job_index++ * n, n}, nullptr});
+      if (slot->job_blocks != nullptr) {
+        segments.push_back({{}, slot->job_blocks});
+        sig = HashCombine(sig, slot->job_blocks->path_signature);
+      } else {
+        segments.push_back({slot->job_trace->records, nullptr});
+        sig = HashCombine(sig, slot->job_trace->path_signature);
+      }
     }
   }
   return sig;
@@ -82,10 +88,10 @@ std::uint64_t FrameComposer::ComposeSpans(
 trace::Trace FrameComposer::ComposeMajorFrame(
     const std::vector<FrameSlot>& slots) const {
   std::vector<trace::TraceRecord> dispatch;
-  std::vector<trace::RecordSpan> spans;
+  std::vector<trace::Segment> segments;
   trace::Trace out;
-  out.path_signature = ComposeSpans(slots, dispatch, spans);
-  trace::Flatten(spans, out.records);
+  out.path_signature = ComposeSpans(slots, dispatch, segments);
+  trace::Flatten(segments, out.records);
   return out;
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "trace/interpreter.hpp"
 #include "trace/record.hpp"
 
 namespace spta::apps {
@@ -32,11 +33,19 @@ struct PeriodicTaskSpec {
   int priority = 0;     ///< Smaller value = higher priority.
 };
 
-/// One job of a major frame: a task's trace, its priority, and the minor
-/// frame in which it is released (harmonic schedules release jobs of the
-/// faster tasks in every minor frame).
+/// One job of a major frame: a task's trace (as records or as a block
+/// stream), its priority, and the minor frame in which it is released
+/// (harmonic schedules release jobs of the faster tasks in every minor
+/// frame).
 struct FrameSlot {
+  FrameSlot(const trace::Trace* trace, int jobs, int priority, int minor)
+      : job_trace(trace), jobs(jobs), priority(priority), minor(minor) {}
+  FrameSlot(const trace::BlockTrace* blocks, int jobs, int priority,
+            int minor)
+      : job_blocks(blocks), jobs(jobs), priority(priority), minor(minor) {}
+
   const trace::Trace* job_trace = nullptr;
+  const trace::BlockTrace* job_blocks = nullptr;  ///< Set instead.
   int jobs = 1;      ///< Back-to-back repeats of this trace in the minor.
   int priority = 0;  ///< Smaller = higher priority.
   int minor = 0;     ///< Minor frame index this job is released in.
@@ -60,22 +69,23 @@ class FrameComposer {
   FrameComposer() : FrameComposer(Options{}) {}
   explicit FrameComposer(Options options);
 
-  /// Composes the frame without copying it: replaces `spans` (capacity
-  /// kept) with the frame's ordered span list — for each job in execution
-  /// order, its dispatcher block, then the job trace's records — and
-  /// returns the frame's path signature. This defines the composition
-  /// order; every other form of the frame flattens this list.
+  /// Composes the frame without copying it: replaces `segments` (capacity
+  /// kept) with the frame's ordered segment list — for each job in
+  /// execution order, its dispatcher block, then the job (its records or
+  /// its block stream) — and returns the frame's path signature. This
+  /// defines the composition order; every other form of the frame
+  /// flattens this list.
   ///
   /// `dispatch` caches dispatcher blocks: block k, the dispatch before the
   /// frame's k-th job, is records [k*n, (k+1)*n) with n the dispatch
   /// overhead. Missing blocks are appended, so a caller that keeps
   /// `dispatch` across frames (always with the same Options) builds each
-  /// block once. The spans point into `dispatch` and the job traces.
+  /// block once. The segments point into `dispatch` and the job traces.
   std::uint64_t ComposeSpans(std::span<const FrameSlot> slots,
                              std::vector<trace::TraceRecord>& dispatch,
-                             std::vector<trace::RecordSpan>& spans) const;
+                             std::vector<trace::Segment>& segments) const;
 
-  /// The flattened span list as one trace.
+  /// The flattened segment list as one trace.
   trace::Trace ComposeMajorFrame(const std::vector<FrameSlot>& slots) const;
 
  private:

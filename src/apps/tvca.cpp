@@ -539,15 +539,26 @@ trace::Trace TvcaApp::BuildTaskTrace(TvcaTask task,
 
 trace::Trace TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
                                      const TvcaScenario& scenario) const {
+  trace::BlockTrace stream;
+  BuildTaskTrace(task, input_seed, scenario, stream);
   trace::Trace out;
-  BuildTaskTrace(task, input_seed, scenario, out);
+  stream.program->Expand(stream, out.records);
+  out.path_signature = stream.path_signature;
   return out;
 }
 
 void TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
                              const TvcaScenario& scenario,
-                             trace::Trace& out) const {
+                             trace::BlockTrace& out) const {
   trace::Interpreter interp(Decoded(task));
+  LoadInputs(task, input_seed, scenario, interp);
+  SPTA_OBS_SPAN_ARG("trace", "interpret", "task", task);
+  interp.Run(out);
+}
+
+void TvcaApp::LoadInputs(TvcaTask task, std::uint64_t input_seed,
+                         const TvcaScenario& scenario,
+                         trace::Interpreter& interp) const {
   prng::Xoshiro128pp rng(DeriveSeed(input_seed, ToString(task)));
 
   if (task == TvcaTask::kSensorAcq) {
@@ -605,8 +616,6 @@ void TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
     interp.WriteFp(kQState, 2, 0.0);
     interp.WriteFp(kQState, 3, 0.0);
   }
-  SPTA_OBS_SPAN_ARG("trace", "interpret", "task", task);
-  interp.Run(out);
 }
 
 TvcaFrame TvcaApp::BuildFrame(std::uint64_t scenario_seed) const {
@@ -615,7 +624,7 @@ TvcaFrame TvcaApp::BuildFrame(std::uint64_t scenario_seed) const {
   TvcaFrame frame;
   frame.scenario = spans.scenario;
   frame.path_id = spans.path_id;
-  trace::Flatten(spans.spans, frame.trace.records);
+  trace::Flatten(spans.segments, frame.trace.records);
   frame.trace.path_signature = frame.path_id;
   return frame;
 }
@@ -661,7 +670,7 @@ const FrameSpans& TvcaApp::BuildFrame(std::uint64_t scenario_seed,
     // The frame's path is its path id, not the composed job signature, so
     // runs on the same modes but different fine-grained inputs are the
     // same application path.
-    composer.ComposeSpans(slots, scratch.dispatch, frame.spans);
+    composer.ComposeSpans(slots, scratch.dispatch, frame.segments);
   }
   return frame;
 }

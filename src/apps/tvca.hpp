@@ -92,25 +92,27 @@ struct TvcaFrame {
   std::uint32_t path_id = 0;
 };
 
-/// One major frame as an ordered list of record spans: dispatcher block
-/// k, then job k, for k = 0..4 (FrameComposer::ComposeSpans). The spans
-/// point into the FrameScratch that built it and stay valid until the
-/// scratch's next frame. sim::Core::Run retires the list as one stream.
+/// One major frame as an ordered segment list: dispatcher block k (a
+/// record span), then job k (a block stream), for k = 0..4
+/// (FrameComposer::ComposeSpans). The segments point into the
+/// FrameScratch that built it and stay valid until the scratch's next
+/// frame. sim::Core::Run retires the list as one stream.
 struct FrameSpans {
-  std::vector<trace::RecordSpan> spans;
+  std::vector<trace::Segment> segments;
   TvcaScenario scenario;
   std::uint32_t path_id = 0;
 };
 
-/// Caller-owned buffers for building frames in place: the five job traces
-/// and the dispatcher blocks the frame's spans point into. There is no
-/// composed frame buffer. BuildFrame(seed, scratch) overwrites the job
-/// traces and keeps their capacity, so a scratch reused across frames
-/// stops allocating once it has held the longest path; the dispatcher
-/// blocks are built on the scratch's first frame. A new scratch holds no
-/// memory until its first frame. Campaign runners keep one per worker.
+/// Caller-owned buffers for building frames in place: the five job block
+/// streams and the dispatcher blocks the frame's segments point into.
+/// There is no composed frame buffer and no job records. BuildFrame(seed,
+/// scratch) overwrites the job streams and keeps their capacity, so a
+/// scratch reused across frames stops allocating once it has held the
+/// longest path; the dispatcher blocks are built on the scratch's first
+/// frame. A new scratch holds no memory until its first frame. Campaign
+/// runners keep one per worker.
 struct FrameScratch {
-  std::array<trace::Trace, 5> jobs;
+  std::array<trace::BlockTrace, 5> jobs;
   std::vector<trace::TraceRecord> dispatch;
   /// The dispatch overhead `dispatch` was built for.
   std::size_t dispatch_overhead = 0;
@@ -137,18 +139,21 @@ class TvcaApp {
   trace::Trace BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
                               const TvcaScenario& scenario) const;
 
-  /// As above, writing the trace into `out` (see Interpreter::Run(Trace&)).
+  /// As above, writing the job's block stream into `out` (see
+  /// Interpreter::Run(BlockTrace&)); its records are the trace above.
   void BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
-                      const TvcaScenario& scenario, trace::Trace& out) const;
+                      const TvcaScenario& scenario,
+                      trace::BlockTrace& out) const;
 
   /// Builds the full major frame: sensor acquisition (highest priority),
   /// then the first actuator-X and actuator-Y jobs, then the second ones,
-  /// each preceded by a dispatcher block. Returns it as a span list into
-  /// `scratch` (`scratch.frame`), valid until the scratch's next frame.
+  /// each preceded by a dispatcher block. Returns it as a segment list
+  /// into `scratch` (`scratch.frame`), valid until the scratch's next
+  /// frame.
   const FrameSpans& BuildFrame(std::uint64_t scenario_seed,
                                FrameScratch& scratch) const;
 
-  /// As above, flattened into one owned trace: the same records, in the
+  /// As above, expanded into one owned trace: the same records, in the
   /// same order.
   TvcaFrame BuildFrame(std::uint64_t scenario_seed) const;
 
@@ -165,6 +170,10 @@ class TvcaApp {
   trace::Program BuildSensorProgram() const;
   trace::Program BuildActuatorProgram(const char* name, int dim,
                                       int steps) const;
+  /// Writes the job inputs of `task` into `interp`.
+  void LoadInputs(TvcaTask task, std::uint64_t input_seed,
+                  const TvcaScenario& scenario,
+                  trace::Interpreter& interp) const;
 
   /// programs_[task] decoded for the interpreter on first use. Decoding
   /// fills ~0.4 MB of tables; done eagerly it made constructing an app

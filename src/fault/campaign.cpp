@@ -68,7 +68,7 @@ FaultCampaignResult RunTvcaCampaignWithFaults(
     if (dropped) drops.fetch_add(1, std::memory_order_relaxed);
     const analysis::FrameView frame = frames.ForRun(r, arenas.Frame());
     result.samples[r] =
-        analysis::Measure(arenas.Platform(), frame.spans, frame.path_id,
+        analysis::Measure(arenas.Platform(), frame.segments, frame.path_id,
                           run_seed, SeuHook(config, r, flips));
   });
   result.faults_injected = flips.load();
@@ -86,7 +86,7 @@ FaultCampaignResult RunFixedTraceCampaignWithFaults(
   std::atomic<std::uint64_t> drops{0};
   ThreadPool pool(jobs);
   analysis::WorkerArenas arenas(platform_config, pool.size());
-  const trace::RecordSpan whole(t.records);
+  const trace::Segment whole{t.records, nullptr};
   ParallelFor(pool, config.base.runs, [&](std::size_t r) {
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
     bool dropped = false;

@@ -16,13 +16,28 @@ Cache::Cache(const CacheConfig& config, Seed seed)
       index_mask_(sets_ - 1),
       placement_seed_(seed),
       replacement_rng_(prng::HwPrng(DeriveSeed(seed, "cache-repl"))),
-      tags_(static_cast<std::size_t>(sets_) * config.ways, kInvalidTag),
-      stamps_(static_cast<std::size_t>(sets_) * config.ways, 0),
-      ref_bits_(sets_, 0) {
+      slots_(static_cast<std::size_t>(sets_) * config.ways),
+      tags_(slots_ + 1, kInvalidTag),
+      stamps_(slots_ + 1, 0),
+      ref_bits_(sets_ + 1, 0),
+      // One hint per slot, up to 1024: enough for a working set the size
+      // of an L1, small enough to stay in the host's L1 beside the tags.
+      // Every hint starts at the sentinel slot.
+      hints_(std::min<std::size_t>(std::bit_ceil(slots_), 1024),
+             sets_ << kWayBits),
+      hint_mask_(hints_.size() - 1) {
   SPTA_REQUIRE(std::has_single_bit(sets_));
   // The NRU reference mask packs one bit per way into a 64-bit word (64
-  // ways also covers the fully associative configurations tests use).
+  // ways also covers the fully associative configurations tests use), and
+  // a hint packs the set above the way.
   SPTA_REQUIRE(config.ways >= 1 && config.ways <= 64);
+  SPTA_REQUIRE(sets_ < (1u << (32 - kWayBits)));
+  RememberMru(slots_, sets_, 0);
+}
+
+void Cache::ForgetShortcuts() {
+  std::fill(hints_.begin(), hints_.end(), sets_ << kWayBits);
+  RememberMru(slots_, sets_, 0);
 }
 
 std::uint32_t Cache::Victim(std::uint32_t set) {
@@ -56,12 +71,11 @@ std::uint32_t Cache::Victim(std::uint32_t set) {
 }
 
 void Cache::Flush() {
+  // Every tag becomes invalid, so the shortcuts need no reset: no line
+  // matches a slot again until a fill records it.
   std::fill(tags_.begin(), tags_.end(), kInvalidTag);
   std::fill(stamps_.begin(), stamps_.end(), 0);
   std::fill(ref_bits_.begin(), ref_bits_.end(), 0u);
-  mru_index_ = 0;
-  mru_set_ = 0;
-  mru_way_ = 0;
   access_clock_ = 0;
 }
 

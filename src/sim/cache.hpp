@@ -12,17 +12,20 @@
 // one flat set-indexed tag array (validity encoded as a sentinel tag), one
 // stamp array for LRU, one reference-bit mask per set for NRU — so the hit
 // scan is a branch-free compare loop over `ways` consecutive words that the
-// compiler can unroll and vectorize. Access() lives in the header so the
-// scan inlines into the core's retire loop. Observable behavior (hit/miss
-// stream, PRNG consumption, victim choice, stats) is bit-identical to the
-// reference implementation retained in sim/reference_model.hpp; the
-// equivalence battery in tests/sim_equivalence_test.cpp enforces this.
+// compiler can unroll and vectorize. In front of the scan sit two lookup
+// shortcuts: the slot of the last hit or fill, and a small line -> slot
+// hint table. Access() lives in the header so all of it inlines into the
+// core's retire loops. Observable behavior (hit/miss stream, PRNG
+// consumption, victim choice, stats) is bit-identical to the reference
+// implementation retained in sim/reference_model.hpp; the equivalence
+// battery in tests/sim_equivalence_test.cpp enforces this.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/hash.hpp"
 #include "common/types.hpp"
 #include "prng/block_draws.hpp"
@@ -60,29 +63,44 @@ class Cache {
     // MRU shortcut: consecutive accesses mostly stay within one line
     // (sequential code fetch, stride-1 data walks), so re-checking the
     // last hit/fill slot skips the placement hash and the way scan. The
-    // tag compare doubles as the validity check — a line occupies at most
-    // one slot, and if it was evicted the stored tag differs. The state
-    // update is identical to the scan path's, so this is observationally
-    // transparent.
+    // tag compare doubles as the validity check: a line the scan would
+    // find is in at most one slot of its set, and if it was evicted the
+    // stored tag differs. The state update is identical to the scan
+    // path's, so this is observationally transparent.
     if (tags_[mru_index_] == line) {
       stamps_[mru_index_] = access_clock_;
       ref_bits_[mru_set_] |= 1ULL << mru_way_;
       return true;
     }
+    // Hint: the slot this line was last hit or filled in, validated the
+    // same way. Both shortcuts only ever name the slot the scan would
+    // pick: every scan hit and fill records its slot, and CorruptTagBit
+    // (the only other writer of tags) forgets both.
+    const std::uint32_t hint = hints_[line & hint_mask_];
+    const std::uint32_t hint_set = hint >> kWayBits;
+    const std::uint32_t hint_way = hint & kWayMask;
+    const std::size_t hinted =
+        static_cast<std::size_t>(hint_set) * config_.ways + hint_way;
+    if (tags_[hinted] == line) {
+      stamps_[hinted] = access_clock_;
+      ref_bits_[hint_set] |= 1ULL << hint_way;
+      RememberMru(hinted, hint_set, hint_way);
+      return true;
+    }
     const std::uint32_t set = SetIndexForLine(line);
     const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
     const std::uint64_t* tags = &tags_[base];
-    // Branch-free hit scan: tags are unique within a set and the invalid
-    // sentinel can never equal a real line number, so at most one way
-    // matches; the conditional select compiles to unrolled cmov/SIMD.
+    // Branch-free hit scan for the first matching way (only a corrupted
+    // tag array holds a line twice); the invalid sentinel never equals a
+    // real line number. The conditional select compiles to cmov/SIMD.
     std::uint32_t hit_way = config_.ways;
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+    for (std::uint32_t w = config_.ways; w-- > 0;) {
       hit_way = (tags[w] == line) ? w : hit_way;
     }
     if (hit_way != config_.ways) {
       stamps_[base + hit_way] = access_clock_;
       ref_bits_[set] |= 1ULL << hit_way;
-      RememberMru(base + hit_way, set, hit_way);
+      Remember(line, base + hit_way, set, hit_way);
       return true;
     }
     ++stats_.misses;
@@ -91,7 +109,7 @@ class Cache {
       tags_[base + w] = line;
       stamps_[base + w] = access_clock_;
       ref_bits_[set] |= 1ULL << w;
-      RememberMru(base + w, set, w);
+      Remember(line, base + w, set, w);
     }
     return false;
   }
@@ -140,25 +158,27 @@ class Cache {
   // never called on the measurement hot path; Access() is untouched.
 
   /// Number of tag slots (sets * ways); slots index the flat tag array.
-  std::size_t TagSlots() const { return tags_.size(); }
+  std::size_t TagSlots() const { return slots_; }
 
-  /// Flips bit `bit` (0-63) of tag slot `slot`. The MRU shortcut slot is
-  /// re-derived so a corrupted line is observed by the next lookup rather
-  /// than masked by the stale shortcut.
+  /// Flips bit `bit` (0-63) of tag slot `slot`, and forgets both lookup
+  /// shortcuts. A flip can forge a line in a set the placement never maps
+  /// it to, or a second copy of a line in its own set; a shortcut kept
+  /// across it could then hit where the scan would not look, or a
+  /// different copy than the one the scan picks.
   void CorruptTagBit(std::size_t slot, unsigned bit) {
+    SPTA_REQUIRE(slot < slots_);
     tags_[slot] ^= 1ULL << (bit & 63u);
-    // Drop the MRU shortcut if it pointed at the corrupted slot: the
-    // shortcut caches "tags_[mru_index_] is the last-hit line", which the
-    // flip may have falsified.
-    if (slot == mru_index_) {
-      mru_index_ = 0;
-      mru_set_ = 0;
-      mru_way_ = 0;
-    }
+    ForgetShortcuts();
   }
 
   /// Reads a tag slot back (test/fault-audit use).
   std::uint64_t TagAt(std::size_t slot) const { return tags_[slot]; }
+  /// Reads a slot's LRU stamp back (test use).
+  std::uint64_t StampAt(std::size_t slot) const { return stamps_[slot]; }
+  /// Reads a slot's NRU reference bit back (test use).
+  bool ReferencedAt(std::size_t slot) const {
+    return (ref_bits_[slot / config_.ways] >> (slot % config_.ways)) & 1u;
+  }
 
  private:
   /// Sentinel tag of an invalid way. Real tags are full line numbers,
@@ -174,11 +194,25 @@ class Cache {
 
   std::uint32_t Victim(std::uint32_t set);
 
+  /// A hint-table entry packs the slot a line was last found in as
+  /// set << kWayBits | way (at most 64 ways).
+  static constexpr unsigned kWayBits = 6;
+  static constexpr std::uint32_t kWayMask = (1u << kWayBits) - 1;
+
   void RememberMru(std::size_t index, std::uint32_t set, std::uint32_t way) {
     mru_index_ = index;
     mru_set_ = set;
     mru_way_ = way;
   }
+
+  void Remember(std::uint64_t line, std::size_t index, std::uint32_t set,
+                std::uint32_t way) {
+    hints_[line & hint_mask_] = set << kWayBits | way;
+    RememberMru(index, set, way);
+  }
+
+  /// Points both shortcuts at the sentinel slot, which no line matches.
+  void ForgetShortcuts();
 
   CacheConfig config_;
   std::uint32_t sets_;
@@ -187,10 +221,16 @@ class Cache {
   std::uint32_t index_mask_;
   Seed placement_seed_;
   prng::BlockDraws<prng::HwPrng> replacement_rng_;
-  /// Flat set-major arrays, sets_ * ways each.
+  std::size_t slots_;  ///< sets_ * ways.
+  /// Flat set-major arrays, sets_ * ways each, plus one sentinel slot at
+  /// index slots_ (set sets_, way 0) whose tag stays kInvalidTag: a
+  /// forgotten shortcut points there.
   std::vector<std::uint64_t> tags_;    ///< Line number, or kInvalidTag.
   std::vector<std::uint64_t> stamps_;  ///< Higher = more recent (LRU).
   std::vector<std::uint64_t> ref_bits_;  ///< Per-set NRU reference bitmask.
+  /// Line -> slot hints, indexed by the line's low bits.
+  std::vector<std::uint32_t> hints_;
+  std::uint64_t hint_mask_;
   /// Slot of the last hit/fill (lookup shortcut; tags_[mru_index_] is the
   /// line it refers to, or kInvalidTag after a flush).
   std::size_t mru_index_ = 0;

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "common/types.hpp"
 #include "sim/bus.hpp"
@@ -19,8 +21,10 @@
 #include "sim/fetch_rule.hpp"
 #include "sim/fpu.hpp"
 #include "sim/memory_system.hpp"
+#include "sim/retire_plan.hpp"
 #include "sim/store_buffer.hpp"
 #include "sim/tlb.hpp"
+#include "trace/interpreter.hpp"
 #include "trace/record.hpp"
 
 namespace spta::sim {
@@ -86,12 +90,14 @@ class Core {
   RunResult Finish();
 
   /// Single-core execution: Reseed is NOT called (callers decide the
-  /// per-run protocol); retires the spans' records back to back, as one
-  /// record stream, and finishes. This is the retire loop; every other
-  /// way of running a core reuses its body.
-  RunResult Run(std::span<const trace::RecordSpan> spans);
+  /// per-run protocol); retires the segments back to back, as one record
+  /// stream, and finishes. A record span goes through the record loop; a
+  /// block stream goes through the block loop, which walks the program's
+  /// RetirePlan (built on the core's first stream of that program) and
+  /// gives the result of the record loop over the expanded records.
+  RunResult Run(std::span<const trace::Segment> segments);
 
-  /// Run over the one-span list of `t`'s records.
+  /// Run over the one-segment list of `t`'s records.
   RunResult Run(const trace::Trace& t);
 
   /// Local clock (cycles retired so far).
@@ -137,9 +143,23 @@ class Core {
     fetch_run_ = r.fetch_run;
   }
 
-  /// Retires one record. The one retire body: Run and Step both inline it.
+  /// Retires one record: the record loop's body, inlined by Run and Step.
   [[gnu::always_inline]] inline void Retire(const trace::TraceRecord& rec,
                                             Registers& r);
+
+  /// Retires a block stream: the block loop.
+  void RetireBlocks(const RetirePlan& plan, const trace::BlockTrace& stream,
+                    Registers& r);
+
+  // The accesses both loops make, so cache, TLB and bus semantics live in
+  // one place. Fetch is a full fetch (ITLB, then IL1), after applying the
+  // deferred fetch hits.
+  [[gnu::always_inline]] inline void Fetch(Address pc, Registers& r);
+  [[gnu::always_inline]] inline void Load(Address addr, Registers& r);
+  [[gnu::always_inline]] inline void Store(Address addr, Registers& r);
+
+  /// The plan of `program` for this core's config, built on first use.
+  const RetirePlan& PlanFor(const trace::DecodedProgram& program);
 
   /// Applies `run` deferred guaranteed-MRU fetch hits to the IL1 and ITLB
   /// as one MruHits update each, and clears it. Must run before anything
@@ -172,6 +192,8 @@ class Core {
   std::uint64_t fetch_run_ = 0;
   const trace::Trace* trace_ = nullptr;
   std::size_t cursor_ = 0;
+  /// Retire plans by program, most recent last (a handful at most).
+  std::vector<std::unique_ptr<const RetirePlan>> plans_;
 };
 
 }  // namespace spta::sim

@@ -43,6 +43,13 @@ class Fpu {
     return lat;
   }
 
+  /// Adds `operations` operations totalling `cycles` to the statistics,
+  /// as the Latency calls that charged them would have.
+  void Charge(std::uint64_t operations, Cycles cycles) {
+    stats_.operations += operations;
+    stats_.total_cycles += cycles;
+  }
+
   /// Worst-case latency of `op` across all operand classes (what the
   /// analysis-phase fixed mode charges).
   Cycles WorstCaseLatency(trace::OpClass op) const;

@@ -34,17 +34,17 @@ RunResult Platform::Run(const trace::Trace& t, Seed run_seed) {
 RunResult Platform::RunWithHook(
     const trace::Trace& t, Seed run_seed,
     const std::function<void(Platform&)>& after_reset) {
-  const trace::RecordSpan whole(t.records);
-  return RunWithHook(std::span<const trace::RecordSpan>(&whole, 1), run_seed,
+  const trace::Segment whole{t.records, nullptr};
+  return RunWithHook(std::span<const trace::Segment>(&whole, 1), run_seed,
                      after_reset);
 }
 
 RunResult Platform::RunWithHook(
-    std::span<const trace::RecordSpan> spans, Seed run_seed,
+    std::span<const trace::Segment> segments, Seed run_seed,
     const std::function<void(Platform&)>& after_reset) {
   ResetAll(run_seed);
   if (after_reset) after_reset(*this);
-  return cores_[0].Run(spans);
+  return cores_[0].Run(segments);
 }
 
 std::vector<RunResult> Platform::RunConcurrent(

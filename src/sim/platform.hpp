@@ -17,6 +17,7 @@
 #include "sim/config.hpp"
 #include "sim/core.hpp"
 #include "sim/memory_system.hpp"
+#include "trace/interpreter.hpp"
 #include "trace/record.hpp"
 
 namespace spta::sim {
@@ -46,9 +47,9 @@ class Platform {
   RunResult RunWithHook(const trace::Trace& t, Seed run_seed,
                         const std::function<void(Platform&)>& after_reset);
 
-  /// As above for a frame given as an ordered span list, retired back to
-  /// back as one record stream (Core::Run).
-  RunResult RunWithHook(std::span<const trace::RecordSpan> spans,
+  /// As above for a frame given as an ordered segment list, retired back
+  /// to back as one record stream (Core::Run).
+  RunResult RunWithHook(std::span<const trace::Segment> segments,
                         Seed run_seed,
                         const std::function<void(Platform&)>& after_reset);
 

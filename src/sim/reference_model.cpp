@@ -100,6 +100,18 @@ bool ReferenceCache::Access(Address addr, bool allocate_on_miss) {
   return false;
 }
 
+void ReferenceCache::CorruptTagBit(std::size_t slot, unsigned bit) {
+  Line& l = lines_.at(slot);
+  const std::uint64_t word = TagAt(slot) ^ (1ULL << (bit & 63u));
+  l.valid = word != ~0ULL;
+  l.tag = l.valid ? word : 0;
+}
+
+std::uint64_t ReferenceCache::TagAt(std::size_t slot) const {
+  const Line& l = lines_.at(slot);
+  return l.valid ? l.tag : ~0ULL;
+}
+
 void ReferenceCache::Flush() {
   for (auto& l : lines_) l = Line{};
   access_clock_ = 0;
@@ -168,6 +180,18 @@ bool ReferenceTlb::Access(Address addr) {
   e.lru_stamp = access_clock_;
   e.referenced = true;
   return false;
+}
+
+void ReferenceTlb::CorruptVpnBit(std::size_t slot, unsigned bit) {
+  Entry& e = entries_.at(slot);
+  const std::uint64_t word = VpnAt(slot) ^ (1ULL << (bit & 63u));
+  e.valid = word != ~0ULL;
+  e.vpn = e.valid ? word : 0;
+}
+
+std::uint64_t ReferenceTlb::VpnAt(std::size_t slot) const {
+  const Entry& e = entries_.at(slot);
+  return e.valid ? e.vpn : ~0ULL;
 }
 
 void ReferenceTlb::Flush() {

@@ -9,6 +9,12 @@
 // replacement policy combination and asserts identical hit/miss streams,
 // victim choices and statistics. They are not used on any production path.
 //
+// The tag/VPN upset methods mirror the fast models' fault-injection
+// surface on the seed layout: a slot's word is its tag when valid and the
+// all-ones sentinel when not, one bit of it flips, and the slot is valid
+// again exactly when the word is not the sentinel. A flip can thereby
+// forge a second copy of a line or page; lookups take the first match.
+//
 // When changing cache/TLB semantics deliberately, change BOTH models and
 // re-baseline the golden cycle counts (tests/golden_regression_test.cpp).
 #pragma once
@@ -38,6 +44,16 @@ class ReferenceCache {
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats{}; }
+
+  // Per-slot state in the fast model's encoding (slot = set * ways + way).
+  void CorruptTagBit(std::size_t slot, unsigned bit);
+  std::uint64_t TagAt(std::size_t slot) const;
+  std::uint64_t StampAt(std::size_t slot) const {
+    return lines_[slot].lru_stamp;
+  }
+  bool ReferencedAt(std::size_t slot) const {
+    return lines_[slot].referenced;
+  }
 
  private:
   struct Line {
@@ -73,6 +89,16 @@ class ReferenceTlb {
   const TlbConfig& config() const { return config_; }
   const TlbStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TlbStats{}; }
+
+  // Per-entry state in the fast model's encoding.
+  void CorruptVpnBit(std::size_t slot, unsigned bit);
+  std::uint64_t VpnAt(std::size_t slot) const;
+  std::uint64_t StampAt(std::size_t slot) const {
+    return entries_[slot].lru_stamp;
+  }
+  bool ReferencedAt(std::size_t slot) const {
+    return entries_[slot].referenced;
+  }
 
  private:
   struct Entry {

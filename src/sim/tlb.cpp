@@ -13,14 +13,26 @@ Tlb::Tlb(const TlbConfig& config, Seed seed)
       page_shift_(static_cast<std::uint32_t>(
           std::countr_zero(config.page_bytes))),
       replacement_rng_(prng::HwPrng(DeriveSeed(seed, "tlb-repl"))),
-      vpns_(config.entries, kInvalidVpn),
-      stamps_(config.entries, 0),
-      ref_(config.entries, 0) {
+      entries_(config.entries),
+      vpns_(entries_ + 1, kInvalidVpn),
+      stamps_(entries_ + 1, 0),
+      ref_(entries_ + 1, 0),
+      // Twice the entries, so pages with nearby numbers rarely share one;
+      // every hint starts at the sentinel entry.
+      hints_(std::bit_ceil(2 * std::size_t{entries_}), entries_),
+      hint_mask_(hints_.size() - 1),
+      mru_(entries_) {
   SPTA_REQUIRE(std::has_single_bit(config.page_bytes));
+  SPTA_REQUIRE(entries_ >= 1);
+}
+
+void Tlb::ForgetShortcuts() {
+  std::fill(hints_.begin(), hints_.end(), entries_);
+  mru_ = entries_;
 }
 
 std::uint32_t Tlb::Victim() {
-  const std::uint32_t n = static_cast<std::uint32_t>(vpns_.size());
+  const std::uint32_t n = entries_;
   for (std::uint32_t i = 0; i < n; ++i) {
     if (vpns_[i] == kInvalidVpn) return i;
   }
@@ -38,7 +50,7 @@ std::uint32_t Tlb::Victim() {
       for (std::uint32_t i = 0; i < n; ++i) {
         if (ref_[i] == 0) return i;
       }
-      std::fill(ref_.begin(), ref_.end(), std::uint8_t{0});
+      std::fill(ref_.begin(), ref_.begin() + n, std::uint8_t{0});
       return 0;
     }
   }
@@ -47,10 +59,11 @@ std::uint32_t Tlb::Victim() {
 }
 
 void Tlb::Flush() {
+  // Every VPN becomes invalid, so the shortcuts need no reset (see
+  // Cache::Flush).
   std::fill(vpns_.begin(), vpns_.end(), kInvalidVpn);
   std::fill(stamps_.begin(), stamps_.end(), 0);
   std::fill(ref_.begin(), ref_.end(), std::uint8_t{0});
-  mru_ = 0;
   access_clock_ = 0;
 }
 

@@ -10,14 +10,17 @@
 // fully associative match is one branch-free compare loop over a contiguous
 // word array — with 64 entries this is the single hottest scan in the
 // simulator, executed once per instruction fetch and once per memory
-// access. Access() is in the header so the scan inlines into the core's
-// retire loop. Observable behavior is bit-identical to the reference model
-// (sim/reference_model.hpp), enforced by tests/sim_equivalence_test.cpp.
+// access. Two shortcuts front the scan: the entry of the last hit or fill,
+// and a small page -> entry hint table. Access() is in the header so all
+// of it inlines into the core's retire loops. Observable behavior is
+// bit-identical to the reference model (sim/reference_model.hpp),
+// enforced by tests/sim_equivalence_test.cpp.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/hash.hpp"
 #include "common/types.hpp"
 #include "prng/block_draws.hpp"
@@ -57,7 +60,18 @@ class Tlb {
       ref_[mru] = 1;
       return true;
     }
-    const std::uint32_t n = static_cast<std::uint32_t>(vpns_.size());
+    // Hint: the entry this page was last hit or filled in, validated by
+    // the VPN compare. Both shortcuts only ever name the entry the scan
+    // would pick: every scan hit and fill records it, and CorruptVpnBit
+    // (the only other writer of VPNs) forgets both.
+    const std::uint32_t hinted = hints_[vpn & hint_mask_];
+    if (vpns_[hinted] == vpn) {
+      stamps_[hinted] = access_clock_;
+      ref_[hinted] = 1;
+      mru_ = hinted;
+      return true;
+    }
+    const std::uint32_t n = entries_;
     const std::uint64_t* vpns = vpns_.data();
     std::uint32_t hit = n;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -69,7 +83,7 @@ class Tlb {
     if (hit != n) {
       stamps_[hit] = access_clock_;
       ref_[hit] = 1;
-      mru_ = hit;
+      Remember(vpn, hit);
       return true;
     }
     ++stats_.misses;
@@ -77,7 +91,7 @@ class Tlb {
     vpns_[victim] = vpn;
     stamps_[victim] = access_clock_;
     ref_[victim] = 1;
-    mru_ = victim;
+    Remember(vpn, victim);
     return false;
   }
 
@@ -110,17 +124,24 @@ class Tlb {
   // on the hot path; Access() is untouched.
 
   /// Number of TLB entries.
-  std::size_t EntrySlots() const { return vpns_.size(); }
+  std::size_t EntrySlots() const { return entries_; }
 
-  /// Flips bit `bit` (0-63) of entry `slot`, resetting the MRU shortcut if
-  /// it pointed at the corrupted entry.
+  /// Flips bit `bit` (0-63) of entry `slot`, and forgets both lookup
+  /// shortcuts: a flip can forge a second copy of a page, and a shortcut
+  /// kept across it could hit a different copy than the one the scan
+  /// picks (see Cache::CorruptTagBit).
   void CorruptVpnBit(std::size_t slot, unsigned bit) {
+    SPTA_REQUIRE(slot < entries_);
     vpns_[slot] ^= 1ULL << (bit & 63u);
-    if (slot == mru_) mru_ = 0;
+    ForgetShortcuts();
   }
 
   /// Reads an entry's VPN back (test/fault-audit use).
   std::uint64_t VpnAt(std::size_t slot) const { return vpns_[slot]; }
+  /// Reads an entry's LRU stamp back (test use).
+  std::uint64_t StampAt(std::size_t slot) const { return stamps_[slot]; }
+  /// Reads an entry's NRU reference bit back (test use).
+  bool ReferencedAt(std::size_t slot) const { return ref_[slot] != 0; }
 
  private:
   /// Sentinel VPN of an invalid entry; real VPNs are addr >> page_shift_
@@ -129,13 +150,27 @@ class Tlb {
 
   std::uint32_t Victim();
 
+  void Remember(std::uint64_t vpn, std::uint32_t slot) {
+    hints_[vpn & hint_mask_] = slot;
+    mru_ = slot;
+  }
+
+  /// Points both shortcuts at the sentinel entry, which no page matches.
+  void ForgetShortcuts();
+
   TlbConfig config_;
   std::uint32_t page_shift_;
   prng::BlockDraws<prng::HwPrng> replacement_rng_;
+  std::uint32_t entries_;
+  /// Per-entry arrays, plus one sentinel entry at index entries_ whose VPN
+  /// stays kInvalidVpn: a forgotten shortcut points there.
   std::vector<std::uint64_t> vpns_;    ///< VPN per entry, or kInvalidVpn.
   std::vector<std::uint64_t> stamps_;  ///< Higher = more recent (LRU).
   std::vector<std::uint8_t> ref_;     ///< NRU reference bits.
-  std::uint32_t mru_ = 0;  ///< Slot of the last hit/fill (lookup shortcut).
+  /// Page -> entry hints, indexed by the VPN's low bits.
+  std::vector<std::uint32_t> hints_;
+  std::uint64_t hint_mask_;
+  std::uint32_t mru_;  ///< Slot of the last hit/fill (lookup shortcut).
   std::uint64_t access_clock_ = 0;
   TlbStats stats_;
 };

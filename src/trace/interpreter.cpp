@@ -1,5 +1,6 @@
 #include "trace/interpreter.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 
@@ -173,6 +174,8 @@ std::uint8_t FpuSqrtOperandClass(double operand) {
 
 DecodedProgram::DecodedProgram(const Program& program)
     : name_(program.name), arrays_(program.arrays), entry_(program.entry) {
+  static std::atomic<std::uint64_t> next_id{1};
+  id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   program.Validate();
   const std::size_t n = program.StaticInstructionCount();
   insts_.reserve(n);
@@ -187,6 +190,66 @@ DecodedProgram::DecodedProgram(const Program& program)
       FillStatic(block.insts[i], rec);
       insts_.push_back(block.insts[i]);
       templates_.push_back(rec);
+    }
+  }
+}
+
+void DecodedProgram::Expand(const BlockTrace& stream,
+                            std::vector<TraceRecord>& out) const {
+  out.reserve(out.size() + stream.instructions);
+  const Address* mem = stream.mem_addrs.data();
+  const std::uint8_t* taken = stream.taken.data();
+  const std::uint8_t* fpu = stream.fpu_classes.data();
+  for (const BlockId b : stream.blocks) {
+    const Block block = blocks_[static_cast<std::size_t>(b)];
+    const auto templates = templates_.begin() + block.first;
+    const std::size_t emitted = out.size();
+    out.insert(out.end(), templates, templates + block.size);
+    TraceRecord* rec = out.data() + emitted;
+    const IrInst* inst = insts_.data() + block.first;
+    for (std::uint32_t i = 0; i < block.size; ++i, ++rec, ++inst) {
+      switch (inst->op) {
+        case IrOp::kLoadI:
+        case IrOp::kStoreI:
+        case IrOp::kLoadF:
+        case IrOp::kStoreF:
+          rec->mem_addr = *mem++;
+          break;
+        case IrOp::kBranchIfZero:
+        case IrOp::kBranchIfNeg:
+          rec->branch_taken = *taken++ != 0;
+          break;
+        case IrOp::kFDiv:
+        case IrOp::kFSqrt:
+          rec->fpu_operand_class = *fpu++;
+          break;
+        default:
+          break;
+      }
+    }
+  }
+}
+
+void BlockTrace::Clear() {
+  blocks.clear();
+  mem_addrs.clear();
+  taken.clear();
+  fpu_classes.clear();
+  path_signature = 0;
+  instructions = 0;
+}
+
+void Flatten(std::span<const Segment> segments,
+             std::vector<TraceRecord>& out) {
+  std::size_t records = 0;
+  for (const Segment& segment : segments) records += segment.instructions();
+  out.clear();
+  out.reserve(records);
+  for (const Segment& segment : segments) {
+    if (segment.blocks != nullptr) {
+      segment.blocks->program->Expand(*segment.blocks, out);
+    } else {
+      out.insert(out.end(), segment.records.begin(), segment.records.end());
     }
   }
 }
@@ -285,10 +348,25 @@ Trace Interpreter::Run() {
 }
 
 void Interpreter::Run(Trace& out) {
+  BlockTrace stream;
+  Execute(stream);
+  out.records.clear();
+  code_.Expand(stream, out.records);
+  out.path_signature = stream.path_signature;
+}
+
+void Interpreter::Run(BlockTrace& out) {
+  SPTA_REQUIRE_MSG(!owned_, "a block stream needs a DecodedProgram that "
+                            "outlives the interpreter");
+  Execute(out);
+}
+
+void Interpreter::Execute(BlockTrace& out) {
   SPTA_REQUIRE_MSG(!has_run_, "Interpreter::Run may be called once");
   has_run_ = true;
 
-  out.records.clear();
+  out.Clear();
+  out.program = &code_;
   std::uint64_t path_hash = 0x5bd1e995u;
   BlockId block_id = code_.entry_;
   bool halted = false;
@@ -303,16 +381,10 @@ void Interpreter::Run(Trace& out) {
                    "step limit " << options_.max_steps << " exceeded in '"
                                  << code_.name_ << "'");
     steps_ += block.size;
-
-    // Emit the block's static records, then patch the dynamic fields
-    // (mem_addr, branch_taken, fpu_operand_class) while executing.
-    const std::size_t emitted = out.records.size();
-    const auto templates = code_.templates_.begin() + block.first;
-    out.records.insert(out.records.end(), templates, templates + block.size);
-    TraceRecord* rec = out.records.data() + emitted;
+    out.blocks.push_back(block_id);
     const IrInst* inst = code_.insts_.data() + block.first;
 
-    for (std::uint32_t i = 0; i < block.size; ++i, ++rec, ++inst) {
+    for (std::uint32_t i = 0; i < block.size; ++i, ++inst) {
       switch (inst->op) {
         case IrOp::kIConst:
           iregs_[inst->dst] = inst->imm;
@@ -376,13 +448,13 @@ void Interpreter::Run(Trace& out) {
           const double b = fregs_[inst->src2];
           SPTA_CHECK_MSG(b != 0.0, "FP division by zero in '" << code_.name_
                                                               << "'");
-          rec->fpu_operand_class = FpuDivOperandClass(a, b);
+          out.fpu_classes.push_back(FpuDivOperandClass(a, b));
           fregs_[inst->dst] = a / b;
           break;
         }
         case IrOp::kFSqrt: {
           const double a = fregs_[inst->src1];
-          rec->fpu_operand_class = FpuSqrtOperandClass(a);
+          out.fpu_classes.push_back(FpuSqrtOperandClass(a));
           fregs_[inst->dst] = std::sqrt(std::fabs(a));
           break;
         }
@@ -405,26 +477,26 @@ void Interpreter::Run(Trace& out) {
         case IrOp::kLoadI: {
           const std::size_t idx = CheckedIndex(*inst);
           iregs_[inst->dst] = storage_[inst->array].ints[idx];
-          rec->mem_addr = code_.arrays_[inst->array].base + idx * 4;
+          out.mem_addrs.push_back(code_.arrays_[inst->array].base + idx * 4);
           break;
         }
         case IrOp::kStoreI: {
           const std::size_t idx = CheckedIndex(*inst);
           storage_[inst->array].ints[idx] =
               static_cast<std::int32_t>(iregs_[inst->src2]);
-          rec->mem_addr = code_.arrays_[inst->array].base + idx * 4;
+          out.mem_addrs.push_back(code_.arrays_[inst->array].base + idx * 4);
           break;
         }
         case IrOp::kLoadF: {
           const std::size_t idx = CheckedIndex(*inst);
           fregs_[inst->dst] = storage_[inst->array].fps[idx];
-          rec->mem_addr = code_.arrays_[inst->array].base + idx * 8;
+          out.mem_addrs.push_back(code_.arrays_[inst->array].base + idx * 8);
           break;
         }
         case IrOp::kStoreF: {
           const std::size_t idx = CheckedIndex(*inst);
           storage_[inst->array].fps[idx] = fregs_[inst->src2];
-          rec->mem_addr = code_.arrays_[inst->array].base + idx * 8;
+          out.mem_addrs.push_back(code_.arrays_[inst->array].base + idx * 8);
           break;
         }
         case IrOp::kJump:
@@ -432,13 +504,13 @@ void Interpreter::Run(Trace& out) {
           break;
         case IrOp::kBranchIfZero: {
           const bool taken = iregs_[inst->src1] == 0;
-          rec->branch_taken = taken;
+          out.taken.push_back(taken ? 1 : 0);
           block_id = taken ? inst->target : inst->target2;
           break;
         }
         case IrOp::kBranchIfNeg: {
           const bool taken = iregs_[inst->src1] < 0;
-          rec->branch_taken = taken;
+          out.taken.push_back(taken ? 1 : 0);
           block_id = taken ? inst->target : inst->target2;
           break;
         }
@@ -449,6 +521,7 @@ void Interpreter::Run(Trace& out) {
     }
   }
   out.path_signature = path_hash;
+  out.instructions = steps_;
 }
 
 }  // namespace spta::trace

@@ -34,15 +34,4 @@ bool IsJitteryFpu(OpClass op) {
   return op == OpClass::kFpDiv || op == OpClass::kFpSqrt;
 }
 
-void Flatten(std::span<const RecordSpan> spans,
-             std::vector<TraceRecord>& out) {
-  std::size_t records = 0;
-  for (const RecordSpan span : spans) records += span.size();
-  out.clear();
-  out.reserve(records);
-  for (const RecordSpan span : spans) {
-    out.insert(out.end(), span.begin(), span.end());
-  }
-}
-
 }  // namespace spta::trace

@@ -73,14 +73,10 @@ struct TraceRecord {
 static_assert(sizeof(TraceRecord) == 24,
               "a frame is ~225k records; keep the record at 24 bytes");
 
-/// A contiguous run of records. A frame is an ordered list of these
-/// (sim::Core::Run retires them back to back), so a frame made of job
-/// traces and dispatcher blocks never has to be copied into one buffer.
+/// A contiguous run of records. sim::Core::Run retires a list of these
+/// back to back, so a frame made of several buffers never has to be
+/// copied into one (see trace::Segment for frames with block streams).
 using RecordSpan = std::span<const TraceRecord>;
-
-/// Replaces `out` with the spans' records in order.
-void Flatten(std::span<const RecordSpan> spans,
-             std::vector<TraceRecord>& out);
 
 /// Number of distinct FPU operand-difficulty classes the timing model knows.
 inline constexpr std::uint8_t kFpuOperandClasses = 4;

@@ -361,14 +361,19 @@ std::array<std::uint64_t, 8> FirstSeedPerPath(const TvcaApp& app) {
   return seeds;
 }
 
-/// The five job buffers, the dispatcher blocks and the span list.
-std::array<const void*, 7> BufferAddresses(const FrameScratch& scratch) {
-  std::array<const void*, 7> out{};
+/// The five jobs' block buffers (block ids and the three dynamic
+/// columns), the dispatcher blocks and the segment list.
+std::array<const void*, 22> BufferAddresses(const FrameScratch& scratch) {
+  std::array<const void*, 22> out{};
   for (std::size_t j = 0; j < scratch.jobs.size(); ++j) {
-    out[j] = scratch.jobs[j].records.data();
+    const trace::BlockTrace& job = scratch.jobs[j];
+    out[4 * j] = job.blocks.data();
+    out[4 * j + 1] = job.mem_addrs.data();
+    out[4 * j + 2] = job.taken.data();
+    out[4 * j + 3] = job.fpu_classes.data();
   }
-  out[5] = scratch.dispatch.data();
-  out[6] = scratch.frame.spans.data();
+  out[20] = scratch.dispatch.data();
+  out[21] = scratch.frame.segments.data();
   return out;
 }
 
@@ -390,20 +395,22 @@ TEST(FrameScratchTest, ReusedScratchBuildsTheByValueFrames) {
     EXPECT_EQ(reused.path_id, fresh.path_id);
     EXPECT_EQ(fresh.trace.path_signature, fresh.path_id);
     std::vector<trace::TraceRecord> flat;
-    trace::Flatten(reused.spans, flat);
+    trace::Flatten(reused.segments, flat);
     ASSERT_EQ(flat.size(), fresh.trace.records.size());
     EXPECT_TRUE(flat == fresh.trace.records);
 
-    // Dispatcher block k, then job k: sensor, X1, Y1, X2, Y2. Every span
-    // points into the scratch; nothing is a copy.
+    // Dispatcher block k, then job k: sensor, X1, Y1, X2, Y2. Every
+    // segment points into the scratch; nothing is a copy.
     const std::size_t job_order[] = {0, 1, 3, 2, 4};
-    ASSERT_EQ(reused.spans.size(), 10u);
+    ASSERT_EQ(reused.segments.size(), 10u);
     for (std::size_t k = 0; k < 5; ++k) {
-      EXPECT_EQ(reused.spans[2 * k].data(), scratch.dispatch.data() + k * n);
-      EXPECT_EQ(reused.spans[2 * k].size(), n);
-      const trace::Trace& job = scratch.jobs[job_order[k]];
-      EXPECT_EQ(reused.spans[2 * k + 1].data(), job.records.data());
-      EXPECT_EQ(reused.spans[2 * k + 1].size(), job.records.size());
+      const trace::Segment& dispatch = reused.segments[2 * k];
+      EXPECT_EQ(dispatch.blocks, nullptr);
+      EXPECT_EQ(dispatch.records.data(), scratch.dispatch.data() + k * n);
+      EXPECT_EQ(dispatch.records.size(), n);
+      const trace::Segment& job = reused.segments[2 * k + 1];
+      EXPECT_EQ(job.blocks, &scratch.jobs[job_order[k]]);
+      EXPECT_TRUE(job.records.empty());
     }
   }
 }
@@ -424,8 +431,8 @@ TEST(FrameScratchTest, InterpreterRunIntoUsedTraceMatchesFreshTrace) {
 }
 
 // Deterministic stand-in for "no steady-state page faults": once the
-// scratch has held the longest path, no later frame reallocates a job
-// buffer, the dispatcher blocks or the span list.
+// scratch has held the longest path, no later frame reallocates a job's
+// block ids or dynamic columns, the dispatcher blocks or the segment list.
 TEST(FrameScratchTest, BuffersStopMovingAfterTheLongestPath) {
   const TvcaApp app;
   FrameScratch scratch;

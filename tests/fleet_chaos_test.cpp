@@ -24,9 +24,7 @@
 // here replays with the same kills in the same order.
 
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -78,23 +76,6 @@ std::vector<mbpta::PathObservation> MakeSample(std::size_t n,
     sample[i].path_id = 0;
   }
   return sample;
-}
-
-int FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  socklen_t len = sizeof(addr);
-  int port = -1;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port = ntohs(addr.sin_port);
-  }
-  ::close(fd);
-  return port;
 }
 
 class TempDir {
@@ -199,6 +180,16 @@ class FleetProcess {
     return alive_;
   }
 
+  /// The port of the supervisor's `"event":"bound"` record, waiting up to
+  /// `deadline_ms` for it; -1 when it never appears.
+  int WaitBoundPort(std::int64_t deadline_ms) {
+    const std::int64_t until = NowMs() + deadline_ms;
+    for (Pump(); port_ <= 0 && NowMs() < until; Pump()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return port_ > 0 ? port_ : -1;
+  }
+
   std::size_t spawned_total() const { return spawned_total_; }
   std::size_t unresponsive_total() const { return unresponsive_total_; }
   std::size_t flight_harvests() const { return flight_harvests_; }
@@ -224,6 +215,11 @@ class FleetProcess {
 
  private:
   void ParseLine(const std::string& line) {
+    long port = 0;
+    if (JsonEventIs(line, "bound") && JsonInt(line, "port", &port)) {
+      port_ = static_cast<int>(port);
+      return;
+    }
     long child = 0;
     if (!JsonInt(line, "child_pid", &child)) return;
     const pid_t parsed = static_cast<pid_t>(child);
@@ -264,6 +260,7 @@ class FleetProcess {
   std::string log_;
   std::size_t parsed_ = 0;
   std::vector<pid_t> alive_;
+  int port_ = -1;
   std::size_t spawned_total_ = 0;
   std::size_t unresponsive_total_ = 0;
   std::size_t flight_harvests_ = 0;
@@ -387,8 +384,6 @@ void ExpectMatchesReference(const service::Response& got,
 
 TEST(FleetChaosTest, SoakLosesNoAckedRequestsAndMatchesBatch) {
   std::signal(SIGPIPE, SIG_IGN);
-  const int port = FreePort();
-  ASSERT_GT(port, 0);
   TempDir cache_dir;
   ASSERT_FALSE(cache_dir.path().empty());
   TempDir flight_dir;
@@ -401,13 +396,16 @@ TEST(FleetChaosTest, SoakLosesNoAckedRequestsAndMatchesBatch) {
   // and must degrade to memory-only while answers stay correct.
   FleetProcess fleet;
   ASSERT_TRUE(fleet.Start({
-      "--tcp", std::to_string(port), "--procs", "2", "--shards", "1",
+      "--tcp", "0", "--procs", "2", "--shards", "1",
       "--cache-dir", cache_dir.path(), "--cache-quota-bytes", "4096",
       "--flight-dir", flight_dir.path(),
       "--respawn-limit", "100", "--min-uptime-ms", "50",
       "--respawn-base-ms", "20", "--respawn-cap-ms", "200",
       "--watchdog-interval-ms", "100", "--watchdog-timeout-ms", "300",
       "--watchdog-seed", "7", "--backoff-seed", "7"}));
+  // The supervisor binds the port and logs it before spawning anyone.
+  const int port = fleet.WaitBoundPort(10000);
+  ASSERT_GT(port, 0) << fleet.log();
 
   ResilientDriver driver(port);
   BatchReference reference;
@@ -567,12 +565,10 @@ TEST(FleetChaosTest, CrashLoopBackoffHoldsBudget) {
   // the budget in a tight fork loop. With base 80 ms and 4 respawns the
   // run cannot finish faster than ~320 ms; without the backoff it
   // finishes in single-digit milliseconds.
-  const int port = FreePort();
-  ASSERT_GT(port, 0);
   FleetProcess fleet;
   const std::int64_t started = NowMs();
   ASSERT_TRUE(fleet.Start({
-      "--tcp", std::to_string(port), "--procs", "1",
+      "--tcp", "0", "--procs", "1",
       "--serve-bin", "/nonexistent/spta_serve_missing",
       "--respawn-limit", "4", "--min-uptime-ms", "1000",
       "--respawn-base-ms", "80", "--respawn-cap-ms", "400",

@@ -17,6 +17,7 @@
 // change to both models cannot slip through silently.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -265,6 +266,181 @@ TEST(SimEquivalenceTest, TlbMruHitsEqualRepeatedAccess) {
       EXPECT_EQ(bulk.stats().misses, stepwise.stats().misses);
       for (std::size_t slot = 0; slot < bulk.EntrySlots(); ++slot) {
         ASSERT_EQ(bulk.VpnAt(slot), stepwise.VpnAt(slot)) << "slot " << slot;
+      }
+    }
+  }
+}
+
+// --- Lookup shortcuts under upsets ----------------------------------------
+//
+// The fast models front their scans with two shortcuts: the slot of the
+// last hit or fill and a line -> slot (page -> entry) hint table. A tag
+// upset can forge a second copy of a line in its own set, or a copy in a
+// set the placement never maps it to, and the shortcuts must then still
+// name exactly the slot the reference scan picks: the first match in the
+// line's set, or none. These streams revisit a short history of lines and
+// their one-bit neighbours, and mix in flips that turn a neighbour's tag
+// into a recent line, so forged copies arise next to the originals and
+// next to shortcuts that point at them. Every hit/miss, the statistics
+// and every slot's tag, stamp and reference bit must match the reference.
+
+/// A flip that forges a copy of `line`: the first slot from `start` whose
+/// word differs from it in one bit. Returns false when there is none.
+template <typename Model>
+bool ForgingFlip(const Model& model, std::size_t slots, std::uint64_t line,
+                 std::size_t start, std::size_t* slot, unsigned* bit,
+                 std::uint64_t (Model::*word_at)(std::size_t) const) {
+  for (std::size_t k = 0; k < slots; ++k) {
+    const std::size_t s = (start + k) % slots;
+    const std::uint64_t diff = (model.*word_at)(s) ^ line;
+    if (std::popcount(diff) == 1) {
+      *slot = s;
+      *bit = static_cast<unsigned>(std::countr_zero(diff));
+      return true;
+    }
+  }
+  return false;
+}
+
+template <typename Fast, typename Reference>
+void ExpectSameSlots(const Fast& fast, const Reference& reference,
+                     std::size_t slots,
+                     std::uint64_t (Fast::*fast_word)(std::size_t) const,
+                     std::uint64_t (Reference::*ref_word)(std::size_t) const,
+                     std::size_t at) {
+  for (std::size_t s = 0; s < slots; ++s) {
+    ASSERT_EQ((reference.*ref_word)(s), (fast.*fast_word)(s))
+        << "word of slot " << s << " after access " << at;
+    ASSERT_EQ(reference.StampAt(s), fast.StampAt(s))
+        << "stamp of slot " << s << " after access " << at;
+    ASSERT_EQ(reference.ReferencedAt(s), fast.ReferencedAt(s))
+        << "reference bit of slot " << s << " after access " << at;
+  }
+}
+
+/// Drives `fast` and `reference` with one upset-laced stream of `count`
+/// accesses at `unit`-byte granularity (line or page); `access` performs
+/// one access on both and returns false when they disagree. Returns the
+/// number of forging flips applied.
+template <typename Fast, typename Reference, typename AccessFn,
+          typename FlipFn>
+std::size_t RunUpsetStream(Fast& fast, Reference& reference, std::size_t slots,
+                           std::uint64_t (Fast::*fast_word)(std::size_t) const,
+                           std::uint64_t (Reference::*ref_word)(std::size_t)
+                               const,
+                           std::uint32_t unit, std::uint64_t stream_seed,
+                           unsigned neighbour_bits, AccessFn access,
+                           FlipFn flip) {
+  prng::Xoshiro128pp rng(stream_seed);
+  const auto shift = static_cast<unsigned>(std::countr_zero(unit));
+  std::vector<std::uint64_t> recent;  // the last few units touched
+  std::size_t forged = 0;
+  constexpr std::size_t kCount = 6000;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    std::uint64_t unit_number = 0;
+    const std::uint32_t kind = rng.UniformBelow(8);
+    if (kind < 3 && !recent.empty()) {
+      unit_number = recent[rng.UniformBelow(
+          static_cast<std::uint32_t>(recent.size()))];
+    } else if (kind < 5 && !recent.empty()) {
+      unit_number = recent[rng.UniformBelow(static_cast<std::uint32_t>(
+                        recent.size()))] ^
+                    (1ULL << rng.UniformBelow(neighbour_bits));
+    } else {
+      unit_number = (0x40000000ULL >> shift) + rng.UniformBelow(512);
+    }
+    const Address addr = (unit_number << shift) + rng.UniformBelow(unit);
+    const bool allocate = rng.UniformBelow(8) != 0;
+    if (!access(addr, allocate)) {
+      ADD_FAILURE() << "hit/miss diverged at access " << i;
+      return forged;
+    }
+    recent.push_back(unit_number);
+    if (recent.size() > 8) recent.erase(recent.begin());
+
+    if (rng.UniformBelow(12) == 0) {
+      std::size_t slot = 0;
+      unsigned bit = 0;
+      const std::uint64_t target = recent[rng.UniformBelow(
+          static_cast<std::uint32_t>(recent.size()))];
+      if (ForgingFlip(fast, slots, target,
+                      rng.UniformBelow(static_cast<std::uint32_t>(slots)),
+                      &slot, &bit, fast_word)) {
+        ++forged;
+      } else {
+        slot = rng.UniformBelow(static_cast<std::uint32_t>(slots));
+        bit = rng.UniformBelow(64);
+      }
+      flip(slot, bit);
+    }
+    if (i % 64 == 0 || i + 1 == kCount) {
+      ExpectSameSlots(fast, reference, slots, fast_word, ref_word, i);
+      if (::testing::Test::HasFatalFailure()) return forged;
+    }
+    // A mid-stream reseed moves every line: shortcuts recorded under the
+    // old placement must not leak into the new one.
+    if (i == 2 * kCount / 3) {
+      fast.Reseed(stream_seed + 1);
+      reference.Reseed(stream_seed + 1);
+    }
+  }
+  return forged;
+}
+
+TEST(SimEquivalenceTest, CacheShortcutsMatchReferenceUnderUpsets) {
+  for (const auto placement : kPlacements) {
+    for (const auto replacement : kReplacements) {
+      SCOPED_TRACE(static_cast<int>(placement) * 3 +
+                   static_cast<int>(replacement));
+      const CacheConfig config{2 * 1024, 32, 4, placement, replacement};
+      for (const Seed seed : {Seed{3}, Seed{77}}) {
+        Cache fast(config, seed);
+        ReferenceCache reference(config, seed);
+        const std::size_t forged = RunUpsetStream(
+            fast, reference, fast.TagSlots(), &Cache::TagAt,
+            &ReferenceCache::TagAt, config.line_bytes, seed * 31 + 5,
+            /*neighbour_bits=*/12,
+            [&](Address addr, bool allocate) {
+              return reference.Access(addr, allocate) ==
+                     fast.Access(addr, allocate);
+            },
+            [&](std::size_t slot, unsigned bit) {
+              fast.CorruptTagBit(slot, bit);
+              reference.CorruptTagBit(slot, bit);
+            });
+        EXPECT_GT(forged, 50u) << "the stream forged too few copies";
+        EXPECT_EQ(reference.stats().accesses, fast.stats().accesses);
+        EXPECT_EQ(reference.stats().misses, fast.stats().misses);
+      }
+    }
+  }
+}
+
+TEST(SimEquivalenceTest, TlbShortcutsMatchReferenceUnderUpsets) {
+  for (const auto replacement : kReplacements) {
+    for (const std::uint32_t entries : {8u, 64u}) {
+      SCOPED_TRACE(static_cast<int>(replacement));
+      SCOPED_TRACE(entries);
+      TlbConfig config;
+      config.entries = entries;
+      config.replacement = replacement;
+      for (const Seed seed : {Seed{3}, Seed{77}}) {
+        Tlb fast(config, seed);
+        ReferenceTlb reference(config, seed);
+        const std::size_t forged = RunUpsetStream(
+            fast, reference, fast.EntrySlots(), &Tlb::VpnAt,
+            &ReferenceTlb::VpnAt, config.page_bytes, seed * 31 + entries,
+            /*neighbour_bits=*/8,
+            [&](Address addr, bool) {
+              return reference.Access(addr) == fast.Access(addr);
+            },
+            [&](std::size_t slot, unsigned bit) {
+              fast.CorruptVpnBit(slot, bit);
+              reference.CorruptVpnBit(slot, bit);
+            });
+        EXPECT_GT(forged, 50u) << "the stream forged too few copies";
+        EXPECT_EQ(reference.stats().accesses, fast.stats().accesses);
+        EXPECT_EQ(reference.stats().misses, fast.stats().misses);
       }
     }
   }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "apps/tvca.hpp"
@@ -17,6 +20,8 @@
 #include "sim/platform.hpp"
 #include "sim/store_buffer.hpp"
 #include "sim/tlb.hpp"
+#include "trace/interpreter.hpp"
+#include "trace/program.hpp"
 #include "trace/synthetic.hpp"
 
 namespace spta::sim {
@@ -541,8 +546,12 @@ TEST(RetireLoopTest, SplitSpansEqualOneSpanAndStepwise) {
       EXPECT_EQ(whole.instructions, frame.records.size());
       EXPECT_EQ(whole.il1.accesses, whole.instructions);
       EXPECT_EQ(whole.itlb.accesses, whole.instructions);
-      const auto spans = SplitSpans(frame.records, config, seed);
-      const RunResult split = p.RunWithHook(spans, seed, {});
+      std::vector<trace::Segment> segments;
+      for (const trace::RecordSpan span :
+           SplitSpans(frame.records, config, seed)) {
+        segments.push_back({span, nullptr});
+      }
+      const RunResult split = p.RunWithHook(segments, seed, {});
       EXPECT_EQ(ResultDigest(split), ResultDigest(whole));
       EXPECT_EQ(split.cycles, whole.cycles);
       EXPECT_EQ(split.il1.misses, whole.il1.misses);
@@ -594,6 +603,164 @@ TEST(RetireLoopTest, ResultsMatchThePerRecordLoop) {
       EXPECT_EQ(ResultDigest(results[core]), goldens[c].concurrent[core])
           << "core " << core;
     }
+  }
+}
+
+/// The first scenario seed of each of the eight TVCA paths.
+std::array<std::uint64_t, 8> FirstSeedPerPath(const apps::TvcaApp& app) {
+  std::array<std::uint64_t, 8> seeds{};
+  std::array<bool, 8> found{};
+  std::size_t missing = 8;
+  for (std::uint64_t seed = 0; missing > 0; ++seed) {
+    const std::uint32_t path = app.DrawScenario(seed).PathId();
+    if (!found[path]) {
+      found[path] = true;
+      seeds[path] = seed;
+      --missing;
+    }
+  }
+  return seeds;
+}
+
+/// A fault-injection hook flipping a few tag and VPN bits, the same ones
+/// for a given run seed.
+std::function<void(Platform&)> UpsetHook(Seed run_seed) {
+  return [run_seed](Platform& p) {
+    prng::Xoshiro128pp rng(run_seed);
+    Core& core = p.core(0);
+    for (int i = 0; i < 6; ++i) {
+      const auto bit = rng.UniformBelow(64);
+      switch (i % 4) {
+        case 0:
+          core.il1().CorruptTagBit(
+              rng.UniformBelow(static_cast<std::uint32_t>(
+                  core.il1().TagSlots())), bit);
+          break;
+        case 1:
+          core.dl1().CorruptTagBit(
+              rng.UniformBelow(static_cast<std::uint32_t>(
+                  core.dl1().TagSlots())), bit);
+          break;
+        case 2:
+          core.itlb().CorruptVpnBit(
+              rng.UniformBelow(static_cast<std::uint32_t>(
+                  core.itlb().EntrySlots())), bit);
+          break;
+        default:
+          core.dtlb().CorruptVpnBit(
+              rng.UniformBelow(static_cast<std::uint32_t>(
+                  core.dtlb().EntrySlots())), bit);
+          break;
+      }
+    }
+  };
+}
+
+// A frame built in place is dispatcher record spans plus the jobs' block
+// streams, retired by the block loop. On every path and platform, with
+// and without upsets in the fault window, it gives the record loop's
+// result over the expanded records, field for field; and the expanded
+// frame is the by-value frame, job path signatures included.
+TEST(RetireLoopTest, BlockFrameEqualsRecordFrame) {
+  const apps::TvcaApp app;
+  const auto seeds = FirstSeedPerPath(app);
+  apps::FrameScratch scratch;
+  for (std::uint32_t path = 0; path < 8; ++path) {
+    SCOPED_TRACE(path);
+    const std::uint64_t seed = seeds[path];
+    const apps::FrameSpans& blocks = app.BuildFrame(seed, scratch);
+    const apps::TvcaFrame records = app.BuildFrame(seed);
+    ASSERT_EQ(blocks.path_id, path);
+    EXPECT_EQ(records.path_id, path);
+    EXPECT_EQ(records.trace.path_signature, records.path_id);
+    std::vector<trace::TraceRecord> expanded;
+    trace::Flatten(blocks.segments, expanded);
+    ASSERT_EQ(expanded.size(), records.trace.records.size());
+    EXPECT_TRUE(expanded == records.trace.records);
+    // Job k of the scratch is the by-value job trace, signature included.
+    const std::pair<apps::TvcaTask, std::uint64_t> jobs[] = {
+        {apps::TvcaTask::kSensorAcq, seed},
+        {apps::TvcaTask::kActuatorX, seed},
+        {apps::TvcaTask::kActuatorX, DeriveSeed(seed, "x-job2")},
+        {apps::TvcaTask::kActuatorY, seed},
+        {apps::TvcaTask::kActuatorY, DeriveSeed(seed, "y-job2")}};
+    for (std::size_t j = 0; j < 5; ++j) {
+      const trace::Trace job =
+          app.BuildTaskTrace(jobs[j].first, jobs[j].second, blocks.scenario);
+      EXPECT_EQ(scratch.jobs[j].path_signature, job.path_signature);
+      EXPECT_EQ(scratch.jobs[j].instructions, job.records.size());
+    }
+
+    for (const auto& [name, config] : RetireConfigs()) {
+      SCOPED_TRACE(name);
+      Platform p(config, 1);
+      for (const Seed run_seed : {Seed{1}, Seed{2}}) {
+        SCOPED_TRACE(run_seed);
+        for (const bool upsets : {false, true}) {
+          SCOPED_TRACE(upsets);
+          const std::function<void(Platform&)> hook =
+              upsets ? UpsetHook(run_seed) : nullptr;
+          const RunResult from_blocks =
+              p.RunWithHook(blocks.segments, run_seed, hook);
+          const RunResult from_records =
+              p.RunWithHook(records.trace, run_seed, hook);
+          EXPECT_EQ(ResultDigest(from_blocks), ResultDigest(from_records));
+          EXPECT_EQ(from_blocks.cycles, from_records.cycles);
+          EXPECT_EQ(from_blocks.instructions, expanded.size());
+          EXPECT_EQ(from_blocks.il1.misses, from_records.il1.misses);
+          EXPECT_EQ(from_blocks.dl1.misses, from_records.dl1.misses);
+        }
+      }
+    }
+  }
+}
+
+// A block stream picks up the record loop's state where a record span
+// left it: a load ending the span stalls a block's first instruction
+// that reads its result, and a fetch on the span's last line is a
+// guaranteed hit, exactly as in the expanded record stream.
+TEST(RetireLoopTest, BlockStreamResumesTheRecordLoopState) {
+  trace::ProgramBuilder b("resume");
+  const auto arr = b.AddIntArray("a", 16);
+  const auto entry = b.NewBlock();
+  b.SetEntry(entry);
+  b.SwitchTo(entry);
+  b.IAdd(4, 3, 3);  // reads r3, the load's destination below
+  b.LoadI(5, arr, 4, 1);
+  b.IAdd(6, 5, 5);  // in-block load-use
+  b.Halt();
+  const trace::Program program = b.Build();
+  const trace::DecodedProgram decoded(program);
+  trace::Interpreter interp(decoded);
+  trace::BlockTrace stream;
+  interp.Run(stream);
+
+  // The span ends on the block's first line, with a load into r3.
+  std::vector<trace::TraceRecord> lead(3);
+  for (std::size_t i = 0; i < lead.size(); ++i) {
+    lead[i].pc = program.blocks[0].code_base + 4 * i;
+    lead[i].op = trace::OpClass::kIntAlu;
+  }
+  lead.back().op = trace::OpClass::kLoad;
+  lead.back().mem_addr = program.arrays[0].base;
+  lead.back().dst_reg = 3;
+  const trace::Segment segments[] = {{lead, nullptr}, {{}, &stream}};
+  std::vector<trace::TraceRecord> flat;
+  trace::Flatten(segments, flat);
+  ASSERT_EQ(flat.size(), lead.size() + 4);
+
+  for (const auto& [name, config] : RetireConfigs()) {
+    SCOPED_TRACE(name);
+    Platform p(config, 1);
+    const RunResult from_blocks = p.RunWithHook(segments, 3, nullptr);
+    trace::Trace t;
+    t.records = flat;
+    const RunResult from_records = p.Run(t, 3);
+    EXPECT_EQ(ResultDigest(from_blocks), ResultDigest(from_records));
+    EXPECT_EQ(from_blocks.cycles, from_records.cycles);
+    // One line, one page: the first fetch misses, every later one hits.
+    EXPECT_EQ(from_blocks.il1.misses, 1u);
+    EXPECT_EQ(from_blocks.itlb.misses, 1u);
   }
 }
 

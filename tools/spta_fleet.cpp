@@ -12,7 +12,13 @@
 // Spawns N `spta_serve --tcp PORT --reuseport` children sharing one TCP
 // port via SO_REUSEPORT (the kernel load-balances connections across the
 // listeners), each child running M internal shards — the fleet's total
-// parallelism is N*M shard threads. The supervisor then babysits:
+// parallelism is N*M shard threads. Before spawning, the supervisor binds
+// the port itself with SO_REUSEPORT and holds that socket (bound, never
+// listening, so it takes no connections) for its lifetime: the port stays
+// the fleet's across respawns, and `--tcp 0` picks a free port with no
+// window for another process to take it. The port is logged as the
+// "bound" event (below) before any child is spawned. The supervisor then
+// babysits:
 //
 //   * a child that dies (crash, OOM kill) is respawned, up to
 //     --respawn-limit times per child (default 5). A child that dies
@@ -64,7 +70,9 @@
 // respawn limit (fleet degraded) or died dirty AFTER the drain was
 // requested.
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -92,6 +100,32 @@
 namespace {
 
 using namespace spta;
+
+/// Binds a SO_REUSEPORT TCP socket to host:port (port 0 = a free port the
+/// kernel picks) without listening, and stores the bound port in *bound.
+/// Returns the socket (close-on-exec, so children never inherit it) or -1
+/// with errno set.
+int BindPortHolder(const std::string& host, int port, int* bound) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  const int one = 1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  socklen_t len = sizeof(addr);
+  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0 ||
+      ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
+      ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    const int saved = errno == 0 ? EINVAL : errno;
+    ::close(fd);
+    errno = saved;
+    return -1;
+  }
+  *bound = ntohs(addr.sin_port);
+  return fd;
+}
 
 int Usage() {
   std::fprintf(
@@ -314,11 +348,9 @@ void HarvestFlight(Child* child, pid_t pid, const std::string& flight_dir) {
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (!flags.Has("tcp")) return Usage();
-  const int port = static_cast<int>(flags.GetInt("tcp", 0));
-  if (port < 1 || port > 65535) {
-    // The fleet cannot use an ephemeral port: every child must bind the
-    // SAME port for SO_REUSEPORT balancing.
-    std::fprintf(stderr, "spta_fleet: --tcp needs an explicit port >= 1\n");
+  const int requested_port = static_cast<int>(flags.GetInt("tcp", 0));
+  if (requested_port < 0 || requested_port > 65535) {
+    std::fprintf(stderr, "spta_fleet: --tcp needs a port in [0, 65535]\n");
     return 2;
   }
   const std::string host = flags.GetString("host", "127.0.0.1");
@@ -356,6 +388,20 @@ int main(int argc, char** argv) {
                 1, flags.GetInt("flight-slots",
                                 obs::FlightRecorder::kDefaultSlots)));
   const std::string trace_dir = flags.GetString("trace-dir");
+
+  // Every child binds the SAME port for SO_REUSEPORT balancing; holding a
+  // socket on it reserves that port, an ephemeral one included.
+  int port = 0;
+  const int port_holder = BindPortHolder(host, requested_port, &port);
+  if (port_holder < 0) {
+    JsonLogLine("spta_fleet", "bind_failed")
+        .Str("host", host)
+        .Int("port", requested_port)
+        .Str("error", std::strerror(errno))
+        .Emit();
+    return 2;
+  }
+  JsonLogLine("spta_fleet", "bound").Str("host", host).Int("port", port).Emit();
 
   std::vector<std::string> child_args = {
       "--tcp",     std::to_string(port),
@@ -678,5 +724,6 @@ int main(int argc, char** argv) {
       .Str("outcome",
            (any_gave_up || dirty_after_drain) ? "degraded" : "ok")
       .Emit();
+  ::close(port_holder);
   return (any_gave_up || dirty_after_drain) ? 1 : 0;
 }

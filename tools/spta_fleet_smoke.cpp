@@ -15,13 +15,13 @@
 // Wired as a ctest (label: service) so a plain `ctest -L service` proves
 // the epoll loop + shard routing + drain path end to end on every run.
 
-#include <netinet/in.h>
+#include <fcntl.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -56,42 +56,62 @@ std::vector<mbpta::PathObservation> MakeSample(std::size_t n,
     }                                                                \
   } while (0)
 
-/// Grabs a free TCP port from the kernel and releases it. The handoff to
-/// the fleet races other port consumers in principle; SO_REUSEPORT and the
-/// immediate rebind make it reliable on a test host.
-int FreePort() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  socklen_t len = sizeof(addr);
-  int port = -1;
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0 &&
-      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port = ntohs(addr.sin_port);
+/// Copies whatever the fleet has logged so far (non-blocking `fd`) to our
+/// stderr, keeping the pipe from filling; appends it to `log`.
+void DrainLog(int fd, std::string* log) {
+  char buffer[4096];
+  ssize_t n = 0;
+  while ((n = ::read(fd, buffer, sizeof(buffer))) > 0) {
+    log->append(buffer, static_cast<std::size_t>(n));
+    (void)!::write(2, buffer, static_cast<std::size_t>(n));
   }
-  ::close(fd);
-  return port;
 }
 
-/// Spawns `spta_fleet --tcp PORT --procs 2 --shards 1`, waits for it to
-/// answer a PING, SIGTERMs it, and requires exit 0 within ~10 s. Returns
-/// 0 on pass. A supervisor that never forwards the signal fails the
-/// deadline here instead of hanging ctest.
-int SupervisorSigtermLeg(const char* fleet_bin) {
-  const int port = FreePort();
-  SMOKE_CHECK(port > 0, "supervisor: free port");
-  const std::string port_str = std::to_string(port);
+/// The port of the fleet's `"event":"bound"` log line, waiting up to
+/// ~10 s for it to appear on `fd`. Returns -1 when it never does.
+int WaitBoundPort(int fd, std::string* log) {
+  for (int waited_ms = 0; waited_ms < 10 * 1000; waited_ms += 20) {
+    DrainLog(fd, log);
+    for (std::size_t start = 0, eol = 0;
+         (eol = log->find('\n', start)) != std::string::npos;
+         start = eol + 1) {
+      const std::string line = log->substr(start, eol - start);
+      const std::size_t at = line.find("\"port\":");
+      if (line.find("\"event\":\"bound\"") != std::string::npos &&
+          at != std::string::npos) {
+        return std::atoi(line.c_str() + at + 7);
+      }
+    }
+    ::usleep(20 * 1000);
+  }
+  return -1;
+}
 
+/// Spawns `spta_fleet --tcp 0 --procs 2 --shards 1`, reads the port it
+/// bound from its log, waits for it to answer a PING, SIGTERMs it, and
+/// requires exit 0 within ~10 s. Returns 0 on pass. A supervisor that
+/// never forwards the signal fails the deadline here instead of hanging
+/// ctest.
+int SupervisorSigtermLeg(const char* fleet_bin) {
+  int fds[2] = {-1, -1};
+  SMOKE_CHECK(::pipe(fds) == 0, "supervisor: log pipe");
   const pid_t pid = ::fork();
   SMOKE_CHECK(pid >= 0, "supervisor: fork");
   if (pid == 0) {
-    ::execl(fleet_bin, fleet_bin, "--tcp", port_str.c_str(), "--procs", "2",
-            "--shards", "1", static_cast<char*>(nullptr));
+    ::dup2(fds[1], 2);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execl(fleet_bin, fleet_bin, "--tcp", "0", "--procs", "2", "--shards",
+            "1", static_cast<char*>(nullptr));
     ::_exit(127);
   }
+  ::close(fds[1]);
+  const int log_fd = fds[0];
+  ::fcntl(log_fd, F_SETFL, O_NONBLOCK);
+  std::string log;
+  const int port = WaitBoundPort(log_fd, &log);
+  if (port <= 0) ::kill(pid, SIGKILL);
+  SMOKE_CHECK(port > 0, "supervisor: bound port logged");
 
   // Serve check: children need a moment to bind; retry the connect.
   bool served = false;
@@ -106,17 +126,39 @@ int SupervisorSigtermLeg(const char* fleet_bin) {
     service::Client client(connection->in(), connection->out());
     served = client.Ping().ok;
   }
+  DrainLog(log_fd, &log);
   if (!served) ::kill(pid, SIGKILL);
   SMOKE_CHECK(served, "supervisor: fleet serves PING");
+  // One child answering says nothing about the other: a SIGTERM that
+  // reaches a child before it installed its handlers kills it dirty. Each
+  // child logs "listening on" only after installing them.
+  const auto listening = [&log] {
+    std::size_t count = 0;
+    for (std::size_t at = 0;
+         (at = log.find("spta_serve: listening on", at)) != std::string::npos;
+         ++at) {
+      ++count;
+    }
+    return count;
+  };
+  for (int waited_ms = 0; listening() < 2 && waited_ms < 10 * 1000;
+       waited_ms += 20) {
+    ::usleep(20 * 1000);
+    DrainLog(log_fd, &log);
+  }
+  if (listening() < 2) ::kill(pid, SIGKILL);
+  SMOKE_CHECK(listening() >= 2, "supervisor: both children listening");
 
   SMOKE_CHECK(::kill(pid, SIGTERM) == 0, "supervisor: SIGTERM");
   int status = 0;
   pid_t done = 0;
   for (int waited_ms = 0; waited_ms < 10 * 1000; waited_ms += 50) {
     done = ::waitpid(pid, &status, WNOHANG);
+    DrainLog(log_fd, &log);
     if (done == pid) break;
     ::usleep(50 * 1000);
   }
+  ::close(log_fd);
   if (done != pid) ::kill(pid, SIGKILL);
   SMOKE_CHECK(done == pid, "supervisor: drain finished within deadline");
   SMOKE_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0,
