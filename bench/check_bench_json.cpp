@@ -12,19 +12,16 @@
 //   BENCH_block_frame.json      block-frame vs record-frame A/B
 //                               (bit-identity required)
 //
-// When given a second binary (micro_sim_batch), it also runs the batch
-// kernel bench at SPTA_BENCH_RUNS=64 — twice: once with the auto-detected
-// scan ISA and once with SPTA_BATCH_FORCE_SCALAR=1 — validating
-// BENCH_sim_batch.json (docs/BATCHING.md) each time and requiring
-// checksum_match=1, i.e. a 64-run batched-vs-serial bit-identity smoke
-// that passes with or without AVX2.
+// When given a second binary (micro_trace_atlas), it also runs the atlas
+// container bench at SPTA_BENCH_RUNS=64 and validates
+// BENCH_trace_atlas.json, requiring the >= 3x pack ratio.
 //
 // Each file must be one flat JSON object, every required key present, every
 // numeric field a finite number (nulls — the reporter's spelling of
 // NaN/inf — fail the check). This keeps the perf-trajectory artifacts
 // trustworthy without making tier-1 runtime depend on perf acceptance bars.
 //
-// When given a fourth binary (micro_service_loadgen), it also runs the
+// When given a third binary (micro_service_loadgen), it also runs the
 // service load generator at SPTA_BENCH_RUNS=50 (scales the warm request
 // streams; the analysis stays at the full 3,000 samples) and validates
 // BENCH_service_loadgen.json plus BENCH_service_fleet.json — requiring
@@ -36,7 +33,8 @@
 // says the gate was armed, that it passed.
 //
 // Usage: check_bench_json <path-to-micro_sim_hotpath>
-//                         [<path-to-micro_sim_batch>]
+//                         [<path-to-micro_trace_atlas>]
+//                         [<path-to-micro_service_loadgen>]
 #include <unistd.h>
 
 #include <cctype>
@@ -193,10 +191,9 @@ double Number(const std::map<std::string, std::string>& numbers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2 || argc > 5) {
+  if (argc < 2 || argc > 4) {
     std::fprintf(stderr,
                  "usage: %s <path-to-micro_sim_hotpath> "
-                 "[<path-to-micro_sim_batch>] "
                  "[<path-to-micro_trace_atlas>] "
                  "[<path-to-micro_service_loadgen>]\n",
                  argv[0]);
@@ -292,58 +289,13 @@ int main(int argc, char** argv) {
   std::remove(obs_json.c_str());
   std::remove(block_json.c_str());
 
-  // Batch-kernel artifact: run the bench twice — auto ISA and the forced
-  // scalar fallback — so the 64-run batched-vs-serial bit-identity smoke
-  // covers both dispatch paths on any host.
+  // Atlas artifact: the 64-run smoke requires a >= 3x pack ratio, a
+  // behavioral guard that holds at any size (the bench itself fails on a
+  // round trip that is not bit-identical).
   if (argc >= 3) {
-    const std::string batch_json = dir + "/BENCH_sim_batch.json";
-    ::setenv("SPTA_BENCH_RUNS", "64", /*overwrite=*/1);
-    for (const bool force_scalar : {false, true}) {
-      if (force_scalar) {
-        ::setenv("SPTA_BATCH_FORCE_SCALAR", "1", /*overwrite=*/1);
-      } else {
-        ::unsetenv("SPTA_BATCH_FORCE_SCALAR");
-      }
-      const std::string leg = force_scalar ? "forced-scalar" : "auto-isa";
-      const std::string batch_cmd = std::string("\"") + argv[2] + "\"";
-      if (std::system(batch_cmd.c_str()) != 0) {
-        Fail("micro_sim_batch (" + leg + ") exited with nonzero status");
-      }
-      std::map<std::string, std::string> batch_numbers;
-      ValidateReport(batch_json, "sim_batch",
-                     {"lanes", "trace_records", "serial_runs_per_sec",
-                      "batched_runs_per_sec", "scalar_runs_per_sec",
-                      "speedup_vs_serial", "baseline_runs_per_sec",
-                      "speedup_vs_baseline", "batch_latency_p50_ms",
-                      "batch_latency_p99_ms", "batch_latency_mean_ms",
-                      "checksum_match", "checksum_60"},
-                     &batch_numbers);
-      if (batch_numbers.count("checksum_match") &&
-          Number(batch_numbers, "checksum_match", 0.0) != 1.0) {
-        Fail("sim_batch (" + leg +
-             "): batched lanes were not bit-identical to serial runs");
-      }
-      if (batch_numbers.count("checksum_60") &&
-          Number(batch_numbers, "checksum_60", 0.0) != 52746737.0) {
-        Fail("sim_batch (" + leg + "): checksum_60 drifted from the frozen "
-             "pre-fast-path value");
-      }
-      if (batch_numbers.count("batched_runs_per_sec") &&
-          !(Number(batch_numbers, "batched_runs_per_sec", 0.0) > 0.0)) {
-        Fail("sim_batch (" + leg + "): batched_runs_per_sec not positive");
-      }
-      std::remove(batch_json.c_str());
-    }
-    ::unsetenv("SPTA_BATCH_FORCE_SCALAR");
-  }
-
-  // Atlas artifact: pack ratio and the serial/batched bit-identity
-  // checksum. The 64-run smoke requires a >= 3x pack ratio and exact
-  // bit-identity — behavioral guards that hold at any size.
-  if (argc >= 4) {
     const std::string atlas_json = dir + "/BENCH_trace_atlas.json";
     ::setenv("SPTA_BENCH_RUNS", "64", /*overwrite=*/1);
-    const std::string atlas_cmd = std::string("\"") + argv[3] + "\"";
+    const std::string atlas_cmd = std::string("\"") + argv[2] + "\"";
     if (std::system(atlas_cmd.c_str()) != 0) {
       Fail("micro_trace_atlas exited with nonzero status");
     }
@@ -352,14 +304,8 @@ int main(int argc, char** argv) {
                    {"trace_records", "kernel_count", "legacy_bytes",
                     "atlas_bytes", "pack_ratio", "cold_load_legacy_ms",
                     "cold_load_atlas_ms", "cold_load_speedup",
-                    "serial_runs_per_sec", "batched_runs_per_sec",
-                    "baseline_runs_per_sec", "checksum_match"},
+                    "serial_runs_per_sec"},
                    &atlas_numbers);
-    if (atlas_numbers.count("checksum_match") &&
-        Number(atlas_numbers, "checksum_match", 0.0) != 1.0) {
-      Fail("trace_atlas: the batched leg was not bit-identical to serial "
-           "runs");
-    }
     if (atlas_numbers.count("pack_ratio") &&
         !(Number(atlas_numbers, "pack_ratio", 0.0) >= 3.0)) {
       Fail("trace_atlas: pack_ratio below the 3x acceptance bar: " +
@@ -374,12 +320,12 @@ int main(int argc, char** argv) {
   // the >= 10x fleet gate self-disarms below 150 runs, but the
   // bit-identity checksum and the persistent warm-start hit are
   // behavioral guarantees that must hold at any scale.
-  if (argc >= 5) {
+  if (argc >= 4) {
     const std::string loadgen_json = dir + "/BENCH_service_loadgen.json";
     const std::string fleet_json = dir + "/BENCH_service_fleet.json";
     const std::string resilience_json = dir + "/BENCH_resilience.json";
     ::setenv("SPTA_BENCH_RUNS", "50", /*overwrite=*/1);
-    const std::string loadgen_cmd = std::string("\"") + argv[4] + "\"";
+    const std::string loadgen_cmd = std::string("\"") + argv[3] + "\"";
     if (std::system(loadgen_cmd.c_str()) != 0) {
       Fail("micro_service_loadgen exited with nonzero status");
     }
@@ -474,10 +420,9 @@ int main(int argc, char** argv) {
   ::rmdir(dir.c_str());
   if (g_failures == 0) {
     std::printf("bench JSON schema check passed (%s)\n",
-                argc >= 5   ? "all artifacts incl. service fleet"
-                : argc == 4 ? "all artifacts incl. sim_batch + trace_atlas"
-                : argc == 3 ? "all artifacts incl. sim_batch"
-                            : "all three artifacts");
+                argc >= 4   ? "all artifacts incl. service fleet"
+                : argc == 3 ? "all artifacts incl. trace_atlas"
+                            : "the hot-path artifacts");
     return 0;
   }
   std::fprintf(stderr, "%d failure(s)\n", g_failures);

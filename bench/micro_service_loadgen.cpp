@@ -5,7 +5,8 @@
 //
 //   1. cold vs warm: wall clock of an ANALYZE that runs the full MBPTA
 //      pipeline vs an identical resubmission answered from the
-//      content-addressed result cache. Acceptance: warm >= 10x faster.
+//      content-addressed result cache, each the median of interleaved
+//      rounds. Acceptance: warm >= 10x faster.
 //   2. warm-path throughput: cache-hit requests served per second.
 //   3. drain-on-shutdown: a burst of analyses followed by SHUTDOWN must
 //      produce exactly one response per accepted request — zero loss.
@@ -203,51 +204,68 @@ int main() {
   // --- 1. cold vs warm ----------------------------------------------------
   // The resident-service shape: samples are streamed into a session once,
   // then re-analyses reference the session by name.  Ingestion (OPEN +
-  // APPEND) is untimed; the timed cold request runs the full MBPTA pipeline
-  // and the timed warm burst is answered from the content-addressed cache.
+  // APPEND) is untimed; each timed cold request runs the full MBPTA
+  // pipeline and each timed warm burst is answered from the
+  // content-addressed cache. One cold analysis takes under a millisecond,
+  // so a single timed one is at the mercy of the scheduler: the gate
+  // compares the median of kRounds cold analyses (each on its own session
+  // with its own sample, so each is a cache miss) against the median of
+  // kRounds warm bursts, interleaved in this one process.
+  constexpr std::size_t kRounds = 9;
+  constexpr std::size_t kWarmBurst = 50;
   service::Server server{service::ServerOptions{}};
-  {
+  std::vector<double> cold_round_s;
+  std::vector<double> warm_round_s;  // mean seconds per warm request
+  double warm_total_s = 0.0;
+  std::size_t warm_hits = 0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    // Round 0 leaves session "bench" warm over `obs` for the fleet A/B.
+    const std::string session =
+        round == 0 ? "bench" : "bench" + std::to_string(round);
     service::Request open;
     open.kind = service::RequestKind::kOpen;
-    open.args.Set("session", "bench");
+    open.args.Set("session", session);
     service::Request append;
     append.kind = service::RequestKind::kAppend;
-    append.args.Set("session", "bench");
-    append.payload = service::EncodeSamplePayload(obs);
+    append.args.Set("session", session);
+    append.payload = service::EncodeSamplePayload(
+        round == 0 ? obs : SyntheticSample(sample_size, 100 + round));
     const auto [ingest_responses, ingest_s] = Run(server, {open, append});
     if (ingest_responses.size() != 2 || !ingest_responses[0].ok ||
         !ingest_responses[1].ok) {
       std::printf("FAIL: session ingestion failed\n");
       return 1;
     }
-  }
-  const auto [cold_responses, cold_s] =
-      Run(server, {SessionAnalyzeRequest("bench")});
-  if (cold_responses.size() != 1 || !cold_responses[0].ok ||
-      cold_responses[0].args.GetString("cache") != "miss") {
-    std::printf("FAIL: cold analysis did not complete as a cache miss\n");
-    return 1;
-  }
+    const auto [cold_responses, cold_s] =
+        Run(server, {SessionAnalyzeRequest(session)});
+    if (cold_responses.size() != 1 || !cold_responses[0].ok ||
+        cold_responses[0].args.GetString("cache") != "miss") {
+      std::printf("FAIL: cold analysis did not complete as a cache miss\n");
+      return 1;
+    }
+    cold_round_s.push_back(cold_s);
 
-  // Average the warm path over a burst to get a stable number.
-  constexpr std::size_t kWarmBurst = 50;
-  std::vector<service::Request> warm_script(kWarmBurst,
-                                            SessionAnalyzeRequest("bench"));
-  const auto [warm_responses, warm_total_s] = Run(server, warm_script);
-  std::size_t warm_hits = 0;
-  for (const auto& response : warm_responses) {
-    warm_hits += response.ok &&
-                 response.args.GetString("cache") == "hit";
+    const std::vector<service::Request> warm_script(
+        kWarmBurst, SessionAnalyzeRequest(session));
+    const auto [warm_responses, burst_s] = Run(server, warm_script);
+    for (const auto& response : warm_responses) {
+      warm_hits += response.ok && response.args.GetString("cache") == "hit";
+    }
+    warm_round_s.push_back(burst_s / static_cast<double>(kWarmBurst));
+    warm_total_s += burst_s;
   }
-  const double warm_s = warm_total_s / static_cast<double>(kWarmBurst);
+  const double cold_s = bench::SummarizeLatencies(cold_round_s).p50;
+  const double warm_s = bench::SummarizeLatencies(warm_round_s).p50;
   const double speedup = warm_s > 0.0 ? cold_s / warm_s : 0.0;
-  std::printf("cold analysis    : %9.3f ms  (%zu samples, full MBPTA)\n",
-              cold_s * 1e3, sample_size);
-  std::printf("warm resubmission: %9.3f ms  (%zu/%zu cache hits)\n",
-              warm_s * 1e3, warm_hits, kWarmBurst);
+  std::printf("cold analysis    : %9.3f ms  (median of %zu, %zu samples, "
+              "full MBPTA)\n",
+              cold_s * 1e3, kRounds, sample_size);
+  std::printf("warm resubmission: %9.3f ms  (median of %zu bursts, %zu/%zu "
+              "cache hits)\n",
+              warm_s * 1e3, kRounds, warm_hits, kRounds * kWarmBurst);
   std::printf("speedup          : %9.1fx  (acceptance: >= 10x)  %s\n",
               speedup, speedup >= 10.0 ? "OK" : "FAIL");
-  if (speedup < 10.0 || warm_hits != kWarmBurst) failed = true;
+  if (speedup < 10.0 || warm_hits != kRounds * kWarmBurst) failed = true;
 
   // --- 2. drain on shutdown ----------------------------------------------
   service::ServerOptions drain_options;
@@ -946,7 +964,7 @@ int main() {
   report.Set("warm_hits", static_cast<double>(warm_hits));
   report.Set("warm_requests_per_sec",
              warm_total_s > 0.0
-                 ? static_cast<double>(kWarmBurst) / warm_total_s
+                 ? static_cast<double>(kRounds * kWarmBurst) / warm_total_s
                  : 0.0);
   report.Set("drain_seconds", drain_s);
   report.Set("drain_answered", static_cast<double>(answered));

@@ -1,34 +1,29 @@
-// Atlas container bench: pack ratio and cold-load time, plus serial and
-// batched simulation of the same trace as context.
+// Atlas container bench: pack ratio and cold-load time, plus serial
+// simulation of the same trace as context.
 //
 // Workload: a repeated-kernel trace (48-record loop body x 2000
 // iterations, ~96k records) — the shape the columnar container packs
-// best. Three legs on identical seeds (master seed 123, the hotpath
-// protocol):
+// best. Two legs:
 //
 //   pack     — legacy vs atlas container size + cold load from disk;
-//   serial   — sim::Platform::Run per seed (context);
-//   batched  — lockstep BatchPlatform at the default lane count.
+//   serial   — sim::Platform::Run per seed (context; master seed 123, the
+//              hotpath protocol).
 //
 // Acceptance: the atlas container is >= 3x smaller than the legacy one,
-// and the serial and batched legs agree bit for bit (cycles summed over
-// runs 0..59). Both are checked at every size, so the tier-1 smoke
-// (SPTA_BENCH_RUNS=64 via check_bench_json) enforces them too.
+// and a trace reloaded from it is the original record for record. Both
+// are checked at every size, so the tier-1 smoke (SPTA_BENCH_RUNS=64 via
+// check_bench_json) enforces them too.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/batch_campaign.hpp"
 #include "analysis/campaign.hpp"
 #include "atlas/format.hpp"
 #include "atlas/mine.hpp"
 #include "bench_util.hpp"
-#include "sim/batch/batch_platform.hpp"
-#include "sim/batch/prepared_trace.hpp"
 #include "sim/platform.hpp"
 #include "trace/trace_io.hpp"
 
@@ -86,8 +81,7 @@ int main() {
   bench::Banner(
       "micro: atlas traces",
       "infrastructure (no paper artifact): columnar container",
-      "atlas packs >= 3x smaller bit-identically; serial and batched "
-      "simulation of the trace agree bit for bit");
+      "atlas packs >= 3x smaller and reloads bit-identically");
 
   const std::size_t runs = bench::RunCount(300);
   constexpr std::uint64_t kMasterSeed = 123;
@@ -159,61 +153,21 @@ int main() {
   std::printf("cold load: legacy %.3f ms, atlas %.3f ms  (%.2fx)\n",
               legacy_load_s * 1e3, atlas_load_s * 1e3, cold_load_speedup);
 
-  std::vector<Seed> seeds;
-  seeds.reserve(runs);
-  for (std::size_t i = 0; i < runs; ++i) {
-    seeds.push_back(analysis::FixedTraceRunSeed(kMasterSeed, i));
-  }
-
   // --- serial leg (context) --------------------------------------------
   sim::Platform platform(config, kMasterSeed);
-  (void)platform.Run(t, seeds[0]);  // warmup
-  unsigned long long serial_checksum = 0;
+  (void)platform.Run(t, analysis::FixedTraceRunSeed(kMasterSeed, 0));
   double serial_s = 0.0;
   {
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < runs; ++i) {
-      const auto result = platform.Run(t, seeds[i]);
-      if (i < 60) serial_checksum += result.cycles;
+      (void)platform.Run(t, analysis::FixedTraceRunSeed(kMasterSeed, i));
     }
     serial_s = Seconds(t0);
   }
-
-  // --- batched leg (context) -------------------------------------------
-  const std::size_t lanes = analysis::kDefaultBatchLanes;
-  unsigned long long batched_checksum = 0;
-  double batched_s = 0.0;
-  {
-    const auto t0 = Clock::now();
-    const auto prepared = sim::batch::PrepareTrace(t, config);
-    sim::batch::BatchPlatform batch(config, lanes);
-    for (std::size_t base = 0; base < runs; base += lanes) {
-      const std::size_t n = std::min(lanes, runs - base);
-      const auto results =
-          batch.RunBatch(prepared, std::span<const Seed>(&seeds[base], n));
-      for (std::size_t l = 0; l < n; ++l) {
-        if (base + l < 60) batched_checksum += results[l].cycles;
-      }
-    }
-    batched_s = Seconds(t0);
-  }
-
   const double serial_rps = static_cast<double>(runs) / serial_s;
-  const double batched_rps = static_cast<double>(runs) / batched_s;
-  // The frozen batched baseline (TVCA frame(42), BENCH_sim_batch.json) for
-  // cross-bench context; this workload is smaller per run, so the figure
-  // is a reference, not a gate.
-  constexpr double kFrozenBatchedBaseline = 587.0;
-
   std::printf("\nserial              : %10.2f runs/sec\n", serial_rps);
-  std::printf("batched             : %10.2f runs/sec  (%zu lanes)\n",
-              batched_rps, lanes);
 
-  const bool bits_ok = serial_checksum == batched_checksum;
-  std::printf("bit-identity        : serial %llu batched %llu  %s\n",
-              serial_checksum, batched_checksum,
-              bits_ok ? "OK" : "MISMATCH");
-  bool failed = !bits_ok;
+  bool failed = false;
   if (pack_ratio < 3.0) {
     std::printf("FAIL: pack ratio %.2fx below the 3x acceptance bar\n",
                 pack_ratio);
@@ -230,9 +184,6 @@ int main() {
   report.Set("cold_load_atlas_ms", atlas_load_s * 1e3);
   report.Set("cold_load_speedup", cold_load_speedup);
   report.Set("serial_runs_per_sec", serial_rps);
-  report.Set("batched_runs_per_sec", batched_rps);
-  report.Set("baseline_runs_per_sec", kFrozenBatchedBaseline);
-  report.Set("checksum_match", bits_ok ? 1.0 : 0.0);
   if (report.Write().empty()) failed = true;
 
   return failed ? 1 : 0;

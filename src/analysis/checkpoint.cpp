@@ -300,11 +300,20 @@ std::uint64_t FixedTraceWorkloadDigest(const trace::Trace& t) {
                      HashCombine(t.path_signature, t.records.size()));
 }
 
-bool RunCheckpointedCampaign(const CheckpointHeader& header, ThreadPool& pool,
-                             const CheckpointOptions& options,
-                             const CampaignWork& work,
-                             CheckpointedCampaignResult* out,
-                             std::string* error) {
+namespace {
+
+/// The journaling skeleton of both checkpointed runners: it creates or
+/// resumes the journal (refusing one whose header names another
+/// campaign), restores the journalled runs, measures each missing run r
+/// with `measure(r)` on a worker of `pool`, and appends each sample under
+/// one mutex, so the `abort_after_appends` hook stops the journal at
+/// exactly that count. Every sample must be a pure function of its run
+/// index (the seed-derivation contract).
+bool RunCheckpointedCampaign(
+    const CheckpointHeader& header, ThreadPool& pool,
+    const CheckpointOptions& options,
+    const std::function<RunSample(std::size_t)>& measure,
+    CheckpointedCampaignResult* out, std::string* error) {
   SPTA_REQUIRE(!options.journal_path.empty());
   *out = CheckpointedCampaignResult{};
   out->samples.resize(header.runs);
@@ -344,17 +353,25 @@ bool RunCheckpointedCampaign(const CheckpointHeader& header, ThreadPool& pool,
     }
   }
 
+  std::vector<std::size_t> missing;
+  for (std::size_t r = 0; r < header.runs; ++r) {
+    if (!have[r]) missing.push_back(r);
+  }
+
   // The measurement fan-out. Appends are serialized under a mutex; the
   // abort hook fires under the same mutex so the journal holds EXACTLY
   // abort_after_appends new records when it triggers (a deterministic
-  // simulated crash, whatever the thread schedule), even when it lands
-  // inside a unit that covers several runs.
+  // simulated crash, whatever the thread schedule).
   std::mutex journal_mutex;
   std::atomic<bool> stop{false};
   std::size_t appended = 0;
   bool append_failed = false;
   std::string append_error;
-  const EmitSample emit = [&](std::size_t r, RunSample s) {
+  ParallelFor(pool, missing.size(), [&](std::size_t u) {
+    if (stop.load(std::memory_order_relaxed)) return;
+    const std::size_t r = missing[u];
+    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
+    RunSample s = measure(r);
     std::lock_guard<std::mutex> lock(journal_mutex);
     if (stop.load(std::memory_order_relaxed) || append_failed) return;
     if (options.abort_after_appends != 0 &&
@@ -369,10 +386,6 @@ bool RunCheckpointedCampaign(const CheckpointHeader& header, ThreadPool& pool,
     ++appended;
     out->samples[r] = std::move(s);
     have[r] = 1;
-  };
-
-  ParallelFor(pool, work.plan(have), [&](std::size_t u) {
-    if (!stop.load(std::memory_order_relaxed)) work.run(u, emit);
   });
 
   if (append_failed) {
@@ -383,31 +396,6 @@ bool RunCheckpointedCampaign(const CheckpointHeader& header, ThreadPool& pool,
   out->completed =
       std::all_of(have.begin(), have.end(), [](char h) { return h != 0; });
   return true;
-}
-
-namespace {
-
-/// One work unit per missing run, measured by `measure(r)` on the
-/// calling pool worker.
-bool RunPerRunCheckpointed(const CheckpointHeader& header, ThreadPool& pool,
-                           const CheckpointOptions& options,
-                           const std::function<RunSample(std::size_t)>& measure,
-                           CheckpointedCampaignResult* out,
-                           std::string* error) {
-  std::vector<std::size_t> missing;
-  const CampaignWork work{
-      [&](const std::vector<char>& have) {
-        for (std::size_t r = 0; r < have.size(); ++r) {
-          if (!have[r]) missing.push_back(r);
-        }
-        return missing.size();
-      },
-      [&](std::size_t u, const EmitSample& emit) {
-        const std::size_t r = missing[u];
-        SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-        emit(r, measure(r));
-      }};
-  return RunCheckpointedCampaign(header, pool, options, work, out, error);
 }
 
 }  // namespace
@@ -434,7 +422,7 @@ bool RunTvcaCampaignCheckpointed(const sim::PlatformConfig& platform_config,
     return Measure(arenas.Platform(), frame.segments, frame.path_id,
                    TvcaRunSeed(config, r));
   };
-  return RunPerRunCheckpointed(header, pool, options, measure, out, error);
+  return RunCheckpointedCampaign(header, pool, options, measure, out, error);
 }
 
 bool RunFixedTraceCampaignCheckpointed(
@@ -457,7 +445,7 @@ bool RunFixedTraceCampaignCheckpointed(
                    static_cast<std::uint32_t>(t.path_signature),
                    FixedTraceRunSeed(master_seed, r));
   };
-  return RunPerRunCheckpointed(header, pool, options, measure, out, error);
+  return RunCheckpointedCampaign(header, pool, options, measure, out, error);
 }
 
 }  // namespace spta::analysis

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,10 +30,6 @@
 #include "apps/tvca.hpp"
 #include "sim/config.hpp"
 #include "trace/record.hpp"
-
-namespace spta {
-class ThreadPool;
-}
 
 namespace spta::analysis {
 
@@ -121,33 +116,6 @@ struct CheckpointedCampaignResult {
   std::size_t resumed_runs = 0;
   std::size_t torn_lines = 0;
 };
-
-/// Receives the sample of run `r`. Concurrent calls carry distinct runs.
-using EmitSample = std::function<void(std::size_t r, RunSample sample)>;
-
-/// The measurement side of a checkpointed campaign, split into work
-/// units. Once the journal is restored, `plan(have)` is called once
-/// (have[r] != 0 for every journalled run) and returns the number of units
-/// that cover the missing runs. `run(u, emit)` then measures unit u on a
-/// worker of the pool and emits one sample per run it covers. A per-run
-/// runner makes one unit per missing run; a batched runner one unit per
-/// lockstep batch. Every sample must be a pure function of its run index
-/// (the seed-derivation contract).
-struct CampaignWork {
-  std::function<std::size_t(const std::vector<char>& have)> plan;
-  std::function<void(std::size_t unit, const EmitSample& emit)> run;
-};
-
-/// The journaling skeleton every checkpointed runner shares: it creates
-/// or resumes the journal (refusing one whose header names another
-/// campaign), restores the journalled runs, fans `work`'s units out on
-/// `pool` and appends each emitted sample under one mutex, so the
-/// `abort_after_appends` hook stops the journal at exactly that count.
-bool RunCheckpointedCampaign(const CheckpointHeader& header, ThreadPool& pool,
-                             const CheckpointOptions& options,
-                             const CampaignWork& work,
-                             CheckpointedCampaignResult* out,
-                             std::string* error);
 
 /// RunTvcaCampaignParallel with journaling. Bit-identical samples to the
 /// plain runner for any jobs / interruption pattern (seed contract).

@@ -1,4 +1,4 @@
-// Batched PRNG front-end for the simulation hot path.
+// Block-buffered PRNG front-end for the simulation hot path.
 //
 // Random cache/TLB replacement draws one word per eviction; at campaign
 // scale that is millions of tiny generator calls interleaved with cache
@@ -85,9 +85,8 @@ class BlockDraws {
     // Track clocked words explicitly rather than deriving them as
     // refills * kBlockSize: the derivation silently over-counts the moment
     // any refill clocks fewer than kBlockSize words (a hazard for partial
-    // or lane-interleaved refill strategies), and the batch kernel's
-    // per-lane PRNG attribution depends on `stats().words` being exact at
-    // every refill boundary.
+    // refill strategies), and the journalled `prng.words` of every run
+    // depends on `stats().words` being exact at every refill boundary.
     clocked_ += kBlockSize;
   }
 

@@ -9,9 +9,8 @@
 // during a run (the fault window closes before the first record), so the
 // rule holds for the whole record stream.
 //
-// Two consumers apply it: sim::Core's retire loop defers such hits and
-// applies each run of them as one Cache::MruHits / Tlb::MruHits update,
-// and sim::batch::PrepareTrace folds them into kBulkFetch events.
+// sim::Core's retire loop applies it: it defers such hits and applies
+// each run of them as one Cache::MruHits / Tlb::MruHits update.
 #pragma once
 
 #include <bit>

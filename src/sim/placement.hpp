@@ -1,12 +1,9 @@
-// The cache set-index (placement) functions, shared by the single-seed
-// Cache and the multi-lane batch kernel.
+// The cache set-index (placement) functions of sim::Cache.
 //
-// Placement is the one piece of randomized-cache behavior computed on BOTH
-// the serial and the batched hot paths; keeping it in one inline helper
-// makes "the two kernels use the same placement hash" true by construction
-// instead of by parallel maintenance. Semantics are frozen by the
-// reference-model differentials (tests/sim_equivalence_test.cpp) and the
-// lane battery (tests/sim_batch_equivalence_test.cpp).
+// Placement is the randomized-cache behavior the paper's argument rests
+// on; it is one inline helper on the cache's per-access path. Semantics
+// are frozen by the reference-model differentials
+// (tests/sim_equivalence_test.cpp).
 #pragma once
 
 #include <cstdint>

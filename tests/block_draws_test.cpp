@@ -123,8 +123,8 @@ TEST(BlockDrawsTest, BufferedCountTracksRefills) {
 TEST(BlockDrawsTest, StatsWordsExactAtRefillBoundaries) {
   // stats().words must count words actually SERVED, not words clocked into
   // the buffer: at every boundary alignment the figure has to agree with
-  // the draw count, or per-lane PRNG accounting in the batch kernel would
-  // jump by a block whenever one lane refills.
+  // the draw count, or a run's journalled `prng.words` would jump by a
+  // block whenever a stream refills.
   for (const std::size_t draws :
        {kBlock - 1, kBlock, kBlock + 1, 2 * kBlock}) {
     BlockDraws<HwPrng> batched{HwPrng(17)};

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/batch_campaign.hpp"
 #include "analysis/checkpoint.hpp"
 #include "analysis/parallel_campaign.hpp"
 #include "analysis/sample_io.hpp"
@@ -19,6 +18,7 @@
 #include "common/atomic_file.hpp"
 #include "mbpta/mbpta.hpp"
 #include "sim/config.hpp"
+#include "sim/platform.hpp"
 
 namespace {
 
@@ -194,32 +194,32 @@ TEST_F(CheckpointTest, ResumeRefusesAnAlienJournal) {
                                                      &result, &error));
   EXPECT_NE(error.find("journal"), std::string::npos) << error;
 
-  // The batched runner goes through the same skeleton: a TVCA journal is
-  // alien to a fixed-trace campaign, and so is its own journal under
+  // The fixed-trace runner goes through the same skeleton: a TVCA journal
+  // is alien to a fixed-trace campaign, and so is its own journal under
   // another seed. A refused resume leaves the journal untouched.
   const trace::Trace t = app.BuildFrame(/*scenario_seed=*/42).trace;
   const std::string tvca_journal = Slurp(path_);
   error.clear();
-  EXPECT_FALSE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
-      config, t, cc.runs, /*master_seed=*/100, /*lanes=*/4, /*jobs=*/2, opts,
-      &result, &error));
+  EXPECT_FALSE(analysis::RunFixedTraceCampaignCheckpointed(
+      config, t, cc.runs, /*master_seed=*/100, /*jobs=*/2, opts, &result,
+      &error));
   EXPECT_NE(error.find("journal"), std::string::npos) << error;
   EXPECT_EQ(Slurp(path_), tvca_journal);
 
   opts.resume = false;
-  ASSERT_TRUE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
-      config, t, cc.runs, /*master_seed=*/100, /*lanes=*/4, /*jobs=*/2, opts,
-      &result, &error))
+  ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
+      config, t, cc.runs, /*master_seed=*/100, /*jobs=*/2, opts, &result,
+      &error))
       << error;
   ASSERT_TRUE(result.completed);
-  const std::string batched_journal = Slurp(path_);
+  const std::string fixed_journal = Slurp(path_);
   opts.resume = true;
   error.clear();
-  EXPECT_FALSE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
-      config, t, cc.runs, /*master_seed=*/101, /*lanes=*/4, /*jobs=*/2, opts,
-      &result, &error));
+  EXPECT_FALSE(analysis::RunFixedTraceCampaignCheckpointed(
+      config, t, cc.runs, /*master_seed=*/101, /*jobs=*/2, opts, &result,
+      &error));
   EXPECT_NE(error.find("journal"), std::string::npos) << error;
-  EXPECT_EQ(Slurp(path_), batched_journal);
+  EXPECT_EQ(Slurp(path_), fixed_journal);
 }
 
 TEST_F(CheckpointTest, CheckpointedRunMatchesThePlainParallelRunner) {
@@ -272,31 +272,30 @@ TEST_F(CheckpointTest, ResumingACompleteJournalReExecutesNothing) {
     EXPECT_EQ(second.samples[i].cycles, first.samples[i].cycles);
   }
 
-  // Same for the batched runner: every run is restored and the journal
-  // gains no line.
+  // Same for the fixed-trace runner on two workers: every run is restored
+  // and the journal gains no line.
   const trace::Trace t = app.BuildFrame(/*scenario_seed=*/42).trace;
   opts.resume = false;
-  analysis::CheckpointedCampaignResult batched_first;
-  ASSERT_TRUE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
-      config, t, cc.runs, cc.master_seed, /*lanes=*/4, /*jobs=*/2, opts,
-      &batched_first, &error))
+  analysis::CheckpointedCampaignResult fixed_first;
+  ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
+      config, t, cc.runs, cc.master_seed, /*jobs=*/2, opts, &fixed_first,
+      &error))
       << error;
-  ASSERT_TRUE(batched_first.completed);
+  ASSERT_TRUE(fixed_first.completed);
   const std::string journal = Slurp(path_);
 
   opts.resume = true;
-  analysis::CheckpointedCampaignResult batched_second;
-  ASSERT_TRUE(analysis::RunFixedTraceCampaignBatchedCheckpointed(
-      config, t, cc.runs, cc.master_seed, /*lanes=*/4, /*jobs=*/2, opts,
-      &batched_second, &error))
+  analysis::CheckpointedCampaignResult fixed_second;
+  ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
+      config, t, cc.runs, cc.master_seed, /*jobs=*/2, opts, &fixed_second,
+      &error))
       << error;
-  EXPECT_TRUE(batched_second.completed);
-  EXPECT_EQ(batched_second.resumed_runs, 10u);
+  EXPECT_TRUE(fixed_second.completed);
+  EXPECT_EQ(fixed_second.resumed_runs, 10u);
   EXPECT_EQ(Slurp(path_), journal);
-  ASSERT_EQ(batched_second.samples.size(), batched_first.samples.size());
-  for (std::size_t i = 0; i < batched_first.samples.size(); ++i) {
-    EXPECT_EQ(batched_second.samples[i].cycles,
-              batched_first.samples[i].cycles);
+  ASSERT_EQ(fixed_second.samples.size(), fixed_first.samples.size());
+  for (std::size_t i = 0; i < fixed_first.samples.size(); ++i) {
+    EXPECT_EQ(fixed_second.samples[i].cycles, fixed_first.samples[i].cycles);
   }
 }
 
@@ -362,6 +361,50 @@ TEST_F(CheckpointTest, KillAndResumeIsBitIdenticalAcrossSeeds) {
     }
 
     std::remove(path_.c_str());
+  }
+
+  // A scenario-suite TVCA campaign (runs share 3 frames) killed after 9
+  // appends and resumed on two workers lands on the serial runner's
+  // samples, path ids included.
+  apps::TvcaConfig app_config;
+  app_config.sensor_channels = 2;
+  app_config.samples_per_frame = 4;
+  app_config.fir_taps = 4;
+  app_config.state_dim = 4;
+  app_config.integrator_steps = 2;
+  app_config.control_iterations = 1;
+  app_config.straightline_instructions = 64;
+  app_config.dispatch_overhead = 16;
+  const apps::TvcaApp suite_app(app_config);
+  analysis::CampaignConfig cc;
+  cc.runs = 20;
+  cc.master_seed = 8;
+  cc.distinct_scenarios = 3;
+  analysis::CheckpointOptions opts;
+  opts.journal_path = path_;
+  opts.abort_after_appends = 9;
+  analysis::CheckpointedCampaignResult killed;
+  std::string error;
+  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(
+      config, suite_app, cc, /*jobs=*/2, opts, &killed, &error))
+      << error;
+  EXPECT_FALSE(killed.completed);
+
+  opts.abort_after_appends = 0;
+  opts.resume = true;
+  analysis::CheckpointedCampaignResult finished;
+  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(
+      config, suite_app, cc, /*jobs=*/2, opts, &finished, &error))
+      << error;
+  EXPECT_TRUE(finished.completed);
+  EXPECT_EQ(finished.resumed_runs, 9u);
+  sim::Platform platform(config, 1);
+  const auto reference = analysis::RunTvcaCampaign(platform, suite_app, cc);
+  ASSERT_EQ(finished.samples.size(), reference.size());
+  for (std::size_t r = 0; r < reference.size(); ++r) {
+    EXPECT_EQ(finished.samples[r].cycles, reference[r].cycles) << "run " << r;
+    EXPECT_EQ(finished.samples[r].path_id, reference[r].path_id)
+        << "run " << r;
   }
 }
 

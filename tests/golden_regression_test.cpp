@@ -10,18 +10,14 @@
 #include <functional>
 #include <iterator>
 #include <ostream>
-#include <span>
 #include <vector>
 
-#include "analysis/batch_campaign.hpp"
 #include "analysis/campaign.hpp"
 #include "analysis/parallel_campaign.hpp"
 #include "apps/kernels.hpp"
 #include "apps/tvca.hpp"
 #include "mbpta/mbpta.hpp"
 #include "prng/xoshiro.hpp"
-#include "sim/batch/batch_platform.hpp"
-#include "sim/batch/prepared_trace.hpp"
 #include "sim/platform.hpp"
 #include "swcet/static_bound.hpp"
 #include "trace/interpreter.hpp"
@@ -56,8 +52,9 @@ struct SeedGolden {
   std::uint64_t dtlb_misses;
 };
 
-void ExpectResultMatches(const sim::RunResult& result,
-                         const SeedGolden& golden, const char* workload) {
+void ExpectRunMatches(sim::Platform& platform, const trace::Trace& t,
+                      const SeedGolden& golden, const char* workload) {
+  const sim::RunResult result = platform.Run(t, golden.seed);
   EXPECT_EQ(result.cycles, golden.cycles) << workload << " seed "
                                           << golden.seed;
   EXPECT_EQ(result.il1.misses, golden.il1_misses) << workload;
@@ -66,30 +63,9 @@ void ExpectResultMatches(const sim::RunResult& result,
   EXPECT_EQ(result.dtlb.misses, golden.dtlb_misses) << workload;
 }
 
-void ExpectRunMatches(sim::Platform& platform, const trace::Trace& t,
-                      const SeedGolden& golden, const char* workload) {
-  ExpectResultMatches(platform.Run(t, golden.seed), golden, workload);
-}
-
-/// Replays a golden table through the lockstep batch kernel — all seeds in
-/// ONE batch — so the pinned per-seed numbers also guard the batched path.
-void ExpectBatchMatches(const sim::PlatformConfig& config,
-                        const trace::Trace& t,
-                        std::span<const SeedGolden> goldens,
-                        const char* workload) {
-  const auto prepared = sim::batch::PrepareTrace(t, config);
-  sim::batch::BatchPlatform batch(config, goldens.size());
-  std::vector<Seed> seeds;
-  for (const auto& g : goldens) seeds.push_back(g.seed);
-  const auto results = batch.RunBatch(prepared, seeds);
-  for (std::size_t l = 0; l < goldens.size(); ++l) {
-    ExpectResultMatches(results[l], goldens[l], workload);
-  }
-}
-
-// Frozen per-seed goldens, shared by the serial and batched guards. The
-// reduced TVCA frame's DL1 conflict misses move with the placement seed;
-// matmul/fir fit L1 entirely, so every seed pins identical numbers.
+// Frozen per-seed goldens. The reduced TVCA frame's DL1 conflict misses
+// move with the placement seed; matmul/fir fit L1 entirely, so every seed
+// pins identical numbers.
 constexpr SeedGolden kReducedTvcaDetGolden = {7, 50538, 112, 400, 4, 7};
 constexpr SeedGolden kReducedTvcaRandGoldens[] = {
     {1, 50592, 112, 400, 4, 7}, {2, 50634, 112, 401, 4, 7},
@@ -187,66 +163,6 @@ TEST(GoldenRegressionTest, FirKernelPerSeedCycles) {
   sim::Platform rnd(sim::RandLeon3Config(), 1);
   for (std::size_t i = 1; i < std::size(kFirGoldens); ++i) {
     ExpectRunMatches(rnd, t, kFirGoldens[i], "fir rand");
-  }
-}
-
-// The SAME frozen tables replayed through the lockstep batch kernel: every
-// pinned seed rides in one multi-lane batch and must land on the identical
-// cycle and miss counts. (The det golden runs on the DET platform config,
-// whose deterministic policies are still exercised by the lane arrays.)
-TEST(GoldenRegressionTest, BatchedPathReproducesPerSeedGoldens) {
-  const apps::TvcaApp app(ReducedTvcaConfig());
-  const auto frame = app.BuildFrame(42);
-  ExpectBatchMatches(sim::DetLeon3Config(), frame.trace,
-                     {&kReducedTvcaDetGolden, 1}, "tvca-reduced det batched");
-  ExpectBatchMatches(sim::RandLeon3Config(), frame.trace,
-                     kReducedTvcaRandGoldens, "tvca-reduced rand batched");
-
-  const trace::Trace matmul = MatmulTrace();
-  ExpectBatchMatches(sim::DetLeon3Config(), matmul, {kMatmulGoldens, 1},
-                     "matmul det batched");
-  ExpectBatchMatches(sim::RandLeon3Config(), matmul,
-                     std::span<const SeedGolden>(kMatmulGoldens).subspan(1),
-                     "matmul rand batched");
-
-  const trace::Trace fir = FirTrace();
-  ExpectBatchMatches(sim::DetLeon3Config(), fir, {kFirGoldens, 1},
-                     "fir det batched");
-  ExpectBatchMatches(sim::RandLeon3Config(), fir,
-                     std::span<const SeedGolden>(kFirGoldens).subspan(1),
-                     "fir rand batched");
-}
-
-// pWCET-quantile equality: for three campaign master seeds, the batched
-// TVCA campaign (scenario-grouped batches, 2 worker threads) must hand the
-// MBPTA pipeline the exact sample the serial runner produces — hence the
-// same Gumbel fit and the same pWCET quantiles to the last bit.
-TEST(GoldenRegressionTest, BatchedCampaignPwcetQuantilesMatchSerial) {
-  const apps::TvcaApp app(ReducedTvcaConfig());
-  const auto platform_config = sim::RandLeon3Config();
-  for (const std::uint64_t master : {11ull, 22ull, 33ull}) {
-    analysis::CampaignConfig cc;
-    cc.runs = 120;
-    cc.master_seed = master;
-    cc.distinct_scenarios = 6;  // fixed suite: runs share frames -> batches
-
-    sim::Platform platform(platform_config, master);
-    const auto serial_times =
-        analysis::ExtractTimes(analysis::RunTvcaCampaign(platform, app, cc));
-    const auto batched_times =
-        analysis::ExtractTimes(analysis::RunTvcaCampaignBatched(
-            platform_config, app, cc, /*lanes=*/8, /*jobs=*/2));
-    ASSERT_EQ(serial_times, batched_times) << "master " << master;
-
-    const auto serial_fit = mbpta::AnalyzeSample(serial_times);
-    const auto batched_fit = mbpta::AnalyzeSample(batched_times);
-    ASSERT_EQ(serial_fit.usable, batched_fit.usable) << "master " << master;
-    if (serial_fit.usable) {
-      for (const double p : {1e-9, 1e-12, 1e-15}) {
-        EXPECT_EQ(serial_fit.PwcetAt(p), batched_fit.PwcetAt(p))
-            << "master " << master << " p " << p;
-      }
-    }
   }
 }
 

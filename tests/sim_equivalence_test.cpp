@@ -139,6 +139,19 @@ TEST(SimEquivalenceTest, CacheGeometryMatrix) {
     RunCacheDifferential(config, 9, 1234);
     RunCacheDifferential(config, 10, 99);
   }
+  // Plus a seeded sweep of odd geometries: 16/32/64-byte lines, 1-8 ways
+  // and 8-128 sets under random placement x replacement pairs.
+  prng::Xoshiro128pp rng(20170327);
+  for (int i = 0; i < 24; ++i) {
+    const std::uint32_t line_bytes = 16u << rng.UniformBelow(3);
+    const std::uint32_t ways = 1u << rng.UniformBelow(4);
+    const std::uint32_t sets = 8u << rng.UniformBelow(5);
+    const CacheConfig config{line_bytes * ways * sets, line_bytes, ways,
+                             kPlacements[rng.UniformBelow(3)],
+                             kReplacements[rng.UniformBelow(3)]};
+    SCOPED_TRACE(i);
+    RunCacheDifferential(config, rng.Next(), rng.Next());
+  }
 }
 
 TEST(SimEquivalenceTest, CacheMruShortcutThrash) {
@@ -189,7 +202,7 @@ void RunTlbDifferential(const TlbConfig& config, Seed seed,
 
 TEST(SimEquivalenceTest, TlbAllReplacementPolicies) {
   for (const auto replacement : kReplacements) {
-    for (std::uint32_t entries : {4u, 8u, 64u}) {
+    for (std::uint32_t entries : {4u, 8u, 16u, 64u}) {
       TlbConfig config;
       config.entries = entries;
       config.replacement = replacement;

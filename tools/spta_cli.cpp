@@ -1,20 +1,15 @@
 // spta_cli — command-line front end to the SpacePTA toolkit.
 //
 //   spta_cli campaign  --platform rand|det|rand-op --runs N --seed S
-//                      [--scenarios K] [--jobs J] [--batch-lanes L]
-//                      [--output samples.csv]
+//                      [--scenarios K] [--jobs J] [--output samples.csv]
 //                      [--checkpoint J.ckpt [--resume] [--fsync-interval N]]
 //                      [--seu-rate R] [--reseed-dropout P] [--fault-seed S]
 //                      [--annotate]
 //       Runs a TVCA measurement campaign and writes cycles,path_id CSV.
 //       --jobs J fans the runs across J worker threads (default: hardware
 //       concurrency); the samples are bit-identical for every J.
-//       --batch-lanes L simulates up to L seeds per trace in one lockstep
-//       pass of the SIMD batch kernel (docs/BATCHING.md); composes with
-//       --jobs and --checkpoint, samples stay bit-identical. Requires
-//       --scenarios > 0 to batch (a fresh-input campaign has nothing to
-//       batch and falls back to the parallel runner). Incompatible with
-//       the fault flags.
+//       --batch-lanes L is accepted and ignored: the lockstep batch kernel
+//       it selected was slower than the serial runner and is gone.
 //       --checkpoint journals every completed run (append-only, fsync'd);
 //       --resume restores the journal and re-executes only the missing
 //       runs, bit-identically to an uninterrupted campaign.
@@ -44,14 +39,13 @@
 //       Records one TVCA major-frame trace to a binary trace file.
 //
 //   spta_cli simulate  --trace in.trc --platform rand|det|rand-op
-//                      --runs N [--seed S] [--jobs J] [--batch-lanes L]
-//                      [--output samples.csv]
+//                      --runs N [--seed S] [--jobs J] [--output samples.csv]
 //                      [--checkpoint J.ckpt [--resume] [--fsync-interval N]]
 //                      [--seu-rate R] [--reseed-dropout P] [--fault-seed S]
 //       Replays a recorded trace N times (fresh platform seed per run)
-//       and writes the execution times as CSV. --batch-lanes L as above
-//       (a fixed trace always batches). The input trace may be in either
-//       container format (legacy or spta-atlas, sniffed from the magic).
+//       and writes the execution times as CSV. The input trace may be in
+//       either container format (legacy or spta-atlas, sniffed from the
+//       magic).
 //
 //   spta_cli trace pack <in> <out>      repack into the spta-atlas
 //                                       columnar container (docs/TRACES.md)
@@ -86,13 +80,11 @@
 #include <set>
 #include <sstream>
 
-#include "analysis/batch_campaign.hpp"
 #include "atlas/format.hpp"
 #include "atlas/mine.hpp"
 #include "obs/atlas_counters.hpp"
 #include "analysis/campaign.hpp"
 #include "analysis/checkpoint.hpp"
-#include "sim/batch/batch_platform.hpp"
 #include "analysis/diagnosis.hpp"
 #include "analysis/parallel_campaign.hpp"
 #include "analysis/sample_io.hpp"
@@ -121,8 +113,7 @@ int Usage() {
                "usage: spta_cli "
                "<campaign|analyze|convergence|record|simulate|trace> [flags]\n"
                "  campaign    --platform rand|det|rand-op --runs N "
-               "[--seed S] [--scenarios K] [--jobs J] [--batch-lanes L] "
-               "[--output FILE]\n"
+               "[--seed S] [--scenarios K] [--jobs J] [--output FILE]\n"
                "              [--checkpoint FILE [--resume] "
                "[--fsync-interval N]] [--seu-rate R] [--reseed-dropout P] "
                "[--fault-seed S] [--annotate]\n"
@@ -133,8 +124,7 @@ int Usage() {
                "[--prob P] [--tol T]\n"
                "  record      --trace FILE [--scenario S]\n"
                "  simulate    --trace FILE --platform rand|det|rand-op "
-               "--runs N [--seed S] [--jobs J] [--batch-lanes L] "
-               "[--output FILE] "
+               "--runs N [--seed S] [--jobs J] [--output FILE] "
                "[--checkpoint FILE [--resume]] [--seu-rate R] "
                "[--reseed-dropout P] [--fault-seed S] "
                "[--trace-out FILE] [--counters-out FILE]\n"
@@ -178,20 +168,6 @@ std::size_t JobsFlag(const Flags& flags) {
   }
   return jobs == 0 ? analysis::DefaultJobs()
                    : static_cast<std::size_t>(jobs);
-}
-
-/// Parses --batch-lanes: 0 or absent = batching disabled (serial per-run
-/// kernel); 1..BatchPlatform::kMaxLanes selects the lockstep kernel width.
-std::size_t BatchLanesFlag(const Flags& flags) {
-  const std::int64_t lanes = flags.GetInt("batch-lanes", 0);
-  if (lanes < 0 ||
-      lanes > static_cast<std::int64_t>(sim::batch::BatchPlatform::kMaxLanes)) {
-    std::fprintf(stderr, "spta_cli: --batch-lanes must be 0..%zu (got %lld)\n",
-                 sim::batch::BatchPlatform::kMaxLanes,
-                 static_cast<long long>(lanes));
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(lanes);
 }
 
 std::vector<double> Times(
@@ -602,16 +578,9 @@ int RunCampaign(const Flags& flags) {
       static_cast<std::size_t>(flags.GetInt("scenarios", 0));
 
   const std::size_t jobs = JobsFlag(flags);
-  const std::size_t batch_lanes = BatchLanesFlag(flags);
   const apps::TvcaApp app;
   const fault::FaultCampaignConfig fc = FaultPlanFromFlags(flags, cc);
   const bool faulty = fc.seu.Enabled() || fc.reseed_dropout > 0.0;
-  if (faulty && batch_lanes > 0) {
-    std::fprintf(stderr,
-                 "spta_cli: --batch-lanes runs clean campaigns only "
-                 "(drop the fault flags)\n");
-    return 2;
-  }
 
   if (flags.Has("checkpoint")) {
     if (faulty) {
@@ -627,15 +596,8 @@ int RunCampaign(const Flags& flags) {
                  "spta_cli: %zu runs on %s (%zu jobs, journal %s)...\n",
                  cc.runs, config.name.c_str(), jobs,
                  copts.journal_path.c_str());
-    bool ok;
-    if (batch_lanes > 0) {
-      ok = analysis::RunTvcaCampaignBatchedCheckpointed(
-          config, app, cc, batch_lanes, jobs, copts, &result, &error);
-    } else {
-      ok = analysis::RunTvcaCampaignCheckpointed(config, app, cc, jobs,
-                                                 copts, &result, &error);
-    }
-    if (!ok) {
+    if (!analysis::RunTvcaCampaignCheckpointed(config, app, cc, jobs, copts,
+                                               &result, &error)) {
       std::fprintf(stderr, "spta_cli: %s\n", error.c_str());
       return 2;
     }
@@ -655,14 +617,9 @@ int RunCampaign(const Flags& flags) {
         flags, result.samples,
         result.faults_injected + result.reseeds_dropped);
   }
-  std::vector<analysis::RunSample> samples;
-  if (batch_lanes > 0) {
-    samples =
-        analysis::RunTvcaCampaignBatched(config, app, cc, batch_lanes, jobs);
-  } else {
-    samples = analysis::RunTvcaCampaignParallel(config, app, cc, jobs);
-  }
-  return WriteCampaignOutput(flags, samples, /*faults=*/0);
+  return WriteCampaignOutput(
+      flags, analysis::RunTvcaCampaignParallel(config, app, cc, jobs),
+      /*faults=*/0);
 }
 
 int RunAnalyze(const Flags& flags) {
@@ -784,15 +741,8 @@ int RunSimulate(const Flags& flags) {
   analysis::CampaignConfig cc;
   cc.runs = runs;
   cc.master_seed = seed;
-  const std::size_t batch_lanes = BatchLanesFlag(flags);
   const fault::FaultCampaignConfig fc = FaultPlanFromFlags(flags, cc);
   const bool faulty = fc.seu.Enabled() || fc.reseed_dropout > 0.0;
-  if (faulty && batch_lanes > 0) {
-    std::fprintf(stderr,
-                 "spta_cli: --batch-lanes runs clean campaigns only "
-                 "(drop the fault flags)\n");
-    return 2;
-  }
 
   if (flags.Has("checkpoint")) {
     if (faulty) {
@@ -804,15 +754,8 @@ int RunSimulate(const Flags& flags) {
     const analysis::CheckpointOptions copts = CheckpointFromFlags(flags);
     analysis::CheckpointedCampaignResult result;
     std::string error;
-    bool ok;
-    if (batch_lanes > 0) {
-      ok = analysis::RunFixedTraceCampaignBatchedCheckpointed(
-          config, t, runs, seed, batch_lanes, jobs, copts, &result, &error);
-    } else {
-      ok = analysis::RunFixedTraceCampaignCheckpointed(
-          config, t, runs, seed, jobs, copts, &result, &error);
-    }
-    if (!ok) {
+    if (!analysis::RunFixedTraceCampaignCheckpointed(
+            config, t, runs, seed, jobs, copts, &result, &error)) {
       std::fprintf(stderr, "spta_cli: %s\n", error.c_str());
       return 2;
     }
@@ -831,15 +774,10 @@ int RunSimulate(const Flags& flags) {
         flags, result.samples,
         result.faults_injected + result.reseeds_dropped);
   }
-  std::vector<analysis::RunSample> samples;
-  if (batch_lanes > 0) {
-    samples = analysis::RunFixedTraceCampaignBatched(config, t, runs, seed,
-                                                     batch_lanes, jobs);
-  } else {
-    samples = analysis::RunFixedTraceCampaignParallel(config, t, runs, seed,
-                                                      jobs);
-  }
-  return WriteCampaignOutput(flags, samples, /*faults=*/0);
+  return WriteCampaignOutput(
+      flags,
+      analysis::RunFixedTraceCampaignParallel(config, t, runs, seed, jobs),
+      /*faults=*/0);
 }
 
 }  // namespace
