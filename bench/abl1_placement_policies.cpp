@@ -47,9 +47,10 @@ int main() {
   for (const auto placement :
        {sim::Placement::kModulo, sim::Placement::kRandomModulo,
         sim::Placement::kHashRandom}) {
-    sim::Platform platform(WithPlacement(placement), 1);
     const auto samples =
-        analysis::RunFixedTraceCampaign(platform, frame.trace, runs, 77);
+        analysis::RunCampaign(analysis::Workload(frame.trace, runs, 77),
+                              {WithPlacement(placement)})
+            .samples;
     const auto times = analysis::ExtractTimes(samples);
     const auto s = stats::Summarize(times);
     dist.AddRow({sim::ToString(placement), FormatF(s.mean, 0),
@@ -78,9 +79,11 @@ int main() {
       tc.layout_seed = layout_seed;
       const apps::TvcaApp relinked(tc);
       const auto relinked_frame = relinked.BuildFrame(4242);
-      sim::Platform platform(WithPlacement(placement), 1);
-      const auto samples = analysis::RunFixedTraceCampaign(
-          platform, relinked_frame.trace, 40, 99);
+      const auto samples =
+          analysis::RunCampaign(
+              analysis::Workload(relinked_frame.trace, 40, 99),
+              {WithPlacement(placement)})
+              .samples;
       double misses = 0.0;
       for (const auto& s : samples) {
         misses += static_cast<double>(s.detail.dl1.misses +

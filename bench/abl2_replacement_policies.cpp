@@ -36,9 +36,9 @@ int main() {
     cfg.dl1.replacement = replacement;
     cfg.itlb.replacement = replacement;
     cfg.dtlb.replacement = replacement;
-    sim::Platform platform(cfg, 1);
     const auto samples =
-        analysis::RunFixedTraceCampaign(platform, frame.trace, runs, 55);
+        analysis::RunCampaign(analysis::Workload(frame.trace, runs, 55), {cfg})
+            .samples;
     const auto times = analysis::ExtractTimes(samples);
     double dl1 = 0.0;
     double il1 = 0.0;

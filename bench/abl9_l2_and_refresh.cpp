@@ -68,8 +68,9 @@ int main() {
   TextTable table({"platform", "mean", "stddev", "max", "iid @5%",
                    "pWCET@1e-12"});
   for (const auto& v : variants) {
-    sim::Platform platform(v.config, 7);
-    const auto samples = analysis::RunTvcaCampaign(platform, app, cfg);
+    const auto samples =
+        analysis::RunCampaign(analysis::Workload(app, cfg), {v.config})
+            .samples;
     const auto times = analysis::ExtractTimes(samples);
     const auto s = stats::Summarize(times);
     mbpta::MbptaOptions opts;

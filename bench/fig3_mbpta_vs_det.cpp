@@ -35,13 +35,15 @@ int main() {
   analysis::CampaignConfig cfg;
   cfg.runs = bench::RunCount(3000);
 
-  sim::Platform det_platform(sim::DetLeon3Config(), 7);
-  const auto det_samples = analysis::RunTvcaCampaign(det_platform, app, cfg);
+  const auto det_samples = analysis::RunCampaign(analysis::Workload(app, cfg),
+                                                 {sim::DetLeon3Config()})
+                               .samples;
   const auto det_times = analysis::ExtractTimes(det_samples);
 
-  sim::Platform rand_platform(sim::RandLeon3Config(), 7);
   const auto rand_samples =
-      analysis::RunTvcaCampaign(rand_platform, app, cfg);
+      analysis::RunCampaign(analysis::Workload(app, cfg),
+                            {sim::RandLeon3Config()})
+          .samples;
   const auto rand_times = analysis::ExtractTimes(rand_samples);
 
   const auto result = mbpta::AnalyzeSample(rand_times);

@@ -33,8 +33,8 @@ int main() {
 
   const auto analyze = [&](const char* platform_name,
                            const sim::PlatformConfig& pc) {
-    sim::Platform platform(pc, 7);
-    const auto samples = analysis::RunTvcaCampaign(platform, app, cfg);
+    const auto samples =
+        analysis::RunCampaign(analysis::Workload(app, cfg), {pc}).samples;
     const auto times = analysis::ExtractTimes(samples);
     const auto gate = mbpta::RunIidGate(times);
     table.AddRow({platform_name, "pooled", std::to_string(times.size()),

@@ -27,8 +27,9 @@ int main() {
   const apps::TvcaApp app;
   analysis::CampaignConfig cfg;
   cfg.runs = bench::RunCount(3000);
-  sim::Platform platform(sim::RandLeon3Config(), 7);
-  const auto samples = analysis::RunTvcaCampaign(platform, app, cfg);
+  const auto samples = analysis::RunCampaign(analysis::Workload(app, cfg),
+                                             {sim::RandLeon3Config()})
+                           .samples;
   const auto times = analysis::ExtractTimes(samples);
 
   mbpta::ConvergenceOptions opts;

@@ -47,15 +47,17 @@ int main() {
   for (const auto off : offsets) {
     const trace::Trace t = MakeTrace(off);
 
-    sim::Platform det(sim::DetLeon3Config(), 1);
-    const auto det_runs = analysis::RunFixedTraceCampaign(det, t, 5, 99);
+    const auto det_runs = analysis::RunCampaign(analysis::Workload(t, 5, 99),
+                                                {sim::DetLeon3Config()})
+                              .samples;
     const auto det_times = analysis::ExtractTimes(det_runs);
     // Deterministic platform: all runs of one layout are identical.
     det_min = std::min(det_min, det_times[0]);
     det_max = std::max(det_max, det_times[0]);
 
-    sim::Platform rnd(sim::RandLeon3Config(), 1);
-    const auto rnd_runs = analysis::RunFixedTraceCampaign(rnd, t, 200, 99);
+    const auto rnd_runs = analysis::RunCampaign(analysis::Workload(t, 200, 99),
+                                                {sim::RandLeon3Config()})
+                              .samples;
     const auto rnd_times = analysis::ExtractTimes(rnd_runs);
 
     std::printf("%-12llu %-14.0f %-14.0f %-14.0f\n",

@@ -97,9 +97,9 @@ int main() {
               t.instruction_count(),
               static_cast<unsigned long long>(t.path_signature));
 
-  sim::Platform platform(sim::RandLeon3Config(), 5);
-  const auto samples =
-      analysis::RunFixedTraceCampaign(platform, t, 2000, 1234);
+  const auto samples = analysis::RunCampaign(analysis::Workload(t, 2000, 1234),
+                                             {sim::RandLeon3Config()})
+                           .samples;
   const auto times = analysis::ExtractTimes(samples);
 
   const auto result = mbpta::AnalyzeSample(times);

@@ -29,8 +29,9 @@ int main() {
     const apps::TvcaApp app;
     analysis::CampaignConfig cfg;
     cfg.runs = 1200;
-    sim::Platform board(sim::RandLeon3Config(), 99);
-    const auto samples = analysis::RunTvcaCampaign(board, app, cfg);
+    const auto samples = analysis::RunCampaign(analysis::Workload(app, cfg),
+                                               {sim::RandLeon3Config()})
+                             .samples;
     analysis::WriteSamplesCsv(wire, samples);
     std::printf("board: streamed %zu measurements\n", samples.size());
   }

@@ -41,10 +41,11 @@ int main() {
   std::printf("trace: %zu instructions\n", t.instruction_count());
 
   // 3. 1000 measurement runs on the RAND platform (new seed per run).
-  sim::Platform rand_platform(sim::RandLeon3Config(), /*master_seed=*/1);
   const auto samples =
-      analysis::RunFixedTraceCampaign(rand_platform, t, /*runs=*/1000,
-                                      /*master_seed=*/2024);
+      analysis::RunCampaign(
+          analysis::Workload(t, /*runs=*/1000, /*master_seed=*/2024),
+          {sim::RandLeon3Config()})
+          .samples;
   const auto times = analysis::ExtractTimes(samples);
 
   // 4. MBPTA.

@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "analysis/campaign.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "apps/tvca.hpp"
 #include "mbpta/mbpta.hpp"
 #include "mbpta/per_path.hpp"
@@ -28,17 +27,18 @@ int main() {
   analysis::CampaignConfig cfg;
   cfg.runs = 3000;  // the paper's sample size
 
-  // The parallel runner is bit-identical to the serial one for any job
-  // count, so using every hardware thread changes nothing but wall clock.
+  // The campaign is bit-identical for any job count, so using every
+  // hardware thread changes nothing but wall clock.
   const std::size_t jobs = analysis::DefaultJobs();
+  const analysis::Workload workload(app, cfg);
   std::printf("collecting %zu runs on RAND (%zu jobs)...\n", cfg.runs, jobs);
   const auto rand_samples =
-      analysis::RunTvcaCampaignParallel(sim::RandLeon3Config(), app, cfg, jobs);
+      analysis::RunCampaign(workload, {sim::RandLeon3Config(), jobs}).samples;
   const auto rand_times = analysis::ExtractTimes(rand_samples);
 
   std::printf("collecting %zu runs on DET (%zu jobs)...\n", cfg.runs, jobs);
   const auto det_samples =
-      analysis::RunTvcaCampaignParallel(sim::DetLeon3Config(), app, cfg, jobs);
+      analysis::RunCampaign(workload, {sim::DetLeon3Config(), jobs}).samples;
   const auto det_times = analysis::ExtractTimes(det_samples);
 
   // Whole-sample analysis (i.i.d. gate as reported in the paper).

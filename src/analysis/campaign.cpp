@@ -1,9 +1,14 @@
 #include "analysis/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <mutex>
 
+#include "analysis/checkpoint.hpp"
 #include "common/assert.hpp"
 #include "common/hash.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
 
 namespace spta::analysis {
@@ -23,78 +28,216 @@ Seed FixedTraceRunSeed(std::uint64_t master_seed, std::size_t run_index) {
   return DeriveSeed(master_seed, run_index);
 }
 
-RunSample Measure(sim::Platform& platform,
-                  std::span<const trace::Segment> segments,
-                  std::uint32_t path_id, Seed run_seed,
-                  const std::function<void(sim::Platform&)>& after_reset) {
-  SPTA_OBS_SPAN("sim", "simulate");
-  RunSample s;
-  s.detail = platform.RunWithHook(segments, run_seed, after_reset);
-  s.cycles = static_cast<double>(s.detail.cycles);
-  s.path_id = path_id;
-  return s;
-}
-
-TvcaFrames::TvcaFrames(const apps::TvcaApp& app, const CampaignConfig& config)
-    : app_(app), config_(config) {
+Workload::Workload(const apps::TvcaApp& app, const CampaignConfig& config)
+    : app_(&app), config_(config), digest_(TvcaWorkloadDigest()) {
+  SPTA_REQUIRE(config.runs >= 1);
   // Runs r and r + distinct_scenarios share a frame, so a campaign
   // shorter than its suite reaches only its first `runs` scenarios.
   const std::size_t distinct =
       std::min(config.distinct_scenarios, config.runs);
   suite_.reserve(distinct);
-  suite_segments_.reserve(distinct);
   for (std::size_t i = 0; i < distinct; ++i) {
     suite_.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
-    suite_segments_.push_back({suite_.back().trace.records, nullptr});
+    segments_.push_back({suite_.back().trace.records, nullptr});
+    path_ids_.push_back(suite_.back().path_id);
   }
 }
 
-FrameView TvcaFrames::ForRun(std::size_t run_index,
-                             apps::FrameScratch& scratch) const {
-  if (!suite_.empty()) {
-    const std::size_t i = run_index % config_.distinct_scenarios;
-    return {{&suite_segments_[i], 1}, suite_[i].path_id};
+Workload::Workload(const trace::Trace& t, std::size_t runs,
+                   std::uint64_t master_seed)
+    : config_{runs, master_seed, 0},
+      digest_(FixedTraceWorkloadDigest(t)),
+      segments_{{t.records, nullptr}},
+      path_ids_{static_cast<std::uint32_t>(t.path_signature)} {
+  SPTA_REQUIRE(runs >= 1);
+}
+
+FrameView Workload::ForRun(std::size_t run_index,
+                           apps::FrameScratch& scratch) const {
+  if (!segments_.empty()) {
+    const std::size_t i = run_index % segments_.size();
+    return {{&segments_[i], 1}, path_ids_[i]};
   }
   const apps::FrameSpans& frame =
-      app_.BuildFrame(TvcaScenarioSeed(config_, run_index), scratch);
+      app_->BuildFrame(TvcaScenarioSeed(config_, run_index), scratch);
   return {frame.segments, frame.path_id};
 }
 
-std::vector<RunSample> RunTvcaCampaign(sim::Platform& platform,
-                                       const apps::TvcaApp& app,
-                                       const CampaignConfig& config) {
-  SPTA_REQUIRE(config.runs >= 1);
-  SPTA_OBS_SPAN_ARG("campaign", "tvca_campaign", "runs", config.runs);
-  std::vector<RunSample> samples;
-  samples.reserve(config.runs);
-  const TvcaFrames frames(app, config);
-  apps::FrameScratch scratch;
-  for (std::size_t r = 0; r < config.runs; ++r) {
-    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    const FrameView frame = frames.ForRun(r, scratch);
-    samples.push_back(
-        Measure(platform, frame.segments, frame.path_id,
-                TvcaRunSeed(config, r)));
-  }
-  return samples;
+Seed Workload::RunSeed(std::size_t run_index) const {
+  return app_ != nullptr ? TvcaRunSeed(config_, run_index)
+                         : FixedTraceRunSeed(config_.master_seed, run_index);
 }
 
-std::vector<RunSample> RunFixedTraceCampaign(sim::Platform& platform,
-                                             const trace::Trace& t,
-                                             std::size_t runs,
-                                             std::uint64_t master_seed) {
-  SPTA_REQUIRE(runs >= 1);
-  SPTA_OBS_SPAN_ARG("campaign", "fixed_trace_campaign", "runs", runs);
-  std::vector<RunSample> samples;
-  samples.reserve(runs);
-  const trace::Segment whole{t.records, nullptr};
-  for (std::size_t r = 0; r < runs; ++r) {
-    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    samples.push_back(Measure(platform, {&whole, 1},
-                              static_cast<std::uint32_t>(t.path_signature),
-                              FixedTraceRunSeed(master_seed, r)));
+CheckpointHeader Workload::Header() const {
+  return {config_.master_seed, config_.runs, config_.distinct_scenarios,
+          digest_};
+}
+
+const char* Workload::SpanName() const {
+  return app_ != nullptr ? "tvca_campaign" : "fixed_trace_campaign";
+}
+
+std::size_t DefaultJobs() { return ThreadPool::DefaultThreadCount(); }
+
+namespace {
+
+/// The per-worker arenas of a campaign: for each pool worker, one reusable
+/// sim::Platform and one apps::FrameScratch side by side. The platform is
+/// built on the worker's first run; the scratch holds no memory until the
+/// worker builds its first frame, so a prebuilt-frame campaign pays nothing
+/// for it. Slot w is touched only by pool worker w, so no locks are needed.
+class WorkerArenas {
+ public:
+  WorkerArenas(const sim::PlatformConfig& config, std::size_t workers)
+      : config_(config), slots_(workers) {}
+
+  /// The calling pool worker's platform. Aborts off the pool.
+  sim::Platform& Platform() {
+    Slot& slot = Current();
+    if (slot.platform == nullptr) {
+      slot.platform =
+          std::make_unique<sim::Platform>(config_, /*master_seed=*/0);
+    }
+    return *slot.platform;
   }
-  return samples;
+  /// The calling pool worker's frame scratch. Aborts off the pool.
+  apps::FrameScratch& Frame() { return Current().frame; }
+
+ private:
+  // Cache-line aligned so workers never write to a shared line.
+  struct alignas(64) Slot {
+    std::unique_ptr<sim::Platform> platform;
+    apps::FrameScratch frame;
+  };
+  Slot& Current() {
+    const std::size_t w = ThreadPool::CurrentWorkerIndex();
+    SPTA_CHECK_MSG(w != ThreadPool::kNotAWorker && w < slots_.size(),
+                   "campaign body must run on a pool worker");
+    return slots_[w];
+  }
+
+  const sim::PlatformConfig& config_;
+  std::vector<Slot> slots_;
+};
+
+/// Creates the journal of `options`, or resumes it into `out`/`have`.
+bool OpenJournal(const CheckpointHeader& header,
+                 const CheckpointOptions& options, CheckpointJournal* journal,
+                 CampaignResult* out, std::vector<char>* have) {
+  if (!options.resume) {
+    return journal->OpenNew(options.journal_path, header,
+                            options.fsync_interval, &out->error);
+  }
+  CheckpointLoad load;
+  if (!journal->OpenResume(options.journal_path, header,
+                           options.fsync_interval, &load, &out->error)) {
+    return false;
+  }
+  for (std::size_t r = 0; r < header.runs; ++r) {
+    if (load.samples[r].has_value()) {
+      out->samples[r] = *load.samples[r];
+      (*have)[r] = 1;
+    }
+  }
+  out->resumed_runs = load.completed;
+  out->torn_lines = load.torn_lines;
+  return true;
+}
+
+}  // namespace
+
+CampaignResult RunCampaign(const Workload& workload, const CampaignPlan& plan) {
+  CampaignResult out;
+  if (plan.journal.has_value() && plan.faults.Active()) {
+    out.error =
+        "--checkpoint journals clean campaigns only (drop the fault flags)";
+    return out;
+  }
+  const std::size_t runs = workload.runs();
+  out.samples.resize(runs);
+  std::vector<char> have(runs, 0);
+  CheckpointJournal journal;
+  if (plan.journal.has_value() &&
+      !OpenJournal(workload.Header(), *plan.journal, &journal, &out, &have)) {
+    return out;
+  }
+  std::vector<std::size_t> missing;
+  for (std::size_t r = 0; r < runs; ++r) {
+    if (!have[r]) missing.push_back(r);
+  }
+
+  ThreadPool pool(plan.jobs);
+  WorkerArenas arenas(plan.platform, pool.size());
+  SPTA_OBS_SPAN_ARG("campaign", workload.SpanName(), "runs", runs);
+  const FaultWindow& faults = plan.faults;
+  std::atomic<std::uint64_t> injected{0};
+  std::atomic<std::uint64_t> dropped{0};
+  // Appends are serialized under a mutex; the abort hook fires under the
+  // same mutex so the journal holds EXACTLY abort_after_appends new
+  // records when it triggers (a deterministic simulated crash, whatever
+  // the thread schedule).
+  const std::size_t abort_after =
+      plan.journal.has_value() ? plan.journal->abort_after_appends : 0;
+  std::mutex journal_mutex;
+  std::atomic<bool> stop{false};
+  std::size_t appended = 0;
+  bool append_failed = false;
+  std::string append_error;
+  ParallelFor(pool, missing.size(), [&](std::size_t u) {
+    if (stop.load(std::memory_order_relaxed)) return;
+    const std::size_t r = missing[u];
+    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
+    const FrameView frame = workload.ForRun(r, arenas.Frame());
+    std::size_t seed_run = r;
+    if (faults.seed_run) {
+      seed_run = faults.seed_run(r);
+      if (seed_run != r) dropped.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::function<void(sim::Platform&)> after_reset;
+    if (faults.after_reset) {
+      after_reset = [&faults, &injected, r](sim::Platform& p) {
+        injected.fetch_add(faults.after_reset(p, r),
+                           std::memory_order_relaxed);
+      };
+    }
+    RunSample s;
+    {
+      SPTA_OBS_SPAN("sim", "simulate");
+      s.detail = arenas.Platform().RunWithHook(
+          frame.segments, workload.RunSeed(seed_run), after_reset);
+    }
+    s.cycles = static_cast<double>(s.detail.cycles);
+    s.path_id = frame.path_id;
+    if (!journal.IsOpen()) {
+      out.samples[r] = std::move(s);
+      have[r] = 1;
+      return;
+    }
+    std::lock_guard<std::mutex> lock(journal_mutex);
+    if (stop.load(std::memory_order_relaxed) || append_failed) return;
+    if (abort_after != 0 && appended >= abort_after) {
+      stop.store(true, std::memory_order_relaxed);
+      return;
+    }
+    if (!journal.Append(r, s, &append_error)) {
+      append_failed = true;
+      return;
+    }
+    ++appended;
+    out.samples[r] = std::move(s);
+    have[r] = 1;
+  });
+
+  out.faults_injected = injected.load();
+  out.reseeds_dropped = dropped.load();
+  if (append_failed) {
+    out.error = append_error;
+    return out;
+  }
+  if (!journal.Close(&out.error)) return out;
+  out.completed =
+      std::all_of(have.begin(), have.end(), [](char h) { return h != 0; });
+  return out;
 }
 
 std::vector<double> ExtractTimes(std::span<const RunSample> samples) {

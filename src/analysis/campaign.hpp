@@ -5,16 +5,43 @@
 // platform (flush caches/TLBs, reset bus/DRAM — "reset the FPGA, reload
 // the executable") and, on the randomized platform, install a fresh PRNG
 // seed; then execute and record the end-to-end execution time and the
-// application path.
+// application path. A fault campaign is the same loop with an injection
+// window after the reset.
+//
+// RunCampaign is the one runner. It fans the runs of a Workload out across
+// a fixed-size worker pool. Determinism contract: every worker owns ONE
+// arena (a reusable sim::Platform and a frame scratch, reused for every run
+// that worker claims), and each run derives its scenario and platform-PRNG
+// seeds purely from (campaign master seed, run index); each result is
+// written into a pre-sized vector at its run index. The sample vector is
+// therefore BIT-IDENTICAL for every job count and scheduling order, and to
+// a reference that measures every run on a Platform built for it alone.
+//
+// This leans on two audited properties (see tests/campaign_test.cpp):
+//  * sim::Platform holds no shared or static mutable state, and
+//    Platform::Run performs the full per-run reset protocol, so a run's
+//    result is a pure function of (platform config, trace, run seed) —
+//    independent of the construction-time master seed and of any earlier
+//    runs on the same instance (which is what makes arena reuse safe).
+//    TvcaApp::BuildFrame(seed, scratch) overwrites every buffer it fills,
+//    so a reused scratch yields the same frame as a fresh one.
+//  * apps::TvcaApp is immutable after construction (const methods over
+//    const members; the programs it decodes on first use are published
+//    through std::call_once), so one instance is safely shared across
+//    workers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/tvca.hpp"
 #include "mbpta/per_path.hpp"
+#include "sim/config.hpp"
 #include "sim/platform.hpp"
 #include "trace/interpreter.hpp"
 
@@ -36,24 +63,23 @@ struct RunSample {
   sim::RunResult detail;
 };
 
-/// Seed-derivation contract shared by the serial and parallel runners: the
-/// inputs (scenario) seed and the platform PRNG seed of run `run_index` are
-/// pure functions of the campaign configuration, so any runner that honors
-/// them — in any execution order — produces the same sample vector.
+/// Seed-derivation contract: the inputs (scenario) seed and the platform
+/// PRNG seed of run `run_index` are pure functions of the campaign
+/// configuration, so any execution order produces the same sample vector.
 Seed TvcaScenarioSeed(const CampaignConfig& config, std::size_t run_index);
 Seed TvcaRunSeed(const CampaignConfig& config, std::size_t run_index);
 /// Per-run platform seed of a fixed-trace campaign.
 Seed FixedTraceRunSeed(std::uint64_t master_seed, std::size_t run_index);
 
-/// One measurement: runs the frame given as the ordered segment list
-/// `segments` on `platform` under `run_seed` inside the `sim/simulate`
-/// span.
-/// `after_reset` is Platform::RunWithHook's fault-injection window; null
-/// means a plain run.
-RunSample Measure(sim::Platform& platform,
-                  std::span<const trace::Segment> segments,
-                  std::uint32_t path_id, Seed run_seed,
-                  const std::function<void(sim::Platform&)>& after_reset = {});
+/// Campaign identity bound into the journal header (analysis/checkpoint).
+struct CheckpointHeader {
+  std::uint64_t campaign_seed = 0;
+  std::uint64_t runs = 0;
+  std::uint64_t distinct_scenarios = 0;
+  /// Distinguishes workloads (TVCA vs a specific fixed trace); resuming
+  /// under a different workload is refused.
+  std::uint64_t workload_digest = 0;
+};
 
 /// A campaign frame to measure: its ordered segment list and its
 /// application path.
@@ -62,48 +88,133 @@ struct FrameView {
   std::uint32_t path_id = 0;
 };
 
-/// The frames of a TVCA campaign. A fixed scenario suite
-/// (distinct_scenarios > 0) is built once, up front, and shared read-only;
-/// a fresh-input campaign builds run r's frame into the caller's scratch,
-/// so a worker that reuses one scratch allocates no frame memory after
-/// its first run. Either way run r measures exactly the records of
-/// app.BuildFrame(TvcaScenarioSeed(config, r)).
-class TvcaFrames {
+/// What a campaign measures: the frame and the platform seed of every run.
+/// A TVCA workload with a fixed scenario suite (distinct_scenarios > 0)
+/// builds the suite once, up front, and shares it read-only; a fresh-input
+/// TVCA workload builds run r's frame into the caller's scratch, so a
+/// worker that reuses one scratch allocates no frame memory after its
+/// first run. Either way run r measures exactly the records of
+/// app.BuildFrame(TvcaScenarioSeed(config, r)). A fixed-trace workload
+/// measures one trace under per-run reseeding (isolates platform
+/// randomization jitter from input jitter).
+class Workload {
  public:
-  TvcaFrames(const apps::TvcaApp& app, const CampaignConfig& config);
-  // suite_segments_ points into suite_: a copy would view the original.
-  TvcaFrames(const TvcaFrames&) = delete;
-  TvcaFrames& operator=(const TvcaFrames&) = delete;
+  /// A TVCA campaign: `config.runs` runs seeded from `config.master_seed`.
+  Workload(const apps::TvcaApp& app, const CampaignConfig& config);
+  /// `runs` measurements of the fixed trace `t`.
+  Workload(const trace::Trace& t, std::size_t runs,
+           std::uint64_t master_seed);
+  // segments_ may point into suite_: a copy would view the original.
+  Workload(const Workload&) = delete;
+  Workload& operator=(const Workload&) = delete;
 
-  /// Run `run_index`'s frame: a suite entry as a one-segment list, or the
-  /// segment list of a frame rebuilt into `scratch`.
+  std::size_t runs() const { return config_.runs; }
+  std::uint64_t master_seed() const { return config_.master_seed; }
+
+  /// Run `run_index`'s frame: a prebuilt frame as a one-segment list, or
+  /// the segment list of a fresh frame rebuilt into `scratch`.
   FrameView ForRun(std::size_t run_index, apps::FrameScratch& scratch) const;
-
-  /// The prebuilt suite (one frame per scenario the campaign reaches;
-  /// empty for fresh inputs).
-  const std::vector<apps::TvcaFrame>& suite() const { return suite_; }
+  /// Run `run_index`'s platform seed.
+  Seed RunSeed(std::size_t run_index) const;
+  /// The campaign identity a journal of this workload carries.
+  CheckpointHeader Header() const;
+  /// The campaign-level trace span: "tvca_campaign" or
+  /// "fixed_trace_campaign".
+  const char* SpanName() const;
 
  private:
-  const apps::TvcaApp& app_;
+  /// Null for a fixed-trace workload.
+  const apps::TvcaApp* app_ = nullptr;
   CampaignConfig config_;
+  std::uint64_t digest_ = 0;
+  /// The prebuilt frames: the reachable suite of a TVCA workload (empty
+  /// for fresh inputs) or the one fixed trace. Run r measures frame
+  /// r % size as the one-segment view segments_[r % size].
   std::vector<apps::TvcaFrame> suite_;
-  /// suite_[i]'s records as one segment, so a suite frame is a
-  /// one-segment view.
-  std::vector<trace::Segment> suite_segments_;
+  std::vector<trace::Segment> segments_;
+  std::vector<std::uint32_t> path_ids_;
 };
 
-/// Executes a TVCA campaign on `platform`, building frames as TvcaFrames
-/// does: a fixed suite once, fresh inputs into one reused scratch.
-std::vector<RunSample> RunTvcaCampaign(sim::Platform& platform,
-                                       const apps::TvcaApp& app,
-                                       const CampaignConfig& config);
+/// Options of a journaled campaign (analysis/checkpoint).
+struct CheckpointOptions {
+  std::string journal_path;
+  /// Restore completed runs from an existing journal and continue. With
+  /// resume=false an existing journal is overwritten.
+  bool resume = false;
+  /// fsync after every Nth append (1 = every append, the default).
+  std::size_t fsync_interval = 1;
+  /// TEST HOOK — simulated crash: stop appending (and measuring) once
+  /// this many appends have happened in this execution. 0 = disabled.
+  std::size_t abort_after_appends = 0;
+};
 
-/// Executes `runs` measurements of one fixed trace under per-run reseeding
-/// (isolates platform randomization jitter from input jitter).
-std::vector<RunSample> RunFixedTraceCampaign(sim::Platform& platform,
-                                             const trace::Trace& t,
-                                             std::size_t runs,
-                                             std::uint64_t master_seed);
+/// A campaign's fault-injection window (built by src/fault from its fault
+/// plan). Both parts are pure functions of the run index, so a faulted
+/// campaign replays bit-for-bit on any schedule.
+struct FaultWindow {
+  /// Injects run r's faults into the platform between the per-run reset
+  /// and execution (Platform::RunWithHook) and returns how many it
+  /// injected; null injects none.
+  std::function<std::uint64_t(sim::Platform&, std::size_t)> after_reset;
+  /// The run whose platform seed run r executes under: r on a healthy
+  /// platform, an earlier run when r's reseed write is dropped; null
+  /// means r.
+  std::function<std::size_t(std::size_t)> seed_run;
+
+  bool Active() const { return after_reset || seed_run; }
+};
+
+/// How to execute a campaign.
+struct CampaignPlan {
+  CampaignPlan(sim::PlatformConfig platform_config, std::size_t job_count = 1,
+               std::optional<CheckpointOptions> journal_options = {},
+               FaultWindow fault_window = {})
+      : platform(std::move(platform_config)),
+        jobs(job_count),
+        journal(std::move(journal_options)),
+        faults(std::move(fault_window)) {}
+
+  sim::PlatformConfig platform;
+  /// Worker threads (0 = DefaultJobs()); any value yields the same
+  /// samples.
+  std::size_t jobs = 1;
+  /// Journal every completed run; with resume, restore the journalled
+  /// runs and measure only the missing ones.
+  std::optional<CheckpointOptions> journal;
+  /// Fault injection; journals hold clean campaigns only, so a plan with
+  /// both is refused.
+  FaultWindow faults;
+};
+
+struct CampaignResult {
+  /// Slot r holds run r's sample (default-constructed for runs an
+  /// aborted journaled campaign never measured).
+  std::vector<RunSample> samples;
+  /// False when the abort hook fired (samples is then incomplete).
+  bool completed = false;
+  /// Runs restored from the journal instead of re-executed.
+  std::size_t resumed_runs = 0;
+  std::size_t torn_lines = 0;
+  /// Faults the window injected across all runs.
+  std::uint64_t faults_injected = 0;
+  /// Runs that executed under another run's seed (dropped reseeds).
+  std::uint64_t reseeds_dropped = 0;
+  /// Non-empty when the campaign was refused or its journal failed.
+  std::string error;
+
+  bool ok() const { return error.empty(); }
+  bool Tainted() const { return faults_injected + reseeds_dropped > 0; }
+};
+
+/// Default worker count: the hardware concurrency (>= 1).
+std::size_t DefaultJobs();
+
+/// Executes `workload` as `plan` says. Journaled campaigns create or
+/// resume the journal (refusing one whose header names another campaign)
+/// and append each sample under one mutex, so the abort hook stops the
+/// journal at exactly its count. A plan with a journal and faults is
+/// refused with an error and writes no journal.
+CampaignResult RunCampaign(const Workload& workload, const CampaignPlan& plan);
 
 /// Extracts the execution-time series (collection order preserved).
 std::vector<double> ExtractTimes(std::span<const RunSample> samples);

@@ -5,22 +5,16 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <functional>
-#include <mutex>
 #include <span>
 #include <sstream>
 
-#include "analysis/parallel_campaign.hpp"
 #include "common/assert.hpp"
 #include "common/atomic_file.hpp"
 #include "common/hash.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
-#include "sim/platform.hpp"
 
 namespace spta::analysis {
 namespace {
@@ -208,10 +202,23 @@ bool CheckpointJournal::OpenNew(const std::string& path,
   return true;
 }
 
-bool CheckpointJournal::OpenExisting(const std::string& path,
-                                     std::size_t fsync_interval,
-                                     std::string* error) {
+bool CheckpointJournal::OpenResume(const std::string& path,
+                                   const CheckpointHeader& header,
+                                   std::size_t fsync_interval,
+                                   CheckpointLoad* load, std::string* error) {
   SPTA_REQUIRE(fsync_interval >= 1);
+  if (!LoadCheckpoint(path, load, error)) return false;
+  const CheckpointHeader& h = load->header;
+  if (h.campaign_seed != header.campaign_seed || h.runs != header.runs ||
+      h.distinct_scenarios != header.distinct_scenarios ||
+      h.workload_digest != header.workload_digest) {
+    if (error != nullptr) {
+      *error = path +
+               ": journal belongs to a different campaign (seed/runs/"
+               "scenarios/workload mismatch); refusing to resume";
+    }
+    return false;
+  }
   fd_ = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (fd_ < 0) return SysError(error, "open", path);
   fsync_interval_ = fsync_interval;
@@ -298,154 +305,6 @@ std::uint64_t TvcaWorkloadDigest() { return DeriveSeed(0, "tvca-workload"); }
 std::uint64_t FixedTraceWorkloadDigest(const trace::Trace& t) {
   return HashCombine(DeriveSeed(0, "fixed-trace-workload"),
                      HashCombine(t.path_signature, t.records.size()));
-}
-
-namespace {
-
-/// The journaling skeleton of both checkpointed runners: it creates or
-/// resumes the journal (refusing one whose header names another
-/// campaign), restores the journalled runs, measures each missing run r
-/// with `measure(r)` on a worker of `pool`, and appends each sample under
-/// one mutex, so the `abort_after_appends` hook stops the journal at
-/// exactly that count. Every sample must be a pure function of its run
-/// index (the seed-derivation contract).
-bool RunCheckpointedCampaign(
-    const CheckpointHeader& header, ThreadPool& pool,
-    const CheckpointOptions& options,
-    const std::function<RunSample(std::size_t)>& measure,
-    CheckpointedCampaignResult* out, std::string* error) {
-  SPTA_REQUIRE(!options.journal_path.empty());
-  *out = CheckpointedCampaignResult{};
-  out->samples.resize(header.runs);
-  std::vector<char> have(header.runs, 0);
-
-  CheckpointJournal journal;
-  if (options.resume) {
-    CheckpointLoad load;
-    if (!LoadCheckpoint(options.journal_path, &load, error)) return false;
-    if (load.header.campaign_seed != header.campaign_seed ||
-        load.header.runs != header.runs ||
-        load.header.distinct_scenarios != header.distinct_scenarios ||
-        load.header.workload_digest != header.workload_digest) {
-      if (error != nullptr) {
-        *error = options.journal_path +
-                 ": journal belongs to a different campaign (seed/runs/"
-                 "scenarios/workload mismatch); refusing to resume";
-      }
-      return false;
-    }
-    for (std::size_t r = 0; r < header.runs; ++r) {
-      if (load.samples[r].has_value()) {
-        out->samples[r] = *load.samples[r];
-        have[r] = 1;
-      }
-    }
-    out->resumed_runs = load.completed;
-    out->torn_lines = load.torn_lines;
-    if (!journal.OpenExisting(options.journal_path, options.fsync_interval,
-                              error)) {
-      return false;
-    }
-  } else {
-    if (!journal.OpenNew(options.journal_path, header, options.fsync_interval,
-                         error)) {
-      return false;
-    }
-  }
-
-  std::vector<std::size_t> missing;
-  for (std::size_t r = 0; r < header.runs; ++r) {
-    if (!have[r]) missing.push_back(r);
-  }
-
-  // The measurement fan-out. Appends are serialized under a mutex; the
-  // abort hook fires under the same mutex so the journal holds EXACTLY
-  // abort_after_appends new records when it triggers (a deterministic
-  // simulated crash, whatever the thread schedule).
-  std::mutex journal_mutex;
-  std::atomic<bool> stop{false};
-  std::size_t appended = 0;
-  bool append_failed = false;
-  std::string append_error;
-  ParallelFor(pool, missing.size(), [&](std::size_t u) {
-    if (stop.load(std::memory_order_relaxed)) return;
-    const std::size_t r = missing[u];
-    SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    RunSample s = measure(r);
-    std::lock_guard<std::mutex> lock(journal_mutex);
-    if (stop.load(std::memory_order_relaxed) || append_failed) return;
-    if (options.abort_after_appends != 0 &&
-        appended >= options.abort_after_appends) {
-      stop.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (!journal.Append(r, s, &append_error)) {
-      append_failed = true;
-      return;
-    }
-    ++appended;
-    out->samples[r] = std::move(s);
-    have[r] = 1;
-  });
-
-  if (append_failed) {
-    if (error != nullptr) *error = append_error;
-    return false;
-  }
-  if (!journal.Close(error)) return false;
-  out->completed =
-      std::all_of(have.begin(), have.end(), [](char h) { return h != 0; });
-  return true;
-}
-
-}  // namespace
-
-bool RunTvcaCampaignCheckpointed(const sim::PlatformConfig& platform_config,
-                                 const apps::TvcaApp& app,
-                                 const CampaignConfig& config,
-                                 std::size_t jobs,
-                                 const CheckpointOptions& options,
-                                 CheckpointedCampaignResult* out,
-                                 std::string* error) {
-  SPTA_REQUIRE(config.runs >= 1);
-  CheckpointHeader header;
-  header.campaign_seed = config.master_seed;
-  header.runs = config.runs;
-  header.distinct_scenarios = config.distinct_scenarios;
-  header.workload_digest = TvcaWorkloadDigest();
-
-  const TvcaFrames frames(app, config);
-  ThreadPool pool(jobs);
-  WorkerArenas arenas(platform_config, pool.size());
-  auto measure = [&](std::size_t r) {
-    const FrameView frame = frames.ForRun(r, arenas.Frame());
-    return Measure(arenas.Platform(), frame.segments, frame.path_id,
-                   TvcaRunSeed(config, r));
-  };
-  return RunCheckpointedCampaign(header, pool, options, measure, out, error);
-}
-
-bool RunFixedTraceCampaignCheckpointed(
-    const sim::PlatformConfig& platform_config, const trace::Trace& t,
-    std::size_t runs, std::uint64_t master_seed, std::size_t jobs,
-    const CheckpointOptions& options, CheckpointedCampaignResult* out,
-    std::string* error) {
-  SPTA_REQUIRE(runs >= 1);
-  CheckpointHeader header;
-  header.campaign_seed = master_seed;
-  header.runs = runs;
-  header.distinct_scenarios = 0;
-  header.workload_digest = FixedTraceWorkloadDigest(t);
-
-  ThreadPool pool(jobs);
-  WorkerArenas arenas(platform_config, pool.size());
-  const trace::Segment whole{t.records, nullptr};
-  auto measure = [&](std::size_t r) {
-    return Measure(arenas.Platform(), {&whole, 1},
-                   static_cast<std::uint32_t>(t.path_signature),
-                   FixedTraceRunSeed(master_seed, r));
-  };
-  return RunCheckpointedCampaign(header, pool, options, measure, out, error);
 }
 
 }  // namespace spta::analysis

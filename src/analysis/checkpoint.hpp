@@ -19,6 +19,10 @@
 //     different campaign is refused,
 //   - final CSV exports go through the tmp-file + fsync + rename writers
 //     (sample_io), so the published artifact is never truncated.
+//
+// analysis::RunCampaign drives the journal; the campaign identity
+// (CheckpointHeader, which a Workload yields) and the journal options
+// (CheckpointOptions, which a CampaignPlan holds) live in campaign.hpp.
 #pragma once
 
 #include <cstdint>
@@ -27,20 +31,18 @@
 #include <vector>
 
 #include "analysis/campaign.hpp"
-#include "apps/tvca.hpp"
-#include "sim/config.hpp"
 #include "trace/record.hpp"
 
 namespace spta::analysis {
 
-/// Campaign identity bound into the journal header.
-struct CheckpointHeader {
-  std::uint64_t campaign_seed = 0;
-  std::uint64_t runs = 0;
-  std::uint64_t distinct_scenarios = 0;
-  /// Distinguishes workloads (TVCA vs a specific fixed trace); resuming
-  /// under a different workload is refused.
-  std::uint64_t workload_digest = 0;
+/// Read-side result of scanning a journal.
+struct CheckpointLoad {
+  CheckpointHeader header;
+  /// Slot r holds run r's sample when the journal recorded it.
+  std::vector<std::optional<RunSample>> samples;
+  std::size_t completed = 0;
+  /// Damaged trailing/interior lines that were dropped (torn writes).
+  std::size_t torn_lines = 0;
 };
 
 /// Append-side handle. One writer at a time; not thread-safe (callers
@@ -56,10 +58,12 @@ class CheckpointJournal {
   bool OpenNew(const std::string& path, const CheckpointHeader& header,
                std::size_t fsync_interval, std::string* error);
 
-  /// Opens an existing journal for appending (resume). The caller is
-  /// expected to have validated the header via LoadCheckpoint.
-  bool OpenExisting(const std::string& path, std::size_t fsync_interval,
-                    std::string* error);
+  /// Resumes `path`: scans it into `load` (LoadCheckpoint), refuses a
+  /// journal whose header is not `header` (another campaign's), and
+  /// opens it for appending. A refused journal is left untouched.
+  bool OpenResume(const std::string& path, const CheckpointHeader& header,
+                  std::size_t fsync_interval, CheckpointLoad* load,
+                  std::string* error);
 
   /// Appends one completed run. fsync'd per the configured interval.
   bool Append(std::uint64_t run_index, const RunSample& sample,
@@ -76,16 +80,6 @@ class CheckpointJournal {
   std::size_t appends_since_sync_ = 0;
 };
 
-/// Read-side result of scanning a journal.
-struct CheckpointLoad {
-  CheckpointHeader header;
-  /// Slot r holds run r's sample when the journal recorded it.
-  std::vector<std::optional<RunSample>> samples;
-  std::size_t completed = 0;
-  /// Damaged trailing/interior lines that were dropped (torn writes).
-  std::size_t torn_lines = 0;
-};
-
 /// Scans `path`, dropping damaged lines. Fails only on unreadable files
 /// or a damaged/alien header (a journal we cannot trust at all).
 bool LoadCheckpoint(const std::string& path, CheckpointLoad* out,
@@ -94,44 +88,5 @@ bool LoadCheckpoint(const std::string& path, CheckpointLoad* out,
 /// Workload digests for the two campaign kinds.
 std::uint64_t TvcaWorkloadDigest();
 std::uint64_t FixedTraceWorkloadDigest(const trace::Trace& t);
-
-/// Options of a checkpointed campaign execution.
-struct CheckpointOptions {
-  std::string journal_path;
-  /// Restore completed runs from an existing journal and continue. With
-  /// resume=false an existing journal is overwritten.
-  bool resume = false;
-  /// fsync after every Nth append (1 = every append, the default).
-  std::size_t fsync_interval = 1;
-  /// TEST HOOK — simulated crash: stop appending (and measuring) once
-  /// this many appends have happened in this execution. 0 = disabled.
-  std::size_t abort_after_appends = 0;
-};
-
-struct CheckpointedCampaignResult {
-  std::vector<RunSample> samples;
-  /// False when the abort hook fired (samples is then incomplete).
-  bool completed = false;
-  /// Runs restored from the journal instead of re-executed.
-  std::size_t resumed_runs = 0;
-  std::size_t torn_lines = 0;
-};
-
-/// RunTvcaCampaignParallel with journaling. Bit-identical samples to the
-/// plain runner for any jobs / interruption pattern (seed contract).
-bool RunTvcaCampaignCheckpointed(const sim::PlatformConfig& platform_config,
-                                 const apps::TvcaApp& app,
-                                 const CampaignConfig& config,
-                                 std::size_t jobs,
-                                 const CheckpointOptions& options,
-                                 CheckpointedCampaignResult* out,
-                                 std::string* error);
-
-/// RunFixedTraceCampaignParallel with journaling.
-bool RunFixedTraceCampaignCheckpointed(
-    const sim::PlatformConfig& platform_config, const trace::Trace& t,
-    std::size_t runs, std::uint64_t master_seed, std::size_t jobs,
-    const CheckpointOptions& options, CheckpointedCampaignResult* out,
-    std::string* error);
 
 }  // namespace spta::analysis

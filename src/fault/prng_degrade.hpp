@@ -5,7 +5,7 @@
 // models the qualified generator going bad in the field: output bits stuck
 // at 0/1 (a latched flip-flop), reduced effective entropy (part of the
 // LFSR/CASR state frozen), and — at the campaign level, see
-// fault::FaultCampaignConfig::reseed_dropout — the per-run reseed write
+// fault::CampaignFaults::reseed_dropout — the per-run reseed write
 // being dropped so consecutive runs share a randomization.
 //
 // Detection point: the FIPS-style bitstream battery in prng/self_test.hpp

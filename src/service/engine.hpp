@@ -9,7 +9,7 @@
 // rendered result is deterministic (key-sorted args, %.17g numbers), so a
 // cached answer is byte-identical to a recomputed one — and the reported
 // pWCET quantile is bit-identical to what the batch pipeline
-// (mbpta::AnalyzeSample over RunTvcaCampaignParallel samples) produces,
+// (mbpta::AnalyzeSample over analysis::RunCampaign samples) produces,
 // because both run the same code on the same doubles.
 #pragma once
 

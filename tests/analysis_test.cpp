@@ -30,21 +30,23 @@ apps::TvcaConfig TinyTvca() {
 
 TEST(CampaignTest, FixedTraceCampaignSizeAndDeterminism) {
   const trace::Trace t = trace::BlendTrace({}, 1);
-  sim::Platform p(sim::RandLeon3Config(), 1);
-  const auto a = analysis::RunFixedTraceCampaign(p, t, 20, 7);
-  ASSERT_EQ(a.size(), 20u);
-  sim::Platform p2(sim::RandLeon3Config(), 99);  // master seed immaterial
-  const auto b = analysis::RunFixedTraceCampaign(p2, t, 20, 7);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].cycles, b[i].cycles);
+  const analysis::Workload workload(t, 20, 7);
+  const auto a = analysis::RunCampaign(workload, {sim::RandLeon3Config()});
+  ASSERT_EQ(a.samples.size(), 20u);
+  const auto b = analysis::RunCampaign(workload, {sim::RandLeon3Config()});
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    EXPECT_EQ(a.samples[i].cycles, b.samples[i].cycles);
   }
 }
 
 TEST(CampaignTest, FixedTraceCampaignSeedsDiffer) {
   const trace::Trace t = trace::BlendTrace({}, 1);
-  sim::Platform p(sim::RandLeon3Config(), 1);
-  const auto a = analysis::RunFixedTraceCampaign(p, t, 20, 7);
-  const auto b = analysis::RunFixedTraceCampaign(p, t, 20, 8);
+  const auto a = analysis::RunCampaign(analysis::Workload(t, 20, 7),
+                                       {sim::RandLeon3Config()})
+                     .samples;
+  const auto b = analysis::RunCampaign(analysis::Workload(t, 20, 8),
+                                       {sim::RandLeon3Config()})
+                     .samples;
   bool any_diff = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     any_diff |= a[i].cycles != b[i].cycles;
@@ -56,8 +58,9 @@ TEST(CampaignTest, TvcaCampaignFreshInputsGiveDistinctInstructionCounts) {
   const apps::TvcaApp app(TinyTvca());
   analysis::CampaignConfig cfg;
   cfg.runs = 30;
-  sim::Platform p(sim::RandLeon3Config(), 1);
-  const auto samples = analysis::RunTvcaCampaign(p, app, cfg);
+  const auto samples = analysis::RunCampaign(analysis::Workload(app, cfg),
+                                             {sim::RandLeon3Config()})
+                           .samples;
   std::set<std::uint64_t> instr;
   for (const auto& s : samples) instr.insert(s.detail.instructions);
   EXPECT_GT(instr.size(), 3u);  // multiple paths / input-dependent lengths
@@ -68,8 +71,9 @@ TEST(CampaignTest, DistinctScenariosCycleDeterministically) {
   analysis::CampaignConfig cfg;
   cfg.runs = 12;
   cfg.distinct_scenarios = 3;
-  sim::Platform p(sim::DetLeon3Config(), 1);
-  const auto samples = analysis::RunTvcaCampaign(p, app, cfg);
+  const auto samples = analysis::RunCampaign(analysis::Workload(app, cfg),
+                                             {sim::DetLeon3Config()})
+                           .samples;
   // On DET, identical scenario => identical cycles.
   for (std::size_t i = 0; i + 3 < samples.size(); ++i) {
     EXPECT_EQ(samples[i].cycles, samples[i + 3].cycles) << i;

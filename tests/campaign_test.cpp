@@ -1,27 +1,29 @@
-// Thread-safety battery for the parallel campaign runner and its pool.
+// The campaign runner (analysis::RunCampaign) and its thread pool.
 //
-// The load-bearing claim is the determinism contract: the parallel runner
-// produces a sample vector BIT-IDENTICAL to the serial runner's for every
-// job count, because each run owns a fresh sim::Platform and derives its
-// seeds purely from (campaign seed, run index). These tests assert that
-// contract on the TVCA workload and on a synthetic kernel, check the
-// per-path partitions, pin the audited platform properties it leans on,
-// and stress the ThreadPool primitive itself. Run them under
-// -DSPTA_SANITIZE=thread to get the data-race proof (see README).
+// The load-bearing claim is the determinism contract: whatever the plan —
+// any job count, killed and resumed from a journal, under a fault window —
+// the sample vector is BIT-IDENTICAL to a reference that measures every
+// run on a Platform constructed for that run alone, because each run
+// derives its frame, its seeds and its faults purely from (campaign seed,
+// run index). The campaign matrix asserts that contract on every workload
+// kind; the job sweeps add odd job counts; the remaining tests pin the
+// audited platform properties it leans on and stress the ThreadPool
+// primitive itself. Run them under -DSPTA_SANITIZE=thread to get the
+// data-race proof (see README).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <stdexcept>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "analysis/campaign.hpp"
-#include "analysis/checkpoint.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "apps/tvca.hpp"
 #include "common/thread_pool.hpp"
 #include "fault/campaign.hpp"
@@ -73,10 +75,186 @@ void ExpectSameSamples(const std::vector<analysis::RunSample>& a,
   }
 }
 
+/// The reference samples: run r builds its frame by value (the TVCA
+/// scenario of run r, or the fixed trace), measures it on a Platform
+/// constructed for that run alone under the seed of run `seed_run(r)`,
+/// and calls `hook(platform, r)` in the RunWithHook window when given.
+/// Frames and seeds come from the seed-derivation functions, never from
+/// the Workload under test.
+std::vector<analysis::RunSample> Reference(
+    const apps::TvcaApp* app, const trace::Trace* fixed,
+    const analysis::CampaignConfig& cc,
+    const std::function<std::size_t(std::size_t)>& seed_run = {},
+    const std::function<void(sim::Platform&, std::size_t)>& hook = {}) {
+  std::vector<analysis::RunSample> samples;
+  for (std::size_t r = 0; r < cc.runs; ++r) {
+    const std::size_t s = seed_run ? seed_run(r) : r;
+    trace::Trace t;
+    std::uint32_t path_id = 0;
+    Seed run_seed = 0;
+    if (app != nullptr) {
+      const apps::TvcaFrame frame =
+          app->BuildFrame(analysis::TvcaScenarioSeed(cc, r));
+      t = frame.trace;
+      path_id = frame.path_id;
+      run_seed = analysis::TvcaRunSeed(cc, s);
+    } else {
+      t = *fixed;
+      path_id = static_cast<std::uint32_t>(fixed->path_signature);
+      run_seed = analysis::FixedTraceRunSeed(cc.master_seed, s);
+    }
+    sim::Platform platform(sim::RandLeon3Config(), /*master_seed=*/r);
+    analysis::RunSample sample;
+    sample.detail = platform.RunWithHook(t, run_seed, [&](sim::Platform& p) {
+      if (hook) hook(p, r);
+    });
+    sample.cycles = static_cast<double>(sample.detail.cycles);
+    sample.path_id = path_id;
+    samples.push_back(sample);
+  }
+  return samples;
+}
+
 // ---------------------------------------------------------------------------
-// Bit-identity on the TVCA workload, fixed scenario suite, for every job
-// count (1 = pool-of-one, 2/4 = even fan-out, 7 = odd count on purpose so
-// chunk boundaries never align with the run count).
+// The campaign matrix: workload × jobs × journal × faults, every cell
+// against the per-run reference. Journal × faults is refused.
+
+enum class Kind { kFresh, kSuite, kFixed };
+enum class Journal { kPlain, kKilledAndResumed };
+enum class Faults { kNone, kSeu, kReseedDropout };
+
+struct Cell {
+  Kind kind;
+  std::size_t jobs;
+  Journal journal;
+  Faults faults;
+};
+
+/// Every combination of the four axes.
+std::vector<Cell> AllCells() {
+  std::vector<Cell> cells;
+  for (const Kind kind : {Kind::kFresh, Kind::kSuite, Kind::kFixed}) {
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      for (const Journal journal :
+           {Journal::kPlain, Journal::kKilledAndResumed}) {
+        for (const Faults faults :
+             {Faults::kNone, Faults::kSeu, Faults::kReseedDropout}) {
+          cells.push_back({kind, jobs, journal, faults});
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+/// The cell's name ("fresh_jobs1_plain_clean"); CTest lists each cell
+/// under it.
+void PrintTo(const Cell& cell, std::ostream* os) {
+  const char* kinds[] = {"fresh", "suite", "fixed"};
+  const char* journals[] = {"plain", "resumed"};
+  const char* faults[] = {"clean", "seu", "dropout"};
+  *os << kinds[static_cast<int>(cell.kind)] << "_jobs" << cell.jobs << "_"
+      << journals[static_cast<int>(cell.journal)] << "_"
+      << faults[static_cast<int>(cell.faults)];
+}
+
+class CampaignMatrix : public ::testing::TestWithParam<Cell> {
+ protected:
+  CampaignMatrix() {
+    const Cell& cell = GetParam();
+    cc_.runs = 24;
+    cc_.master_seed = 31;
+    cc_.distinct_scenarios = cell.kind == Kind::kSuite ? 3 : 0;
+    if (cell.faults == Faults::kSeu) faults_.seu.upsets_per_run = 3.0;
+    if (cell.faults == Faults::kReseedDropout) faults_.reseed_dropout = 0.3;
+    faults_.fault_seed = 4242;
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    journal_ = ::testing::TempDir() + "spta_matrix_" + name + ".ckpt";
+    std::remove(journal_.c_str());
+  }
+  ~CampaignMatrix() override { std::remove(journal_.c_str()); }
+
+  const apps::TvcaApp app_{SmallTvca()};
+  const trace::Trace fixed_ = app_.BuildFrame(/*scenario_seed=*/42).trace;
+  analysis::CampaignConfig cc_;
+  fault::CampaignFaults faults_;
+  std::string journal_;
+};
+
+TEST_P(CampaignMatrix, MatchesThePerRunReference) {
+  const auto [kind, jobs, journal, faults] = GetParam();
+  SCOPED_TRACE(::testing::PrintToString(GetParam()));
+  const bool fixed = kind == Kind::kFixed;
+  const analysis::Workload workload =
+      fixed ? analysis::Workload(fixed_, cc_.runs, cc_.master_seed)
+            : analysis::Workload(app_, cc_);
+  analysis::CampaignPlan plan{sim::RandLeon3Config(), jobs};
+  plan.faults = fault::MakeFaultWindow(faults_, cc_.master_seed);
+  EXPECT_EQ(plan.faults.Active(), faults != Faults::kNone);
+
+  analysis::CampaignResult result;
+  if (journal == Journal::kPlain) {
+    result = analysis::RunCampaign(workload, plan);
+  } else {
+    analysis::CheckpointOptions opts;
+    opts.journal_path = journal_;
+    opts.abort_after_appends = cc_.runs / 3;
+    plan.journal = opts;
+    const analysis::CampaignResult killed =
+        analysis::RunCampaign(workload, plan);
+    if (faults != Faults::kNone) {
+      // Journals hold clean campaigns only: refused, and no journal.
+      EXPECT_FALSE(killed.ok());
+      EXPECT_NE(killed.error.find("clean campaigns only"), std::string::npos)
+          << killed.error;
+      EXPECT_FALSE(std::ifstream(journal_).good());
+      return;
+    }
+    ASSERT_TRUE(killed.ok()) << killed.error;
+    ASSERT_FALSE(killed.completed);
+
+    plan.journal->abort_after_appends = 0;
+    plan.journal->resume = true;
+    result = analysis::RunCampaign(workload, plan);
+    EXPECT_EQ(result.resumed_runs, cc_.runs / 3);
+  }
+  ASSERT_TRUE(result.ok()) << result.error;
+  ASSERT_TRUE(result.completed);
+
+  std::function<std::size_t(std::size_t)> seed_run;
+  std::function<void(sim::Platform&, std::size_t)> hook;
+  std::uint64_t dropped = 0;
+  if (faults == Faults::kReseedDropout) {
+    seed_run = [&](std::size_t r) {
+      return fault::ReseedRun(faults_, cc_.master_seed, r);
+    };
+    for (std::size_t r = 0; r < cc_.runs; ++r) dropped += seed_run(r) != r;
+    ASSERT_GT(dropped, 0u);
+  }
+  if (faults == Faults::kSeu) {
+    hook = [&](sim::Platform& p, std::size_t r) {
+      fault::InjectSeus(p, faults_.seu, faults_.fault_seed, r);
+    };
+  }
+  EXPECT_EQ(result.faults_injected,
+            faults == Faults::kSeu ? 3u * cc_.runs : 0u);
+  EXPECT_EQ(result.reseeds_dropped, dropped);
+  EXPECT_EQ(result.Tainted(), faults != Faults::kNone);
+  ExpectSameSamples(
+      Reference(fixed ? nullptr : &app_, fixed ? &fixed_ : nullptr, cc_,
+                seed_run, hook),
+      result.samples);
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, CampaignMatrix,
+                         ::testing::ValuesIn(AllCells()));
+
+// ---------------------------------------------------------------------------
+// Job sweeps with odd counts (1 = pool-of-one, 2/4 = even fan-out, 7 = odd
+// on purpose so chunk boundaries never align with the run count): a TVCA
+// scenario suite and a synthetic kernel (fixed-trace workload).
 class TvcaJobSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(TvcaJobSweep, BitIdenticalToSerialRunner) {
@@ -85,159 +263,14 @@ TEST_P(TvcaJobSweep, BitIdenticalToSerialRunner) {
   cc.runs = 90;
   cc.distinct_scenarios = 6;
 
-  sim::Platform platform(sim::RandLeon3Config(), cc.master_seed);
-  const auto serial = analysis::RunTvcaCampaign(platform, app, cc);
-  const auto parallel = analysis::RunTvcaCampaignParallel(
-      sim::RandLeon3Config(), app, cc, GetParam());
-  ExpectSameSamples(serial, parallel);
+  const auto result = analysis::RunCampaign(
+      analysis::Workload(app, cc), {sim::RandLeon3Config(), GetParam()});
+  ExpectSameSamples(Reference(&app, nullptr, cc), result.samples);
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, TvcaJobSweep,
                          ::testing::Values(1u, 2u, 4u, 7u));
 
-TEST(ParallelCampaignTest, FreshInputCampaignBitIdentical) {
-  // distinct_scenarios == 0: every run draws fresh inputs, so the workers
-  // build their own frames; traces must still match the serial runner's.
-  const apps::TvcaApp app(SmallTvca());
-  analysis::CampaignConfig cc;
-  cc.runs = 40;
-  cc.distinct_scenarios = 0;
-
-  sim::Platform platform(sim::RandLeon3Config(), cc.master_seed);
-  const auto serial = analysis::RunTvcaCampaign(platform, app, cc);
-  const auto parallel = analysis::RunTvcaCampaignParallel(
-      sim::RandLeon3Config(), app, cc, 4);
-  ExpectSameSamples(serial, parallel);
-}
-
-// ---------------------------------------------------------------------------
-// Fresh inputs (distinct_scenarios == 0) through every pool runner. Each
-// worker builds run r's frame into its own reused FrameScratch on its own
-// reused Platform; these pin that the reuse is invisible: every runner
-// reproduces a reference that builds each frame by value and measures it
-// on a Platform constructed for that run alone.
-
-/// The reference samples: run r measures app.BuildFrame(scenario seed) on
-/// a fresh Platform under TvcaRunSeed, with `hook(platform, r)` in the
-/// RunWithHook window when given.
-std::vector<analysis::RunSample> FreshReference(
-    const apps::TvcaApp& app, const analysis::CampaignConfig& cc,
-    const std::function<void(sim::Platform&, std::size_t)>& hook = {}) {
-  std::vector<analysis::RunSample> samples;
-  for (std::size_t r = 0; r < cc.runs; ++r) {
-    const apps::TvcaFrame frame =
-        app.BuildFrame(analysis::TvcaScenarioSeed(cc, r));
-    sim::Platform platform(sim::RandLeon3Config(), /*master_seed=*/r);
-    analysis::RunSample s;
-    s.detail = platform.RunWithHook(
-        frame.trace, analysis::TvcaRunSeed(cc, r), [&](sim::Platform& p) {
-          if (hook) hook(p, r);
-        });
-    s.cycles = static_cast<double>(s.detail.cycles);
-    s.path_id = frame.path_id;
-    samples.push_back(s);
-  }
-  return samples;
-}
-
-class FreshInputRunners : public ::testing::TestWithParam<std::size_t> {
- protected:
-  FreshInputRunners() {
-    cc_.runs = 24;
-    cc_.distinct_scenarios = 0;
-    cc_.master_seed = 31;
-    std::string name =
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::replace(name.begin(), name.end(), '/', '_');
-    journal_ = ::testing::TempDir() + "spta_fresh_" + name + ".ckpt";
-    std::remove(journal_.c_str());
-  }
-  ~FreshInputRunners() override { std::remove(journal_.c_str()); }
-
-  std::size_t jobs() const { return GetParam(); }
-
-  const apps::TvcaApp app_{SmallTvca()};
-  analysis::CampaignConfig cc_;
-  std::string journal_;
-};
-
-TEST_P(FreshInputRunners, ParallelAndSerialMatchTheReference) {
-  const auto reference = FreshReference(app_, cc_);
-  ExpectSameSamples(reference, analysis::RunTvcaCampaignParallel(
-                                   sim::RandLeon3Config(), app_, cc_, jobs()));
-  sim::Platform platform(sim::RandLeon3Config(), cc_.master_seed);
-  ExpectSameSamples(reference,
-                    analysis::RunTvcaCampaign(platform, app_, cc_));
-}
-
-TEST_P(FreshInputRunners, CheckpointedKillAndResumeMatchTheReference) {
-  analysis::CheckpointOptions opts;
-  opts.journal_path = journal_;
-  opts.abort_after_appends = cc_.runs / 3;
-  analysis::CheckpointedCampaignResult killed;
-  std::string error;
-  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(
-      sim::RandLeon3Config(), app_, cc_, jobs(), opts, &killed, &error))
-      << error;
-  ASSERT_FALSE(killed.completed);
-
-  opts.abort_after_appends = 0;
-  opts.resume = true;
-  analysis::CheckpointedCampaignResult resumed;
-  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(
-      sim::RandLeon3Config(), app_, cc_, jobs(), opts, &resumed, &error))
-      << error;
-  ASSERT_TRUE(resumed.completed);
-  EXPECT_EQ(resumed.resumed_runs, cc_.runs / 3);
-  ExpectSameSamples(FreshReference(app_, cc_), resumed.samples);
-}
-
-TEST_P(FreshInputRunners, FaultRunnerWithZeroRatesMatchesTheReference) {
-  fault::FaultCampaignConfig fc;
-  fc.base = cc_;
-  const auto faulted = fault::RunTvcaCampaignWithFaults(
-      sim::RandLeon3Config(), app_, fc, jobs());
-  EXPECT_FALSE(faulted.Tainted());
-  ExpectSameSamples(FreshReference(app_, cc_), faulted.samples);
-}
-
-TEST_P(FreshInputRunners, FaultRunnerWithSeusMatchesTheReference) {
-  fault::FaultCampaignConfig fc;
-  fc.base = cc_;
-  fc.seu.upsets_per_run = 3.0;
-  fc.fault_seed = 4242;
-  const auto faulted = fault::RunTvcaCampaignWithFaults(
-      sim::RandLeon3Config(), app_, fc, jobs());
-  EXPECT_EQ(faulted.faults_injected, 3u * cc_.runs);
-  ExpectSameSamples(
-      FreshReference(app_, cc_,
-                     [&](sim::Platform& p, std::size_t r) {
-                       fault::InjectSeus(p, fc.seu, fc.fault_seed, r);
-                     }),
-      faulted.samples);
-}
-
-INSTANTIATE_TEST_SUITE_P(Jobs, FreshInputRunners, ::testing::Values(1u, 4u));
-
-TEST(ParallelCampaignTest, JobCountsAgreeWithEachOther) {
-  const apps::TvcaApp app(SmallTvca());
-  analysis::CampaignConfig cc;
-  cc.runs = 60;
-  cc.distinct_scenarios = 4;
-  cc.master_seed = 99;
-
-  const auto reference = analysis::RunTvcaCampaignParallel(
-      sim::RandLeon3Config(), app, cc, 1);
-  for (std::size_t jobs : {2u, 4u, 7u}) {
-    SCOPED_TRACE(jobs);
-    const auto other = analysis::RunTvcaCampaignParallel(
-        sim::RandLeon3Config(), app, cc, jobs);
-    ExpectSameSamples(reference, other);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Bit-identity on a synthetic kernel (fixed-trace campaign).
 class SyntheticJobSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SyntheticJobSweep, FixedTraceBitIdenticalToSerial) {
@@ -245,12 +278,14 @@ TEST_P(SyntheticJobSweep, FixedTraceBitIdenticalToSerial) {
   spec.count = 6000;
   spec.fp_pm = 120;
   const trace::Trace t = trace::BlendTrace(spec, 5);
+  analysis::CampaignConfig cc;
+  cc.runs = 64;
+  cc.master_seed = 2024;
 
-  sim::Platform platform(sim::RandLeon3Config(), 1);
-  const auto serial = analysis::RunFixedTraceCampaign(platform, t, 64, 2024);
-  const auto parallel = analysis::RunFixedTraceCampaignParallel(
-      sim::RandLeon3Config(), t, 64, 2024, GetParam());
-  ExpectSameSamples(serial, parallel);
+  const auto result =
+      analysis::RunCampaign(analysis::Workload(t, cc.runs, cc.master_seed),
+                            {sim::RandLeon3Config(), GetParam()});
+  ExpectSameSamples(Reference(nullptr, &t, cc), result.samples);
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, SyntheticJobSweep,
@@ -264,12 +299,12 @@ TEST(ParallelCampaignTest, PerPathPartitionsMatchSerial) {
   analysis::CampaignConfig cc;
   cc.runs = 120;
   cc.distinct_scenarios = 12;  // several distinct paths in the suite
+  const analysis::Workload workload(app, cc);
 
-  sim::Platform platform(sim::RandLeon3Config(), cc.master_seed);
-  const auto serial_obs =
-      analysis::ToPathObservations(analysis::RunTvcaCampaign(platform, app, cc));
+  const auto serial_obs = analysis::ToPathObservations(
+      analysis::RunCampaign(workload, {sim::RandLeon3Config(), 1}).samples);
   const auto parallel_obs = analysis::ToPathObservations(
-      analysis::RunTvcaCampaignParallel(sim::RandLeon3Config(), app, cc, 4));
+      analysis::RunCampaign(workload, {sim::RandLeon3Config(), 4}).samples);
 
   auto partition = [](const std::vector<mbpta::PathObservation>& obs) {
     std::map<std::uint32_t, std::vector<double>> by_path;

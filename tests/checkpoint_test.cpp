@@ -9,10 +9,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/campaign.hpp"
 #include "analysis/checkpoint.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "analysis/sample_io.hpp"
 #include "apps/tvca.hpp"
 #include "common/atomic_file.hpp"
@@ -27,8 +28,11 @@ using namespace spta;
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // ctest runs each test as its own process, in parallel: the path is
+    // private to the test (a fixture address can repeat across processes).
     path_ = ::testing::TempDir() + "spta_ckpt_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)) + ".ckpt";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".ckpt";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -180,45 +184,44 @@ TEST_F(CheckpointTest, ResumeRefusesAnAlienJournal) {
 
   analysis::CheckpointOptions opts;
   opts.journal_path = path_;
-  analysis::CheckpointedCampaignResult result;
-  std::string error;
-  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(config, app, cc, 1, opts,
-                                                    &result, &error))
-      << error;
+  auto result = analysis::RunCampaign(analysis::Workload(app, cc),
+                                      {config, 1, opts});
+  ASSERT_TRUE(result.ok()) << result.error;
   ASSERT_TRUE(result.completed);
 
   // Same journal, different campaign seed: refuse, don't mix samples.
   cc.master_seed = 101;
   opts.resume = true;
-  EXPECT_FALSE(analysis::RunTvcaCampaignCheckpointed(config, app, cc, 1, opts,
-                                                     &result, &error));
-  EXPECT_NE(error.find("journal"), std::string::npos) << error;
+  result = analysis::RunCampaign(analysis::Workload(app, cc),
+                                 {config, 1, opts});
+  EXPECT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("journal"), std::string::npos) << result.error;
 
-  // The fixed-trace runner goes through the same skeleton: a TVCA journal
-  // is alien to a fixed-trace campaign, and so is its own journal under
+  // A fixed-trace workload goes through the same loop: a TVCA journal is
+  // alien to a fixed-trace campaign, and so is its own journal under
   // another seed. A refused resume leaves the journal untouched.
   const trace::Trace t = app.BuildFrame(/*scenario_seed=*/42).trace;
   const std::string tvca_journal = Slurp(path_);
-  error.clear();
-  EXPECT_FALSE(analysis::RunFixedTraceCampaignCheckpointed(
-      config, t, cc.runs, /*master_seed=*/100, /*jobs=*/2, opts, &result,
-      &error));
-  EXPECT_NE(error.find("journal"), std::string::npos) << error;
+  result = analysis::RunCampaign(
+      analysis::Workload(t, cc.runs, /*master_seed=*/100),
+      {config, /*jobs=*/2, opts});
+  EXPECT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("journal"), std::string::npos) << result.error;
   EXPECT_EQ(Slurp(path_), tvca_journal);
 
   opts.resume = false;
-  ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
-      config, t, cc.runs, /*master_seed=*/100, /*jobs=*/2, opts, &result,
-      &error))
-      << error;
+  result = analysis::RunCampaign(
+      analysis::Workload(t, cc.runs, /*master_seed=*/100),
+      {config, /*jobs=*/2, opts});
+  ASSERT_TRUE(result.ok()) << result.error;
   ASSERT_TRUE(result.completed);
   const std::string fixed_journal = Slurp(path_);
   opts.resume = true;
-  error.clear();
-  EXPECT_FALSE(analysis::RunFixedTraceCampaignCheckpointed(
-      config, t, cc.runs, /*master_seed=*/101, /*jobs=*/2, opts, &result,
-      &error));
-  EXPECT_NE(error.find("journal"), std::string::npos) << error;
+  result = analysis::RunCampaign(
+      analysis::Workload(t, cc.runs, /*master_seed=*/101),
+      {config, /*jobs=*/2, opts});
+  EXPECT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("journal"), std::string::npos) << result.error;
   EXPECT_EQ(Slurp(path_), fixed_journal);
 }
 
@@ -228,16 +231,14 @@ TEST_F(CheckpointTest, CheckpointedRunMatchesThePlainParallelRunner) {
   analysis::CampaignConfig cc;
   cc.runs = 24;
   cc.master_seed = 555;
+  const analysis::Workload workload(app, cc);
 
-  const auto plain = analysis::RunTvcaCampaignParallel(config, app, cc, 2);
+  const auto plain = analysis::RunCampaign(workload, {config, 2}).samples;
 
   analysis::CheckpointOptions opts;
   opts.journal_path = path_;
-  analysis::CheckpointedCampaignResult result;
-  std::string error;
-  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(config, app, cc, 2, opts,
-                                                    &result, &error))
-      << error;
+  const auto result = analysis::RunCampaign(workload, {config, 2, opts});
+  ASSERT_TRUE(result.ok()) << result.error;
   ASSERT_TRUE(result.completed);
   ASSERT_EQ(result.samples.size(), plain.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
@@ -252,50 +253,33 @@ TEST_F(CheckpointTest, ResumingACompleteJournalReExecutesNothing) {
   analysis::CampaignConfig cc;
   cc.runs = 10;
   cc.master_seed = 2;
-
-  analysis::CheckpointOptions opts;
-  opts.journal_path = path_;
-  analysis::CheckpointedCampaignResult first;
-  std::string error;
-  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(config, app, cc, 1, opts,
-                                                    &first, &error));
-  ASSERT_TRUE(first.completed);
-
-  opts.resume = true;
-  analysis::CheckpointedCampaignResult second;
-  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(config, app, cc, 1, opts,
-                                                    &second, &error));
-  EXPECT_TRUE(second.completed);
-  EXPECT_EQ(second.resumed_runs, 10u);
-  ASSERT_EQ(second.samples.size(), first.samples.size());
-  for (std::size_t i = 0; i < first.samples.size(); ++i) {
-    EXPECT_EQ(second.samples[i].cycles, first.samples[i].cycles);
-  }
-
-  // Same for the fixed-trace runner on two workers: every run is restored
-  // and the journal gains no line.
   const trace::Trace t = app.BuildFrame(/*scenario_seed=*/42).trace;
-  opts.resume = false;
-  analysis::CheckpointedCampaignResult fixed_first;
-  ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
-      config, t, cc.runs, cc.master_seed, /*jobs=*/2, opts, &fixed_first,
-      &error))
-      << error;
-  ASSERT_TRUE(fixed_first.completed);
-  const std::string journal = Slurp(path_);
 
-  opts.resume = true;
-  analysis::CheckpointedCampaignResult fixed_second;
-  ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
-      config, t, cc.runs, cc.master_seed, /*jobs=*/2, opts, &fixed_second,
-      &error))
-      << error;
-  EXPECT_TRUE(fixed_second.completed);
-  EXPECT_EQ(fixed_second.resumed_runs, 10u);
-  EXPECT_EQ(Slurp(path_), journal);
-  ASSERT_EQ(fixed_second.samples.size(), fixed_first.samples.size());
-  for (std::size_t i = 0; i < fixed_first.samples.size(); ++i) {
-    EXPECT_EQ(fixed_second.samples[i].cycles, fixed_first.samples[i].cycles);
+  // A TVCA campaign on one worker, then a fixed-trace campaign on two:
+  // every run is restored and the journal gains no line.
+  const analysis::Workload tvca(app, cc);
+  const analysis::Workload fixed(t, cc.runs, cc.master_seed);
+  for (const auto& [workload, jobs] :
+       {std::pair<const analysis::Workload*, std::size_t>{&tvca, 1},
+        {&fixed, 2}}) {
+    SCOPED_TRACE(jobs);
+    analysis::CheckpointOptions opts;
+    opts.journal_path = path_;
+    const auto first = analysis::RunCampaign(*workload, {config, jobs, opts});
+    ASSERT_TRUE(first.ok()) << first.error;
+    ASSERT_TRUE(first.completed);
+    const std::string journal = Slurp(path_);
+
+    opts.resume = true;
+    const auto second = analysis::RunCampaign(*workload, {config, jobs, opts});
+    ASSERT_TRUE(second.ok()) << second.error;
+    EXPECT_TRUE(second.completed);
+    EXPECT_EQ(second.resumed_runs, 10u);
+    EXPECT_EQ(Slurp(path_), journal);
+    ASSERT_EQ(second.samples.size(), first.samples.size());
+    for (std::size_t i = 0; i < first.samples.size(); ++i) {
+      EXPECT_EQ(second.samples[i].cycles, first.samples[i].cycles);
+    }
   }
 }
 
@@ -303,7 +287,9 @@ TEST_F(CheckpointTest, ResumingACompleteJournalReExecutesNothing) {
 // kill the campaign partway (the deterministic abort hook models SIGKILL
 // at an arbitrary point — whatever made it to the journal is all that
 // survives), resume, and require the final sample AND the fitted pWCET to
-// be bit-identical to an uninterrupted campaign.
+// be bit-identical to an uninterrupted campaign. (Every workload kind is
+// killed and resumed against a per-run reference in the campaign matrix,
+// tests/campaign_test.cpp.)
 TEST_F(CheckpointTest, KillAndResumeIsBitIdenticalAcrossSeeds) {
   const auto config = sim::RandLeon3Config();
   const apps::TvcaApp app;
@@ -312,27 +298,25 @@ TEST_F(CheckpointTest, KillAndResumeIsBitIdenticalAcrossSeeds) {
 
   for (const std::uint64_t seed : {909ULL, 1717ULL, 31415ULL}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const auto uninterrupted = analysis::RunFixedTraceCampaignParallel(
-        config, frame.trace, runs, seed, /*jobs=*/2);
+    const analysis::Workload workload(frame.trace, runs, seed);
+    const auto uninterrupted =
+        analysis::RunCampaign(workload, {config, /*jobs=*/2}).samples;
 
     // Phase 1: "crash" after a seed-dependent number of appends.
     analysis::CheckpointOptions opts;
     opts.journal_path = path_;
     opts.abort_after_appends = 7 + static_cast<std::size_t>(seed % 23);
-    analysis::CheckpointedCampaignResult crashed;
-    std::string error;
-    ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
-        config, frame.trace, runs, seed, /*jobs=*/2, opts, &crashed, &error))
-        << error;
+    const auto crashed =
+        analysis::RunCampaign(workload, {config, /*jobs=*/2, opts});
+    ASSERT_TRUE(crashed.ok()) << crashed.error;
     EXPECT_FALSE(crashed.completed);
 
     // Phase 2: resume from the journal, no abort.
     opts.abort_after_appends = 0;
     opts.resume = true;
-    analysis::CheckpointedCampaignResult resumed;
-    ASSERT_TRUE(analysis::RunFixedTraceCampaignCheckpointed(
-        config, frame.trace, runs, seed, /*jobs=*/2, opts, &resumed, &error))
-        << error;
+    const auto resumed =
+        analysis::RunCampaign(workload, {config, /*jobs=*/2, opts});
+    ASSERT_TRUE(resumed.ok()) << resumed.error;
     ASSERT_TRUE(resumed.completed);
     EXPECT_GT(resumed.resumed_runs, 0u);
     EXPECT_LT(resumed.resumed_runs, runs);
@@ -361,50 +345,6 @@ TEST_F(CheckpointTest, KillAndResumeIsBitIdenticalAcrossSeeds) {
     }
 
     std::remove(path_.c_str());
-  }
-
-  // A scenario-suite TVCA campaign (runs share 3 frames) killed after 9
-  // appends and resumed on two workers lands on the serial runner's
-  // samples, path ids included.
-  apps::TvcaConfig app_config;
-  app_config.sensor_channels = 2;
-  app_config.samples_per_frame = 4;
-  app_config.fir_taps = 4;
-  app_config.state_dim = 4;
-  app_config.integrator_steps = 2;
-  app_config.control_iterations = 1;
-  app_config.straightline_instructions = 64;
-  app_config.dispatch_overhead = 16;
-  const apps::TvcaApp suite_app(app_config);
-  analysis::CampaignConfig cc;
-  cc.runs = 20;
-  cc.master_seed = 8;
-  cc.distinct_scenarios = 3;
-  analysis::CheckpointOptions opts;
-  opts.journal_path = path_;
-  opts.abort_after_appends = 9;
-  analysis::CheckpointedCampaignResult killed;
-  std::string error;
-  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(
-      config, suite_app, cc, /*jobs=*/2, opts, &killed, &error))
-      << error;
-  EXPECT_FALSE(killed.completed);
-
-  opts.abort_after_appends = 0;
-  opts.resume = true;
-  analysis::CheckpointedCampaignResult finished;
-  ASSERT_TRUE(analysis::RunTvcaCampaignCheckpointed(
-      config, suite_app, cc, /*jobs=*/2, opts, &finished, &error))
-      << error;
-  EXPECT_TRUE(finished.completed);
-  EXPECT_EQ(finished.resumed_runs, 9u);
-  sim::Platform platform(config, 1);
-  const auto reference = analysis::RunTvcaCampaign(platform, suite_app, cc);
-  ASSERT_EQ(finished.samples.size(), reference.size());
-  for (std::size_t r = 0; r < reference.size(); ++r) {
-    EXPECT_EQ(finished.samples[r].cycles, reference[r].cycles) << "run " << r;
-    EXPECT_EQ(finished.samples[r].path_id, reference[r].path_id)
-        << "run " << r;
   }
 }
 

@@ -135,8 +135,7 @@ TEST_F(CliBinaryTest, CampaignObsFlagsProduceTraceAndCounters) {
 
   const std::string trace = Slurp(trace_json);
   EXPECT_EQ(trace.rfind("{\"traceEvents\":[", 0), 0u);
-  EXPECT_NE(trace.find("\"name\":\"tvca_campaign_parallel\""),
-            std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"tvca_campaign\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   // Each run splits into the pipeline's layers: one frame build (five
   // job interpretations and one composition) and one simulation.
@@ -224,6 +223,66 @@ TEST_F(CliBinaryTest, BatchLanesIsIgnoredUnderFaultFlags) {
             0);
   EXPECT_EQ(Slurp(with_flag), Slurp(csv_));
   std::remove(with_flag.c_str());
+}
+
+// --checkpoint end to end: a journaled campaign killed by --abort-after
+// writes no CSV, and --resume finishes it to the CSV of a plain run, byte
+// for byte. `campaign` and `simulate` share one runner; both are driven.
+class CliJournalTest : public CliBinaryTest {
+ protected:
+  void SetUp() override {
+    CliBinaryTest::SetUp();
+    journal_ = TempPath("journal.ckpt");
+    plain_ = TempPath("plain.csv");
+    std::remove(journal_.c_str());
+    std::remove(csv_.c_str());
+  }
+  void TearDown() override {
+    std::remove(journal_.c_str());
+    std::remove(plain_.c_str());
+    CliBinaryTest::TearDown();
+  }
+
+  /// Runs `command` (30 runs) plain, then killed after 5 appends and
+  /// resumed; the resumed CSV must equal the plain one.
+  void ExpectResumeMatchesPlain(const std::string& command) {
+    ASSERT_EQ(RunCli(command + " --output " + plain_), 0);
+    ASSERT_EQ(RunCli(command + " --checkpoint " + journal_ +
+                     " --abort-after 5 --output " + csv_),
+              0);
+    EXPECT_FALSE(std::ifstream(csv_).good()) << "killed run wrote a CSV";
+    EXPECT_TRUE(std::ifstream(journal_).good());
+    ASSERT_EQ(RunCli(command + " --checkpoint " + journal_ +
+                     " --resume --output " + csv_),
+              0);
+    const std::string resumed = Slurp(csv_);
+    EXPECT_EQ(std::count(resumed.begin(), resumed.end(), '\n'), 31);
+    EXPECT_EQ(resumed, Slurp(plain_));
+  }
+
+  std::string journal_;
+  std::string plain_;
+};
+
+TEST_F(CliJournalTest, CampaignResumeIsByteIdenticalToPlainRun) {
+  ExpectResumeMatchesPlain(
+      "campaign --platform rand --runs 30 --seed 13 --scenarios 6 --jobs 2");
+}
+
+TEST_F(CliJournalTest, SimulateResumeIsByteIdenticalToPlainRun) {
+  const std::string frame = TempPath("frame.trc");
+  ASSERT_EQ(RunCli("record --trace " + frame + " --scenario 42"), 0);
+  ExpectResumeMatchesPlain("simulate --trace " + frame +
+                           " --platform rand --runs 30 --seed 13 --jobs 2");
+  std::remove(frame.c_str());
+}
+
+TEST_F(CliJournalTest, CheckpointWithFaultFlagsIsRefused) {
+  EXPECT_EQ(RunCli("campaign --platform rand --runs 10 --seu-rate 1 "
+                   "--checkpoint " + journal_ + " --output " + csv_),
+            2);
+  EXPECT_FALSE(std::ifstream(journal_).good());
+  EXPECT_FALSE(std::ifstream(csv_).good());
 }
 
 TEST_F(CliBinaryTest, ConvergenceRunsOnCampaignOutput) {

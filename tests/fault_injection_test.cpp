@@ -10,8 +10,8 @@
 #include <sstream>
 #include <vector>
 
+#include "analysis/campaign.hpp"
 #include "analysis/diagnosis.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "analysis/sample_io.hpp"
 #include "apps/tvca.hpp"
 #include "fault/campaign.hpp"
@@ -229,25 +229,31 @@ TEST(SampleCorruption, DisabledConfigIsANoOp) {
 }
 
 // --- faulted campaigns ---------------------------------------------------
+// Bit-identity of faulted campaigns against a per-run reference is pinned
+// by the campaign matrix (tests/campaign_test.cpp); these pin the fault
+// window's own properties.
 
 TEST(FaultCampaign, DisabledPlanIsBitIdenticalToCleanRunner) {
   const auto config = sim::RandLeon3Config();
   const apps::TvcaApp app;
-  fault::FaultCampaignConfig fc;
-  fc.base.runs = 40;
-  fc.base.master_seed = 2024;
+  analysis::CampaignConfig cc;
+  cc.runs = 40;
+  cc.master_seed = 2024;
+  const analysis::FaultWindow window =
+      fault::MakeFaultWindow(fault::CampaignFaults{}, cc.master_seed);
+  EXPECT_FALSE(window.Active());
 
-  const auto clean =
-      analysis::RunTvcaCampaignParallel(config, app, fc.base, /*jobs=*/2);
+  const analysis::Workload workload(app, cc);
+  const auto clean = analysis::RunCampaign(workload, {config, /*jobs=*/2});
   const auto faulted =
-      fault::RunTvcaCampaignWithFaults(config, app, fc, /*jobs=*/2);
-  EXPECT_EQ(faulted.faults_injected, 0u);
-  EXPECT_EQ(faulted.reseeds_dropped, 0u);
+      analysis::RunCampaign(workload, {config, /*jobs=*/2, {}, window});
   EXPECT_FALSE(faulted.Tainted());
-  ASSERT_EQ(faulted.samples.size(), clean.size());
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    EXPECT_EQ(faulted.samples[i].cycles, clean[i].cycles) << "run " << i;
-    EXPECT_EQ(faulted.samples[i].path_id, clean[i].path_id) << "run " << i;
+  ASSERT_EQ(faulted.samples.size(), clean.samples.size());
+  for (std::size_t i = 0; i < clean.samples.size(); ++i) {
+    EXPECT_EQ(faulted.samples[i].cycles, clean.samples[i].cycles)
+        << "run " << i;
+    EXPECT_EQ(faulted.samples[i].path_id, clean.samples[i].path_id)
+        << "run " << i;
   }
 }
 
@@ -255,60 +261,39 @@ TEST(FaultCampaign, SeuPlanPerturbsTimingAndTaints) {
   const auto config = sim::RandLeon3Config();
   const apps::TvcaApp app;
   const auto frame = app.BuildFrame(/*scenario_seed=*/42);
+  const analysis::Workload workload(frame.trace, /*runs=*/60,
+                                    /*master_seed=*/77);
+  fault::CampaignFaults faults;
+  faults.seu.upsets_per_run = 8.0;
 
-  fault::FaultCampaignConfig fc;
-  fc.base.runs = 60;
-  fc.base.master_seed = 77;
-  fc.seu.upsets_per_run = 8.0;
-
-  const auto clean = analysis::RunFixedTraceCampaignParallel(
-      config, frame.trace, fc.base.runs, fc.base.master_seed, /*jobs=*/2);
-  const auto faulted = fault::RunFixedTraceCampaignWithFaults(
-      config, frame.trace, fc, /*jobs=*/2);
+  const auto clean = analysis::RunCampaign(workload, {config, /*jobs=*/2});
+  const auto faulted = analysis::RunCampaign(
+      workload,
+      {config, /*jobs=*/2, {}, fault::MakeFaultWindow(faults, 77)});
 
   EXPECT_EQ(faulted.faults_injected, 8u * 60u);
   EXPECT_TRUE(faulted.Tainted());
-  ASSERT_EQ(faulted.samples.size(), clean.size());
+  ASSERT_EQ(faulted.samples.size(), clean.samples.size());
   bool any_changed = false;
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    if (faulted.samples[i].cycles != clean[i].cycles) any_changed = true;
+  for (std::size_t i = 0; i < clean.samples.size(); ++i) {
+    if (faulted.samples[i].cycles != clean.samples[i].cycles) {
+      any_changed = true;
+    }
   }
   EXPECT_TRUE(any_changed)
       << "480 tag/TLB upsets never moved a single cycle count";
-}
-
-TEST(FaultCampaign, FaultedSamplesAreJobsInvariant) {
-  const auto config = sim::RandLeon3Config();
-  const apps::TvcaApp app;
-  fault::FaultCampaignConfig fc;
-  fc.base.runs = 30;
-  fc.base.master_seed = 5;
-  fc.seu.upsets_per_run = 2.0;
-  fc.reseed_dropout = 0.2;
-
-  const auto serial = fault::RunTvcaCampaignWithFaults(config, app, fc, 1);
-  const auto parallel = fault::RunTvcaCampaignWithFaults(config, app, fc, 4);
-  EXPECT_EQ(serial.faults_injected, parallel.faults_injected);
-  EXPECT_EQ(serial.reseeds_dropped, parallel.reseeds_dropped);
-  ASSERT_EQ(serial.samples.size(), parallel.samples.size());
-  for (std::size_t i = 0; i < serial.samples.size(); ++i) {
-    EXPECT_EQ(serial.samples[i].cycles, parallel.samples[i].cycles)
-        << "run " << i;
-  }
 }
 
 TEST(FaultCampaign, TotalReseedDropoutFreezesTheRandomization) {
   const auto config = sim::RandLeon3Config();
   const apps::TvcaApp app;
   const auto frame = app.BuildFrame(/*scenario_seed=*/42);
+  fault::CampaignFaults faults;
+  faults.reseed_dropout = 1.0;
 
-  fault::FaultCampaignConfig fc;
-  fc.base.runs = 20;
-  fc.base.master_seed = 11;
-  fc.reseed_dropout = 1.0;
-
-  const auto result = fault::RunFixedTraceCampaignWithFaults(
-      config, frame.trace, fc, /*jobs=*/2);
+  const auto result = analysis::RunCampaign(
+      analysis::Workload(frame.trace, /*runs=*/20, /*master_seed=*/11),
+      {config, /*jobs=*/2, {}, fault::MakeFaultWindow(faults, 11)});
   EXPECT_EQ(result.reseeds_dropped, 19u);  // run 0 never drops
   ASSERT_EQ(result.samples.size(), 20u);
   for (std::size_t i = 1; i < result.samples.size(); ++i) {
@@ -318,17 +303,22 @@ TEST(FaultCampaign, TotalReseedDropoutFreezesTheRandomization) {
 }
 
 TEST(FaultCampaign, RunSeedDropoutIsAPureFunctionOfTheConfig) {
-  fault::FaultCampaignConfig fc;
-  fc.base.runs = 100;
-  fc.base.master_seed = 13;
-  fc.reseed_dropout = 0.3;
+  fault::CampaignFaults faults;
+  faults.reseed_dropout = 0.3;
+  const analysis::FaultWindow window = fault::MakeFaultWindow(faults, 13);
+  std::size_t dropped = 0;
   for (std::size_t r = 0; r < 100; ++r) {
-    bool d1 = false, d2 = false;
-    EXPECT_EQ(fault::FaultedFixedTraceRunSeed(fc, r, &d1),
-              fault::FaultedFixedTraceRunSeed(fc, r, &d2));
-    EXPECT_EQ(d1, d2);
-    if (r == 0) EXPECT_FALSE(d1);
+    const std::size_t seed_run = fault::ReseedRun(faults, 13, r);
+    EXPECT_EQ(seed_run, fault::ReseedRun(faults, 13, r));
+    EXPECT_EQ(seed_run, window.seed_run(r));
+    EXPECT_TRUE(seed_run == r || seed_run == 0) << "run " << r;
+    if (r == 0) {
+      EXPECT_EQ(seed_run, 0u);
+    }
+    dropped += seed_run != r;
   }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_LT(dropped, 100u);
 }
 
 // --- detection: the guarded pipeline refuses unfit samples ---------------
@@ -385,7 +375,8 @@ TEST(GuardedAnalysis, DuplicateCorruptionTripsTheIidGate) {
   cc.runs = 300;
   cc.master_seed = 404;
   const auto samples =
-      analysis::RunTvcaCampaignParallel(config, app, cc, /*jobs=*/2);
+      analysis::RunCampaign(analysis::Workload(app, cc), {config, /*jobs=*/2})
+          .samples;
   std::vector<mbpta::PathObservation> obs;
   for (const auto& s : samples) {
     obs.push_back({s.path_id, s.cycles});

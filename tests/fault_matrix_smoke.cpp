@@ -32,7 +32,6 @@
 
 #include "analysis/campaign.hpp"
 #include "analysis/diagnosis.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "analysis/sample_io.hpp"
 #include "apps/tvca.hpp"
 #include "fault/campaign.hpp"
@@ -83,12 +82,11 @@ TEST(FaultMatrix, SeuTaintFlowsToTypedRejection) {
   const apps::TvcaApp app;
   const auto frame = app.BuildFrame(/*scenario_seed=*/42);
 
-  fault::FaultCampaignConfig fc;
-  fc.base.runs = 40;
-  fc.base.master_seed = 71;
-  fc.seu.upsets_per_run = 4.0;
-  const auto faulted = fault::RunFixedTraceCampaignWithFaults(
-      config, frame.trace, fc, /*jobs=*/2);
+  fault::CampaignFaults faults;
+  faults.seu.upsets_per_run = 4.0;
+  const auto faulted = analysis::RunCampaign(
+      analysis::Workload(frame.trace, /*runs=*/40, /*master_seed=*/71),
+      {config, /*jobs=*/2, {}, fault::MakeFaultWindow(faults, 71)});
   ASSERT_TRUE(faulted.Tainted());
   EXPECT_EQ(faulted.faults_injected, 40u * 4u);
 
@@ -135,12 +133,11 @@ TEST(FaultMatrix, PrngDegradationIsCaughtAtBringUpOrStatistically) {
   const auto config = sim::RandLeon3Config();
   const apps::TvcaApp app;
   const auto frame = app.BuildFrame(/*scenario_seed=*/9);
-  fault::FaultCampaignConfig fc;
-  fc.base.runs = 60;
-  fc.base.master_seed = 17;
-  fc.reseed_dropout = 1.0;
-  const auto frozen = fault::RunFixedTraceCampaignWithFaults(
-      config, frame.trace, fc, /*jobs=*/2);
+  fault::CampaignFaults faults;
+  faults.reseed_dropout = 1.0;
+  const auto frozen = analysis::RunCampaign(
+      analysis::Workload(frame.trace, /*runs=*/60, /*master_seed=*/17),
+      {config, /*jobs=*/2, {}, fault::MakeFaultWindow(faults, 17)});
   EXPECT_EQ(frozen.reseeds_dropped, 59u);
 
   analysis::SampleProvenance prov;
@@ -162,7 +159,8 @@ TEST(FaultMatrix, CorruptedStreamsAreCaughtByDigestOrFloors) {
   cc.runs = 80;
   cc.master_seed = 303;
   const auto samples =
-      analysis::RunTvcaCampaignParallel(config, app, cc, /*jobs=*/2);
+      analysis::RunCampaign(analysis::Workload(app, cc), {config, /*jobs=*/2})
+          .samples;
 
   // Clean export, corrupted in transit: the recorded digest no longer
   // matches the rows, typed kIntegrityMismatch before any statistics.
@@ -209,7 +207,8 @@ TEST(FaultMatrix, GuardedPathIsBitIdenticalToBatchOnCleanInput) {
   cc.runs = 120;
   cc.master_seed = 2026;
   const auto samples =
-      analysis::RunTvcaCampaignParallel(config, app, cc, /*jobs=*/2);
+      analysis::RunCampaign(analysis::Workload(app, cc), {config, /*jobs=*/2})
+          .samples;
   const auto obs = ToObservations(samples);
 
   mbpta::MbptaOptions options;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/campaign.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "apps/kernels.hpp"
 #include "apps/tvca.hpp"
 #include "mbpta/mbpta.hpp"
@@ -167,8 +166,8 @@ TEST(GoldenRegressionTest, FirKernelPerSeedCycles) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end MBPTA pipeline golden values, produced THROUGH the parallel
-// campaign runner: the sample vector must equal the serial runner's bit for
+// End-to-end MBPTA pipeline golden values, produced THROUGH the campaign
+// runner at 4 jobs: the sample vector must equal the 1-job run's bit for
 // bit, and the downstream pipeline (Ljung-Box, KS, Gumbel fit, pWCET) must
 // therefore reproduce the pinned numbers regardless of the job count used
 // to collect the measurements. Re-baseline these constants only alongside a
@@ -188,11 +187,11 @@ TEST(GoldenRegressionTest, MbptaPipelineThroughParallelRunner) {
   analysis::CampaignConfig cc;
   cc.runs = 300;  // fresh inputs per run, the paper's analysis protocol
 
-  sim::Platform platform(sim::RandLeon3Config(), cc.master_seed);
-  const auto serial_times =
-      analysis::ExtractTimes(analysis::RunTvcaCampaign(platform, app, cc));
+  const analysis::Workload workload(app, cc);
+  const auto serial_times = analysis::ExtractTimes(
+      analysis::RunCampaign(workload, {sim::RandLeon3Config(), 1}).samples);
   const auto parallel_times = analysis::ExtractTimes(
-      analysis::RunTvcaCampaignParallel(sim::RandLeon3Config(), app, cc, 4));
+      analysis::RunCampaign(workload, {sim::RandLeon3Config(), 4}).samples);
   ASSERT_EQ(serial_times, parallel_times);  // bit-identical doubles
 
   const auto result = mbpta::AnalyzeSample(parallel_times);

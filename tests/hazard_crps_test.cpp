@@ -184,7 +184,9 @@ TEST(PayloadAppTest, StaysInsideItsPartition) {
   const auto frame = app.BuildFrame(3);
   for (const auto& r : frame.records) {
     EXPECT_GE(r.pc, 0x70000000u);
-    if (r.mem_addr != 0) EXPECT_GE(r.mem_addr, 0x70000000u);
+    if (r.mem_addr != 0) {
+      EXPECT_GE(r.mem_addr, 0x70000000u);
+    }
   }
 }
 

@@ -36,12 +36,11 @@ class TvcaPipelineTest : public ::testing::Test {
     analysis::CampaignConfig cfg;
     cfg.runs = 600;
     cfg.master_seed = 99;
-    sim::Platform rand_platform(sim::RandLeon3Config(), 1);
+    const analysis::Workload workload(*app_, cfg);
     rand_samples_ = new auto(
-        analysis::RunTvcaCampaign(rand_platform, *app_, cfg));
-    sim::Platform det_platform(sim::DetLeon3Config(), 1);
+        analysis::RunCampaign(workload, {sim::RandLeon3Config()}).samples);
     det_samples_ = new auto(
-        analysis::RunTvcaCampaign(det_platform, *app_, cfg));
+        analysis::RunCampaign(workload, {sim::DetLeon3Config()}).samples);
   }
 
   static void TearDownTestSuite() {
@@ -144,10 +143,12 @@ TEST_F(TvcaPipelineTest, CampaignIsReproducible) {
   analysis::CampaignConfig cfg;
   cfg.runs = 50;
   cfg.master_seed = 7;
-  sim::Platform p1(sim::RandLeon3Config(), 1);
-  sim::Platform p2(sim::RandLeon3Config(), 1);
-  const auto s1 = analysis::RunTvcaCampaign(p1, *app_, cfg);
-  const auto s2 = analysis::RunTvcaCampaign(p2, *app_, cfg);
+  const auto s1 = analysis::RunCampaign(analysis::Workload(*app_, cfg),
+                                        {sim::RandLeon3Config()})
+                      .samples;
+  const auto s2 = analysis::RunCampaign(analysis::Workload(*app_, cfg),
+                                        {sim::RandLeon3Config()})
+                      .samples;
   ASSERT_EQ(s1.size(), s2.size());
   for (std::size_t i = 0; i < s1.size(); ++i) {
     EXPECT_EQ(s1[i].cycles, s2[i].cycles);
@@ -174,8 +175,9 @@ TEST_F(TvcaPipelineTest, FixedScenarioSuiteReusesTraces) {
   cfg.runs = 40;
   cfg.distinct_scenarios = 4;
   cfg.master_seed = 5;
-  sim::Platform p(sim::RandLeon3Config(), 1);
-  const auto samples = analysis::RunTvcaCampaign(p, *app_, cfg);
+  const auto samples = analysis::RunCampaign(analysis::Workload(*app_, cfg),
+                                             {sim::RandLeon3Config()})
+                           .samples;
   // Only 4 distinct paths at most; run 0 and run 4 share a scenario.
   EXPECT_EQ(samples[0].path_id, samples[4].path_id);
   EXPECT_EQ(samples[0].detail.instructions, samples[4].detail.instructions);

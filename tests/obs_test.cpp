@@ -531,8 +531,9 @@ TEST(ObsCounters, MatchesSimulatorStats) {
   analysis::CampaignConfig cc;
   cc.runs = 8;
   cc.master_seed = 123;
-  sim::Platform platform(sim::RandLeon3Config(), cc.master_seed);
-  const auto samples = analysis::RunTvcaCampaign(platform, app, cc);
+  const auto samples = analysis::RunCampaign(analysis::Workload(app, cc),
+                                             {sim::RandLeon3Config()})
+                           .samples;
   ASSERT_EQ(samples.size(), cc.runs);
 
   obs::CounterAggregate aggregate;

@@ -47,7 +47,9 @@ TEST(Casr37Test, NeverReachesZeroAndNoShortCycle) {
     const std::uint64_t s = casr.Step();
     ASSERT_NE(s, 0u);
     ASSERT_LT(s, 1ULL << 37);
-    if (i > 0) ASSERT_NE(s, initial);
+    if (i > 0) {
+      ASSERT_NE(s, initial);
+    }
   }
 }
 

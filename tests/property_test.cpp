@@ -209,7 +209,7 @@ TEST(ExchangeabilityTest, ShuffledSampleGivesSamePwcet) {
 
 // ---------------------------------------------------------------------------
 // Property: the campaign's per-run seed derivation — the contract the
-// parallel runner's determinism rests on — is collision-free over 10k run
+// campaign runner's determinism rests on — is collision-free over 10k run
 // indices, a pure function of (campaign seed, run index), and keeps the
 // platform-PRNG stream disjoint from the workload-input stream.
 class SeedDerivationSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "analysis/campaign.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "analysis/sample_io.hpp"
 #include "apps/tvca.hpp"
 #include "common/hash.hpp"
@@ -712,8 +711,10 @@ TEST(ServerPipeTest, MetricsPromServesValidExposition) {
 TEST(ServedVsBatchGoldenTest, ServedQuantileEqualsBatchBitForBit) {
   const apps::TvcaApp app;
   const auto frame = app.BuildFrame(3);
-  const auto samples = analysis::RunFixedTraceCampaignParallel(
-      sim::RandLeon3Config(), frame.trace, 300, 20170327, 2);
+  const auto samples =
+      analysis::RunCampaign(analysis::Workload(frame.trace, 300, 20170327),
+                            {sim::RandLeon3Config(), 2})
+          .samples;
   const auto obs = analysis::ToPathObservations(samples);
 
   // Batch side: the library pipeline, straight on the campaign doubles.

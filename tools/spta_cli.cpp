@@ -47,6 +47,12 @@
 //       either container format (legacy or spta-atlas, sniffed from the
 //       magic).
 //
+//   campaign and simulate differ only in their workload (TVCA frames or
+//   one recorded trace); both hand it to one analysis::RunCampaign call,
+//   so --jobs, --checkpoint/--resume, the fault flags and the obs flags
+//   mean the same on both. --checkpoint journals clean campaigns only:
+//   with a fault flag the campaign is refused (exit 2, no journal).
+//
 //   spta_cli trace pack <in> <out>      repack into the spta-atlas
 //                                       columnar container (docs/TRACES.md)
 //   spta_cli trace unpack <in> <out>    repack into the legacy container
@@ -84,9 +90,7 @@
 #include "atlas/mine.hpp"
 #include "obs/atlas_counters.hpp"
 #include "analysis/campaign.hpp"
-#include "analysis/checkpoint.hpp"
 #include "analysis/diagnosis.hpp"
-#include "analysis/parallel_campaign.hpp"
 #include "analysis/sample_io.hpp"
 #include "apps/tvca.hpp"
 #include "common/atomic_file.hpp"
@@ -191,21 +195,19 @@ sim::PlatformConfig PlatformFromFlags(const Flags& flags, bool* ok) {
 }
 
 /// The fault plan requested on the command line (disabled by default).
-fault::FaultCampaignConfig FaultPlanFromFlags(
-    const Flags& flags, const analysis::CampaignConfig& base) {
-  fault::FaultCampaignConfig fc;
-  fc.base = base;
-  fc.seu.upsets_per_run = flags.GetDouble("seu-rate", 0.0);
-  fc.reseed_dropout = flags.GetDouble("reseed-dropout", 0.0);
-  fc.fault_seed = static_cast<Seed>(flags.GetInt("fault-seed", 0));
-  if (fc.seu.upsets_per_run < 0.0 || fc.reseed_dropout < 0.0 ||
-      fc.reseed_dropout > 1.0) {
+fault::CampaignFaults FaultPlanFromFlags(const Flags& flags) {
+  fault::CampaignFaults faults;
+  faults.seu.upsets_per_run = flags.GetDouble("seu-rate", 0.0);
+  faults.reseed_dropout = flags.GetDouble("reseed-dropout", 0.0);
+  faults.fault_seed = static_cast<Seed>(flags.GetInt("fault-seed", 0));
+  if (faults.seu.upsets_per_run < 0.0 || faults.reseed_dropout < 0.0 ||
+      faults.reseed_dropout > 1.0) {
     std::fprintf(stderr,
                  "spta_cli: need --seu-rate >= 0 and "
                  "0 <= --reseed-dropout <= 1\n");
     std::exit(2);
   }
-  return fc;
+  return faults;
 }
 
 analysis::CheckpointOptions CheckpointFromFlags(const Flags& flags) {
@@ -318,11 +320,26 @@ int WriteCampaignOutput(const Flags& flags,
   return 0;
 }
 
-/// Reports a checkpointed execution; returns the exit code (0 also for
-/// the deliberate --abort-after stop, which leaves the journal behind for
-/// a later --resume and writes no CSV).
-int FinishCheckpointed(const Flags& flags,
-                       const analysis::CheckpointedCampaignResult& result) {
+/// The one campaign call behind `campaign` and `simulate`: builds the
+/// plan (jobs, journal, fault window) from the flags, runs `workload` and
+/// writes its outputs. Returns the exit code: 0 also for the deliberate
+/// --abort-after stop, which leaves the journal behind for a later
+/// --resume and writes no CSV; 2 when the campaign is refused or fails.
+int RunPlannedCampaign(const Flags& flags, const analysis::Workload& workload,
+                       const sim::PlatformConfig& config) {
+  analysis::CampaignPlan plan{config, JobsFlag(flags)};
+  if (flags.Has("checkpoint")) plan.journal = CheckpointFromFlags(flags);
+  plan.faults =
+      fault::MakeFaultWindow(FaultPlanFromFlags(flags), workload.master_seed());
+  std::fprintf(stderr, "spta_cli: %zu runs on %s (%zu jobs%s%s)...\n",
+               workload.runs(), config.name.c_str(), plan.jobs,
+               plan.journal ? ", journal " : "",
+               plan.journal ? plan.journal->journal_path.c_str() : "");
+  const analysis::CampaignResult result = analysis::RunCampaign(workload, plan);
+  if (!result.ok()) {
+    std::fprintf(stderr, "spta_cli: %s\n", result.error.c_str());
+    return 2;
+  }
   if (result.resumed_runs > 0 || result.torn_lines > 0) {
     std::fprintf(stderr,
                  "spta_cli: restored %zu runs from journal "
@@ -335,7 +352,15 @@ int FinishCheckpointed(const Flags& flags,
                  "--checkpoint ... --resume to finish\n");
     return 0;
   }
-  return WriteCampaignOutput(flags, result.samples, /*faults=*/0);
+  if (plan.faults.Active()) {
+    std::fprintf(stderr,
+                 "spta_cli: fault plan fired: %llu SEU flips, "
+                 "%llu reseeds dropped\n",
+                 static_cast<unsigned long long>(result.faults_injected),
+                 static_cast<unsigned long long>(result.reseeds_dropped));
+  }
+  return WriteCampaignOutput(flags, result.samples,
+                             result.faults_injected + result.reseeds_dropped);
 }
 
 /// Loads a trace in either container format; exit 2 on any damage.
@@ -576,50 +601,8 @@ int RunCampaign(const Flags& flags) {
       static_cast<std::uint64_t>(flags.GetInt("seed", 20170327));
   cc.distinct_scenarios =
       static_cast<std::size_t>(flags.GetInt("scenarios", 0));
-
-  const std::size_t jobs = JobsFlag(flags);
   const apps::TvcaApp app;
-  const fault::FaultCampaignConfig fc = FaultPlanFromFlags(flags, cc);
-  const bool faulty = fc.seu.Enabled() || fc.reseed_dropout > 0.0;
-
-  if (flags.Has("checkpoint")) {
-    if (faulty) {
-      std::fprintf(stderr,
-                   "spta_cli: --checkpoint journals clean campaigns only "
-                   "(drop the fault flags)\n");
-      return 2;
-    }
-    const analysis::CheckpointOptions copts = CheckpointFromFlags(flags);
-    analysis::CheckpointedCampaignResult result;
-    std::string error;
-    std::fprintf(stderr,
-                 "spta_cli: %zu runs on %s (%zu jobs, journal %s)...\n",
-                 cc.runs, config.name.c_str(), jobs,
-                 copts.journal_path.c_str());
-    if (!analysis::RunTvcaCampaignCheckpointed(config, app, cc, jobs, copts,
-                                               &result, &error)) {
-      std::fprintf(stderr, "spta_cli: %s\n", error.c_str());
-      return 2;
-    }
-    return FinishCheckpointed(flags, result);
-  }
-
-  std::fprintf(stderr, "spta_cli: %zu runs on %s (%zu jobs)...\n", cc.runs,
-               config.name.c_str(), jobs);
-  if (faulty) {
-    const auto result = fault::RunTvcaCampaignWithFaults(config, app, fc, jobs);
-    std::fprintf(stderr,
-                 "spta_cli: fault plan fired: %llu SEU flips, "
-                 "%llu reseeds dropped\n",
-                 static_cast<unsigned long long>(result.faults_injected),
-                 static_cast<unsigned long long>(result.reseeds_dropped));
-    return WriteCampaignOutput(
-        flags, result.samples,
-        result.faults_injected + result.reseeds_dropped);
-  }
-  return WriteCampaignOutput(
-      flags, analysis::RunTvcaCampaignParallel(config, app, cc, jobs),
-      /*faults=*/0);
+  return RunPlannedCampaign(flags, analysis::Workload(app, cc), config);
 }
 
 int RunAnalyze(const Flags& flags) {
@@ -736,48 +719,7 @@ int RunSimulate(const Flags& flags) {
   const auto runs = static_cast<std::size_t>(flags.GetInt("runs", 1000));
   const auto seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 20170327));
-  const std::size_t jobs = JobsFlag(flags);
-
-  analysis::CampaignConfig cc;
-  cc.runs = runs;
-  cc.master_seed = seed;
-  const fault::FaultCampaignConfig fc = FaultPlanFromFlags(flags, cc);
-  const bool faulty = fc.seu.Enabled() || fc.reseed_dropout > 0.0;
-
-  if (flags.Has("checkpoint")) {
-    if (faulty) {
-      std::fprintf(stderr,
-                   "spta_cli: --checkpoint journals clean campaigns only "
-                   "(drop the fault flags)\n");
-      return 2;
-    }
-    const analysis::CheckpointOptions copts = CheckpointFromFlags(flags);
-    analysis::CheckpointedCampaignResult result;
-    std::string error;
-    if (!analysis::RunFixedTraceCampaignCheckpointed(
-            config, t, runs, seed, jobs, copts, &result, &error)) {
-      std::fprintf(stderr, "spta_cli: %s\n", error.c_str());
-      return 2;
-    }
-    return FinishCheckpointed(flags, result);
-  }
-
-  if (faulty) {
-    const auto result =
-        fault::RunFixedTraceCampaignWithFaults(config, t, fc, jobs);
-    std::fprintf(stderr,
-                 "spta_cli: fault plan fired: %llu SEU flips, "
-                 "%llu reseeds dropped\n",
-                 static_cast<unsigned long long>(result.faults_injected),
-                 static_cast<unsigned long long>(result.reseeds_dropped));
-    return WriteCampaignOutput(
-        flags, result.samples,
-        result.faults_injected + result.reseeds_dropped);
-  }
-  return WriteCampaignOutput(
-      flags,
-      analysis::RunFixedTraceCampaignParallel(config, t, runs, seed, jobs),
-      /*faults=*/0);
+  return RunPlannedCampaign(flags, analysis::Workload(t, runs, seed), config);
 }
 
 }  // namespace
