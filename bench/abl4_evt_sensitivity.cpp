@@ -24,6 +24,11 @@
 #include "sim/platform.hpp"
 #include "stats/descriptive.hpp"
 
+/// PoT sweep bounds: excesses kept at the deepest threshold, and the tail
+/// fraction of the shallowest one.
+constexpr double kDeepExcesses = 25.0;
+constexpr double kShallowTail = 0.25;
+
 int main() {
   using namespace spta;
   bench::Banner("abl4_evt_sensitivity", "analysis design choices",
@@ -33,6 +38,12 @@ int main() {
   const apps::TvcaApp app;
   analysis::CampaignConfig cfg;
   cfg.runs = bench::RunCount(3000);
+  // The PoT sweep keeps >= 25 excesses at its deepest candidate, a tail
+  // fraction that must stay below the shallowest one (0.25).
+  if (const int rc = bench::CheckMinRuns(
+          cfg.runs, static_cast<std::size_t>(kDeepExcesses / kShallowTail) + 1)) {
+    return rc;
+  }
   const auto samples = analysis::RunCampaign(analysis::Workload(app, cfg),
                                              {sim::RandLeon3Config()})
                            .samples;
@@ -76,9 +87,9 @@ int main() {
   // PoT/GPD cross-check with an automated threshold sweep. Keep at least
   // ~25 excesses at the deepest candidate regardless of the run count.
   const double min_fraction =
-      std::max(0.02, 25.0 / static_cast<double>(times.size()));
+      std::max(0.02, kDeepExcesses / static_cast<double>(times.size()));
   const auto sweep =
-      evt::SweepThresholds(times, 1e-9, 0.25, min_fraction);
+      evt::SweepThresholds(times, 1e-9, kShallowTail, min_fraction);
   std::printf("\nPoT threshold sweep (plateau pick marked):\n");
   for (std::size_t i = 0; i < sweep.points.size(); ++i) {
     const auto& pt = sweep.points[i];

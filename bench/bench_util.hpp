@@ -35,6 +35,19 @@ inline std::size_t RunCount(std::size_t default_runs) {
   return default_runs;
 }
 
+/// The up-front sample-size check of a bench whose analyses have a floor:
+/// below `min_runs` it prints the minimum and returns exit status 2, so a
+/// smoke run never reaches the analysis contract it would violate.
+/// Returns 0 when `runs` is enough.
+inline int CheckMinRuns(std::size_t runs, std::size_t min_runs) {
+  if (runs >= min_runs) return 0;
+  std::fprintf(stderr,
+               "too few runs: %zu; this bench needs at least %zu runs "
+               "(SPTA_BENCH_RUNS)\n",
+               runs, min_runs);
+  return 2;
+}
+
 /// Standard banner so bench outputs are self-describing.
 inline void Banner(const char* experiment, const char* paper_artifact,
                    const char* claim) {

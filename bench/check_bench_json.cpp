@@ -25,10 +25,11 @@
 // service load generator at SPTA_BENCH_RUNS=50 (scales the warm request
 // streams; the analysis stays at the full 3,000 samples) and validates
 // BENCH_service_loadgen.json plus BENCH_service_fleet.json — requiring
-// checksum_match=1 (fleet responses bit-identical to the classic
-// server's) and warm_start_hit=1 (a restarted fleet served its first
-// repeat from the persistent cache). The >= 10x fleet-vs-classic warm
-// throughput bar arms itself inside the bench at >= 150 runs; here the
+// checksum_match=1 (memo-served responses bit-identical to the ones the
+// shard re-executes with the memo off) and warm_start_hit=1 (a restarted
+// fleet served its first repeat from the persistent cache). The >= 10x
+// memo-vs-memo-off warm throughput bar arms itself inside the bench at
+// >= 150 runs; here the
 // checker verifies the gate fields are present and, whenever the report
 // says the gate was armed, that it passed.
 //
@@ -313,8 +314,8 @@ int main(int argc, char** argv) {
     std::remove(atlas_json.c_str());
   }
 
-  // Service-fleet artifacts: the load generator emits the classic report
-  // and the fleet A/B report. 50 runs keeps the warm streams short while
+  // Service-fleet artifacts: the load generator emits the cold/warm and
+  // drain report and the fleet A/B report. 50 runs keeps the warm streams short while
   // the bench's fixed 3,000-sample analyses keep the cold legs honest;
   // the >= 10x fleet gate self-disarms below 150 runs, but the
   // bit-identity checksum and the persistent warm-start hit are
@@ -336,7 +337,7 @@ int main(int argc, char** argv) {
                    &loadgen_numbers);
     std::map<std::string, std::string> fleet_numbers;
     ValidateReport(fleet_json, "service_fleet",
-                   {"classic_warm_rps", "fleet_warm_rps",
+                   {"memo_off_warm_rps", "fleet_warm_rps",
                     "fleet_warm_speedup", "tcp_warm_rps", "cold_rps_1shard",
                     "cold_rps_nshard", "shard_scaling", "shards_n",
                     "cold_start_ms", "warm_start_ms", "warm_start_hit",
@@ -345,8 +346,8 @@ int main(int argc, char** argv) {
                    &fleet_numbers);
     if (fleet_numbers.count("checksum_match") &&
         Number(fleet_numbers, "checksum_match", 0.0) != 1.0) {
-      Fail("service_fleet: fleet responses were not bit-identical to the "
-           "classic server's");
+      Fail("service_fleet: memo responses were not bit-identical to the "
+           "memo-off fleet's");
     }
     if (fleet_numbers.count("warm_start_hit") &&
         Number(fleet_numbers, "warm_start_hit", 0.0) != 1.0) {

@@ -34,6 +34,11 @@ int main() {
   const apps::TvcaApp app;
   analysis::CampaignConfig cfg;
   cfg.runs = bench::RunCount(3000);
+  // SplitBacktest fits each half of the sample on >= min_blocks maxima.
+  if (const int rc = bench::CheckMinRuns(
+          cfg.runs, 2 * mbpta::MbptaOptions{}.min_blocks)) {
+    return rc;
+  }
   const auto samples = analysis::RunCampaign(analysis::Workload(app, cfg),
                                              {sim::RandLeon3Config()})
                            .samples;

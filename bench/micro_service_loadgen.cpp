@@ -1,21 +1,25 @@
 // spta_serve load generator: amortization, drain and fleet guarantees.
 //
-// Drives a resident Server in pipe mode (the same ServeStream entry the
-// daemon and tests use) with scripted request streams and reports:
+// Drives the sharded fleet (sharded_server.hpp) — synchronously through
+// ServeScript, the same per-frame dispatch the event loop runs, and over
+// real TCP — with scripted request streams and reports:
 //
-//   1. cold vs warm: wall clock of an ANALYZE that runs the full MBPTA
-//      pipeline vs an identical resubmission answered from the
-//      content-addressed result cache, each the median of interleaved
-//      rounds. Acceptance: warm >= 10x faster.
-//   2. warm-path throughput: cache-hit requests served per second.
-//   3. drain-on-shutdown: a burst of analyses followed by SHUTDOWN must
-//      produce exactly one response per accepted request — zero loss.
-//   4. fleet A/B (BENCH_service_fleet.json): the sharded fleet
-//      (sharded_server.hpp) against the classic server —
-//        * warm throughput: fleet memo path vs classic warm path over the
-//          same session-ANALYZE stream. Acceptance (armed at >= 150
-//          requests): fleet >= 10x the classic warm rate, bit-identical
-//          responses (analyze_us aside) — the ROADMAP item-1 headline;
+//   1. cold vs warm: an ANALYZE that runs the full MBPTA pipeline vs an
+//      identical resubmission answered from the shard engine's result
+//      cache (warm memo off), each the median
+//      of interleaved rounds, both timed in the serving thread's CPU time
+//      (ServeScript runs on the calling thread, so preemption by other
+//      processes does not land on either leg). Acceptance: warm >= 10x
+//      faster.
+//   2. drain-on-shutdown: a burst of analyses followed by SHUTDOWN over
+//      TCP must produce exactly one response per accepted request — zero
+//      loss.
+//   3. fleet A/B (BENCH_service_fleet.json):
+//        * warm throughput: the loop's response memo vs the same fleet with
+//          warm_memo_capacity = 0 (every repeat re-executes on its shard
+//          and hits the engine's result cache), interleaved repetitions in
+//          thread CPU time. Acceptance (armed at >= 150 requests): memo
+//          >= 10x memo-off, bit-identical responses (analyze_us aside);
 //        * TCP leg: the same warm stream through the real epoll loop;
 //        * cold shard scaling: distinct analyses pipelined over TCP,
 //          1 shard vs N shards (reported, not gated — machine-dependent);
@@ -28,12 +32,15 @@
 //
 // Exit code is nonzero when any armed acceptance criterion fails, so the
 // bench doubles as a regression guard.
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -44,7 +51,6 @@
 #include "obs/trace_context.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
 #include "service/sharded_server.hpp"
 
 namespace {
@@ -90,23 +96,12 @@ service::Request ShutdownRequest() {
   return request;
 }
 
-/// Runs a scripted stream through `server`, returns (responses, seconds).
-std::pair<std::vector<service::Response>, double> Run(
-    service::Server& server, const std::vector<service::Request>& script) {
-  std::stringstream in;
-  for (const auto& request : script) service::WriteRequest(in, request);
-  std::stringstream out;
-  const auto t0 = Clock::now();
-  server.ServeStream(in, out);
-  const double elapsed = Seconds(t0, Clock::now());
-  std::vector<service::Response> responses;
-  service::Response response;
-  std::string error;
-  while (service::ReadResponse(out, &response, &error) ==
-         service::ReadStatus::kOk) {
-    responses.push_back(response);
-  }
-  return {responses, elapsed};
+/// CPU time of the calling thread.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
 std::string EncodeScript(const std::vector<service::Request>& script) {
@@ -127,6 +122,22 @@ std::vector<service::Response> DecodeResponses(const std::string& bytes) {
     responses.push_back(response);
   }
   return responses;
+}
+
+/// Serves `wire` through ServeScript; returns (responses, thread CPU s).
+std::pair<std::vector<service::Response>, double> Serve(
+    service::ShardedServer& fleet, const std::string& wire) {
+  std::string out;
+  const double t0 = ThreadCpuSeconds();
+  fleet.ServeScript(wire, &out);
+  const double elapsed = ThreadCpuSeconds() - t0;
+  return {DecodeResponses(out), elapsed};
+}
+
+std::pair<std::vector<service::Response>, double> Serve(
+    service::ShardedServer& fleet,
+    const std::vector<service::Request>& script) {
+  return Serve(fleet, EncodeScript(script));
 }
 
 /// The wire frame with the volatile timing field stripped: the unit of
@@ -205,23 +216,24 @@ int main() {
   // The resident-service shape: samples are streamed into a session once,
   // then re-analyses reference the session by name.  Ingestion (OPEN +
   // APPEND) is untimed; each timed cold request runs the full MBPTA
-  // pipeline and each timed warm burst is answered from the
-  // content-addressed cache. One cold analysis takes under a millisecond,
-  // so a single timed one is at the mercy of the scheduler: the gate
-  // compares the median of kRounds cold analyses (each on its own session
-  // with its own sample, so each is a cache miss) against the median of
-  // kRounds warm bursts, interleaved in this one process.
+  // pipeline and each timed warm burst is answered from the result cache.
+  // One cold analysis takes under a millisecond, so the gate compares the
+  // median of kRounds cold analyses (each on its own session with its own
+  // sample, so each is a cache miss) against the median of kRounds warm
+  // bursts, interleaved in this one process and timed in this thread's
+  // CPU time. The warm memo is off, so every warm request goes through
+  // the shard's engine and its result cache (the memo is gate 3's).
   constexpr std::size_t kRounds = 9;
   constexpr std::size_t kWarmBurst = 50;
-  service::Server server{service::ServerOptions{}};
+  service::ShardedServerOptions fleet1_options;
+  fleet1_options.warm_memo_capacity = 0;
+  service::ShardedServer fleet1(fleet1_options);
   std::vector<double> cold_round_s;
-  std::vector<double> warm_round_s;  // mean seconds per warm request
+  std::vector<double> warm_round_s;  // mean CPU seconds per warm request
   double warm_total_s = 0.0;
   std::size_t warm_hits = 0;
   for (std::size_t round = 0; round < kRounds; ++round) {
-    // Round 0 leaves session "bench" warm over `obs` for the fleet A/B.
-    const std::string session =
-        round == 0 ? "bench" : "bench" + std::to_string(round);
+    const std::string session = "bench" + std::to_string(round);
     service::Request open;
     open.kind = service::RequestKind::kOpen;
     open.args.Set("session", session);
@@ -230,14 +242,14 @@ int main() {
     append.args.Set("session", session);
     append.payload = service::EncodeSamplePayload(
         round == 0 ? obs : SyntheticSample(sample_size, 100 + round));
-    const auto [ingest_responses, ingest_s] = Run(server, {open, append});
+    const auto [ingest_responses, ingest_s] = Serve(fleet1, {open, append});
     if (ingest_responses.size() != 2 || !ingest_responses[0].ok ||
         !ingest_responses[1].ok) {
       std::printf("FAIL: session ingestion failed\n");
       return 1;
     }
     const auto [cold_responses, cold_s] =
-        Run(server, {SessionAnalyzeRequest(session)});
+        Serve(fleet1, {SessionAnalyzeRequest(session)});
     if (cold_responses.size() != 1 || !cold_responses[0].ok ||
         cold_responses[0].args.GetString("cache") != "miss") {
       std::printf("FAIL: cold analysis did not complete as a cache miss\n");
@@ -247,7 +259,7 @@ int main() {
 
     const std::vector<service::Request> warm_script(
         kWarmBurst, SessionAnalyzeRequest(session));
-    const auto [warm_responses, burst_s] = Run(server, warm_script);
+    const auto [warm_responses, burst_s] = Serve(fleet1, warm_script);
     for (const auto& response : warm_responses) {
       warm_hits += response.ok && response.args.GetString("cache") == "hit";
     }
@@ -258,7 +270,7 @@ int main() {
   const double warm_s = bench::SummarizeLatencies(warm_round_s).p50;
   const double speedup = warm_s > 0.0 ? cold_s / warm_s : 0.0;
   std::printf("cold analysis    : %9.3f ms  (median of %zu, %zu samples, "
-              "full MBPTA)\n",
+              "full MBPTA; thread CPU time)\n",
               cold_s * 1e3, kRounds, sample_size);
   std::printf("warm resubmission: %9.3f ms  (median of %zu bursts, %zu/%zu "
               "cache hits)\n",
@@ -268,9 +280,6 @@ int main() {
   if (speedup < 10.0 || warm_hits != kRounds * kWarmBurst) failed = true;
 
   // --- 2. drain on shutdown ----------------------------------------------
-  service::ServerOptions drain_options;
-  drain_options.queue_capacity = 512;
-  service::Server drain_server(drain_options);
   constexpr std::size_t kBurst = 200;
   std::vector<service::Request> burst;
   burst.reserve(kBurst + 1);
@@ -279,7 +288,16 @@ int main() {
     burst.push_back(AnalyzeRequest(SyntheticSample(200, 1000 + i)));
   }
   burst.push_back(ShutdownRequest());
-  const auto [drain_responses, drain_s] = Run(drain_server, burst);
+  std::vector<service::Response> drain_responses;
+  double drain_s = 0.0;
+  service::ShardedServerOptions drain_options;
+  drain_options.shards = 2;
+  service::ShardedServer drain_fleet(drain_options);
+  if (drain_fleet.ListenTcp("127.0.0.1", 0) == 0 && drain_fleet.Start() == 0) {
+    std::tie(drain_responses, drain_s) =
+        RunTcp(drain_fleet, EncodeScript(burst), kBurst + 1);
+    drain_fleet.Wait();
+  }
 
   std::size_t answered = 0;
   for (std::size_t i = 0; i + 1 < drain_responses.size(); ++i) {
@@ -296,82 +314,63 @@ int main() {
       drained_ok ? "OK" : "FAIL");
   if (!drained_ok) failed = true;
 
-  std::printf("\nfinal server metrics:\n%s",
-              drain_server.metrics()
-                  .Render(drain_server.engine().cache().stats())
-                  .c_str());
+  std::printf("\nfinal fleet metrics:\n%s",
+              drain_fleet.FleetMetricsResponse().payload.c_str());
 
-  // --- 4. fleet A/B -------------------------------------------------------
+  // --- 3. fleet A/B -------------------------------------------------------
   const bool gate_armed = warm_runs >= 150;
-  constexpr double kFleetGate = 10.0;  // fleet warm >= 10x classic warm
+  constexpr double kFleetGate = 10.0;  // memo warm >= 10x memo-off warm
 
   // One identical warm session-ANALYZE stream for every warm leg.
   const std::string warm_wire = EncodeScript(std::vector<service::Request>(
       warm_runs, SessionAnalyzeRequest("bench")));
   const std::string warmup_wire = EncodeScript(WarmupScript(obs));
 
-  // Leg A: classic warm throughput at the same request count (the 50-run
-  // burst above is too short to compare against; re-measure at scale).
-  double classic_warm_rps = 0.0;
-  std::string classic_warm_frame;
-  {
-    const auto [responses, elapsed] = Run(
-        server, std::vector<service::Request>(
-                    warm_runs, SessionAnalyzeRequest("bench")));
-    std::size_t hits = 0;
-    for (const auto& response : responses) {
-      hits += response.ok && response.args.GetString("cache") == "hit";
-    }
-    if (hits != warm_runs) {
-      std::printf("FAIL: classic warm leg: %zu/%zu hits\n", hits, warm_runs);
-      failed = true;
-    }
-    if (!responses.empty()) {
-      classic_warm_frame = NormalizedFrame(responses.front());
-    }
-    classic_warm_rps =
-        elapsed > 0.0 ? static_cast<double>(warm_runs) / elapsed : 0.0;
-  }
-
-  // Leg B: fleet warm throughput, script mode (the memo fast path; this
-  // is the gated >= 10x leg — same verbs, same bytes, no socket noise on
-  // either side of the A/B).
-  double fleet_warm_rps = 0.0;
+  // Legs A and B: the same warm stream through a 1-shard fleet with the
+  // response memo off (A, the shard re-executes and hits its result
+  // cache) and on (B), interleaved repetitions in thread CPU time; each
+  // leg reports its median rate.
+  constexpr int kWarmReps = 5;
+  std::vector<double> memo_off_rates;
+  std::vector<double> memo_rates;
+  std::string reference_frame;
   bool fleet_bits_match = true;
-  {
-    service::ShardedServerOptions fleet_options;
-    fleet_options.shards = 1;
-    service::ShardedServer fleet(fleet_options);
-    std::string out;
-    fleet.ServeScript(warmup_wire, &out);
-    const auto setup = DecodeResponses(out);
-    if (setup.size() != 3 || !setup[2].ok) {
-      std::printf("FAIL: fleet session warmup failed\n");
-      failed = true;
-    }
-    std::string warm_out;
-    warm_out.reserve(warm_runs * 1024);
-    const auto t0 = Clock::now();
-    fleet.ServeScript(warm_wire, &warm_out);
-    const double elapsed = Seconds(t0, Clock::now());
-    const auto responses = DecodeResponses(warm_out);
-    std::size_t hits = 0;
-    for (const auto& response : responses) {
-      hits += response.ok && response.args.GetString("cache") == "hit";
-      if (fleet_bits_match && NormalizedFrame(response) != classic_warm_frame) {
-        fleet_bits_match = false;
+  for (int rep = 0; rep < kWarmReps; ++rep) {
+    for (const bool memo : {false, true}) {
+      service::ShardedServerOptions fleet_options;
+      if (!memo) fleet_options.warm_memo_capacity = 0;
+      service::ShardedServer fleet(fleet_options);
+      const auto [setup, setup_s] = Serve(fleet, warmup_wire);
+      if (setup.size() != 3 || !setup[2].ok) {
+        std::printf("FAIL: fleet session warmup failed\n");
+        failed = true;
       }
+      const auto [responses, elapsed] = Serve(fleet, warm_wire);
+      std::size_t hits = 0;
+      for (const auto& response : responses) {
+        hits += response.ok && response.args.GetString("cache") == "hit";
+        if (reference_frame.empty()) {
+          reference_frame = NormalizedFrame(response);
+        }
+        if (fleet_bits_match && NormalizedFrame(response) != reference_frame) {
+          fleet_bits_match = false;
+        }
+      }
+      if (hits != warm_runs || responses.size() != warm_runs) {
+        std::printf("FAIL: %s warm leg: %zu responses, %zu hits\n",
+                    memo ? "memo" : "memo-off", responses.size(), hits);
+        failed = true;
+      }
+      (memo ? memo_rates : memo_off_rates)
+          .push_back(elapsed > 0.0 ? static_cast<double>(warm_runs) / elapsed
+                                   : 0.0);
     }
-    if (hits != warm_runs || responses.size() != warm_runs) {
-      std::printf("FAIL: fleet warm leg: %zu responses, %zu hits\n",
-                  responses.size(), hits);
-      failed = true;
-    }
-    fleet_warm_rps =
-        elapsed > 0.0 ? static_cast<double>(warm_runs) / elapsed : 0.0;
   }
+  const double memo_off_warm_rps =
+      bench::SummarizeLatencies(memo_off_rates).p50;
+  const double fleet_warm_rps = bench::SummarizeLatencies(memo_rates).p50;
   const double fleet_warm_speedup =
-      classic_warm_rps > 0.0 ? fleet_warm_rps / classic_warm_rps : 0.0;
+      memo_off_warm_rps > 0.0 ? fleet_warm_rps / memo_off_warm_rps : 0.0;
 
   // Leg C: the same warm stream through the real epoll/TCP path.
   double tcp_warm_rps = 0.0;
@@ -387,7 +386,7 @@ int main() {
       for (const auto& response : responses) {
         hits += response.ok && response.args.GetString("cache") == "hit";
         if (fleet_bits_match &&
-            NormalizedFrame(response) != classic_warm_frame) {
+            NormalizedFrame(response) != reference_frame) {
           fleet_bits_match = false;
         }
       }
@@ -458,7 +457,7 @@ int main() {
       std::string first_frame;
       {
         service::ShardedServerOptions fleet_options;
-        fleet_options.server.cache_dir = scratch;
+        fleet_options.cache_dir = scratch;
         service::ShardedServer fleet(fleet_options);
         std::string out;
         const auto t0 = Clock::now();
@@ -469,7 +468,7 @@ int main() {
       }
       {
         service::ShardedServerOptions fleet_options;
-        fleet_options.server.cache_dir = scratch;
+        fleet_options.cache_dir = scratch;
         service::ShardedServer fleet(fleet_options);
         std::string out;
         const auto t0 = Clock::now();
@@ -734,7 +733,7 @@ int main() {
         if (responses.size() != warm_runs) obs_trace_checksum = false;
         for (const auto& response : responses) {
           if (!response.ok ||
-              NormalizedFrame(response) != classic_warm_frame) {
+              NormalizedFrame(response) != reference_frame) {
             obs_trace_checksum = false;
             break;
           }
@@ -857,15 +856,16 @@ int main() {
     failed = true;
   }
   if (!fleet_bits_match) {
-    std::printf("FAIL: fleet warm responses diverged from classic bytes\n");
+    std::printf("FAIL: memo warm responses diverged from memo-off bytes\n");
     failed = true;
   }
   if (gate_armed && fleet_warm_speedup < kFleetGate) failed = true;
 
   std::printf("\nfleet A/B (%zu warm requests%s):\n", warm_runs,
               gate_armed ? "" : "; gate disarmed, < 150 runs");
-  std::printf("classic warm     : %12.0f req/s\n", classic_warm_rps);
-  std::printf("fleet warm       : %12.0f req/s  (%5.1fx, acceptance: >= "
+  std::printf("memo-off warm    : %12.0f req/s  (thread CPU time)\n",
+              memo_off_warm_rps);
+  std::printf("memo warm        : %12.0f req/s  (%5.1fx, acceptance: >= "
               "%.0fx)  %s\n",
               fleet_warm_rps, fleet_warm_speedup, kFleetGate,
               !gate_armed              ? "n/a"
@@ -879,7 +879,7 @@ int main() {
               cold_start_ms, warm_start_ms,
               warm_start_hit ? "disk hit" : "MISS");
   std::printf("bit identity     : %s\n",
-              fleet_bits_match ? "OK (classic == fleet == TCP)" : "FAIL");
+              fleet_bits_match ? "OK (memo-off == memo == TCP)" : "FAIL");
   std::printf(
       "resilience       : %12.0f req/s chaos-off, %12.0f req/s with %zu "
       "kills; recovery p50 %.2f ms p99 %.2f ms; %llu lost, %llu "
@@ -902,7 +902,7 @@ int main() {
       obs_trace_pass ? "OK" : "FAIL");
 
   bench::JsonReport fleet_report("service_fleet", warm_runs);
-  fleet_report.Set("classic_warm_rps", classic_warm_rps);
+  fleet_report.Set("memo_off_warm_rps", memo_off_warm_rps);
   fleet_report.Set("fleet_warm_rps", fleet_warm_rps);
   fleet_report.Set("fleet_warm_speedup", fleet_warm_speedup);
   fleet_report.Set("tcp_warm_rps", tcp_warm_rps);
@@ -916,7 +916,7 @@ int main() {
   fleet_report.Set("checksum_match", fleet_bits_match ? 1.0 : 0.0);
   fleet_report.Set(
       "warm_frame_checksum",
-      static_cast<double>(spta::HashBytes(classic_warm_frame).lo >> 32));
+      static_cast<double>(spta::HashBytes(reference_frame).lo >> 32));
   fleet_report.Set("gate_armed", gate_armed ? 1.0 : 0.0);
   fleet_report.Set("gate_min_speedup", kFleetGate);
   fleet_report.Set("acceptance_pass", failed ? 0.0 : 1.0);

@@ -27,16 +27,20 @@ int main() {
   const apps::TvcaApp app;
   analysis::CampaignConfig cfg;
   cfg.runs = bench::RunCount(3000);
-  const auto samples = analysis::RunCampaign(analysis::Workload(app, cfg),
-                                             {sim::RandLeon3Config()})
-                           .samples;
-  const auto times = analysis::ExtractTimes(samples);
-
   mbpta::ConvergenceOptions opts;
   opts.initial_runs = 250;
   opts.step_runs = 250;
   opts.reference_prob = 1e-12;
   opts.rel_tolerance = 0.02;
+  // The first convergence checkpoint is the sample's first initial_runs.
+  if (const int rc = bench::CheckMinRuns(cfg.runs, opts.initial_runs)) {
+    return rc;
+  }
+  const auto samples = analysis::RunCampaign(analysis::Workload(app, cfg),
+                                             {sim::RandLeon3Config()})
+                           .samples;
+  const auto times = analysis::ExtractTimes(samples);
+
   const auto conv = mbpta::CheckConvergence(times, opts);
 
   TextTable table({"runs", "pWCET@1e-12", "rel delta", "status"});

@@ -2,21 +2,6 @@
 
 namespace spta {
 
-std::uint64_t Mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t value) {
-  // Boost-style combiner lifted to 64 bits with a golden-ratio constant.
-  return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 12) +
-                 (seed >> 4));
-}
-
 std::uint64_t DeriveSeed(std::uint64_t master, std::uint64_t index) {
   return Mix64(master + 0x9e3779b97f4a7c15ULL * (index + 1));
 }

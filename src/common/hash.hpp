@@ -15,10 +15,23 @@ namespace spta {
 
 /// SplitMix64 finalizer: a full-avalanche 64-bit mix (Stafford variant 13).
 /// Bijective on uint64, so distinct inputs never collide.
-std::uint64_t Mix64(std::uint64_t x);
+inline std::uint64_t Mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
 
-/// Combines a running hash with a new value (order-sensitive).
-std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t value);
+/// Combines a running hash with a new value (order-sensitive). Inline:
+/// digests chain it once per word (the service's cache key hashes every
+/// sample), where an out-of-line call costs more than the mixing.
+inline std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t value) {
+  // Boost-style combiner lifted to 64 bits with a golden-ratio constant.
+  return seed ^ (Mix64(value) + 0x9e3779b97f4a7c15ULL + (seed << 12) +
+                 (seed >> 4));
+}
 
 /// Derives the `index`-th independent sub-seed from `master`.
 /// Guaranteed deterministic; used to give every platform component and every

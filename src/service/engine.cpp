@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "common/hash.hpp"
 #include "evt/block_maxima.hpp"
 #include "mbpta/mbpta.hpp"
@@ -139,22 +138,10 @@ void AnalysisEngine::InsertCached(std::uint64_t key, std::uint64_t verifier,
   cache_.Insert(key, verifier, std::move(body));
 }
 
-bool AnalysisEngine::TryServeCached(
-    std::span<const mbpta::PathObservation> observations,
-    const AnalysisConfig& config, AnalysisOutcome* outcome) {
-  outcome->key = AnalysisKey(observations, config);
-  auto body = cache_.LookupIfPresent(outcome->key,
-                                     AnalysisVerifier(observations, config));
-  if (!body) return false;
-  outcome->cache_hit = true;
-  DecodeBody(*body, &outcome->result, &outcome->report);
-  return true;
-}
-
 bool AnalysisEngine::Analyze(
     std::span<const mbpta::PathObservation> observations,
     const AnalysisConfig& config, AnalysisOutcome* outcome,
-    std::string* error, std::shared_ptr<Ticket> ticket) {
+    std::string* error) {
   // Validate what the batch pipeline enforces as SPTA_REQUIRE
   // preconditions: a daemon answers ERR, it does not abort.
   if (config.min_blocks < 1) {
@@ -223,8 +210,7 @@ bool AnalysisEngine::Analyze(
 
   outcome->key = AnalysisKey(observations, config);
   const std::uint64_t verifier = AnalysisVerifier(observations, config);
-  if (ticket == nullptr) ticket = TakeTicket(outcome->key);
-  SPTA_REQUIRE(ticket->key_ == outcome->key);
+  const std::shared_ptr<Ticket> ticket = TakeTicket(outcome->key);
   WaitForTurn(*ticket);
   if (auto body = cache_.Lookup(outcome->key, verifier)) {
     outcome->cache_hit = true;

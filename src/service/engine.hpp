@@ -75,51 +75,20 @@ struct AnalysisOutcome {
 
 class AnalysisEngine {
  public:
-  /// A place in the queue of analyses of one key (see TakeTicket).
-  /// Destroying it gives the place up.
-  class Ticket {
-   public:
-    ~Ticket();
-    Ticket(const Ticket&) = delete;
-    Ticket& operator=(const Ticket&) = delete;
-
-   private:
-    friend class AnalysisEngine;
-    Ticket(AnalysisEngine* engine, std::uint64_t key, std::uint64_t number)
-        : engine_(engine), key_(key), number_(number) {}
-
-    AnalysisEngine* engine_;
-    std::uint64_t key_;
-    std::uint64_t number_;
-  };
-
   explicit AnalysisEngine(std::size_t cache_capacity = 128);
-
-  /// Single flight. Analyses of one key run one at a time, in the order
-  /// their tickets were taken, and each checks the cache before it
-  /// computes: the first answers cache=miss, and every identical request
-  /// queued behind it answers from that result as cache=hit instead of
-  /// running a second EVT fit. The server takes a ticket per request on
-  /// its reader thread, in request order, so the first of several
-  /// pipelined identical requests is the one that computes. `key` is
-  /// AnalysisKey(observations, config).
-  std::shared_ptr<Ticket> TakeTicket(std::uint64_t key);
 
   /// Runs (or recalls) the analysis. Returns false + diagnostic for
   /// requests the pipeline cannot accept (sample too small, block size
   /// larger than the sample, ...) — never aborts on untrusted input.
-  /// Waits for `ticket`'s turn before the cache lookup; without one it
-  /// takes a ticket once the request is validated.
+  ///
+  /// Single flight: analyses of one key run one at a time, in the order
+  /// they were validated, and each checks the cache before it computes.
+  /// The first answers cache=miss, and every identical request queued
+  /// behind it answers from that result as cache=hit instead of running
+  /// a second EVT fit.
   bool Analyze(std::span<const mbpta::PathObservation> observations,
                const AnalysisConfig& config, AnalysisOutcome* outcome,
-               std::string* error, std::shared_ptr<Ticket> ticket = nullptr);
-
-  /// Warm fast path: answers from the cache if the result is already
-  /// resident, without validating or running anything. A miss is not
-  /// counted against the cache statistics (the subsequent Analyze counts
-  /// it), so callers may probe freely before dispatching to a worker.
-  bool TryServeCached(std::span<const mbpta::PathObservation> observations,
-                      const AnalysisConfig& config, AnalysisOutcome* outcome);
+               std::string* error);
 
   ResultCache& cache() { return cache_; }
   const ResultCache& cache() const { return cache_; }
@@ -138,6 +107,24 @@ class AnalysisEngine {
                     std::string body);
 
  private:
+  /// A place in the queue of analyses of one key; destroying it gives
+  /// the place up.
+  class Ticket {
+   public:
+    ~Ticket();
+    Ticket(const Ticket&) = delete;
+    Ticket& operator=(const Ticket&) = delete;
+
+   private:
+    friend class AnalysisEngine;
+    Ticket(AnalysisEngine* engine, std::uint64_t key, std::uint64_t number)
+        : engine_(engine), key_(key), number_(number) {}
+
+    AnalysisEngine* engine_;
+    std::uint64_t key_;
+    std::uint64_t number_;
+  };
+
   /// The tickets of one key: `serving` is the number whose turn it is;
   /// `released` holds later numbers given up before their turn.
   struct TicketQueue {
@@ -146,6 +133,8 @@ class AnalysisEngine {
     std::set<std::uint64_t> released;
   };
 
+  /// A place in the queue of analyses of `key`, taken in call order.
+  std::shared_ptr<Ticket> TakeTicket(std::uint64_t key);
   void WaitForTurn(const Ticket& ticket);
   void Release(const Ticket& ticket);
 

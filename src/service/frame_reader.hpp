@@ -19,8 +19,7 @@
 //
 // A malformed frame poisons the reassembler: framing is lost, so every
 // later call reports the same error and the connection must be dropped —
-// exactly the "answer once, then stop reading" discipline ServeStream
-// applies.
+// the "answer once, then stop reading" discipline of the blocking reader.
 #pragma once
 
 #include <cstddef>

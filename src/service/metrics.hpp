@@ -1,14 +1,12 @@
-// Service observability: request counters, rejection counters and latency
-// histograms, dumpable on demand (METRICS request), scrapeable in
-// Prometheus text format (METRICS_PROM request, --prom-out file export)
-// and rendered at daemon exit.
+// Per-shard service observability: request counters, rejection counters
+// and latency histograms, summed into the fleet's METRICS answer
+// (ShardedServer), which also carries each shard's Render() text.
 //
 // All counters are monotonic since process start. Latency is recorded in
 // microseconds into fixed-bin histograms sharing the common/histogram
 // latency bin spec (kLatencyBin*): one for cache-hit analyses, one for
 // cache misses — the spread between the two IS the amortization story the
-// service exists to tell — plus one for ANALYZE queue wait (submit to
-// worker pickup), the backpressure signal.
+// service exists to tell.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +14,6 @@
 #include <string>
 
 #include "common/histogram.hpp"
-#include "obs/trace.hpp"
 #include "service/protocol.hpp"
 #include "service/result_cache.hpp"
 
@@ -35,34 +32,13 @@ class ServiceMetrics {
   /// Counts an ANALYZE rejected because its deadline expired in queue.
   void CountDeadlineMiss();
 
-  /// Counts a malformed frame (framing errors don't map to a verb).
-  void CountProtocolError();
-
-  /// Counts `n` injected I/O faults fired on a connection (fault-injection
-  /// hook active; see ServerOptions::io_fault_hook_factory).
-  void CountInjectedFaults(std::uint64_t n);
-
-  /// Counts a connection that ended degraded: injected faults fired and the
-  /// stream terminated without a clean SHUTDOWN handshake.
-  void CountDegradedSession();
-
-  /// Records the wall-clock service time of one ANALYZE. When the calling
-  /// thread carries a distributed trace context, the observation becomes
-  /// the histogram's current exemplar (`# {trace_id="..."} value` in the
-  /// Prometheus rendering) — last traced observation wins.
+  /// Records the wall-clock service time of one ANALYZE.
   void RecordAnalyzeLatency(double micros, bool cache_hit);
-
-  /// Records the time one ANALYZE spent queued before a worker picked it
-  /// up (0 for the inline cache-hit fast path, which never queues).
-  /// Captures a trace exemplar like RecordAnalyzeLatency.
-  void RecordQueueWait(double micros);
 
   std::uint64_t requests_total() const;
   std::uint64_t errors_total() const;
   std::uint64_t busy_rejections() const;
   std::uint64_t deadline_misses() const;
-  std::uint64_t faults_injected() const;
-  std::uint64_t sessions_degraded() const;
 
   /// Renders the whole surface (plus the cache's counters) as stable
   /// `key value` lines followed by the latency histograms in ASCII.
@@ -79,25 +55,14 @@ class ServiceMetrics {
   /// lexicographic order —
   ///   analyses_total, busy_rejections, cache_capacity, cache_collisions,
   ///   cache_evictions, cache_hit_ratio, cache_hits, cache_misses,
-  ///   cache_size, deadline_misses, errors_total, faults_injected,
-  ///   protocol_errors, queue_waits, requests_<VERB>*, requests_total,
-  ///   sessions_degraded
+  ///   cache_size, deadline_misses, errors_total, requests_<VERB>*,
+  ///   requests_total
   /// (* = requests_<VERB> keys appear only for verbs with a nonzero count,
   /// themselves in lexicographic order, and all sort before requests_total
   /// because verb names are upper-case.)
   /// Adding a key is allowed; reordering or renaming existing keys is a
   /// breaking change to the wire surface.
   Args Snapshot(const ResultCache::Stats& cache) const;
-
-  /// Renders the full observability surface in Prometheus text exposition
-  /// format (version 0.0.4): request/error/rejection counters, per-verb
-  /// requests, cache counters and gauges, the hit/miss ANALYZE latency
-  /// histograms (seconds, label cache="hit"|"miss"), the queue-wait
-  /// histogram, fault-injection counters, and the trace-collector stats
-  /// passed in `tracer`. Metric names and types are documented in
-  /// docs/OBSERVABILITY.md and pinned by service_test.
-  std::string RenderProm(const ResultCache::Stats& cache,
-                         const obs::Tracer::Stats& tracer) const;
 
  private:
   mutable std::mutex mutex_;
@@ -106,27 +71,10 @@ class ServiceMetrics {
   std::uint64_t errors_ = 0;
   std::uint64_t busy_rejections_ = 0;
   std::uint64_t deadline_misses_ = 0;
-  std::uint64_t protocol_errors_ = 0;
-  std::uint64_t faults_injected_ = 0;
-  std::uint64_t sessions_degraded_ = 0;
   std::uint64_t analyses_ = 0;
   double analyze_micros_total_ = 0.0;
-  double hit_micros_total_ = 0.0;   ///< Sum over hit_latency_ adds.
-  double miss_micros_total_ = 0.0;  ///< Sum over miss_latency_ adds.
-  std::uint64_t queue_waits_ = 0;
-  double queue_wait_micros_total_ = 0.0;
   Histogram hit_latency_;   ///< Cache-hit ANALYZE latency (us).
   Histogram miss_latency_;  ///< Cold ANALYZE latency (us).
-  Histogram queue_wait_;    ///< ANALYZE queue wait (us).
-
-  /// Last traced observation per histogram: the Prometheus exemplar.
-  struct LatencyExemplar {
-    std::uint64_t trace_id = 0;  ///< 0 = no traced observation yet.
-    double micros = 0.0;
-  };
-  LatencyExemplar hit_exemplar_;
-  LatencyExemplar miss_exemplar_;
-  LatencyExemplar queue_exemplar_;
 };
 
 }  // namespace spta::service

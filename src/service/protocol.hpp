@@ -44,11 +44,11 @@ enum class RequestKind {
   kMetricsProm,  ///< Prometheus text-format metrics scrape.
   kShutdown,
   kIngest,  ///< Binary trace upload: validate, mine kernels, cache table.
-  /// Liveness + readiness probe. Answered inline by the classic server
-  /// (never queued) and on the event-loop thread by the sharded fleet —
-  /// a HEALTH response proves the serving loop itself is alive even when
-  /// every shard is wedged; its args/payload carry per-shard readiness
-  /// (queue depth, inflight, last-completion age, breaker state).
+  /// Liveness + readiness probe. Answered on the event-loop thread (never
+  /// queued) — a HEALTH response proves the serving loop itself is alive
+  /// even when every shard is wedged; its args/payload carry per-shard
+  /// readiness (queue depth, inflight, last-completion age, breaker
+  /// state).
   kHealth,
   /// Trace export: answers with the process's recorded spans as Chrome
   /// trace_event JSON (format=chrome-trace). Answered inline / on the

@@ -6,15 +6,19 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <fcntl.h>
 #include <map>
 #include <sstream>
 
+#include "obs/atlas_counters.hpp"
+#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 
@@ -36,6 +40,20 @@ std::int64_t NowNs() {
       .count();
 }
 
+/// Injected-EAGAIN retry budget, as in FdStreambuf: a short storm is
+/// survived, a persistent one fails the connection instead of spinning.
+constexpr int kInjectedEagainBudget = 8;
+
+/// bind(2) + listen(2); on failure closes `fd` and returns the errno.
+int BindAndListen(int fd, const sockaddr* addr, socklen_t len, int backlog) {
+  if (::bind(fd, addr, len) != 0 || ::listen(fd, backlog) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return err;
+  }
+  return 0;
+}
+
 const char* BreakerName(int state) {
   switch (state) {
     case 1:
@@ -49,9 +67,10 @@ const char* BreakerName(int state) {
 
 }  // namespace
 
-/// One TCP connection, owned by the event loop. The loop thread is the
-/// sole reader and the sole writer of the fd; shard workers only touch
-/// the mutex-guarded completion state and then wake the loop.
+/// One served connection, owned by the event loop. The loop thread is
+/// the sole reader and the sole writer of the fd; shard workers only touch
+/// the mutex-guarded completion state and then wake the loop. ServeScript
+/// drives a Conn with no fd (-1): its responses collect in `out`.
 struct ShardedServer::Conn {
   int fd = -1;
 
@@ -59,8 +78,13 @@ struct ShardedServer::Conn {
   FrameReassembler reassembler;
   std::uint64_t next_id = 0;  ///< Arrival-order request ids.
   bool read_closed = false;   ///< No more frames will be accepted.
-  bool peer_eof = false;
+  /// Intake stopped at a malformed frame while the peer may still send.
+  bool cut = false;
+  bool lingering = false;  ///< Half-closed; discarding until the peer's FIN.
   bool writable = true;  ///< Cleared on EAGAIN, re-armed by EPOLLOUT.
+  bool saw_shutdown = false;
+  IoFaultHook hook;        ///< Empty unless fault injection is armed.
+  std::uint64_t faults_fired = 0;
 
   // Cross-thread completion state (under mutex).
   std::mutex mutex;
@@ -74,7 +98,7 @@ struct ShardedServer::Conn {
   bool closed = false;
 };
 
-/// One shared-nothing worker shard: a full classic Server plus its FIFO
+/// One shared-nothing worker shard: a Server executor plus its FIFO
 /// queue, its warm-response memo and its liveness state.
 struct ShardedServer::ShardRuntime {
   std::unique_ptr<Server> server;
@@ -127,22 +151,19 @@ struct ShardedServer::ShardRuntime {
 ShardedServer::ShardedServer(ShardedServerOptions options)
     : options_(std::move(options)) {
   if (options_.shards == 0) options_.shards = 1;
-  ServerOptions per_shard = options_.server;
   // One store for the whole fleet (single in-process writer lock): the
   // shards get their caches pre-warmed here instead of each scanning and
   // re-writing the directory.
-  if (!per_shard.cache_dir.empty()) {
+  if (!options_.cache_dir.empty()) {
     PersistentResultCache::Limits limits;
-    limits.max_bytes = per_shard.cache_max_bytes;
-    limits.quota_bytes = per_shard.cache_quota_bytes;
-    store_ = std::make_unique<PersistentResultCache>(per_shard.cache_dir,
+    limits.max_bytes = options_.cache_max_bytes;
+    limits.quota_bytes = options_.cache_quota_bytes;
+    store_ = std::make_unique<PersistentResultCache>(options_.cache_dir,
                                                     limits);
   }
-  per_shard.cache_dir.clear();
-  per_shard.workers = 1;  // Shard threads execute inline; no nested pool.
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<ShardRuntime>();
-    shard->server = std::make_unique<Server>(per_shard);
+    shard->server = std::make_unique<Server>(options_.server);
     shard->index = i;
     // "No completion yet" must not read as an infinite stall age.
     shard->last_completion_ns.store(NowNs(), std::memory_order_relaxed);
@@ -175,9 +196,9 @@ ShardedServer::~ShardedServer() {
       if (shard->thread.joinable()) shard->thread.join();
     }
   }
+  CloseListener();
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
 Server& ShardedServer::shard(std::size_t index) {
@@ -285,7 +306,7 @@ std::uint64_t ShardedServer::DeadlineShedHint(const ShardRuntime& shard,
                                               const Request& request) const {
   if (request.kind != RequestKind::kAnalyze) return 0;
   const double deadline_ms = request.args.GetDouble(
-      "deadline_ms", options_.server.default_deadline_ms);
+      "deadline_ms", options_.default_deadline_ms);
   if (deadline_ms <= 0.0) return 0;
   const std::uint64_t ewma_us =
       shard.ewma_cost_us.load(std::memory_order_relaxed);
@@ -334,9 +355,8 @@ void ShardedServer::KillShardForTest(std::size_t index) {
 
 // --- Warm memo path -------------------------------------------------------
 
-bool ShardedServer::TryServeWarm(ShardRuntime& shard, const Request& request,
-                                 const DualHash& digest, std::string* frame) {
-  (void)request;
+bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
+                                 std::string* frame) {
   // Ordering gate: only an idle shard can be served past. A queued APPEND
   // for the same session must invalidate before a later ANALYZE is
   // answered — with pending != 0 we cannot know, so we decline.
@@ -426,15 +446,13 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
     }
   }
   const std::int64_t start_ns = NowNs();
-  // The fleet measures deadline_ms from ADMISSION, not execution: a
-  // request that spent its whole budget waiting in the shard queue is
-  // already dead, and executing it would only delay the live requests
-  // behind it. (Server::Execute restarts the deadline clock, so queued
-  // expiry must be enforced here.) This is also the breaker's signal
-  // that the shard cannot keep up.
+  // deadline_ms runs from ADMISSION, not execution: a request that spent
+  // its whole budget waiting in the shard queue is already dead, and
+  // executing it would only delay the live requests behind it. This is
+  // also the breaker's signal that the shard cannot keep up.
   Response response;
   const double deadline_ms = request.args.GetDouble(
-      "deadline_ms", options_.server.default_deadline_ms);
+      "deadline_ms", options_.default_deadline_ms);
   if (enqueue_ns > 0 && deadline_ms > 0.0 &&
       static_cast<double>(start_ns - enqueue_ns) > deadline_ms * 1e6) {
     shard.server->metrics().CountDeadlineMiss();
@@ -479,135 +497,248 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
   return response;
 }
 
-// --- Synchronous scripted mode --------------------------------------------
+// --- Per-connection dispatch ----------------------------------------------
 
 bool ShardedServer::ServeScript(std::string_view in, std::string* out) {
-  FrameReassembler reassembler;
-  reassembler.Feed(in);
-  bool shutdown = false;
-  for (;;) {
-    std::string type;
-    std::string body;
-    std::string error;
-    FrameReassembler::Result result = reassembler.Next(&type, &body, &error);
-    if (result == FrameReassembler::Result::kNeedMore) {
-      result = reassembler.Finish(&type, &body, &error);
-      if (result == FrameReassembler::Result::kNeedMore) break;  // clean end
-    }
-    if (result == FrameReassembler::Result::kMalformed) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      AppendResponseFrame(ErrResponse("malformed", error), out);
-      break;
-    }
+  const auto conn = std::make_shared<Conn>();
+  conn->reassembler.Feed(in);
+  ProcessFrames(conn, /*at_eof=*/true);
+  out->append(conn->out);
+  return conn->saw_shutdown;
+}
+
+void ShardedServer::ProcessFrames(const std::shared_ptr<Conn>& conn,
+                                  bool at_eof) {
+  std::string type;
+  std::string body;
+  std::string error;
+  while (!conn->read_closed) {
+    const FrameReassembler::Result result =
+        at_eof ? conn->reassembler.Finish(&type, &body, &error)
+               : conn->reassembler.Next(&type, &body, &error);
+    if (result == FrameReassembler::Result::kNeedMore) return;
     Request request;
-    if (!BuildRequest(type, body, &request, &error)) {
+    if (result == FrameReassembler::Result::kMalformed ||
+        !BuildRequest(type, body, &request, &error)) {
+      // Framing (or the frame's contract) is lost: answer once, then stop
+      // reading this connection.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      AppendResponseFrame(ErrResponse("malformed", error), out);
-      break;
+      conn->read_closed = true;
+      conn->cut = !at_eof;
+      Answer(conn, Admit(*conn), ErrResponse("malformed", error));
+      return;
     }
-    // The reassembler parsed the optional trace token off the header;
-    // adopt it for routing-side spans (and hand it on via the request).
-    request.trace = reassembler.last_trace();
-    obs::ScopedTraceContext trace_scope(request.trace);
-    SPTA_OBS_SPAN("fleet", "route");
-    if (request.kind == RequestKind::kShutdown) {
+    // The reassembler parsed the optional trace token off the header; it
+    // scopes the loop-side routing work and rides the Item to the shard.
+    request.trace = conn->reassembler.last_trace();
+    Dispatch(conn, std::move(request), body);
+  }
+}
+
+std::uint64_t ShardedServer::Admit(Conn& conn) {
+  {
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    ++conn.accepted;
+  }
+  return conn.next_id++;
+}
+
+void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
+                             Request request, std::string_view body) {
+  const std::uint64_t id = Admit(*conn);
+  obs::ScopedTraceContext trace_scope(request.trace);
+  SPTA_OBS_SPAN_ARG("fleet", "route", "id", id);
+  switch (request.kind) {
+    case RequestKind::kShutdown:
       fleet_requests_.fetch_add(1, std::memory_order_relaxed);
-      shutdown_.store(true);
-      shutdown = true;
-      // Synchronous mode: nothing can be in flight, so the drain is
-      // trivially complete when the ack is appended.
-      AppendResponseFrame(DrainedResponse(), out);
-      break;
-    }
-    if (request.kind == RequestKind::kMetrics) {
+      conn->saw_shutdown = true;
+      conn->read_closed = true;
+      if (conn->fd < 0) {
+        // Synchronous: nothing can be in flight, so the drain is complete
+        // when the ack is appended.
+        shutdown_.store(true);
+        Answer(conn, id, DrainedResponse());
+      } else {
+        BeginDrain(conn, id);
+      }
+      return;
+    // Loop-answered verbs: HEALTH among them is the liveness contract —
+    // it must answer even when every shard queue is wedged solid.
+    case RequestKind::kMetrics:
       fleet_requests_.fetch_add(1, std::memory_order_relaxed);
-      AppendResponseFrame(FleetMetricsResponse(), out);
-      continue;
-    }
-    if (request.kind == RequestKind::kMetricsProm) {
+      Answer(conn, id, FleetMetricsResponse());
+      return;
+    case RequestKind::kMetricsProm: {
       fleet_requests_.fetch_add(1, std::memory_order_relaxed);
       Args args;
       args.Set("format", "prometheus-0.0.4");
-      AppendResponseFrame(OkResponse(std::move(args), RenderFleetProm()),
-                          out);
-      continue;
+      Answer(conn, id, OkResponse(std::move(args), RenderFleetProm()));
+      return;
     }
-    if (request.kind == RequestKind::kHealth) {
+    case RequestKind::kHealth:
       fleet_requests_.fetch_add(1, std::memory_order_relaxed);
-      AppendResponseFrame(FleetHealthResponse(), out);
-      continue;
-    }
-    if (request.kind == RequestKind::kTrace) {
+      Answer(conn, id, FleetHealthResponse());
+      return;
+    case RequestKind::kTrace:
       fleet_requests_.fetch_add(1, std::memory_order_relaxed);
-      AppendResponseFrame(FleetTraceResponse(), out);
-      continue;
-    }
-    const DualHash digest = HashBytes(body);
-    const std::string session = request.args.GetString("session");
-    const std::uint64_t route =
-        session.empty() ? digest.lo : HashBytes(session).lo;
-    const std::size_t target = ShardFor(route);
-    if (target == SIZE_MAX) {
-      AppendResponseFrame(ErrResponse("unavailable", "no live shard"), out);
-      continue;
-    }
-    ShardRuntime& shard = *shards_[target];
-    if (request.kind == RequestKind::kAnalyze &&
-        TryServeWarm(shard, request, digest, out)) {
-      continue;
-    }
-    if (const std::uint64_t hint = DeadlineShedHint(shard, request)) {
-      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-      Response shed = ErrResponse(
-          "busy", "deadline unmeetable at admission, retry later");
-      shed.args.SetUint("retry_after_ms", hint);
-      shed.args.Set("shed", "deadline");
-      AppendResponseFrame(shed, out);
-      continue;
-    }
-    AppendResponseFrame(ExecuteOnShard(shard, request, digest), out);
+      Answer(conn, id, FleetTraceResponse());
+      return;
+    default:
+      break;
   }
-  return shutdown;
+  const DualHash digest = HashBytes(body);
+  const std::string session = request.args.GetString("session");
+  // INGEST caches by trace content, which the loop cannot see without
+  // decoding the payload: one route key sends every INGEST to the same
+  // shard, so both containers of a trace meet one cache.
+  const std::uint64_t route = request.kind == RequestKind::kIngest ? 0
+                              : session.empty() ? digest.lo
+                                                : HashBytes(session).lo;
+  const std::size_t target = ShardFor(route);
+  if (target == SIZE_MAX) {
+    Answer(conn, id, ErrResponse("unavailable", "no live shard"));
+    return;
+  }
+  ShardRuntime& shard = *shards_[target];
+  if (request.kind == RequestKind::kAnalyze) {
+    std::string frame;
+    if (TryServeWarm(shard, digest, &frame)) {
+      CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
+      return;
+    }
+  }
+  if (const std::uint64_t hint = DeadlineShedHint(shard, request)) {
+    // Admission control: queueing this request would only make it miss
+    // its deadline at execution. Shed it now — counted as a shed, not a
+    // failure (the request itself is fine; the timing isn't).
+    shed_deadline_.fetch_add(1, std::memory_order_relaxed);
+    Response shed = ErrResponse(
+        "busy", "deadline unmeetable at admission, retry later");
+    shed.args.SetUint("retry_after_ms", hint);
+    shed.args.Set("shed", "deadline");
+    Answer(conn, id, shed);
+    return;
+  }
+  if (conn->fd < 0) {
+    Answer(conn, id, ExecuteOnShard(shard, request, digest));
+    return;
+  }
+  const RequestKind kind = request.kind;
+  Item item;
+  item.conn = conn;
+  item.id = id;
+  item.request = std::move(request);
+  item.body_digest = digest;
+  item.route = route;
+  item.enqueue_ns = NowNs();
+  inflight_.fetch_add(1, std::memory_order_acq_rel);
+  if (!PushToShard(target, std::move(item))) {
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    shard.server->metrics().CountBusyRejection();
+    shard.server->metrics().CountRequest(kind, false);
+    Response busy = ErrResponse("busy", "shard queue full, retry later");
+    if (const std::uint64_t hint = BusyRetryHint(shard)) {
+      busy.args.SetUint("retry_after_ms", hint);
+    }
+    Answer(conn, id, busy);
+  }
 }
 
-// --- TCP fleet mode -------------------------------------------------------
+void ShardedServer::Answer(const std::shared_ptr<Conn>& conn,
+                           std::uint64_t id, const Response& response) {
+  std::string frame;
+  AppendResponseFrame(response, &frame);
+  CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
+}
+
+void ShardedServer::CompleteItem(const std::shared_ptr<Conn>& conn,
+                                 std::uint64_t id, std::string frame,
+                                 bool on_loop_thread) {
+  bool flushable = false;
+  {
+    std::lock_guard<std::mutex> lock(conn->mutex);
+    conn->ready.emplace(id, std::move(frame));
+    while (!conn->ready.empty() &&
+           conn->ready.begin()->first == conn->next_write) {
+      conn->out += conn->ready.begin()->second;
+      conn->ready.erase(conn->ready.begin());
+      ++conn->next_write;
+      ++conn->answered;
+    }
+    flushable = conn->out.size() > conn->out_off && !conn->closed;
+  }
+  if (on_loop_thread) {
+    if (flushable) FlushConn(conn);
+  } else {
+    WakeLoop();  // The loop flushes; only it may touch the fd.
+  }
+}
+
+// --- Event loop -------------------------------------------------------------
 
 int ShardedServer::ListenTcp(const std::string& host, std::uint16_t port) {
-  listen_fd_ =
+  const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) return errno;
+  if (fd < 0) return errno;
   const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   if (options_.reuseport) {
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    ::close(fd);
     return EINVAL;
   }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, options_.listen_backlog) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  if (const int err =
+          BindAndListen(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr), options_.listen_backlog)) {
     return err;
   }
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
     bound_port_ = ntohs(bound.sin_port);
   }
+  listen_fd_ = fd;
+  listen_tcp_ = true;
   return 0;
 }
 
+int ShardedServer::ListenUnix(const std::string& path) {
+  sockaddr_un addr{};
+  if (path.size() >= sizeof(addr.sun_path)) return ENAMETOOLONG;
+  const int fd =
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return errno;
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ::unlink(path.c_str());  // A stale socket file from an earlier run.
+  if (const int err =
+          BindAndListen(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr), options_.listen_backlog)) {
+    return err;
+  }
+  listen_fd_ = fd;
+  listen_tcp_ = false;
+  unix_path_ = path;
+  return 0;
+}
+
+void ShardedServer::CloseListener() {
+  if (listen_fd_ < 0) return;
+  if (epoll_fd_ >= 0) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
+}
+
 int ShardedServer::Start() {
-  if (listen_fd_ < 0) return EINVAL;
+  if (listen_fd_ < 0 && options_.adopt_fd < 0) return EINVAL;
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) return errno;
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -620,7 +751,8 @@ int ShardedServer::Start() {
   epoll_event ev{};
   ev.events = EPOLLIN;  // Level-triggered: accept/wake loops drain fully.
   ev.data.ptr = nullptr;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
+  if (listen_fd_ >= 0 &&
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
     return errno;
   }
   ev.data.ptr = reinterpret_cast<void*>(1);
@@ -628,22 +760,14 @@ int ShardedServer::Start() {
     return errno;
   }
   if (options_.adopt_fd >= 0) {
-    // The supervisor's health-probe socketpair: served exactly like an
-    // accepted TCP connection (same Conn, same epoll registration), so a
-    // watchdog HEALTH probe exercises the real event loop. Registered
-    // before the loop thread starts — conns_ is loop-owned after that.
+    // An already-connected stream (the supervisor's health-probe
+    // socketpair, or spta_serve --pipe's stdio bridge), served exactly
+    // like an accepted connection. Registered before the loop thread
+    // starts — conns_ is loop-owned after that.
     const int fd = options_.adopt_fd;
     const int fl = ::fcntl(fd, F_GETFL, 0);
     if (fl >= 0) ::fcntl(fd, F_SETFL, fl | O_NONBLOCK);
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    epoll_event cev{};
-    cev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
-    cev.data.ptr = conn.get();
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &cev) == 0) {
-      connections_total_.fetch_add(1, std::memory_order_relaxed);
-      conns_.emplace(fd, std::move(conn));
-    }
+    if (AddConn(fd) == nullptr) return errno;
   }
   stop_workers_.store(false);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -675,6 +799,22 @@ void ShardedServer::WakeLoop() {
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
+std::shared_ptr<ShardedServer::Conn> ShardedServer::AddConn(int fd) {
+  auto conn = std::make_shared<Conn>();
+  conn->fd = fd;
+  if (options_.io_fault_hook_factory) {
+    conn->hook = options_.io_fault_hook_factory(
+        connections_total_.load(std::memory_order_relaxed));
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
+  ev.data.ptr = conn.get();
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return nullptr;
+  connections_total_.fetch_add(1, std::memory_order_relaxed);
+  conns_.emplace(fd, conn);
+  return conn;
+}
+
 void ShardedServer::AcceptReady() {
   for (;;) {
     const int fd =
@@ -687,59 +827,64 @@ void ShardedServer::AcceptReady() {
       ::close(fd);
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
-    ev.data.ptr = conn.get();
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
+    if (listen_tcp_) {
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
-    connections_total_.fetch_add(1, std::memory_order_relaxed);
-    conns_.emplace(fd, std::move(conn));
+    if (AddConn(fd) == nullptr) ::close(fd);
   }
 }
 
-void ShardedServer::CompleteItem(const std::shared_ptr<Conn>& conn,
-                                 std::uint64_t id, std::string frame,
-                                 bool on_loop_thread) {
-  if (conn == nullptr) return;
-  bool flushable = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mutex);
-    conn->ready.emplace(id, std::move(frame));
-    while (!conn->ready.empty() &&
-           conn->ready.begin()->first == conn->next_write) {
-      conn->out += conn->ready.begin()->second;
-      conn->ready.erase(conn->ready.begin());
-      ++conn->next_write;
-      ++conn->answered;
+ssize_t ShardedServer::ConnIo(Conn& conn, IoOp op, char* read_buf,
+                              const char* write_buf, std::size_t count) {
+  int injected_eagain = 0;
+  for (;;) {
+    std::size_t n = count;
+    if (conn.hook) {
+      const IoFault fault = conn.hook(op, count);
+      if (!fault.None()) {
+        ++conn.faults_fired;
+        faults_injected_.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (fault.disconnect) {
+        if (op == IoOp::kRead) return 0;  // Peer gone: the reader sees EOF.
+        errno = EPIPE;
+        return -1;
+      }
+      if (fault.error == EINTR) continue;
+      if (fault.error == EAGAIN || fault.error == EWOULDBLOCK) {
+        // Retried, never returned: a loop that waited for the next edge
+        // after an injected EAGAIN would strand the bytes already queued.
+        if (++injected_eagain <= kInjectedEagainBudget) continue;
+        errno = EIO;
+        return -1;
+      }
+      if (fault.error != 0) {
+        errno = fault.error;
+        return -1;
+      }
+      if (fault.cap < n && fault.cap > 0) n = fault.cap;
     }
-    flushable = conn->out.size() > conn->out_off && !conn->closed;
-  }
-  if (on_loop_thread) {
-    if (flushable) FlushConn(conn);
-  } else {
-    WakeLoop();  // The loop flushes; only it may touch the fd.
+    const ssize_t r = op == IoOp::kRead
+                          ? ::recv(conn.fd, read_buf, n, 0)
+                          : ::send(conn.fd, write_buf, n, MSG_NOSIGNAL);
+    if (r < 0 && errno == EINTR) continue;
+    return r;
   }
 }
 
 void ShardedServer::FlushConn(const std::shared_ptr<Conn>& conn) {
-  if (!conn->writable) return;
+  if (!conn->writable || conn->fd < 0) return;
   std::lock_guard<std::mutex> lock(conn->mutex);
   if (conn->closed) return;
   while (conn->out_off < conn->out.size()) {
     const ssize_t n =
-        ::send(conn->fd, conn->out.data() + conn->out_off,
-               conn->out.size() - conn->out_off, MSG_NOSIGNAL);
+        ConnIo(*conn, IoOp::kWrite, nullptr, conn->out.data() + conn->out_off,
+               conn->out.size() - conn->out_off);
     if (n > 0) {
       conn->out_off += static_cast<std::size_t>(n);
       continue;
     }
-    if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       conn->writable = false;  // EPOLLOUT edge re-arms.
       return;
@@ -747,7 +892,6 @@ void ShardedServer::FlushConn(const std::shared_ptr<Conn>& conn) {
     // Peer is gone; responses to it are undeliverable. Drop them so the
     // drain accounting still converges.
     conn->out_off = conn->out.size();
-    conn->peer_eof = true;
     conn->read_closed = true;
     return;
   }
@@ -763,117 +907,14 @@ void ShardedServer::CloseConn(const std::shared_ptr<Conn>& conn) {
     if (conn->closed) return;
     conn->closed = true;
   }
+  // A connection that ended under injected faults without a clean
+  // SHUTDOWN handshake was degraded; the fleet itself carries on.
+  if (conn->faults_fired > 0 && !conn->saw_shutdown) {
+    sessions_degraded_.fetch_add(1, std::memory_order_relaxed);
+  }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   conns_.erase(conn->fd);
-}
-
-bool ShardedServer::HandleFrame(const std::shared_ptr<Conn>& conn,
-                                std::string type, std::string body) {
-  const std::uint64_t id = conn->next_id++;
-  {
-    std::lock_guard<std::mutex> lock(conn->mutex);
-    ++conn->accepted;
-  }
-  Request request;
-  std::string error;
-  if (!BuildRequest(type, body, &request, &error)) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    std::string frame;
-    AppendResponseFrame(ErrResponse("malformed", error), &frame);
-    CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-    conn->read_closed = true;  // Framing intact, but contract says stop.
-    return false;
-  }
-  // Wire trace context (parsed off the header by this connection's
-  // reassembler) scopes the loop-side routing work and rides the Item
-  // into the shard worker.
-  request.trace = conn->reassembler.last_trace();
-  obs::ScopedTraceContext trace_scope(request.trace);
-  SPTA_OBS_SPAN_ARG("fleet", "route", "id", id);
-  if (request.kind == RequestKind::kShutdown) {
-    fleet_requests_.fetch_add(1, std::memory_order_relaxed);
-    BeginDrain(conn, id);
-    return false;
-  }
-  if (request.kind == RequestKind::kMetrics ||
-      request.kind == RequestKind::kMetricsProm ||
-      request.kind == RequestKind::kHealth ||
-      request.kind == RequestKind::kTrace) {
-    // Loop-answered verbs: HEALTH among them is the liveness contract —
-    // it must answer even when every shard queue is wedged solid.
-    fleet_requests_.fetch_add(1, std::memory_order_relaxed);
-    Response response;
-    if (request.kind == RequestKind::kMetrics) {
-      response = FleetMetricsResponse();
-    } else if (request.kind == RequestKind::kMetricsProm) {
-      Args args;
-      args.Set("format", "prometheus-0.0.4");
-      response = OkResponse(std::move(args), RenderFleetProm());
-    } else if (request.kind == RequestKind::kTrace) {
-      response = FleetTraceResponse();
-    } else {
-      response = FleetHealthResponse();
-    }
-    std::string frame;
-    AppendResponseFrame(response, &frame);
-    CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-    return true;
-  }
-  const DualHash digest = HashBytes(body);
-  const std::string session = request.args.GetString("session");
-  const std::uint64_t route =
-      session.empty() ? digest.lo : HashBytes(session).lo;
-  std::size_t target = ShardFor(route);
-  if (target == SIZE_MAX) {
-    std::string frame;
-    AppendResponseFrame(ErrResponse("unavailable", "no live shard"), &frame);
-    CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-    return true;
-  }
-  if (request.kind == RequestKind::kAnalyze) {
-    std::string frame;
-    if (TryServeWarm(*shards_[target], request, digest, &frame)) {
-      CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-      return true;
-    }
-  }
-  if (const std::uint64_t hint = DeadlineShedHint(*shards_[target], request)) {
-    // Admission control: queueing this request would only make it miss
-    // its deadline at execution. Shed it now — counted as a shed, not a
-    // failure (the request itself is fine; the timing isn't).
-    shed_deadline_.fetch_add(1, std::memory_order_relaxed);
-    Response shed = ErrResponse(
-        "busy", "deadline unmeetable at admission, retry later");
-    shed.args.SetUint("retry_after_ms", hint);
-    shed.args.Set("shed", "deadline");
-    std::string frame;
-    AppendResponseFrame(shed, &frame);
-    CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-    return true;
-  }
-  const RequestKind kind = request.kind;
-  Item item;
-  item.conn = conn;
-  item.id = id;
-  item.request = std::move(request);
-  item.body_digest = digest;
-  item.route = route;
-  item.enqueue_ns = NowNs();
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  if (!PushToShard(target, std::move(item))) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    shards_[target]->server->metrics().CountBusyRejection();
-    shards_[target]->server->metrics().CountRequest(kind, false);
-    Response busy = ErrResponse("busy", "shard queue full, retry later");
-    if (const std::uint64_t hint = BusyRetryHint(*shards_[target])) {
-      busy.args.SetUint("retry_after_ms", hint);
-    }
-    std::string frame;
-    AppendResponseFrame(busy, &frame);
-    CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-  }
-  return true;
 }
 
 bool ShardedServer::PushToShard(std::size_t index, Item item) {
@@ -914,74 +955,39 @@ bool ShardedServer::PushToShard(std::size_t index, Item item) {
 }
 
 void ShardedServer::ReadConn(const std::shared_ptr<Conn>& conn) {
-  if (conn->read_closed) return;
   char buffer[65536];
-  for (;;) {
+  if (conn->lingering) {
+    for (;;) {
+      const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
+      if (n > 0 || (n < 0 && errno == EINTR)) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      break;  // The peer's FIN (or its death): nothing left to discard.
+    }
+    CloseConn(conn);
+    return;
+  }
+  while (!conn->read_closed) {
     if (draining_) {
       conn->read_closed = true;  // Intake stopped fleet-wide.
       return;
     }
-    const ssize_t n = ::recv(conn->fd, buffer, sizeof(buffer), 0);
+    const ssize_t n =
+        ConnIo(*conn, IoOp::kRead, buffer, nullptr, sizeof(buffer));
     if (n > 0) {
       conn->reassembler.Feed(
           std::string_view(buffer, static_cast<std::size_t>(n)));
-      std::string type;
-      std::string body;
-      std::string error;
-      for (;;) {
-        const FrameReassembler::Result result =
-            conn->reassembler.Next(&type, &body, &error);
-        if (result == FrameReassembler::Result::kNeedMore) break;
-        if (result == FrameReassembler::Result::kMalformed) {
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          const std::uint64_t id = conn->next_id++;
-          {
-            std::lock_guard<std::mutex> lock(conn->mutex);
-            ++conn->accepted;
-          }
-          std::string frame;
-          AppendResponseFrame(ErrResponse("malformed", error), &frame);
-          CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-          conn->read_closed = true;
-          return;
-        }
-        if (!HandleFrame(conn, std::move(type), std::move(body))) return;
-      }
+      ProcessFrames(conn, /*at_eof=*/false);
       continue;  // Edge-triggered: read until EAGAIN.
     }
     if (n == 0) {
-      conn->peer_eof = true;
-      conn->read_closed = true;
       // EOF flush: trailing bytes may still complete frames under the
       // blocking reader's end-of-stream rules.
-      std::string type;
-      std::string body;
-      std::string error;
-      for (;;) {
-        const FrameReassembler::Result result =
-            conn->reassembler.Finish(&type, &body, &error);
-        if (result == FrameReassembler::Result::kNeedMore) break;
-        if (result == FrameReassembler::Result::kMalformed) {
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-          const std::uint64_t id = conn->next_id++;
-          {
-            std::lock_guard<std::mutex> lock(conn->mutex);
-            ++conn->accepted;
-          }
-          std::string frame;
-          AppendResponseFrame(ErrResponse("malformed", error), &frame);
-          CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-          break;
-        }
-        if (!HandleFrame(conn, std::move(type), std::move(body))) break;
-      }
+      ProcessFrames(conn, /*at_eof=*/true);
+      conn->read_closed = true;
       return;
     }
-    if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    conn->peer_eof = true;  // Hard error: treat as peer death.
-    conn->read_closed = true;
-    return;
+    conn->read_closed = true;  // Hard error: treat as peer death.
   }
 }
 
@@ -989,22 +995,14 @@ void ShardedServer::BeginDrain(const std::shared_ptr<Conn>& conn,
                                std::uint64_t id) {
   if (draining_) {
     // A second SHUTDOWN during the drain: ack it right away.
-    if (conn != nullptr) {
-      std::string frame;
-      AppendResponseFrame(DrainedResponse(), &frame);
-      CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-    }
+    if (conn != nullptr) Answer(conn, id, DrainedResponse());
     return;
   }
   draining_ = true;
   shutdown_.store(true);
   drain_ack_conn_ = conn;
   drain_ack_id_ = id;
-  if (listen_fd_ >= 0) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  CloseListener();
 }
 
 void ShardedServer::CheckDrain() {
@@ -1015,10 +1013,7 @@ void ShardedServer::CheckDrain() {
   // the per-connection ordering).
   drain_acked_ = true;
   if (drain_ack_conn_ != nullptr) {
-    std::string frame;
-    AppendResponseFrame(DrainedResponse(), &frame);
-    CompleteItem(drain_ack_conn_, drain_ack_id_, std::move(frame),
-                 /*on_loop_thread=*/true);
+    Answer(drain_ack_conn_, drain_ack_id_, DrainedResponse());
     drain_ack_conn_.reset();
   }
 }
@@ -1074,12 +1069,21 @@ void ShardedServer::EventLoop() {
         done = conn->read_closed && conn->accepted == conn->answered &&
                conn->ready.empty() && conn->out_off == conn->out.size();
       }
-      if (done && (conn->peer_eof || conn->read_closed) &&
-          (!draining_ || drain_acked_)) {
-        // During the drain, responses already banked must still go out
-        // before teardown — only reap once the ack has been ordered in.
-        if (conn->peer_eof || drain_acked_) CloseConn(conn);
+      // During the drain, responses already banked must still go out
+      // before teardown — only reap once the ack has been ordered in.
+      if (!done || (draining_ && !drain_acked_)) continue;
+      if (conn->cut && !draining_) {
+        // Closing on unread bytes (the rest of a pipelined batch) would
+        // answer them with a RST that can drop the ERR still in flight:
+        // half-close after it instead, and discard until the peer's FIN.
+        if (!conn->lingering) {
+          conn->lingering = true;
+          ::shutdown(conn->fd, SHUT_WR);
+          ReadConn(conn);
+        }
+        continue;
       }
+      CloseConn(conn);
     }
     if (drain_acked_) {
       if (flush_deadline == Clock::time_point{}) {
@@ -1205,6 +1209,10 @@ Response ShardedServer::FleetMetricsResponse() {
     payload += server.metrics().Render(cache);
     payload.push_back('\n');
   }
+  // I/O faults happen on the loop's connections, not inside a shard.
+  sums["faults_injected"] += faults_injected_.load(std::memory_order_relaxed);
+  sums["sessions_degraded"] +=
+      sessions_degraded_.load(std::memory_order_relaxed);
   Args args;
   for (const auto& [key, value] : sums) args.SetUint(key, value);
   args.SetDouble("cache_hit_ratio",
@@ -1240,8 +1248,7 @@ Response ShardedServer::FleetMetricsResponse() {
 
 Response ShardedServer::FleetTraceResponse() {
   // The Tracer is process-global: its thread rings already cover the event
-  // loop and every shard worker, so the fleet's TRACE reply is the same
-  // export the classic server produces.
+  // loop and every shard worker.
   std::ostringstream trace_json;
   if (!obs::Tracer::Instance().WriteChromeTrace(trace_json)) {
     return ErrResponse("trace", "trace serialization failed");
@@ -1317,49 +1324,39 @@ Response ShardedServer::FleetHealthResponse() {
 }
 
 std::string ShardedServer::RenderFleetProm() {
-  std::ostringstream out;
-  const auto counter = [&out](const char* name, const char* help,
-                              std::uint64_t value) {
-    out << "# HELP " << name << ' ' << help << "\n# TYPE " << name
-        << " counter\n"
-        << name << ' ' << value << '\n';
+  obs::PromText prom;
+  const auto counter = [&prom](const char* name, const char* help,
+                               std::uint64_t value) {
+    prom.Declare(name, "counter", help);
+    prom.Sample(name, static_cast<double>(value));
   };
-  out << "# HELP spta_fleet_shards Worker shard count.\n"
-         "# TYPE spta_fleet_shards gauge\n"
-         "spta_fleet_shards "
-      << shards_.size() << '\n';
-  out << "# HELP spta_fleet_shard_alive Shard liveness (1 = serving).\n"
-         "# TYPE spta_fleet_shard_alive gauge\n";
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    out << "spta_fleet_shard_alive{shard=\"" << i << "\"} "
-        << (shard_alive(i) ? 1 : 0) << '\n';
-  }
-  out << "# HELP spta_fleet_routed_total Requests routed to each shard.\n"
-         "# TYPE spta_fleet_routed_total counter\n";
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    out << "spta_fleet_routed_total{shard=\"" << i << "\"} "
-        << shard_routed_total(i) << '\n';
-  }
-  out << "# HELP spta_fleet_memo_hits_total ANALYZE requests answered from "
-         "the warm response memo.\n"
-         "# TYPE spta_fleet_memo_hits_total counter\n";
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    out << "spta_fleet_memo_hits_total{shard=\"" << i << "\"} "
-        << shard_memo_hits(i) << '\n';
-  }
-  out << "# HELP spta_fleet_requests_total Requests finished per shard.\n"
-         "# TYPE spta_fleet_requests_total counter\n";
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    out << "spta_fleet_requests_total{shard=\"" << i << "\"} "
-        << shards_[i]->server->metrics().requests_total() << '\n';
-  }
-  out << "# HELP spta_fleet_breaker_state Circuit-breaker state per shard "
-         "(0 closed, 1 open, 2 half-open).\n"
-         "# TYPE spta_fleet_breaker_state gauge\n";
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    out << "spta_fleet_breaker_state{shard=\"" << i << "\"} "
-        << shard_breaker_state(i) << '\n';
-  }
+  const auto per_shard = [&](const char* name, const char* type,
+                             const char* help, auto value) {
+    prom.Declare(name, type, help);
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      prom.Sample(name, "shard=\"" + std::to_string(i) + "\"",
+                  static_cast<double>(value(i)));
+    }
+  };
+  prom.Declare("spta_fleet_shards", "gauge", "Worker shard count.");
+  prom.Sample("spta_fleet_shards", static_cast<double>(shards_.size()));
+  per_shard("spta_fleet_shard_alive", "gauge",
+            "Shard liveness (1 = serving).",
+            [this](std::size_t i) { return shard_alive(i) ? 1 : 0; });
+  per_shard("spta_fleet_routed_total", "counter",
+            "Requests routed to each shard.",
+            [this](std::size_t i) { return shard_routed_total(i); });
+  per_shard("spta_fleet_memo_hits_total", "counter",
+            "ANALYZE requests answered from the warm response memo.",
+            [this](std::size_t i) { return shard_memo_hits(i); });
+  per_shard("spta_fleet_requests_total", "counter",
+            "Requests finished per shard.", [this](std::size_t i) {
+              return shards_[i]->server->metrics().requests_total();
+            });
+  per_shard("spta_fleet_breaker_state", "gauge",
+            "Circuit-breaker state per shard (0 closed, 1 open, 2 "
+            "half-open).",
+            [this](std::size_t i) { return shard_breaker_state(i); });
   counter("spta_fleet_breaker_opens_total",
           "Closed-to-open circuit breaker transitions.",
           breaker_opens_total());
@@ -1373,7 +1370,7 @@ std::string ShardedServer::RenderFleetProm() {
           "Malformed frames cut off by the event loop.",
           protocol_errors_.load(std::memory_order_relaxed));
   counter("spta_fleet_connections_total",
-          "TCP connections accepted by the event loop.",
+          "Connections served by the event loop.",
           connections_total_.load(std::memory_order_relaxed));
   counter("spta_fleet_loop_requests_total",
           "Verbs handled on the event loop (METRICS/SHUTDOWN).",
@@ -1399,13 +1396,20 @@ std::string ShardedServer::RenderFleetProm() {
             stats.enospc_failures);
     counter("spta_fleet_persistent_eio_total",
             "Persistent cache writes failed with EIO.", stats.eio_failures);
-    out << "# HELP spta_fleet_persistent_degraded Sticky flag: persistent "
-           "cache gave up and runs memory-only.\n"
-           "# TYPE spta_fleet_persistent_degraded gauge\n"
-           "spta_fleet_persistent_degraded "
-        << stats.degraded << '\n';
+    prom.Declare("spta_fleet_persistent_degraded", "gauge",
+                 "Sticky flag: persistent cache gave up and runs "
+                 "memory-only.");
+    prom.Sample("spta_fleet_persistent_degraded",
+                static_cast<double>(stats.degraded));
   }
-  return out.str();
+  // Process-wide atomics fed by the atlas trace pack/unpack paths
+  // (INGEST included).
+  const obs::AtlasCountersSnapshot atlas = obs::AtlasCounters();
+  counter("spta_atlas_traces_packed_total", "Atlas trace containers written.",
+          atlas.traces_packed);
+  counter("spta_atlas_traces_unpacked_total",
+          "Atlas trace containers decoded.", atlas.traces_unpacked);
+  return prom.str();
 }
 
 }  // namespace spta::service

@@ -1,61 +1,66 @@
-// The sharded async fleet core: epoll event loop + digest-routed shards.
+// spta_serve's one transport: an epoll event loop in front of
+// digest-routed worker shards.
 //
-// Where the classic Server (server.hpp) is thread-per-connection over
-// blocking streams, ShardedServer is the production shape ROADMAP item 1
-// asks for:
+//   * One edge-triggered epoll event loop owns every connection: the TCP
+//     or AF_UNIX listener's accepted sockets and an adopted fd (the
+//     spta_fleet watchdog's health socketpair, or spta_serve --pipe's
+//     stdin/stdout bridge). Reads are non-blocking and banked into an
+//     incremental FrameReassembler (frame_reader.hpp — a slow or hostile
+//     client can stall only its own connection, never a shard); writes are
+//     non-blocking and ordered (a per-connection reorder buffer; the loop
+//     thread is the sole reader and writer of every fd).
+//   * N shared-nothing worker shards, each a Server executor (own
+//     SessionManager, AnalysisEngine + result cache, ServiceMetrics), fed
+//     over bounded FIFO queues; a full queue answers ERR busy. Requests
+//     route by content digest: session-bound verbs hash the session name —
+//     one session's whole life happens on one shard, in order — and
+//     stateless requests hash their raw body bytes, so identical ANALYZE
+//     requests always land on the shard whose cache already holds their
+//     result.
+//   * The loop answers SHUTDOWN, HEALTH, METRICS, METRICS_PROM and TRACE
+//     itself, without crossing a queue — HEALTH answers even when every
+//     shard is wedged.
+//   * A memoized warm path on the loop thread: a repeated ANALYZE whose
+//     shard is idle is answered from a per-shard memo of rendered response
+//     bytes without ever crossing a thread — the same bytes the shard
+//     would produce (only the volatile analyze_us timing field is
+//     re-rendered per request). Session memo entries carry the session's
+//     generation stamp (session.hpp) and die the moment the session
+//     mutates.
+//   * Zero-loss drain: SHUTDOWN (in-band or TriggerShutdown) stops intake,
+//     waits for every accepted request to complete and flush, acks, then
+//     exits.
+//   * Chaos hooks: KillShardForTest stops a shard mid-campaign; its queued
+//     stateless requests fail over to surviving shards (counted), its
+//     session-bound ones are answered ERR unavailable — every accepted
+//     request is still answered. io_fault_hook_factory guards the loop's
+//     recv/send calls per connection (docs/FAULTS.md).
+//   * Self-protection: a request whose deadline_ms the target shard's EWMA
+//     backlog estimate cannot meet is shed at admission (ERR busy with a
+//     retry_after_ms hint, counted as shed — never queued to miss its
+//     deadline at execution), and per-shard circuit breakers turn a
+//     consecutively-failing shard into a fail-fast reroute (open) until a
+//     half-open probe readmits it.
 //
-//   * one edge-triggered epoll event loop owns every TCP connection:
-//     non-blocking accepts, non-blocking reads banked into an incremental
-//     FrameReassembler (frame_reader.hpp — a slow or hostile client can
-//     stall only its own connection, never a shard), and non-blocking
-//     ordered writes (per-connection reorder buffer, loop thread is the
-//     sole writer of any fd);
-//   * N shared-nothing worker shards, each a full classic Server (own
-//     SessionManager, AnalysisEngine + result cache, ServiceMetrics),
-//     fed over bounded FIFO queues. Requests route by content digest:
-//     session-bound verbs hash the session name — one session's whole
-//     life happens on one shard, in order — and stateless requests hash
-//     their raw body bytes, so identical ANALYZE requests always land on
-//     the shard whose cache already holds their result;
-//   * a memoized warm path on the loop thread: a repeated ANALYZE whose
-//     shard is idle is answered from a per-shard memo of rendered
-//     response bytes without ever crossing a thread — same bytes the
-//     classic warm path produces (only the volatile analyze_us timing
-//     field is re-rendered per request), which is what makes ≥10× the
-//     single-socket warm throughput reachable on one core. Session memo
-//     entries carry the session's generation stamp (session.hpp) and die
-//     the moment the session mutates;
-//   * zero-loss drain: SHUTDOWN (in-band or TriggerShutdown) stops
-//     intake, waits for every accepted request to complete and flush,
-//     acks, then exits — the classic guarantee, kept;
-//   * chaos hooks: KillShardForTest stops a shard mid-campaign; its
-//     queued stateless requests fail over to surviving shards (counted),
-//     its session-bound ones are answered ERR unavailable — every
-//     accepted request is still answered;
-//   * self-protection: a request whose deadline_ms the target shard's
-//     EWMA backlog estimate cannot meet is shed at admission (ERR busy
-//     with a retry_after_ms hint, counted as shed — never queued to miss
-//     its deadline at execution), and per-shard circuit breakers turn a
-//     consecutively-failing shard into a fail-fast reroute (open) until
-//     a half-open probe readmits it; the HEALTH verb reports loop
-//     liveness plus per-shard readiness without ever crossing a queue.
+// ServeScript() drives the same per-frame dispatch synchronously over an
+// in-memory byte string, as a connection with no fd whose requests execute
+// on the calling thread — the golden and routing tests and the load
+// generator use it to pin served bytes without socket noise.
 //
-// ServeScript() drives the identical routing/memo/execute pipeline
-// synchronously over an in-memory byte string — the equivalence tests and
-// the load generator use it to compare fleet behavior against the classic
-// server without socket noise.
-//
-// Persistence: when ServerOptions::cache_dir is set, the fleet owns ONE
+// Persistence: when cache_dir is set, the fleet owns ONE
 // PersistentResultCache shared by every shard (a single writer lock per
 // process; entries are preloaded into every shard's in-memory cache at
 // construction), so restarts warm-start no matter how routing maps keys
 // to shards.
 #pragma once
 
+#include <sys/types.h>
+
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -65,6 +70,7 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "service/fd_stream.hpp"
 #include "service/frame_reader.hpp"
 #include "service/persistent_cache.hpp"
 #include "service/protocol.hpp"
@@ -75,16 +81,32 @@ namespace spta::service {
 struct ShardedServerOptions {
   /// Worker shard count (>= 1).
   std::size_t shards = 1;
-  /// Per-shard template. cache_dir is lifted out and shared fleet-wide;
-  /// workers is forced to 1 (shard threads execute inline — the fleet's
-  /// parallelism is the shard count, not a nested pool).
+  /// Per-shard executor options.
   ServerOptions server;
+  /// Default ANALYZE deadline in ms, measured from admission; 0 = none. A
+  /// request can override it with its own deadline_ms argument.
+  double default_deadline_ms = 0.0;
   /// Queued requests per shard before busy-rejection (ERR busy).
   std::size_t shard_queue_capacity = 256;
-  /// Memoized warm responses retained per shard (FIFO bound).
+  /// Memoized warm responses retained per shard (FIFO bound; 0 = off).
   std::size_t warm_memo_capacity = 4096;
-  /// listen(2) backlog for the TCP listener.
+  /// listen(2) backlog. The historical hard-coded 16 drops connections
+  /// under a burst: a storm of simultaneous connects overflows the accept
+  /// queue before the loop runs (pinned by the burst-accept regression in
+  /// service_fleet_test).
   int listen_backlog = 128;
+  /// Directory for the disk-backed result cache; empty = no persistence.
+  /// When set, the directory (which must exist) is scanned at construction
+  /// and every validated entry pre-warms every shard's cache, and every
+  /// fresh analysis / mined INGEST table is written through to it — so a
+  /// restarted fleet answers repeat requests from cache immediately.
+  std::string cache_dir;
+  /// On-disk budget for the persistent cache; overshoot evicts the
+  /// least-recently-written entries. 0 = unbounded.
+  std::uint64_t cache_max_bytes = 0;
+  /// Simulated device capacity for the persistent cache (fault injection:
+  /// Puts past this behave like ENOSPC). 0 = no simulation.
+  std::uint64_t cache_quota_bytes = 0;
   /// SO_REUSEPORT on the listener: lets several fleet processes (spawned
   /// by the spta_fleet supervisor) share one port.
   bool reuseport = false;
@@ -103,11 +125,21 @@ struct ShardedServerOptions {
   /// older than this is reported stalled=1 (fleet status=degraded).
   double health_stall_after_ms = 5000.0;
   /// An already-connected stream fd adopted as a served connection at
-  /// Start() — the spta_fleet supervisor's health-probe socketpair, so a
+  /// Start(): the spta_fleet supervisor's health-probe socketpair (a
   /// watchdog HEALTH probe reaches the event loop without competing for
-  /// the SO_REUSEPORT listener (which load-balances across processes).
-  /// -1 = none.
+  /// the SO_REUSEPORT listener, which load-balances across processes), or
+  /// spta_serve --pipe's stdin/stdout bridge. -1 = none.
   int adopt_fd = -1;
+  /// Fault-injection hook factory (tests only). Called once per served
+  /// connection with its ordinal (arrival order, from 0); the returned
+  /// hook (may be empty) guards every recv/send the loop issues on that
+  /// connection, with FdStreambuf's discipline (service/fd_stream.hpp).
+  /// Fired faults are counted into METRICS faults_injected; a connection
+  /// that closes with faults fired and no SHUTDOWN counts into
+  /// sessions_degraded. The fleet itself must survive any decision the
+  /// hook makes — that invariant is what tests/fault_matrix_smoke.cpp
+  /// pins down.
+  std::function<IoFaultHook(std::uint64_t)> io_fault_hook_factory;
 };
 
 class ShardedServer {
@@ -133,18 +165,23 @@ class ShardedServer {
   /// Feeds a byte string of frames through the full routing/memo/execute
   /// pipeline on the calling thread, appending response frames to `out`.
   /// Returns true iff a SHUTDOWN frame was processed. Not concurrency-
-  /// safe against the TCP mode (drive one or the other).
+  /// safe against the event loop (drive one or the other).
   bool ServeScript(std::string_view in, std::string* out);
 
-  // --- TCP fleet mode ---
+  // --- Event-loop mode ---
 
   /// Binds and listens on host:port (IPv4 dotted quad; port 0 = pick an
   /// ephemeral port, see bound_port()). Returns 0 or an errno.
   int ListenTcp(const std::string& host, std::uint16_t port);
   std::uint16_t bound_port() const { return bound_port_; }
 
+  /// Binds and listens on an AF_UNIX stream socket at `path`, replacing a
+  /// stale socket file; the file is unlinked when the listener closes.
+  /// Returns 0 or an errno.
+  int ListenUnix(const std::string& path);
+
   /// Spawns the shard workers and the event loop thread. Requires a
-  /// successful ListenTcp. Returns 0 or an errno.
+  /// listener or an adopt_fd. Returns 0 or an errno.
   int Start();
 
   /// Blocks until the loop exits (drain complete), then stops and joins
@@ -199,20 +236,19 @@ class ShardedServer {
   /// Fleet-level TRACE response, answered on the event loop: the Chrome
   /// trace-event JSON export of the process-wide tracer (loop + shard
   /// threads share one Tracer), args carrying format/events/dropped/
-  /// enabled exactly like the classic server's TRACE reply.
+  /// enabled.
   Response FleetTraceResponse();
 
-  /// Prometheus text exposition of the fleet surface: spta_fleet_*
-  /// families only (per-shard series labeled shard="N"), disjoint from
-  /// the per-server families in ServiceMetrics::RenderProm so a scrape
-  /// of both never sees a duplicated family.
+  /// Prometheus text exposition of the fleet surface (METRICS_PROM and
+  /// spta_serve --prom-out): spta_fleet_* families, per-shard series
+  /// labeled shard="N".
   std::string RenderFleetProm();
 
  private:
   struct Conn;
   struct ShardRuntime;
   struct Item {
-    std::shared_ptr<Conn> conn;  ///< Null in ServeScript mode.
+    std::shared_ptr<Conn> conn;
     std::uint64_t id = 0;
     Request request;
     DualHash body_digest;
@@ -220,9 +256,9 @@ class ShardedServer {
     std::int64_t enqueue_ns = 0;  ///< Admission time (EWMA cost input).
   };
 
-  // Shared pipeline (both modes).
-  bool TryServeWarm(ShardRuntime& shard, const Request& request,
-                    const DualHash& digest, std::string* frame);
+  // Shared pipeline.
+  bool TryServeWarm(ShardRuntime& shard, const DualHash& digest,
+                    std::string* frame);
   Response ExecuteOnShard(ShardRuntime& shard, const Request& request,
                           const DualHash& digest,
                           std::int64_t enqueue_ns = 0);
@@ -243,17 +279,32 @@ class ShardedServer {
                const Response& response, SessionGeneration generation,
                std::uint64_t generation_value);
 
-  // TCP mode internals (defined in sharded_server.cpp).
+  // Per-connection dispatch (both modes).
+  /// Parses and dispatches every frame banked in the connection's
+  /// reassembler; `at_eof` applies the end-of-stream rules.
+  void ProcessFrames(const std::shared_ptr<Conn>& conn, bool at_eof);
+  /// Counts one more accepted frame and returns its response slot.
+  std::uint64_t Admit(Conn& conn);
+  /// Answers, memo-serves, sheds, executes (no fd) or queues one request.
+  void Dispatch(const std::shared_ptr<Conn>& conn, Request request,
+                std::string_view body);
+  void Answer(const std::shared_ptr<Conn>& conn, std::uint64_t id,
+              const Response& response);
+  void CompleteItem(const std::shared_ptr<Conn>& conn, std::uint64_t id,
+                    std::string frame, bool on_loop_thread);
+
+  // Event-loop internals.
+  void CloseListener();
+  std::shared_ptr<Conn> AddConn(int fd);
   void EventLoop();
   void ShardWorker(std::size_t index);
   void FailoverQueue(ShardRuntime& shard);
   bool PushToShard(std::size_t index, Item item);
-  void CompleteItem(const std::shared_ptr<Conn>& conn, std::uint64_t id,
-                    std::string frame, bool on_loop_thread);
   void AcceptReady();
   void ReadConn(const std::shared_ptr<Conn>& conn);
-  bool HandleFrame(const std::shared_ptr<Conn>& conn, std::string type,
-                   std::string body);
+  /// One recv/send on a connection under its fault hook.
+  ssize_t ConnIo(Conn& conn, IoOp op, char* read_buf, const char* write_buf,
+                 std::size_t count);
   void FlushConn(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void BeginDrain(const std::shared_ptr<Conn>& conn, std::uint64_t id);
@@ -270,9 +321,13 @@ class ShardedServer {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> connections_total_{0};
   std::atomic<std::uint64_t> fleet_requests_{0};  ///< Loop-handled verbs.
+  std::atomic<std::uint64_t> faults_injected_{0};
+  std::atomic<std::uint64_t> sessions_degraded_{0};
 
-  // TCP mode state.
+  // Event-loop state.
   int listen_fd_ = -1;
+  bool listen_tcp_ = false;  ///< TCP_NODELAY goes on accepted sockets.
+  std::string unix_path_;    ///< AF_UNIX listener's file, unlinked on close.
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  ///< eventfd: cross-thread completion/shutdown wake.
   std::uint16_t bound_port_ = 0;

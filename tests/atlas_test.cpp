@@ -6,7 +6,8 @@
 //     typed errors — never a crash;
 //   * mining: segments partition the trace and reconstruct it exactly;
 //   * integration: the service INGEST verb validates, mines and caches
-//     kernel tables, and METRICS_PROM exports the container counters.
+//     kernel tables, and the per-shard Prometheus exposition carries the
+//     container counters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,9 +19,11 @@
 #include "apps/kernels.hpp"
 #include "atlas/format.hpp"
 #include "atlas/mine.hpp"
+#include "obs/trace.hpp"
 #include "prng/xoshiro.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
+#include "service/sharded_server.hpp"
 #include "trace/interpreter.hpp"
 #include "trace/trace_io.hpp"
 
@@ -374,21 +377,23 @@ TEST(AtlasMineTest, KernelIterationsAreFieldwiseEqualToBody) {
 // ---------------------------------------------------------------------------
 // Service INGEST.
 
-service::Response Roundtrip(service::Server& server,
+service::Response Roundtrip(service::ShardedServer& fleet,
                             const service::Request& request) {
-  std::stringstream in, out;
-  service::WriteRequest(in, request);
-  server.ServeStream(in, out);
+  std::string in;
+  std::string out;
+  service::AppendRequestFrame(request, &in);
+  fleet.ServeScript(in, &out);
+  std::istringstream stream(out);
   service::Response response;
   std::string error;
-  EXPECT_EQ(service::ReadResponse(out, &response, &error),
+  EXPECT_EQ(service::ReadResponse(stream, &response, &error),
             service::ReadStatus::kOk)
       << error;
   return response;
 }
 
 TEST(AtlasServiceTest, IngestValidatesMinesAndCaches) {
-  service::Server server;
+  service::ShardedServer server;
   const trace::Trace t = KernelLoopTrace(100);
 
   service::Request ingest;
@@ -417,7 +422,7 @@ TEST(AtlasServiceTest, IngestValidatesMinesAndCaches) {
 }
 
 TEST(AtlasServiceTest, IngestRejectsHostilePayloadsWithoutDying) {
-  service::Server server;
+  service::ShardedServer server;
   const std::string valid = AtlasBytes(KernelLoopTrace(20));
   const std::string payloads[] = {
       std::string("not a trace at all"), valid.substr(0, valid.size() / 2),
@@ -441,8 +446,8 @@ TEST(AtlasServiceTest, IngestRejectsHostilePayloadsWithoutDying) {
 }
 
 TEST(AtlasServiceTest, PromExportsAtlasCounters) {
-  service::Server server;
-  const std::string prom = server.RenderPromText();
+  service::ShardedServer fleet;
+  const std::string prom = fleet.RenderFleetProm();
   EXPECT_NE(prom.find("spta_atlas_traces_packed_total"), std::string::npos);
   EXPECT_NE(prom.find("spta_atlas_traces_unpacked_total"), std::string::npos);
   EXPECT_EQ(prom.find("spta_atlas_kernel_"), std::string::npos);

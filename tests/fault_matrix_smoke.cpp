@@ -42,7 +42,7 @@
 #include "mbpta/per_path.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
+#include "service/sharded_server.hpp"
 #include "sim/config.hpp"
 
 namespace spta {
@@ -249,8 +249,8 @@ TEST(FaultMatrix, DaemonSurvivesHostileConnectionsAndCountsThem) {
   auto plan1 = std::make_shared<fault::IoFaultPlan>(transient, 99, 1);
   auto plan2 = std::make_shared<fault::IoFaultPlan>(transient, 99, 2);
 
-  service::ServerOptions options;
-  options.workers = 2;
+  service::ShardedServerOptions options;
+  options.shards = 2;
   options.io_fault_hook_factory =
       [plan1, plan2](std::uint64_t ordinal) -> service::IoFaultHook {
     if (ordinal == 0) {
@@ -269,8 +269,9 @@ TEST(FaultMatrix, DaemonSurvivesHostileConnectionsAndCountsThem) {
     if (ordinal == 2) return plan2->Hook();
     return {};
   };
-  service::Server server(options);
-  std::thread daemon([&] { server.ServeUnixSocket(path); });
+  service::ShardedServer fleet(options);
+  ASSERT_EQ(fleet.ListenUnix(path), 0);
+  ASSERT_EQ(fleet.Start(), 0);
 
   const auto connect = [&](double timeout_ms = 0.0) {
     std::unique_ptr<service::UnixSocketConnection> connection;
@@ -336,12 +337,13 @@ TEST(FaultMatrix, DaemonSurvivesHostileConnectionsAndCountsThem) {
     EXPECT_TRUE(metrics.ok);
     EXPECT_TRUE(client.Shutdown().ok);
   }
-  daemon.join();
+  EXPECT_EQ(fleet.Wait(), 0);
 
-  EXPECT_GE(server.metrics().faults_injected(),
+  const service::Response metrics = fleet.FleetMetricsResponse();
+  EXPECT_GE(metrics.args.GetUint("faults_injected", 0),
             2 + plan1->faults_fired() + plan2->faults_fired());
-  EXPECT_GE(server.metrics().sessions_degraded(), 1u);
-  EXPECT_TRUE(server.shutdown_requested());
+  EXPECT_GE(metrics.args.GetUint("sessions_degraded", 0), 1u);
+  EXPECT_TRUE(fleet.shutdown_requested());
 }
 
 }  // namespace

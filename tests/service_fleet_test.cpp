@@ -1,13 +1,12 @@
-// The sharded-fleet battery (ISSUE 8): service-equivalence and chaos tests
-// pinning the epoll TCP event loop, digest routing, the persistent
-// warm-start cache and the zero-loss drain.
+// The sharded-fleet battery: served-bytes goldens and chaos tests pinning
+// the epoll event loop, digest routing, the persistent warm-start cache
+// and the zero-loss drain.
 //
-//   * Served-vs-classic bit-identity: every verb's response through the
-//     fleet (ServeScript AND the real epoll/TCP path) equals the classic
-//     thread-per-connection ServeStream response byte for byte, after
-//     stripping only the volatile analyze_us timing field. The fleet
-//     surfaces for METRICS/METRICS_PROM are intentionally wider (fleet_*
-//     aggregation) and are pinned separately.
+//   * Served bytes: the golden script (service_harness.hpp) answered
+//     through ServeScript, TCP, AF_UNIX and the adopted --pipe connection
+//     equals the recorded golden frames byte for byte, after stripping
+//     only the volatile analyze_us timing field (the loop-answered verbs
+//     compare their stable argument names).
 //   * Routing determinism: same digest → same shard → same bytes, fixed
 //     rehash on shard death.
 //   * Chaos: kill a shard mid-campaign; every accepted request is still
@@ -25,14 +24,19 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -47,79 +51,19 @@
 #include "service/frame_reader.hpp"
 #include "service/persistent_cache.hpp"
 #include "service/protocol.hpp"
-#include "service/server.hpp"
 #include "service/sharded_server.hpp"
+#include "service_harness.hpp"
 
 namespace spta {
 namespace {
 
-// Same synthetic-sample shape as service_test: uniform-ish jitter the EVT
-// pipeline accepts.
-std::vector<mbpta::PathObservation> SyntheticSample(std::size_t n,
-                                                    std::uint64_t seed,
-                                                    double base = 10000.0,
-                                                    double spread = 500.0) {
-  std::vector<mbpta::PathObservation> obs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t bits = Mix64(HashCombine(seed, i));
-    obs[i].time =
-        base + spread * (static_cast<double>(bits >> 11) * 0x1.0p-53);
-    obs[i].path_id = 0;
-  }
-  return obs;
-}
-
-service::Request MakeRequest(service::RequestKind kind) {
-  service::Request request;
-  request.kind = kind;
-  return request;
-}
-
-service::Request AnalyzeInlineRequest(
-    const std::vector<mbpta::PathObservation>& obs,
-    service::Args args = {}) {
-  service::Request request;
-  request.kind = service::RequestKind::kAnalyze;
-  request.args = std::move(args);
-  request.payload = service::EncodeSamplePayload(obs);
-  return request;
-}
-
-std::string EncodeScript(const std::vector<service::Request>& script) {
-  std::string bytes;
-  for (const auto& request : script) {
-    service::AppendRequestFrame(request, &bytes);
-  }
-  return bytes;
-}
-
-std::vector<service::Response> DecodeResponses(const std::string& bytes) {
-  std::stringstream stream(bytes);
-  std::vector<service::Response> responses;
-  service::Response response;
-  std::string error;
-  while (service::ReadResponse(stream, &response, &error) ==
-         service::ReadStatus::kOk) {
-    responses.push_back(response);
-  }
-  return responses;
-}
-
-std::vector<service::Response> RunClassic(
-    service::Server& server, const std::vector<service::Request>& script) {
-  std::stringstream in(EncodeScript(script));
-  std::stringstream out;
-  server.ServeStream(in, out);
-  return DecodeResponses(out.str());
-}
-
-std::vector<service::Response> RunFleetScript(
-    service::ShardedServer& fleet,
-    const std::vector<service::Request>& script) {
-  std::string out;
-  fleet.ServeScript(EncodeScript(script), &out);
-  return DecodeResponses(out);
-}
+using testing::AnalyzeInlineRequest;
+using testing::EncodeScript;
+using testing::MakeRequest;
+using testing::NormalizedFrame;
+using testing::PipeFleet;
+using testing::RunScript;
+using testing::SyntheticSample;
 
 /// Pipelines the whole script over one real TCP connection against a
 /// started fleet and reaps the ordered responses.
@@ -131,9 +75,9 @@ std::vector<service::Response> RunFleetTcp(
       "127.0.0.1", fleet.bound_port(), &error, 20000.0);
   EXPECT_NE(connection, nullptr) << error;
   if (!connection) return {};
-  connection->out().write(EncodeScript(script).data(),
-                          static_cast<std::streamsize>(
-                              EncodeScript(script).size()));
+  const std::string bytes = EncodeScript(script);
+  connection->out().write(bytes.data(),
+                          static_cast<std::streamsize>(bytes.size()));
   connection->out().flush();
   std::vector<service::Response> responses;
   service::Response response;
@@ -145,88 +89,126 @@ std::vector<service::Response> RunFleetTcp(
   return responses;
 }
 
-/// Strips the only legitimately volatile field (wall-clock timing) so the
-/// rest of the response can be compared bit for bit.
-std::string NormalizedFrame(service::Response response) {
-  response.args.Erase("analyze_us");
-  std::string frame;
-  service::AppendResponseFrame(response, &frame);
-  return frame;
+/// Writes `wire` into a fresh connection and reads until the fleet closes
+/// it (the golden script ends in a malformed frame, after which the fleet
+/// answers once and hangs up).
+template <typename Connection>
+std::string ReplayUntilClosed(std::unique_ptr<Connection> connection,
+                              const std::string& wire) {
+  if (!connection) return {};
+  connection->out().write(wire.data(),
+                          static_cast<std::streamsize>(wire.size()));
+  connection->out().flush();
+  return std::string(std::istreambuf_iterator<char>(connection->in()), {});
 }
 
-/// The all-verb equivalence script: PING, OPEN, APPEND, STATUS, session
-/// ANALYZE (miss), repeat session ANALYZE (hit), inline ANALYZE, bad verb
-/// args (ERR equivalence), CLOSE, post-CLOSE STATUS (ERR), SHUTDOWN.
-std::vector<service::Request> EquivalenceScript() {
-  const auto sample = SyntheticSample(400, 11);
-  std::vector<service::Request> script;
-  script.push_back(MakeRequest(service::RequestKind::kPing));
-  service::Request open = MakeRequest(service::RequestKind::kOpen);
-  open.args.Set("session", "equiv");
-  script.push_back(open);
-  service::Request append = MakeRequest(service::RequestKind::kAppend);
-  append.args.Set("session", "equiv");
-  append.payload = service::EncodeSamplePayload(sample);
-  script.push_back(append);
-  service::Request status = MakeRequest(service::RequestKind::kStatus);
-  status.args.Set("session", "equiv");
-  script.push_back(status);
-  service::Request analyze = MakeRequest(service::RequestKind::kAnalyze);
-  analyze.args.Set("session", "equiv");
-  script.push_back(analyze);
-  script.push_back(analyze);  // warm repeat: cache/memo hit on both sides
-  script.push_back(AnalyzeInlineRequest(SyntheticSample(300, 23)));
-  service::Request bad_status = MakeRequest(service::RequestKind::kStatus);
-  bad_status.args.Set("session", "never-opened");
-  script.push_back(bad_status);  // ERR equivalence
-  service::Request close = MakeRequest(service::RequestKind::kClose);
-  close.args.Set("session", "equiv");
-  script.push_back(close);
-  script.push_back(status);  // ERR: session is gone
-  script.push_back(MakeRequest(service::RequestKind::kShutdown));
-  return script;
-}
+// --- Served bytes ----------------------------------------------------------
 
-// --- Served-vs-classic bit-identity ---------------------------------------
+TEST(FleetEquivalenceTest, EveryTransportServesTheGoldenBytes) {
+  const std::string wire = testing::GoldenRequests();
+  ASSERT_FALSE(wire.empty());
 
-TEST(FleetEquivalenceTest, ScriptModeMatchesClassicServerBitForBit) {
-  const auto script = EquivalenceScript();
-  service::Server classic;
-  const auto expected = RunClassic(classic, script);
-  ASSERT_EQ(expected.size(), script.size());
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+  // The served bytes do not depend on the shard count.
+  for (std::size_t shards = 1; shards <= 5; ++shards) {
     service::ShardedServerOptions options;
     options.shards = shards;
     service::ShardedServer fleet(options);
-    const auto got = RunFleetScript(fleet, script);
-    ASSERT_EQ(got.size(), script.size()) << "shards=" << shards;
-    for (std::size_t i = 0; i < script.size(); ++i) {
-      EXPECT_EQ(NormalizedFrame(got[i]), NormalizedFrame(expected[i]))
-          << "shards=" << shards << " response " << i;
-    }
+    std::string out;
+    EXPECT_FALSE(fleet.ServeScript(wire, &out));
+    testing::ExpectGoldenResponses(
+        out, "script, shards=" + std::to_string(shards));
   }
-}
-
-TEST(FleetEquivalenceTest, TcpPathMatchesClassicServerBitForBit) {
-  const auto script = EquivalenceScript();
-  service::Server classic;
-  const auto expected = RunClassic(classic, script);
-  ASSERT_EQ(expected.size(), script.size());
 
   service::ShardedServerOptions options;
   options.shards = 2;
-  service::ShardedServer fleet(options);
+  std::string error;
+  {
+    service::ShardedServer fleet(options);
+    ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
+    ASSERT_EQ(fleet.Start(), 0);
+    testing::ExpectGoldenResponses(
+        ReplayUntilClosed(service::TcpConnection::Connect(
+                              "127.0.0.1", fleet.bound_port(), &error,
+                              20000.0),
+                          wire),
+        "tcp " + error);
+    fleet.TriggerShutdown();
+    EXPECT_EQ(fleet.Wait(), 0);
+  }
+  {
+    const std::string path =
+        "/tmp/spta_fleet_golden_" + std::to_string(::getpid()) + ".sock";
+    service::ShardedServer fleet(options);
+    ASSERT_EQ(fleet.ListenUnix(path), 0);
+    ASSERT_EQ(fleet.Start(), 0);
+    testing::ExpectGoldenResponses(
+        ReplayUntilClosed(
+            service::UnixSocketConnection::Connect(path, &error, 20000.0),
+            wire),
+        "unix " + error);
+    fleet.TriggerShutdown();
+    EXPECT_EQ(fleet.Wait(), 0);
+  }
+  {
+    PipeFleet pipe(options);
+    pipe.Send(wire);
+    testing::ExpectGoldenResponses(pipe.FinishRaw(), "pipe");
+  }
+}
+
+// A client still sending after a malformed frame (the rest of a pipelined
+// batch) must read the ERR and then a clean EOF, and its sends must not
+// fail. Closing a TCP socket with unread bytes answers with a RST, which
+// surfaces here as ECONNRESET/EPIPE and can drop the ERR on a real network.
+TEST(FleetEquivalenceTest, TcpPeerStillSendingAfterMalformedFrameReadsTheErr) {
+  service::ShardedServer fleet(service::ShardedServerOptions{});
   ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
   ASSERT_EQ(fleet.Start(), 0);
-  const auto got = RunFleetTcp(fleet, script);
-  EXPECT_EQ(fleet.Wait(), 0);
-  ASSERT_EQ(got.size(), script.size());
-  for (std::size_t i = 0; i < script.size(); ++i) {
-    EXPECT_EQ(NormalizedFrame(got[i]), NormalizedFrame(expected[i]))
-        << "response " << i;
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(fleet.bound_port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const std::string garbage(1 << 16, 'x');
+  const std::string batch = "not a frame\n" + garbage;
+  for (std::size_t off = 0; off < batch.size();) {
+    const ssize_t n =
+        ::send(fd, batch.data() + off, batch.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    off += static_cast<std::size_t>(n);
   }
-  EXPECT_TRUE(fleet.shutdown_requested());
+  // More bytes after the ERR has gone out.
+  int error = 0;
+  for (int i = 0; i < 3 && error == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    const ssize_t n = ::send(fd, garbage.data(), garbage.size(),
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) error = errno;
+  }
+  std::string bytes;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n > 0) {
+      bytes.append(buffer, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && error == 0) error = errno;
+    break;
+  }
+  ::close(fd);
+  EXPECT_EQ(error, 0) << std::strerror(error);
+  const auto responses = testing::DecodeResponses(bytes);
+  ASSERT_EQ(responses.size(), 1u) << bytes;
+  EXPECT_FALSE(responses[0].ok);
+  EXPECT_EQ(responses[0].args.GetString("code"), "malformed");
+  fleet.TriggerShutdown();
+  EXPECT_EQ(fleet.Wait(), 0);
 }
 
 // The warm repeat must ALSO be identical in its cache disposition: both
@@ -255,7 +237,7 @@ TEST(FleetEquivalenceTest, WarmHitMatchesBatchQuantileBitForBit) {
   analyze.args.Set("session", "batch");
   script.push_back(analyze);
   script.push_back(analyze);
-  const auto responses = RunFleetScript(fleet, script);
+  const auto responses = RunScript(fleet, script);
   ASSERT_EQ(responses.size(), 4u);
   ASSERT_TRUE(responses[2].ok) << responses[2].payload;
   ASSERT_TRUE(responses[3].ok) << responses[3].payload;
@@ -274,8 +256,8 @@ TEST(FleetEquivalenceTest, WarmHitMatchesBatchQuantileBitForBit) {
   EXPECT_EQ(memo_hits, 1u);
 }
 
-// The fleet METRICS surface: classic per-server counters summed across
-// shards plus the fleet_* keys, payload sectioned per shard.
+// The fleet METRICS surface: the per-shard counters summed across shards
+// plus the fleet_* keys, payload sectioned per shard.
 TEST(FleetEquivalenceTest, FleetMetricsAggregateAcrossShards) {
   service::ShardedServerOptions options;
   options.shards = 2;
@@ -286,7 +268,7 @@ TEST(FleetEquivalenceTest, FleetMetricsAggregateAcrossShards) {
   }
   script.push_back(MakeRequest(service::RequestKind::kMetrics));
   script.push_back(MakeRequest(service::RequestKind::kMetricsProm));
-  const auto responses = RunFleetScript(fleet, script);
+  const auto responses = RunScript(fleet, script);
   ASSERT_EQ(responses.size(), script.size());
   const auto& metrics = responses[6];
   ASSERT_TRUE(metrics.ok);
@@ -336,7 +318,7 @@ TEST(FleetRoutingTest, SameDigestSameShardSameBytes) {
   // beyond that disposition flag).
   std::vector<std::string> frames;
   for (int i = 0; i < 4; ++i) {
-    auto responses = RunFleetScript(fleet, {request});
+    auto responses = RunScript(fleet, {request});
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses[0].args.GetString("cache"), i == 0 ? "miss" : "hit");
     responses[0].args.Erase("cache");
@@ -373,7 +355,7 @@ TEST(FleetRoutingTest, SessionsStickToOneShardAndSpreadAcrossFleet) {
     script.push_back(close);
     const std::size_t shard = fleet.ShardFor(HashBytes(name).lo);
     const std::uint64_t before = fleet.shard_routed_total(shard);
-    const auto responses = RunFleetScript(fleet, script);
+    const auto responses = RunScript(fleet, script);
     ASSERT_EQ(responses.size(), 3u);
     for (const auto& r : responses) EXPECT_TRUE(r.ok) << r.payload;
     EXPECT_EQ(fleet.shard_routed_total(shard), before + 3)
@@ -483,7 +465,7 @@ TEST(FleetChaosTest, SurvivorsServeDeadShardsTraffic) {
   const std::size_t primary =
       fleet.ShardFor(service::ShardedServer::RouteDigest(request, body));
   fleet.KillShardForTest(primary);
-  const auto responses = RunFleetScript(fleet, {request});
+  const auto responses = RunScript(fleet, {request});
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].ok) << responses[0].payload;
   EXPECT_TRUE(responses[0].args.Has("pwcet"));
@@ -519,9 +501,9 @@ TEST(FleetWarmStartTest, RestartServesIdenticalBytesFromDisk) {
   {
     service::ShardedServerOptions options;
     options.shards = 2;
-    options.server.cache_dir = dir.path();
+    options.cache_dir = dir.path();
     service::ShardedServer fleet(options);
-    const auto responses = RunFleetScript(fleet, {request});
+    const auto responses = RunScript(fleet, {request});
     ASSERT_EQ(responses.size(), 1u);
     ASSERT_TRUE(responses[0].ok) << responses[0].payload;
     EXPECT_EQ(responses[0].args.GetString("cache"), "miss");
@@ -534,12 +516,12 @@ TEST(FleetWarmStartTest, RestartServesIdenticalBytesFromDisk) {
   // same request as a cache HIT with byte-identical content.
   service::ShardedServerOptions options;
   options.shards = 2;
-  options.server.cache_dir = dir.path();
+  options.cache_dir = dir.path();
   service::ShardedServer fleet(options);
   ASSERT_NE(fleet.persistent_cache(), nullptr);
   EXPECT_EQ(fleet.persistent_cache()->stats().loaded, 1u);
   EXPECT_EQ(fleet.persistent_cache()->stats().rejected, 0u);
-  const auto responses = RunFleetScript(fleet, {request});
+  const auto responses = RunScript(fleet, {request});
   ASSERT_EQ(responses.size(), 1u);
   ASSERT_TRUE(responses[0].ok) << responses[0].payload;
   EXPECT_EQ(responses[0].args.GetString("cache"), "hit");
@@ -565,9 +547,9 @@ TEST(FleetWarmStartTest, CorruptedEntriesRejectedAndRecomputedNeverServed) {
   std::string entry_path;
   {
     service::ShardedServerOptions options;
-    options.server.cache_dir = dir.path();
+    options.cache_dir = dir.path();
     service::ShardedServer fleet(options);
-    const auto responses = RunFleetScript(fleet, {request});
+    const auto responses = RunScript(fleet, {request});
     ASSERT_EQ(responses.size(), 1u);
     ASSERT_TRUE(responses[0].ok);
     genuine_frame = NormalizedFrame(responses[0]);
@@ -612,14 +594,14 @@ TEST(FleetWarmStartTest, CorruptedEntriesRejectedAndRecomputedNeverServed) {
                 static_cast<std::streamsize>(damaged.size()));
     }
     service::ShardedServerOptions options;
-    options.server.cache_dir = dir.path();
+    options.cache_dir = dir.path();
     service::ShardedServer fleet(options);
     ASSERT_NE(fleet.persistent_cache(), nullptr);
     EXPECT_EQ(fleet.persistent_cache()->stats().loaded, 0u)
         << corruption.name;
     EXPECT_EQ(fleet.persistent_cache()->stats().rejected, 1u)
         << corruption.name;
-    const auto responses = RunFleetScript(fleet, {request});
+    const auto responses = RunScript(fleet, {request});
     ASSERT_EQ(responses.size(), 1u) << corruption.name;
     ASSERT_TRUE(responses[0].ok) << corruption.name;
     // Recomputed (the rejected entry never warms the cache) and correct.
@@ -712,14 +694,30 @@ TEST(FleetBurstAcceptTest, HistoricalBacklog16DropsStormConnections) {
   EXPECT_LE(completed, 32u);
 }
 
-// The flag reaches the classic server too (it was server.cpp's listen()
-// call that was hard-coded).
+// The flag reaches the AF_UNIX listener too.
 TEST(FleetBurstAcceptTest, ServerOptionsCarryTheBacklogFlag) {
-  service::ServerOptions options;
+  service::ShardedServerOptions options;
   EXPECT_EQ(options.listen_backlog, 128);  // new default, not 16
   options.listen_backlog = 7;
-  service::Server server(options);
-  EXPECT_EQ(server.options().listen_backlog, 7);
+  service::ShardedServer fleet(options);
+  const std::string path =
+      "/tmp/spta_fleet_backlog_" + std::to_string(::getpid()) + ".sock";
+  ASSERT_EQ(fleet.ListenUnix(path), 0);
+  // Deliberately NOT started: at most backlog+1 connects complete.
+  std::size_t connected = 0;
+  for (int i = 0; i < 16; ++i) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s", path.c_str());
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      ++connected;
+    }
+    ::close(fd);
+  }
+  EXPECT_GE(connected, 1u);
+  EXPECT_LE(connected, 9u);  // backlog 7 (+ kernel slack), not 128
 }
 
 // --- HEALTH (fleet liveness/readiness) ------------------------------------
@@ -729,7 +727,7 @@ TEST(FleetHealthTest, ScriptHealthReportsFleetAndEveryShard) {
   options.shards = 3;
   service::ShardedServer fleet(options);
   const auto responses =
-      RunFleetScript(fleet, {MakeRequest(service::RequestKind::kHealth)});
+      RunScript(fleet, {MakeRequest(service::RequestKind::kHealth)});
   ASSERT_EQ(responses.size(), 1u);
   const auto& health = responses[0];
   ASSERT_TRUE(health.ok) << health.payload;
@@ -832,7 +830,7 @@ TEST(FleetAdmissionTest, UnmeetableDeadlineIsShedWithRetryHint) {
   // Feed the cost model: one ~30ms analysis teaches the shard's EWMA.
   service::Args slow;
   slow.SetDouble("debug_sleep_ms", 30.0);
-  auto teach = RunFleetScript(
+  auto teach = RunScript(
       fleet, {AnalyzeInlineRequest(SyntheticSample(260, 701), slow)});
   ASSERT_EQ(teach.size(), 1u);
   ASSERT_TRUE(teach[0].ok) << teach[0].payload;
@@ -842,7 +840,7 @@ TEST(FleetAdmissionTest, UnmeetableDeadlineIsShedWithRetryHint) {
   // executed into a doomed ERR deadline.
   service::Args tight;
   tight.SetDouble("deadline_ms", 1.0);
-  const auto shed = RunFleetScript(
+  const auto shed = RunScript(
       fleet, {AnalyzeInlineRequest(SyntheticSample(260, 702), tight)});
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_FALSE(shed[0].ok);
@@ -854,7 +852,7 @@ TEST(FleetAdmissionTest, UnmeetableDeadlineIsShedWithRetryHint) {
   // Shed requests are back-pressure, not failures: the ANALYZE failure
   // counters must not move (the teach request is the only ANALYZE seen).
   const auto metrics =
-      RunFleetScript(fleet, {MakeRequest(service::RequestKind::kMetrics)});
+      RunScript(fleet, {MakeRequest(service::RequestKind::kMetrics)});
   ASSERT_EQ(metrics.size(), 1u);
   ASSERT_TRUE(metrics[0].ok);
   EXPECT_EQ(metrics[0].args.GetUint("fleet_shed_deadline", 0), 1u);
@@ -871,7 +869,7 @@ TEST(FleetAdmissionTest, NoCostModelMeansAdmit) {
   service::ShardedServer fleet(options);
   service::Args tight;
   tight.SetDouble("deadline_ms", 10000.0);
-  const auto responses = RunFleetScript(
+  const auto responses = RunScript(
       fleet, {AnalyzeInlineRequest(SyntheticSample(260, 703), tight)});
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].ok) << responses[0].payload;
@@ -972,7 +970,7 @@ TEST(FleetBreakerTest, ClientErrorsNeverOpenTheBreaker) {
     status.args.Set("session", "no-such-session");
     script.push_back(status);
   }
-  const auto responses = RunFleetScript(fleet, script);
+  const auto responses = RunScript(fleet, script);
   ASSERT_EQ(responses.size(), script.size());
   for (const auto& response : responses) EXPECT_FALSE(response.ok);
   EXPECT_EQ(fleet.shard_breaker_state(0), 0);
@@ -1236,16 +1234,22 @@ TEST(FleetTracingTest, EveryVerbJoinsOneConnectedTreeRootedAtTheClient) {
   EXPECT_GE(by_name["analyze"], 1u);
 }
 
-// The TRACE verb on the classic thread-per-connection server: same verb,
-// same export format, served without a fleet in front.
-TEST(FleetTracingTest, ClassicServerServesTraceExport) {
+// The TRACE verb over the AF_UNIX listener: same verb, same export format
+// as over TCP, answered by the one event loop.
+TEST(FleetTracingTest, UnixSocketServesTraceExport) {
   ScopedTracer tracing;
-  service::Server classic;
-  std::vector<service::Request> script;
-  script.push_back(MakeRequest(service::RequestKind::kPing));
-  script.push_back(MakeRequest(service::RequestKind::kTrace));
-  const auto responses = RunClassic(classic, script);
-  ASSERT_EQ(responses.size(), 2u);
+  const std::string path =
+      "/tmp/spta_fleet_trace_" + std::to_string(::getpid()) + ".sock";
+  service::ShardedServer fleet;
+  ASSERT_EQ(fleet.ListenUnix(path), 0);
+  ASSERT_EQ(fleet.Start(), 0);
+  std::string error;
+  auto connection = service::UnixSocketConnection::Connect(path, &error);
+  ASSERT_TRUE(connection) << error;
+  service::Client client(connection->in(), connection->out());
+  std::vector<service::Response> responses = {client.Ping(), client.Trace()};
+  EXPECT_TRUE(client.Shutdown().ok);
+  EXPECT_EQ(fleet.Wait(), 0);
   EXPECT_TRUE(responses[0].ok);
   const auto& trace = responses[1];
   ASSERT_TRUE(trace.ok) << trace.payload;
@@ -1266,7 +1270,7 @@ TEST(FleetTracingTest, DisabledTracerLeavesNoSpansAndTraceStillAnswers) {
   std::vector<service::Request> script;
   script.push_back(MakeRequest(service::RequestKind::kPing));
   script.push_back(MakeRequest(service::RequestKind::kTrace));
-  const auto responses = RunFleetScript(fleet, script);
+  const auto responses = RunScript(fleet, script);
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_TRUE(responses[0].ok);
   ASSERT_TRUE(responses[1].ok);

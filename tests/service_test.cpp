@@ -1,8 +1,8 @@
 // spta_serve subsystem battery: protocol framing, streaming session
 // lifecycle in pipe mode, content-addressed result caching with LRU
-// eviction, backpressure and deadline rejection, graceful drain, and the
-// golden guarantee that a served pWCET quantile is bit-identical to the
-// batch pipeline's on the same campaign.
+// eviction, shard-queue backpressure and deadline rejection, graceful
+// drain, and the golden guarantee that a served pWCET quantile is
+// bit-identical to the batch pipeline's on the same campaign.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,33 +21,26 @@
 #include "common/hash.hpp"
 #include "mbpta/convergence.hpp"
 #include "mbpta/mbpta.hpp"
+#include "obs/trace.hpp"
 #include "service/client.hpp"
 #include "service/convergence_tracker.hpp"
 #include "service/engine.hpp"
 #include "service/protocol.hpp"
 #include "service/result_cache.hpp"
-#include "service/server.hpp"
+#include "service/sharded_server.hpp"
+#include "service_harness.hpp"
 #include "sim/config.hpp"
 #include "trace/record.hpp"
 
 namespace spta {
 namespace {
 
-// Deterministic pseudo-random execution times with enough jitter for the
-// EVT fit: uniform-ish in [base, base + spread).
-std::vector<mbpta::PathObservation> SyntheticSample(std::size_t n,
-                                                    std::uint64_t seed,
-                                                    double base = 10000.0,
-                                                    double spread = 500.0) {
-  std::vector<mbpta::PathObservation> obs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t bits = Mix64(HashCombine(seed, i));
-    obs[i].time =
-        base + spread * (static_cast<double>(bits >> 11) * 0x1.0p-53);
-    obs[i].path_id = 0;
-  }
-  return obs;
-}
+using testing::AnalyzeInlineRequest;
+using testing::MakeRequest;
+using testing::PipeFleet;
+using testing::RunPipe;
+using testing::RunScript;
+using testing::SyntheticSample;
 
 std::vector<double> TimesOf(const std::vector<mbpta::PathObservation>& obs) {
   std::vector<double> times;
@@ -56,39 +49,17 @@ std::vector<double> TimesOf(const std::vector<mbpta::PathObservation>& obs) {
   return times;
 }
 
-// Runs a scripted request stream through a server and reaps the ordered
-// responses (pipe mode: exactly what `spta_serve --pipe` does).
-std::vector<service::Response> RunScript(
-    service::Server& server, const std::vector<service::Request>& script) {
-  std::stringstream request_stream;
-  for (const auto& request : script) {
-    EXPECT_TRUE(service::WriteRequest(request_stream, request));
+/// Cache counters summed over every shard's engine.
+service::ResultCache::Stats CacheStats(service::ShardedServer& fleet) {
+  service::ResultCache::Stats total;
+  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
+    const auto stats = fleet.shard(i).engine().cache().stats();
+    total.hits += stats.hits;
+    total.misses += stats.misses;
+    total.evictions += stats.evictions;
+    total.size += stats.size;
   }
-  std::stringstream response_stream;
-  server.ServeStream(request_stream, response_stream);
-  std::vector<service::Response> responses;
-  service::Response response;
-  std::string error;
-  while (service::ReadResponse(response_stream, &response, &error) ==
-         service::ReadStatus::kOk) {
-    responses.push_back(response);
-  }
-  return responses;
-}
-
-service::Request MakeRequest(service::RequestKind kind) {
-  service::Request request;
-  request.kind = kind;
-  return request;
-}
-
-service::Request AnalyzeInlineRequest(
-    const std::vector<mbpta::PathObservation>& obs, service::Args args = {}) {
-  service::Request request;
-  request.kind = service::RequestKind::kAnalyze;
-  request.args = std::move(args);
-  request.payload = service::EncodeSamplePayload(obs);
-  return request;
+  return total;
 }
 
 TEST(ProtocolTest, RequestRoundTripsThroughFrame) {
@@ -261,7 +232,7 @@ TEST(AnalysisKeyTest, SensitiveToSamplesAndConfig) {
 // every SPTA_REQUIRE reachable from client-controlled sample sizes and
 // analysis options has to be caught by the engine's validation first.
 TEST(ServerPipeTest, HostileAnalyzeParametersGetErrNotAbort) {
-  service::Server server{service::ServerOptions{}};
+  service::ShardedServer fleet;
 
   service::Args tiny;  // 3 samples reach the i.i.d. gate's n >= 4 floor
   tiny.SetUint("min_blocks", 1);
@@ -277,7 +248,7 @@ TEST(ServerPipeTest, HostileAnalyzeParametersGetErrNotAbort) {
   per_path_floor.SetUint("min_path_samples", 4);
 
   const auto responses = RunScript(
-      server, {AnalyzeInlineRequest(SyntheticSample(3, 1), tiny),
+      fleet, {AnalyzeInlineRequest(SyntheticSample(3, 1), tiny),
                AnalyzeInlineRequest(SyntheticSample(10, 2), lags_too_large),
                AnalyzeInlineRequest(SyntheticSample(120, 3), lags_zero),
                AnalyzeInlineRequest(SyntheticSample(120, 4), two_blocks),
@@ -329,11 +300,11 @@ TEST(ConvergenceTrackerTest, MatchesBatchCheckConvergenceAnyChunking) {
 }
 
 TEST(ServerPipeTest, SessionLifecycleEndToEnd) {
-  service::ServerOptions options;
-  options.workers = 2;
-  options.convergence.initial_runs = 200;
-  options.convergence.step_runs = 100;
-  service::Server server(options);
+  service::ShardedServerOptions options;
+  options.shards = 2;
+  options.server.convergence.initial_runs = 200;
+  options.server.convergence.step_runs = 100;
+  PipeFleet pipe(options);
 
   const auto obs = SyntheticSample(600, 7);
 
@@ -371,7 +342,8 @@ TEST(ServerPipeTest, SessionLifecycleEndToEnd) {
   }
   script.push_back(MakeRequest(service::RequestKind::kShutdown));
 
-  const auto responses = RunScript(server, script);
+  pipe.Send(script);
+  const auto responses = pipe.Finish();
   ASSERT_EQ(responses.size(), script.size());
   for (std::size_t i = 0; i < responses.size(); ++i) {
     EXPECT_TRUE(responses[i].ok) << "response " << i << ": "
@@ -383,7 +355,7 @@ TEST(ServerPipeTest, SessionLifecycleEndToEnd) {
   EXPECT_EQ(responses[2].args.GetUint("total", 0), 200u);
   EXPECT_EQ(responses[4].args.GetUint("total", 0), 600u);
   const auto batch = mbpta::CheckConvergence(TimesOf(obs),
-                                             server.options().convergence);
+                                             options.server.convergence);
   EXPECT_EQ(responses[5].args.GetUint("converged", 9) == 1, batch.converged);
   EXPECT_EQ(responses[5].args.GetUint("runs_required", 9),
             batch.runs_required);
@@ -394,18 +366,24 @@ TEST(ServerPipeTest, SessionLifecycleEndToEnd) {
   EXPECT_EQ(responses[6].args.GetUint("sample_size", 0), 600u);
 
   // Close really closed: the session is gone.
-  EXPECT_EQ(server.sessions().open_count(), 0u);
-  EXPECT_TRUE(server.shutdown_requested());
+  for (std::size_t i = 0; i < pipe.fleet().shard_count(); ++i) {
+    EXPECT_EQ(pipe.fleet().shard(i).sessions().open_count(), 0u);
+  }
+  EXPECT_TRUE(pipe.fleet().shutdown_requested());
 }
 
 TEST(ServerPipeTest, CacheHitOnIdenticalResubmission) {
-  service::Server server{service::ServerOptions{}};
+  // With the warm memo off, the repeat is answered by the shard engine's
+  // result cache (the memo path is pinned by FleetEquivalenceTest).
+  service::ShardedServerOptions fleet_options;
+  fleet_options.warm_memo_capacity = 0;
+  service::ShardedServer fleet(fleet_options);
   const auto obs = SyntheticSample(240, 11);
 
   service::Args options;
   options.Set("require_iid", "0");
   const auto responses = RunScript(
-      server, {AnalyzeInlineRequest(obs, options),
+      fleet, {AnalyzeInlineRequest(obs, options),
                AnalyzeInlineRequest(obs, options),
                MakeRequest(service::RequestKind::kShutdown)});
   ASSERT_EQ(responses.size(), 3u);
@@ -421,32 +399,33 @@ TEST(ServerPipeTest, CacheHitOnIdenticalResubmission) {
             responses[1].args.GetString("pwcet"));
   EXPECT_EQ(responses[0].payload, responses[1].payload);
 
-  const auto stats = server.engine().cache().stats();
+  const auto stats = CacheStats(fleet);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
 }
 
-// Single flight: K identical ANALYZEs pipelined into a K-worker server run
-// one EVT fit. The first request computes and answers cache=miss; each
-// later one either waits for that computation or is served by the reader's
-// cache probe, and answers cache=hit with the same bytes. A debug sleep
-// before each analysis keeps all K in flight together, so without single
-// flight the K workers all miss and fit the same sample concurrently.
+// K identical ANALYZEs pipelined into a multi-shard fleet run one EVT fit:
+// identical bodies route to one shard, and its engine answers every
+// request queued behind the first from that result. The first computes
+// and answers cache=miss; the rest answer cache=hit with the same bytes.
+// A debug sleep before each analysis keeps all K queued together, so none
+// can slip past on the loop's warm memo.
 TEST(ServerPipeTest, PipelinedIdenticalAnalyzesComputeOnce) {
   constexpr std::size_t kRequests = 8;
-  service::ServerOptions options;
-  options.workers = kRequests;
-  options.enable_debug_hooks = true;
-  service::Server server(options);
+  service::ShardedServerOptions options;
+  options.shards = 2;
+  options.server.enable_debug_hooks = true;
+  PipeFleet pipe(options);
   const auto obs = SyntheticSample(240, 19);
 
   service::Args no_iid;
   no_iid.Set("require_iid", "0");
-  no_iid.Set("debug_sleep_ms", "200");
+  no_iid.Set("debug_sleep_ms", "50");
   std::vector<service::Request> script(kRequests,
                                        AnalyzeInlineRequest(obs, no_iid));
   script.push_back(MakeRequest(service::RequestKind::kShutdown));
-  const auto responses = RunScript(server, script);
+  pipe.Send(script);
+  const auto responses = pipe.Finish();
   ASSERT_EQ(responses.size(), kRequests + 1);
 
   for (std::size_t i = 0; i < kRequests; ++i) {
@@ -457,18 +436,19 @@ TEST(ServerPipeTest, PipelinedIdenticalAnalyzesComputeOnce) {
               responses[0].args.GetString("pwcet"));
     EXPECT_EQ(responses[i].payload, responses[0].payload);
   }
-  const auto stats = server.engine().cache().stats();
+  const auto stats = CacheStats(pipe.fleet());
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, kRequests - 1);
 }
 
 TEST(ServerPipeTest, LruEvictionBoundsTheCache) {
-  service::ServerOptions options;
-  options.cache_capacity = 2;
-  // One worker => analyses insert into the cache in request order, so the
-  // eviction sequence is deterministic.
-  options.workers = 1;
-  service::Server server(options);
+  // One shard executing synchronously => analyses insert into the cache in
+  // request order, so the eviction sequence is deterministic. The warm
+  // memo is off so the resubmission reaches the engine's cache.
+  service::ShardedServerOptions options;
+  options.server.cache_capacity = 2;
+  options.warm_memo_capacity = 0;
+  service::ShardedServer fleet(options);
 
   service::Args no_iid;
   no_iid.Set("require_iid", "0");
@@ -478,57 +458,65 @@ TEST(ServerPipeTest, LruEvictionBoundsTheCache) {
         AnalyzeInlineRequest(SyntheticSample(240, seed), no_iid));
   }
   script.push_back(MakeRequest(service::RequestKind::kShutdown));
-  const auto responses = RunScript(server, script);
+  const auto responses = RunScript(fleet, script);
   ASSERT_EQ(responses.size(), 4u);
 
   // Resubmit seed 1 on a fresh stream, after the first drained: seed 3's
   // insertion evicted it (LRU), so it must be a miss and evict seed 2.
   const auto resubmit = RunScript(
-      server, {AnalyzeInlineRequest(SyntheticSample(240, 1u), no_iid),
-               MakeRequest(service::RequestKind::kShutdown)});
+      fleet, {AnalyzeInlineRequest(SyntheticSample(240, 1u), no_iid),
+              MakeRequest(service::RequestKind::kShutdown)});
   ASSERT_EQ(resubmit.size(), 2u);
   EXPECT_EQ(resubmit[0].args.GetString("cache"), "miss");
-  const auto stats = server.engine().cache().stats();
+  const auto stats = fleet.shard(0).engine().cache().stats();
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.size, 2u);
 }
 
+// Backpressure is the shard queue's bound: with one request executing and
+// one queued, every further request is answered ERR busy at once instead
+// of being buffered.
 TEST(ServerPipeTest, BackpressureRejectsWhenQueueFull) {
-  service::ServerOptions options;
-  options.workers = 1;
-  options.queue_capacity = 1;
-  options.enable_debug_hooks = true;
-  service::Server server(options);
+  service::ShardedServerOptions options;
+  options.shard_queue_capacity = 1;
+  options.server.enable_debug_hooks = true;
+  PipeFleet pipe(options);
 
   service::Args slow;
   slow.Set("require_iid", "0");
-  slow.SetDouble("debug_sleep_ms", 300.0);
+  slow.SetDouble("debug_sleep_ms", 1000.0);
   service::Args fast;
   fast.Set("require_iid", "0");
 
-  const auto obs = SyntheticSample(120, 5);
-  const auto responses = RunScript(
-      server, {AnalyzeInlineRequest(obs, slow),
-               AnalyzeInlineRequest(SyntheticSample(120, 6), fast),
-               AnalyzeInlineRequest(SyntheticSample(120, 8), fast),
-               MakeRequest(service::RequestKind::kShutdown)});
-  ASSERT_EQ(responses.size(), 4u);
-  EXPECT_TRUE(responses[0].ok);  // the slot holder completed
-  EXPECT_FALSE(responses[1].ok);
-  EXPECT_EQ(responses[1].args.GetString("code"), "busy");
-  EXPECT_FALSE(responses[2].ok);
-  EXPECT_EQ(responses[2].args.GetString("code"), "busy");
-  EXPECT_TRUE(responses[3].ok);  // shutdown ack after drain
-  EXPECT_EQ(server.metrics().busy_rejections(), 2u);
+  pipe.Send({AnalyzeInlineRequest(SyntheticSample(120, 5), slow)});
+  // Wait until the shard has taken the slow request off its queue.
+  const auto picked_up = [&] {
+    const std::string shards = pipe.fleet().FleetHealthResponse().payload;
+    return shards.find("queue_depth=0 inflight=1") != std::string::npos;
+  };
+  for (int i = 0; i < 500 && !picked_up(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(picked_up());
+  pipe.Send({AnalyzeInlineRequest(SyntheticSample(120, 6), fast),
+             AnalyzeInlineRequest(SyntheticSample(120, 8), fast),
+             AnalyzeInlineRequest(SyntheticSample(120, 9), fast),
+             MakeRequest(service::RequestKind::kShutdown)});
+  const auto responses = pipe.Finish();
+  ASSERT_EQ(responses.size(), 5u);
+  EXPECT_TRUE(responses[0].ok);  // executing
+  EXPECT_TRUE(responses[1].ok);  // queued behind it
+  for (const std::size_t i : {std::size_t{2}, std::size_t{3}}) {
+    EXPECT_FALSE(responses[i].ok) << i;
+    EXPECT_EQ(responses[i].args.GetString("code"), "busy") << i;
+  }
+  EXPECT_TRUE(responses[4].ok);  // shutdown ack after drain
+  EXPECT_EQ(pipe.fleet().shard(0).metrics().busy_rejections(), 2u);
 }
 
 TEST(ServerPipeTest, ExpiredDeadlineIsRejectedNotExecuted) {
-  service::ServerOptions options;
-  options.workers = 1;
-  options.queue_capacity = 4;
-  options.enable_debug_hooks = true;
-  service::Server server(options);
-
+  service::ShardedServerOptions options;
+  options.server.enable_debug_hooks = true;
   service::Args slow;
   slow.Set("require_iid", "0");
   slow.SetDouble("debug_sleep_ms", 200.0);
@@ -536,22 +524,21 @@ TEST(ServerPipeTest, ExpiredDeadlineIsRejectedNotExecuted) {
   tight.Set("require_iid", "0");
   tight.SetDouble("deadline_ms", 1.0);  // expires while queued behind `slow`
 
-  const auto responses = RunScript(
-      server, {AnalyzeInlineRequest(SyntheticSample(120, 5), slow),
-               AnalyzeInlineRequest(SyntheticSample(120, 6), tight),
-               MakeRequest(service::RequestKind::kShutdown)});
+  PipeFleet pipe(options);
+  pipe.Send({AnalyzeInlineRequest(SyntheticSample(120, 5), slow),
+             AnalyzeInlineRequest(SyntheticSample(120, 6), tight),
+             MakeRequest(service::RequestKind::kShutdown)});
+  const auto responses = pipe.Finish();
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_TRUE(responses[0].ok);
   EXPECT_FALSE(responses[1].ok);
   EXPECT_EQ(responses[1].args.GetString("code"), "deadline");
-  EXPECT_EQ(server.metrics().deadline_misses(), 1u);
+  EXPECT_EQ(pipe.fleet().shard(0).metrics().deadline_misses(), 1u);
 }
 
 TEST(ServerPipeTest, DrainOnShutdownLosesNoAcceptedRequest) {
-  service::ServerOptions options;
-  options.workers = 4;
-  options.queue_capacity = 64;
-  service::Server server(options);
+  service::ShardedServerOptions options;
+  options.shards = 4;
 
   constexpr std::size_t kRequests = 24;
   service::Args no_iid;
@@ -563,7 +550,9 @@ TEST(ServerPipeTest, DrainOnShutdownLosesNoAcceptedRequest) {
   }
   script.push_back(MakeRequest(service::RequestKind::kShutdown));
 
-  const auto responses = RunScript(server, script);
+  PipeFleet pipe(options);
+  pipe.Send(script);
+  const auto responses = pipe.Finish();
   ASSERT_EQ(responses.size(), kRequests + 1);
   for (std::size_t i = 0; i < kRequests; ++i) {
     EXPECT_TRUE(responses[i].ok) << responses[i].payload;
@@ -571,26 +560,30 @@ TEST(ServerPipeTest, DrainOnShutdownLosesNoAcceptedRequest) {
   }
   EXPECT_TRUE(responses.back().ok);
   EXPECT_EQ(responses.back().args.GetString("drained"), "1");
-  EXPECT_EQ(server.metrics().requests_total(), kRequests + 1);
-  EXPECT_EQ(server.metrics().errors_total(), 0u);
+  // The shards executed every analysis; SHUTDOWN is the loop's.
+  std::uint64_t executed = 0;
+  std::uint64_t errors = 0;
+  for (std::size_t i = 0; i < pipe.fleet().shard_count(); ++i) {
+    executed += pipe.fleet().shard(i).metrics().requests_total();
+    errors += pipe.fleet().shard(i).metrics().errors_total();
+  }
+  EXPECT_EQ(executed, kRequests);
+  EXPECT_EQ(errors, 0u);
 }
 
 TEST(ServerPipeTest, MetricsSurfaceCountsTraffic) {
-  service::Server server{service::ServerOptions{}};
+  service::ShardedServerOptions options;
+  options.warm_memo_capacity = 0;  // the repeat is an engine cache hit
+  service::ShardedServer fleet(options);
   const auto obs = SyntheticSample(240, 11);
   service::Args no_iid;
   no_iid.Set("require_iid", "0");
-  const auto traffic = RunScript(
-      server, {AnalyzeInlineRequest(obs, no_iid),
-               AnalyzeInlineRequest(obs, no_iid),
-               MakeRequest(service::RequestKind::kShutdown)});
-  ASSERT_EQ(traffic.size(), 3u);
-  // METRICS is deliberately instantaneous (no barrier on in-flight work),
-  // so read the surface on a second stream after the drain.
   const auto responses =
-      RunScript(server, {MakeRequest(service::RequestKind::kMetrics)});
-  ASSERT_EQ(responses.size(), 1u);
-  const auto& metrics = responses[0];
+      RunScript(fleet, {AnalyzeInlineRequest(obs, no_iid),
+                        AnalyzeInlineRequest(obs, no_iid),
+                        MakeRequest(service::RequestKind::kMetrics)});
+  ASSERT_EQ(responses.size(), 3u);
+  const auto& metrics = responses[2];
   ASSERT_TRUE(metrics.ok);
   EXPECT_EQ(metrics.args.GetUint("analyses_total", 0), 2u);
   EXPECT_EQ(metrics.args.GetUint("cache_hits", 0), 1u);
@@ -605,31 +598,29 @@ TEST(ServerPipeTest, MetricsSurfaceCountsTraffic) {
 // If this test fails because a key was ADDED, extend the expectation; a
 // reorder or rename is a breaking change and needs a docs + version call.
 TEST(ServerPipeTest, MetricsSnapshotKeyOrderIsGolden) {
-  service::Server server{service::ServerOptions{}};
+  service::ShardedServer fleet;
   const auto obs = SyntheticSample(240, 11);
   service::Args no_iid;
   no_iid.Set("require_iid", "0");
-  RunScript(server, {MakeRequest(service::RequestKind::kPing),
-                     AnalyzeInlineRequest(obs, no_iid),
-                     MakeRequest(service::RequestKind::kShutdown)});
+  RunScript(fleet, {MakeRequest(service::RequestKind::kPing),
+                    AnalyzeInlineRequest(obs, no_iid),
+                    MakeRequest(service::RequestKind::kStatus)});
+  service::Server& shard = fleet.shard(0);
   const auto snapshot =
-      server.metrics().Snapshot(server.engine().cache().stats());
+      shard.metrics().Snapshot(shard.engine().cache().stats());
   std::vector<std::string> keys;
   for (const auto& [key, value] : snapshot.values()) keys.push_back(key);
   const std::vector<std::string> golden = {
       "analyses_total", "busy_rejections",  "cache_capacity",
       "cache_collisions", "cache_evictions", "cache_hit_ratio",
       "cache_hits",     "cache_misses",     "cache_size",
-      "deadline_misses", "errors_total",    "faults_injected",
-      "protocol_errors", "queue_waits",     "requests_ANALYZE",
-      "requests_PING",  "requests_SHUTDOWN", "requests_total",
-      "sessions_degraded"};
+      "deadline_misses", "errors_total",    "requests_ANALYZE",
+      "requests_PING",  "requests_STATUS", "requests_total"};
   EXPECT_EQ(keys, golden);
 
   // Render = the Snapshot lines in the same order, then the latency mean,
   // then the ASCII histograms (cold before cache-hit when both exist).
-  const auto text =
-      server.metrics().Render(server.engine().cache().stats());
+  const auto text = shard.metrics().Render(shard.engine().cache().stats());
   std::size_t pos = 0;
   for (const auto& key : golden) {
     const std::size_t at = text.find(key + " ", pos);
@@ -641,27 +632,15 @@ TEST(ServerPipeTest, MetricsSnapshotKeyOrderIsGolden) {
   EXPECT_NE(text.find("cold analyze latency", pos), std::string::npos);
 }
 
-TEST(ServerPipeTest, MetricsPromServesValidExposition) {
-  service::Server server{service::ServerOptions{}};
-  const auto obs = SyntheticSample(240, 11);
-  service::Args no_iid;
-  no_iid.Set("require_iid", "0");
-  RunScript(server, {AnalyzeInlineRequest(obs, no_iid),
-                     AnalyzeInlineRequest(obs, no_iid),
-                     MakeRequest(service::RequestKind::kShutdown)});
-  const auto responses =
-      RunScript(server, {MakeRequest(service::RequestKind::kMetricsProm)});
-  ASSERT_EQ(responses.size(), 1u);
-  ASSERT_TRUE(responses[0].ok);
-  EXPECT_EQ(responses[0].args.GetString("format", ""), "prometheus-0.0.4");
-  const std::string& text = responses[0].payload;
-
-  // Every line is a comment or `name[{labels}] value` — no stray text.
+/// Every line is a comment or `name[{labels}] value` — no stray text.
+/// Returns the sample-line count.
+std::size_t ExpectValidExposition(const std::string& text) {
   std::istringstream lines(text);
   std::string line;
   std::size_t samples = 0;
   while (std::getline(lines, line)) {
-    ASSERT_FALSE(line.empty());
+    EXPECT_FALSE(line.empty());
+    if (line.empty()) continue;
     if (line[0] == '#') {
       EXPECT_TRUE(line.rfind("# HELP ", 0) == 0 ||
                   line.rfind("# TYPE ", 0) == 0)
@@ -669,40 +648,45 @@ TEST(ServerPipeTest, MetricsPromServesValidExposition) {
       continue;
     }
     const std::size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
+    EXPECT_NE(space, std::string::npos) << line;
+    if (space == std::string::npos) continue;
     EXPECT_EQ(line.rfind("spta_", 0), 0u) << line;
     char* end = nullptr;
     std::strtod(line.c_str() + space + 1, &end);
     EXPECT_EQ(*end, '\0') << line;
     ++samples;
   }
-  EXPECT_GT(samples, 20u);
+  return samples;
+}
 
-  // The surface the acceptance criteria name: requests, latencies with the
-  // hit/miss split, cache, fault, and obs counters.
-  EXPECT_NE(text.find("# TYPE spta_requests_total counter"),
+TEST(ServerPipeTest, MetricsPromServesValidExposition) {
+  service::ShardedServer fleet;
+  const auto obs = SyntheticSample(240, 11);
+  service::Args no_iid;
+  no_iid.Set("require_iid", "0");
+  const auto responses =
+      RunScript(fleet, {AnalyzeInlineRequest(obs, no_iid),
+                        AnalyzeInlineRequest(obs, no_iid),
+                        MakeRequest(service::RequestKind::kMetricsProm)});
+  ASSERT_EQ(responses.size(), 3u);
+  ASSERT_TRUE(responses[2].ok);
+  EXPECT_EQ(responses[2].args.GetString("format", ""), "prometheus-0.0.4");
+
+  // The served body is the fleet exposition.
+  const std::string& served = responses[2].payload;
+  EXPECT_GT(ExpectValidExposition(served), 10u);
+  EXPECT_NE(served.find("spta_fleet_shards 1"), std::string::npos);
+  EXPECT_NE(served.find("spta_fleet_requests_total{shard=\"0\"} 2"),
             std::string::npos);
-  EXPECT_NE(text.find("spta_requests_by_verb_total{verb=\"ANALYZE\"} 2"),
+  EXPECT_NE(served.find("spta_fleet_memo_hits_total{shard=\"0\"} 1"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE spta_analyze_latency_seconds histogram"),
+
+  EXPECT_NE(served.find("# TYPE spta_fleet_requests_total counter"),
             std::string::npos);
-  EXPECT_NE(
-      text.find("spta_analyze_latency_seconds_bucket{cache=\"hit\",le=\""),
-      std::string::npos);
-  EXPECT_NE(
-      text.find("spta_analyze_latency_seconds_bucket{cache=\"miss\",le=\""),
-      std::string::npos);
-  EXPECT_NE(text.find("spta_analyze_latency_seconds_count{cache=\"hit\"} 1"),
+  EXPECT_NE(served.find("# TYPE spta_fleet_shard_alive gauge"),
             std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);
-  EXPECT_NE(text.find("# TYPE spta_queue_wait_seconds histogram"),
+  EXPECT_NE(served.find("spta_atlas_traces_unpacked_total"),
             std::string::npos);
-  EXPECT_NE(text.find("spta_cache_hits_total 1"), std::string::npos);
-  EXPECT_NE(text.find("spta_cache_misses_total 1"), std::string::npos);
-  EXPECT_NE(text.find("spta_faults_injected_total 0"), std::string::npos);
-  EXPECT_NE(text.find("spta_obs_trace_events_recorded_total"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE spta_cache_entries gauge"), std::string::npos);
 }
 
 // The acceptance-criteria golden check: a pWCET quantile served over the
@@ -725,7 +709,6 @@ TEST(ServedVsBatchGoldenTest, ServedQuantileEqualsBatchBitForBit) {
   const double batch_pwcet = batch.curve->QuantileForExceedance(1e-12);
 
   // Served side: streaming ingestion in chunks, then ANALYZE.
-  service::Server server{service::ServerOptions{}};
   std::vector<service::Request> script;
   service::Request open = MakeRequest(service::RequestKind::kOpen);
   open.args.Set("session", "golden");
@@ -745,7 +728,7 @@ TEST(ServedVsBatchGoldenTest, ServedQuantileEqualsBatchBitForBit) {
   script.push_back(analyze);
   script.push_back(MakeRequest(service::RequestKind::kShutdown));
 
-  const auto responses = RunScript(server, script);
+  const auto responses = RunPipe(script);
   ASSERT_EQ(responses.size(), script.size());
   const auto& served = responses[responses.size() - 2];
   ASSERT_TRUE(served.ok) << served.payload;
@@ -758,68 +741,41 @@ TEST(ServedVsBatchGoldenTest, ServedQuantileEqualsBatchBitForBit) {
 
 // --- HEALTH (liveness/readiness) ------------------------------------------
 
-TEST(HealthTest, ClassicServerReportsReadiness) {
-  service::Server server;
-  std::vector<service::Request> script;
-  script.push_back(MakeRequest(service::RequestKind::kHealth));
-  script.push_back(MakeRequest(service::RequestKind::kShutdown));
-  const auto responses = RunScript(server, script);
+TEST(HealthTest, PipeReportsFleetReadiness) {
+  const auto responses =
+      RunPipe({MakeRequest(service::RequestKind::kHealth),
+               MakeRequest(service::RequestKind::kShutdown)});
   ASSERT_EQ(responses.size(), 2u);
   const auto& health = responses[0];
   ASSERT_TRUE(health.ok) << health.payload;
   EXPECT_EQ(health.args.GetString("status"), "ok");
-  EXPECT_EQ(health.args.GetString("role"), "server");
-  EXPECT_EQ(health.args.GetUint("inflight", 99), 0u);
-  EXPECT_EQ(health.args.GetUint("queue_capacity", 0), 64u);
-  EXPECT_EQ(health.args.GetUint("sessions", 99), 0u);
+  EXPECT_EQ(health.args.GetString("role"), "fleet");
+  EXPECT_EQ(health.args.GetUint("fleet_shards", 0), 1u);
+  EXPECT_EQ(health.args.GetUint("fleet_inflight", 99), 0u);
   EXPECT_EQ(health.args.GetUint("draining", 99), 0u);
-}
-
-TEST(HealthTest, SessionsAndCapacityAreReported) {
-  service::ServerOptions options;
-  options.queue_capacity = 7;
-  service::Server server(options);
-  std::vector<service::Request> script;
-  service::Request open = MakeRequest(service::RequestKind::kOpen);
-  open.args.Set("session", "h");
-  script.push_back(open);
-  script.push_back(MakeRequest(service::RequestKind::kHealth));
-  script.push_back(MakeRequest(service::RequestKind::kShutdown));
-  const auto responses = RunScript(server, script);
-  ASSERT_EQ(responses.size(), 3u);
-  const auto& health = responses[1];
-  ASSERT_TRUE(health.ok) << health.payload;
-  EXPECT_EQ(health.args.GetUint("queue_capacity", 0), 7u);
-  EXPECT_EQ(health.args.GetUint("sessions", 0), 1u);
+  EXPECT_NE(health.payload.find("== shard 0 =="), std::string::npos);
 }
 
 TEST(UnixSocketTest, ClientServerEndToEndOverSocket) {
   const std::string path =
       "/tmp/spta_service_test_" + std::to_string(::getpid()) + ".sock";
-  service::ServerOptions options;
-  options.workers = 2;
-  service::Server server(options);
-  std::thread daemon([&] { server.ServeUnixSocket(path); });
+  service::ShardedServerOptions options;
+  options.shards = 2;
+  service::ShardedServer fleet(options);
+  ASSERT_EQ(fleet.ListenUnix(path), 0);
+  ASSERT_EQ(fleet.Start(), 0);
 
-  // Wait for the listener to come up.
-  std::unique_ptr<service::UnixSocketConnection> connection;
   std::string error;
-  for (int attempt = 0; attempt < 200 && !connection; ++attempt) {
-    connection = service::UnixSocketConnection::Connect(path, &error);
-    if (!connection) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
+  auto connection = service::UnixSocketConnection::Connect(path, &error);
   ASSERT_TRUE(connection) << error;
-
   service::Client client(connection->in(), connection->out());
   EXPECT_TRUE(client.Ping().ok);
 
-  // HEALTH over the real blocking-socket path: an idle daemon is ready.
+  // HEALTH over the socket is answered by the event loop.
   const auto health = client.Health();
   ASSERT_TRUE(health.ok) << health.payload;
   EXPECT_EQ(health.args.GetString("status"), "ok");
-  EXPECT_EQ(health.args.GetString("role"), "server");
+  EXPECT_EQ(health.args.GetString("role"), "fleet");
 
   const auto obs = SyntheticSample(240, 21);
   service::Args no_iid;
@@ -830,8 +786,10 @@ TEST(UnixSocketTest, ClientServerEndToEndOverSocket) {
 
   const auto ack = client.Shutdown();
   EXPECT_TRUE(ack.ok);
-  daemon.join();
-  EXPECT_TRUE(server.shutdown_requested());
+  EXPECT_EQ(fleet.Wait(), 0);
+  EXPECT_TRUE(fleet.shutdown_requested());
+  // The listener's file goes with it.
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
 }
 
 }  // namespace

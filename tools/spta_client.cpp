@@ -1,8 +1,8 @@
 // spta_client — command-line client for a running spta_serve daemon.
 //
 // Every command targets the daemon with exactly one of:
-//   --socket PATH       AF_UNIX socket of a classic daemon
-//   --tcp HOST:PORT     TCP listener of a sharded fleet (spta_serve --tcp)
+//   --socket PATH       AF_UNIX listener (spta_serve --socket)
+//   --tcp HOST:PORT     TCP listener (spta_serve --tcp)
 //
 //   spta_client ping     --socket PATH
 //   spta_client analyze  --socket PATH --input samples.csv
@@ -25,7 +25,7 @@
 //   spta_client health   --socket PATH
 //       Readiness probe (HEALTH verb): status=ok|degraded plus fleet
 //       args and per-shard readiness lines — answered off the event
-//       loop, so it stays honest while the worker pool is saturated.
+//       loop, so it stays honest while the shards are saturated.
 //   spta_client trace    --socket PATH
 //       Prints the daemon's live Chrome trace JSON export (TRACE verb)
 //       on stdout — load it in chrome://tracing or Perfetto, or merge

@@ -271,11 +271,14 @@ SpawnResult SpawnChild(const std::string& serve_bin,
   const pid_t pid = ::fork();
   if (pid == 0) {
     // Child: the supervisor runs with SIGTERM/SIGINT/SIGCHLD blocked and
-    // the mask survives execv — unblock everything or the spta_serve
-    // child would never see the forwarded SIGTERM it drains on.
-    sigset_t empty;
-    sigemptyset(&empty);
-    ::sigprocmask(SIG_SETMASK, &empty, nullptr);
+    // the mask survives execv. SIGTERM and SIGINT stay blocked: spta_serve
+    // unblocks them once its drain handler is installed, so a SIGTERM
+    // forwarded during its startup is held pending instead of killing it
+    // (a dirty exit).
+    sigset_t chld;
+    sigemptyset(&chld);
+    sigaddset(&chld, SIGCHLD);
+    ::sigprocmask(SIG_UNBLOCK, &chld, nullptr);
     // Build argv and exec. On failure exit 127 so the supervisor counts
     // it as a dirty exit rather than silently running supervisor code
     // twice.
