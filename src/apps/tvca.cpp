@@ -540,7 +540,8 @@ trace::Trace TvcaApp::BuildTaskTrace(TvcaTask task,
 trace::Trace TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
                                      const TvcaScenario& scenario) const {
   trace::BlockTrace stream;
-  BuildTaskTrace(task, input_seed, scenario, stream);
+  trace::ArrayStore arrays;
+  BuildTaskTrace(task, input_seed, scenario, stream, arrays);
   trace::Trace out;
   stream.program->Expand(stream, out.records);
   out.path_signature = stream.path_signature;
@@ -549,8 +550,9 @@ trace::Trace TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
 
 void TvcaApp::BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
                              const TvcaScenario& scenario,
-                             trace::BlockTrace& out) const {
-  trace::Interpreter interp(Decoded(task));
+                             trace::BlockTrace& out,
+                             trace::ArrayStore& arrays) const {
+  trace::Interpreter interp(Decoded(task), arrays);
   LoadInputs(task, input_seed, scenario, interp);
   SPTA_OBS_SPAN_ARG("trace", "interpret", "task", task);
   interp.Run(out);
@@ -561,9 +563,13 @@ void TvcaApp::LoadInputs(TvcaTask task, std::uint64_t input_seed,
                          trace::Interpreter& interp) const {
   prng::Xoshiro128pp rng(DeriveSeed(input_seed, ToString(task)));
 
+  // Each array is written through one span, element by element in the
+  // order the values are drawn from `rng`.
   if (task == TvcaTask::kSensorAcq) {
     const int channels = config_.sensor_channels;
     const int row = config_.samples_per_frame + config_.fir_taps;
+    const std::span<std::int32_t> raw = interp.IntArray(kRaw);
+    const std::span<double> gains = interp.FpArray(kGains);
     for (int c = 0; c < channels; ++c) {
       for (int i = 0; i < row; ++i) {
         double v = 2048.0 +
@@ -571,17 +577,17 @@ void TvcaApp::LoadInputs(TvcaTask task, std::uint64_t input_seed,
                                     0.8 * static_cast<double>(c)) +
                    50.0 * rng.Normal();
         if (rng.UniformUnit() < config_.spike_prob) v += 4000.0;
-        interp.WriteInt(kRaw, static_cast<std::size_t>(c * row + i),
-                        static_cast<std::int32_t>(v));
+        raw[static_cast<std::size_t>(c * row + i)] =
+            static_cast<std::int32_t>(v);
       }
-      interp.WriteFp(kGains, static_cast<std::size_t>(c),
-                     0.0005 * rng.UniformReal(0.9, 1.1));
+      gains[static_cast<std::size_t>(c)] = 0.0005 * rng.UniformReal(0.9, 1.1);
     }
+    const std::span<double> coef = interp.FpArray(kCoef);
     for (int k = 0; k < config_.fir_taps; ++k) {
-      interp.WriteFp(kCoef, static_cast<std::size_t>(k),
-                     (1.0 / config_.fir_taps) * rng.UniformReal(0.8, 1.2));
+      coef[static_cast<std::size_t>(k)] =
+          (1.0 / config_.fir_taps) * rng.UniformReal(0.8, 1.2);
     }
-    interp.WriteInt(kSMode, 0, scenario.calibration ? 1 : 0);
+    interp.IntArray(kSMode)[0] = scenario.calibration ? 1 : 0;
   } else {
     const bool maneuver = task == TvcaTask::kActuatorX ? scenario.maneuver_x
                                                        : scenario.maneuver_y;
@@ -589,32 +595,36 @@ void TvcaApp::LoadInputs(TvcaTask task, std::uint64_t input_seed,
     const int steps = task == TvcaTask::kActuatorX
                           ? config_.integrator_steps / 2 + 1
                           : config_.integrator_steps;
+    const std::span<double> mat_a = interp.FpArray(kMatA);
+    const std::span<double> sched = interp.FpArray(kSched);
+    const std::span<double> gain_k = interp.FpArray(kGainK);
+    const std::span<double> state_x = interp.FpArray(kStateX);
     for (int i = 0; i < dim; ++i) {
       for (int j = 0; j < dim; ++j) {
         double a = 0.1 * (rng.UniformUnit() - 0.5);
         if (i == j) a += 0.85;
-        interp.WriteFp(kMatA, static_cast<std::size_t>(i * dim + j), a);
-        interp.WriteFp(kSched, static_cast<std::size_t>(i * dim + j),
-                       0.05 * (rng.UniformUnit() - 0.5));
+        const auto ij = static_cast<std::size_t>(i * dim + j);
+        mat_a[ij] = a;
+        sched[ij] = 0.05 * (rng.UniformUnit() - 0.5);
       }
-      interp.WriteFp(kGainK, static_cast<std::size_t>(i),
-                     rng.UniformReal(0.3, 0.5));
+      gain_k[static_cast<std::size_t>(i)] = rng.UniformReal(0.3, 0.5);
       const double amp = maneuver ? 1.4 : 0.35;
-      interp.WriteFp(kStateX, static_cast<std::size_t>(i),
-                     amp * rng.Normal());
+      state_x[static_cast<std::size_t>(i)] = amp * rng.Normal();
     }
-    interp.WriteInt(kAMode, 0, maneuver ? 1 : 0);
+    interp.IntArray(kAMode)[0] = maneuver ? 1 : 0;
+    const std::span<double> rates = interp.FpArray(kRates);
     for (int s = 0; s < 3 * steps; ++s) {
       const double amp = maneuver ? rng.UniformReal(0.6, 1.4)
                                   : rng.UniformReal(0.02, 0.12);
-      interp.WriteFp(kRates, static_cast<std::size_t>(s),
-                     amp * (rng.UniformUnit() < 0.5 ? -1.0 : 1.0));
+      rates[static_cast<std::size_t>(s)] =
+          amp * (rng.UniformUnit() < 0.5 ? -1.0 : 1.0);
     }
     // Unit quaternion initial attitude.
-    interp.WriteFp(kQState, 0, 1.0);
-    interp.WriteFp(kQState, 1, 0.0);
-    interp.WriteFp(kQState, 2, 0.0);
-    interp.WriteFp(kQState, 3, 0.0);
+    const std::span<double> q_state = interp.FpArray(kQState);
+    q_state[0] = 1.0;
+    q_state[1] = 0.0;
+    q_state[2] = 0.0;
+    q_state[3] = 0.0;
   }
 }
 
@@ -639,13 +649,16 @@ const FrameSpans& TvcaApp::BuildFrame(std::uint64_t scenario_seed,
   // Job inputs differ across the two releases of each actuator task, but
   // every job of the frame shares the frame's mode flags (the path).
   auto& [sensor, x1, x2, y1, y2] = scratch.jobs;
-  BuildTaskTrace(TvcaTask::kSensorAcq, scenario_seed, frame.scenario, sensor);
-  BuildTaskTrace(TvcaTask::kActuatorX, scenario_seed, frame.scenario, x1);
-  BuildTaskTrace(TvcaTask::kActuatorX, DeriveSeed(scenario_seed, "x-job2"),
-                 frame.scenario, x2);
-  BuildTaskTrace(TvcaTask::kActuatorY, scenario_seed, frame.scenario, y1);
-  BuildTaskTrace(TvcaTask::kActuatorY, DeriveSeed(scenario_seed, "y-job2"),
-                 frame.scenario, y2);
+  const auto job = [&](TvcaTask task, std::uint64_t input_seed,
+                       trace::BlockTrace& out) {
+    BuildTaskTrace(task, input_seed, frame.scenario, out,
+                   scratch.arrays[static_cast<std::size_t>(task)]);
+  };
+  job(TvcaTask::kSensorAcq, scenario_seed, sensor);
+  job(TvcaTask::kActuatorX, scenario_seed, x1);
+  job(TvcaTask::kActuatorX, DeriveSeed(scenario_seed, "x-job2"), x2);
+  job(TvcaTask::kActuatorY, scenario_seed, y1);
+  job(TvcaTask::kActuatorY, DeriveSeed(scenario_seed, "y-job2"), y2);
 
   FrameComposer::Options opts;
   opts.dispatch_overhead_instructions = config_.dispatch_overhead;

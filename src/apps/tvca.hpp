@@ -104,15 +104,19 @@ struct FrameSpans {
 };
 
 /// Caller-owned buffers for building frames in place: the five job block
-/// streams and the dispatcher blocks the frame's segments point into.
-/// There is no composed frame buffer and no job records. BuildFrame(seed,
-/// scratch) overwrites the job streams and keeps their capacity, so a
-/// scratch reused across frames stops allocating once it has held the
-/// longest path; the dispatcher blocks are built on the scratch's first
-/// frame. A new scratch holds no memory until its first frame. Campaign
-/// runners keep one per worker.
+/// streams, each task's interpreter arrays and the dispatcher blocks the
+/// frame's segments point into. There is no composed frame buffer and no
+/// job records. BuildFrame(seed, scratch) overwrites the job streams and
+/// re-zeroes the arrays, keeping the capacity of both, so a scratch reused
+/// across frames stops allocating once it has held the longest path; the
+/// dispatcher blocks are built on the scratch's first frame. A new scratch
+/// holds no memory until its first frame. Campaign runners keep one per
+/// worker.
 struct FrameScratch {
   std::array<trace::BlockTrace, 5> jobs;
+  /// Interpreter arrays by TvcaTask; each job's interpreter zeroes its
+  /// task's store before the job's inputs are written.
+  std::array<trace::ArrayStore, 3> arrays;
   std::vector<trace::TraceRecord> dispatch;
   /// The dispatch overhead `dispatch` was built for.
   std::size_t dispatch_overhead = 0;
@@ -140,10 +144,11 @@ class TvcaApp {
                               const TvcaScenario& scenario) const;
 
   /// As above, writing the job's block stream into `out` (see
-  /// Interpreter::Run(BlockTrace&)); its records are the trace above.
+  /// Interpreter::Run(BlockTrace&)) and running the job on the arrays in
+  /// `arrays`; the stream's records are the trace above.
   void BuildTaskTrace(TvcaTask task, std::uint64_t input_seed,
-                      const TvcaScenario& scenario,
-                      trace::BlockTrace& out) const;
+                      const TvcaScenario& scenario, trace::BlockTrace& out,
+                      trace::ArrayStore& arrays) const;
 
   /// Builds the full major frame: sensor acquisition (highest priority),
   /// then the first actuator-X and actuator-Y jobs, then the second ones,

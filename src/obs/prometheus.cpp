@@ -1,6 +1,5 @@
 #include "obs/prometheus.hpp"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
@@ -52,72 +51,6 @@ void PromText::Sample(std::string_view name, std::string_view labels,
   out_ += '{';
   out_ += labels;
   out_ += "} ";
-  AppendNumber(value);
-  out_ += '\n';
-}
-
-void PromText::HistogramSeries(std::string_view name,
-                               std::string_view labels, const Histogram& h,
-                               double scale, double sum) {
-  const std::string bucket = std::string(name) + "_bucket";
-  const std::string prefix = labels.empty()
-                                 ? std::string()
-                                 : std::string(labels) + ",";
-  // Cumulative finite buckets. Histogram::Add clamps values >= hi into the
-  // last bin (and counts them in overflow()), but those observations exceed
-  // the last finite edge — exclude them there and let +Inf pick them up.
-  std::uint64_t cumulative = 0;
-  for (std::size_t bin = 0; bin < h.bin_count(); ++bin) {
-    cumulative += h.count(bin);
-    std::uint64_t le_count = cumulative;
-    if (bin + 1 == h.bin_count()) le_count -= h.overflow();
-    char le[64];
-    std::snprintf(le, sizeof le, "%.9g", h.bin_hi(bin) * scale);
-    out_ += bucket;
-    out_ += '{';
-    out_ += prefix;
-    out_ += "le=\"";
-    out_ += le;
-    out_ += "\"} ";
-    AppendNumber(static_cast<double>(le_count));
-    out_ += '\n';
-  }
-  out_ += bucket;
-  out_ += '{';
-  out_ += prefix;
-  out_ += "le=\"+Inf\"} ";
-  AppendNumber(static_cast<double>(h.total()));
-  out_ += '\n';
-
-  out_ += name;
-  out_ += "_count";
-  if (!labels.empty()) {
-    out_ += '{';
-    out_ += labels;
-    out_ += '}';
-  }
-  out_ += ' ';
-  AppendNumber(static_cast<double>(h.total()));
-  out_ += '\n';
-
-  out_ += name;
-  out_ += "_sum";
-  if (!labels.empty()) {
-    out_ += '{';
-    out_ += labels;
-    out_ += '}';
-  }
-  out_ += ' ';
-  AppendNumber(sum);
-  out_ += '\n';
-}
-
-void PromText::Exemplar(std::uint64_t trace_id, double value) {
-  if (trace_id == 0) return;
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "# {trace_id=\"%016" PRIx64 "\"} ",
-                trace_id);
-  out_ += buf;
   AppendNumber(value);
   out_ += '\n';
 }

@@ -1,21 +1,14 @@
 // Prometheus text exposition format (version 0.0.4) renderer.
 //
 // A tiny append-only builder: each metric is declared once with # HELP and
-// # TYPE lines, then one or more samples follow. Histograms render the
-// cumulative `_bucket{le="..."}` series plus `_count`/`_sum` from the
-// repo's fixed-bin spta::Histogram — values clamped into the last bin by
-// Histogram::Add are excluded from finite buckets (they exceed the edge)
-// and re-appear in `+Inf`, so every bucket honors the le invariant.
+// # TYPE lines, then one or more samples follow.
 //
 // The format contract (metric names, types, label sets) is documented in
 // docs/OBSERVABILITY.md and pinned by tests; scrapers can rely on it.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-
-#include "common/histogram.hpp"
 
 namespace spta::obs {
 
@@ -32,23 +25,6 @@ class PromText {
   /// Emits `name{labels} value`; `labels` is the raw inner text, e.g.
   /// `verb="PING"` or `cache="hit"`.
   void Sample(std::string_view name, std::string_view labels, double value);
-
-  /// Emits the histogram series for a declared `histogram` metric:
-  /// `name_bucket{le="..."}` (cumulative, +Inf last), `name_count` and
-  /// `name_sum`. Bin edges are scaled by `scale` (e.g. 1e-6 to turn
-  /// microsecond bins into seconds); `sum` is already in target units.
-  /// `labels` (may be empty) is merged before the `le` label.
-  void HistogramSeries(std::string_view name, std::string_view labels,
-                       const Histogram& h, double scale, double sum);
-
-  /// Emits a trace-linked exemplar comment line:
-  ///   # {trace_id="<16hex>"} value
-  /// Classic text-format scrapers treat `#` lines as comments, so the
-  /// exemplar is invisible to them; trace-aware consumers can join the
-  /// preceding histogram to the distributed trace that produced its most
-  /// recent observation. No-op when trace_id is 0 (no traced request has
-  /// hit the series yet).
-  void Exemplar(std::uint64_t trace_id, double value);
 
   const std::string& str() const { return out_; }
 

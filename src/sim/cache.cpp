@@ -40,6 +40,34 @@ void Cache::ForgetShortcuts() {
   RememberMru(slots_, sets_, 0);
 }
 
+bool Cache::ScanOrFill(std::uint64_t line, bool allocate_on_miss) {
+  const std::uint32_t set = SetIndexForLine(line);
+  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
+  const std::uint64_t* tags = &tags_[base];
+  // Branch-free hit scan for the first matching way (only a corrupted
+  // tag array holds a line twice); the invalid sentinel never equals a
+  // real line number. The conditional select compiles to cmov/SIMD.
+  std::uint32_t hit_way = config_.ways;
+  for (std::uint32_t w = config_.ways; w-- > 0;) {
+    hit_way = (tags[w] == line) ? w : hit_way;
+  }
+  if (hit_way != config_.ways) {
+    stamps_[base + hit_way] = access_clock_;
+    ref_bits_[set] |= 1ULL << hit_way;
+    Remember(line, base + hit_way, set, hit_way);
+    return true;
+  }
+  ++stats_.misses;
+  if (allocate_on_miss) {
+    const std::uint32_t w = Victim(set);
+    tags_[base + w] = line;
+    stamps_[base + w] = access_clock_;
+    ref_bits_[set] |= 1ULL << w;
+    Remember(line, base + w, set, w);
+  }
+  return false;
+}
+
 std::uint32_t Cache::Victim(std::uint32_t set) {
   const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
   // Prefer an invalid way.

@@ -14,11 +14,14 @@
 // scan is a branch-free compare loop over `ways` consecutive words that the
 // compiler can unroll and vectorize. In front of the scan sit two lookup
 // shortcuts: the slot of the last hit or fill, and a small line -> slot
-// hint table. Access() lives in the header so all of it inlines into the
-// core's retire loops. Observable behavior (hit/miss stream, PRNG
-// consumption, victim choice, stats) is bit-identical to the reference
-// implementation retained in sim/reference_model.hpp; the equivalence
-// battery in tests/sim_equivalence_test.cpp enforces this.
+// hint table. Access() is split in two: the shortcut probe lives in the
+// header and is forced inline, so a hit found by a shortcut costs the
+// core's retire loops no call; the way scan, victim choice and fill are
+// one out-of-line cold function in cache.cpp. Observable behavior
+// (hit/miss stream, PRNG consumption, victim choice, stats) is
+// bit-identical to the reference implementation retained in
+// sim/reference_model.hpp; the equivalence battery in
+// tests/sim_equivalence_test.cpp enforces this.
 #pragma once
 
 #include <bit>
@@ -56,7 +59,13 @@ class Cache {
   /// Looks up the line containing `addr`; allocates on a read miss.
   /// `allocate_on_miss=false` models write-through no-write-allocate stores.
   /// Returns true on hit.
-  bool Access(Address addr, bool allocate_on_miss = true) {
+  ///
+  /// This is the hit probe, forced inline into the retire loops: it checks
+  /// the two lookup shortcuts and returns on a hit there, which is almost
+  /// every hit. Everything else (the way scan, victim choice and fill) is
+  /// ScanOrFill, out of line.
+  [[gnu::always_inline]] bool Access(Address addr,
+                                     bool allocate_on_miss = true) {
     ++stats_.accesses;
     ++access_clock_;
     const std::uint64_t line = LineNumber(addr);
@@ -87,31 +96,7 @@ class Cache {
       RememberMru(hinted, hint_set, hint_way);
       return true;
     }
-    const std::uint32_t set = SetIndexForLine(line);
-    const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
-    const std::uint64_t* tags = &tags_[base];
-    // Branch-free hit scan for the first matching way (only a corrupted
-    // tag array holds a line twice); the invalid sentinel never equals a
-    // real line number. The conditional select compiles to cmov/SIMD.
-    std::uint32_t hit_way = config_.ways;
-    for (std::uint32_t w = config_.ways; w-- > 0;) {
-      hit_way = (tags[w] == line) ? w : hit_way;
-    }
-    if (hit_way != config_.ways) {
-      stamps_[base + hit_way] = access_clock_;
-      ref_bits_[set] |= 1ULL << hit_way;
-      Remember(line, base + hit_way, set, hit_way);
-      return true;
-    }
-    ++stats_.misses;
-    if (allocate_on_miss) {
-      const std::uint32_t w = Victim(set);
-      tags_[base + w] = line;
-      stamps_[base + w] = access_clock_;
-      ref_bits_[set] |= 1ULL << w;
-      Remember(line, base + w, set, w);
-    }
-    return false;
+    return ScanOrFill(line, allocate_on_miss);
   }
 
   /// Applies `count` >= 1 accesses that hit the MRU line, in O(1): the
@@ -191,6 +176,11 @@ class Cache {
     return PlacementSetIndex(config_.placement, line, index_mask_, set_shift_,
                              placement_seed_);
   }
+
+  /// The rest of Access after both shortcuts missed: the way scan, and on
+  /// a miss the victim choice and fill.
+  [[gnu::cold]] [[gnu::noinline]] bool ScanOrFill(std::uint64_t line,
+                                                  bool allocate_on_miss);
 
   std::uint32_t Victim(std::uint32_t set);
 

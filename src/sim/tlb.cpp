@@ -31,6 +31,31 @@ void Tlb::ForgetShortcuts() {
   mru_ = entries_;
 }
 
+bool Tlb::ScanOrFill(std::uint64_t vpn) {
+  const std::uint32_t n = entries_;
+  const std::uint64_t* vpns = vpns_.data();
+  std::uint32_t hit = n;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (vpns[i] == vpn) {
+      hit = i;
+      break;
+    }
+  }
+  if (hit != n) {
+    stamps_[hit] = access_clock_;
+    ref_[hit] = 1;
+    Remember(vpn, hit);
+    return true;
+  }
+  ++stats_.misses;
+  const std::uint32_t victim = Victim();
+  vpns_[victim] = vpn;
+  stamps_[victim] = access_clock_;
+  ref_[victim] = 1;
+  Remember(vpn, victim);
+  return false;
+}
+
 std::uint32_t Tlb::Victim() {
   const std::uint32_t n = entries_;
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -11,8 +11,10 @@
 // word array — with 64 entries this is the single hottest scan in the
 // simulator, executed once per instruction fetch and once per memory
 // access. Two shortcuts front the scan: the entry of the last hit or fill,
-// and a small page -> entry hint table. Access() is in the header so all
-// of it inlines into the core's retire loops. Observable behavior is
+// and a small page -> entry hint table. As in the cache, Access() is the
+// shortcut probe, forced inline into the core's retire loops so a hit
+// found by a shortcut makes no call, and the scan, victim choice and fill
+// are one out-of-line cold function in tlb.cpp. Observable behavior is
 // bit-identical to the reference model (sim/reference_model.hpp),
 // enforced by tests/sim_equivalence_test.cpp.
 #pragma once
@@ -46,7 +48,10 @@ class Tlb {
 
   /// Translates the page containing `addr`, allocating on miss.
   /// Returns true on hit.
-  bool Access(Address addr) {
+  ///
+  /// The hit probe, forced inline as Cache::Access is: it checks the two
+  /// shortcuts, and ScanOrFill (out of line) does the rest.
+  [[gnu::always_inline]] bool Access(Address addr) {
     ++stats_.accesses;
     ++access_clock_;
     const std::uint64_t vpn = addr >> page_shift_;
@@ -71,28 +76,7 @@ class Tlb {
       mru_ = hinted;
       return true;
     }
-    const std::uint32_t n = entries_;
-    const std::uint64_t* vpns = vpns_.data();
-    std::uint32_t hit = n;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (vpns[i] == vpn) {
-        hit = i;
-        break;
-      }
-    }
-    if (hit != n) {
-      stamps_[hit] = access_clock_;
-      ref_[hit] = 1;
-      Remember(vpn, hit);
-      return true;
-    }
-    ++stats_.misses;
-    const std::uint32_t victim = Victim();
-    vpns_[victim] = vpn;
-    stamps_[victim] = access_clock_;
-    ref_[victim] = 1;
-    Remember(vpn, victim);
-    return false;
+    return ScanOrFill(vpn);
   }
 
   /// Applies `count` >= 1 accesses that hit the MRU entry, in O(1); see
@@ -147,6 +131,10 @@ class Tlb {
   /// Sentinel VPN of an invalid entry; real VPNs are addr >> page_shift_
   /// with page_shift_ >= 1, so all-ones is unreachable.
   static constexpr std::uint64_t kInvalidVpn = ~0ULL;
+
+  /// The rest of Access after both shortcuts missed: the associative
+  /// scan, and on a miss the victim choice and fill.
+  [[gnu::cold]] [[gnu::noinline]] bool ScanOrFill(std::uint64_t vpn);
 
   std::uint32_t Victim();
 

@@ -1,8 +1,10 @@
 #include "trace/interpreter.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <iterator>
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
@@ -182,15 +184,56 @@ DecodedProgram::DecodedProgram(const Program& program)
   templates_.reserve(n);
   blocks_.reserve(program.blocks.size());
   for (const BasicBlock& block : program.blocks) {
-    blocks_.push_back({static_cast<std::uint32_t>(insts_.size()),
-                       static_cast<std::uint32_t>(block.insts.size())});
+    Block decoded{static_cast<std::uint32_t>(insts_.size()),
+                  static_cast<std::uint32_t>(block.insts.size())};
     for (std::size_t i = 0; i < block.insts.size(); ++i) {
+      const IrInst& inst = block.insts[i];
       TraceRecord rec;
       rec.pc = block.code_base + 4 * static_cast<Address>(i);
-      FillStatic(block.insts[i], rec);
-      insts_.push_back(block.insts[i]);
+      FillStatic(inst, rec);
       templates_.push_back(rec);
+      DecodedInst d{.op = inst.op,
+                    .dst = inst.dst,
+                    .src1 = inst.src1,
+                    .src2 = inst.src2};
+      switch (inst.op) {
+        case IrOp::kIConst:
+        case IrOp::kIAddImm:
+        case IrOp::kIShl:
+        case IrOp::kIShr:
+          d.imm = inst.imm;
+          break;
+        case IrOp::kFConst:
+          d.aux = static_cast<std::uint32_t>(fp_consts_.size());
+          fp_consts_.push_back(inst.fimm);
+          break;
+        case IrOp::kLoadI:
+        case IrOp::kStoreI:
+        case IrOp::kLoadF:
+        case IrOp::kStoreF:
+          d.aux = inst.array;
+          d.imm = inst.imm;
+          ++decoded.mem_ops;
+          break;
+        case IrOp::kJump:
+          d.aux = static_cast<std::uint32_t>(inst.target);
+          break;
+        case IrOp::kBranchIfZero:
+        case IrOp::kBranchIfNeg:
+          d.aux = static_cast<std::uint32_t>(inst.target);
+          d.imm = inst.target2;
+          ++decoded.cond_branches;
+          break;
+        case IrOp::kFDiv:
+        case IrOp::kFSqrt:
+          ++decoded.fpu_classes;
+          break;
+        default:
+          break;
+      }
+      insts_.push_back(d);
     }
+    blocks_.push_back(decoded);
   }
 }
 
@@ -206,7 +249,7 @@ void DecodedProgram::Expand(const BlockTrace& stream,
     const std::size_t emitted = out.size();
     out.insert(out.end(), templates, templates + block.size);
     TraceRecord* rec = out.data() + emitted;
-    const IrInst* inst = insts_.data() + block.first;
+    const DecodedInst* inst = insts_.data() + block.first;
     for (std::uint32_t i = 0; i < block.size; ++i, ++rec, ++inst) {
       switch (inst->op) {
         case IrOp::kLoadI:
@@ -254,26 +297,48 @@ void Flatten(std::span<const Segment> segments,
   }
 }
 
+void ArrayStore::Reset(std::span<const DataObject> arrays) {
+  std::size_t ints = 0;
+  std::size_t fps = 0;
+  for (const DataObject& obj : arrays) {
+    (obj.is_fp ? fps : ints) += obj.elem_count;
+  }
+  // assign() refills in place when the buffer is already large enough.
+  ints_.assign(ints, 0);
+  fps_.assign(fps, 0.0);
+  arrays_.resize(arrays.size());
+  ints = 0;
+  fps = 0;
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    const DataObject& obj = arrays[a];
+    Array& desc = arrays_[a];
+    desc.base = obj.base;
+    desc.count = obj.elem_count;
+    if (obj.is_fp) {
+      desc.data = fps_.data() + fps;
+      fps += obj.elem_count;
+    } else {
+      desc.data = ints_.data() + ints;
+      ints += obj.elem_count;
+    }
+  }
+}
+
 Interpreter::Interpreter(const Program& program, Options options)
-    : owned_(std::in_place, program), code_(*owned_), options_(options) {
-  ZeroArrays();
+    : owned_(std::in_place, program),
+      code_(*owned_),
+      options_(options),
+      arrays_(own_arrays_) {
+  arrays_.Reset(code_.arrays_);
 }
 
 Interpreter::Interpreter(const DecodedProgram& program, Options options)
-    : code_(program), options_(options) {
-  ZeroArrays();
-}
+    : Interpreter(program, own_arrays_, options) {}
 
-void Interpreter::ZeroArrays() {
-  storage_.resize(code_.arrays_.size());
-  for (std::size_t a = 0; a < code_.arrays_.size(); ++a) {
-    const DataObject& obj = code_.arrays_[a];
-    if (obj.is_fp) {
-      storage_[a].fps.assign(obj.elem_count, 0.0);
-    } else {
-      storage_[a].ints.assign(obj.elem_count, 0);
-    }
-  }
+Interpreter::Interpreter(const DecodedProgram& program, ArrayStore& arrays,
+                         Options options)
+    : code_(program), options_(options), arrays_(arrays) {
+  arrays_.Reset(code_.arrays_);
 }
 
 void Interpreter::SetIntReg(RegId reg, std::int64_t value) {
@@ -286,28 +351,40 @@ void Interpreter::SetFpReg(RegId reg, double value) {
   fregs_[reg] = value;
 }
 
-const DataObject& Interpreter::CheckedArray(ArrayId array,
-                                            bool want_fp) const {
+template <class T>
+std::span<T> Interpreter::Elements(ArrayId array) const {
+  constexpr bool want_fp = std::is_same_v<T, double>;
   SPTA_REQUIRE(array < code_.arrays_.size());
   const DataObject& obj = code_.arrays_[array];
   SPTA_REQUIRE_MSG(obj.is_fp == want_fp,
                    "array '" << obj.name << "' type mismatch");
-  return obj;
+  const ArrayStore::Array& desc = arrays_.arrays_[array];
+  return {static_cast<T*>(desc.data), desc.count};
+}
+
+std::span<std::int32_t> Interpreter::IntArray(ArrayId array) {
+  return Elements<std::int32_t>(array);
+}
+
+std::span<double> Interpreter::FpArray(ArrayId array) {
+  return Elements<double>(array);
 }
 
 void Interpreter::WriteInt(ArrayId array, std::size_t index,
                            std::int32_t value) {
-  const DataObject& obj = CheckedArray(array, false);
-  SPTA_REQUIRE_MSG(index < obj.elem_count, "index " << index << " in '"
-                                                    << obj.name << "'");
-  storage_[array].ints[index] = value;
+  const auto elems = Elements<std::int32_t>(array);
+  SPTA_REQUIRE_MSG(index < elems.size(), "index " << index << " in '"
+                                                  << code_.arrays_[array].name
+                                                  << "'");
+  elems[index] = value;
 }
 
 void Interpreter::WriteFp(ArrayId array, std::size_t index, double value) {
-  const DataObject& obj = CheckedArray(array, true);
-  SPTA_REQUIRE_MSG(index < obj.elem_count, "index " << index << " in '"
-                                                    << obj.name << "'");
-  storage_[array].fps[index] = value;
+  const auto elems = Elements<double>(array);
+  SPTA_REQUIRE_MSG(index < elems.size(), "index " << index << " in '"
+                                                  << code_.arrays_[array].name
+                                                  << "'");
+  elems[index] = value;
 }
 
 std::int64_t Interpreter::int_reg(RegId reg) const {
@@ -321,24 +398,15 @@ double Interpreter::fp_reg(RegId reg) const {
 }
 
 std::int32_t Interpreter::ReadInt(ArrayId array, std::size_t index) const {
-  const DataObject& obj = CheckedArray(array, false);
-  SPTA_REQUIRE(index < obj.elem_count);
-  return storage_[array].ints[index];
+  const auto elems = Elements<std::int32_t>(array);
+  SPTA_REQUIRE(index < elems.size());
+  return elems[index];
 }
 
 double Interpreter::ReadFp(ArrayId array, std::size_t index) const {
-  const DataObject& obj = CheckedArray(array, true);
-  SPTA_REQUIRE(index < obj.elem_count);
-  return storage_[array].fps[index];
-}
-
-std::size_t Interpreter::CheckedIndex(const IrInst& inst) const {
-  const DataObject& obj = code_.arrays_[inst.array];
-  const std::int64_t idx = iregs_[inst.src1] + inst.imm;
-  SPTA_CHECK_MSG(idx >= 0 && static_cast<std::size_t>(idx) < obj.elem_count,
-                 "out-of-bounds access to '" << obj.name << "': index " << idx
-                                             << " size " << obj.elem_count);
-  return static_cast<std::size_t>(idx);
+  const auto elems = Elements<double>(array);
+  SPTA_REQUIRE(index < elems.size());
+  return elems[index];
 }
 
 Trace Interpreter::Run() {
@@ -361,167 +429,283 @@ void Interpreter::Run(BlockTrace& out) {
   Execute(out);
 }
 
+namespace {
+
+// The failure paths of the loop's checks, out of line so the loop keeps
+// no message-building code. Each re-states its check, so it aborts with
+// the same message an inline check would.
+
+[[gnu::cold]] [[gnu::noinline]] void StepLimitExceeded(
+    std::uint32_t block_size, std::size_t max_steps, std::size_t steps,
+    const std::string& program) {
+  SPTA_CHECK_MSG(block_size <= max_steps - steps,
+                 "step limit " << max_steps << " exceeded in '" << program
+                               << "'");
+}
+
+[[gnu::cold]] [[gnu::noinline]] void OutOfBounds(const DataObject& obj,
+                                                 std::int64_t idx) {
+  SPTA_CHECK_MSG(idx >= 0 && static_cast<std::size_t>(idx) < obj.elem_count,
+                 "out-of-bounds access to '" << obj.name << "': index " << idx
+                                             << " size " << obj.elem_count);
+}
+
+[[gnu::cold]] [[gnu::noinline]] void IntDivisionByZero(std::int64_t divisor) {
+  SPTA_CHECK_MSG(divisor != 0, "integer division by zero");
+}
+
+[[gnu::cold]] [[gnu::noinline]] void FpDivisionByZero(
+    double divisor, const std::string& program) {
+  SPTA_CHECK_MSG(divisor != 0.0, "FP division by zero in '" << program
+                                                            << "'");
+}
+
+/// Appends to one block-stream column through a raw pointer. The column
+/// is opened up to its capacity (free: the column allocator does not
+/// initialize), Reserve is the one capacity check per block, and Close
+/// trims the column to the entries written.
+template <class T>
+class ColumnWriter {
+ public:
+  explicit ColumnWriter(Column<T>& column) : column_(column) {
+    column_.resize(column_.capacity());
+    next_ = column_.data();
+    end_ = next_ + column_.size();
+  }
+
+  /// Makes room for `n` more entries.
+  void Reserve(std::size_t n) {
+    if (static_cast<std::size_t>(end_ - next_) < n) [[unlikely]] {
+      next_ = Grow(column_, next_, n);
+      end_ = column_.data() + column_.size();
+    }
+  }
+
+  void Push(T value) { *next_++ = value; }
+
+  void Close() {
+    column_.resize(static_cast<std::size_t>(next_ - column_.data()));
+  }
+
+ private:
+  /// Static, so the writer's cursor never escapes the interpreter loop and
+  /// can stay in a register.
+  [[gnu::noinline]] static T* Grow(Column<T>& column, T* next,
+                                   std::size_t n) {
+    const auto used = static_cast<std::size_t>(next - column.data());
+    column.resize(
+        std::max({2 * column.size(), used + n, std::size_t{1024}}));
+    return column.data() + used;
+  }
+
+  Column<T>& column_;
+  T* next_;
+  T* end_;
+};
+
+}  // namespace
+
 void Interpreter::Execute(BlockTrace& out) {
   SPTA_REQUIRE_MSG(!has_run_, "Interpreter::Run may be called once");
   has_run_ = true;
 
   out.Clear();
   out.program = &code_;
+  ColumnWriter<Address> mem(out.mem_addrs);
+  ColumnWriter<std::uint8_t> taken(out.taken);
+  ColumnWriter<std::uint8_t> fpu(out.fpu_classes);
+  std::int64_t* const ir = iregs_.data();
+  double* const fr = fregs_.data();
+  const ArrayStore::Array* const arrays = arrays_.arrays_.data();
+  const double* const fp_consts = code_.fp_consts_.data();
+  const DecodedInst* const insts = code_.insts_.data();
+  const std::size_t max_steps = options_.max_steps;
+  std::size_t steps = 0;
   std::uint64_t path_hash = 0x5bd1e995u;
   BlockId block_id = code_.entry_;
-  bool halted = false;
+  const DecodedInst* inst = nullptr;
 
-  while (!halted) {
-    path_hash = HashCombine(path_hash, static_cast<std::uint64_t>(block_id));
-    const DecodedProgram::Block block =
-        code_.blocks_[static_cast<std::size_t>(block_id)];
-    // One step-limit check per block: aborts exactly when some instruction
-    // of this block would be the (max_steps + 1)-th.
-    SPTA_CHECK_MSG(block.size <= options_.max_steps - steps_,
-                   "step limit " << options_.max_steps << " exceeded in '"
-                                 << code_.name_ << "'");
-    steps_ += block.size;
-    out.blocks.push_back(block_id);
-    const IrInst* inst = code_.insts_.data() + block.first;
-
-    for (std::uint32_t i = 0; i < block.size; ++i, ++inst) {
-      switch (inst->op) {
-        case IrOp::kIConst:
-          iregs_[inst->dst] = inst->imm;
-          break;
-        case IrOp::kIMove:
-          iregs_[inst->dst] = iregs_[inst->src1];
-          break;
-        case IrOp::kIAdd:
-          iregs_[inst->dst] = iregs_[inst->src1] + iregs_[inst->src2];
-          break;
-        case IrOp::kISub:
-          iregs_[inst->dst] = iregs_[inst->src1] - iregs_[inst->src2];
-          break;
-        case IrOp::kIMul:
-          iregs_[inst->dst] = iregs_[inst->src1] * iregs_[inst->src2];
-          break;
-        case IrOp::kIDiv:
-          SPTA_CHECK_MSG(iregs_[inst->src2] != 0, "integer division by zero");
-          iregs_[inst->dst] = iregs_[inst->src1] / iregs_[inst->src2];
-          break;
-        case IrOp::kIAddImm:
-          iregs_[inst->dst] = iregs_[inst->src1] + inst->imm;
-          break;
-        case IrOp::kIAnd:
-          iregs_[inst->dst] = iregs_[inst->src1] & iregs_[inst->src2];
-          break;
-        case IrOp::kIXor:
-          iregs_[inst->dst] = iregs_[inst->src1] ^ iregs_[inst->src2];
-          break;
-        case IrOp::kIShl:
-          iregs_[inst->dst] = static_cast<std::int64_t>(
-              static_cast<std::uint64_t>(iregs_[inst->src1])
-              << (inst->imm & 63));
-          break;
-        case IrOp::kIShr:
-          iregs_[inst->dst] = static_cast<std::int64_t>(
-              static_cast<std::uint64_t>(iregs_[inst->src1]) >>
-              (inst->imm & 63));
-          break;
-        case IrOp::kICmpLt:
-          iregs_[inst->dst] =
-              iregs_[inst->src1] < iregs_[inst->src2] ? 1 : 0;
-          break;
-        case IrOp::kFConst:
-          fregs_[inst->dst] = inst->fimm;
-          break;
-        case IrOp::kFMove:
-          fregs_[inst->dst] = fregs_[inst->src1];
-          break;
-        case IrOp::kFAdd:
-          fregs_[inst->dst] = fregs_[inst->src1] + fregs_[inst->src2];
-          break;
-        case IrOp::kFSub:
-          fregs_[inst->dst] = fregs_[inst->src1] - fregs_[inst->src2];
-          break;
-        case IrOp::kFMul:
-          fregs_[inst->dst] = fregs_[inst->src1] * fregs_[inst->src2];
-          break;
-        case IrOp::kFDiv: {
-          const double a = fregs_[inst->src1];
-          const double b = fregs_[inst->src2];
-          SPTA_CHECK_MSG(b != 0.0, "FP division by zero in '" << code_.name_
-                                                              << "'");
-          out.fpu_classes.push_back(FpuDivOperandClass(a, b));
-          fregs_[inst->dst] = a / b;
-          break;
-        }
-        case IrOp::kFSqrt: {
-          const double a = fregs_[inst->src1];
-          out.fpu_classes.push_back(FpuSqrtOperandClass(a));
-          fregs_[inst->dst] = std::sqrt(std::fabs(a));
-          break;
-        }
-        case IrOp::kFAbs:
-          fregs_[inst->dst] = std::fabs(fregs_[inst->src1]);
-          break;
-        case IrOp::kFNeg:
-          fregs_[inst->dst] = -fregs_[inst->src1];
-          break;
-        case IrOp::kFCmpLt:
-          iregs_[inst->dst] =
-              fregs_[inst->src1] < fregs_[inst->src2] ? 1 : 0;
-          break;
-        case IrOp::kIToF:
-          fregs_[inst->dst] = static_cast<double>(iregs_[inst->src1]);
-          break;
-        case IrOp::kFToI:
-          iregs_[inst->dst] = static_cast<std::int64_t>(fregs_[inst->src1]);
-          break;
-        case IrOp::kLoadI: {
-          const std::size_t idx = CheckedIndex(*inst);
-          iregs_[inst->dst] = storage_[inst->array].ints[idx];
-          out.mem_addrs.push_back(code_.arrays_[inst->array].base + idx * 4);
-          break;
-        }
-        case IrOp::kStoreI: {
-          const std::size_t idx = CheckedIndex(*inst);
-          storage_[inst->array].ints[idx] =
-              static_cast<std::int32_t>(iregs_[inst->src2]);
-          out.mem_addrs.push_back(code_.arrays_[inst->array].base + idx * 4);
-          break;
-        }
-        case IrOp::kLoadF: {
-          const std::size_t idx = CheckedIndex(*inst);
-          fregs_[inst->dst] = storage_[inst->array].fps[idx];
-          out.mem_addrs.push_back(code_.arrays_[inst->array].base + idx * 8);
-          break;
-        }
-        case IrOp::kStoreF: {
-          const std::size_t idx = CheckedIndex(*inst);
-          storage_[inst->array].fps[idx] = fregs_[inst->src2];
-          out.mem_addrs.push_back(code_.arrays_[inst->array].base + idx * 8);
-          break;
-        }
-        case IrOp::kJump:
-          block_id = inst->target;
-          break;
-        case IrOp::kBranchIfZero: {
-          const bool taken = iregs_[inst->src1] == 0;
-          out.taken.push_back(taken ? 1 : 0);
-          block_id = taken ? inst->target : inst->target2;
-          break;
-        }
-        case IrOp::kBranchIfNeg: {
-          const bool taken = iregs_[inst->src1] < 0;
-          out.taken.push_back(taken ? 1 : 0);
-          block_id = taken ? inst->target : inst->target2;
-          break;
-        }
-        case IrOp::kHalt:
-          halted = true;
-          break;
-      }
+  // A load or store: the checked element index, and the access's byte
+  // address appended to the memory column. Validation matched the
+  // operation to the array's type, so the element size is the
+  // operation's: 4 bytes for kLoadI/kStoreI, 8 for kLoadF/kStoreF.
+  const auto element = [&](const ArrayStore::Array& array,
+                           unsigned elem_shift) {
+    const std::int64_t idx = ir[inst->src1] + inst->imm;
+    if (static_cast<std::uint64_t>(idx) >= array.count) [[unlikely]] {
+      OutOfBounds(code_.arrays_[inst->aux], idx);
     }
+    const auto i = static_cast<std::size_t>(idx);
+    mem.Push(array.base + (static_cast<Address>(i) << elem_shift));
+    return i;
+  };
+
+  // Threaded dispatch: every handler ends in its own jump to the next
+  // instruction's handler. Validation guarantees that a block's last
+  // instruction, and only that one, is a terminator, so the handlers of
+  // the other operations never check for the end of the block; the
+  // terminators go to the next block's entry. The table is in IrOp order.
+  static constexpr void* kHandlers[] = {
+      &&i_const,  &&i_move,   &&i_add,    &&i_sub,     &&i_mul,
+      &&i_div,    &&i_addimm, &&i_and,    &&i_xor,     &&i_shl,
+      &&i_shr,    &&i_cmplt,  &&f_const,  &&f_move,    &&f_add,
+      &&f_sub,    &&f_mul,    &&f_div,    &&f_sqrt,    &&f_abs,
+      &&f_neg,    &&f_cmplt,  &&i_tof,    &&f_toi,     &&load_i,
+      &&store_i,  &&load_f,   &&store_f,  &&jump,      &&branch_if_zero,
+      &&branch_if_neg, &&halt};
+  static_assert(std::size(kHandlers) ==
+                static_cast<std::size_t>(IrOp::kHalt) + 1);
+#define SPTA_DISPATCH() goto* kHandlers[static_cast<std::uint8_t>(inst->op)]
+#define SPTA_NEXT() \
+  ++inst;           \
+  SPTA_DISPATCH()
+
+enter_block: {
+  path_hash = HashCombine(path_hash, static_cast<std::uint64_t>(block_id));
+  const DecodedProgram::Block block =
+      code_.blocks_[static_cast<std::size_t>(block_id)];
+  // One step-limit check per block: aborts exactly when some instruction
+  // of this block would be the (max_steps + 1)-th.
+  if (block.size > max_steps - steps) [[unlikely]] {
+    StepLimitExceeded(block.size, max_steps, steps, code_.name_);
   }
+  steps += block.size;
+  out.blocks.push_back(block_id);
+  mem.Reserve(block.mem_ops);
+  taken.Reserve(block.cond_branches);
+  fpu.Reserve(block.fpu_classes);
+  inst = insts + block.first;
+  SPTA_DISPATCH();
+}
+
+i_const:
+  ir[inst->dst] = inst->imm;
+  SPTA_NEXT();
+i_move:
+  ir[inst->dst] = ir[inst->src1];
+  SPTA_NEXT();
+i_add:
+  ir[inst->dst] = ir[inst->src1] + ir[inst->src2];
+  SPTA_NEXT();
+i_sub:
+  ir[inst->dst] = ir[inst->src1] - ir[inst->src2];
+  SPTA_NEXT();
+i_mul:
+  ir[inst->dst] = ir[inst->src1] * ir[inst->src2];
+  SPTA_NEXT();
+i_div:
+  if (ir[inst->src2] == 0) [[unlikely]] IntDivisionByZero(ir[inst->src2]);
+  ir[inst->dst] = ir[inst->src1] / ir[inst->src2];
+  SPTA_NEXT();
+i_addimm:
+  ir[inst->dst] = ir[inst->src1] + inst->imm;
+  SPTA_NEXT();
+i_and:
+  ir[inst->dst] = ir[inst->src1] & ir[inst->src2];
+  SPTA_NEXT();
+i_xor:
+  ir[inst->dst] = ir[inst->src1] ^ ir[inst->src2];
+  SPTA_NEXT();
+i_shl:
+  ir[inst->dst] = static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(ir[inst->src1]) << (inst->imm & 63));
+  SPTA_NEXT();
+i_shr:
+  ir[inst->dst] = static_cast<std::int64_t>(
+      static_cast<std::uint64_t>(ir[inst->src1]) >> (inst->imm & 63));
+  SPTA_NEXT();
+i_cmplt:
+  ir[inst->dst] = ir[inst->src1] < ir[inst->src2] ? 1 : 0;
+  SPTA_NEXT();
+f_const:
+  fr[inst->dst] = fp_consts[inst->aux];
+  SPTA_NEXT();
+f_move:
+  fr[inst->dst] = fr[inst->src1];
+  SPTA_NEXT();
+f_add:
+  fr[inst->dst] = fr[inst->src1] + fr[inst->src2];
+  SPTA_NEXT();
+f_sub:
+  fr[inst->dst] = fr[inst->src1] - fr[inst->src2];
+  SPTA_NEXT();
+f_mul:
+  fr[inst->dst] = fr[inst->src1] * fr[inst->src2];
+  SPTA_NEXT();
+f_div: {
+  const double a = fr[inst->src1];
+  const double b = fr[inst->src2];
+  if (b == 0.0) [[unlikely]] FpDivisionByZero(b, code_.name_);
+  fpu.Push(FpuDivOperandClass(a, b));
+  fr[inst->dst] = a / b;
+  SPTA_NEXT();
+}
+f_sqrt: {
+  const double a = fr[inst->src1];
+  fpu.Push(FpuSqrtOperandClass(a));
+  fr[inst->dst] = std::sqrt(std::fabs(a));
+  SPTA_NEXT();
+}
+f_abs:
+  fr[inst->dst] = std::fabs(fr[inst->src1]);
+  SPTA_NEXT();
+f_neg:
+  fr[inst->dst] = -fr[inst->src1];
+  SPTA_NEXT();
+f_cmplt:
+  ir[inst->dst] = fr[inst->src1] < fr[inst->src2] ? 1 : 0;
+  SPTA_NEXT();
+i_tof:
+  fr[inst->dst] = static_cast<double>(ir[inst->src1]);
+  SPTA_NEXT();
+f_toi:
+  ir[inst->dst] = static_cast<std::int64_t>(fr[inst->src1]);
+  SPTA_NEXT();
+load_i: {
+  const ArrayStore::Array& array = arrays[inst->aux];
+  ir[inst->dst] = static_cast<const std::int32_t*>(array.data)[element(array, 2)];
+  SPTA_NEXT();
+}
+store_i: {
+  const ArrayStore::Array& array = arrays[inst->aux];
+  static_cast<std::int32_t*>(array.data)[element(array, 2)] =
+      static_cast<std::int32_t>(ir[inst->src2]);
+  SPTA_NEXT();
+}
+load_f: {
+  const ArrayStore::Array& array = arrays[inst->aux];
+  fr[inst->dst] = static_cast<const double*>(array.data)[element(array, 3)];
+  SPTA_NEXT();
+}
+store_f: {
+  const ArrayStore::Array& array = arrays[inst->aux];
+  static_cast<double*>(array.data)[element(array, 3)] = fr[inst->src2];
+  SPTA_NEXT();
+}
+jump:
+  block_id = static_cast<BlockId>(inst->aux);
+  goto enter_block;
+branch_if_zero: {
+  const bool is_taken = ir[inst->src1] == 0;
+  taken.Push(is_taken ? 1 : 0);
+  block_id = static_cast<BlockId>(is_taken ? inst->aux : inst->imm);
+  goto enter_block;
+}
+branch_if_neg: {
+  const bool is_taken = ir[inst->src1] < 0;
+  taken.Push(is_taken ? 1 : 0);
+  block_id = static_cast<BlockId>(is_taken ? inst->aux : inst->imm);
+  goto enter_block;
+}
+halt:
+#undef SPTA_NEXT
+#undef SPTA_DISPATCH
+  mem.Close();
+  taken.Close();
+  fpu.Close();
+  steps_ = steps;
   out.path_signature = path_hash;
-  out.instructions = steps_;
+  out.instructions = steps;
 }
 
 }  // namespace spta::trace

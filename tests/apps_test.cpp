@@ -430,6 +430,32 @@ TEST(FrameScratchTest, InterpreterRunIntoUsedTraceMatchesFreshTrace) {
   EXPECT_TRUE(used.records == expected.records);
 }
 
+// Each task's jobs share one interpreter ArrayStore per scratch, and the
+// next job on it starts from zeroed arrays: after a frame, whose jobs
+// wrote their inputs and state into the stores, an interpreter bound to a
+// task's store reads 0 in every element of every array.
+TEST(FrameScratchTest, NextJobOnTheScratchSeesZeroedArrays) {
+  const TvcaApp app;
+  FrameScratch scratch;
+  app.BuildFrame(FirstSeedPerPath(app)[7], scratch);
+  for (const TvcaTask task : {TvcaTask::kSensorAcq, TvcaTask::kActuatorX,
+                              TvcaTask::kActuatorY}) {
+    SCOPED_TRACE(ToString(task));
+    const trace::Program& program = app.program(task);
+    const trace::DecodedProgram decoded(program);
+    trace::Interpreter next(decoded,
+                            scratch.arrays[static_cast<std::size_t>(task)]);
+    for (std::size_t a = 0; a < program.arrays.size(); ++a) {
+      const auto id = static_cast<trace::ArrayId>(a);
+      if (program.arrays[a].is_fp) {
+        for (const double v : next.FpArray(id)) ASSERT_EQ(v, 0.0);
+      } else {
+        for (const std::int32_t v : next.IntArray(id)) ASSERT_EQ(v, 0);
+      }
+    }
+  }
+}
+
 // Deterministic stand-in for "no steady-state page faults": once the
 // scratch has held the longest path, no later frame reallocates a job's
 // block ids or dynamic columns, the dispatcher blocks or the segment list.

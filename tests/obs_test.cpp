@@ -624,52 +624,6 @@ TEST(PromText, CountersAndGauges) {
             "spta_depth{kind=\"deep\"} 3.5\n");
 }
 
-TEST(PromText, HistogramBucketsAreCumulativeWithInf) {
-  Histogram h(0.0, 4.0, 4);  // buckets [0,1) [1,2) [2,3) [3,4)
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.6);
-  h.Add(9.0);  // overflow: clamped into the last bin by Histogram::Add
-  obs::PromText prom;
-  prom.Declare("lat", "histogram", "test");
-  prom.HistogramSeries("lat", "", h, 1.0, 12.6);
-  const std::string text = prom.str();
-  // Cumulative counts: 1, 3, 3, and the overflow observation must NOT be
-  // claimed by the le="4" bucket (it exceeds the edge)...
-  EXPECT_NE(text.find("lat_bucket{le=\"1\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"2\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"3\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"4\"} 3\n"), std::string::npos);
-  // ...but re-appears in +Inf and _count.
-  EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_count 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum 12.6\n"), std::string::npos);
-}
-
-TEST(PromText, HistogramLabelsMergeBeforeLe) {
-  Histogram h = MakeLatencyHistogram();
-  h.Add(10.0);
-  obs::PromText prom;
-  prom.Declare("lat", "histogram", "test");
-  prom.HistogramSeries("lat", "cache=\"hit\"", h, 1e-6, 0.5);
-  const std::string text = prom.str();
-  EXPECT_NE(text.find("lat_bucket{cache=\"hit\",le=\""), std::string::npos);
-  EXPECT_NE(text.find("lat_count{cache=\"hit\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum{cache=\"hit\"} 0.5\n"), std::string::npos);
-}
-
-// Exemplars link a histogram series to the last distributed trace that
-// fed it: an OpenMetrics-style comment Prometheus-agnostic scrapers skip
-// and trace-aware ones join on. trace id 0 (no traced request yet) emits
-// nothing, keeping untraced expositions byte-identical.
-TEST(PromText, ExemplarCarriesTraceIdAndZeroIsSilent) {
-  obs::PromText prom;
-  prom.Exemplar(0, 1.5);
-  EXPECT_EQ(prom.str(), "");
-  prom.Exemplar(0xabcULL, 0.25);
-  EXPECT_EQ(prom.str(), "# {trace_id=\"0000000000000abc\"} 0.25\n");
-}
-
 // The shared latency-bin spec (satellite of the histogram dedup): service
 // metrics and obs consumers must agree on these edges, so pin them.
 TEST(LatencyBins, SharedSpecIsPinned) {

@@ -764,6 +764,139 @@ TEST(RetireLoopTest, BlockStreamResumesTheRecordLoopState) {
   }
 }
 
+/// Expects every slot of the four structures of `a` and `b` to hold the
+/// same tag, stamp and reference bit.
+void ExpectSameSlots(Core& a, Core& b) {
+  for (auto cache : {&Core::il1, &Core::dl1}) {
+    Cache& x = (a.*cache)();
+    Cache& y = (b.*cache)();
+    for (std::size_t slot = 0; slot < x.TagSlots(); ++slot) {
+      ASSERT_EQ(x.TagAt(slot), y.TagAt(slot)) << "slot " << slot;
+      ASSERT_EQ(x.StampAt(slot), y.StampAt(slot)) << "slot " << slot;
+      ASSERT_EQ(x.ReferencedAt(slot), y.ReferencedAt(slot)) << "slot " << slot;
+    }
+  }
+  for (auto tlb : {&Core::itlb, &Core::dtlb}) {
+    Tlb& x = (a.*tlb)();
+    Tlb& y = (b.*tlb)();
+    for (std::size_t slot = 0; slot < x.EntrySlots(); ++slot) {
+      ASSERT_EQ(x.VpnAt(slot), y.VpnAt(slot)) << "slot " << slot;
+      ASSERT_EQ(x.StampAt(slot), y.StampAt(slot)) << "slot " << slot;
+      ASSERT_EQ(x.ReferencedAt(slot), y.ReferencedAt(slot)) << "slot " << slot;
+    }
+  }
+}
+
+/// Runs `program` once as a block stream through the block loop and once
+/// as its expanded records through the record loop, on two platforms of
+/// `config`, with the upset hook armed or not, over several run seeds; and
+/// expects equal results and equal slots every time. Returns the block
+/// loop's result of the last seed without upsets.
+RunResult ExpectBlockLoopEqualsRecordLoop(const trace::Program& program,
+                                          const PlatformConfig& config) {
+  const trace::DecodedProgram decoded(program);
+  trace::Interpreter interp(decoded);
+  trace::BlockTrace stream;
+  interp.Run(stream);
+  const trace::Segment segments[] = {{{}, &stream}};
+  trace::Trace records;
+  trace::Flatten(segments, records.records);
+  Platform blocks(config, 1);
+  Platform flat(config, 1);
+  RunResult clean;
+  for (const bool upsets : {false, true}) {
+    SCOPED_TRACE(upsets);
+    for (const Seed seed : {Seed{3}, Seed{4}, Seed{5}}) {
+      SCOPED_TRACE(seed);
+      const std::function<void(Platform&)> hook =
+          upsets ? UpsetHook(seed) : nullptr;
+      const RunResult got = blocks.RunWithHook(segments, seed, hook);
+      const RunResult expected = flat.RunWithHook(records, seed, hook);
+      EXPECT_EQ(ResultDigest(got), ResultDigest(expected));
+      EXPECT_EQ(got.cycles, expected.cycles);
+      EXPECT_EQ(got.dl1.accesses, expected.dl1.accesses);
+      EXPECT_EQ(got.dl1.misses, expected.dl1.misses);
+      EXPECT_EQ(got.dtlb.misses, expected.dtlb.misses);
+      ExpectSameSlots(blocks.core(0), flat.core(0));
+      if (!upsets) clean = got;
+    }
+  }
+  return clean;
+}
+
+// DL1 is no-write-allocate: a store that misses leaves its line absent, so
+// the next load of that line in the same block misses too, in the block
+// loop as in the record loop. A load, or a store that hit, does bring or
+// keep the line, so the access after it hits.
+TEST(RetireLoopTest, StoreMissLeavesTheLineForTheNextLoadToMiss) {
+  trace::ProgramBuilder b("store-miss");
+  const auto arr = b.AddIntArray("a", 64);
+  const auto entry = b.NewBlock();
+  b.SetEntry(entry);
+  b.SwitchTo(entry);
+  b.IConst(1, 0);
+  b.IConst(2, 9);
+  b.StoreI(arr, 1, 2, 8);  // line 1 of a: store miss, not allocated
+  b.LoadI(3, arr, 1, 9);   // same line: misses and fills
+  b.LoadI(4, arr, 1, 10);  // same line: hits
+  b.StoreI(arr, 1, 2, 11); // same line: a store that hits
+  b.LoadI(5, arr, 1, 12);  // hits
+  b.Halt();
+  const trace::Program program = b.Build();
+  for (const auto& [name, config] : RetireConfigs()) {
+    SCOPED_TRACE(name);
+    const RunResult r = ExpectBlockLoopEqualsRecordLoop(program, config);
+    EXPECT_EQ(r.dl1.accesses, 5u);
+    EXPECT_EQ(r.dl1.misses, 2u);  // the store and the load after it
+    EXPECT_EQ(r.store_buffer.stores, 2u);
+  }
+}
+
+// Runs of consecutive same-line loads (and a store that hits) across a
+// walk larger than the DL1, so lines are evicted and refilled, give the
+// record loop's result and leave the same stamps and reference bits under
+// LRU, NRU and random replacement.
+TEST(RetireLoopTest, SameLineLoadsMatchTheRecordLoopUnderEveryPolicy) {
+  trace::ProgramBuilder b("same-line");
+  constexpr std::int64_t kElems = 12 * 1024;  // 48 KiB of int32
+  const auto arr = b.AddIntArray("walk", kElems);
+  const auto entry = b.NewBlock();
+  const auto head = b.NewBlock();
+  const auto body = b.NewBlock();
+  const auto done = b.NewBlock();
+  b.SetEntry(entry);
+  b.SwitchTo(entry);
+  b.IConst(1, 0);
+  b.IConst(2, kElems);
+  b.Jump(head);
+  b.SwitchTo(head);
+  b.ICmpLt(3, 1, 2);
+  b.BranchIfZero(3, done, body);
+  b.SwitchTo(body);
+  b.LoadI(4, arr, 1, 0);
+  b.LoadI(5, arr, 1, 1);
+  b.LoadI(6, arr, 1, 2);
+  b.StoreI(arr, 1, 4, 3);
+  b.LoadI(7, arr, 1, 3);
+  b.IAddImm(1, 1, 4);
+  b.Jump(head);
+  b.SwitchTo(done);
+  b.Halt();
+  const trace::Program program = b.Build();
+  for (const Replacement policy :
+       {Replacement::kLru, Replacement::kNru, Replacement::kRandom}) {
+    SCOPED_TRACE(ToString(policy));
+    for (auto [name, config] : RetireConfigs()) {
+      SCOPED_TRACE(name);
+      config.dl1.replacement = policy;
+      config.dtlb.replacement = policy;
+      const RunResult r = ExpectBlockLoopEqualsRecordLoop(program, config);
+      EXPECT_EQ(r.dl1.accesses, 5u * kElems / 4);
+      EXPECT_GT(r.dl1.misses, 0u);
+    }
+  }
+}
+
 // Reseed flushes the fetch structures, so a run's first fetch is a full
 // lookup even when it reuses the line the previous run fetched last.
 TEST(RetireLoopTest, ReseedForgetsThePreviousFetch) {

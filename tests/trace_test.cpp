@@ -307,6 +307,149 @@ TEST(InterpreterDeathTest, StepLimitIsExact) {
   EXPECT_DEATH(short_by_one.Run(), "step limit");
 }
 
+// The compact decoded form keeps the IR's bounds contract: an index one
+// past the end reached through the immediate offset, and a negative index,
+// abort with the message of the checked access, naming the array, the
+// index and the size.
+TEST(InterpreterDeathTest, EdgeIndicesAbortWithTheirIndex) {
+  const auto run_with_index = [](std::int64_t base, std::int64_t offset) {
+    ProgramBuilder b("edges");
+    const auto arr = b.AddFpArray("vec", 16);
+    const BlockId blk = b.NewBlock();
+    b.SetEntry(blk);
+    b.SwitchTo(blk);
+    b.IConst(1, base);
+    b.LoadF(2, arr, 1, offset);
+    b.Halt();
+    const Program p = b.Build();
+    Interpreter interp(p);
+    interp.Run();
+  };
+  run_with_index(0, 15);  // the last element is in bounds
+  EXPECT_DEATH(run_with_index(0, 16),
+               "out-of-bounds access to 'vec': index 16 size 16");
+  EXPECT_DEATH(run_with_index(14, 2),
+               "out-of-bounds access to 'vec': index 16 size 16");
+  EXPECT_DEATH(run_with_index(0, -1),
+               "out-of-bounds access to 'vec': index -1 size 16");
+  EXPECT_DEATH(run_with_index(-3, 0),
+               "out-of-bounds access to 'vec': index -3 size 16");
+}
+
+// Array types are checked where the compact form no longer looks: an FP
+// array is never read or written as int, through the checked accessors,
+// the bulk span, or an IR load (which decoding rejects).
+TEST(InterpreterDeathTest, FpArrayReadAsIntRefused) {
+  ProgramBuilder b("types");
+  const auto ints = b.AddIntArray("ints", 4);
+  const auto fps = b.AddFpArray("fps", 4);
+  const BlockId blk = b.NewBlock();
+  b.SetEntry(blk);
+  b.SwitchTo(blk);
+  b.Halt();
+  const Program p = b.Build();
+  Interpreter interp(p);
+  EXPECT_DEATH(interp.ReadInt(fps, 0), "array 'fps' type mismatch");
+  EXPECT_DEATH(interp.IntArray(fps), "array 'fps' type mismatch");
+  EXPECT_DEATH(interp.WriteInt(fps, 0, 1), "array 'fps' type mismatch");
+  EXPECT_DEATH(interp.FpArray(ints), "array 'ints' type mismatch");
+  Program forged = p;
+  IrInst load;
+  load.op = IrOp::kLoadI;
+  load.dst = 1;
+  load.array = fps;
+  auto& insts = forged.blocks[0].insts;
+  insts.insert(insts.begin(), load);
+  forged.AssignLayout();
+  EXPECT_DEATH(DecodedProgram{forged}, "int access to fp array 'fps'");
+}
+
+// An ArrayStore reused by the next interpreter is zeroed first: a run
+// reading a slot the previous run on the same store wrote sees 0, and the
+// bulk spans write what the checked accessors read back.
+TEST(InterpreterTest, ReusedArrayStoreStartsZeroed) {
+  ProgramBuilder b("reuse");
+  const auto arr = b.AddIntArray("a", 8);
+  const BlockId blk = b.NewBlock();
+  b.SetEntry(blk);
+  b.SwitchTo(blk);
+  b.IConst(1, 5);
+  b.LoadI(2, arr, 1, 0);  // r2 = a[5], before this run writes it
+  b.IConst(3, 7);
+  b.StoreI(arr, 1, 3, 0);  // a[5] = 7
+  b.Halt();
+  const Program p = b.Build();
+  const DecodedProgram decoded(p);
+  ArrayStore store;
+  BlockTrace stream;
+  {
+    Interpreter first(decoded, store);
+    first.IntArray(arr)[6] = 11;
+    EXPECT_EQ(first.ReadInt(arr, 6), 11);
+    first.Run(stream);
+    EXPECT_EQ(first.int_reg(2), 0);
+    EXPECT_EQ(first.ReadInt(arr, 5), 7);
+  }
+  Interpreter second(decoded, store);
+  EXPECT_EQ(second.ReadInt(arr, 5), 0);
+  EXPECT_EQ(second.ReadInt(arr, 6), 0);
+  second.Run(stream);
+  EXPECT_EQ(second.int_reg(2), 0);
+}
+
+// The block-stream columns are written through raw pointers after one
+// capacity check per block, sized from the block's static counts. Started
+// at every capacity from empty to the run's length, each column must grow
+// before a block whose entries do not fit; an undercounted block would
+// write past the allocation (caught by the ASan build) and lose entries.
+TEST(InterpreterTest, ColumnsGrowBeforeABlockThatDoesNotFit) {
+  ProgramBuilder b("columns");
+  const auto arr = b.AddFpArray("a", 16);
+  const BlockId entry = b.NewBlock();
+  const BlockId head = b.NewBlock();
+  const BlockId body = b.NewBlock();
+  const BlockId done = b.NewBlock();
+  b.SetEntry(entry);
+  b.SwitchTo(entry);
+  b.IConst(1, 0);
+  b.IConst(2, 6);
+  b.FConst(1, 3.0);
+  b.FConst(2, 1.5);
+  b.Jump(head);
+  b.SwitchTo(head);
+  b.ICmpLt(3, 1, 2);
+  b.BranchIfZero(3, done, body);
+  b.SwitchTo(body);
+  b.LoadF(3, arr, 1, 0);
+  b.StoreF(arr, 1, 1, 1);
+  b.StoreF(arr, 1, 2, 2);
+  b.FDiv(4, 1, 2);
+  b.FSqrt(5, 1);
+  b.IAddImm(1, 1, 1);
+  b.Jump(head);
+  b.SwitchTo(done);
+  b.Halt();
+  const Program p = b.Build();
+  const DecodedProgram decoded(p);
+  BlockTrace expected;
+  Interpreter(decoded).Run(expected);
+  ASSERT_EQ(expected.mem_addrs.size(), 18u);
+  ASSERT_EQ(expected.taken.size(), 7u);
+  ASSERT_EQ(expected.fpu_classes.size(), 12u);
+  for (std::size_t capacity = 0; capacity <= 18; ++capacity) {
+    SCOPED_TRACE(capacity);
+    BlockTrace stream;
+    stream.mem_addrs.reserve(capacity);
+    stream.taken.reserve(capacity);
+    stream.fpu_classes.reserve(capacity);
+    Interpreter(decoded).Run(stream);
+    EXPECT_TRUE(stream.blocks == expected.blocks);
+    EXPECT_TRUE(stream.mem_addrs == expected.mem_addrs);
+    EXPECT_TRUE(stream.taken == expected.taken);
+    EXPECT_TRUE(stream.fpu_classes == expected.fpu_classes);
+  }
+}
+
 TEST(InterpreterTest, DecodedProgramRunsLikeTheProgram) {
   const Program p = SumProgram(7);
   const DecodedProgram decoded(p);

@@ -8,8 +8,6 @@
 //       Runs a TVCA measurement campaign and writes cycles,path_id CSV.
 //       --jobs J fans the runs across J worker threads (default: hardware
 //       concurrency); the samples are bit-identical for every J.
-//       --batch-lanes L is accepted and ignored: the lockstep batch kernel
-//       it selected was slower than the serial runner and is gone.
 //       --checkpoint journals every completed run (append-only, fsync'd);
 //       --resume restores the journal and re-executes only the missing
 //       runs, bit-identically to an uninterrupted campaign.
@@ -71,6 +69,10 @@
 //       Perfetto-loadable document — offline stitching of a distributed
 //       trace when no spta_fleet supervisor did it (docs/OBSERVABILITY.md).
 //
+// Every subcommand accepts exactly the flags listed for it: any other flag
+// (a typo such as `--job 4`, or the retired `--batch-lanes` and `--atlas`)
+// exits 2 with the subcommand's usage line and runs nothing.
+//
 // File outputs are crash-safe: the CSV is staged in a tmp file, fsync'd
 // and renamed into place, so a crash mid-export never publishes a
 // truncated sample.
@@ -82,6 +84,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <set>
 #include <sstream>
@@ -111,32 +114,6 @@
 namespace {
 
 using namespace spta;
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: spta_cli "
-               "<campaign|analyze|convergence|record|simulate|trace> [flags]\n"
-               "  campaign    --platform rand|det|rand-op --runs N "
-               "[--seed S] [--scenarios K] [--jobs J] [--output FILE]\n"
-               "              [--checkpoint FILE [--resume] "
-               "[--fsync-interval N]] [--seu-rate R] [--reseed-dropout P] "
-               "[--fault-seed S] [--annotate]\n"
-               "              [--trace-out FILE] [--counters-out FILE]\n"
-               "  analyze     [--input FILE] [--block-size B] [--lags L] "
-               "[--alpha A] [--per-path] [--min-path-samples M] [--histogram]\n"
-               "  convergence [--input FILE] [--initial N] [--step N] "
-               "[--prob P] [--tol T]\n"
-               "  record      --trace FILE [--scenario S]\n"
-               "  simulate    --trace FILE --platform rand|det|rand-op "
-               "--runs N [--seed S] [--jobs J] [--output FILE] "
-               "[--checkpoint FILE [--resume]] [--seu-rate R] "
-               "[--reseed-dropout P] [--fault-seed S] "
-               "[--trace-out FILE] [--counters-out FILE]\n"
-               "  trace       pack|unpack <in> <out> | info|mine <file>\n"
-               "  trace-view  [--merge OUT] FILE...   (Chrome trace JSON "
-               "summary / fleet-wide merge)\n");
-  return 2;
-}
 
 std::vector<mbpta::PathObservation> LoadSamples(const Flags& flags,
                                                 analysis::CsvMeta* meta) {
@@ -722,20 +699,97 @@ int RunSimulate(const Flags& flags) {
   return RunPlannedCampaign(flags, analysis::Workload(t, runs, seed), config);
 }
 
+/// One subcommand: its name, the flag part of its usage line, the flags
+/// it reads and its entry point.
+struct Command {
+  const char* name;
+  const char* usage;
+  std::vector<std::string> flags;
+  int (*run)(const Flags&);
+};
+
+/// The flags of the campaign runner, which campaign and simulate share,
+/// plus the subcommand's own `extra` flags.
+std::vector<std::string> RunnerFlags(std::initializer_list<const char*> extra) {
+  std::vector<std::string> flags = {
+      "platform",       "runs",        "seed",     "jobs",
+      "output",         "annotate",    "checkpoint", "resume",
+      "fsync-interval", "abort-after", "seu-rate", "reseed-dropout",
+      "fault-seed",     "trace-out",   "counters-out"};
+  flags.insert(flags.end(), extra.begin(), extra.end());
+  return flags;
+}
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"campaign",
+       "--platform rand|det|rand-op --runs N [--seed S] [--scenarios K] "
+       "[--jobs J] [--output FILE]\n"
+       "              [--checkpoint FILE [--resume] [--fsync-interval N] "
+       "[--abort-after N]] [--seu-rate R] [--reseed-dropout P]\n"
+       "              [--fault-seed S] [--annotate] [--trace-out FILE] "
+       "[--counters-out FILE]",
+       RunnerFlags({"scenarios"}), RunCampaign},
+      {"analyze",
+       "[--input FILE] [--block-size B] [--lags L] [--alpha A] "
+       "[--min-blocks M] [--per-path] [--min-path-samples M] [--histogram]",
+       {"input", "block-size", "lags", "alpha", "min-blocks", "per-path",
+        "min-path-samples", "histogram"},
+       RunAnalyze},
+      {"convergence",
+       "[--input FILE] [--initial N] [--step N] [--prob P] [--tol T]",
+       {"input", "initial", "step", "prob", "tol"},
+       RunConvergence},
+      {"record", "--trace FILE [--scenario S]", {"trace", "scenario"},
+       RunRecord},
+      {"simulate",
+       "--trace FILE --platform rand|det|rand-op --runs N [--seed S] "
+       "[--jobs J] [--output FILE]\n"
+       "              [--checkpoint FILE [--resume] [--fsync-interval N] "
+       "[--abort-after N]] [--seu-rate R] [--reseed-dropout P]\n"
+       "              [--fault-seed S] [--annotate] [--trace-out FILE] "
+       "[--counters-out FILE]",
+       RunnerFlags({"trace"}), RunSimulate},
+      {"trace", "pack|unpack <in> <out> | info|mine <file>", {}, RunTrace},
+      {"trace-view",
+       "[--merge OUT] FILE...   (Chrome trace JSON summary / fleet-wide "
+       "merge)",
+       {"merge"},
+       RunTraceView},
+  };
+  return commands;
+}
+
+void PrintUsageLine(const char* prefix, const Command& command) {
+  std::fprintf(stderr, "%s%-11s %s\n", prefix, command.name, command.usage);
+}
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: spta_cli "
+               "<campaign|analyze|convergence|record|simulate|trace|"
+               "trace-view> [flags]\n");
+  for (const Command& command : Commands()) PrintUsageLine("  ", command);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Flags flags(argc - 1, argv + 1);
-
-  if (command == "campaign") return RunCampaign(flags);
-  if (command == "analyze") return RunAnalyze(flags);
-  if (command == "convergence") return RunConvergence(flags);
-  if (command == "record") return RunRecord(flags);
-  if (command == "simulate") return RunSimulate(flags);
-  if (command == "trace") return RunTrace(flags);
-  if (command == "trace-view") return RunTraceView(flags);
+  for (const Command& known : Commands()) {
+    if (command != known.name) continue;
+    const auto unknown = flags.UnknownFlags(known.flags);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "spta_cli: unknown flag --%s\n",
+                   unknown.front().c_str());
+      PrintUsageLine("usage: spta_cli ", known);
+      return 2;
+    }
+    return known.run(flags);
+  }
   std::fprintf(stderr, "spta_cli: unknown command '%s'\n", command.c_str());
   return Usage();
 }
