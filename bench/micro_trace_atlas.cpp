@@ -22,7 +22,6 @@
 
 #include "analysis/campaign.hpp"
 #include "atlas/format.hpp"
-#include "atlas/mine.hpp"
 #include "bench_util.hpp"
 #include "sim/platform.hpp"
 #include "trace/trace_io.hpp"
@@ -36,8 +35,7 @@ double Seconds(Clock::time_point t0) {
 }
 
 /// The repeated-kernel workload: prologue . 48-record body x `iterations`
-/// . epilogue, every iteration identical (same pcs, same addresses), so
-/// mining finds one kernel covering almost the whole trace.
+/// . epilogue, every iteration identical (same pcs, same addresses).
 spta::trace::Trace KernelLoopTrace(std::size_t iterations) {
   using spta::trace::OpClass;
   spta::trace::Trace t;
@@ -89,12 +87,8 @@ int main() {
 
   const trace::Trace t = KernelLoopTrace(kIterations);
   const auto config = sim::RandLeon3Config();
-  const atlas::Segmentation mined = atlas::MineKernels(t);
-  std::printf("workload: kernel loop x %zu, %zu records, %zu kernel(s), "
-              "%.1f%% kernel coverage\n",
-              kIterations, t.records.size(), mined.kernels.size(),
-              100.0 * static_cast<double>(mined.KernelRecords()) /
-                  static_cast<double>(t.records.size()));
+  std::printf("workload: kernel loop x %zu, %zu records\n", kIterations,
+              t.records.size());
 
   // --- container leg ----------------------------------------------------
   std::ostringstream legacy_out(std::ios::binary);
@@ -176,7 +170,6 @@ int main() {
 
   bench::JsonReport report("trace_atlas", runs);
   report.Set("trace_records", static_cast<double>(t.records.size()));
-  report.Set("kernel_count", static_cast<double>(mined.kernels.size()));
   report.Set("legacy_bytes", static_cast<double>(legacy_bytes.size()));
   report.Set("atlas_bytes", static_cast<double>(atlas_bytes.size()));
   report.Set("pack_ratio", pack_ratio);

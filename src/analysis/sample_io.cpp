@@ -235,12 +235,4 @@ bool WriteSamplesCsvFileAtomic(const std::string& path,
   return AtomicWriteFile(path, body.str(), error);
 }
 
-bool WriteObservationsCsvFileAtomic(const std::string& path,
-                                    std::span<const mbpta::PathObservation> obs,
-                                    std::uint64_t faults, std::string* error) {
-  std::ostringstream body;
-  WriteObservationsCsvAnnotated(body, obs, faults);
-  return AtomicWriteFile(path, body.str(), error);
-}
-
 }  // namespace spta::analysis

@@ -89,15 +89,12 @@ void WriteObservationsCsvAnnotated(std::ostream& out,
                                    std::span<const mbpta::PathObservation> obs,
                                    std::uint64_t faults);
 
-/// Crash-safe annotated exports: the whole CSV is staged in a tmp file,
+/// Crash-safe annotated export: the whole CSV is staged in a tmp file,
 /// fsync'd and renamed over `path` (common/atomic_file.hpp), so a crash
 /// mid-export can never leave a truncated file that a later --resume or
 /// TryReadSamplesCsv half-ingests. Returns false + `error` on failure.
 bool WriteSamplesCsvFileAtomic(const std::string& path,
                                std::span<const RunSample> samples,
                                std::uint64_t faults, std::string* error);
-bool WriteObservationsCsvFileAtomic(const std::string& path,
-                                    std::span<const mbpta::PathObservation> obs,
-                                    std::uint64_t faults, std::string* error);
 
 }  // namespace spta::analysis

@@ -22,12 +22,6 @@ std::vector<double> BlockMaxima(std::span<const double> xs,
   return maxima;
 }
 
-std::size_t CompleteBlockCount(std::size_t sample_size,
-                               std::size_t block_size) {
-  SPTA_REQUIRE(block_size >= 1);
-  return sample_size / block_size;
-}
-
 std::size_t SuggestBlockSize(std::size_t sample_size, std::size_t min_blocks) {
   SPTA_REQUIRE(min_blocks >= 1);
   SPTA_REQUIRE_MSG(sample_size >= min_blocks,

@@ -18,10 +18,6 @@ namespace spta::evt {
 std::vector<double> BlockMaxima(std::span<const double> xs,
                                 std::size_t block_size);
 
-/// Number of complete blocks available for the given sample/block sizes.
-std::size_t CompleteBlockCount(std::size_t sample_size,
-                               std::size_t block_size);
-
 /// Suggests a block size giving at least `min_blocks` maxima while keeping
 /// blocks as large as possible (larger blocks = better EVT convergence).
 /// Requires sample_size >= min_blocks. Returns at least 1.

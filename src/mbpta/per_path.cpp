@@ -23,13 +23,6 @@ double PerPathResult::EnvelopeAt(double p) const {
   return envelope;
 }
 
-bool PerPathResult::AllIidPassed() const {
-  for (const auto& path : paths) {
-    if (path.analyzed && !path.result.iid.Passed()) return false;
-  }
-  return true;
-}
-
 std::size_t PerPathResult::analyzed_count() const {
   return static_cast<std::size_t>(
       std::count_if(paths.begin(), paths.end(),

@@ -47,9 +47,6 @@ struct PerPathResult {
   /// path (including skipped ones). Requires at least one analyzed path.
   double EnvelopeAt(double p) const;
 
-  /// True iff every analyzed path's i.i.d. gate passed.
-  bool AllIidPassed() const;
-
   /// Count of paths that could be analyzed.
   std::size_t analyzed_count() const;
 };

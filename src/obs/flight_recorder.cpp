@@ -10,7 +10,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/atomic_file.hpp"
 #include "common/hash.hpp"
 #include "obs/trace.hpp"
 
@@ -333,16 +332,6 @@ std::string FlightRecorder::HarvestToChromeJson(const Harvest& harvest) {
                 harvest.claimed, harvest.records.size(), harvest.torn);
   out.append(summary);
   return out;
-}
-
-bool FlightRecorder::DumpFd(int fd, const std::string& path,
-                            std::string* error) {
-  const Harvest harvest = HarvestFd(fd);
-  return AtomicWriteFile(path, HarvestToChromeJson(harvest), error);
-}
-
-FlightRecorder* GlobalFlightRecorder() {
-  return g_flight.load(std::memory_order_acquire);
 }
 
 void SetGlobalFlightRecorder(FlightRecorder* recorder) {

@@ -115,11 +115,6 @@ class FlightRecorder {
   /// a harvest summary in metadata).
   static std::string HarvestToChromeJson(const Harvest& harvest);
 
-  /// Harvests `fd` and writes the Chrome JSON dump atomically to
-  /// `path`. Returns false and fills `error` on write failure (an
-  /// invalid/empty ring still dumps — the summary says so).
-  static bool DumpFd(int fd, const std::string& path, std::string* error);
-
  private:
   void* base_ = nullptr;
   std::size_t map_bytes_ = 0;
@@ -128,8 +123,8 @@ class FlightRecorder {
   std::uint64_t slot_count_ = 0;
 };
 
-/// Process-global recorder the tracer mirrors into (nullptr = none).
-FlightRecorder* GlobalFlightRecorder();
+/// Sets the process-global recorder the tracer mirrors into (nullptr =
+/// none).
 void SetGlobalFlightRecorder(FlightRecorder* recorder);
 
 /// Tracer → flight recorder bridge: mirrors `event` into the global

@@ -93,20 +93,19 @@ class AnalysisEngine {
   ResultCache& cache() { return cache_; }
   const ResultCache& cache() const { return cache_; }
 
-  /// Attaches a disk store: every entry inserted from now on (fresh
-  /// analyses, INGEST kernel tables via InsertCached) is also persisted,
-  /// so a restart warm-starts from it. The store must outlive the engine.
-  /// Pass nullptr to detach. Not a write-back cache — the in-memory LRU
-  /// stays authoritative for lookups.
+  /// Attaches a disk store: every fresh analysis from now on is also
+  /// persisted, so a restart warm-starts from it. The store must outlive
+  /// the engine. Pass nullptr to detach. Not a write-back cache — the
+  /// in-memory LRU stays authoritative for lookups.
   void AttachStore(PersistentResultCache* store) { store_ = store; }
   PersistentResultCache* store() { return store_; }
 
+ private:
   /// Insert that writes through to the attached store (if any). All cache
   /// fills that should survive a restart go through here.
   void InsertCached(std::uint64_t key, std::uint64_t verifier,
                     std::string body);
 
- private:
   /// A place in the queue of analyses of one key; destroying it gives
   /// the place up.
   class Ticket {

@@ -1,11 +1,10 @@
 // Disk-backed layer under the in-memory result cache: warm restarts.
 //
-// Every finished analysis (and every mined INGEST kernel table) already
-// lives in the ResultCache as (key, verifier, rendered body). This store
-// writes each such entry to its own file under a cache directory and
-// reads them all back at startup, so a restarted daemon serves its first
-// repeat request from cache instead of re-running the EVT pipeline — the
-// fleet's warm-start story.
+// Every finished analysis already lives in the ResultCache as (key,
+// verifier, rendered body). This store writes each such entry to its own
+// file under a cache directory and reads them all back at startup, so a
+// restarted daemon serves its first repeat request from cache instead of
+// re-running the EVT pipeline — the fleet's warm-start story.
 //
 // File-per-entry, named by the key digest, written through
 // common::AtomicWriteFile (tmp + fsync + rename): a crash mid-write

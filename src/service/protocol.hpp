@@ -43,7 +43,7 @@ enum class RequestKind {
   kMetrics,
   kMetricsProm,  ///< Prometheus text-format metrics scrape.
   kShutdown,
-  kIngest,  ///< Binary trace upload: validate, mine kernels, cache table.
+  kIngest,  ///< Binary trace upload: validate and describe the trace.
   /// Liveness + readiness probe. Answered on the event-loop thread (never
   /// queued) — a HEALTH response proves the serving loop itself is alive
   /// even when every shard is wedged; its args/payload carry per-shard

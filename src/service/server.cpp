@@ -7,7 +7,6 @@
 
 #include "analysis/sample_io.hpp"
 #include "atlas/format.hpp"
-#include "atlas/mine.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 
@@ -159,38 +158,7 @@ Response Server::HandleIngest(const Request& request) {
   args.SetUint("records", t.records.size());
   args.SetUint("path_signature", t.path_signature);
   args.Set("digest", KeyHex(digest.lo) + KeyHex(digest.hi));
-
-  // The kernel table is keyed by the trace's CONTENT digest, so the same
-  // trace ingested through either container answers from the cache. The
-  // body's first line is a well-formed args line carrying the summary
-  // counts — that is what lets a hit restore them without re-mining.
-  if (const auto cached = engine_.cache().Lookup(digest.lo, digest.hi)) {
-    const auto nl = cached->find('\n');
-    const Args summary = Args::Parse(cached->substr(0, nl));
-    args.SetUint("kernels", summary.GetUint("kernels", 0));
-    args.SetUint("kernel_records", summary.GetUint("kernel_records", 0));
-    args.Set("cache", "hit");
-    return OkResponse(std::move(args), *cached);
-  }
-
-  SPTA_OBS_SPAN_ARG("service", "ingest_mine", "records", t.records.size());
-  const atlas::Segmentation segmentation = atlas::MineKernels(t);
-  std::ostringstream body;
-  Args summary;
-  summary.SetUint("kernels", segmentation.kernels.size());
-  summary.SetUint("kernel_records", segmentation.KernelRecords());
-  body << summary.Encode() << '\n';
-  for (std::size_t k = 0; k < segmentation.kernels.size(); ++k) {
-    const atlas::KernelInfo& info = segmentation.kernels[k];
-    body << "kernel " << KeyHex(info.digest.lo) << KeyHex(info.digest.hi)
-         << " begin=" << info.body_begin << " length=" << info.length
-         << " iterations=" << info.iterations << '\n';
-  }
-  engine_.InsertCached(digest.lo, digest.hi, body.str());
-  args.SetUint("kernels", segmentation.kernels.size());
-  args.SetUint("kernel_records", segmentation.KernelRecords());
-  args.Set("cache", "miss");
-  return OkResponse(std::move(args), body.str());
+  return OkResponse(std::move(args));
 }
 
 Response Server::Dispatch(const Request& request) {

@@ -17,7 +17,6 @@
 #include <map>
 #include <sstream>
 
-#include "obs/atlas_counters.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
@@ -588,12 +587,8 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
   }
   const DualHash digest = HashBytes(body);
   const std::string session = request.args.GetString("session");
-  // INGEST caches by trace content, which the loop cannot see without
-  // decoding the payload: one route key sends every INGEST to the same
-  // shard, so both containers of a trace meet one cache.
-  const std::uint64_t route = request.kind == RequestKind::kIngest ? 0
-                              : session.empty() ? digest.lo
-                                                : HashBytes(session).lo;
+  const std::uint64_t route =
+      session.empty() ? digest.lo : HashBytes(session).lo;
   const std::size_t target = ShardFor(route);
   if (target == SIZE_MAX) {
     Answer(conn, id, ErrResponse("unavailable", "no live shard"));
@@ -1402,13 +1397,6 @@ std::string ShardedServer::RenderFleetProm() {
     prom.Sample("spta_fleet_persistent_degraded",
                 static_cast<double>(stats.degraded));
   }
-  // Process-wide atomics fed by the atlas trace pack/unpack paths
-  // (INGEST included).
-  const obs::AtlasCountersSnapshot atlas = obs::AtlasCounters();
-  counter("spta_atlas_traces_packed_total", "Atlas trace containers written.",
-          atlas.traces_packed);
-  counter("spta_atlas_traces_unpacked_total",
-          "Atlas trace containers decoded.", atlas.traces_unpacked);
   return prom.str();
 }
 

@@ -98,8 +98,8 @@ struct ShardedServerOptions {
   /// Directory for the disk-backed result cache; empty = no persistence.
   /// When set, the directory (which must exist) is scanned at construction
   /// and every validated entry pre-warms every shard's cache, and every
-  /// fresh analysis / mined INGEST table is written through to it — so a
-  /// restarted fleet answers repeat requests from cache immediately.
+  /// fresh analysis is written through to it — so a restarted fleet
+  /// answers repeat requests from cache immediately.
   std::string cache_dir;
   /// On-disk budget for the persistent cache; overshoot evicts the
   /// least-recently-written entries. 0 = unbounded.

@@ -1,13 +1,11 @@
-// src/atlas battery: columnar container and kernel mining.
+// src/atlas battery: the columnar container.
 //
-// Three property families:
+// Two property families:
 //   * container: round-trips (frozen + fuzzed traces), golden encodings,
 //     hostile-input rejection (truncations, bit flips, alien bytes) with
 //     typed errors — never a crash;
-//   * mining: segments partition the trace and reconstruct it exactly;
-//   * integration: the service INGEST verb validates, mines and caches
-//     kernel tables, and the per-shard Prometheus exposition carries the
-//     container counters.
+//   * integration: the service INGEST verb validates either container and
+//     describes the trace without keeping any state.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,7 +16,6 @@
 #include "apps/tvca.hpp"
 #include "apps/kernels.hpp"
 #include "atlas/format.hpp"
-#include "atlas/mine.hpp"
 #include "obs/trace.hpp"
 #include "prng/xoshiro.hpp"
 #include "service/protocol.hpp"
@@ -32,7 +29,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Workload builders (the frozen traces of golden_regression_test plus a
-// synthetic kernel-loop trace for the mining and INGEST properties).
+// synthetic kernel-loop trace for the INGEST properties).
 
 apps::TvcaConfig ReducedTvcaConfig() {
   apps::TvcaConfig tc;
@@ -78,7 +75,7 @@ trace::Trace FirTrace() {
 
 /// Synthetic loop trace: prologue . body x `iterations` . epilogue, with
 /// the body touching the same addresses every iteration, so every
-/// iteration is record-for-record equal and mining finds one kernel.
+/// iteration is record-for-record equal.
 trace::Trace KernelLoopTrace(std::size_t iterations,
                              std::size_t body_records = 48) {
   trace::Trace t;
@@ -323,58 +320,6 @@ TEST(AtlasFormatTest, AlienBytesRejectedBySniffer) {
 }
 
 // ---------------------------------------------------------------------------
-// Mining.
-
-TEST(AtlasMineTest, FindsSyntheticKernel) {
-  const std::size_t kIterations = 150;
-  const trace::Trace t = KernelLoopTrace(kIterations);
-  const atlas::Segmentation seg = atlas::MineKernels(t);
-
-  ASSERT_EQ(seg.kernels.size(), 1u);
-  EXPECT_EQ(seg.kernels[0].length, 48u);
-  EXPECT_GE(seg.kernels[0].iterations, kIterations - 1);
-  EXPECT_EQ(seg.total_records, t.records.size());
-  EXPECT_GE(static_cast<double>(seg.KernelRecords()) /
-                static_cast<double>(t.records.size()),
-            0.9);
-}
-
-TEST(AtlasMineTest, SegmentsPartitionAndReconstructExactly) {
-  const trace::Trace traces[] = {KernelLoopTrace(50), RandomTrace(3, 777),
-                                 FirTrace(), trace::Trace{}};
-  for (const auto& t : traces) {
-    const atlas::Segmentation seg = atlas::MineKernels(t);
-    std::vector<trace::TraceRecord> rebuilt;
-    std::size_t cursor = 0;
-    for (const atlas::Segment& s : seg.segments) {
-      ASSERT_EQ(s.begin, cursor);
-      for (std::size_t it = 0; it < s.iterations; ++it) {
-        for (std::size_t j = 0; j < s.length; ++j) {
-          rebuilt.push_back(t.records[s.begin + it * s.length + j]);
-        }
-      }
-      cursor += s.records_covered();
-    }
-    ASSERT_EQ(cursor, t.records.size());
-    EXPECT_EQ(rebuilt, t.records);
-  }
-}
-
-TEST(AtlasMineTest, KernelIterationsAreFieldwiseEqualToBody) {
-  const trace::Trace t = KernelLoopTrace(30);
-  const atlas::Segmentation seg = atlas::MineKernels(t);
-  for (const atlas::Segment& s : seg.segments) {
-    if (s.kernel == atlas::kNoKernel) continue;
-    for (std::size_t it = 1; it < s.iterations; ++it) {
-      for (std::size_t j = 0; j < s.length; ++j) {
-        ASSERT_EQ(t.records[s.begin + j],
-                  t.records[s.begin + it * s.length + j]);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Service INGEST.
 
 service::Response Roundtrip(service::ShardedServer& fleet,
@@ -392,33 +337,44 @@ service::Response Roundtrip(service::ShardedServer& fleet,
   return response;
 }
 
-TEST(AtlasServiceTest, IngestValidatesMinesAndCaches) {
+std::size_t CachedEntries(service::ShardedServer& fleet) {
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
+    entries += fleet.shard(i).engine().cache().stats().size;
+  }
+  return entries;
+}
+
+TEST(AtlasServiceTest, IngestDescribesEitherContainer) {
   service::ShardedServer server;
   const trace::Trace t = KernelLoopTrace(100);
+  const std::size_t cached_before = CachedEntries(server);
 
   service::Request ingest;
   ingest.kind = service::RequestKind::kIngest;
   ingest.payload = AtlasBytes(t);
-  const service::Response first = Roundtrip(server, ingest);
-  ASSERT_TRUE(first.ok) << first.payload;
-  EXPECT_EQ(first.args.GetString("format"), "atlas");
-  EXPECT_EQ(first.args.GetUint("records", 0), t.records.size());
-  EXPECT_EQ(first.args.GetUint("kernels", 0), 1u);
-  EXPECT_EQ(first.args.GetString("cache"), "miss");
-  EXPECT_FALSE(first.args.GetString("digest").empty());
+  const service::Response atlas_reply = Roundtrip(server, ingest);
+  ASSERT_TRUE(atlas_reply.ok) << atlas_reply.payload;
+  ingest.payload = LegacyBytes(t);
+  const service::Response legacy_reply = Roundtrip(server, ingest);
+  ASSERT_TRUE(legacy_reply.ok) << legacy_reply.payload;
 
-  // Same trace in the LEGACY container: same content digest -> cache hit
-  // with the identical kernel table.
-  service::Request again;
-  again.kind = service::RequestKind::kIngest;
-  again.payload = LegacyBytes(t);
-  const service::Response second = Roundtrip(server, again);
-  ASSERT_TRUE(second.ok);
-  EXPECT_EQ(second.args.GetString("format"), "legacy");
-  EXPECT_EQ(second.args.GetString("cache"), "hit");
-  EXPECT_EQ(second.args.GetString("digest"), first.args.GetString("digest"));
-  EXPECT_EQ(second.args.GetUint("kernels", 0), 1u);
-  EXPECT_EQ(second.payload, first.payload);
+  // One trace, two containers: the description matches except for the
+  // container name.
+  EXPECT_EQ(atlas_reply.args.GetString("format"), "atlas");
+  EXPECT_EQ(legacy_reply.args.GetString("format"), "legacy");
+  EXPECT_FALSE(atlas_reply.args.GetString("digest").empty());
+  EXPECT_EQ(legacy_reply.args.GetString("digest"),
+            atlas_reply.args.GetString("digest"));
+  EXPECT_EQ(atlas_reply.args.GetUint("records", 0), t.records.size());
+  EXPECT_EQ(legacy_reply.args.GetUint("records", 0), t.records.size());
+  EXPECT_EQ(atlas_reply.args.GetUint("path_signature", 0), t.path_signature);
+  EXPECT_EQ(legacy_reply.args.GetUint("path_signature", 0), t.path_signature);
+  EXPECT_TRUE(atlas_reply.payload.empty());
+  EXPECT_TRUE(legacy_reply.payload.empty());
+
+  // INGEST is stateless: nothing lands in the result cache.
+  EXPECT_EQ(CachedEntries(server), cached_before);
 }
 
 TEST(AtlasServiceTest, IngestRejectsHostilePayloadsWithoutDying) {
@@ -443,14 +399,6 @@ TEST(AtlasServiceTest, IngestRejectsHostilePayloadsWithoutDying) {
   service::Request ping;
   ping.kind = service::RequestKind::kPing;
   EXPECT_TRUE(Roundtrip(server, ping).ok);
-}
-
-TEST(AtlasServiceTest, PromExportsAtlasCounters) {
-  service::ShardedServer fleet;
-  const std::string prom = fleet.RenderFleetProm();
-  EXPECT_NE(prom.find("spta_atlas_traces_packed_total"), std::string::npos);
-  EXPECT_NE(prom.find("spta_atlas_traces_unpacked_total"), std::string::npos);
-  EXPECT_EQ(prom.find("spta_atlas_kernel_"), std::string::npos);
 }
 
 }  // namespace

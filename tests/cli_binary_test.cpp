@@ -240,6 +240,19 @@ TEST_F(CliBinaryTest, UnknownFlagsExitTwoAndWriteNothing) {
   }
 }
 
+// `trace` knows pack, unpack and info; any other subcommand, such as the
+// retired `mine`, exits 2 even on a valid trace file.
+TEST_F(CliBinaryTest, TraceMineIsAnUnknownSubcommand) {
+  const std::string frame = TempPath("frame.trc");
+  ASSERT_EQ(RunCli("record --trace " + frame + " --scenario 42"), 0);
+  EXPECT_EQ(RunCli("trace info " + frame, "/dev/null"), 0);
+  for (const char* sub : {"mine", "frobnicate"}) {
+    SCOPED_TRACE(sub);
+    EXPECT_EQ(RunCli(std::string("trace ") + sub + " " + frame), 2);
+  }
+  std::remove(frame.c_str());
+}
+
 // --checkpoint end to end: a journaled campaign killed by --abort-after
 // writes no CSV, and --resume finishes it to the CSV of a plain run, byte
 // for byte. `campaign` and `simulate` share one runner; both are driven.

@@ -1,16 +1,14 @@
 // Functional tests for the extended WCET-benchmark kernel suite (bubble
 // sort, binary search, interpolation, LU solve) and for the new EVT
-// diagnostics (Anderson-Darling, mean excess).
+// Anderson-Darling diagnostic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "apps/kernels.hpp"
 #include "evt/ad_test.hpp"
 #include "evt/gumbel.hpp"
-#include "evt/mean_excess.hpp"
 #include "prng/xoshiro.hpp"
 #include "trace/interpreter.hpp"
 
@@ -209,45 +207,6 @@ TEST(AndersonDarlingTest, RejectsNormalData) {
   const auto fit = evt::FitGumbelMle(xs);
   // A symmetric sample is a poor Gumbel; the tail-weighted AD sees it.
   EXPECT_FALSE(evt::AndersonDarlingGumbel(xs, fit).NotRejected());
-}
-
-TEST(MeanExcessTest, ExponentialTailHasFlatSlope) {
-  prng::Xoshiro128pp rng(12);
-  std::vector<double> xs(30000);
-  for (auto& x : xs) {
-    x = -10.0 * std::log(1.0 - std::max(rng.UniformUnit(), 1e-12));
-  }
-  const auto points = evt::MeanExcessFunction(xs);
-  ASSERT_GE(points.size(), 5u);
-  EXPECT_NEAR(evt::MeanExcessSlope(points), 0.0, 0.1);
-}
-
-TEST(MeanExcessTest, BoundedTailHasNegativeSlope) {
-  prng::Xoshiro128pp rng(13);
-  std::vector<double> xs(30000);
-  for (auto& x : xs) x = rng.UniformUnit();  // uniform: xi = -1
-  const auto points = evt::MeanExcessFunction(xs);
-  EXPECT_LT(evt::MeanExcessSlope(points), -0.2);
-}
-
-TEST(MeanExcessTest, HeavyTailHasPositiveSlope) {
-  prng::Xoshiro128pp rng(14);
-  std::vector<double> xs(30000);
-  for (auto& x : xs) {
-    // Pareto with xi = 0.5.
-    x = std::pow(1.0 - std::min(rng.UniformUnit(), 1.0 - 1e-12), -0.5);
-  }
-  const auto points = evt::MeanExcessFunction(xs);
-  EXPECT_GT(evt::MeanExcessSlope(points), 0.1);
-}
-
-TEST(MeanExcessTest, ThresholdsAscendAndCountsDescend) {
-  const auto xs = GumbelSample(0.0, 1.0, 5000, 15);
-  const auto points = evt::MeanExcessFunction(xs, 10);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].threshold, points[i - 1].threshold);
-    EXPECT_LE(points[i].exceedances, points[i - 1].exceedances);
-  }
 }
 
 }  // namespace

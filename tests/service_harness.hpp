@@ -12,9 +12,10 @@
 // TRACE, session errors — ending in a malformed frame, and its response
 // frames. They were recorded through the thread-per-connection server the
 // event loop replaced, after checking that it, ServeScript and the TCP
-// loop served the same bytes. Stored frames are normalized: analyze_us is
-// dropped, and the four loop-answered verbs keep only their argument
-// names (values vary with time and load) plus role/format.
+// loop served the same bytes; the two INGEST OK frames were rewritten
+// when INGEST stopped keeping state. Stored frames are normalized:
+// analyze_us is dropped, and the four loop-answered verbs keep only their
+// argument names (values vary with time and load) plus role/format.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -54,10 +54,9 @@
 //   spta_cli trace pack <in> <out>      repack into the spta-atlas
 //                                       columnar container (docs/TRACES.md)
 //   spta_cli trace unpack <in> <out>    repack into the legacy container
-//   spta_cli trace info <file>          header, footprint, digests and
-//                                       kernel summary (either format)
-//   spta_cli trace mine <file>          full mined kernel table
-//       All four accept both container formats and verify content digests
+//   spta_cli trace info <file>          header, footprint and digests
+//                                       (either format)
+//       All three accept both container formats and verify content digests
 //       on every conversion; damaged or alien files are rejected with a
 //       diagnostic (exit 2), never a crash.
 //
@@ -90,8 +89,6 @@
 #include <sstream>
 
 #include "atlas/format.hpp"
-#include "atlas/mine.hpp"
-#include "obs/atlas_counters.hpp"
 #include "analysis/campaign.hpp"
 #include "analysis/diagnosis.hpp"
 #include "analysis/sample_io.hpp"
@@ -358,7 +355,7 @@ std::uint64_t FileSizeOrZero(const std::string& path) {
   return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
-int RunTraceInfo(const std::string& path, bool full_table) {
+int RunTraceInfo(const std::string& path) {
   atlas::TraceFormat format = atlas::TraceFormat::kLegacy;
   const trace::Trace t = LoadAnyTraceOrDie(path, &format);
   const DualHash digest = atlas::TraceContentDigest(t);
@@ -397,36 +394,6 @@ int RunTraceInfo(const std::string& path, bool full_table) {
               atlas_size == 0 ? 0.0
                               : static_cast<double>(legacy_size) /
                                     static_cast<double>(atlas_size));
-
-  const atlas::Segmentation seg = atlas::MineKernels(t);
-  std::printf("kernels:         %zu (%llu of %llu records in kernels)\n",
-              seg.kernels.size(),
-              static_cast<unsigned long long>(seg.KernelRecords()),
-              static_cast<unsigned long long>(t.records.size()));
-  if (full_table) {
-    for (const atlas::KernelInfo& k : seg.kernels) {
-      std::printf(
-          "kernel %016llx%016llx  begin=%llu length=%llu iterations=%llu\n",
-          static_cast<unsigned long long>(k.digest.lo),
-          static_cast<unsigned long long>(k.digest.hi),
-          static_cast<unsigned long long>(k.body_begin),
-          static_cast<unsigned long long>(k.length),
-          static_cast<unsigned long long>(k.iterations));
-    }
-    std::printf("segments:\n");
-    for (const atlas::Segment& s : seg.segments) {
-      if (s.kernel == atlas::kNoKernel) {
-        std::printf("  span    begin=%llu records=%llu\n",
-                    static_cast<unsigned long long>(s.begin),
-                    static_cast<unsigned long long>(s.records_covered()));
-      } else {
-        std::printf("  kernel#%u begin=%llu length=%llu iterations=%llu\n",
-                    s.kernel, static_cast<unsigned long long>(s.begin),
-                    static_cast<unsigned long long>(s.length),
-                    static_cast<unsigned long long>(s.iterations));
-      }
-    }
-  }
   return 0;
 }
 
@@ -437,10 +404,8 @@ int RunTraceConvert(const std::string& in_path, const std::string& out_path,
   const DualHash digest = atlas::TraceContentDigest(t);
   if (to_atlas) {
     atlas::SaveAtlasFile(out_path, t);
-    obs::CountAtlasPack();
   } else {
     trace::SaveTraceFile(out_path, t);
-    obs::CountAtlasUnpack();
   }
   // Round-trip verification: reload what we just wrote and require the
   // content digest to survive the conversion bit-exactly.
@@ -478,7 +443,7 @@ int RunTrace(const Flags& flags) {
   if (pos.empty()) {
     std::fprintf(stderr,
                  "spta_cli: trace needs a subcommand "
-                 "(pack|unpack|info|mine)\n");
+                 "(pack|unpack|info)\n");
     return 2;
   }
   const std::string& sub = pos[0];
@@ -490,12 +455,12 @@ int RunTrace(const Flags& flags) {
     }
     return RunTraceConvert(pos[1], pos[2], sub == "pack");
   }
-  if (sub == "info" || sub == "mine") {
+  if (sub == "info") {
     if (pos.size() != 2) {
-      std::fprintf(stderr, "spta_cli: trace %s needs <file>\n", sub.c_str());
+      std::fprintf(stderr, "spta_cli: trace info needs <file>\n");
       return 2;
     }
-    return RunTraceInfo(pos[1], /*full_table=*/sub == "mine");
+    return RunTraceInfo(pos[1]);
   }
   std::fprintf(stderr, "spta_cli: unknown trace subcommand '%s'\n",
                sub.c_str());
@@ -750,7 +715,7 @@ const std::vector<Command>& Commands() {
        "              [--fault-seed S] [--annotate] [--trace-out FILE] "
        "[--counters-out FILE]",
        RunnerFlags({"trace"}), RunSimulate},
-      {"trace", "pack|unpack <in> <out> | info|mine <file>", {}, RunTrace},
+      {"trace", "pack|unpack <in> <out> | info <file>", {}, RunTrace},
       {"trace-view",
        "[--merge OUT] FILE...   (Chrome trace JSON summary / fleet-wide "
        "merge)",
