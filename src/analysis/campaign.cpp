@@ -31,33 +31,25 @@ Seed FixedTraceRunSeed(std::uint64_t master_seed, std::size_t run_index) {
 Workload::Workload(const apps::TvcaApp& app, const CampaignConfig& config)
     : app_(&app), config_(config), digest_(TvcaWorkloadDigest()) {
   SPTA_REQUIRE(config.runs >= 1);
-  // Runs r and r + distinct_scenarios share a frame, so a campaign
-  // shorter than its suite reaches only its first `runs` scenarios.
-  const std::size_t distinct =
-      std::min(config.distinct_scenarios, config.runs);
-  suite_.reserve(distinct);
-  for (std::size_t i = 0; i < distinct; ++i) {
-    suite_.push_back(app.BuildFrame(TvcaScenarioSeed(config, i)));
-    segments_.push_back({suite_.back().trace.records, nullptr});
-    path_ids_.push_back(suite_.back().path_id);
-  }
 }
 
 Workload::Workload(const trace::Trace& t, std::size_t runs,
                    std::uint64_t master_seed)
     : config_{runs, master_seed, 0},
       digest_(FixedTraceWorkloadDigest(t)),
-      segments_{{t.records, nullptr}},
-      path_ids_{static_cast<std::uint32_t>(t.path_signature)} {
+      fixed_{t.records, nullptr},
+      fixed_path_id_(static_cast<std::uint32_t>(t.path_signature)) {
   SPTA_REQUIRE(runs >= 1);
+}
+
+std::size_t Workload::SuiteSize() const {
+  return app_ != nullptr ? std::min(config_.distinct_scenarios, config_.runs)
+                         : 0;
 }
 
 FrameView Workload::ForRun(std::size_t run_index,
                            apps::FrameScratch& scratch) const {
-  if (!segments_.empty()) {
-    const std::size_t i = run_index % segments_.size();
-    return {{&segments_[i], 1}, path_ids_[i]};
-  }
+  if (app_ == nullptr) return {{&fixed_, 1}, fixed_path_id_};
   const apps::FrameSpans& frame =
       app_->BuildFrame(TvcaScenarioSeed(config_, run_index), scratch);
   return {frame.segments, frame.path_id};
@@ -84,8 +76,9 @@ namespace {
 /// The per-worker arenas of a campaign: for each pool worker, one reusable
 /// sim::Platform and one apps::FrameScratch side by side. The platform is
 /// built on the worker's first run; the scratch holds no memory until the
-/// worker builds its first frame, so a prebuilt-frame campaign pays nothing
-/// for it. Slot w is touched only by pool worker w, so no locks are needed.
+/// worker builds its first frame, so a suite or fixed-trace campaign pays
+/// nothing for it. Slot w is touched only by pool worker w, so no locks are
+/// needed.
 class WorkerArenas {
  public:
   WorkerArenas(const sim::PlatformConfig& config, std::size_t workers)
@@ -169,6 +162,16 @@ CampaignResult RunCampaign(const Workload& workload, const CampaignPlan& plan) {
   ThreadPool pool(plan.jobs);
   WorkerArenas arenas(plan.platform, pool.size());
   SPTA_OBS_SPAN_ARG("campaign", workload.SpanName(), "runs", runs);
+  // A suite's frames are built once, on the pool, each into a scratch of
+  // its own. The scratches are never moved: the views point into them.
+  std::vector<apps::FrameScratch> suite(workload.SuiteSize());
+  std::vector<FrameView> suite_frames(suite.size());
+  if (!suite.empty()) {
+    SPTA_OBS_SPAN_ARG("analysis", "suite_build", "frames", suite.size());
+    ParallelFor(pool, suite.size(), [&](std::size_t i) {
+      suite_frames[i] = workload.ForRun(i, suite[i]);
+    });
+  }
   const FaultWindow& faults = plan.faults;
   std::atomic<std::uint64_t> injected{0};
   std::atomic<std::uint64_t> dropped{0};
@@ -187,7 +190,9 @@ CampaignResult RunCampaign(const Workload& workload, const CampaignPlan& plan) {
     if (stop.load(std::memory_order_relaxed)) return;
     const std::size_t r = missing[u];
     SPTA_OBS_SPAN_ARG("campaign", "run", "run", r);
-    const FrameView frame = workload.ForRun(r, arenas.Frame());
+    const FrameView frame = suite.empty()
+                                ? workload.ForRun(r, arenas.Frame())
+                                : suite_frames[r % suite.size()];
     std::size_t seed_run = r;
     if (faults.seed_run) {
       seed_run = faults.seed_run(r);

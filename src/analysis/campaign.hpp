@@ -89,30 +89,36 @@ struct FrameView {
 };
 
 /// What a campaign measures: the frame and the platform seed of every run.
-/// A TVCA workload with a fixed scenario suite (distinct_scenarios > 0)
-/// builds the suite once, up front, and shares it read-only; a fresh-input
-/// TVCA workload builds run r's frame into the caller's scratch, so a
-/// worker that reuses one scratch allocates no frame memory after its
-/// first run. Either way run r measures exactly the records of
-/// app.BuildFrame(TvcaScenarioSeed(config, r)). A fixed-trace workload
-/// measures one trace under per-run reseeding (isolates platform
-/// randomization jitter from input jitter).
+/// A TVCA workload builds run r's frame as a block-stream segment list
+/// into the caller's scratch (app.BuildFrame(TvcaScenarioSeed(config, r),
+/// scratch)), so a worker that reuses one scratch allocates no frame
+/// memory after its first run. With a scenario suite
+/// (distinct_scenarios > 0) runs r and r + distinct_scenarios share a
+/// frame: RunCampaign builds the SuiteSize() distinct frames once, on its
+/// worker pool, each into a scratch of its own, and measures every run on
+/// its scenario's frame. A fixed-trace workload measures one trace under
+/// per-run reseeding (isolates platform randomization jitter from input
+/// jitter).
 class Workload {
  public:
   /// A TVCA campaign: `config.runs` runs seeded from `config.master_seed`.
   Workload(const apps::TvcaApp& app, const CampaignConfig& config);
-  /// `runs` measurements of the fixed trace `t`.
+  /// `runs` measurements of the fixed trace `t`, which must outlive the
+  /// workload.
   Workload(const trace::Trace& t, std::size_t runs,
            std::uint64_t master_seed);
-  // segments_ may point into suite_: a copy would view the original.
-  Workload(const Workload&) = delete;
-  Workload& operator=(const Workload&) = delete;
 
   std::size_t runs() const { return config_.runs; }
   std::uint64_t master_seed() const { return config_.master_seed; }
 
-  /// Run `run_index`'s frame: a prebuilt frame as a one-segment list, or
-  /// the segment list of a fresh frame rebuilt into `scratch`.
+  /// The distinct frames of a TVCA scenario suite: runs i and i + size
+  /// measure frame ForRun(i). A campaign shorter than its suite reaches
+  /// only its first `runs` scenarios. 0 for fresh inputs and for a fixed
+  /// trace.
+  std::size_t SuiteSize() const;
+  /// Run `run_index`'s frame: the fixed trace as a one-segment list, or
+  /// the segment list of the run's TVCA frame built into `scratch` (valid
+  /// until the scratch's next frame).
   FrameView ForRun(std::size_t run_index, apps::FrameScratch& scratch) const;
   /// Run `run_index`'s platform seed.
   Seed RunSeed(std::size_t run_index) const;
@@ -127,12 +133,9 @@ class Workload {
   const apps::TvcaApp* app_ = nullptr;
   CampaignConfig config_;
   std::uint64_t digest_ = 0;
-  /// The prebuilt frames: the reachable suite of a TVCA workload (empty
-  /// for fresh inputs) or the one fixed trace. Run r measures frame
-  /// r % size as the one-segment view segments_[r % size].
-  std::vector<apps::TvcaFrame> suite_;
-  std::vector<trace::Segment> segments_;
-  std::vector<std::uint32_t> path_ids_;
+  /// The fixed trace as one record segment (unused for TVCA).
+  trace::Segment fixed_;
+  std::uint32_t fixed_path_id_ = 0;
 };
 
 /// Options of a journaled campaign (analysis/checkpoint).

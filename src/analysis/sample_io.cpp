@@ -216,17 +216,6 @@ void WriteSamplesCsvAnnotated(std::ostream& out,
   }
 }
 
-void WriteObservationsCsvAnnotated(std::ostream& out,
-                                   std::span<const mbpta::PathObservation> obs,
-                                   std::uint64_t faults) {
-  out << "cycles,path_id\n";
-  out << kDigestComment << Hex64(ObservationsDigest(obs)) << '\n';
-  out << kFaultsComment << faults << '\n';
-  for (const auto& o : obs) {
-    out << static_cast<std::uint64_t>(o.time) << ',' << o.path_id << '\n';
-  }
-}
-
 bool WriteSamplesCsvFileAtomic(const std::string& path,
                                std::span<const RunSample> samples,
                                std::uint64_t faults, std::string* error) {

@@ -81,13 +81,10 @@ bool TryReadSamplesCsvWithMeta(std::istream& in,
                                std::vector<mbpta::PathObservation>* out,
                                CsvMeta* meta, std::string* error);
 
-/// Annotated variants: header, digest + fault-count comments, rows.
+/// Annotated variant: header, digest + fault-count comments, rows.
 void WriteSamplesCsvAnnotated(std::ostream& out,
                               std::span<const RunSample> samples,
                               std::uint64_t faults);
-void WriteObservationsCsvAnnotated(std::ostream& out,
-                                   std::span<const mbpta::PathObservation> obs,
-                                   std::uint64_t faults);
 
 /// Crash-safe annotated export: the whole CSV is staged in a tmp file,
 /// fsync'd and renamed over `path` (common/atomic_file.hpp), so a crash

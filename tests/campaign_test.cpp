@@ -29,6 +29,7 @@
 #include "fault/campaign.hpp"
 #include "fault/seu.hpp"
 #include "sim/platform.hpp"
+#include "trace/interpreter.hpp"
 #include "trace/synthetic.hpp"
 
 namespace spta {
@@ -270,6 +271,37 @@ TEST_P(TvcaJobSweep, BitIdenticalToSerialRunner) {
 
 INSTANTIATE_TEST_SUITE_P(Jobs, TvcaJobSweep,
                          ::testing::Values(1u, 2u, 4u, 7u));
+
+// A suite workload measures block-stream frames: every run's view holds
+// its five jobs as block streams (not records), and expands to the
+// records of its scenario's frame built as one owned trace.
+TEST(SuiteWorkloadTest, RunsViewBlockStreamFramesOfTheirScenario) {
+  const apps::TvcaApp app(SmallTvca());
+  analysis::CampaignConfig cc;
+  cc.runs = 14;
+  cc.distinct_scenarios = 6;
+  const analysis::Workload workload(app, cc);
+  EXPECT_EQ(workload.SuiteSize(), 6u);
+  EXPECT_EQ(analysis::Workload(app, {4, 1, 6}).SuiteSize(), 4u);
+  EXPECT_EQ(analysis::Workload(app, {4, 1, 0}).SuiteSize(), 0u);
+
+  apps::FrameScratch scratch;
+  std::vector<trace::TraceRecord> records;
+  for (std::size_t r = 0; r < cc.runs; ++r) {
+    SCOPED_TRACE(r);
+    const analysis::FrameView view = workload.ForRun(r, scratch);
+    EXPECT_EQ(std::count_if(view.segments.begin(), view.segments.end(),
+                            [](const trace::Segment& s) {
+                              return s.blocks != nullptr;
+                            }),
+              5);
+    const apps::TvcaFrame frame =
+        app.BuildFrame(analysis::TvcaScenarioSeed(cc, r));
+    trace::Flatten(view.segments, records);
+    EXPECT_TRUE(records == frame.trace.records);
+    EXPECT_EQ(view.path_id, frame.path_id);
+  }
+}
 
 class SyntheticJobSweep : public ::testing::TestWithParam<std::size_t> {};
 

@@ -187,23 +187,25 @@ TEST_F(CliBinaryTest, AnalyzeRejectsMissingFile) {
   EXPECT_EQ(RunCli("analyze --input /nonexistent/nope.csv"), 2);
 }
 
-// Two identical campaigns write byte-identical CSVs and counter CSVs. (The
-// test kept its name from --batch-lanes, which it once compared against
-// and which is now a usage error: UnknownFlagsExitTwoAndWriteNothing.)
-TEST_F(CliBinaryTest, BatchLanesCsvIsByteIdenticalToSerial) {
+// A suite campaign writes the same CSV, counter CSV and counter summary at
+// one job and at three: its frames are built on the campaign pool and
+// each run measures its scenario's frame whichever worker claims it.
+TEST_F(CliBinaryTest, SuiteCsvAndCountersAreByteIdenticalAcrossJobs) {
   const std::string again = TempPath("again.csv");
   const std::string first_ctr = TempPath("first_ctr");
   const std::string again_ctr = TempPath("again_ctr");
   ASSERT_EQ(RunCli("campaign --platform rand --runs 48 --seed 11 "
-                   "--scenarios 6 --jobs 2 --counters-out " +
+                   "--scenarios 6 --jobs 1 --counters-out " +
                    first_ctr + " --output " + csv_),
             0);
   ASSERT_EQ(RunCli("campaign --platform rand --runs 48 --seed 11 "
-                   "--scenarios 6 --jobs 2 --counters-out " +
+                   "--scenarios 6 --jobs 3 --counters-out " +
                    again_ctr + " --output " + again),
             0);
   EXPECT_EQ(Slurp(again), Slurp(csv_));
   EXPECT_EQ(Slurp(again_ctr), Slurp(first_ctr));
+  EXPECT_EQ(Slurp(again_ctr + ".summary.json"),
+            Slurp(first_ctr + ".summary.json"));
   EXPECT_NE(Slurp(first_ctr).find("il1_misses"), std::string::npos);
   for (const auto& f : {again, first_ctr, again_ctr,
                         first_ctr + ".summary.json",
@@ -212,8 +214,8 @@ TEST_F(CliBinaryTest, BatchLanesCsvIsByteIdenticalToSerial) {
   }
 }
 
-// A fault campaign run twice writes the same tainted CSV. (Named, like the
-// test above, for the retired --batch-lanes flag it once passed.)
+// A fault campaign run twice writes the same tainted CSV. (Named for the
+// retired --batch-lanes flag it once passed.)
 TEST_F(CliBinaryTest, BatchLanesIsIgnoredUnderFaultFlags) {
   const std::string again = TempPath("faulty_again.csv");
   ASSERT_EQ(RunCli("campaign --platform rand --runs 4 --seu-rate 0.001 "

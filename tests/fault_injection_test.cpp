@@ -395,10 +395,22 @@ TEST(GuardedAnalysis, DuplicateCorruptionTripsTheIidGate) {
 
 // --- annotated CSV round trip --------------------------------------------
 
+/// SyntheticSample(n) as campaign samples, the form the CLI exports.
+std::vector<analysis::RunSample> SyntheticRunSamples(std::size_t n) {
+  std::vector<analysis::RunSample> samples;
+  for (const auto& o : SyntheticSample(n)) {
+    analysis::RunSample s;
+    s.cycles = o.time;
+    s.path_id = static_cast<std::uint32_t>(o.path_id);
+    samples.push_back(s);
+  }
+  return samples;
+}
+
 TEST(AnnotatedCsv, DigestAndFaultsSurviveTheRoundTrip) {
-  const auto obs = SyntheticSample(120);
   std::ostringstream out;
-  analysis::WriteObservationsCsvAnnotated(out, obs, /*faults=*/7);
+  analysis::WriteSamplesCsvAnnotated(out, SyntheticRunSamples(120),
+                                     /*faults=*/7);
 
   std::istringstream in(out.str());
   std::vector<mbpta::PathObservation> readback;
@@ -419,9 +431,9 @@ TEST(AnnotatedCsv, DigestAndFaultsSurviveTheRoundTrip) {
 }
 
 TEST(AnnotatedCsv, RowTamperIsCaughtByTheDigest) {
-  const auto obs = SyntheticSample(120);
   std::ostringstream out;
-  analysis::WriteObservationsCsvAnnotated(out, obs, /*faults=*/0);
+  analysis::WriteSamplesCsvAnnotated(out, SyntheticRunSamples(120),
+                                     /*faults=*/0);
   std::string text = out.str();
   // Drop the final data row (truncation attack past the annotations).
   text.erase(text.find_last_of('\n', text.size() - 2) + 1);

@@ -93,9 +93,8 @@ TEST(FaultMatrix, SeuTaintFlowsToTypedRejection) {
   // Export with the taint annotation, re-ingest, analyze guarded: the
   // pipeline must refuse before fitting anything.
   std::ostringstream out;
-  analysis::WriteObservationsCsvAnnotated(
-      out, ToObservations(faulted.samples),
-      faulted.faults_injected + faulted.reseeds_dropped);
+  analysis::WriteSamplesCsvAnnotated(
+      out, faulted.samples, faulted.faults_injected + faulted.reseeds_dropped);
   std::istringstream in(out.str());
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;
@@ -165,8 +164,7 @@ TEST(FaultMatrix, CorruptedStreamsAreCaughtByDigestOrFloors) {
   // Clean export, corrupted in transit: the recorded digest no longer
   // matches the rows, typed kIntegrityMismatch before any statistics.
   std::ostringstream out;
-  analysis::WriteObservationsCsvAnnotated(out, ToObservations(samples),
-                                          /*faults=*/0);
+  analysis::WriteSamplesCsvAnnotated(out, samples, /*faults=*/0);
   std::istringstream in(out.str());
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;

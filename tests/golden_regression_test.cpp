@@ -7,6 +7,7 @@
 // benches) rather than accidental drift.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <ostream>
@@ -15,6 +16,7 @@
 #include "analysis/campaign.hpp"
 #include "apps/kernels.hpp"
 #include "apps/tvca.hpp"
+#include "common/hash.hpp"
 #include "mbpta/mbpta.hpp"
 #include "prng/xoshiro.hpp"
 #include "sim/platform.hpp"
@@ -204,6 +206,32 @@ TEST(GoldenRegressionTest, MbptaPipelineThroughParallelRunner) {
               1e-9);
   EXPECT_EQ(result.block_size, 10u);
   EXPECT_NEAR(result.PwcetAt(1e-12), 88623.514295, 1e-3);
+}
+
+// ---------------------------------------------------------------------------
+// A test-vector suite campaign (the full TVCA frame, 6 scenarios cycled
+// over 60 runs) pinned by a digest of every run's cycles and path, at one
+// job and at three. The digest was recorded from the runner that measured
+// the suite as owned record traces, so it pins the suite's bytes across
+// any change of frame form, not only against the record-loop reference.
+TEST(GoldenRegressionTest, SuiteCampaignCyclesDigest) {
+  const apps::TvcaApp app;
+  analysis::CampaignConfig cc;
+  cc.runs = 60;
+  cc.distinct_scenarios = 6;
+  const analysis::Workload workload(app, cc);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(jobs);
+    const auto result =
+        analysis::RunCampaign(workload, {sim::RandLeon3Config(), jobs});
+    ASSERT_TRUE(result.completed);
+    std::uint64_t digest = 0;
+    for (const auto& s : result.samples) {
+      digest = HashCombine(digest, s.detail.cycles);
+      digest = HashCombine(digest, s.path_id);
+    }
+    EXPECT_EQ(digest, 0x0dcd3b2e7c0aaf3dULL);
+  }
 }
 
 // ---------------------------------------------------------------------------
