@@ -181,14 +181,6 @@ void WriteSamplesCsv(std::ostream& out,
   }
 }
 
-void WriteObservationsCsv(std::ostream& out,
-                          std::span<const mbpta::PathObservation> obs) {
-  out << "cycles,path_id\n";
-  for (const auto& o : obs) {
-    out << static_cast<std::uint64_t>(o.time) << ',' << o.path_id << '\n';
-  }
-}
-
 std::uint64_t ObservationsDigest(std::span<const mbpta::PathObservation> obs) {
   std::uint64_t h = Mix64(obs.size());
   for (const auto& o : obs) {

@@ -43,10 +43,6 @@ bool TryReadSamplesCsv(std::istream& in,
 void WriteSamplesCsv(std::ostream& out,
                      std::span<const RunSample> samples);
 
-/// Writes raw observations (same format).
-void WriteObservationsCsv(std::ostream& out,
-                          std::span<const mbpta::PathObservation> obs);
-
 // --- Campaign-integrity metadata -----------------------------------------
 // Annotated CSVs carry two comment lines that older readers skip silently
 // (they look like ordinary `#` comments):

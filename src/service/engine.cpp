@@ -133,9 +133,9 @@ void AnalysisEngine::Release(const Ticket& ticket) {
 }
 
 void AnalysisEngine::InsertCached(std::uint64_t key, std::uint64_t verifier,
-                                  std::string body) {
-  if (store_ != nullptr) store_->Put(key, verifier, body);
-  cache_.Insert(key, verifier, std::move(body));
+                                  const ResultCache::Body& body) {
+  if (store_ != nullptr) store_->Put(key, verifier, *body);
+  cache_.Insert(key, verifier, body);
 }
 
 bool AnalysisEngine::Analyze(
@@ -215,6 +215,7 @@ bool AnalysisEngine::Analyze(
   if (auto body = cache_.Lookup(outcome->key, verifier)) {
     outcome->cache_hit = true;
     DecodeBody(*body, &outcome->result, &outcome->report);
+    outcome->body = std::move(body);
     return true;
   }
   outcome->cache_hit = false;
@@ -258,7 +259,9 @@ bool AnalysisEngine::Analyze(
     report += mbpta::RenderReport(per_path);
   }
 
-  InsertCached(outcome->key, verifier, EncodeBody(fields, report));
+  outcome->body =
+      std::make_shared<const std::string>(EncodeBody(fields, report));
+  InsertCached(outcome->key, verifier, outcome->body);
   outcome->result = std::move(fields);
   outcome->report = std::move(report);
   return true;

@@ -71,6 +71,9 @@ struct AnalysisOutcome {
   Args result;
   /// Human-readable report (mbpta::RenderReport output).
   std::string report;
+  /// The cached body `result` and `report` were decoded from: the result
+  /// line, '\n', then the report. Shared with the cache, not a copy.
+  ResultCache::Body body;
 };
 
 class AnalysisEngine {
@@ -104,7 +107,7 @@ class AnalysisEngine {
   /// Insert that writes through to the attached store (if any). All cache
   /// fills that should survive a restart go through here.
   void InsertCached(std::uint64_t key, std::uint64_t verifier,
-                    std::string body);
+                    const ResultCache::Body& body);
 
   /// A place in the queue of analyses of one key; destroying it gives
   /// the place up.

@@ -55,14 +55,8 @@ std::uint64_t ServiceMetrics::deadline_misses() const {
   return deadline_misses_;
 }
 
-Args ServiceMetrics::Snapshot(const ResultCache::Stats& cache) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+Args CacheArgs(const ResultCache::Stats& cache) {
   Args args;
-  args.SetUint("requests_total", requests_);
-  args.SetUint("errors_total", errors_);
-  args.SetUint("busy_rejections", busy_rejections_);
-  args.SetUint("deadline_misses", deadline_misses_);
-  args.SetUint("analyses_total", analyses_);
   args.SetUint("cache_hits", cache.hits);
   args.SetUint("cache_misses", cache.misses);
   args.SetUint("cache_evictions", cache.evictions);
@@ -70,6 +64,17 @@ Args ServiceMetrics::Snapshot(const ResultCache::Stats& cache) const {
   args.SetUint("cache_size", cache.size);
   args.SetUint("cache_capacity", cache.capacity);
   args.SetDouble("cache_hit_ratio", cache.HitRatio());
+  return args;
+}
+
+Args ServiceMetrics::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Args args;
+  args.SetUint("requests_total", requests_);
+  args.SetUint("errors_total", errors_);
+  args.SetUint("busy_rejections", busy_rejections_);
+  args.SetUint("deadline_misses", deadline_misses_);
+  args.SetUint("analyses_total", analyses_);
   for (int i = 0; i < kRequestKindCount; ++i) {
     if (per_kind_[i] == 0) continue;
     args.SetUint(std::string("requests_") +
@@ -79,8 +84,8 @@ Args ServiceMetrics::Snapshot(const ResultCache::Stats& cache) const {
   return args;
 }
 
-std::string ServiceMetrics::Render(const ResultCache::Stats& cache) const {
-  const Args snapshot = Snapshot(cache);
+std::string ServiceMetrics::Render() const {
+  const Args snapshot = Snapshot();
   std::ostringstream out;
   for (const auto& [key, value] : snapshot.values()) {
     out << key << ' ' << value << '\n';

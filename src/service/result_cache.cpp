@@ -14,32 +14,20 @@ ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {
   SPTA_REQUIRE(capacity >= 1);
 }
 
-std::optional<std::string> ResultCache::Lookup(std::uint64_t key,
-                                               std::uint64_t verifier) {
+ResultCache::Body ResultCache::Lookup(std::uint64_t key,
+                                      std::uint64_t verifier) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   if (it->second->verifier != verifier) {
     // Detected 64-bit key collision: a different request hashed to the
     // same key. Never serve the other request's result.
     ++collisions_;
     ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->body;
-}
-
-std::optional<std::string> ResultCache::LookupIfPresent(
-    std::uint64_t key, std::uint64_t verifier) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end() || it->second->verifier != verifier) {
-    return std::nullopt;  // the worker's Lookup does the accounting
+    return nullptr;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
@@ -47,7 +35,7 @@ std::optional<std::string> ResultCache::LookupIfPresent(
 }
 
 void ResultCache::Insert(std::uint64_t key, std::uint64_t verifier,
-                         std::string body) {
+                         Body body) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it != index_.end()) {

@@ -12,6 +12,10 @@
 // pWCET result. Bounded by entry count with least-recently-used eviction;
 // hit/miss/collision/eviction accounting feeds the metrics surface.
 //
+// Bodies are immutable and shared (std::shared_ptr<const std::string>): a
+// lookup hands out the stored bytes without copying them, and the fleet's
+// warm memo keeps a reference instead of a second copy.
+//
 // Thread-safe: one mutex around the map+list (lookups are O(1) and the
 // stored bodies are small compared to an analysis, so a single lock is not
 // a bottleneck even under a full worker pool).
@@ -19,8 +23,8 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -28,6 +32,8 @@ namespace spta::service {
 
 class ResultCache {
  public:
+  using Body = std::shared_ptr<const std::string>;
+
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -46,24 +52,17 @@ class ResultCache {
   explicit ResultCache(std::size_t capacity);
 
   /// Returns the cached body and refreshes recency when both `key` and
-  /// `verifier` match, or nullopt on a miss. A key match with a verifier
+  /// `verifier` match, or null on a miss. A key match with a verifier
   /// mismatch is a detected collision: counted as a miss (plus the
   /// collision counter), never served. Every call counts as exactly one
   /// hit or one miss.
-  std::optional<std::string> Lookup(std::uint64_t key, std::uint64_t verifier);
-
-  /// Like Lookup, but an absent key (or a collision) is NOT counted. Used
-  /// by the server's warm fast path, which probes before dispatching to a
-  /// worker: on a miss the worker's authoritative Lookup does the
-  /// counting, so each request still scores exactly one hit or one miss.
-  std::optional<std::string> LookupIfPresent(std::uint64_t key,
-                                             std::uint64_t verifier);
+  Body Lookup(std::uint64_t key, std::uint64_t verifier);
 
   /// Inserts (or refreshes) `key`; evicts the least-recently-used entry
   /// when at capacity. An existing entry with a different verifier (a
   /// colliding key) is overwritten — latest result wins. Does not touch
   /// the hit/miss counters.
-  void Insert(std::uint64_t key, std::uint64_t verifier, std::string body);
+  void Insert(std::uint64_t key, std::uint64_t verifier, Body body);
 
   Stats stats() const;
 
@@ -71,7 +70,7 @@ class ResultCache {
   struct Entry {
     std::uint64_t key = 0;
     std::uint64_t verifier = 0;
-    std::string body;
+    Body body;
   };
 
   mutable std::mutex mutex_;

@@ -41,10 +41,10 @@ Args StatusArgs(const SessionStatus& status) {
 
 }  // namespace
 
-Server::Server(ServerOptions options)
+Server::Server(ServerOptions options, AnalysisEngine& engine)
     : options_(options),
       sessions_(options.convergence, options.session_limits),
-      engine_(options.cache_capacity) {}
+      engine_(engine) {}
 
 bool Server::CollectObservations(
     const Request& request, std::vector<mbpta::PathObservation>* observations,
@@ -70,8 +70,9 @@ bool Server::CollectObservations(
   return true;
 }
 
-Response Server::RunAnalysis(
-    const Request& request, std::vector<mbpta::PathObservation> observations) {
+Response Server::RunAnalysis(const Request& request,
+                             std::vector<mbpta::PathObservation> observations,
+                             ResultCache::Body* analysis_body) {
   if (options_.enable_debug_hooks && request.args.Has("debug_sleep_ms")) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         request.args.GetDouble("debug_sleep_ms", 0.0)));
@@ -87,7 +88,8 @@ Response Server::RunAnalysis(
   const double micros =
       std::chrono::duration<double, std::micro>(Clock::now() - start).count();
   metrics_.RecordAnalyzeLatency(micros, outcome.cache_hit);
-  return OkResponse(AnalysisArgs(outcome, micros), outcome.report);
+  if (analysis_body != nullptr) *analysis_body = outcome.body;
+  return OkResponse(AnalysisArgs(outcome, micros), std::move(outcome.report));
 }
 
 Response Server::HandleOpen(const Request& request) {
@@ -161,7 +163,8 @@ Response Server::HandleIngest(const Request& request) {
   return OkResponse(std::move(args));
 }
 
-Response Server::Dispatch(const Request& request) {
+Response Server::Dispatch(const Request& request,
+                          ResultCache::Body* analysis_body) {
   switch (request.kind) {
     case RequestKind::kPing: {
       Args args;
@@ -190,10 +193,11 @@ Response Server::Dispatch(const Request& request) {
   if (!CollectObservations(request, &observations, &collect_error)) {
     return ErrResponse("samples", collect_error);
   }
-  return RunAnalysis(request, std::move(observations));
+  return RunAnalysis(request, std::move(observations), analysis_body);
 }
 
-Response Server::Execute(const Request& request) {
+Response Server::Execute(const Request& request,
+                         ResultCache::Body* analysis_body) {
   // The event loop parsed the wire context into the request; installing
   // it here links every span below (verb, analyze, engine stages) into
   // the client's tree.
@@ -202,7 +206,7 @@ Response Server::Execute(const Request& request) {
   // A shard thread must never die on untrusted input.
   Response response;
   try {
-    response = Dispatch(request);
+    response = Dispatch(request, analysis_body);
   } catch (const std::exception& e) {
     response = ErrResponse("internal", e.what());
   } catch (...) {

@@ -1,8 +1,9 @@
 // spta_serve's per-shard executor.
 //
-// One Server owns the state a shard executes against — SessionManager,
-// AnalysisEngine (with its result cache) and ServiceMetrics — and runs
-// one request at a time through Execute(). It has no transport: the
+// One Server owns the state a shard executes against — SessionManager and
+// ServiceMetrics — and runs one request at a time through Execute(). Its
+// AnalysisEngine (with the result cache) is borrowed: every shard of a
+// fleet shares the fleet's one engine. It has no transport: the
 // ShardedServer event loop (sharded_server.hpp) owns the listeners,
 // framing, response ordering, backpressure, SHUTDOWN and the verbs it
 // answers without a shard (HEALTH, METRICS, METRICS_PROM, TRACE).
@@ -15,8 +16,9 @@
 //   * ANALYZE snapshots its samples at execution time, so an analysis sees
 //     exactly the appends that preceded it on its session. Deadlines are
 //     the event loop's: it sheds at admission and expires in the queue.
-//   * Identical analyses are single-flight in the engine (engine.hpp): the
-//     first computes, the rest answer from its cached result.
+//   * Identical analyses are single-flight in the engine (engine.hpp), across
+//     every shard that shares it: the first computes, the rest answer from
+//     its cached result.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +33,6 @@
 namespace spta::service {
 
 struct ServerOptions {
-  /// Result-cache capacity in entries.
-  std::size_t cache_capacity = 128;
   mbpta::ConvergenceOptions convergence;
   SessionLimits session_limits;
   /// Honors the debug_sleep_ms ANALYZE argument (tests/bench only: lets a
@@ -42,20 +42,23 @@ struct ServerOptions {
 
 class Server {
  public:
-  explicit Server(ServerOptions options = {});
+  /// `engine` must outlive the Server; other Servers may share it.
+  Server(ServerOptions options, AnalysisEngine& engine);
 
   /// Executes one request synchronously on the caller's thread and counts
   /// it into the metrics. Never throws and never aborts on untrusted input.
   /// SHUTDOWN and the loop-answered verbs belong to the transport and are
-  /// answered ERR internal here.
-  Response Execute(const Request& request);
+  /// answered ERR internal here. After an analysis, `analysis_body` (when
+  /// given) holds the engine's cached body that the response's payload
+  /// was decoded from.
+  Response Execute(const Request& request,
+                   ResultCache::Body* analysis_body = nullptr);
 
   SessionManager& sessions() { return sessions_; }
-  AnalysisEngine& engine() { return engine_; }
   ServiceMetrics& metrics() { return metrics_; }
 
  private:
-  Response Dispatch(const Request& request);
+  Response Dispatch(const Request& request, ResultCache::Body* analysis_body);
   Response HandleOpen(const Request& request);
   Response HandleAppend(const Request& request);
   Response HandleStatus(const Request& request);
@@ -65,7 +68,8 @@ class Server {
   /// and record count. Stateless; the payload is not kept.
   Response HandleIngest(const Request& request);
   Response RunAnalysis(const Request& request,
-                       std::vector<mbpta::PathObservation> observations);
+                       std::vector<mbpta::PathObservation> observations,
+                       ResultCache::Body* analysis_body);
 
   /// Parses the request's sample source: inline payload or session
   /// snapshot. False → `error` is the ERR message.
@@ -75,7 +79,7 @@ class Server {
 
   ServerOptions options_;
   SessionManager sessions_;
-  AnalysisEngine engine_;
+  AnalysisEngine& engine_;
   ServiceMetrics metrics_;
 };
 

@@ -97,8 +97,8 @@ struct ShardedServer::Conn {
   bool closed = false;
 };
 
-/// One shared-nothing worker shard: a Server executor plus its FIFO
-/// queue, its warm-response memo and its liveness state.
+/// One worker shard: a Server executor plus its FIFO queue and its
+/// liveness state.
 struct ShardedServer::ShardRuntime {
   std::unique_ptr<Server> server;
   std::size_t index = 0;
@@ -108,9 +108,10 @@ struct ShardedServer::ShardRuntime {
   std::deque<Item> queue;  ///< Under qmutex.
   bool dead = false;       ///< Under qmutex (authoritative for the queue).
   std::atomic<bool> alive{true};  ///< Lock-free view for routing.
-  /// Queued + executing requests. The warm memo path only fires at 0:
-  /// with the shard quiescent, no session this shard owns can mutate
-  /// concurrently, so a generation check on the loop thread is stable.
+  /// Queued + executing requests: the load stateless routing balances.
+  /// Session memo entries only answer at 0: with the shard quiescent, no
+  /// session this shard owns can mutate concurrently, so a generation
+  /// check on the loop thread is stable.
   std::atomic<std::uint64_t> pending{0};
   std::atomic<std::uint64_t> routed{0};
   std::atomic<std::uint64_t> memo_hits{0};
@@ -132,27 +133,96 @@ struct ShardedServer::ShardRuntime {
   std::atomic<std::int64_t> breaker_open_until_ns{0};
   std::atomic<std::uint64_t> breaker_opens{0};
   std::atomic<int> half_open_probes{0};  ///< Probes admitted (0 or 1).
+};
 
-  /// Rendered hit-response bytes, split around the analyze_us value so a
-  /// hit re-renders only the fresh timing digits.
-  struct MemoEntry {
+/// The fleet's warm-response memo: cache=hit responses keyed by request-body
+/// digest, bounded by entry count with least-recently-used eviction. An
+/// entry renders its own args line and shares the report with the engine's
+/// cached body, so a response is stored once. The recency list runs through
+/// the entries themselves (map nodes never move), so a hit relinks two
+/// pointers and allocates nothing.
+struct ShardedServer::WarmMemo {
+  struct Entry {
+    std::uint64_t key = 0;
     std::uint64_t verify = 0;
     SessionGeneration generation;  ///< Null → inline sample, immortal.
     std::uint64_t generation_value = 0;
-    std::string before;
-    std::string after;
+    /// The shard holding the session a session entry describes.
+    std::size_t shard = SIZE_MAX;
+    /// The hit response's args line without its analyze_us digits, which
+    /// a hit renders fresh at `split`.
+    std::string args;
+    std::size_t split = 0;
+    /// The engine's cached body; the response payload is its tail from
+    /// `report`.
+    ResultCache::Body body;
+    std::size_t report = 0;
+    Entry* newer = nullptr;
+    Entry* older = nullptr;
   };
-  std::mutex memo_mutex;
-  std::unordered_map<std::uint64_t, MemoEntry> memo;  ///< Under memo_mutex.
-  std::deque<std::uint64_t> memo_fifo;                ///< Insertion order.
+
+  explicit WarmMemo(std::size_t capacity) : capacity(capacity) {}
+
+  /// The entry for `digest`, or null (absent, or another body's key).
+  Entry* Find(const DualHash& digest) {
+    const auto it = entries.find(digest.lo);
+    return it == entries.end() || it->second.verify != digest.hi ? nullptr
+                                                                 : &it->second;
+  }
+
+  void Unlink(Entry* e) {
+    (e->newer != nullptr ? e->newer->older : newest) = e->older;
+    (e->older != nullptr ? e->older->newer : oldest) = e->newer;
+    e->newer = e->older = nullptr;
+  }
+
+  void PushNewest(Entry* e) {
+    e->older = newest;
+    if (newest != nullptr) newest->newer = e;
+    newest = e;
+    if (oldest == nullptr) oldest = e;
+  }
+
+  void Touch(Entry* e) {
+    if (e == newest) return;
+    Unlink(e);
+    PushNewest(e);
+  }
+
+  void Erase(Entry* e) {
+    Unlink(e);
+    const std::uint64_t key = e->key;  // Not a reference into the node.
+    entries.erase(key);
+  }
+
+  void Insert(const DualHash& digest, Entry entry) {
+    const auto [it, inserted] = entries.try_emplace(digest.lo);
+    Entry& e = it->second;
+    if (!inserted) Unlink(&e);
+    e = std::move(entry);
+    e.key = digest.lo;
+    e.verify = digest.hi;
+    PushNewest(&e);
+    while (entries.size() > capacity) Erase(oldest);
+  }
+
+  const std::size_t capacity;
+  std::mutex mutex;  ///< Guards everything below.
+  std::unordered_map<std::uint64_t, Entry> entries;
+  Entry* newest = nullptr;
+  Entry* oldest = nullptr;
 };
 
 ShardedServer::ShardedServer(ShardedServerOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      engine_(std::max<std::size_t>(options_.shards, 1) *
+              options_.cache_capacity),
+      memo_(std::make_unique<WarmMemo>(std::max<std::size_t>(
+                                           options_.shards, 1) *
+                                       options_.warm_memo_capacity)) {
   if (options_.shards == 0) options_.shards = 1;
-  // One store for the whole fleet (single in-process writer lock): the
-  // shards get their caches pre-warmed here instead of each scanning and
-  // re-writing the directory.
+  // One store for the whole fleet (single in-process writer lock), loaded
+  // once into the one engine every shard shares.
   if (!options_.cache_dir.empty()) {
     PersistentResultCache::Limits limits;
     limits.max_bytes = options_.cache_max_bytes;
@@ -162,25 +232,19 @@ ShardedServer::ShardedServer(ShardedServerOptions options)
   }
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<ShardRuntime>();
-    shard->server = std::make_unique<Server>(options_.server);
+    shard->server = std::make_unique<Server>(options_.server, engine_);
     shard->index = i;
     // "No completion yet" must not read as an infinite stall age.
     shard->last_completion_ns.store(NowNs(), std::memory_order_relaxed);
     shards_.push_back(std::move(shard));
   }
   if (store_) {
-    // Routing hashes frame bytes, cache keys hash sample bits — there is
-    // no mapping from a stored key back to "its" shard, so every shard
-    // pre-warms with every entry.
     store_->LoadAll([this](std::uint64_t key, std::uint64_t verifier,
                            std::string body) {
-      for (auto& shard : shards_) {
-        shard->server->engine().cache().Insert(key, verifier, body);
-      }
+      engine_.cache().Insert(
+          key, verifier, std::make_shared<const std::string>(std::move(body)));
     });
-    for (auto& shard : shards_) {
-      shard->server->engine().AttachStore(store_.get());
-    }
+    engine_.AttachStore(store_.get());
   }
 }
 
@@ -263,6 +327,39 @@ std::size_t ShardedServer::ShardFor(std::uint64_t route_digest) const {
   }
   if (alive.empty()) return SIZE_MAX;
   return alive[route_digest % alive.size()];
+}
+
+std::size_t ShardedServer::RouteStateless(std::uint64_t digest,
+                                          std::size_t home) const {
+  std::size_t twin = SIZE_MAX;
+  {
+    std::lock_guard<std::mutex> lock(twins_mutex_);
+    const auto it = twins_.find(digest);
+    if (it != twins_.end()) twin = it->second.shard;
+  }
+  if (twin != SIZE_MAX && ShardRoutable(twin)) return twin;
+  // Least pending wins; scanning from the home shard lets it win ties.
+  if (home == SIZE_MAX) return home;
+  std::size_t best = home;
+  std::uint64_t best_pending =
+      shards_[home]->pending.load(std::memory_order_acquire);
+  for (std::size_t k = 1; k < shards_.size() && best_pending != 0; ++k) {
+    const std::size_t i = (home + k) % shards_.size();
+    const std::uint64_t pending =
+        shards_[i]->pending.load(std::memory_order_acquire);
+    if (pending < best_pending && ShardRoutable(i)) {
+      best = i;
+      best_pending = pending;
+    }
+  }
+  return best;
+}
+
+void ShardedServer::ReleaseTwin(const Item& item) {
+  if (!item.stateless) return;
+  std::lock_guard<std::mutex> lock(twins_mutex_);
+  const auto it = twins_.find(item.body_digest.lo);
+  if (it != twins_.end() && --it->second.count == 0) twins_.erase(it);
 }
 
 void ShardedServer::NoteShardResult(ShardRuntime& shard,
@@ -356,35 +453,42 @@ void ShardedServer::KillShardForTest(std::size_t index) {
 
 bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
                                  std::string* frame) {
-  // Ordering gate: only an idle shard can be served past. A queued APPEND
-  // for the same session must invalidate before a later ANALYZE is
-  // answered — with pending != 0 we cannot know, so we decline.
-  if (shard.pending.load(std::memory_order_acquire) != 0) return false;
   const auto start = Clock::now();
   std::string body;
+  double micros = 0.0;
   {
-    std::lock_guard<std::mutex> lock(shard.memo_mutex);
-    const auto it = shard.memo.find(digest.lo);
-    if (it == shard.memo.end() || it->second.verify != digest.hi) {
-      return false;
+    std::lock_guard<std::mutex> lock(memo_->mutex);
+    WarmMemo::Entry* entry = memo_->Find(digest);
+    if (entry == nullptr) return false;
+    if (entry->generation != nullptr) {
+      // A session entry answers for the shard holding its session only:
+      // rerouted past a dead or tripped shard, the name may belong to
+      // another session whose generation this entry does not watch.
+      if (entry->shard != shard.index) return false;
+      // Ordering gate: a session entry answers past an idle shard only. A
+      // queued APPEND for the same session must invalidate before a later
+      // ANALYZE is answered — with pending != 0 we cannot know, so we
+      // decline.
+      if (shard.pending.load(std::memory_order_acquire) != 0) return false;
+      if (entry->generation->load(std::memory_order_acquire) !=
+          entry->generation_value) {
+        memo_->Erase(entry);  // The session moved on; the entry is dead.
+        return false;
+      }
     }
-    ShardRuntime::MemoEntry& entry = it->second;
-    if (entry.generation != nullptr &&
-        entry.generation->load(std::memory_order_acquire) !=
-            entry.generation_value) {
-      shard.memo.erase(it);  // The session moved on; the entry is dead.
-      return false;
-    }
-    const double micros =
-        std::chrono::duration<double, std::micro>(Clock::now() - start)
-            .count();
+    memo_->Touch(entry);
+    micros = std::chrono::duration<double, std::micro>(Clock::now() - start)
+                 .count();
     const std::string value = EncodeDouble(micros);
-    body.reserve(entry.before.size() + value.size() + entry.after.size());
-    body += entry.before;
+    body.reserve(entry->args.size() + value.size() + 1 + entry->body->size() -
+                 entry->report);
+    body.append(entry->args, 0, entry->split);
     body += value;
-    body += entry.after;
-    shard.server->metrics().RecordAnalyzeLatency(micros, /*cache_hit=*/true);
+    body.append(entry->args, entry->split);
+    body.push_back('\n');
+    body.append(*entry->body, entry->report);
   }
+  shard.server->metrics().RecordAnalyzeLatency(micros, /*cache_hit=*/true);
   shard.server->metrics().CountRequest(RequestKind::kAnalyze, true);
   shard.memo_hits.fetch_add(1, std::memory_order_relaxed);
   shard.routed.fetch_add(1, std::memory_order_relaxed);
@@ -396,37 +500,39 @@ bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
   return true;
 }
 
-void ShardedServer::Memoize(ShardRuntime& shard, const DualHash& digest,
-                            const Response& response,
+void ShardedServer::Memoize(const DualHash& digest, const Response& response,
+                            ResultCache::Body body,
                             SessionGeneration generation,
-                            std::uint64_t generation_value) {
-  if (!response.ok || !response.args.Has("analyze_us")) return;
-  // Build the HIT-version response body with a placeholder where the
-  // volatile analyze_us digits go; args values never contain control
-  // bytes, so the placeholder's position is unambiguous.
+                            std::uint64_t generation_value,
+                            std::size_t shard) {
+  if (memo_->capacity == 0 || !response.ok || body == nullptr ||
+      !response.args.Has("analyze_us")) {
+    return;
+  }
+  // The payload is the cached body after its result line (the engine
+  // renders it from that body; AnalysisEngineTest pins the identity).
+  const std::size_t newline = body->find('\n');
+  const std::size_t report =
+      newline == std::string::npos ? body->size() : newline + 1;
+  // The HIT-version args line with a placeholder where the volatile
+  // analyze_us digits go; args values never contain control bytes, so the
+  // placeholder's position is unambiguous.
   Args args = response.args;
   args.Set("cache", "hit");
   args.Set("analyze_us", "\x01");
-  std::string body = args.Encode();
-  body.push_back('\n');
-  body += response.payload;
-  const std::size_t split = body.find('\x01');
-  if (split == std::string::npos) return;
-  ShardRuntime::MemoEntry entry;
-  entry.verify = digest.hi;
+  WarmMemo::Entry entry;
+  entry.args = args.Encode();
+  entry.split = entry.args.find('\x01');
+  if (entry.split == std::string::npos) return;
+  entry.args.erase(entry.split, 1);
+  entry.args.shrink_to_fit();
+  entry.body = std::move(body);
+  entry.report = report;
   entry.generation = std::move(generation);
   entry.generation_value = generation_value;
-  entry.before = body.substr(0, split);
-  entry.after = body.substr(split + 1);
-  std::lock_guard<std::mutex> lock(shard.memo_mutex);
-  const auto [it, inserted] = shard.memo.try_emplace(digest.lo);
-  it->second = std::move(entry);
-  if (inserted) shard.memo_fifo.push_back(digest.lo);
-  while (shard.memo.size() > options_.warm_memo_capacity &&
-         !shard.memo_fifo.empty()) {
-    shard.memo.erase(shard.memo_fifo.front());
-    shard.memo_fifo.pop_front();
-  }
+  entry.shard = shard;
+  std::lock_guard<std::mutex> lock(memo_->mutex);
+  memo_->Insert(digest, std::move(entry));
 }
 
 Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
@@ -450,6 +556,7 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
   // executing it would only delay the live requests behind it. This is
   // also the breaker's signal that the shard cannot keep up.
   Response response;
+  ResultCache::Body analysis_body;
   const double deadline_ms = request.args.GetDouble(
       "deadline_ms", options_.default_deadline_ms);
   if (enqueue_ns > 0 && deadline_ms > 0.0 &&
@@ -457,7 +564,7 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
     shard.server->metrics().CountDeadlineMiss();
     response = ErrResponse("deadline", "deadline expired in shard queue");
   } else {
-    response = shard.server->Execute(request);
+    response = shard.server->Execute(request, &analysis_body);
   }
   const std::int64_t end_ns = NowNs();
   shard.routed.fetch_add(1, std::memory_order_relaxed);
@@ -482,15 +589,16 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
   NoteShardResult(shard, response);
   if (analyze && response.ok) {
     if (session.empty()) {
-      Memoize(shard, digest, response, nullptr, 0);
+      Memoize(digest, response, std::move(analysis_body), nullptr, 0,
+              SIZE_MAX);
     } else if (generation != nullptr &&
                generation->load(std::memory_order_acquire) ==
                    generation_value) {
       // Stamp unchanged across the analysis → the memo entry describes
       // the live session. (A concurrent mutation — only possible during
       // failover cross-execution — skips memoization instead.)
-      Memoize(shard, digest, response, std::move(generation),
-              generation_value);
+      Memoize(digest, response, std::move(analysis_body),
+              std::move(generation), generation_value, shard.index);
     }
   }
   return response;
@@ -589,13 +697,26 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
   const std::string session = request.args.GetString("session");
   const std::uint64_t route =
       session.empty() ? digest.lo : HashBytes(session).lo;
-  const std::size_t target = ShardFor(route);
+  // A stateless request probes the memo before the load scan, and a hit
+  // is charged to the digest's home shard; a session request probes it
+  // on its session's shard.
+  const std::size_t home = ShardFor(route);
+  const bool analyze = request.kind == RequestKind::kAnalyze;
+  if (analyze && session.empty() && home != SIZE_MAX) {
+    std::string frame;
+    if (TryServeWarm(*shards_[home], digest, &frame)) {
+      CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
+      return;
+    }
+  }
+  const std::size_t target =
+      session.empty() ? RouteStateless(digest.lo, home) : home;
   if (target == SIZE_MAX) {
     Answer(conn, id, ErrResponse("unavailable", "no live shard"));
     return;
   }
   ShardRuntime& shard = *shards_[target];
-  if (request.kind == RequestKind::kAnalyze) {
+  if (analyze && !session.empty()) {
     std::string frame;
     if (TryServeWarm(shard, digest, &frame)) {
       CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
@@ -626,6 +747,7 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
   item.body_digest = digest;
   item.route = route;
   item.enqueue_ns = NowNs();
+  item.stateless = session.empty();
   inflight_.fetch_add(1, std::memory_order_acq_rel);
   if (!PushToShard(target, std::move(item))) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -923,6 +1045,14 @@ bool ShardedServer::PushToShard(std::size_t index, Item item) {
         if (shard.queue.size() >= options_.shard_queue_capacity) {
           return false;  // Busy-rejection: answered, never buffered.
         }
+        if (item.stateless) {
+          // Registered before the worker can see the item, so its release
+          // always finds the entry.
+          std::lock_guard<std::mutex> twins_lock(twins_mutex_);
+          Twin& twin = twins_[item.body_digest.lo];
+          twin.shard = index;
+          ++twin.count;
+        }
         shard.pending.fetch_add(1, std::memory_order_acq_rel);
         shard.queue.push_back(std::move(item));
         // A half-open breaker admits exactly this one probe; the probe's
@@ -1140,8 +1270,10 @@ void ShardedServer::ShardWorker(std::size_t index) {
     AppendResponseFrame(response, &frame);
     CompleteItem(item.conn, item.id, std::move(frame),
                  /*on_loop_thread=*/false);
-    // Release order matters: the response (and any memo entry) must be
-    // visible before the pending gate reopens the warm path.
+    // Release order matters: the response (and any memo and cache entry)
+    // must be visible before a twin can route elsewhere and before the
+    // pending gate reopens the session memo.
+    ReleaseTwin(item);
     shard.pending.fetch_sub(1, std::memory_order_release);
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     WakeLoop();
@@ -1164,6 +1296,10 @@ void ShardedServer::FailoverQueue(ShardRuntime& shard) {
       std::unique_lock<std::mutex> lock(target.qmutex);
       if (!target.dead &&
           target.queue.size() < options_.shard_queue_capacity) {
+        if (item.stateless) {
+          std::lock_guard<std::mutex> twins_lock(twins_mutex_);
+          twins_[item.body_digest.lo].shard = next;  // Twins follow it.
+        }
         target.pending.fetch_add(1, std::memory_order_acq_rel);
         target.queue.push_back(std::move(item));
         lock.unlock();
@@ -1177,6 +1313,7 @@ void ShardedServer::FailoverQueue(ShardRuntime& shard) {
       AppendResponseFrame(ErrResponse("unavailable", "shard down"), &frame);
       CompleteItem(item.conn, item.id, std::move(frame),
                    /*on_loop_thread=*/false);
+      ReleaseTwin(item);
       inflight_.fetch_sub(1, std::memory_order_acq_rel);
       WakeLoop();
     }
@@ -1186,35 +1323,30 @@ void ShardedServer::FailoverQueue(ShardRuntime& shard) {
 // --- Fleet metrics surface ------------------------------------------------
 
 Response ShardedServer::FleetMetricsResponse() {
+  // The shards share one engine: its cache counts once, in its own section.
+  const Args cache = CacheArgs(engine_.cache().stats());
+  std::string payload = "== engine ==\n";
+  for (const auto& [key, value] : cache.values()) {
+    payload += key + ' ' + value + '\n';
+  }
+  payload.push_back('\n');
   std::map<std::string, std::uint64_t> sums;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::string payload;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Server& server = *shards_[i]->server;
-    const ResultCache::Stats cache = server.engine().cache().stats();
-    const Args snapshot = server.metrics().Snapshot(cache);
+    const ServiceMetrics& metrics = shards_[i]->server->metrics();
+    const Args snapshot = metrics.Snapshot();
     for (const auto& [key, value] : snapshot.values()) {
-      if (key == "cache_hit_ratio") continue;  // Recomputed fleet-wide.
       sums[key] += snapshot.GetUint(key, 0);
     }
-    hits += cache.hits;
-    misses += cache.misses;
     payload += "== shard " + std::to_string(i) + " ==\n";
-    payload += server.metrics().Render(cache);
+    payload += metrics.Render();
     payload.push_back('\n');
   }
   // I/O faults happen on the loop's connections, not inside a shard.
   sums["faults_injected"] += faults_injected_.load(std::memory_order_relaxed);
   sums["sessions_degraded"] +=
       sessions_degraded_.load(std::memory_order_relaxed);
-  Args args;
+  Args args = cache;
   for (const auto& [key, value] : sums) args.SetUint(key, value);
-  args.SetDouble("cache_hit_ratio",
-                 hits + misses > 0
-                     ? static_cast<double>(hits) /
-                           static_cast<double>(hits + misses)
-                     : 0.0);
   std::uint64_t alive = 0;
   std::uint64_t memo = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {

@@ -1,5 +1,5 @@
-// spta_serve's one transport: an epoll event loop in front of
-// digest-routed worker shards.
+// spta_serve's one transport: an epoll event loop in front of worker
+// shards that share one analysis engine.
 //
 //   * One edge-triggered epoll event loop owns every connection: the TCP
 //     or AF_UNIX listener's accepted sockets and an adopted fd (the
@@ -9,24 +9,31 @@
 //     client can stall only its own connection, never a shard); writes are
 //     non-blocking and ordered (a per-connection reorder buffer; the loop
 //     thread is the sole reader and writer of every fd).
-//   * N shared-nothing worker shards, each a Server executor (own
-//     SessionManager, AnalysisEngine + result cache, ServiceMetrics), fed
-//     over bounded FIFO queues; a full queue answers ERR busy. Requests
-//     route by content digest: session-bound verbs hash the session name —
-//     one session's whole life happens on one shard, in order — and
-//     stateless requests hash their raw body bytes, so identical ANALYZE
-//     requests always land on the shard whose cache already holds their
-//     result.
+//   * N worker shards, each a Server executor (own SessionManager and
+//     ServiceMetrics) fed over a bounded FIFO queue; a full queue answers
+//     ERR busy. Every shard executes against the fleet's ONE AnalysisEngine
+//     (result cache of cache_capacity x shards entries, single flight
+//     across shards). Session-bound verbs route by the session name's hash
+//     — one session's whole life happens on one shard, in order. Stateless
+//     requests route by load: to the routable shard with the fewest pending
+//     requests, ties to the body digest's home shard (ShardFor), so an idle
+//     or synchronous fleet routes by content. A stateless request whose
+//     body digest is already queued or executing follows that twin to its
+//     shard, so pipelined identical requests answer in FIFO order (one
+//     cache=miss, then cache=hit).
 //   * The loop answers SHUTDOWN, HEALTH, METRICS, METRICS_PROM and TRACE
 //     itself, without crossing a queue — HEALTH answers even when every
 //     shard is wedged.
-//   * A memoized warm path on the loop thread: a repeated ANALYZE whose
-//     shard is idle is answered from a per-shard memo of rendered response
-//     bytes without ever crossing a thread — the same bytes the shard
-//     would produce (only the volatile analyze_us timing field is
-//     re-rendered per request). Session memo entries carry the session's
-//     generation stamp (session.hpp) and die the moment the session
-//     mutates.
+//   * A memoized warm path on the loop thread: a repeated ANALYZE is
+//     answered from one fleet-wide LRU memo of rendered response bytes
+//     (each entry's report shared with the engine's cache, not copied)
+//     without ever crossing a thread — the same bytes a shard would produce
+//     (only the volatile analyze_us timing field is re-rendered per
+//     request). A stateless entry answers whatever the shards' load.
+//     Session entries carry the session's generation stamp (session.hpp),
+//     die the moment the session mutates, and answer only for the shard
+//     holding the session, while it is idle (a queued APPEND would
+//     otherwise be passed).
 //   * Zero-loss drain: SHUTDOWN (in-band or TriggerShutdown) stops intake,
 //     waits for every accepted request to complete and flush, acks, then
 //     exits.
@@ -48,10 +55,9 @@
 // generator use it to pin served bytes without socket noise.
 //
 // Persistence: when cache_dir is set, the fleet owns ONE
-// PersistentResultCache shared by every shard (a single writer lock per
-// process; entries are preloaded into every shard's in-memory cache at
-// construction), so restarts warm-start no matter how routing maps keys
-// to shards.
+// PersistentResultCache (a single writer lock per process), attached to
+// the engine and loaded into its cache once at construction, so a restart
+// warm-starts every shard.
 #pragma once
 
 #include <sys/types.h>
@@ -83,12 +89,17 @@ struct ShardedServerOptions {
   std::size_t shards = 1;
   /// Per-shard executor options.
   ServerOptions server;
+  /// Result-cache entries per shard: the fleet's one engine holds
+  /// cache_capacity x shards entries (>= 1).
+  std::size_t cache_capacity = 128;
   /// Default ANALYZE deadline in ms, measured from admission; 0 = none. A
   /// request can override it with its own deadline_ms argument.
   double default_deadline_ms = 0.0;
   /// Queued requests per shard before busy-rejection (ERR busy).
   std::size_t shard_queue_capacity = 256;
-  /// Memoized warm responses retained per shard (FIFO bound; 0 = off).
+  /// Memoized warm responses retained per shard: the fleet's one memo
+  /// holds warm_memo_capacity x shards, evicting the least recently used
+  /// (0 = off).
   std::size_t warm_memo_capacity = 4096;
   /// listen(2) backlog. The historical hard-coded 16 drops connections
   /// under a burst: a storm of simultaneous connects overflows the accept
@@ -97,7 +108,7 @@ struct ShardedServerOptions {
   int listen_backlog = 128;
   /// Directory for the disk-backed result cache; empty = no persistence.
   /// When set, the directory (which must exist) is scanned at construction
-  /// and every validated entry pre-warms every shard's cache, and every
+  /// and every validated entry pre-warms the engine's cache, and every
   /// fresh analysis is written through to it — so a restarted fleet
   /// answers repeat requests from cache immediately.
   std::string cache_dir;
@@ -149,15 +160,17 @@ class ShardedServer {
   ShardedServer(const ShardedServer&) = delete;
   ShardedServer& operator=(const ShardedServer&) = delete;
 
-  // --- Routing (deterministic; exposed for the routing tests) ---
+  // --- Routing (exposed for the routing tests) ---
 
-  /// The content digest a frame routes by: the session name's byte hash
-  /// for session-bound requests (one session, one shard, in order), the
-  /// raw body bytes' hash otherwise.
+  /// The digest a frame routes by: the session name's byte hash for
+  /// session-bound requests (one session, one shard, in order), the raw
+  /// body bytes' hash otherwise (the home shard that wins load ties).
   static std::uint64_t RouteDigest(const Request& request,
                                    std::string_view body);
   /// digest % shards, rehashed deterministically over the survivors when
-  /// the primary shard is dead. SIZE_MAX when no shard is alive.
+  /// the primary shard is dead. SIZE_MAX when no shard is alive. Session
+  /// verbs go here; it is also a stateless request's home shard, which
+  /// wins load ties.
   std::size_t ShardFor(std::uint64_t route_digest) const;
 
   // --- Synchronous scripted mode (tests + load generator) ---
@@ -203,8 +216,11 @@ class ShardedServer {
 
   std::size_t shard_count() const { return shards_.size(); }
   Server& shard(std::size_t index);
+  /// The one engine every shard executes against.
+  AnalysisEngine& engine() { return engine_; }
   bool shard_alive(std::size_t index) const;
-  /// Requests this shard executed or answered from its warm memo.
+  /// Requests routed to this shard: executed there, or answered from the
+  /// warm memo on its behalf.
   std::uint64_t shard_routed_total(std::size_t index) const;
   std::uint64_t shard_memo_hits(std::size_t index) const;
   /// Circuit-breaker state: 0 closed, 1 open, 2 half-open.
@@ -247,6 +263,7 @@ class ShardedServer {
  private:
   struct Conn;
   struct ShardRuntime;
+  struct WarmMemo;
   struct Item {
     std::shared_ptr<Conn> conn;
     std::uint64_t id = 0;
@@ -254,9 +271,21 @@ class ShardedServer {
     DualHash body_digest;
     std::uint64_t route = 0;
     std::int64_t enqueue_ns = 0;  ///< Admission time (EWMA cost input).
+    bool stateless = false;       ///< Counted in twins_ while queued.
+  };
+  /// Where the queued or executing requests of one body digest went.
+  struct Twin {
+    std::size_t shard = 0;
+    std::uint64_t count = 0;
   };
 
   // Shared pipeline.
+  /// A stateless request's shard: its in-flight twin's if routable, else
+  /// the least-loaded routable shard (ties to `home`, ShardFor(digest)).
+  /// SIZE_MAX when no shard is routable.
+  std::size_t RouteStateless(std::uint64_t digest, std::size_t home) const;
+  void ReleaseTwin(const Item& item);
+  /// Answers from the fleet memo on `shard`'s behalf (its counters).
   bool TryServeWarm(ShardRuntime& shard, const DualHash& digest,
                     std::string* frame);
   Response ExecuteOnShard(ShardRuntime& shard, const Request& request,
@@ -275,9 +304,12 @@ class ShardedServer {
   /// retry_after_ms hint for a plain queue-full busy rejection (0 = no
   /// estimate available, hint omitted).
   std::uint64_t BusyRetryHint(const ShardRuntime& shard) const;
-  void Memoize(ShardRuntime& shard, const DualHash& digest,
-               const Response& response, SessionGeneration generation,
-               std::uint64_t generation_value);
+  /// Memoizes an analysis response whose payload is the report part of
+  /// `body`, the engine's cached body, which the memo shares. A session
+  /// entry records `shard`, the shard holding its session.
+  void Memoize(const DualHash& digest, const Response& response,
+               ResultCache::Body body, SessionGeneration generation,
+               std::uint64_t generation_value, std::size_t shard);
 
   // Per-connection dispatch (both modes).
   /// Parses and dispatches every frame banked in the connection's
@@ -312,8 +344,13 @@ class ShardedServer {
   void WakeLoop();
 
   ShardedServerOptions options_;
+  AnalysisEngine engine_;
+  std::unique_ptr<WarmMemo> memo_;
   std::vector<std::unique_ptr<ShardRuntime>> shards_;
   std::unique_ptr<PersistentResultCache> store_;
+  mutable std::mutex twins_mutex_;
+  /// Body digest -> in-flight stateless requests (loop adds, workers drop).
+  std::unordered_map<std::uint64_t, Twin> twins_;
 
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> shed_deadline_{0};  ///< Admission sheds.

@@ -452,10 +452,14 @@ TEST(AnnotatedCsv, RowTamperIsCaughtByTheDigest) {
 }
 
 TEST(AnnotatedCsv, LegacyFilesStillLoadWithoutMeta) {
-  const auto obs = SyntheticSample(50);
-  std::ostringstream out;
-  analysis::WriteObservationsCsv(out, obs);  // plain writer, no comments
-  std::istringstream in(out.str());
+  // A sample file as written before the integrity comments existed.
+  std::istringstream in(
+      "cycles,path_id\n"
+      "10012,0\n"
+      "10480,1\n"
+      "10007,0\n"
+      "10395,2\n"
+      "10251,1\n");
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;
   std::string error;
@@ -463,7 +467,7 @@ TEST(AnnotatedCsv, LegacyFilesStillLoadWithoutMeta) {
       analysis::TryReadSamplesCsvWithMeta(in, &readback, &meta, &error));
   EXPECT_FALSE(meta.digest.has_value());
   EXPECT_EQ(meta.faults, 0u);
-  EXPECT_EQ(readback.size(), obs.size());
+  EXPECT_EQ(readback.size(), 5u);
 }
 
 }  // namespace

@@ -355,7 +355,7 @@ service::Request InlineAnalyze(const std::vector<mbpta::PathObservation>&
 /// else must match the fleet's answer bit for bit.
 class BatchReference {
  public:
-  BatchReference() : server_(service::ServerOptions{}) {}
+  BatchReference() : server_(service::ServerOptions{}, engine_) {}
 
   const service::Response& For(std::uint64_t seed, std::size_t n) {
     auto it = memo_.find(seed);
@@ -366,6 +366,7 @@ class BatchReference {
   }
 
  private:
+  service::AnalysisEngine engine_;
   service::Server server_;
   std::map<std::uint64_t, service::Response> memo_;
 };

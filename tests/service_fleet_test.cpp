@@ -1,14 +1,17 @@
 // The sharded-fleet battery: served-bytes goldens and chaos tests pinning
-// the epoll event loop, digest routing, the persistent warm-start cache
-// and the zero-loss drain.
+// the epoll event loop, routing, the warm memo, the persistent warm-start
+// cache and the zero-loss drain.
 //
 //   * Served bytes: the golden script (service_harness.hpp) answered
 //     through ServeScript, TCP, AF_UNIX and the adopted --pipe connection
 //     equals the recorded golden frames byte for byte, after stripping
 //     only the volatile analyze_us timing field (the loop-answered verbs
 //     compare their stable argument names).
-//   * Routing determinism: same digest → same shard → same bytes, fixed
-//     rehash on shard death.
+//   * Routing: an idle fleet routes a digest to its home shard, a busy one
+//     sends stateless work to an idle shard, identical requests in flight
+//     stay together, any shard serves the same bytes (one engine), and the
+//     rehash on shard death is fixed. The fleet memo is LRU and answers
+//     stateless repeats while every shard is busy.
 //   * Chaos: kill a shard mid-campaign; every accepted request is still
 //     answered (zero loss), survivors keep serving.
 //   * Warm-start goldens: a restarted fleet serves bit-identical bytes
@@ -290,21 +293,48 @@ TEST(FleetEquivalenceTest, FleetMetricsAggregateAcrossShards) {
 
 // --- Routing determinism --------------------------------------------------
 
+/// The body bytes a request frame routes by.
+std::string FrameBody(const service::Request& request) {
+  std::string frame;
+  service::AppendRequestFrame(request, &frame);
+  return frame.substr(frame.find('\n') + 1);
+}
+
+/// The home shard (ShardFor) of a request's route digest.
+std::size_t HomeShard(const service::ShardedServer& fleet,
+                      const service::Request& request) {
+  return fleet.ShardFor(
+      service::ShardedServer::RouteDigest(request, FrameBody(request)));
+}
+
+std::uint64_t RoutedTotal(const service::ShardedServer& fleet) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
+    total += fleet.shard_routed_total(i);
+  }
+  return total;
+}
+
+std::uint64_t MemoHits(const service::ShardedServer& fleet) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
+    total += fleet.shard_memo_hits(i);
+  }
+  return total;
+}
+
+// An idle fleet routes a digest to its home shard, every time. The shards
+// share one engine, so wherever the request executes — here on each shard
+// in turn, as shards die — it answers the same bytes, and only the first
+// execution is a cache miss.
 TEST(FleetRoutingTest, SameDigestSameShardSameBytes) {
   service::ShardedServerOptions options;
   options.shards = 4;
   service::ShardedServer fleet(options);
 
   const auto request = AnalyzeInlineRequest(SyntheticSample(300, 5));
-  std::string body;
-  {
-    std::string frame;
-    service::AppendRequestFrame(request, &frame);
-    // Body = everything after the header line.
-    body = frame.substr(frame.find('\n') + 1);
-  }
   const std::uint64_t route =
-      service::ShardedServer::RouteDigest(request, body);
+      service::ShardedServer::RouteDigest(request, FrameBody(request));
   const std::size_t expected_shard = fleet.ShardFor(route);
   ASSERT_LT(expected_shard, fleet.shard_count());
   // ShardFor is pure: the same digest maps to the same shard every time.
@@ -312,10 +342,11 @@ TEST(FleetRoutingTest, SameDigestSameShardSameBytes) {
     EXPECT_EQ(fleet.ShardFor(route), expected_shard);
   }
 
-  // Serve the identical request repeatedly: every execution lands on that
-  // one shard and every response is byte-identical (the first run is the
-  // cache miss, later ones the cached hit — content must not differ
-  // beyond that disposition flag).
+  // Serve the identical request repeatedly: every one lands on that one
+  // shard (executed once, then answered from the memo on its behalf) and
+  // every response is byte-identical (the first run is the cache miss,
+  // later ones the cached hit — content must not differ beyond that
+  // disposition flag).
   std::vector<std::string> frames;
   for (int i = 0; i < 4; ++i) {
     auto responses = RunScript(fleet, {request});
@@ -331,6 +362,190 @@ TEST(FleetRoutingTest, SameDigestSameShardSameBytes) {
       EXPECT_EQ(fleet.shard_routed_total(i), 0u);
     }
   }
+
+  // Same bytes at any shard: with the memo off, kill the serving shard
+  // each round so the rehash executes the request on every shard in turn.
+  // The one engine answers each execution as a cache hit.
+  options.warm_memo_capacity = 0;
+  service::ShardedServer memo_off(options);
+  std::vector<std::size_t> served_on;
+  for (std::size_t round = 0; round < memo_off.shard_count(); ++round) {
+    const std::size_t shard = memo_off.ShardFor(route);
+    ASSERT_LT(shard, memo_off.shard_count());
+    auto responses = RunScript(memo_off, {request});
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].args.GetString("cache"),
+              round == 0 ? "miss" : "hit")
+        << "round " << round << " on shard " << shard;
+    responses[0].args.Erase("cache");
+    EXPECT_EQ(NormalizedFrame(responses[0]), frames[0]) << "shard " << shard;
+    EXPECT_EQ(memo_off.shard_routed_total(shard), 1u);
+    served_on.push_back(shard);
+    memo_off.KillShardForTest(shard);
+  }
+  std::sort(served_on.begin(), served_on.end());
+  EXPECT_EQ(std::unique(served_on.begin(), served_on.end()),
+            served_on.end());  // Every shard served it once.
+  const auto stats = memo_off.engine().cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, memo_off.shard_count() - 1);
+}
+
+// A stateless ANALYZE whose home shard is busy goes to an idle shard.
+TEST(FleetRoutingTest, ColdAnalyzeAvoidsASleepingShard) {
+  service::ShardedServerOptions options;
+  options.shards = 2;
+  options.server.enable_debug_hooks = true;
+  testing::PipeFleet pipe(options);
+  service::ShardedServer& fleet = pipe.fleet();
+
+  service::Args slow;
+  slow.SetDouble("debug_sleep_ms", 300.0);
+  const auto sleeper = AnalyzeInlineRequest(SyntheticSample(260, 700), slow);
+  const std::size_t busy = HomeShard(fleet, sleeper);
+  // A distinct cold request with the same home shard: only load routing
+  // can move it.
+  service::Request cold;
+  for (std::uint64_t seed = 701;; ++seed) {
+    cold = AnalyzeInlineRequest(SyntheticSample(260, seed));
+    if (HomeShard(fleet, cold) == busy) break;
+  }
+  // One write: the loop routes the cold request while the sleeper is
+  // queued or executing on its shard.
+  pipe.Send({sleeper, cold});
+  const auto responses = pipe.Finish();
+  ASSERT_EQ(responses.size(), 2u);
+  for (const auto& r : responses) {
+    ASSERT_TRUE(r.ok) << r.payload;
+    EXPECT_EQ(r.args.GetString("cache"), "miss");
+  }
+  EXPECT_EQ(fleet.shard_routed_total(busy), 1u);
+  EXPECT_EQ(fleet.shard_routed_total(1 - busy), 1u);
+}
+
+// A memoized stateless ANALYZE is answered from the fleet memo while every
+// shard is executing something else.
+TEST(FleetRoutingTest, MemoAnswersStatelessRepeatWhileEveryShardIsBusy) {
+  service::ShardedServerOptions options;
+  options.shards = 2;
+  options.server.enable_debug_hooks = true;
+  service::ShardedServer fleet(options);
+  ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
+  ASSERT_EQ(fleet.Start(), 0);
+  std::string error;
+  auto first = service::TcpConnection::Connect("127.0.0.1",
+                                               fleet.bound_port(), &error,
+                                               30000.0);
+  ASSERT_NE(first, nullptr) << error;
+  auto second = service::TcpConnection::Connect("127.0.0.1",
+                                                fleet.bound_port(), &error,
+                                                30000.0);
+  ASSERT_NE(second, nullptr) << error;
+  service::Client warm(second->in(), second->out());
+
+  const auto sample = SyntheticSample(300, 710);
+  const auto computed = warm.AnalyzeInline(sample);
+  ASSERT_TRUE(computed.ok) << computed.payload;
+  EXPECT_EQ(computed.args.GetString("cache"), "miss");
+
+  // Two distinct sleepers in one write: the first takes its home shard,
+  // the second the other, idle one.
+  service::Args slow;
+  slow.SetDouble("debug_sleep_ms", 1000.0);
+  const std::vector<service::Request> sleepers = {
+      AnalyzeInlineRequest(SyntheticSample(260, 711), slow),
+      AnalyzeInlineRequest(SyntheticSample(260, 712), slow)};
+  const std::string bytes = EncodeScript(sleepers);
+  first->out().write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  first->out().flush();
+  // HEALTH answers on the loop: once it shows both shards occupied, the
+  // repeat goes out.
+  for (int poll = 0;; ++poll) {
+    ASSERT_LT(poll, 100000) << "the sleepers never occupied both shards";
+    const auto health = warm.Health();
+    ASSERT_TRUE(health.ok) << health.payload;
+    if (health.payload.find("inflight=0") == std::string::npos) break;
+  }
+  const auto repeat = warm.AnalyzeInline(sample);
+  ASSERT_TRUE(repeat.ok) << repeat.payload;
+  EXPECT_EQ(repeat.args.GetString("cache"), "hit");
+  EXPECT_EQ(MemoHits(fleet), 1u);
+  // The sleepers had not finished: only the first execution and the memo
+  // answer are counted as routed.
+  EXPECT_EQ(RoutedTotal(fleet), 2u);
+
+  service::Response response;
+  for (std::size_t i = 0; i < sleepers.size(); ++i) {
+    ASSERT_EQ(service::ReadResponse(first->in(), &response, &error),
+              service::ReadStatus::kOk);
+    EXPECT_TRUE(response.ok) << response.payload;
+  }
+  EXPECT_TRUE(warm.Shutdown().ok);
+  EXPECT_EQ(fleet.Wait(), 0);
+}
+
+// Identical requests pipelined on one connection stay together on one
+// shard, whatever the fleet size: exactly one computes (cache=miss) and
+// the rest answer its result (cache=hit), in order, with the same bytes.
+TEST(FleetRoutingTest, PipelinedTwinsAnswerOneMissThenHitsAtAnyShardCount) {
+  constexpr std::size_t kTwins = 6;
+  for (std::size_t shards = 1; shards <= 5; ++shards) {
+    service::ShardedServerOptions options;
+    options.shards = shards;
+    options.server.enable_debug_hooks = true;
+    service::ShardedServer fleet(options);
+    ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
+    ASSERT_EQ(fleet.Start(), 0);
+    // The sleep before each analysis would let twins on different shards
+    // race for the engine; FIFO on one shard keeps them ordered.
+    service::Args nap;
+    nap.SetDouble("debug_sleep_ms", 10.0);
+    std::vector<service::Request> script(
+        kTwins, AnalyzeInlineRequest(SyntheticSample(300, 720 + shards), nap));
+    script.push_back(MakeRequest(service::RequestKind::kShutdown));
+    auto responses = RunFleetTcp(fleet, script);
+    EXPECT_EQ(fleet.Wait(), 0);
+    ASSERT_EQ(responses.size(), script.size()) << shards << " shards";
+    std::string hit_frame;
+    for (std::size_t i = 0; i < kTwins; ++i) {
+      ASSERT_TRUE(responses[i].ok) << responses[i].payload;
+      EXPECT_EQ(responses[i].args.GetString("cache"), i == 0 ? "miss" : "hit")
+          << shards << " shards, response " << i;
+      if (i == 0) continue;
+      const std::string frame = NormalizedFrame(responses[i]);
+      if (hit_frame.empty()) hit_frame = frame;
+      EXPECT_EQ(frame, hit_frame) << shards << " shards, response " << i;
+    }
+    responses[0].args.Set("cache", "hit");
+    EXPECT_EQ(NormalizedFrame(responses[0]), hit_frame) << shards << " shards";
+  }
+}
+
+// The fleet memo evicts the least recently USED entry: an entry hit
+// between every insert outlives any number of newer inserts.
+TEST(FleetMemoTest, HitEntrySurvivesMoreInsertsThanCapacity) {
+  service::ShardedServerOptions options;
+  options.warm_memo_capacity = 4;
+  service::ShardedServer fleet(options);
+  const auto hot = AnalyzeInlineRequest(SyntheticSample(300, 730));
+  std::vector<service::Request> script = {hot};
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    script.push_back(AnalyzeInlineRequest(SyntheticSample(300, 731 + i)));
+    script.push_back(hot);
+  }
+  script.push_back(MakeRequest(service::RequestKind::kMetrics));
+  const auto responses = RunScript(fleet, script);
+  ASSERT_EQ(responses.size(), script.size());
+  for (std::size_t i = 0; i + 1 < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].ok) << i << ": " << responses[i].payload;
+    const bool repeat = i > 0 && i % 2 == 0;
+    EXPECT_EQ(responses[i].args.GetString("cache"), repeat ? "hit" : "miss")
+        << "response " << i;
+  }
+  EXPECT_EQ(fleet.shard_memo_hits(0), 8u);
+  EXPECT_EQ(responses.back().args.GetUint("fleet_memo_hits", 0), 8u);
+  // None of the repeats reached the engine.
+  EXPECT_EQ(responses.back().args.GetUint("cache_hits", 99), 0u);
 }
 
 TEST(FleetRoutingTest, SessionsStickToOneShardAndSpreadAcrossFleet) {
@@ -470,6 +685,44 @@ TEST(FleetChaosTest, SurvivorsServeDeadShardsTraffic) {
   EXPECT_TRUE(responses[0].ok) << responses[0].payload;
   EXPECT_TRUE(responses[0].args.Has("pwcet"));
   EXPECT_EQ(fleet.shard_routed_total(1 - primary), 1u);
+}
+
+// A session's memo entry answers only on the shard holding the session.
+// Once that shard dies, the name reroutes to a survivor, where a new
+// session under the same name with other samples must be analyzed fresh.
+TEST(FleetChaosTest, RerouteSessionNeverServesTheDeadShardsMemo) {
+  service::ShardedServerOptions options;
+  options.shards = 2;
+  service::ShardedServer fleet(options);
+  const std::string name = "rerouted";
+  const auto session_script = [&](std::uint64_t seed) {
+    service::Request open = MakeRequest(service::RequestKind::kOpen);
+    open.args.Set("session", name);
+    service::Request append = MakeRequest(service::RequestKind::kAppend);
+    append.args.Set("session", name);
+    append.payload = service::EncodeSamplePayload(SyntheticSample(300, seed));
+    service::Request analyze = MakeRequest(service::RequestKind::kAnalyze);
+    analyze.args.Set("session", name);
+    return std::vector<service::Request>{open, append, analyze, analyze};
+  };
+  const auto before = RunScript(fleet, session_script(740));
+  ASSERT_EQ(before.size(), 4u);
+  for (const auto& r : before) ASSERT_TRUE(r.ok) << r.payload;
+  EXPECT_EQ(before[3].args.GetString("cache"), "hit");
+  ASSERT_EQ(MemoHits(fleet), 1u);
+
+  const std::size_t owner = fleet.ShardFor(HashBytes(name).lo);
+  fleet.KillShardForTest(owner);
+  const auto after = RunScript(fleet, session_script(741));
+  ASSERT_EQ(after.size(), 4u);
+  for (const auto& r : after) ASSERT_TRUE(r.ok) << r.payload;
+  EXPECT_EQ(after[2].args.GetString("cache"), "miss");
+  EXPECT_NE(after[2].args.GetString("pwcet"), before[2].args.GetString("pwcet"));
+  // The survivor memoizes its own session's answer and serves it.
+  EXPECT_EQ(after[3].args.GetString("cache"), "hit");
+  EXPECT_EQ(after[3].args.GetString("pwcet"), after[2].args.GetString("pwcet"));
+  EXPECT_EQ(fleet.shard_memo_hits(owner), 1u);
+  EXPECT_EQ(fleet.shard_memo_hits(1 - owner), 1u);
 }
 
 // --- Persistent warm-start cache ------------------------------------------

@@ -49,17 +49,9 @@ std::vector<double> TimesOf(const std::vector<mbpta::PathObservation>& obs) {
   return times;
 }
 
-/// Cache counters summed over every shard's engine.
+/// Cache counters of the one engine every shard shares.
 service::ResultCache::Stats CacheStats(service::ShardedServer& fleet) {
-  service::ResultCache::Stats total;
-  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
-    const auto stats = fleet.shard(i).engine().cache().stats();
-    total.hits += stats.hits;
-    total.misses += stats.misses;
-    total.evictions += stats.evictions;
-    total.size += stats.size;
-  }
-  return total;
+  return fleet.engine().cache().stats();
 }
 
 TEST(ProtocolTest, RequestRoundTripsThroughFrame) {
@@ -152,16 +144,26 @@ TEST(SampleIoDeathTest, AbortingReaderRejectsNaN) {
   EXPECT_DEATH(analysis::ReadSamplesCsv(in), "non-finite execution time");
 }
 
+/// A cache body from its bytes.
+service::ResultCache::Body Body(const char* bytes) {
+  return std::make_shared<const std::string>(bytes);
+}
+
+/// The looked-up body's bytes, or "" on a miss.
+std::string BytesOf(const service::ResultCache::Body& body) {
+  return body != nullptr ? *body : std::string();
+}
+
 TEST(ResultCacheTest, LruEvictionAtCapacity) {
   service::ResultCache cache(2);
-  cache.Insert(1, 10, "one");
-  cache.Insert(2, 20, "two");
-  ASSERT_TRUE(cache.Lookup(1, 10).has_value());  // 1 is now most-recent
-  cache.Insert(3, 30, "three");                  // evicts 2 (LRU)
+  cache.Insert(1, 10, Body("one"));
+  cache.Insert(2, 20, Body("two"));
+  ASSERT_NE(cache.Lookup(1, 10), nullptr);  // 1 is now most-recent
+  cache.Insert(3, 30, Body("three"));       // evicts 2 (LRU)
 
-  EXPECT_FALSE(cache.Lookup(2, 20).has_value());
-  EXPECT_EQ(cache.Lookup(1, 10).value_or(""), "one");
-  EXPECT_EQ(cache.Lookup(3, 30).value_or(""), "three");
+  EXPECT_EQ(cache.Lookup(2, 20), nullptr);
+  EXPECT_EQ(BytesOf(cache.Lookup(1, 10)), "one");
+  EXPECT_EQ(BytesOf(cache.Lookup(3, 30)), "three");
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -173,25 +175,44 @@ TEST(ResultCacheTest, LruEvictionAtCapacity) {
 
 TEST(ResultCacheTest, KeyCollisionIsDetectedNotServed) {
   service::ResultCache cache(4);
-  cache.Insert(1, 10, "first");
+  cache.Insert(1, 10, Body("first"));
 
   // Same 64-bit key, different verifier: a colliding request must never
   // receive the other request's cached result.
-  EXPECT_FALSE(cache.Lookup(1, 99).has_value());
-  EXPECT_FALSE(cache.LookupIfPresent(1, 99).has_value());
+  EXPECT_EQ(cache.Lookup(1, 99), nullptr);
   auto stats = cache.stats();
-  EXPECT_EQ(stats.collisions, 1u);  // LookupIfPresent does not account
+  EXPECT_EQ(stats.collisions, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 0u);
 
   // Re-insertion under the colliding key replaces the entry (latest
   // wins); the original verifier then misses.
-  cache.Insert(1, 99, "second");
-  EXPECT_EQ(cache.Lookup(1, 99).value_or(""), "second");
-  EXPECT_FALSE(cache.Lookup(1, 10).has_value());
+  cache.Insert(1, 99, Body("second"));
+  EXPECT_EQ(BytesOf(cache.Lookup(1, 99)), "second");
+  EXPECT_EQ(cache.Lookup(1, 10), nullptr);
   stats = cache.stats();
   EXPECT_EQ(stats.size, 1u);
   EXPECT_EQ(stats.collisions, 2u);
+}
+
+// A result is stored once: the miss hands out the body it cached, and a
+// hit hands out that same body, not a copy.
+TEST(AnalysisEngineTest, HitSharesTheCachedBody) {
+  service::AnalysisEngine engine;
+  const auto obs = SyntheticSample(240, 13);
+  service::AnalysisConfig config;
+  config.require_iid = false;
+  service::AnalysisOutcome miss;
+  service::AnalysisOutcome hit;
+  std::string error;
+  ASSERT_TRUE(engine.Analyze(obs, config, &miss, &error)) << error;
+  ASSERT_TRUE(engine.Analyze(obs, config, &hit, &error)) << error;
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_TRUE(hit.cache_hit);
+  ASSERT_NE(miss.body, nullptr);
+  EXPECT_EQ(hit.body.get(), miss.body.get());
+  EXPECT_EQ(*miss.body, miss.result.Encode() + "\n" + miss.report);
+  EXPECT_EQ(hit.report, miss.report);
 }
 
 TEST(AnalysisVerifierTest, IndependentOfAnalysisKey) {
@@ -446,7 +467,7 @@ TEST(ServerPipeTest, LruEvictionBoundsTheCache) {
   // request order, so the eviction sequence is deterministic. The warm
   // memo is off so the resubmission reaches the engine's cache.
   service::ShardedServerOptions options;
-  options.server.cache_capacity = 2;
+  options.cache_capacity = 2;
   options.warm_memo_capacity = 0;
   service::ShardedServer fleet(options);
 
@@ -468,7 +489,7 @@ TEST(ServerPipeTest, LruEvictionBoundsTheCache) {
               MakeRequest(service::RequestKind::kShutdown)});
   ASSERT_EQ(resubmit.size(), 2u);
   EXPECT_EQ(resubmit[0].args.GetString("cache"), "miss");
-  const auto stats = fleet.shard(0).engine().cache().stats();
+  const auto stats = fleet.engine().cache().stats();
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.size, 2u);
 }
@@ -606,21 +627,25 @@ TEST(ServerPipeTest, MetricsSnapshotKeyOrderIsGolden) {
                     AnalyzeInlineRequest(obs, no_iid),
                     MakeRequest(service::RequestKind::kStatus)});
   service::Server& shard = fleet.shard(0);
-  const auto snapshot =
-      shard.metrics().Snapshot(shard.engine().cache().stats());
   std::vector<std::string> keys;
+  const service::Args snapshot = shard.metrics().Snapshot();
   for (const auto& [key, value] : snapshot.values()) keys.push_back(key);
   const std::vector<std::string> golden = {
-      "analyses_total", "busy_rejections",  "cache_capacity",
-      "cache_collisions", "cache_evictions", "cache_hit_ratio",
-      "cache_hits",     "cache_misses",     "cache_size",
-      "deadline_misses", "errors_total",    "requests_ANALYZE",
-      "requests_PING",  "requests_STATUS", "requests_total"};
+      "analyses_total",   "busy_rejections", "deadline_misses",
+      "errors_total",     "requests_ANALYZE", "requests_PING",
+      "requests_STATUS",  "requests_total"};
   EXPECT_EQ(keys, golden);
+  keys.clear();
+  const service::Args cache = service::CacheArgs(fleet.engine().cache().stats());
+  for (const auto& [key, value] : cache.values()) keys.push_back(key);
+  const std::vector<std::string> cache_golden = {
+      "cache_capacity", "cache_collisions", "cache_evictions",
+      "cache_hit_ratio", "cache_hits", "cache_misses", "cache_size"};
+  EXPECT_EQ(keys, cache_golden);
 
   // Render = the Snapshot lines in the same order, then the latency mean,
   // then the ASCII histograms (cold before cache-hit when both exist).
-  const auto text = shard.metrics().Render(shard.engine().cache().stats());
+  const auto text = shard.metrics().Render();
   std::size_t pos = 0;
   for (const auto& key : golden) {
     const std::size_t at = text.find(key + " ", pos);

@@ -8,10 +8,12 @@
 //              [--prom-out FILE [--prom-interval-ms N]]
 //
 // Every mode is the same server (service/sharded_server.hpp): one epoll
-// event loop routes frames by content digest to N shared-nothing worker
-// shards (--shards, default one per core), each with a bounded queue
-// (--queue, default 256; a full queue answers ERR busy). The modes differ
-// only in where the connections come from:
+// event loop routes frames to N worker shards (--shards, default one per
+// core) — session verbs by session name, stateless requests to the least
+// loaded shard — each with a bounded queue (--queue, default 256; a full
+// queue answers ERR busy). The shards share one analysis engine whose
+// result cache holds --cache entries per shard. The modes differ only in
+// where the connections come from:
 //
 //   --socket PATH  an AF_UNIX stream listener (a stale socket file is
 //                  replaced; the file is removed on exit).
@@ -265,7 +267,7 @@ int main(int argc, char** argv) {
       "shards", std::max(1U, std::thread::hardware_concurrency())));
   options.shard_queue_capacity =
       static_cast<std::size_t>(flags.GetInt("queue", 256));
-  options.server.cache_capacity =
+  options.cache_capacity =
       static_cast<std::size_t>(flags.GetInt("cache", 128));
   options.default_deadline_ms = flags.GetDouble("deadline-ms", 0.0);
   options.listen_backlog = static_cast<int>(flags.GetInt("backlog", 128));
@@ -289,7 +291,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (options.shard_queue_capacity == 0 ||
-      options.server.cache_capacity == 0) {
+      options.cache_capacity == 0) {
     std::fprintf(stderr, "spta_serve: --queue and --cache must be >= 1\n");
     return 2;
   }
