@@ -12,16 +12,12 @@
 //   BENCH_block_frame.json      block-frame vs record-frame A/B
 //                               (bit-identity required)
 //
-// When given a second binary (micro_trace_atlas), it also runs the atlas
-// container bench at SPTA_BENCH_RUNS=64 and validates
-// BENCH_trace_atlas.json, requiring the >= 3x pack ratio.
-//
 // Each file must be one flat JSON object, every required key present, every
 // numeric field a finite number (nulls — the reporter's spelling of
 // NaN/inf — fail the check). This keeps the perf-trajectory artifacts
 // trustworthy without making tier-1 runtime depend on perf acceptance bars.
 //
-// When given a third binary (micro_service_loadgen), it also runs the
+// When given a second binary (micro_service_loadgen), it also runs the
 // service load generator at SPTA_BENCH_RUNS=50 (scales the warm request
 // streams; the analysis stays at the full 3,000 samples) and validates
 // BENCH_service_loadgen.json plus BENCH_service_fleet.json — requiring
@@ -34,7 +30,6 @@
 // says the gate was armed, that it passed.
 //
 // Usage: check_bench_json <path-to-micro_sim_hotpath>
-//                         [<path-to-micro_trace_atlas>]
 //                         [<path-to-micro_service_loadgen>]
 #include <unistd.h>
 
@@ -192,10 +187,9 @@ double Number(const std::map<std::string, std::string>& numbers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2 || argc > 4) {
+  if (argc < 2 || argc > 3) {
     std::fprintf(stderr,
                  "usage: %s <path-to-micro_sim_hotpath> "
-                 "[<path-to-micro_trace_atlas>] "
                  "[<path-to-micro_service_loadgen>]\n",
                  argv[0]);
     return 2;
@@ -289,42 +283,18 @@ int main(int argc, char** argv) {
   std::remove(obs_json.c_str());
   std::remove(block_json.c_str());
 
-  // Atlas artifact: the 64-run smoke requires a >= 3x pack ratio, a
-  // behavioral guard that holds at any size (the bench itself fails on a
-  // round trip that is not bit-identical).
-  if (argc >= 3) {
-    const std::string atlas_json = dir + "/BENCH_trace_atlas.json";
-    ::setenv("SPTA_BENCH_RUNS", "64", /*overwrite=*/1);
-    const std::string atlas_cmd = std::string("\"") + argv[2] + "\"";
-    if (std::system(atlas_cmd.c_str()) != 0) {
-      Fail("micro_trace_atlas exited with nonzero status");
-    }
-    std::map<std::string, std::string> atlas_numbers;
-    ValidateReport(atlas_json, "trace_atlas",
-                   {"trace_records", "legacy_bytes", "atlas_bytes",
-                    "pack_ratio", "cold_load_legacy_ms", "cold_load_atlas_ms",
-                    "cold_load_speedup", "serial_runs_per_sec"},
-                   &atlas_numbers);
-    if (atlas_numbers.count("pack_ratio") &&
-        !(Number(atlas_numbers, "pack_ratio", 0.0) >= 3.0)) {
-      Fail("trace_atlas: pack_ratio below the 3x acceptance bar: " +
-           atlas_numbers["pack_ratio"]);
-    }
-    std::remove(atlas_json.c_str());
-  }
-
   // Service-fleet artifacts: the load generator emits the cold/warm and
   // drain report and the fleet A/B report. 50 runs keeps the warm streams short while
   // the bench's fixed 3,000-sample analyses keep the cold legs honest;
   // the >= 10x fleet gate self-disarms below 150 runs, but the
   // bit-identity checksum and the persistent warm-start hit are
   // behavioral guarantees that must hold at any scale.
-  if (argc >= 4) {
+  if (argc >= 3) {
     const std::string loadgen_json = dir + "/BENCH_service_loadgen.json";
     const std::string fleet_json = dir + "/BENCH_service_fleet.json";
     const std::string resilience_json = dir + "/BENCH_resilience.json";
     ::setenv("SPTA_BENCH_RUNS", "50", /*overwrite=*/1);
-    const std::string loadgen_cmd = std::string("\"") + argv[3] + "\"";
+    const std::string loadgen_cmd = std::string("\"") + argv[2] + "\"";
     if (std::system(loadgen_cmd.c_str()) != 0) {
       Fail("micro_service_loadgen exited with nonzero status");
     }
@@ -419,9 +389,8 @@ int main(int argc, char** argv) {
   ::rmdir(dir.c_str());
   if (g_failures == 0) {
     std::printf("bench JSON schema check passed (%s)\n",
-                argc >= 4   ? "all artifacts incl. service fleet"
-                : argc == 3 ? "all artifacts incl. trace_atlas"
-                            : "the hot-path artifacts");
+                argc >= 3 ? "all artifacts incl. service fleet"
+                          : "the hot-path artifacts");
     return 0;
   }
   std::fprintf(stderr, "%d failure(s)\n", g_failures);

@@ -44,8 +44,8 @@ std::uint64_t DeriveSeed(std::uint64_t master, const char* tag);
 /// Two independently constructed 64-bit running hashes over one value
 /// stream. Single 64-bit digests over arbitrarily long inputs are not
 /// injective; consumers that must never act on a colliding digest (the
-/// service result cache, the atlas kernel store) mix every value into two
-/// decorrelated accumulators and require BOTH to match. The second stream
+/// service result cache) mix every value into two decorrelated
+/// accumulators and require BOTH to match. The second stream
 /// pre-whitens each value with an odd multiplier so the two hashes never
 /// see the same input sequence.
 struct DualHash {

@@ -132,6 +132,16 @@ void AnalysisEngine::Release(const Ticket& ticket) {
   turn_changed_.notify_all();
 }
 
+bool AnalysisEngine::Restore(std::uint64_t key, std::uint64_t verifier,
+                             std::string body) {
+  const Args result =
+      Args::Parse(std::string_view(body).substr(0, body.find('\n')));
+  if (!result.Has("usable") || !result.Has("sample_size")) return false;
+  cache_.Insert(key, verifier,
+                std::make_shared<const std::string>(std::move(body)));
+  return true;
+}
+
 void AnalysisEngine::InsertCached(std::uint64_t key, std::uint64_t verifier,
                                   const ResultCache::Body& body) {
   if (store_ != nullptr) store_->Put(key, verifier, *body);

@@ -96,6 +96,11 @@ class AnalysisEngine {
   ResultCache& cache() { return cache_; }
   const ResultCache& cache() const { return cache_; }
 
+  /// Inserts an entry read back from a disk store. False, and nothing
+  /// inserted, when `body` is not an analysis result (its first line
+  /// lacks `usable=` and `sample_size=`): no request can look it up.
+  bool Restore(std::uint64_t key, std::uint64_t verifier, std::string body);
+
   /// Attaches a disk store: every fresh analysis from now on is also
   /// persisted, so a restart warm-starts from it. The store must outlive
   /// the engine. Pass nullptr to detach. Not a write-back cache — the

@@ -204,7 +204,7 @@ bool PersistentResultCache::Put(std::uint64_t key, std::uint64_t verifier,
 }
 
 std::size_t PersistentResultCache::LoadAll(
-    const std::function<void(std::uint64_t, std::uint64_t, std::string)>&
+    const std::function<bool(std::uint64_t, std::uint64_t, std::string)>&
         sink) {
   std::vector<std::string> names;
   if (DIR* dir = ::opendir(dir_.c_str())) {
@@ -255,15 +255,17 @@ std::size_t PersistentResultCache::LoadAll(
       ++stats_.rejected;
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.loaded;
-      // Seed the eviction index so a warm-started store knows its
-      // footprint; load order stands in for write order.
-      RememberLocked(key, static_cast<std::uint64_t>(st.st_size));
-    }
     // Sink runs unlocked: it may itself store (re-encode) entries.
-    sink(key, verifier, std::move(body));
+    const bool accepted = sink(key, verifier, std::move(body));
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!accepted) {
+      ++stats_.rejected;
+      continue;
+    }
+    ++stats_.loaded;
+    // Seed the eviction index so a warm-started store knows its
+    // footprint; load order stands in for write order.
+    RememberLocked(key, static_cast<std::uint64_t>(st.st_size));
     ++fed;
   }
   return fed;

@@ -73,7 +73,7 @@ class PersistentResultCache {
 
   struct Stats {
     std::uint64_t loaded = 0;    ///< Entries restored by LoadAll.
-    std::uint64_t rejected = 0;  ///< Corrupt/truncated files refused.
+    std::uint64_t rejected = 0;  ///< Corrupt or unusable files refused.
     std::uint64_t stored = 0;    ///< Entries written this process.
     std::uint64_t store_failures = 0;
     std::uint64_t evicted = 0;        ///< Entries unlinked to stay in budget.
@@ -95,13 +95,15 @@ class PersistentResultCache {
   /// Thread-safe.
   bool Put(std::uint64_t key, std::uint64_t verifier, std::string_view body);
 
-  /// Scans the directory and feeds every VALIDATED entry to `sink`;
-  /// returns how many were fed. Invalid files are counted, skipped and
-  /// left in place (an operator may want the evidence); they are
-  /// overwritten whenever their key is recomputed. Valid entries seed
-  /// the eviction index, so a warm-started store stays within budget.
+  /// Scans the directory and offers every VALIDATED entry to `sink`,
+  /// which returns false for a body no request can look up; returns how
+  /// many entries the sink accepted. Invalid files and refused entries
+  /// are counted as rejected, skipped and left in place (an operator may
+  /// want the evidence); they are overwritten whenever their key is
+  /// recomputed. Accepted entries seed the eviction index, so a
+  /// warm-started store stays within budget.
   std::size_t LoadAll(
-      const std::function<void(std::uint64_t key, std::uint64_t verifier,
+      const std::function<bool(std::uint64_t key, std::uint64_t verifier,
                                std::string body)>& sink);
 
   Stats stats() const;

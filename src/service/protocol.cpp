@@ -12,7 +12,7 @@ constexpr std::string_view kMagic = "spta1";
 const char* const kKindNames[] = {"PING",    "OPEN",         "APPEND",
                                   "STATUS",  "ANALYZE",      "CLOSE",
                                   "METRICS", "METRICS_PROM", "SHUTDOWN",
-                                  "INGEST",  "HEALTH",       "TRACE"};
+                                  "HEALTH",  "TRACE"};
 static_assert(static_cast<int>(std::size(kKindNames)) == kRequestKindCount,
               "wire names must cover every RequestKind");
 

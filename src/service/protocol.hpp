@@ -11,10 +11,8 @@
 // (no spaces inside keys or values); everything after the first newline is
 // free-form bulk payload (sample chunks on requests, report text on
 // responses). Requests carry a verb TYPE (PING, OPEN, APPEND, STATUS,
-// ANALYZE, CLOSE, METRICS, METRICS_PROM, SHUTDOWN, INGEST, HEALTH);
-// responses carry OK or ERR. INGEST is the one verb with a BINARY payload (a trace
-// container in either format) — the length-prefixed framing is 8-bit
-// clean, so no escaping is needed.
+// ANALYZE, CLOSE, METRICS, METRICS_PROM, SHUTDOWN, HEALTH, TRACE);
+// responses carry OK or ERR.
 //
 // This is untrusted-input territory: readers never abort the process on
 // malformed frames — they return kMalformed with a diagnostic and let the
@@ -43,7 +41,6 @@ enum class RequestKind {
   kMetrics,
   kMetricsProm,  ///< Prometheus text-format metrics scrape.
   kShutdown,
-  kIngest,  ///< Binary trace upload: validate and describe the trace.
   /// Liveness + readiness probe. Answered on the event-loop thread (never
   /// queued) — a HEALTH response proves the serving loop itself is alive
   /// even when every shard is wedged; its args/payload carry per-shard
@@ -59,7 +56,7 @@ enum class RequestKind {
 };
 
 /// Number of RequestKind values (per-verb counter array size).
-inline constexpr int kRequestKindCount = 12;
+inline constexpr int kRequestKindCount = 11;
 
 /// Hard cap on a frame's body length. Enforced BEFORE the body buffer is
 /// allocated, by the blocking readers and the incremental reassembler

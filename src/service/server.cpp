@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "analysis/sample_io.hpp"
-#include "atlas/format.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 
@@ -142,27 +141,6 @@ Response Server::HandleClose(const Request& request) {
   return OkResponse();
 }
 
-Response Server::HandleIngest(const Request& request) {
-  trace::Trace t;
-  atlas::TraceFormat format = atlas::TraceFormat::kLegacy;
-  std::string error;
-  {
-    SPTA_OBS_SPAN_ARG("service", "ingest_decode", "bytes",
-                      request.payload.size());
-    std::istringstream payload(request.payload);
-    if (!atlas::TryReadAnyTrace(payload, &t, &format, &error)) {
-      return ErrResponse("trace", error);
-    }
-  }
-  const DualHash digest = atlas::TraceContentDigest(t);
-  Args args;
-  args.Set("format", atlas::ToString(format));
-  args.SetUint("records", t.records.size());
-  args.SetUint("path_signature", t.path_signature);
-  args.Set("digest", KeyHex(digest.lo) + KeyHex(digest.hi));
-  return OkResponse(std::move(args));
-}
-
 Response Server::Dispatch(const Request& request,
                           ResultCache::Body* analysis_body) {
   switch (request.kind) {
@@ -179,8 +157,6 @@ Response Server::Dispatch(const Request& request,
       return HandleStatus(request);
     case RequestKind::kClose:
       return HandleClose(request);
-    case RequestKind::kIngest:
-      return HandleIngest(request);
     case RequestKind::kAnalyze:
       break;
     default:

@@ -63,10 +63,6 @@ class Server {
   Response HandleAppend(const Request& request);
   Response HandleStatus(const Request& request);
   Response HandleClose(const Request& request);
-  /// INGEST: validates a binary trace payload (either container format)
-  /// and describes it: content digest, container format, path signature
-  /// and record count. Stateless; the payload is not kept.
-  Response HandleIngest(const Request& request);
   Response RunAnalysis(const Request& request,
                        std::vector<mbpta::PathObservation> observations,
                        ResultCache::Body* analysis_body);

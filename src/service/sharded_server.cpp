@@ -241,8 +241,7 @@ ShardedServer::ShardedServer(ShardedServerOptions options)
   if (store_) {
     store_->LoadAll([this](std::uint64_t key, std::uint64_t verifier,
                            std::string body) {
-      engine_.cache().Insert(
-          key, verifier, std::make_shared<const std::string>(std::move(body)));
+      return engine_.Restore(key, verifier, std::move(body));
     });
     engine_.AttachStore(store_.get());
   }
@@ -1507,7 +1506,8 @@ std::string ShardedServer::RenderFleetProm() {
     counter("spta_fleet_persistent_loaded_total",
             "Persistent cache entries restored at startup.", stats.loaded);
     counter("spta_fleet_persistent_rejected_total",
-            "Persistent cache files rejected as corrupt.", stats.rejected);
+            "Persistent cache files rejected as corrupt or unusable.",
+            stats.rejected);
     counter("spta_fleet_persistent_stored_total",
             "Persistent cache entries written.", stats.stored);
     counter("spta_fleet_persistent_store_failures_total",

@@ -22,8 +22,8 @@ inline constexpr std::uint32_t kTraceVersion = 1;
 /// Writes `t` to `out`. The stream must be binary-clean.
 void WriteTrace(std::ostream& out, const Trace& t);
 
-/// Non-aborting reader for untrusted input (the spta_serve ingestion path
-/// and CLI-facing file loads; mirrors analysis::TryReadSamplesCsv):
+/// Non-aborting reader for untrusted input (CLI-facing file loads;
+/// mirrors analysis::TryReadSamplesCsv):
 /// returns false and describes the defect in `error` — bad magic,
 /// unsupported version, implausible record count, out-of-range field or
 /// truncation — instead of taking the process down. On failure `out` is

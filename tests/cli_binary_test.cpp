@@ -16,10 +16,11 @@ namespace {
 
 std::string CliPath() { return SPTA_CLI_PATH; }
 
-int RunCli(const std::string& args, const std::string& stdout_file = "") {
+int RunCli(const std::string& args, const std::string& stdout_file = "",
+           const std::string& stderr_file = "/dev/null") {
   std::string cmd = CliPath() + " " + args;
   if (!stdout_file.empty()) cmd += " > " + stdout_file;
-  cmd += " 2> /dev/null";
+  cmd += " 2> " + stderr_file;
   const int rc = std::system(cmd.c_str());
   return WEXITSTATUS(rc);
 }
@@ -242,17 +243,40 @@ TEST_F(CliBinaryTest, UnknownFlagsExitTwoAndWriteNothing) {
   }
 }
 
-// `trace` knows pack, unpack and info; any other subcommand, such as the
-// retired `mine`, exits 2 even on a valid trace file.
-TEST_F(CliBinaryTest, TraceMineIsAnUnknownSubcommand) {
+// `trace` knows only info; any other subcommand, such as the retired
+// `mine`, `pack` and `unpack`, exits 2 even on a valid trace file.
+TEST_F(CliBinaryTest, TraceMinePackAndUnpackAreUnknownSubcommands) {
   const std::string frame = TempPath("frame.trc");
+  const std::string out = TempPath("out.trc");
   ASSERT_EQ(RunCli("record --trace " + frame + " --scenario 42"), 0);
   EXPECT_EQ(RunCli("trace info " + frame, "/dev/null"), 0);
-  for (const char* sub : {"mine", "frobnicate"}) {
+  for (const char* sub : {"mine", "pack", "unpack", "frobnicate"}) {
     SCOPED_TRACE(sub);
-    EXPECT_EQ(RunCli(std::string("trace ") + sub + " " + frame), 2);
+    EXPECT_EQ(RunCli(std::string("trace ") + sub + " " + frame + " " + out),
+              2);
+    EXPECT_FALSE(std::ifstream(out).good());
   }
   std::remove(frame.c_str());
+}
+
+// `simulate --trace` reads the record file only: a file that starts with
+// another container's magic (`ATLS`) is rejected by the record reader's
+// bad-magic diagnostic, and no CSV is written.
+TEST_F(CliBinaryTest, SimulateRejectsAForeignContainerMagic) {
+  const std::string foreign = TempPath("foreign.trc");
+  const std::string err = TempPath("stderr.txt");
+  std::ofstream(foreign, std::ios::binary)
+      << std::string("ATLS\x01\x00\x00\x00 columnar bytes", 23);
+  EXPECT_EQ(RunCli("simulate --trace " + foreign +
+                       " --platform rand --runs 4 --output " + csv_,
+                   "", err),
+            2);
+  EXPECT_NE(Slurp(err).find(foreign + ": not a SpacePTA trace (bad magic)"),
+            std::string::npos)
+      << Slurp(err);
+  EXPECT_FALSE(std::ifstream(csv_).good());
+  std::remove(foreign.c_str());
+  std::remove(err.c_str());
 }
 
 // --checkpoint end to end: a journaled campaign killed by --abort-after

@@ -28,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -507,12 +508,27 @@ TEST(FleetChaosTest, SoakLosesNoAckedRequestsAndMatchesBatch) {
   // Dedicated wedge: SIGSTOP one child and require the watchdog to
   // detect and replace it within a bounded number of probes (100 ms
   // spacing + 300 ms verdict + respawn — 5 s is many probes of slack).
-  std::vector<pid_t> alive = fleet.AlivePids();
-  ASSERT_FALSE(alive.empty());
+  // A casualty of the last chaos steps may still be listed as alive, and
+  // may be reaped and replaced at any moment, so first wait until every
+  // casualty is gone from the log; then the counters below move only for
+  // this wedge, and its target is a child no signal has touched.
+  std::vector<pid_t> alive;
+  const std::int64_t settle_deadline = NowMs() + 5000;
+  for (;;) {
+    alive = fleet.AlivePids();
+    if (!alive.empty() &&
+        std::all_of(alive.begin(), alive.end(), fresh_target)) {
+      break;
+    }
+    ASSERT_LT(NowMs(), settle_deadline)
+        << "chaos casualties were never replaced\n"
+        << fleet.log();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
   const pid_t wedged = alive.front();
   const std::size_t unresponsive_before = fleet.unresponsive_total();
   const std::size_t spawned_before = fleet.spawned_total();
-  ASSERT_EQ(::kill(wedged, SIGSTOP), 0);
+  ASSERT_EQ(::kill(wedged, SIGSTOP), 0) << fleet.log();
   const std::int64_t wedge_deadline = NowMs() + 5000;
   while (NowMs() < wedge_deadline &&
          fleet.spawned_total() <= spawned_before) {

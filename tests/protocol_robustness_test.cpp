@@ -172,6 +172,7 @@ TEST(ProtocolRobustnessTest, BackToBackFramesAfterRejection) {
   // readers are per-connection, so a fresh stream with a valid frame must
   // still parse after arbitrarily bad prior input was handled.
   ExpectRejectedOrEof("spta1 BOGUS 0\n", "bad verb");
+  ExpectRejectedOrEof("spta1 INGEST 0\n", "retired verb");
   std::istringstream in("spta1 PING 1\n\n");
   Request request;
   std::string error;
@@ -422,7 +423,7 @@ StreamOutcome IncrementalOutcome(const std::string& wire,
 }
 
 /// One golden frame per verb (session verbs with args, ANALYZE with an
-/// args line + payload, INGEST with a binary-ish payload).
+/// args line + payload, a second APPEND with an 8-bit payload).
 std::vector<std::string> GoldenFrames() {
   std::vector<std::string> frames;
   auto add = [&](RequestKind kind, std::vector<std::pair<std::string,
@@ -443,7 +444,7 @@ std::vector<std::string> GoldenFrames() {
   add(RequestKind::kAnalyze, {{"session", "golden"}, {"require_iid", "0"}},
       "");
   add(RequestKind::kAnalyze, {{"prob", "1e-12"}}, "1000\n2000\n3000\n4000\n");
-  add(RequestKind::kIngest, {{"kernel", "k1"}},
+  add(RequestKind::kAppend, {{"session", "golden"}},
       std::string("BIN\x00\x01\x7f\xff payload\n", 17));
   add(RequestKind::kClose, {{"session", "golden"}}, "");
   add(RequestKind::kMetrics, {}, "");

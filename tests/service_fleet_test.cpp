@@ -51,6 +51,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "service/client.hpp"
+#include "service/engine.hpp"
 #include "service/frame_reader.hpp"
 #include "service/persistent_cache.hpp"
 #include "service/protocol.hpp"
@@ -423,6 +424,22 @@ TEST(FleetRoutingTest, ColdAnalyzeAvoidsASleepingShard) {
   EXPECT_EQ(fleet.shard_routed_total(1 - busy), 1u);
 }
 
+/// Polls HEALTH until `ready` holds for a response. Fails once the poll
+/// cap runs out, naming `what` and printing the last HEALTH frame.
+template <typename Ready>
+::testing::AssertionResult PollHealthUntil(service::Client& client,
+                                           const char* what, Ready ready) {
+  std::string last;
+  for (int poll = 0; poll < 100000; ++poll) {
+    const auto health = client.Health();
+    last.clear();
+    service::AppendResponseFrame(health, &last);
+    if (!health.ok) break;
+    if (ready(health)) return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << what << "; last HEALTH:\n" << last;
+}
+
 // A memoized stateless ANALYZE is answered from the fleet memo while every
 // shard is executing something else.
 TEST(FleetRoutingTest, MemoAnswersStatelessRepeatWhileEveryShardIsBusy) {
@@ -447,6 +464,15 @@ TEST(FleetRoutingTest, MemoAnswersStatelessRepeatWhileEveryShardIsBusy) {
   const auto computed = warm.AnalyzeInline(sample);
   ASSERT_TRUE(computed.ok) << computed.payload;
   EXPECT_EQ(computed.args.GetString("cache"), "miss");
+  // A shard worker hands out its reply before it leaves the shard's load
+  // count, so the fleet may still look busy just after the reply: wait
+  // until it is idle, or load routing could queue both sleepers on one
+  // shard.
+  ASSERT_TRUE(PollHealthUntil(warm, "the fleet never went idle",
+                              [](const service::Response& health) {
+                                return health.args.GetUint("fleet_inflight",
+                                                           1) == 0;
+                              }));
 
   // Two distinct sleepers in one write: the first takes its home shard,
   // the second the other, idle one.
@@ -460,12 +486,11 @@ TEST(FleetRoutingTest, MemoAnswersStatelessRepeatWhileEveryShardIsBusy) {
   first->out().flush();
   // HEALTH answers on the loop: once it shows both shards occupied, the
   // repeat goes out.
-  for (int poll = 0;; ++poll) {
-    ASSERT_LT(poll, 100000) << "the sleepers never occupied both shards";
-    const auto health = warm.Health();
-    ASSERT_TRUE(health.ok) << health.payload;
-    if (health.payload.find("inflight=0") == std::string::npos) break;
-  }
+  ASSERT_TRUE(PollHealthUntil(warm, "the sleepers never occupied both shards",
+                              [](const service::Response& health) {
+                                return health.payload.find("inflight=0") ==
+                                       std::string::npos;
+                              }));
   const auto repeat = warm.AnalyzeInline(sample);
   ASSERT_TRUE(repeat.ok) << repeat.payload;
   EXPECT_EQ(repeat.args.GetString("cache"), "hit");
@@ -825,6 +850,7 @@ TEST(FleetWarmStartTest, CorruptedEntriesRejectedAndRecomputedNeverServed) {
     service::PersistentResultCache probe(dir.path());
     probe.LoadAll([&](std::uint64_t key, std::uint64_t, std::string) {
       entry_name = service::PersistentResultCache::EntryFileName(key);
+      return true;
     });
   }
   ASSERT_FALSE(entry_name.empty());
@@ -863,6 +889,47 @@ TEST(FleetWarmStartTest, CorruptedEntriesRejectedAndRecomputedNeverServed) {
     EXPECT_EQ(NormalizedFrame(responses[0]), genuine_frame)
         << corruption.name;
   }
+}
+
+// A valid entry whose body is not an analysis result (a kernel table that
+// cache dirs written before INGEST became stateless still hold) can never
+// be looked up: the loader counts it as rejected and keeps it out of the
+// engine cache, while a real ANALYZE entry beside it still warm-starts.
+TEST(FleetWarmStartTest, UnusableEntriesAreRejectedNotLoaded) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty());
+  const auto sample = SyntheticSample(330, 47);
+  const service::AnalysisConfig config;  // An inline ANALYZE without args.
+  service::AnalysisEngine engine;
+  service::AnalysisOutcome outcome;
+  std::string error;
+  ASSERT_TRUE(engine.Analyze(sample, config, &outcome, &error)) << error;
+  {
+    service::PersistentResultCache writer(dir.path());
+    ASSERT_TRUE(writer.Put(0x1111, 0x2222,
+                           "kernel_records=1000 kernels=3\nk0 12 400\n"));
+    ASSERT_TRUE(writer.Put(outcome.key,
+                           service::AnalysisVerifier(sample, config),
+                           *outcome.body));
+  }
+  service::ShardedServerOptions options;
+  options.shards = 2;
+  options.cache_dir = dir.path();
+  service::ShardedServer fleet(options);
+  EXPECT_EQ(fleet.engine().cache().stats().size, 1u);
+  const auto responses =
+      RunScript(fleet, {AnalyzeInlineRequest(sample),
+                        MakeRequest(service::RequestKind::kMetricsProm)});
+  ASSERT_EQ(responses.size(), 2u);
+  ASSERT_TRUE(responses[0].ok) << responses[0].payload;
+  EXPECT_EQ(responses[0].args.GetString("cache"), "hit");
+  const std::string& prom = responses[1].payload;
+  EXPECT_NE(prom.find("spta_fleet_persistent_loaded_total 1\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("spta_fleet_persistent_rejected_total 1\n"),
+            std::string::npos)
+      << prom;
 }
 
 TEST(FleetWarmStartTest, EntryEncodingRoundTripsAndChecksums) {
@@ -1296,7 +1363,10 @@ TEST(PersistentCacheBoundsTest, LoadAllSkipsOversizedEntriesUnread) {
   limits.load_max_entry_bytes = 1024;
   service::PersistentResultCache reader(dir.path(), limits);
   std::size_t fed = 0;
-  reader.LoadAll([&](std::uint64_t, std::uint64_t, std::string) { ++fed; });
+  reader.LoadAll([&](std::uint64_t, std::uint64_t, std::string) {
+    ++fed;
+    return true;
+  });
   EXPECT_EQ(fed, 1u);
   const auto stats = reader.stats();
   EXPECT_EQ(stats.loaded, 1u);
@@ -1316,7 +1386,10 @@ TEST(PersistentCacheBoundsTest, LoadAllCapsEntryCountOnHugeDirs) {
   limits.load_max_entries = 1000;
   service::PersistentResultCache reader(dir.path(), limits);
   std::size_t fed = 0;
-  reader.LoadAll([&](std::uint64_t, std::uint64_t, std::string) { ++fed; });
+  reader.LoadAll([&](std::uint64_t, std::uint64_t, std::string) {
+    ++fed;
+    return true;
+  });
   EXPECT_EQ(fed, 1000u);
   const auto stats = reader.stats();
   EXPECT_EQ(stats.loaded, 1000u);
@@ -1327,6 +1400,7 @@ TEST(PersistentCacheBoundsTest, LoadAllCapsEntryCountOnHugeDirs) {
   service::PersistentResultCache reader2(dir.path(), limits);
   reader2.LoadAll([&](std::uint64_t key, std::uint64_t, std::string) {
     first_keys.push_back(key);
+    return true;
   });
   EXPECT_EQ(first_keys.size(), 1000u);
   EXPECT_TRUE(std::is_sorted(first_keys.begin(), first_keys.end()));

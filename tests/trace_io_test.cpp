@@ -97,9 +97,8 @@ TEST(TraceIoTest, FileRoundTrip) {
 
 // --- Typed-error surface (TryReadTrace / TryLoadTraceFile) ---------------
 //
-// The service INGEST path and the CLI's trace commands feed these with
-// network and user bytes: every defect must come back as false + message,
-// never an abort.
+// The CLI's `simulate --trace` and `trace info` feed these with user
+// bytes: every defect must come back as false + message, never an abort.
 
 TEST(TraceIoTryTest, BadMagicReportsTypedError) {
   std::stringstream ss("this is not a trace file at all............");

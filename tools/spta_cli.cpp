@@ -41,9 +41,7 @@
 //                      [--checkpoint J.ckpt [--resume] [--fsync-interval N]]
 //                      [--seu-rate R] [--reseed-dropout P] [--fault-seed S]
 //       Replays a recorded trace N times (fresh platform seed per run)
-//       and writes the execution times as CSV. The input trace may be in
-//       either container format (legacy or spta-atlas, sniffed from the
-//       magic).
+//       and writes the execution times as CSV.
 //
 //   campaign and simulate differ only in their workload (TVCA frames or
 //   one recorded trace); both hand it to one analysis::RunCampaign call,
@@ -51,14 +49,10 @@
 //   mean the same on both. --checkpoint journals clean campaigns only:
 //   with a fault flag the campaign is refused (exit 2, no journal).
 //
-//   spta_cli trace pack <in> <out>      repack into the spta-atlas
-//                                       columnar container (docs/TRACES.md)
-//   spta_cli trace unpack <in> <out>    repack into the legacy container
-//   spta_cli trace info <file>          header, footprint and digests
-//                                       (either format)
-//       All three accept both container formats and verify content digests
-//       on every conversion; damaged or alien files are rejected with a
-//       diagnostic (exit 2), never a crash.
+//   spta_cli trace info <file>
+//       Prints a record file's size on disk, record count and path
+//       signature; a damaged or alien file is rejected with a diagnostic
+//       (exit 2), never a crash.
 //
 //   spta_cli trace-view [--merge OUT] FILE...
 //       Summarizes Chrome trace-event JSON exports (spta_serve
@@ -88,7 +82,6 @@
 #include <set>
 #include <sstream>
 
-#include "atlas/format.hpp"
 #include "analysis/campaign.hpp"
 #include "analysis/diagnosis.hpp"
 #include "analysis/sample_io.hpp"
@@ -337,124 +330,37 @@ int RunPlannedCampaign(const Flags& flags, const analysis::Workload& workload,
                              result.faults_injected + result.reseeds_dropped);
 }
 
-/// Loads a trace in either container format; exit 2 on any damage.
-trace::Trace LoadAnyTraceOrDie(const std::string& path,
-                               atlas::TraceFormat* format) {
+/// Loads a record file; exit 2 on any damage.
+trace::Trace LoadTraceOrDie(const std::string& path) {
   trace::Trace t;
   std::string error;
-  if (!atlas::TryLoadAnyTraceFile(path, &t, format, &error)) {
+  if (!trace::TryLoadTraceFile(path, &t, &error)) {
     std::fprintf(stderr, "spta_cli: %s\n", error.c_str());
     std::exit(2);
   }
   return t;
 }
 
-std::uint64_t FileSizeOrZero(const std::string& path) {
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  return ec ? 0 : static_cast<std::uint64_t>(size);
-}
-
 int RunTraceInfo(const std::string& path) {
-  atlas::TraceFormat format = atlas::TraceFormat::kLegacy;
-  const trace::Trace t = LoadAnyTraceOrDie(path, &format);
-  const DualHash digest = atlas::TraceContentDigest(t);
-  const std::uint64_t on_disk = FileSizeOrZero(path);
-
-  // Footprint in BOTH containers, whichever one the file uses.
-  std::ostringstream atlas_bytes;
-  atlas::WriteAtlas(atlas_bytes, t);
-  std::ostringstream legacy_bytes;
-  trace::WriteTrace(legacy_bytes, t);
-  const std::uint64_t atlas_size = atlas_bytes.str().size();
-  const std::uint64_t legacy_size = legacy_bytes.str().size();
-
+  const trace::Trace t = LoadTraceOrDie(path);
+  std::error_code ec;
+  const auto on_disk = std::filesystem::file_size(path, ec);
   std::printf("file:            %s\n", path.c_str());
-  std::printf("container:       %s (%llu bytes on disk)\n",
-              atlas::ToString(format),
-              static_cast<unsigned long long>(on_disk));
+  std::printf("bytes on disk:   %llu\n",
+              static_cast<unsigned long long>(ec ? 0 : on_disk));
   std::printf("records:         %zu\n", t.records.size());
   std::printf("path signature:  %llu\n",
               static_cast<unsigned long long>(t.path_signature));
-  std::printf("content digest:  %016llx%016llx\n",
-              static_cast<unsigned long long>(digest.lo),
-              static_cast<unsigned long long>(digest.hi));
-  std::printf("legacy size:     %llu bytes (%.2f B/record)\n",
-              static_cast<unsigned long long>(legacy_size),
-              t.records.empty()
-                  ? 0.0
-                  : static_cast<double>(legacy_size) /
-                        static_cast<double>(t.records.size()));
-  std::printf("atlas size:      %llu bytes (%.2f B/record, %.2fx)\n",
-              static_cast<unsigned long long>(atlas_size),
-              t.records.empty()
-                  ? 0.0
-                  : static_cast<double>(atlas_size) /
-                        static_cast<double>(t.records.size()),
-              atlas_size == 0 ? 0.0
-                              : static_cast<double>(legacy_size) /
-                                    static_cast<double>(atlas_size));
-  return 0;
-}
-
-int RunTraceConvert(const std::string& in_path, const std::string& out_path,
-                    bool to_atlas) {
-  atlas::TraceFormat format = atlas::TraceFormat::kLegacy;
-  const trace::Trace t = LoadAnyTraceOrDie(in_path, &format);
-  const DualHash digest = atlas::TraceContentDigest(t);
-  if (to_atlas) {
-    atlas::SaveAtlasFile(out_path, t);
-  } else {
-    trace::SaveTraceFile(out_path, t);
-  }
-  // Round-trip verification: reload what we just wrote and require the
-  // content digest to survive the conversion bit-exactly.
-  trace::Trace reloaded;
-  atlas::TraceFormat out_format = atlas::TraceFormat::kLegacy;
-  std::string error;
-  if (!atlas::TryLoadAnyTraceFile(out_path, &reloaded, &out_format, &error)) {
-    std::fprintf(stderr, "spta_cli: round-trip reload failed: %s\n",
-                 error.c_str());
-    return 2;
-  }
-  if (!(atlas::TraceContentDigest(reloaded) == digest)) {
-    std::fprintf(stderr,
-                 "spta_cli: round-trip digest mismatch writing %s\n",
-                 out_path.c_str());
-    return 2;
-  }
-  const std::uint64_t in_size = FileSizeOrZero(in_path);
-  const std::uint64_t out_size = FileSizeOrZero(out_path);
-  std::fprintf(stderr,
-               "spta_cli: %s %zu records %s -> %s (%llu -> %llu bytes, "
-               "%.2fx), digest verified\n",
-               to_atlas ? "packed" : "unpacked", t.records.size(),
-               in_path.c_str(), out_path.c_str(),
-               static_cast<unsigned long long>(in_size),
-               static_cast<unsigned long long>(out_size),
-               out_size == 0 ? 0.0
-                             : static_cast<double>(in_size) /
-                                   static_cast<double>(out_size));
   return 0;
 }
 
 int RunTrace(const Flags& flags) {
   const auto& pos = flags.positional();
   if (pos.empty()) {
-    std::fprintf(stderr,
-                 "spta_cli: trace needs a subcommand "
-                 "(pack|unpack|info)\n");
+    std::fprintf(stderr, "spta_cli: trace needs a subcommand (info)\n");
     return 2;
   }
   const std::string& sub = pos[0];
-  if (sub == "pack" || sub == "unpack") {
-    if (pos.size() != 3) {
-      std::fprintf(stderr, "spta_cli: trace %s needs <in> <out>\n",
-                   sub.c_str());
-      return 2;
-    }
-    return RunTraceConvert(pos[1], pos[2], sub == "pack");
-  }
   if (sub == "info") {
     if (pos.size() != 2) {
       std::fprintf(stderr, "spta_cli: trace info needs <file>\n");
@@ -656,8 +562,7 @@ int RunSimulate(const Flags& flags) {
   const sim::PlatformConfig config = PlatformFromFlags(flags, &platform_ok);
   if (!platform_ok) return 2;
   MaybeEnableTracer(flags);
-  atlas::TraceFormat trace_format = atlas::TraceFormat::kLegacy;
-  const trace::Trace t = LoadAnyTraceOrDie(path, &trace_format);
+  const trace::Trace t = LoadTraceOrDie(path);
   const auto runs = static_cast<std::size_t>(flags.GetInt("runs", 1000));
   const auto seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 20170327));
@@ -715,7 +620,7 @@ const std::vector<Command>& Commands() {
        "              [--fault-seed S] [--annotate] [--trace-out FILE] "
        "[--counters-out FILE]",
        RunnerFlags({"trace"}), RunSimulate},
-      {"trace", "pack|unpack <in> <out> | info <file>", {}, RunTrace},
+      {"trace", "info <file>", {}, RunTrace},
       {"trace-view",
        "[--merge OUT] FILE...   (Chrome trace JSON summary / fleet-wide "
        "merge)",
