@@ -34,7 +34,6 @@
 // bench doubles as a regression guard.
 #include <time.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -45,7 +44,6 @@
 
 #include "common/hash.hpp"
 #include "bench_util.hpp"
-#include "fault/io_plan.hpp"
 #include "mbpta/per_path.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
@@ -490,186 +488,6 @@ int main() {
       failed = true;
     }
   }
-  // Leg F: resilience A/B (BENCH_resilience.json) — a warm INLINE-analyze
-  // stream with and without seeded chaos. Inline requests carry their own
-  // sample, so a failover shard can re-execute them bit-identically;
-  // session streams are deliberately NOT used here because session state
-  // is per-shard and dies with its shard (the client's contract is to
-  // re-OPEN, which is out of scope for this leg). The FleetChaosPlan
-  // decides each kill; the victim is the busiest live shard (the stream's
-  // memo home), so every kill forces a real failover + re-analysis.
-  // Gated invariants mirror the fleet's actual contract
-  // (fleet_chaos_test): zero SILENT loss — every accepted request gets
-  // exactly one in-order response — and bit-identical OK answers (cache
-  // disposition and timing aside). Requests caught in a killed shard's
-  // queue legitimately answer ERR unavailable (fail-fast, never dropped);
-  // they are counted and reported, not treated as loss.
-  double chaos_off_rps = 0.0;
-  double chaos_on_rps = 0.0;
-  std::size_t resilience_kills = 0;
-  std::uint64_t lost_requests = 0;
-  std::uint64_t unavailable_responses = 0;
-  bool resilience_checksum = true;
-  std::string first_bad_frame;
-  double recovery_p50_ms = 0.0;
-  double recovery_p99_ms = 0.0;
-  {
-    const auto resilience_frame = [](service::Response response) {
-      response.args.Erase("analyze_us");
-      response.args.Erase("cache");
-      std::string frame;
-      service::AppendResponseFrame(response, &frame);
-      return frame;
-    };
-    std::string expected_frame;
-    const service::Request chaos_request =
-        AnalyzeRequest(SyntheticSample(2000, 424242));
-    std::string chaos_warmup_wire;
-    service::AppendRequestFrame(chaos_request, &chaos_warmup_wire);
-    std::string chaos_wire;
-    chaos_wire.reserve(warm_runs * chaos_warmup_wire.size());
-    for (std::size_t i = 0; i < warm_runs; ++i) {
-      service::AppendRequestFrame(chaos_request, &chaos_wire);
-    }
-
-    // Chaos-off reference pass.
-    {
-      service::ShardedServerOptions fleet_options;
-      fleet_options.shards = 4;
-      service::ShardedServer fleet(fleet_options);
-      std::string out;
-      fleet.ServeScript(chaos_warmup_wire, &out);
-      if (fleet.ListenTcp("127.0.0.1", 0) == 0 && fleet.Start() == 0) {
-        const auto [responses, elapsed] =
-            RunTcp(fleet, chaos_wire, warm_runs);
-        if (responses.size() != warm_runs) {
-          std::printf("FAIL: chaos-off leg: %zu/%zu responses\n",
-                      responses.size(), warm_runs);
-          failed = true;
-        } else {
-          expected_frame = resilience_frame(responses.front());
-        }
-        chaos_off_rps =
-            elapsed > 0.0 ? static_cast<double>(warm_runs) / elapsed : 0.0;
-        fleet.TriggerShutdown();
-        fleet.Wait();
-      } else {
-        std::printf("FAIL: chaos-off fleet start\n");
-        failed = true;
-      }
-    }
-
-    // Chaos-on pass: plan-driven kills at quarter points of the stream.
-    {
-      service::ShardedServerOptions fleet_options;
-      fleet_options.shards = 4;
-      service::ShardedServer fleet(fleet_options);
-      std::string out;
-      fleet.ServeScript(chaos_warmup_wire, &out);
-      if (fleet.ListenTcp("127.0.0.1", 0) == 0 && fleet.Start() == 0) {
-        fault::FleetChaosConfig chaos;
-        chaos.kill_rate = 1.0;
-        fault::FleetChaosPlan plan(chaos, /*campaign_seed=*/20260809);
-        const std::size_t kill_steps[3] = {warm_runs / 4, warm_runs / 2,
-                                           (3 * warm_runs) / 4};
-        std::size_t next_kill = 0;
-        std::string error;
-        auto connection = service::TcpConnection::Connect(
-            "127.0.0.1", fleet.bound_port(), &error, 60000.0);
-        if (connection) {
-          const auto t0 = Clock::now();
-          connection->out().write(
-              chaos_wire.data(),
-              static_cast<std::streamsize>(chaos_wire.size()));
-          connection->out().flush();
-          std::vector<double> recovery_ms;
-          bool kill_pending = false;
-          Clock::time_point kill_time{};
-          std::size_t got = 0;
-          std::size_t ok_count = 0;
-          service::Response response;
-          while (got < warm_runs &&
-                 service::ReadResponse(connection->in(), &response,
-                                       &error) == service::ReadStatus::kOk) {
-            ++got;
-            if (kill_pending) {
-              recovery_ms.push_back(Seconds(kill_time, Clock::now()) * 1e3);
-              kill_pending = false;
-            }
-            if (response.ok) {
-              ++ok_count;
-              if (resilience_checksum &&
-                  resilience_frame(response) != expected_frame) {
-                resilience_checksum = false;
-                first_bad_frame = resilience_frame(response);
-              }
-            } else if (response.args.GetString("code") == "unavailable") {
-              // A request the kill caught in the victim's queue: answered
-              // fail-fast per the chaos contract, never silently dropped.
-              ++unavailable_responses;
-            } else {
-              // Any other error is a real failure, not back-pressure.
-              if (resilience_checksum) {
-                std::string frame;
-                service::AppendResponseFrame(response, &frame);
-                first_bad_frame = std::move(frame);
-              }
-              resilience_checksum = false;
-            }
-            if (next_kill < 3 && got == kill_steps[next_kill]) {
-              ++next_kill;
-              std::size_t alive = 0;
-              for (std::size_t i = 0; i < 4; ++i) {
-                alive += fleet.shard_alive(i);
-              }
-              if (alive > 1 && plan.Next(alive).action !=
-                                   fault::FleetChaosAction::kNone) {
-                // The busiest live shard is the stream's digest home.
-                std::size_t victim = 0;
-                std::uint64_t best = 0;
-                for (std::size_t i = 0; i < 4; ++i) {
-                  if (!fleet.shard_alive(i)) continue;
-                  if (fleet.shard_memo_hits(i) >= best) {
-                    best = fleet.shard_memo_hits(i);
-                    victim = i;
-                  }
-                }
-                fleet.KillShardForTest(victim);
-                ++resilience_kills;
-                kill_time = Clock::now();
-                kill_pending = true;
-              }
-            }
-          }
-          const double elapsed = Seconds(t0, Clock::now());
-          chaos_on_rps =
-              elapsed > 0.0 ? static_cast<double>(got) / elapsed : 0.0;
-          // Loss = requests that never got ANY response (silent drops);
-          // fail-fast unavailable answers are accounted separately.
-          lost_requests = static_cast<std::uint64_t>(warm_runs - got);
-          if (ok_count + unavailable_responses != got) {
-            resilience_checksum = false;  // an unexpected-error response
-          }
-          if (!recovery_ms.empty()) {
-            std::sort(recovery_ms.begin(), recovery_ms.end());
-            recovery_p50_ms = recovery_ms[recovery_ms.size() / 2];
-            recovery_p99_ms = recovery_ms[std::min(
-                recovery_ms.size() - 1,
-                static_cast<std::size_t>(
-                    static_cast<double>(recovery_ms.size()) * 0.99))];
-          }
-        } else {
-          std::printf("FAIL: chaos-on connect: %s\n", error.c_str());
-          failed = true;
-        }
-        fleet.TriggerShutdown();
-        fleet.Wait();
-      } else {
-        std::printf("FAIL: chaos-on fleet start\n");
-        failed = true;
-      }
-    }
-  }
   // Leg G: distributed-tracing overhead A/B (BENCH_obs_trace.json) — the
   // same warm stream through a 1-shard fleet in three configurations:
   //   A  tracer disabled, untraced wire (the pre-tracing byte format);
@@ -839,18 +657,6 @@ int main() {
     failed = true;
   }
 
-  const bool resilience_pass = lost_requests == 0 && resilience_checksum;
-  if (!resilience_pass) {
-    std::printf("FAIL: chaos leg lost %llu request(s), checksum %s\n",
-                static_cast<unsigned long long>(lost_requests),
-                resilience_checksum ? "ok" : "MISMATCH");
-    if (!first_bad_frame.empty()) {
-      std::printf("  first divergent frame: %.200s\n",
-                  first_bad_frame.c_str());
-    }
-    failed = true;
-  }
-
   if (!warm_start_hit) {
     std::printf("FAIL: restarted fleet did not serve a disk-warmed hit\n");
     failed = true;
@@ -880,14 +686,6 @@ int main() {
               warm_start_hit ? "disk hit" : "MISS");
   std::printf("bit identity     : %s\n",
               fleet_bits_match ? "OK (memo-off == memo == TCP)" : "FAIL");
-  std::printf(
-      "resilience       : %12.0f req/s chaos-off, %12.0f req/s with %zu "
-      "kills; recovery p50 %.2f ms p99 %.2f ms; %llu lost, %llu "
-      "unavailable  %s\n",
-      chaos_off_rps, chaos_on_rps, resilience_kills, recovery_p50_ms,
-      recovery_p99_ms, static_cast<unsigned long long>(lost_requests),
-      static_cast<unsigned long long>(unavailable_responses),
-      resilience_pass ? "OK" : "FAIL");
   std::printf(
       "trace overhead   : %9.0f ns/req untraced, %9.0f ns/req token "
       "(%+.1f%%), %9.0f ns/req enabled (%+.1f%%, %llu spans) on the warm "
@@ -921,19 +719,6 @@ int main() {
   fleet_report.Set("gate_min_speedup", kFleetGate);
   fleet_report.Set("acceptance_pass", failed ? 0.0 : 1.0);
   fleet_report.Write();
-
-  bench::JsonReport resilience_report("resilience", warm_runs);
-  resilience_report.Set("chaos_off_rps", chaos_off_rps);
-  resilience_report.Set("chaos_on_rps", chaos_on_rps);
-  resilience_report.Set("kills", static_cast<double>(resilience_kills));
-  resilience_report.Set("recovery_p50_ms", recovery_p50_ms);
-  resilience_report.Set("recovery_p99_ms", recovery_p99_ms);
-  resilience_report.Set("lost_requests", static_cast<double>(lost_requests));
-  resilience_report.Set("unavailable_responses",
-                        static_cast<double>(unavailable_responses));
-  resilience_report.Set("checksum_match", resilience_checksum ? 1.0 : 0.0);
-  resilience_report.Set("acceptance_pass", resilience_pass ? 1.0 : 0.0);
-  resilience_report.Write();
 
   bench::JsonReport obs_trace_report("obs_trace", warm_runs);
   obs_trace_report.Set("disabled_ns_per_req", disabled_ns_per_req);

@@ -34,8 +34,7 @@ struct IoFaultConfig {
   }
 };
 
-/// One step of the fleet-level chaos schedule (tests/fleet_chaos_test and
-/// the resilience bench leg).
+/// One step of the fleet-level chaos schedule (tests/fleet_chaos_test).
 enum class FleetChaosAction {
   kNone = 0,
   kKillChild,   ///< SIGKILL a child process (crash injection).

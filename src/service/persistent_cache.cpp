@@ -220,6 +220,18 @@ std::size_t PersistentResultCache::LoadAll(
   // readdir order is filesystem-dependent; sort so which entries survive
   // the load_max_entries cap is deterministic across runs and machines.
   std::sort(names.begin(), names.end());
+  // A rejected file (oversized, corrupt or unusable) is unlinked once
+  // counted: it is outside the eviction index, so nothing else would ever
+  // remove it. Sibling spta_fleet children may share the directory; if one
+  // renames a fresh entry over this name between our read and the unlink,
+  // that valid entry is lost and recomputed, never misserved.
+  const auto reject = [this](const std::string& path, std::uint64_t* count) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++*count;
+    }
+    ::unlink(path.c_str());
+  };
   std::size_t fed = 0;
   std::uint64_t considered = 0;
   for (const std::string& name : names) {
@@ -234,8 +246,7 @@ std::size_t PersistentResultCache::LoadAll(
     }
     if (static_cast<std::uint64_t>(st.st_size) >
         limits_.load_max_entry_bytes) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.load_skipped_oversize;
+      reject(path, &stats_.load_skipped_oversize);
       continue;
     }
     if (considered >= limits_.load_max_entries) {
@@ -251,17 +262,15 @@ std::size_t PersistentResultCache::LoadAll(
     std::uint64_t verifier = 0;
     std::string body;
     if (!in || !DecodeEntry(contents.str(), &key, &verifier, &body)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.rejected;
+      reject(path, &stats_.rejected);
       continue;
     }
     // Sink runs unlocked: it may itself store (re-encode) entries.
-    const bool accepted = sink(key, verifier, std::move(body));
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!accepted) {
-      ++stats_.rejected;
+    if (!sink(key, verifier, std::move(body))) {
+      reject(path, &stats_.rejected);
       continue;
     }
+    std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.loaded;
     // Seed the eviction index so a warm-started store knows its
     // footprint; load order stands in for write order.

@@ -63,7 +63,7 @@ class PersistentResultCache {
     /// push the tracked footprint past this behaves exactly like the
     /// filesystem returning ENOSPC. 0 = no simulation.
     std::uint64_t quota_bytes = 0;
-    /// LoadAll skips (and counts) any entry file larger than this
+    /// LoadAll unlinks (and counts) any entry file larger than this
     /// without reading it.
     std::uint64_t load_max_entry_bytes = 80ull * 1024 * 1024;
     /// LoadAll decodes at most this many entry files; the rest are
@@ -97,11 +97,11 @@ class PersistentResultCache {
 
   /// Scans the directory and offers every VALIDATED entry to `sink`,
   /// which returns false for a body no request can look up; returns how
-  /// many entries the sink accepted. Invalid files and refused entries
-  /// are counted as rejected, skipped and left in place (an operator may
-  /// want the evidence); they are overwritten whenever their key is
-  /// recomputed. Accepted entries seed the eviction index, so a
-  /// warm-started store stays within budget.
+  /// many entries the sink accepted. Oversized files, invalid files and
+  /// refused entries are counted and unlinked: outside the eviction
+  /// index, nothing else would ever reclaim them. Files past the
+  /// load_max_entries cap are valid and stay. Accepted entries seed the
+  /// eviction index, so a warm-started store stays within budget.
   std::size_t LoadAll(
       const std::function<bool(std::uint64_t key, std::uint64_t verifier,
                                std::string body)>& sink);

@@ -44,8 +44,8 @@ enum class RequestKind {
   /// Liveness + readiness probe. Answered on the event-loop thread (never
   /// queued) — a HEALTH response proves the serving loop itself is alive
   /// even when every shard is wedged; its args/payload carry per-shard
-  /// readiness (queue depth, inflight, last-completion age, breaker
-  /// state).
+  /// readiness (queue depth, inflight, admission cost, last-completion
+  /// age, stalled flag).
   kHealth,
   /// Trace export: answers with the process's recorded spans as Chrome
   /// trace_event JSON (format=chrome-trace). Answered inline / on the

@@ -32,7 +32,7 @@ Response DrainedResponse() {
   return OkResponse(std::move(args));
 }
 
-/// Monotonic nanoseconds (EWMA timestamps, breaker cooldowns, stall ages).
+/// Monotonic nanoseconds (EWMA timestamps, stall ages).
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              Clock::now().time_since_epoch())
@@ -51,17 +51,6 @@ int BindAndListen(int fd, const sockaddr* addr, socklen_t len, int backlog) {
     return err;
   }
   return 0;
-}
-
-const char* BreakerName(int state) {
-  switch (state) {
-    case 1:
-      return "open";
-    case 2:
-      return "half_open";
-    default:
-      return "closed";
-  }
 }
 
 }  // namespace
@@ -97,17 +86,13 @@ struct ShardedServer::Conn {
   bool closed = false;
 };
 
-/// One worker shard: a Server executor plus its FIFO queue and its
-/// liveness state.
+/// One worker shard: a Server executor plus its FIFO queue and its load.
 struct ShardedServer::ShardRuntime {
   std::unique_ptr<Server> server;
-  std::size_t index = 0;
 
   std::mutex qmutex;
   std::condition_variable qcv;
   std::deque<Item> queue;  ///< Under qmutex.
-  bool dead = false;       ///< Under qmutex (authoritative for the queue).
-  std::atomic<bool> alive{true};  ///< Lock-free view for routing.
   /// Queued + executing requests: the load stateless routing balances.
   /// Session memo entries only answer at 0: with the shard quiescent, no
   /// session this shard owns can mutate concurrently, so a generation
@@ -124,15 +109,6 @@ struct ShardedServer::ShardRuntime {
   /// Monotonic ns stamp of the last completed execution — the HEALTH
   /// stall detector's progress signal. Seeded at construction.
   std::atomic<std::int64_t> last_completion_ns{0};
-
-  // Circuit breaker (docs/SERVICE.md, "Failure modes"): consecutive
-  // ERR internal / ERR deadline executions flip the shard open; after
-  // the cooldown one half-open probe decides readmission.
-  std::atomic<int> breaker_state{0};  ///< 0 closed, 1 open, 2 half-open.
-  std::atomic<int> consecutive_failures{0};
-  std::atomic<std::int64_t> breaker_open_until_ns{0};
-  std::atomic<std::uint64_t> breaker_opens{0};
-  std::atomic<int> half_open_probes{0};  ///< Probes admitted (0 or 1).
 };
 
 /// The fleet's warm-response memo: cache=hit responses keyed by request-body
@@ -147,8 +123,6 @@ struct ShardedServer::WarmMemo {
     std::uint64_t verify = 0;
     SessionGeneration generation;  ///< Null → inline sample, immortal.
     std::uint64_t generation_value = 0;
-    /// The shard holding the session a session entry describes.
-    std::size_t shard = SIZE_MAX;
     /// The hit response's args line without its analyze_us digits, which
     /// a hit renders fresh at `split`.
     std::string args;
@@ -233,7 +207,6 @@ ShardedServer::ShardedServer(ShardedServerOptions options)
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<ShardRuntime>();
     shard->server = std::make_unique<Server>(options_.server, engine_);
-    shard->index = i;
     // "No completion yet" must not read as an infinite stall age.
     shard->last_completion_ns.store(NowNs(), std::memory_order_relaxed);
     shards_.push_back(std::move(shard));
@@ -267,10 +240,6 @@ Server& ShardedServer::shard(std::size_t index) {
   return *shards_[index]->server;
 }
 
-bool ShardedServer::shard_alive(std::size_t index) const {
-  return shards_[index]->alive.load(std::memory_order_acquire);
-}
-
 std::uint64_t ShardedServer::shard_routed_total(std::size_t index) const {
   return shards_[index]->routed.load(std::memory_order_relaxed);
 }
@@ -286,46 +255,8 @@ std::uint64_t ShardedServer::RouteDigest(const Request& request,
   return HashBytes(body).lo;
 }
 
-bool ShardedServer::ShardRoutable(std::size_t index) const {
-  ShardRuntime& shard = *shards_[index];
-  if (!shard.alive.load(std::memory_order_acquire)) return false;
-  if (options_.breaker_failure_threshold <= 0) return true;
-  const int state = shard.breaker_state.load(std::memory_order_acquire);
-  if (state == 0) return true;
-  if (state == 1) {
-    if (NowNs() < shard.breaker_open_until_ns.load(std::memory_order_relaxed)) {
-      return false;  // Open: fail fast, reroute via the rehash.
-    }
-    // Cooldown elapsed: transition to half-open (one winner; a racing
-    // worker may have already closed or re-opened it — re-read below).
-    int expected = 1;
-    shard.breaker_state.compare_exchange_strong(expected, 2,
-                                                std::memory_order_acq_rel);
-    if (shard.breaker_state.load(std::memory_order_acquire) != 2) {
-      return shard.breaker_state.load(std::memory_order_acquire) == 0;
-    }
-  }
-  // Half-open: admit a single probe; everything else keeps rerouting
-  // until that probe's outcome closes or re-opens the breaker.
-  return shard.half_open_probes.load(std::memory_order_acquire) == 0;
-}
-
 std::size_t ShardedServer::ShardFor(std::uint64_t route_digest) const {
-  const std::size_t primary = route_digest % shards_.size();
-  if (ShardRoutable(primary)) {
-    return primary;
-  }
-  // Deterministic rehash over the survivors: every client computing this
-  // lands a given digest on the same fallback shard.
-  std::vector<std::size_t> alive;
-  alive.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (ShardRoutable(i)) {
-      alive.push_back(i);
-    }
-  }
-  if (alive.empty()) return SIZE_MAX;
-  return alive[route_digest % alive.size()];
+  return route_digest % shards_.size();
 }
 
 std::size_t ShardedServer::RouteStateless(std::uint64_t digest,
@@ -336,9 +267,8 @@ std::size_t ShardedServer::RouteStateless(std::uint64_t digest,
     const auto it = twins_.find(digest);
     if (it != twins_.end()) twin = it->second.shard;
   }
-  if (twin != SIZE_MAX && ShardRoutable(twin)) return twin;
+  if (twin != SIZE_MAX) return twin;
   // Least pending wins; scanning from the home shard lets it win ties.
-  if (home == SIZE_MAX) return home;
   std::size_t best = home;
   std::uint64_t best_pending =
       shards_[home]->pending.load(std::memory_order_acquire);
@@ -346,7 +276,7 @@ std::size_t ShardedServer::RouteStateless(std::uint64_t digest,
     const std::size_t i = (home + k) % shards_.size();
     const std::uint64_t pending =
         shards_[i]->pending.load(std::memory_order_acquire);
-    if (pending < best_pending && ShardRoutable(i)) {
+    if (pending < best_pending) {
       best = i;
       best_pending = pending;
     }
@@ -359,42 +289,6 @@ void ShardedServer::ReleaseTwin(const Item& item) {
   std::lock_guard<std::mutex> lock(twins_mutex_);
   const auto it = twins_.find(item.body_digest.lo);
   if (it != twins_.end() && --it->second.count == 0) twins_.erase(it);
-}
-
-void ShardedServer::NoteShardResult(ShardRuntime& shard,
-                                    const Response& response) {
-  if (options_.breaker_failure_threshold <= 0) return;
-  // Only execution-level failures trip the breaker: ERR internal (the
-  // shard's engine is misbehaving) and ERR deadline (it cannot keep up).
-  // Client-caused errors (malformed params, unknown sessions) say nothing
-  // about the shard's health and must never open it.
-  const std::string code =
-      response.ok ? std::string() : response.args.GetString("code");
-  const bool failure = code == "internal" || code == "deadline";
-  const int state = shard.breaker_state.load(std::memory_order_acquire);
-  if (!failure) {
-    shard.consecutive_failures.store(0, std::memory_order_relaxed);
-    if (state != 0) {
-      // Half-open probe succeeded (or traffic raced a transition):
-      // readmit the shard.
-      shard.breaker_state.store(0, std::memory_order_release);
-      shard.half_open_probes.store(0, std::memory_order_relaxed);
-    }
-    return;
-  }
-  const int fails =
-      shard.consecutive_failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (state == 2 || fails >= options_.breaker_failure_threshold) {
-    const std::int64_t cooldown_ns = static_cast<std::int64_t>(
-        options_.breaker_cooldown_ms * 1'000'000.0);
-    shard.breaker_open_until_ns.store(NowNs() + cooldown_ns,
-                                      std::memory_order_relaxed);
-    if (shard.breaker_state.exchange(1, std::memory_order_acq_rel) != 1) {
-      shard.breaker_opens.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard.consecutive_failures.store(0, std::memory_order_relaxed);
-    shard.half_open_probes.store(0, std::memory_order_relaxed);
-  }
 }
 
 std::uint64_t ShardedServer::DeadlineShedHint(const ShardRuntime& shard,
@@ -426,28 +320,6 @@ std::uint64_t ShardedServer::BusyRetryHint(const ShardRuntime& shard) const {
   return static_cast<std::uint64_t>(std::min(est_ms, 60'000.0));
 }
 
-int ShardedServer::shard_breaker_state(std::size_t index) const {
-  return shards_[index]->breaker_state.load(std::memory_order_acquire);
-}
-
-std::uint64_t ShardedServer::breaker_opens_total() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->breaker_opens.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void ShardedServer::KillShardForTest(std::size_t index) {
-  ShardRuntime& shard = *shards_[index];
-  shard.alive.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(shard.qmutex);
-    shard.dead = true;
-  }
-  shard.qcv.notify_all();
-}
-
 // --- Warm memo path -------------------------------------------------------
 
 bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
@@ -460,10 +332,6 @@ bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
     WarmMemo::Entry* entry = memo_->Find(digest);
     if (entry == nullptr) return false;
     if (entry->generation != nullptr) {
-      // A session entry answers for the shard holding its session only:
-      // rerouted past a dead or tripped shard, the name may belong to
-      // another session whose generation this entry does not watch.
-      if (entry->shard != shard.index) return false;
       // Ordering gate: a session entry answers past an idle shard only. A
       // queued APPEND for the same session must invalidate before a later
       // ANALYZE is answered — with pending != 0 we cannot know, so we
@@ -502,8 +370,7 @@ bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
 void ShardedServer::Memoize(const DualHash& digest, const Response& response,
                             ResultCache::Body body,
                             SessionGeneration generation,
-                            std::uint64_t generation_value,
-                            std::size_t shard) {
+                            std::uint64_t generation_value) {
   if (memo_->capacity == 0 || !response.ok || body == nullptr ||
       !response.args.Has("analyze_us")) {
     return;
@@ -529,7 +396,6 @@ void ShardedServer::Memoize(const DualHash& digest, const Response& response,
   entry.report = report;
   entry.generation = std::move(generation);
   entry.generation_value = generation_value;
-  entry.shard = shard;
   std::lock_guard<std::mutex> lock(memo_->mutex);
   memo_->Insert(digest, std::move(entry));
 }
@@ -552,8 +418,7 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
   const std::int64_t start_ns = NowNs();
   // deadline_ms runs from ADMISSION, not execution: a request that spent
   // its whole budget waiting in the shard queue is already dead, and
-  // executing it would only delay the live requests behind it. This is
-  // also the breaker's signal that the shard cannot keep up.
+  // executing it would only delay the live requests behind it.
   Response response;
   ResultCache::Body analysis_body;
   const double deadline_ms = request.args.GetDouble(
@@ -571,33 +436,30 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
   // (queued items carry their admission stamp; synchronous callers pay
   // service time only). Clamped >= 1 so "fed" is distinguishable from
   // the no-data sentinel 0.
+  constexpr double kAlpha = 0.2;  // EWMA smoothing factor.
   const std::int64_t base_ns = enqueue_ns > 0 ? enqueue_ns : start_ns;
   const std::uint64_t cost_us = static_cast<std::uint64_t>(
       std::max<std::int64_t>((end_ns - base_ns) / 1000, 1));
   const std::uint64_t prev =
       shard.ewma_cost_us.load(std::memory_order_relaxed);
-  const double alpha = options_.admission_ewma_alpha;
   const std::uint64_t next =
       prev == 0 ? cost_us
                 : static_cast<std::uint64_t>(
-                      (1.0 - alpha) * static_cast<double>(prev) +
-                      alpha * static_cast<double>(cost_us));
+                      (1.0 - kAlpha) * static_cast<double>(prev) +
+                      kAlpha * static_cast<double>(cost_us));
   shard.ewma_cost_us.store(std::max<std::uint64_t>(next, 1),
                            std::memory_order_relaxed);
   shard.last_completion_ns.store(end_ns, std::memory_order_relaxed);
-  NoteShardResult(shard, response);
   if (analyze && response.ok) {
     if (session.empty()) {
-      Memoize(digest, response, std::move(analysis_body), nullptr, 0,
-              SIZE_MAX);
+      Memoize(digest, response, std::move(analysis_body), nullptr, 0);
     } else if (generation != nullptr &&
                generation->load(std::memory_order_acquire) ==
                    generation_value) {
       // Stamp unchanged across the analysis → the memo entry describes
-      // the live session. (A concurrent mutation — only possible during
-      // failover cross-execution — skips memoization instead.)
+      // the live session.
       Memoize(digest, response, std::move(analysis_body),
-              std::move(generation), generation_value, shard.index);
+              std::move(generation), generation_value);
     }
   }
   return response;
@@ -694,14 +556,13 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
   }
   const DualHash digest = HashBytes(body);
   const std::string session = request.args.GetString("session");
-  const std::uint64_t route =
-      session.empty() ? digest.lo : HashBytes(session).lo;
   // A stateless request probes the memo before the load scan, and a hit
   // is charged to the digest's home shard; a session request probes it
   // on its session's shard.
-  const std::size_t home = ShardFor(route);
+  const std::size_t home =
+      ShardFor(session.empty() ? digest.lo : HashBytes(session).lo);
   const bool analyze = request.kind == RequestKind::kAnalyze;
-  if (analyze && session.empty() && home != SIZE_MAX) {
+  if (analyze && session.empty()) {
     std::string frame;
     if (TryServeWarm(*shards_[home], digest, &frame)) {
       CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
@@ -710,10 +571,6 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
   }
   const std::size_t target =
       session.empty() ? RouteStateless(digest.lo, home) : home;
-  if (target == SIZE_MAX) {
-    Answer(conn, id, ErrResponse("unavailable", "no live shard"));
-    return;
-  }
   ShardRuntime& shard = *shards_[target];
   if (analyze && !session.empty()) {
     std::string frame;
@@ -744,7 +601,6 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
   item.id = id;
   item.request = std::move(request);
   item.body_digest = digest;
-  item.route = route;
   item.enqueue_ns = NowNs();
   item.stateless = session.empty();
   inflight_.fetch_add(1, std::memory_order_acq_rel);
@@ -1034,48 +890,25 @@ void ShardedServer::CloseConn(const std::shared_ptr<Conn>& conn) {
 }
 
 bool ShardedServer::PushToShard(std::size_t index, Item item) {
-  // The target may die between routing and locking its queue; chase the
-  // deterministic reroute, bounded by the shard count.
-  for (std::size_t hop = 0; hop <= shards_.size(); ++hop) {
-    ShardRuntime& shard = *shards_[index];
-    {
-      std::unique_lock<std::mutex> lock(shard.qmutex);
-      if (!shard.dead) {
-        if (shard.queue.size() >= options_.shard_queue_capacity) {
-          return false;  // Busy-rejection: answered, never buffered.
-        }
-        if (item.stateless) {
-          // Registered before the worker can see the item, so its release
-          // always finds the entry.
-          std::lock_guard<std::mutex> twins_lock(twins_mutex_);
-          Twin& twin = twins_[item.body_digest.lo];
-          twin.shard = index;
-          ++twin.count;
-        }
-        shard.pending.fetch_add(1, std::memory_order_acq_rel);
-        shard.queue.push_back(std::move(item));
-        // A half-open breaker admits exactly this one probe; the probe's
-        // outcome (NoteShardResult) closes or re-opens it.
-        if (shard.breaker_state.load(std::memory_order_acquire) == 2) {
-          shard.half_open_probes.fetch_add(1, std::memory_order_acq_rel);
-        }
-        lock.unlock();
-        shard.qcv.notify_one();
-        return true;
-      }
+  ShardRuntime& shard = *shards_[index];
+  {
+    std::lock_guard<std::mutex> lock(shard.qmutex);
+    if (shard.queue.size() >= options_.shard_queue_capacity) {
+      return false;  // Busy-rejection: answered, never buffered.
     }
-    const std::size_t next = ShardFor(item.route);
-    if (next == SIZE_MAX || next == index) break;
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-    index = next;
+    if (item.stateless) {
+      // Registered before the worker can see the item, so its release
+      // always finds the entry.
+      std::lock_guard<std::mutex> twins_lock(twins_mutex_);
+      Twin& twin = twins_[item.body_digest.lo];
+      twin.shard = index;
+      ++twin.count;
+    }
+    shard.pending.fetch_add(1, std::memory_order_acq_rel);
+    shard.queue.push_back(std::move(item));
   }
-  const std::shared_ptr<Conn> conn = item.conn;
-  const std::uint64_t id = item.id;
-  std::string frame;
-  AppendResponseFrame(ErrResponse("unavailable", "no live shard"), &frame);
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-  return true;  // Answered — not a busy rejection.
+  shard.qcv.notify_one();
+  return true;
 }
 
 void ShardedServer::ReadConn(const std::shared_ptr<Conn>& conn) {
@@ -1240,10 +1073,9 @@ void ShardedServer::ShardWorker(std::size_t index) {
     {
       std::unique_lock<std::mutex> lock(shard.qmutex);
       shard.qcv.wait(lock, [&] {
-        return shard.dead || stop_workers_.load(std::memory_order_acquire) ||
+        return stop_workers_.load(std::memory_order_acquire) ||
                !shard.queue.empty();
       });
-      if (shard.dead) break;
       if (shard.queue.empty()) {
         if (stop_workers_.load(std::memory_order_acquire)) return;
         continue;
@@ -1277,46 +1109,6 @@ void ShardedServer::ShardWorker(std::size_t index) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     WakeLoop();
   }
-  FailoverQueue(shard);
-}
-
-void ShardedServer::FailoverQueue(ShardRuntime& shard) {
-  std::deque<Item> orphans;
-  {
-    std::lock_guard<std::mutex> lock(shard.qmutex);
-    orphans.swap(shard.queue);
-  }
-  for (Item& item : orphans) {
-    shard.pending.fetch_sub(1, std::memory_order_release);
-    const std::size_t next = ShardFor(item.route);
-    bool moved = false;
-    if (next != SIZE_MAX && next != shard.index) {
-      ShardRuntime& target = *shards_[next];
-      std::unique_lock<std::mutex> lock(target.qmutex);
-      if (!target.dead &&
-          target.queue.size() < options_.shard_queue_capacity) {
-        if (item.stateless) {
-          std::lock_guard<std::mutex> twins_lock(twins_mutex_);
-          twins_[item.body_digest.lo].shard = next;  // Twins follow it.
-        }
-        target.pending.fetch_add(1, std::memory_order_acq_rel);
-        target.queue.push_back(std::move(item));
-        lock.unlock();
-        target.qcv.notify_one();
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        moved = true;
-      }
-    }
-    if (!moved) {
-      std::string frame;
-      AppendResponseFrame(ErrResponse("unavailable", "shard down"), &frame);
-      CompleteItem(item.conn, item.id, std::move(frame),
-                   /*on_loop_thread=*/false);
-      ReleaseTwin(item);
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      WakeLoop();
-    }
-  }
 }
 
 // --- Fleet metrics surface ------------------------------------------------
@@ -1346,27 +1138,14 @@ Response ShardedServer::FleetMetricsResponse() {
       sessions_degraded_.load(std::memory_order_relaxed);
   Args args = cache;
   for (const auto& [key, value] : sums) args.SetUint(key, value);
-  std::uint64_t alive = 0;
   std::uint64_t memo = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (shard_alive(i)) ++alive;
-    memo += shard_memo_hits(i);
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) memo += shard_memo_hits(i);
   args.SetUint("fleet_shards", shards_.size());
-  args.SetUint("fleet_alive", alive);
   args.SetUint("fleet_memo_hits", memo);
-  args.SetUint("fleet_failovers",
-               failovers_.load(std::memory_order_relaxed));
   args.SetUint("fleet_protocol_errors",
                protocol_errors_.load(std::memory_order_relaxed));
   args.SetUint("fleet_connections",
                connections_total_.load(std::memory_order_relaxed));
-  std::uint64_t breakers_open = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (shard_breaker_state(i) == 1) ++breakers_open;
-  }
-  args.SetUint("fleet_breaker_open", breakers_open);
-  args.SetUint("fleet_breaker_opens", breaker_opens_total());
   args.SetUint("fleet_shed_deadline",
                shed_deadline_.load(std::memory_order_relaxed));
   return OkResponse(std::move(args), std::move(payload));
@@ -1391,13 +1170,9 @@ Response ShardedServer::FleetTraceResponse() {
 Response ShardedServer::FleetHealthResponse() {
   const std::int64_t now = NowNs();
   std::string payload;
-  std::size_t alive_count = 0;
-  std::size_t breakers_open = 0;
   std::size_t stalled_count = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     ShardRuntime& shard = *shards_[i];
-    const bool alive = shard.alive.load(std::memory_order_acquire);
-    const int breaker = shard.breaker_state.load(std::memory_order_acquire);
     const std::uint64_t pending =
         shard.pending.load(std::memory_order_acquire);
     std::size_t queue_depth = 0;
@@ -1413,16 +1188,11 @@ Response ShardedServer::FleetHealthResponse() {
     // shard the watchdog/readiness story exists to surface. A busy shard
     // still completing requests keeps its age fresh and stays ready.
     const bool stalled =
-        alive && pending > 0 &&
+        pending > 0 &&
         static_cast<double>(age_ms) > options_.health_stall_after_ms;
-    if (alive) ++alive_count;
-    if (breaker == 1) ++breakers_open;
     if (stalled) ++stalled_count;
     payload += "== shard " + std::to_string(i) + " ==\n";
-    payload += "alive=" + std::to_string(alive ? 1 : 0);
-    payload += " breaker=";
-    payload += BreakerName(breaker);
-    payload += " queue_depth=" + std::to_string(queue_depth);
+    payload += "queue_depth=" + std::to_string(queue_depth);
     payload += " inflight=" + std::to_string(pending);
     payload += " ewma_cost_us=" +
                std::to_string(shard.ewma_cost_us.load(
@@ -1432,14 +1202,11 @@ Response ShardedServer::FleetHealthResponse() {
     payload.push_back('\n');
   }
   const bool draining = shutdown_.load(std::memory_order_acquire);
-  const bool degraded = draining || alive_count < shards_.size() ||
-                        breakers_open > 0 || stalled_count > 0;
+  const bool degraded = draining || stalled_count > 0;
   Args args;
   args.Set("status", degraded ? "degraded" : "ok");
   args.Set("role", "fleet");
   args.SetUint("fleet_shards", shards_.size());
-  args.SetUint("fleet_alive", alive_count);
-  args.SetUint("fleet_breaker_open", breakers_open);
   args.SetUint("fleet_stalled", stalled_count);
   args.SetUint("fleet_inflight",
                inflight_.load(std::memory_order_acquire));
@@ -1466,9 +1233,6 @@ std::string ShardedServer::RenderFleetProm() {
   };
   prom.Declare("spta_fleet_shards", "gauge", "Worker shard count.");
   prom.Sample("spta_fleet_shards", static_cast<double>(shards_.size()));
-  per_shard("spta_fleet_shard_alive", "gauge",
-            "Shard liveness (1 = serving).",
-            [this](std::size_t i) { return shard_alive(i) ? 1 : 0; });
   per_shard("spta_fleet_routed_total", "counter",
             "Requests routed to each shard.",
             [this](std::size_t i) { return shard_routed_total(i); });
@@ -1479,19 +1243,9 @@ std::string ShardedServer::RenderFleetProm() {
             "Requests finished per shard.", [this](std::size_t i) {
               return shards_[i]->server->metrics().requests_total();
             });
-  per_shard("spta_fleet_breaker_state", "gauge",
-            "Circuit-breaker state per shard (0 closed, 1 open, 2 "
-            "half-open).",
-            [this](std::size_t i) { return shard_breaker_state(i); });
-  counter("spta_fleet_breaker_opens_total",
-          "Closed-to-open circuit breaker transitions.",
-          breaker_opens_total());
   counter("spta_fleet_shed_deadline_total",
           "Requests shed at admission (unmeetable deadline_ms).",
           shed_deadline_.load(std::memory_order_relaxed));
-  counter("spta_fleet_failovers_total",
-          "Requests rerouted off a dead shard.",
-          failovers_.load(std::memory_order_relaxed));
   counter("spta_fleet_protocol_errors_total",
           "Malformed frames cut off by the event loop.",
           protocol_errors_.load(std::memory_order_relaxed));

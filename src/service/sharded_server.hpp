@@ -15,7 +15,7 @@
 //     (result cache of cache_capacity x shards entries, single flight
 //     across shards). Session-bound verbs route by the session name's hash
 //     — one session's whole life happens on one shard, in order. Stateless
-//     requests route by load: to the routable shard with the fewest pending
+//     requests route by load: to the shard with the fewest pending
 //     requests, ties to the body digest's home shard (ShardFor), so an idle
 //     or synchronous fleet routes by content. A stateless request whose
 //     body digest is already queued or executing follows that twin to its
@@ -31,23 +31,21 @@
 //     (only the volatile analyze_us timing field is re-rendered per
 //     request). A stateless entry answers whatever the shards' load.
 //     Session entries carry the session's generation stamp (session.hpp),
-//     die the moment the session mutates, and answer only for the shard
-//     holding the session, while it is idle (a queued APPEND would
-//     otherwise be passed).
+//     die the moment the session mutates, and answer only while the
+//     session's shard is idle (a queued APPEND would otherwise be passed).
 //   * Zero-loss drain: SHUTDOWN (in-band or TriggerShutdown) stops intake,
 //     waits for every accepted request to complete and flush, acks, then
 //     exits.
-//   * Chaos hooks: KillShardForTest stops a shard mid-campaign; its queued
-//     stateless requests fail over to surviving shards (counted), its
-//     session-bound ones are answered ERR unavailable — every accepted
-//     request is still answered. io_fault_hook_factory guards the loop's
-//     recv/send calls per connection (docs/FAULTS.md).
+//   * Shards are threads of this process and never die on their own
+//     (Server::Execute answers every exception as ERR internal), so the
+//     shard set is fixed: a route is digest % shards, always. Process
+//     death is the spta_fleet supervisor's business (respawn, backoff).
 //   * Self-protection: a request whose deadline_ms the target shard's EWMA
 //     backlog estimate cannot meet is shed at admission (ERR busy with a
 //     retry_after_ms hint, counted as shed — never queued to miss its
-//     deadline at execution), and per-shard circuit breakers turn a
-//     consecutively-failing shard into a fail-fast reroute (open) until a
-//     half-open probe readmits it.
+//     deadline at execution); a full queue answers ERR busy.
+//     io_fault_hook_factory guards the loop's recv/send calls per
+//     connection (docs/FAULTS.md).
 //
 // ServeScript() drives the same per-frame dispatch synchronously over an
 // in-memory byte string, as a connection with no fd whose requests execute
@@ -121,17 +119,6 @@ struct ShardedServerOptions {
   /// SO_REUSEPORT on the listener: lets several fleet processes (spawned
   /// by the spta_fleet supervisor) share one port.
   bool reuseport = false;
-  /// Consecutive execution failures (ERR internal / ERR deadline) that
-  /// flip a shard's circuit breaker open — routed traffic fails over to
-  /// the survivors via the deterministic rehash until a half-open probe
-  /// succeeds. 0 disables breakers.
-  int breaker_failure_threshold = 8;
-  /// How long an open breaker fails fast before admitting the half-open
-  /// probe that decides readmission.
-  double breaker_cooldown_ms = 1000.0;
-  /// EWMA smoothing factor for the per-shard admission cost estimate
-  /// (queue wait + service time per completed request).
-  double admission_ewma_alpha = 0.2;
   /// HEALTH readiness: a shard with queued work whose last completion is
   /// older than this is reported stalled=1 (fleet status=degraded).
   double health_stall_after_ms = 5000.0;
@@ -167,10 +154,8 @@ class ShardedServer {
   /// body bytes' hash otherwise (the home shard that wins load ties).
   static std::uint64_t RouteDigest(const Request& request,
                                    std::string_view body);
-  /// digest % shards, rehashed deterministically over the survivors when
-  /// the primary shard is dead. SIZE_MAX when no shard is alive. Session
-  /// verbs go here; it is also a stateless request's home shard, which
-  /// wins load ties.
+  /// digest % shards. Session verbs go here; it is also a stateless
+  /// request's home shard, which wins load ties.
   std::size_t ShardFor(std::uint64_t route_digest) const;
 
   // --- Synchronous scripted mode (tests + load generator) ---
@@ -207,31 +192,20 @@ class ShardedServer {
 
   bool shutdown_requested() const { return shutdown_.load(); }
 
-  // --- Chaos / introspection ---
-
-  /// Marks shard `index` dead: its queue fails over to survivors, new
-  /// requests reroute deterministically. The shard's in-flight request
-  /// still completes — no accepted request is ever dropped.
-  void KillShardForTest(std::size_t index);
+  // --- Introspection ---
 
   std::size_t shard_count() const { return shards_.size(); }
   Server& shard(std::size_t index);
   /// The one engine every shard executes against.
   AnalysisEngine& engine() { return engine_; }
-  bool shard_alive(std::size_t index) const;
   /// Requests routed to this shard: executed there, or answered from the
   /// warm memo on its behalf.
   std::uint64_t shard_routed_total(std::size_t index) const;
   std::uint64_t shard_memo_hits(std::size_t index) const;
-  /// Circuit-breaker state: 0 closed, 1 open, 2 half-open.
-  int shard_breaker_state(std::size_t index) const;
-  /// Closed→open breaker transitions, fleet-wide.
-  std::uint64_t breaker_opens_total() const;
   /// ANALYZE requests shed at admission (unmeetable deadline_ms).
   std::uint64_t shed_deadline_total() const {
     return shed_deadline_.load(std::memory_order_relaxed);
   }
-  std::uint64_t failovers_total() const { return failovers_.load(); }
   std::uint64_t protocol_errors_total() const {
     return protocol_errors_.load();
   }
@@ -240,7 +214,7 @@ class ShardedServer {
   /// Fleet-level HEALTH response, answered on the event loop (liveness)
   /// and never queued: args carry the fleet readiness verdict, the
   /// payload one "== shard N ==" readiness section per shard (queue
-  /// depth, inflight, last-completion age, breaker state, stalled flag).
+  /// depth, inflight, admission cost, last-completion age, stalled flag).
   Response FleetHealthResponse();
 
   /// Fleet-level METRICS response: counters summed across shards (the
@@ -269,7 +243,6 @@ class ShardedServer {
     std::uint64_t id = 0;
     Request request;
     DualHash body_digest;
-    std::uint64_t route = 0;
     std::int64_t enqueue_ns = 0;  ///< Admission time (EWMA cost input).
     bool stateless = false;       ///< Counted in twins_ while queued.
   };
@@ -280,9 +253,8 @@ class ShardedServer {
   };
 
   // Shared pipeline.
-  /// A stateless request's shard: its in-flight twin's if routable, else
-  /// the least-loaded routable shard (ties to `home`, ShardFor(digest)).
-  /// SIZE_MAX when no shard is routable.
+  /// A stateless request's shard: its in-flight twin's, else the
+  /// least-loaded shard (ties to `home`, ShardFor(digest)).
   std::size_t RouteStateless(std::uint64_t digest, std::size_t home) const;
   void ReleaseTwin(const Item& item);
   /// Answers from the fleet memo on `shard`'s behalf (its counters).
@@ -291,12 +263,6 @@ class ShardedServer {
   Response ExecuteOnShard(ShardRuntime& shard, const Request& request,
                           const DualHash& digest,
                           std::int64_t enqueue_ns = 0);
-  /// Routing admission: alive AND the circuit breaker admits traffic
-  /// (closed, or half-open with no probe outstanding). Transitions
-  /// open→half-open when the cooldown has elapsed.
-  bool ShardRoutable(std::size_t index) const;
-  /// Feeds one completed response into the shard's breaker bookkeeping.
-  void NoteShardResult(ShardRuntime& shard, const Response& response);
   /// 0 = admissible; otherwise the retry_after_ms hint for a request
   /// whose deadline_ms the shard's EWMA backlog estimate cannot meet.
   std::uint64_t DeadlineShedHint(const ShardRuntime& shard,
@@ -305,11 +271,10 @@ class ShardedServer {
   /// estimate available, hint omitted).
   std::uint64_t BusyRetryHint(const ShardRuntime& shard) const;
   /// Memoizes an analysis response whose payload is the report part of
-  /// `body`, the engine's cached body, which the memo shares. A session
-  /// entry records `shard`, the shard holding its session.
+  /// `body`, the engine's cached body, which the memo shares.
   void Memoize(const DualHash& digest, const Response& response,
                ResultCache::Body body, SessionGeneration generation,
-               std::uint64_t generation_value, std::size_t shard);
+               std::uint64_t generation_value);
 
   // Per-connection dispatch (both modes).
   /// Parses and dispatches every frame banked in the connection's
@@ -330,7 +295,6 @@ class ShardedServer {
   std::shared_ptr<Conn> AddConn(int fd);
   void EventLoop();
   void ShardWorker(std::size_t index);
-  void FailoverQueue(ShardRuntime& shard);
   bool PushToShard(std::size_t index, Item item);
   void AcceptReady();
   void ReadConn(const std::shared_ptr<Conn>& conn);
@@ -354,7 +318,6 @@ class ShardedServer {
 
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> shed_deadline_{0};  ///< Admission sheds.
-  std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> connections_total_{0};
   std::atomic<std::uint64_t> fleet_requests_{0};  ///< Loop-handled verbs.

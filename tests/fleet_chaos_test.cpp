@@ -133,6 +133,9 @@ class FleetProcess {
     pid_ = ::fork();
     if (pid_ < 0) return false;
     if (pid_ == 0) {
+      // Its own process group, so the destructor's killpg also reaches the
+      // spta_serve children a failed test leaves behind.
+      ::setpgid(0, 0);
       ::dup2(fds[1], 2);
       ::close(fds[0]);
       ::close(fds[1]);
@@ -146,6 +149,7 @@ class FleetProcess {
       ::execv(SPTA_FLEET_PATH, argv.data());
       ::_exit(127);
     }
+    ::setpgid(pid_, pid_);  // Either side may run first; both set it.
     ::close(fds[1]);
     err_fd_ = fds[0];
     ::fcntl(err_fd_, F_SETFL, O_NONBLOCK);
@@ -153,7 +157,7 @@ class FleetProcess {
   }
 
   ~FleetProcess() {
-    if (pid_ > 0) ::kill(pid_, SIGKILL);
+    if (pid_ > 0) ::killpg(pid_, SIGKILL);
     if (pid_ > 0) ::waitpid(pid_, nullptr, 0);
     if (err_fd_ >= 0) ::close(err_fd_);
   }

@@ -9,11 +9,12 @@
 //     compare their stable argument names).
 //   * Routing: an idle fleet routes a digest to its home shard, a busy one
 //     sends stateless work to an idle shard, identical requests in flight
-//     stay together, any shard serves the same bytes (one engine), and the
-//     rehash on shard death is fixed. The fleet memo is LRU and answers
-//     stateless repeats while every shard is busy.
-//   * Chaos: kill a shard mid-campaign; every accepted request is still
-//     answered (zero loss), survivors keep serving.
+//     stay together, any shard serves the same bytes (one engine), and a
+//     session stays on its shard whatever its requests' deadlines do. The
+//     fleet memo is LRU and answers stateless repeats while every shard is
+//     busy.
+//   * Drain: a campaign pipelined over TCP into a SHUTDOWN; every accepted
+//     request is still answered (zero loss), then the drain acks.
 //   * Warm-start goldens: a restarted fleet serves bit-identical bytes
 //     from the persistent cache; corrupted/truncated entry files are
 //     rejected and recomputed, never served.
@@ -32,7 +33,6 @@
 
 #include <arpa/inet.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -277,7 +277,9 @@ TEST(FleetEquivalenceTest, FleetMetricsAggregateAcrossShards) {
   const auto& metrics = responses[6];
   ASSERT_TRUE(metrics.ok);
   EXPECT_EQ(metrics.args.GetUint("fleet_shards", 0), 2u);
-  EXPECT_EQ(metrics.args.GetUint("fleet_alive", 0), 2u);
+  EXPECT_FALSE(metrics.args.Has("fleet_alive"));
+  EXPECT_FALSE(metrics.args.Has("fleet_failovers"));
+  EXPECT_FALSE(metrics.args.Has("fleet_breaker_open"));
   EXPECT_EQ(metrics.args.GetUint("requests_total", 0), 6u);
   EXPECT_EQ(metrics.args.GetUint("analyses_total", 0), 6u);
   EXPECT_NE(metrics.payload.find("== shard 0 =="), std::string::npos);
@@ -288,8 +290,11 @@ TEST(FleetEquivalenceTest, FleetMetricsAggregateAcrossShards) {
   EXPECT_NE(prom.payload.find("spta_fleet_shards 2"), std::string::npos);
   EXPECT_NE(prom.payload.find("spta_fleet_routed_total{shard=\"0\"}"),
             std::string::npos);
-  EXPECT_NE(prom.payload.find("spta_fleet_shard_alive{shard=\"1\"} 1"),
+  EXPECT_NE(prom.payload.find("spta_fleet_memo_hits_total{shard=\"1\"}"),
             std::string::npos);
+  EXPECT_EQ(prom.payload.find("spta_fleet_shard_alive"), std::string::npos);
+  EXPECT_EQ(prom.payload.find("spta_fleet_breaker"), std::string::npos);
+  EXPECT_EQ(prom.payload.find("spta_fleet_failovers"), std::string::npos);
 }
 
 // --- Routing determinism --------------------------------------------------
@@ -325,8 +330,8 @@ std::uint64_t MemoHits(const service::ShardedServer& fleet) {
 }
 
 // An idle fleet routes a digest to its home shard, every time. The shards
-// share one engine, so wherever the request executes — here on each shard
-// in turn, as shards die — it answers the same bytes, and only the first
+// share one engine, so wherever the request executes — here on each
+// shard's executor in turn — it answers the same bytes, and only the first
 // execution is a cache miss.
 TEST(FleetRoutingTest, SameDigestSameShardSameBytes) {
   service::ShardedServerOptions options;
@@ -364,32 +369,21 @@ TEST(FleetRoutingTest, SameDigestSameShardSameBytes) {
     }
   }
 
-  // Same bytes at any shard: with the memo off, kill the serving shard
-  // each round so the rehash executes the request on every shard in turn.
-  // The one engine answers each execution as a cache hit.
-  options.warm_memo_capacity = 0;
-  service::ShardedServer memo_off(options);
-  std::vector<std::size_t> served_on;
-  for (std::size_t round = 0; round < memo_off.shard_count(); ++round) {
-    const std::size_t shard = memo_off.ShardFor(route);
-    ASSERT_LT(shard, memo_off.shard_count());
-    auto responses = RunScript(memo_off, {request});
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_EQ(responses[0].args.GetString("cache"),
-              round == 0 ? "miss" : "hit")
-        << "round " << round << " on shard " << shard;
-    responses[0].args.Erase("cache");
-    EXPECT_EQ(NormalizedFrame(responses[0]), frames[0]) << "shard " << shard;
-    EXPECT_EQ(memo_off.shard_routed_total(shard), 1u);
-    served_on.push_back(shard);
-    memo_off.KillShardForTest(shard);
+  // Same bytes at any shard: a fresh fleet executes the request on every
+  // shard's executor in turn. The one engine answers the first execution
+  // as the miss and every later one as a hit.
+  service::ShardedServer fresh(options);
+  for (std::size_t shard = 0; shard < fresh.shard_count(); ++shard) {
+    service::Response response = fresh.shard(shard).Execute(request);
+    ASSERT_TRUE(response.ok) << response.payload;
+    EXPECT_EQ(response.args.GetString("cache"), shard == 0 ? "miss" : "hit")
+        << "shard " << shard;
+    response.args.Erase("cache");
+    EXPECT_EQ(NormalizedFrame(response), frames[0]) << "shard " << shard;
   }
-  std::sort(served_on.begin(), served_on.end());
-  EXPECT_EQ(std::unique(served_on.begin(), served_on.end()),
-            served_on.end());  // Every shard served it once.
-  const auto stats = memo_off.engine().cache().stats();
+  const auto stats = fresh.engine().cache().stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, memo_off.shard_count() - 1);
+  EXPECT_EQ(stats.hits, fresh.shard_count() - 1);
 }
 
 // A stateless ANALYZE whose home shard is busy goes to an idle shard.
@@ -606,30 +600,74 @@ TEST(FleetRoutingTest, SessionsStickToOneShardAndSpreadAcrossFleet) {
   }
 }
 
-TEST(FleetRoutingTest, DeadShardRehashIsDeterministicOverSurvivors) {
+// Deadline misses say nothing about where a session lives: after eight
+// session ANALYZEs expire behind a slow one, the session's next requests
+// still reach the shard that holds it.
+TEST(FleetRoutingTest, SessionStaysOnItsShardAfterDeadlineMisses) {
   service::ShardedServerOptions options;
-  options.shards = 4;
+  options.shards = 2;
+  options.server.enable_debug_hooks = true;
   service::ShardedServer fleet(options);
-  const std::uint64_t route = HashBytes(std::string("victim-key")).lo;
-  const std::size_t primary = fleet.ShardFor(route);
-  fleet.KillShardForTest(primary);
-  const std::size_t fallback = fleet.ShardFor(route);
-  ASSERT_NE(fallback, primary);
-  ASSERT_LT(fallback, fleet.shard_count());
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(fleet.ShardFor(route), fallback);
-  // Kill everything: no shard can be chosen.
-  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
-    fleet.KillShardForTest(i);
+  ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
+  ASSERT_EQ(fleet.Start(), 0);
+  std::string error;
+  auto connection = service::TcpConnection::Connect(
+      "127.0.0.1", fleet.bound_port(), &error, 30000.0);
+  ASSERT_NE(connection, nullptr) << error;
+  service::Client client(connection->in(), connection->out());
+  const std::string name = "probe";
+  const std::size_t owner = fleet.ShardFor(HashBytes(name).lo);
+
+  const auto session_request = [&](service::RequestKind kind) {
+    service::Request request = MakeRequest(kind);
+    request.args.Set("session", name);
+    return request;
+  };
+  std::vector<service::Request> script = {
+      session_request(service::RequestKind::kOpen),
+      session_request(service::RequestKind::kAppend)};
+  script[1].payload = service::EncodeSamplePayload(SyntheticSample(300, 750));
+  service::Request slow = session_request(service::RequestKind::kAnalyze);
+  slow.args.SetDouble("debug_sleep_ms", 200.0);
+  script.push_back(slow);
+  service::Request doomed = session_request(service::RequestKind::kAnalyze);
+  doomed.args.SetDouble("deadline_ms", 1.0);
+  script.insert(script.end(), 8, doomed);
+  const std::string bytes = EncodeScript(script);
+  connection->out().write(bytes.data(),
+                          static_cast<std::streamsize>(bytes.size()));
+  connection->out().flush();
+  service::Response response;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    ASSERT_EQ(service::ReadResponse(connection->in(), &response, &error),
+              service::ReadStatus::kOk)
+        << error;
+    if (i < 3) {
+      EXPECT_TRUE(response.ok) << i << ": " << response.payload;
+      continue;
+    }
+    EXPECT_FALSE(response.ok) << i;
+    const std::string code = response.args.GetString("code");
+    EXPECT_TRUE(code == "deadline" || code == "busy") << i << ": " << code;
   }
-  EXPECT_EQ(fleet.ShardFor(route), SIZE_MAX);
+
+  const auto append = client.Append(name, SyntheticSample(50, 751));
+  EXPECT_TRUE(append.ok) << append.payload;
+  const auto status = client.Status(name);
+  ASSERT_TRUE(status.ok) << status.payload;
+  EXPECT_EQ(status.args.GetUint("total", 0), 350u);
+  const auto analyze = client.AnalyzeSession(name);
+  EXPECT_TRUE(analyze.ok) << analyze.payload;
+  EXPECT_EQ(fleet.shard_routed_total(1 - owner), 0u);
+  EXPECT_TRUE(client.Shutdown().ok);
+  EXPECT_EQ(fleet.Wait(), 0);
 }
 
-// --- Chaos: shard death mid-campaign --------------------------------------
+// --- Zero-loss drain over TCP ---------------------------------------------
 
-// Pipelines a campaign over TCP, kills a shard while requests are in
-// flight, and verifies ZERO accepted-request loss: every frame written
-// gets exactly one response (OK from a survivor or ERR unavailable), in
-// order, and the drain still acks.
+// Pipelines a campaign of slow analyses over TCP and a SHUTDOWN behind it:
+// every frame written gets exactly one response, in order, and the drain
+// acks after the last analysis.
 TEST(FleetChaosTest, KillShardMidCampaignLosesNothing) {
   service::ShardedServerOptions options;
   options.shards = 3;
@@ -638,13 +676,8 @@ TEST(FleetChaosTest, KillShardMidCampaignLosesNothing) {
   ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
   ASSERT_EQ(fleet.Start(), 0);
 
-  std::string error;
-  auto connection = service::TcpConnection::Connect(
-      "127.0.0.1", fleet.bound_port(), &error, 30000.0);
-  ASSERT_NE(connection, nullptr) << error;
-
-  // 30 distinct slow analyses (debug_sleep_ms keeps shards busy so the
-  // kill lands mid-campaign), pipelined without reading.
+  // 30 distinct slow analyses (debug_sleep_ms keeps the shards busy while
+  // the SHUTDOWN arrives), pipelined without reading.
   std::vector<service::Request> script;
   for (int i = 0; i < 30; ++i) {
     service::Args slow;
@@ -653,101 +686,18 @@ TEST(FleetChaosTest, KillShardMidCampaignLosesNothing) {
         AnalyzeInlineRequest(SyntheticSample(260, 1000 + i), slow));
   }
   script.push_back(MakeRequest(service::RequestKind::kShutdown));
-  const std::string bytes = EncodeScript(script);
-  connection->out().write(bytes.data(),
-                          static_cast<std::streamsize>(bytes.size()));
-  connection->out().flush();
-
-  // Kill a shard while the campaign is in flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  fleet.KillShardForTest(1);
-
-  std::vector<service::Response> responses;
-  service::Response response;
-  while (responses.size() < script.size() &&
-         service::ReadResponse(connection->in(), &response, &error) ==
-             service::ReadStatus::kOk) {
-    responses.push_back(response);
-  }
+  const auto responses = RunFleetTcp(fleet, script);
   EXPECT_EQ(fleet.Wait(), 0);
 
-  // Zero loss: every request (including SHUTDOWN) got its response.
   ASSERT_EQ(responses.size(), script.size());
-  int ok_count = 0;
-  int unavailable = 0;
   for (std::size_t i = 0; i + 1 < responses.size(); ++i) {
-    if (responses[i].ok) {
-      ++ok_count;
-      EXPECT_TRUE(responses[i].args.Has("pwcet")) << i;
-    } else {
-      EXPECT_EQ(responses[i].args.GetString("code"), "unavailable") << i;
-      ++unavailable;
-    }
+    ASSERT_TRUE(responses[i].ok) << i << ": " << responses[i].payload;
+    EXPECT_EQ(responses[i].args.GetString("cache"), "miss") << i;
+    EXPECT_TRUE(responses[i].args.Has("pwcet")) << i;
   }
-  EXPECT_EQ(ok_count + unavailable, 30);
-  EXPECT_GT(ok_count, 0);  // survivors kept serving
   const auto& ack = responses.back();
   EXPECT_TRUE(ack.ok);
   EXPECT_EQ(ack.args.GetUint("drained", 0), 1u);
-  EXPECT_FALSE(fleet.shard_alive(1));
-}
-
-// After a kill, NEW traffic for the dead shard's digests is answered by
-// the deterministic fallback shard — the fleet stays fully available.
-TEST(FleetChaosTest, SurvivorsServeDeadShardsTraffic) {
-  service::ShardedServerOptions options;
-  options.shards = 2;
-  service::ShardedServer fleet(options);
-  const auto request = AnalyzeInlineRequest(SyntheticSample(280, 77));
-  std::string frame;
-  service::AppendRequestFrame(request, &frame);
-  const std::string body = frame.substr(frame.find('\n') + 1);
-  const std::size_t primary =
-      fleet.ShardFor(service::ShardedServer::RouteDigest(request, body));
-  fleet.KillShardForTest(primary);
-  const auto responses = RunScript(fleet, {request});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_TRUE(responses[0].ok) << responses[0].payload;
-  EXPECT_TRUE(responses[0].args.Has("pwcet"));
-  EXPECT_EQ(fleet.shard_routed_total(1 - primary), 1u);
-}
-
-// A session's memo entry answers only on the shard holding the session.
-// Once that shard dies, the name reroutes to a survivor, where a new
-// session under the same name with other samples must be analyzed fresh.
-TEST(FleetChaosTest, RerouteSessionNeverServesTheDeadShardsMemo) {
-  service::ShardedServerOptions options;
-  options.shards = 2;
-  service::ShardedServer fleet(options);
-  const std::string name = "rerouted";
-  const auto session_script = [&](std::uint64_t seed) {
-    service::Request open = MakeRequest(service::RequestKind::kOpen);
-    open.args.Set("session", name);
-    service::Request append = MakeRequest(service::RequestKind::kAppend);
-    append.args.Set("session", name);
-    append.payload = service::EncodeSamplePayload(SyntheticSample(300, seed));
-    service::Request analyze = MakeRequest(service::RequestKind::kAnalyze);
-    analyze.args.Set("session", name);
-    return std::vector<service::Request>{open, append, analyze, analyze};
-  };
-  const auto before = RunScript(fleet, session_script(740));
-  ASSERT_EQ(before.size(), 4u);
-  for (const auto& r : before) ASSERT_TRUE(r.ok) << r.payload;
-  EXPECT_EQ(before[3].args.GetString("cache"), "hit");
-  ASSERT_EQ(MemoHits(fleet), 1u);
-
-  const std::size_t owner = fleet.ShardFor(HashBytes(name).lo);
-  fleet.KillShardForTest(owner);
-  const auto after = RunScript(fleet, session_script(741));
-  ASSERT_EQ(after.size(), 4u);
-  for (const auto& r : after) ASSERT_TRUE(r.ok) << r.payload;
-  EXPECT_EQ(after[2].args.GetString("cache"), "miss");
-  EXPECT_NE(after[2].args.GetString("pwcet"), before[2].args.GetString("pwcet"));
-  // The survivor memoizes its own session's answer and serves it.
-  EXPECT_EQ(after[3].args.GetString("cache"), "hit");
-  EXPECT_EQ(after[3].args.GetString("pwcet"), after[2].args.GetString("pwcet"));
-  EXPECT_EQ(fleet.shard_memo_hits(owner), 1u);
-  EXPECT_EQ(fleet.shard_memo_hits(1 - owner), 1u);
 }
 
 // --- Persistent warm-start cache ------------------------------------------
@@ -880,6 +830,10 @@ TEST(FleetWarmStartTest, CorruptedEntriesRejectedAndRecomputedNeverServed) {
         << corruption.name;
     EXPECT_EQ(fleet.persistent_cache()->stats().rejected, 1u)
         << corruption.name;
+    // The rejected file is unlinked at load, not left outside the
+    // eviction index for good.
+    struct stat st{};
+    EXPECT_NE(::stat(entry_path.c_str(), &st), 0) << corruption.name;
     const auto responses = RunScript(fleet, {request});
     ASSERT_EQ(responses.size(), 1u) << corruption.name;
     ASSERT_TRUE(responses[0].ok) << corruption.name;
@@ -1054,16 +1008,16 @@ TEST(FleetHealthTest, ScriptHealthReportsFleetAndEveryShard) {
   EXPECT_EQ(health.args.GetString("status"), "ok");
   EXPECT_EQ(health.args.GetString("role"), "fleet");
   EXPECT_EQ(health.args.GetUint("fleet_shards", 0), 3u);
-  EXPECT_EQ(health.args.GetUint("fleet_alive", 0), 3u);
-  EXPECT_EQ(health.args.GetUint("fleet_breaker_open", 99), 0u);
   EXPECT_EQ(health.args.GetUint("fleet_stalled", 99), 0u);
+  EXPECT_FALSE(health.args.Has("fleet_alive"));
+  EXPECT_FALSE(health.args.Has("fleet_breaker_open"));
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_NE(
         health.payload.find("== shard " + std::to_string(i) + " =="),
         std::string::npos)
         << health.payload;
   }
-  EXPECT_NE(health.payload.find("alive=1 breaker=closed"),
+  EXPECT_NE(health.payload.find("\nqueue_depth=0 inflight=0 "),
             std::string::npos)
       << health.payload;
 }
@@ -1196,107 +1150,6 @@ TEST(FleetAdmissionTest, NoCostModelMeansAdmit) {
   EXPECT_EQ(fleet.shed_deadline_total(), 0u);
 }
 
-// --- Circuit breakers ------------------------------------------------------
-
-TEST(FleetBreakerTest, OpensOnConsecutiveDeadlineFailuresThenRecovers) {
-  service::ShardedServerOptions options;
-  options.shards = 1;
-  options.server.enable_debug_hooks = true;
-  options.breaker_failure_threshold = 2;
-  options.breaker_cooldown_ms = 500.0;
-  service::ShardedServer fleet(options);
-  ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
-  ASSERT_EQ(fleet.Start(), 0);
-
-  std::string error;
-  auto connection = service::TcpConnection::Connect(
-      "127.0.0.1", fleet.bound_port(), &error, 30000.0);
-  ASSERT_NE(connection, nullptr) << error;
-
-  // One slow request, two doomed ones queued behind it: their 1ms
-  // deadlines expire in the queue, so the shard returns ERR deadline
-  // twice in a row — that is the breaker's failure signal.
-  service::Args slow;
-  slow.SetDouble("debug_sleep_ms", 100.0);
-  service::Args doomed;
-  doomed.SetDouble("deadline_ms", 1.0);
-  std::vector<service::Request> script;
-  script.push_back(AnalyzeInlineRequest(SyntheticSample(260, 801), slow));
-  script.push_back(AnalyzeInlineRequest(SyntheticSample(260, 802), doomed));
-  script.push_back(AnalyzeInlineRequest(SyntheticSample(260, 803), doomed));
-  const std::string bytes = EncodeScript(script);
-  connection->out().write(bytes.data(),
-                          static_cast<std::streamsize>(bytes.size()));
-  connection->out().flush();
-  service::Response response;
-  ASSERT_EQ(service::ReadResponse(connection->in(), &response, &error),
-            service::ReadStatus::kOk);
-  EXPECT_TRUE(response.ok) << response.payload;
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_EQ(service::ReadResponse(connection->in(), &response, &error),
-              service::ReadStatus::kOk);
-    EXPECT_FALSE(response.ok);
-    EXPECT_EQ(response.args.GetString("code"), "deadline") << i;
-  }
-  EXPECT_EQ(fleet.shard_breaker_state(0), 1);  // open
-  EXPECT_EQ(fleet.breaker_opens_total(), 1u);
-
-  // While open (cooldown not elapsed), the only shard is unroutable:
-  // fail-fast ERR unavailable, no queueing behind a sick shard.
-  std::vector<service::Request> rejected;
-  rejected.push_back(AnalyzeInlineRequest(SyntheticSample(260, 804)));
-  const std::string rejected_bytes = EncodeScript(rejected);
-  connection->out().write(
-      rejected_bytes.data(),
-      static_cast<std::streamsize>(rejected_bytes.size()));
-  connection->out().flush();
-  ASSERT_EQ(service::ReadResponse(connection->in(), &response, &error),
-            service::ReadStatus::kOk);
-  EXPECT_FALSE(response.ok);
-  EXPECT_EQ(response.args.GetString("code"), "unavailable");
-
-  // After the cooldown, the next request is the half-open probe; its
-  // success must close the breaker and readmit the shard.
-  std::this_thread::sleep_for(std::chrono::milliseconds(600));
-  std::vector<service::Request> probe;
-  probe.push_back(AnalyzeInlineRequest(SyntheticSample(260, 805)));
-  probe.push_back(MakeRequest(service::RequestKind::kShutdown));
-  const std::string probe_bytes = EncodeScript(probe);
-  connection->out().write(
-      probe_bytes.data(),
-      static_cast<std::streamsize>(probe_bytes.size()));
-  connection->out().flush();
-  ASSERT_EQ(service::ReadResponse(connection->in(), &response, &error),
-            service::ReadStatus::kOk);
-  EXPECT_TRUE(response.ok) << response.payload;
-  ASSERT_EQ(service::ReadResponse(connection->in(), &response, &error),
-            service::ReadStatus::kOk);
-  EXPECT_TRUE(response.ok);
-  EXPECT_EQ(fleet.Wait(), 0);
-  EXPECT_EQ(fleet.shard_breaker_state(0), 0);  // closed again
-  EXPECT_EQ(fleet.breaker_opens_total(), 1u);
-}
-
-TEST(FleetBreakerTest, ClientErrorsNeverOpenTheBreaker) {
-  service::ShardedServerOptions options;
-  options.shards = 1;
-  options.breaker_failure_threshold = 2;
-  service::ShardedServer fleet(options);
-  // A storm of client-caused errors (unknown session): shard health is
-  // fine, the breaker must stay closed.
-  std::vector<service::Request> script;
-  for (int i = 0; i < 10; ++i) {
-    service::Request status = MakeRequest(service::RequestKind::kStatus);
-    status.args.Set("session", "no-such-session");
-    script.push_back(status);
-  }
-  const auto responses = RunScript(fleet, script);
-  ASSERT_EQ(responses.size(), script.size());
-  for (const auto& response : responses) EXPECT_FALSE(response.ok);
-  EXPECT_EQ(fleet.shard_breaker_state(0), 0);
-  EXPECT_EQ(fleet.breaker_opens_total(), 0u);
-}
-
 // --- Bounded persistent cache ---------------------------------------------
 
 TEST(PersistentCacheBoundsTest, MaxBytesEvictsOldestEntriesByUnlink) {
@@ -1372,6 +1225,12 @@ TEST(PersistentCacheBoundsTest, LoadAllSkipsOversizedEntriesUnread) {
   EXPECT_EQ(stats.loaded, 1u);
   EXPECT_EQ(stats.load_skipped_oversize, 1u);
   EXPECT_EQ(stats.rejected, 0u);
+  struct stat st{};
+  EXPECT_NE(::stat((dir.path() + "/" +
+                    service::PersistentResultCache::EntryFileName(2))
+                       .c_str(),
+                   &st),
+            0);
 }
 
 TEST(PersistentCacheBoundsTest, LoadAllCapsEntryCountOnHugeDirs) {

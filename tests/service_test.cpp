@@ -697,9 +697,10 @@ TEST(ServerPipeTest, MetricsPromServesValidExposition) {
   ASSERT_TRUE(responses[2].ok);
   EXPECT_EQ(responses[2].args.GetString("format", ""), "prometheus-0.0.4");
 
-  // The served body is the fleet exposition.
+  // The served body is the fleet exposition: one sample per fleet family
+  // at one shard.
   const std::string& served = responses[2].payload;
-  EXPECT_GT(ExpectValidExposition(served), 10u);
+  EXPECT_EQ(ExpectValidExposition(served), 8u);
   EXPECT_NE(served.find("spta_fleet_shards 1"), std::string::npos);
   EXPECT_NE(served.find("spta_fleet_requests_total{shard=\"0\"} 2"),
             std::string::npos);
@@ -708,7 +709,7 @@ TEST(ServerPipeTest, MetricsPromServesValidExposition) {
 
   EXPECT_NE(served.find("# TYPE spta_fleet_requests_total counter"),
             std::string::npos);
-  EXPECT_NE(served.find("# TYPE spta_fleet_shard_alive gauge"),
+  EXPECT_NE(served.find("# TYPE spta_fleet_shards gauge"),
             std::string::npos);
   EXPECT_EQ(served.find("spta_atlas_"), std::string::npos);
 }

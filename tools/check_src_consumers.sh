@@ -24,6 +24,7 @@ sim/reference_model    the record-at-a-time oracle of sim_equivalence_test
 analysis/reuse         the LRU stack-distance oracle of ReuseProfileTest
 fault/prng_degrade     a generator of the fault matrix (fault_matrix_smoke)
 fault/sample_corruption a generator of the fault matrix (fault_matrix_smoke)
+fault/io_plan          seeded I/O and process chaos (fault_matrix_smoke, fleet_chaos_test)
 '
 
 cd "$repo_root" || exit 1

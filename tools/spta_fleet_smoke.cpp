@@ -98,6 +98,9 @@ int SupervisorSigtermLeg(const char* fleet_bin) {
   const pid_t pid = ::fork();
   SMOKE_CHECK(pid >= 0, "supervisor: fork");
   if (pid == 0) {
+    // Its own process group: the failure paths' killpg then also reaches
+    // the supervisor's spta_serve children.
+    ::setpgid(0, 0);
     ::dup2(fds[1], 2);
     ::close(fds[0]);
     ::close(fds[1]);
@@ -105,12 +108,13 @@ int SupervisorSigtermLeg(const char* fleet_bin) {
             "1", static_cast<char*>(nullptr));
     ::_exit(127);
   }
+  ::setpgid(pid, pid);  // Either side may run first; both set it.
   ::close(fds[1]);
   const int log_fd = fds[0];
   ::fcntl(log_fd, F_SETFL, O_NONBLOCK);
   std::string log;
   const int port = WaitBoundPort(log_fd, &log);
-  if (port <= 0) ::kill(pid, SIGKILL);
+  if (port <= 0) ::killpg(pid, SIGKILL);
   SMOKE_CHECK(port > 0, "supervisor: bound port logged");
 
   // Serve check: children need a moment to bind; retry the connect.
@@ -127,7 +131,7 @@ int SupervisorSigtermLeg(const char* fleet_bin) {
     served = client.Ping().ok;
   }
   DrainLog(log_fd, &log);
-  if (!served) ::kill(pid, SIGKILL);
+  if (!served) ::killpg(pid, SIGKILL);
   SMOKE_CHECK(served, "supervisor: fleet serves PING");
   // One child answering says nothing about the other: a SIGTERM that
   // reaches a child before it installed its handlers kills it dirty. Each
@@ -146,7 +150,7 @@ int SupervisorSigtermLeg(const char* fleet_bin) {
     ::usleep(20 * 1000);
     DrainLog(log_fd, &log);
   }
-  if (listening() < 2) ::kill(pid, SIGKILL);
+  if (listening() < 2) ::killpg(pid, SIGKILL);
   SMOKE_CHECK(listening() >= 2, "supervisor: both children listening");
 
   SMOKE_CHECK(::kill(pid, SIGTERM) == 0, "supervisor: SIGTERM");
@@ -159,7 +163,7 @@ int SupervisorSigtermLeg(const char* fleet_bin) {
     ::usleep(50 * 1000);
   }
   ::close(log_fd);
-  if (done != pid) ::kill(pid, SIGKILL);
+  if (done != pid) ::killpg(pid, SIGKILL);
   SMOKE_CHECK(done == pid, "supervisor: drain finished within deadline");
   SMOKE_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0,
               "supervisor: clean exit after SIGTERM");
