@@ -104,34 +104,6 @@ std::uint64_t AnalysisVerifier(
 AnalysisEngine::AnalysisEngine(std::size_t cache_capacity)
     : cache_(cache_capacity) {}
 
-AnalysisEngine::Ticket::~Ticket() { engine_->Release(*this); }
-
-std::shared_ptr<AnalysisEngine::Ticket> AnalysisEngine::TakeTicket(
-    std::uint64_t key) {
-  std::lock_guard<std::mutex> lock(tickets_mutex_);
-  const std::uint64_t number = queues_[key].issued++;
-  return std::shared_ptr<Ticket>(new Ticket(this, key, number));
-}
-
-void AnalysisEngine::WaitForTurn(const Ticket& ticket) {
-  std::unique_lock<std::mutex> lock(tickets_mutex_);
-  turn_changed_.wait(lock, [&] {
-    return queues_.at(ticket.key_).serving == ticket.number_;
-  });
-}
-
-void AnalysisEngine::Release(const Ticket& ticket) {
-  {
-    std::lock_guard<std::mutex> lock(tickets_mutex_);
-    const auto it = queues_.find(ticket.key_);
-    TicketQueue& queue = it->second;
-    queue.released.insert(ticket.number_);
-    while (queue.released.erase(queue.serving) != 0) ++queue.serving;
-    if (queue.serving == queue.issued) queues_.erase(it);
-  }
-  turn_changed_.notify_all();
-}
-
 bool AnalysisEngine::Restore(std::uint64_t key, std::uint64_t verifier,
                              std::string body) {
   const Args result =
@@ -220,8 +192,6 @@ bool AnalysisEngine::Analyze(
 
   outcome->key = AnalysisKey(observations, config);
   const std::uint64_t verifier = AnalysisVerifier(observations, config);
-  const std::shared_ptr<Ticket> ticket = TakeTicket(outcome->key);
-  WaitForTurn(*ticket);
   if (auto body = cache_.Lookup(outcome->key, verifier)) {
     outcome->cache_hit = true;
     DecodeBody(*body, &outcome->result, &outcome->report);

@@ -13,14 +13,10 @@
 // because both run the same code on the same doubles.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <span>
 #include <string>
-#include <unordered_map>
 
 #include "mbpta/per_path.hpp"
 #include "service/persistent_cache.hpp"
@@ -83,12 +79,8 @@ class AnalysisEngine {
   /// Runs (or recalls) the analysis. Returns false + diagnostic for
   /// requests the pipeline cannot accept (sample too small, block size
   /// larger than the sample, ...) — never aborts on untrusted input.
-  ///
-  /// Single flight: analyses of one key run one at a time, in the order
-  /// they were validated, and each checks the cache before it computes.
-  /// The first answers cache=miss, and every identical request queued
-  /// behind it answers from that result as cache=hit instead of running
-  /// a second EVT fit.
+  /// Concurrent analyses of one key may both compute and both answer
+  /// cache=miss; their results are identical, and the cache keeps one.
   bool Analyze(std::span<const mbpta::PathObservation> observations,
                const AnalysisConfig& config, AnalysisOutcome* outcome,
                std::string* error);
@@ -114,44 +106,8 @@ class AnalysisEngine {
   void InsertCached(std::uint64_t key, std::uint64_t verifier,
                     const ResultCache::Body& body);
 
-  /// A place in the queue of analyses of one key; destroying it gives
-  /// the place up.
-  class Ticket {
-   public:
-    ~Ticket();
-    Ticket(const Ticket&) = delete;
-    Ticket& operator=(const Ticket&) = delete;
-
-   private:
-    friend class AnalysisEngine;
-    Ticket(AnalysisEngine* engine, std::uint64_t key, std::uint64_t number)
-        : engine_(engine), key_(key), number_(number) {}
-
-    AnalysisEngine* engine_;
-    std::uint64_t key_;
-    std::uint64_t number_;
-  };
-
-  /// The tickets of one key: `serving` is the number whose turn it is;
-  /// `released` holds later numbers given up before their turn.
-  struct TicketQueue {
-    std::uint64_t issued = 0;
-    std::uint64_t serving = 0;
-    std::set<std::uint64_t> released;
-  };
-
-  /// A place in the queue of analyses of `key`, taken in call order.
-  std::shared_ptr<Ticket> TakeTicket(std::uint64_t key);
-  void WaitForTurn(const Ticket& ticket);
-  void Release(const Ticket& ticket);
-
   ResultCache cache_;
   PersistentResultCache* store_ = nullptr;
-
-  std::mutex tickets_mutex_;
-  std::condition_variable turn_changed_;
-  /// Keys with at least one unreleased ticket.
-  std::unordered_map<std::uint64_t, TicketQueue> queues_;
 };
 
 }  // namespace spta::service

@@ -10,11 +10,6 @@ namespace {
 
 constexpr std::size_t kBufferBytes = 1 << 16;
 
-/// Injected-EAGAIN retry budget: a short storm is survived, a persistent
-/// one fails the stream instead of spinning. EINTR has no budget — the
-/// POSIX contract is to retry it indefinitely.
-constexpr int kInjectedEagainBudget = 8;
-
 }  // namespace
 
 FdStreambuf::FdStreambuf(int fd) : FdStreambuf(fd, IoFaultHook{}) {}

@@ -53,6 +53,13 @@ struct IoFault {
 /// connection's own thread only — no synchronization is provided.
 using IoFaultHook = std::function<IoFault(IoOp, std::size_t)>;
 
+/// Injected-EAGAIN retries per syscall, for FdStreambuf and the fleet's
+/// event loop alike: a short storm is survived, a persistent one fails
+/// the stream (EAGAIN) or the served connection (EIO) instead of
+/// spinning. EINTR has no budget — the POSIX contract is to retry it
+/// indefinitely.
+inline constexpr int kInjectedEagainBudget = 8;
+
 class FdStreambuf : public std::streambuf {
  public:
   /// Does NOT own `fd` (the connection loop closes it).

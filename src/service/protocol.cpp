@@ -35,23 +35,6 @@ bool ParseUint(std::string_view s, std::uint64_t* out) {
   return true;
 }
 
-/// Common frame writer: TYPE is the verb or OK/ERR. A valid `trace`
-/// context rides as the optional fourth header token; an invalid one
-/// leaves the header byte-identical to the pre-tracing format.
-bool WriteFrame(std::ostream& out, std::string_view type, const Args& args,
-                const std::string& payload,
-                const obs::TraceContext& trace = {}) {
-  std::string body = args.Encode();
-  body.push_back('\n');
-  body += payload;
-  out << kMagic << ' ' << type << ' ' << body.size();
-  if (trace.valid()) out << " trace=" << obs::EncodeTraceContext(trace);
-  out << '\n';
-  out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  out.flush();
-  return static_cast<bool>(out);
-}
-
 /// Common frame reader: yields the TYPE token and splits the body into the
 /// args line and the payload remainder.
 ReadStatus ReadFrame(std::istream& in, std::string* type, Args* args,
@@ -156,6 +139,9 @@ bool BuildRequest(std::string_view type, std::string_view body,
 
 namespace {
 
+/// Common frame encoder: TYPE is the verb or OK/ERR. A valid `trace`
+/// context rides as the optional fourth header token; an invalid one
+/// leaves the header byte-identical to the pre-tracing format.
 void AppendFrame(std::string_view type, const Args& args,
                  const std::string& payload, std::string* out,
                  const obs::TraceContext& trace = {}) {
@@ -173,6 +159,13 @@ void AppendFrame(std::string_view type, const Args& args,
   }
   out->push_back('\n');
   out->append(body);
+}
+
+/// Writes one encoded frame and flushes it.
+bool WriteFrame(std::ostream& out, const std::string& frame) {
+  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  out.flush();
+  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -293,13 +286,15 @@ Response ErrResponse(const std::string& code, const std::string& message) {
 }
 
 bool WriteRequest(std::ostream& out, const Request& request) {
-  return WriteFrame(out, RequestKindName(request.kind), request.args,
-                    request.payload, request.trace);
+  std::string frame;
+  AppendRequestFrameWithTrace(request, &frame);
+  return WriteFrame(out, frame);
 }
 
 bool WriteResponse(std::ostream& out, const Response& response) {
-  return WriteFrame(out, response.ok ? "OK" : "ERR", response.args,
-                    response.payload);
+  std::string frame;
+  AppendResponseFrame(response, &frame);
+  return WriteFrame(out, frame);
 }
 
 ReadStatus ReadRequest(std::istream& in, Request* request,

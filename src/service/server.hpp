@@ -16,9 +16,10 @@
 //   * ANALYZE snapshots its samples at execution time, so an analysis sees
 //     exactly the appends that preceded it on its session. Deadlines are
 //     the event loop's: it sheds at admission and expires in the queue.
-//   * Identical analyses are single-flight in the engine (engine.hpp), across
-//     every shard that shares it: the first computes, the rest answer from
-//     its cached result.
+//   * Every shard shares the engine's result cache (engine.hpp): an analysis
+//     that finds its key there answers cache=hit. Two shards given the same
+//     key at once may both compute; ordering identical requests is the
+//     fleet's route (sharded_server.hpp), not the engine's.
 #pragma once
 
 #include <cstdint>

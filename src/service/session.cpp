@@ -26,13 +26,10 @@ bool SessionManager::Open(const std::string& name, std::string* error) {
              " sessions)";
     return false;
   }
-  const auto [it, inserted] = sessions_.try_emplace(name, convergence_);
-  if (!inserted) {
+  if (!sessions_.try_emplace(name, convergence_).second) {
     *error = "session '" + name + "' already exists";
     return false;
   }
-  it->second.generation =
-      std::make_shared<std::atomic<std::uint64_t>>(++mutation_seq_);
   return true;
 }
 
@@ -57,7 +54,6 @@ bool SessionManager::Append(const std::string& name,
   entry.times.reserve(entry.observations.size());
   for (const auto& obs : chunk) entry.times.push_back(obs.time);
   entry.tracker.Update(entry.times);
-  entry.generation->store(++mutation_seq_, std::memory_order_release);
   *status = StatusOf(entry);
   return true;
 }
@@ -95,8 +91,6 @@ bool SessionManager::Close(const std::string& name, std::string* error) {
     *error = "unknown session '" + name + "'";
     return false;
   }
-  // Final stamp: stale Generation() handles observe the close.
-  it->second.generation->store(++mutation_seq_, std::memory_order_release);
   sessions_.erase(it);
   return true;
 }
@@ -104,12 +98,6 @@ bool SessionManager::Close(const std::string& name, std::string* error) {
 std::size_t SessionManager::open_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return sessions_.size();
-}
-
-SessionGeneration SessionManager::Generation(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = sessions_.find(name);
-  return it == sessions_.end() ? nullptr : it->second.generation;
 }
 
 }  // namespace spta::service

@@ -13,10 +13,8 @@
 // session) are enforced here for the same reason.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -39,11 +37,6 @@ struct SessionStatus {
   std::size_t runs_required = 0;    ///< 0 until converged.
   std::size_t next_checkpoint = 0;  ///< Next convergence evaluation point.
 };
-
-/// Read-only handle to a session's mutation stamp (see Generation()).
-/// Outlives the session: a closed session's stamp is bumped one final
-/// time, so a stale handle can always detect that its snapshot died.
-using SessionGeneration = std::shared_ptr<const std::atomic<std::uint64_t>>;
 
 class SessionManager {
  public:
@@ -75,24 +68,11 @@ class SessionManager {
 
   std::size_t open_count() const;
 
-  /// The session's mutation stamp: a value drawn from a manager-global
-  /// monotone sequence, re-stamped on every successful Append and once
-  /// more on Close. A caller that snapshots a session, computes something
-  /// from the snapshot, and later finds the stamp unchanged knows the
-  /// computation still describes the live session — the memoized warm
-  /// path of the sharded server rides on exactly this. The global
-  /// sequence (rather than a per-session counter) makes close-and-reopen
-  /// under the same name observable too: the reopened session's stamp is
-  /// strictly newer than anything the old one ever exposed.
-  /// Returns nullptr for an unknown session.
-  SessionGeneration Generation(const std::string& name) const;
-
  private:
   struct Entry {
     std::vector<mbpta::PathObservation> observations;
     std::vector<double> times;  ///< Mirror of observations[i].time.
     ConvergenceTracker tracker;
-    std::shared_ptr<std::atomic<std::uint64_t>> generation;
 
     explicit Entry(const mbpta::ConvergenceOptions& options)
         : tracker(options) {}
@@ -104,7 +84,6 @@ class SessionManager {
   std::map<std::string, Entry> sessions_;
   mbpta::ConvergenceOptions convergence_;
   SessionLimits limits_;
-  std::uint64_t mutation_seq_ = 0;  ///< Feeds every generation stamp.
 };
 
 }  // namespace spta::service

@@ -39,10 +39,6 @@ std::int64_t NowNs() {
       .count();
 }
 
-/// Injected-EAGAIN retry budget, as in FdStreambuf: a short storm is
-/// survived, a persistent one fails the connection instead of spinning.
-constexpr int kInjectedEagainBudget = 8;
-
 /// bind(2) + listen(2); on failure closes `fd` and returns the errno.
 int BindAndListen(int fd, const sockaddr* addr, socklen_t len, int backlog) {
   if (::bind(fd, addr, len) != 0 || ::listen(fd, backlog) != 0) {
@@ -94,9 +90,6 @@ struct ShardedServer::ShardRuntime {
   std::condition_variable qcv;
   std::deque<Item> queue;  ///< Under qmutex.
   /// Queued + executing requests: the load stateless routing balances.
-  /// Session memo entries only answer at 0: with the shard quiescent, no
-  /// session this shard owns can mutate concurrently, so a generation
-  /// check on the loop thread is stable.
   std::atomic<std::uint64_t> pending{0};
   std::atomic<std::uint64_t> routed{0};
   std::atomic<std::uint64_t> memo_hits{0};
@@ -111,18 +104,16 @@ struct ShardedServer::ShardRuntime {
   std::atomic<std::int64_t> last_completion_ns{0};
 };
 
-/// The fleet's warm-response memo: cache=hit responses keyed by request-body
-/// digest, bounded by entry count with least-recently-used eviction. An
-/// entry renders its own args line and shares the report with the engine's
-/// cached body, so a response is stored once. The recency list runs through
-/// the entries themselves (map nodes never move), so a hit relinks two
-/// pointers and allocates nothing.
+/// The fleet's warm-response memo: cache=hit responses to inline-sample
+/// ANALYZEs keyed by request-body digest, bounded by entry count with
+/// least-recently-used eviction. An entry renders its own args line and
+/// shares the report with the engine's cached body, so a response is stored
+/// once. The recency list runs through the entries themselves (map nodes
+/// never move), so a hit relinks two pointers and allocates nothing.
 struct ShardedServer::WarmMemo {
   struct Entry {
     std::uint64_t key = 0;
     std::uint64_t verify = 0;
-    SessionGeneration generation;  ///< Null → inline sample, immortal.
-    std::uint64_t generation_value = 0;
     /// The hit response's args line without its analyze_us digits, which
     /// a hit renders fresh at `split`.
     std::string args;
@@ -249,10 +240,9 @@ std::uint64_t ShardedServer::shard_memo_hits(std::size_t index) const {
 }
 
 std::uint64_t ShardedServer::RouteDigest(const Request& request,
-                                         std::string_view body) {
+                                         std::uint64_t body_digest) {
   const std::string session = request.args.GetString("session");
-  if (!session.empty()) return HashBytes(session).lo;
-  return HashBytes(body).lo;
+  return session.empty() ? body_digest : HashBytes(session).lo;
 }
 
 std::size_t ShardedServer::ShardFor(std::uint64_t route_digest) const {
@@ -331,18 +321,6 @@ bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
     std::lock_guard<std::mutex> lock(memo_->mutex);
     WarmMemo::Entry* entry = memo_->Find(digest);
     if (entry == nullptr) return false;
-    if (entry->generation != nullptr) {
-      // Ordering gate: a session entry answers past an idle shard only. A
-      // queued APPEND for the same session must invalidate before a later
-      // ANALYZE is answered — with pending != 0 we cannot know, so we
-      // decline.
-      if (shard.pending.load(std::memory_order_acquire) != 0) return false;
-      if (entry->generation->load(std::memory_order_acquire) !=
-          entry->generation_value) {
-        memo_->Erase(entry);  // The session moved on; the entry is dead.
-        return false;
-      }
-    }
     memo_->Touch(entry);
     micros = std::chrono::duration<double, std::micro>(Clock::now() - start)
                  .count();
@@ -368,9 +346,7 @@ bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
 }
 
 void ShardedServer::Memoize(const DualHash& digest, const Response& response,
-                            ResultCache::Body body,
-                            SessionGeneration generation,
-                            std::uint64_t generation_value) {
+                            ResultCache::Body body) {
   if (memo_->capacity == 0 || !response.ok || body == nullptr ||
       !response.args.Has("analyze_us")) {
     return;
@@ -394,8 +370,6 @@ void ShardedServer::Memoize(const DualHash& digest, const Response& response,
   entry.args.shrink_to_fit();
   entry.body = std::move(body);
   entry.report = report;
-  entry.generation = std::move(generation);
-  entry.generation_value = generation_value;
   std::lock_guard<std::mutex> lock(memo_->mutex);
   memo_->Insert(digest, std::move(entry));
 }
@@ -404,17 +378,6 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
                                        const Request& request,
                                        const DualHash& digest,
                                        std::int64_t enqueue_ns) {
-  const bool analyze = request.kind == RequestKind::kAnalyze;
-  const std::string session =
-      analyze ? request.args.GetString("session") : std::string();
-  SessionGeneration generation;
-  std::uint64_t generation_value = 0;
-  if (analyze && !session.empty()) {
-    generation = shard.server->sessions().Generation(session);
-    if (generation != nullptr) {
-      generation_value = generation->load(std::memory_order_acquire);
-    }
-  }
   const std::int64_t start_ns = NowNs();
   // deadline_ms runs from ADMISSION, not execution: a request that spent
   // its whole budget waiting in the shard queue is already dead, and
@@ -450,17 +413,11 @@ Response ShardedServer::ExecuteOnShard(ShardRuntime& shard,
   shard.ewma_cost_us.store(std::max<std::uint64_t>(next, 1),
                            std::memory_order_relaxed);
   shard.last_completion_ns.store(end_ns, std::memory_order_relaxed);
-  if (analyze && response.ok) {
-    if (session.empty()) {
-      Memoize(digest, response, std::move(analysis_body), nullptr, 0);
-    } else if (generation != nullptr &&
-               generation->load(std::memory_order_acquire) ==
-                   generation_value) {
-      // Stamp unchanged across the analysis → the memo entry describes
-      // the live session.
-      Memoize(digest, response, std::move(analysis_body),
-              std::move(generation), generation_value);
-    }
+  // A session's samples change under the same body bytes, so only an
+  // inline sample's response is memoized.
+  if (request.kind == RequestKind::kAnalyze &&
+      request.args.GetString("session").empty()) {
+    Memoize(digest, response, std::move(analysis_body));
   }
   return response;
 }
@@ -555,14 +512,11 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
       break;
   }
   const DualHash digest = HashBytes(body);
-  const std::string session = request.args.GetString("session");
-  // A stateless request probes the memo before the load scan, and a hit
-  // is charged to the digest's home shard; a session request probes it
-  // on its session's shard.
-  const std::size_t home =
-      ShardFor(session.empty() ? digest.lo : HashBytes(session).lo);
-  const bool analyze = request.kind == RequestKind::kAnalyze;
-  if (analyze && session.empty()) {
+  const bool stateless = request.args.GetString("session").empty();
+  const std::size_t home = ShardFor(RouteDigest(request, digest.lo));
+  // A stateless ANALYZE probes the memo before the load scan, and a hit is
+  // charged to the digest's home shard.
+  if (stateless && request.kind == RequestKind::kAnalyze) {
     std::string frame;
     if (TryServeWarm(*shards_[home], digest, &frame)) {
       CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
@@ -570,15 +524,8 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
     }
   }
   const std::size_t target =
-      session.empty() ? RouteStateless(digest.lo, home) : home;
+      stateless ? RouteStateless(digest.lo, home) : home;
   ShardRuntime& shard = *shards_[target];
-  if (analyze && !session.empty()) {
-    std::string frame;
-    if (TryServeWarm(shard, digest, &frame)) {
-      CompleteItem(conn, id, std::move(frame), /*on_loop_thread=*/true);
-      return;
-    }
-  }
   if (const std::uint64_t hint = DeadlineShedHint(shard, request)) {
     // Admission control: queueing this request would only make it miss
     // its deadline at execution. Shed it now — counted as a shed, not a
@@ -602,7 +549,7 @@ void ShardedServer::Dispatch(const std::shared_ptr<Conn>& conn,
   item.request = std::move(request);
   item.body_digest = digest;
   item.enqueue_ns = NowNs();
-  item.stateless = session.empty();
+  item.stateless = stateless;
   inflight_.fetch_add(1, std::memory_order_acq_rel);
   if (!PushToShard(target, std::move(item))) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -1102,8 +1049,8 @@ void ShardedServer::ShardWorker(std::size_t index) {
     CompleteItem(item.conn, item.id, std::move(frame),
                  /*on_loop_thread=*/false);
     // Release order matters: the response (and any memo and cache entry)
-    // must be visible before a twin can route elsewhere and before the
-    // pending gate reopens the session memo.
+    // must be visible before a twin can route elsewhere, or a later
+    // identical request could run on another shard and miss.
     ReleaseTwin(item);
     shard.pending.fetch_sub(1, std::memory_order_release);
     inflight_.fetch_sub(1, std::memory_order_acq_rel);

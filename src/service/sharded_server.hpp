@@ -12,27 +12,27 @@
 //   * N worker shards, each a Server executor (own SessionManager and
 //     ServiceMetrics) fed over a bounded FIFO queue; a full queue answers
 //     ERR busy. Every shard executes against the fleet's ONE AnalysisEngine
-//     (result cache of cache_capacity x shards entries, single flight
-//     across shards). Session-bound verbs route by the session name's hash
-//     — one session's whole life happens on one shard, in order. Stateless
-//     requests route by load: to the shard with the fewest pending
-//     requests, ties to the body digest's home shard (ShardFor), so an idle
-//     or synchronous fleet routes by content. A stateless request whose
-//     body digest is already queued or executing follows that twin to its
-//     shard, so pipelined identical requests answer in FIFO order (one
-//     cache=miss, then cache=hit).
+//     (result cache of cache_capacity x shards entries). Session-bound
+//     verbs route by the session name's hash — one session's whole life
+//     happens on one shard, in order. Stateless requests route by load: to
+//     the shard with the fewest pending requests, ties to the body digest's
+//     home shard (ShardFor), so an idle or synchronous fleet routes by
+//     content. A stateless request whose body digest is already queued or
+//     executing follows that twin to its shard, so pipelined identical
+//     requests answer in FIFO order (one cache=miss, then cache=hit). That
+//     route is the only single flight: same-key analyses sent as different
+//     bytes may run on two shards at once, and both answer cache=miss.
 //   * The loop answers SHUTDOWN, HEALTH, METRICS, METRICS_PROM and TRACE
 //     itself, without crossing a queue — HEALTH answers even when every
 //     shard is wedged.
-//   * A memoized warm path on the loop thread: a repeated ANALYZE is
-//     answered from one fleet-wide LRU memo of rendered response bytes
-//     (each entry's report shared with the engine's cache, not copied)
-//     without ever crossing a thread — the same bytes a shard would produce
-//     (only the volatile analyze_us timing field is re-rendered per
-//     request). A stateless entry answers whatever the shards' load.
-//     Session entries carry the session's generation stamp (session.hpp),
-//     die the moment the session mutates, and answer only while the
-//     session's shard is idle (a queued APPEND would otherwise be passed).
+//   * A memoized warm path on the loop thread: a repeated inline-sample
+//     ANALYZE is answered from one fleet-wide LRU memo of rendered response
+//     bytes (each entry's report shared with the engine's cache, not
+//     copied) without ever crossing a thread, whatever the shards' load —
+//     the same bytes a shard would produce (only the volatile analyze_us
+//     timing field is re-rendered per request). A session ANALYZE always
+//     runs on its session's shard; a repeat without an APPEND between
+//     answers cache=hit from the engine's cache.
 //   * Zero-loss drain: SHUTDOWN (in-band or TriggerShutdown) stops intake,
 //     waits for every accepted request to complete and flush, acks, then
 //     exits.
@@ -150,10 +150,11 @@ class ShardedServer {
   // --- Routing (exposed for the routing tests) ---
 
   /// The digest a frame routes by: the session name's byte hash for
-  /// session-bound requests (one session, one shard, in order), the raw
-  /// body bytes' hash otherwise (the home shard that wins load ties).
+  /// session-bound requests (one session, one shard, in order), otherwise
+  /// `body_digest`, the raw body bytes' hash (the home shard that wins
+  /// load ties).
   static std::uint64_t RouteDigest(const Request& request,
-                                   std::string_view body);
+                                   std::uint64_t body_digest);
   /// digest % shards. Session verbs go here; it is also a stateless
   /// request's home shard, which wins load ties.
   std::size_t ShardFor(std::uint64_t route_digest) const;
@@ -270,11 +271,11 @@ class ShardedServer {
   /// retry_after_ms hint for a plain queue-full busy rejection (0 = no
   /// estimate available, hint omitted).
   std::uint64_t BusyRetryHint(const ShardRuntime& shard) const;
-  /// Memoizes an analysis response whose payload is the report part of
-  /// `body`, the engine's cached body, which the memo shares.
+  /// Memoizes an inline-sample analysis response whose payload is the
+  /// report part of `body`, the engine's cached body, which the memo
+  /// shares.
   void Memoize(const DualHash& digest, const Response& response,
-               ResultCache::Body body, SessionGeneration generation,
-               std::uint64_t generation_value);
+               ResultCache::Body body);
 
   // Per-connection dispatch (both modes).
   /// Parses and dispatches every frame banked in the connection's

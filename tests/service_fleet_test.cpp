@@ -106,6 +106,15 @@ std::string ReplayUntilClosed(std::unique_ptr<Connection> connection,
   return std::string(std::istreambuf_iterator<char>(connection->in()), {});
 }
 
+/// Responses answered from the fleet memo, over every shard.
+std::uint64_t MemoHits(const service::ShardedServer& fleet) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
+    total += fleet.shard_memo_hits(i);
+  }
+  return total;
+}
+
 // --- Served bytes ----------------------------------------------------------
 
 TEST(FleetEquivalenceTest, EveryTransportServesTheGoldenBytes) {
@@ -217,7 +226,8 @@ TEST(FleetEquivalenceTest, TcpPeerStillSendingAfterMalformedFrameReadsTheErr) {
 
 // The warm repeat must ALSO be identical in its cache disposition: both
 // sides serve the second session ANALYZE as a hit, and the served pwcet
-// equals the batch pipeline's bit for bit.
+// equals the batch pipeline's bit for bit. An APPEND then changes the
+// session, so the next ANALYZE computes afresh over the grown sample.
 TEST(FleetEquivalenceTest, WarmHitMatchesBatchQuantileBitForBit) {
   const auto sample = SyntheticSample(500, 31);
   std::vector<double> times;
@@ -241,10 +251,15 @@ TEST(FleetEquivalenceTest, WarmHitMatchesBatchQuantileBitForBit) {
   analyze.args.Set("session", "batch");
   script.push_back(analyze);
   script.push_back(analyze);
+  service::Request grow = append;
+  grow.payload = service::EncodeSamplePayload(SyntheticSample(100, 32));
+  script.push_back(grow);
+  script.push_back(analyze);
   const auto responses = RunScript(fleet, script);
-  ASSERT_EQ(responses.size(), 4u);
-  ASSERT_TRUE(responses[2].ok) << responses[2].payload;
-  ASSERT_TRUE(responses[3].ok) << responses[3].payload;
+  ASSERT_EQ(responses.size(), 6u);
+  for (const auto& response : responses) {
+    ASSERT_TRUE(response.ok) << response.payload;
+  }
   EXPECT_EQ(responses[2].args.GetString("cache"), "miss");
   EXPECT_EQ(responses[3].args.GetString("cache"), "hit");
   for (const std::size_t i : {std::size_t{2}, std::size_t{3}}) {
@@ -252,12 +267,48 @@ TEST(FleetEquivalenceTest, WarmHitMatchesBatchQuantileBitForBit) {
         std::strtod(responses[i].args.GetString("pwcet").c_str(), nullptr);
     EXPECT_EQ(served, batch_pwcet) << "response " << i;  // bit-for-bit
   }
-  // The hit came from the loop-side memo (shard counters prove the path).
-  std::uint64_t memo_hits = 0;
-  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
-    memo_hits += fleet.shard_memo_hits(i);
+  // The hit came from the engine's cache: session responses are never
+  // memoized.
+  EXPECT_EQ(fleet.engine().cache().stats().hits, 1u);
+  EXPECT_EQ(MemoHits(fleet), 0u);
+  // After the APPEND the same request bytes describe a larger sample.
+  EXPECT_EQ(responses[5].args.GetString("cache"), "miss");
+  EXPECT_EQ(responses[5].args.GetUint("sample_size", 0), 600u);
+  EXPECT_NE(responses[5].args.GetString("key"),
+            responses[3].args.GetString("key"));
+}
+
+// One sample in two byte-different inline bodies (with and without count=)
+// routes as two digests, so load routing runs them on different shards at
+// once. Both answer the same analysis, and the engine keeps one entry;
+// which of the two computes, or whether both do, is a race.
+TEST(FleetEquivalenceTest, SameKeyFromDifferentBodiesAnswersTheSameBytes) {
+  service::ShardedServerOptions options;
+  options.shards = 2;
+  options.server.enable_debug_hooks = true;
+  testing::PipeFleet pipe(options);
+  service::ShardedServer& fleet = pipe.fleet();
+  const auto sample = SyntheticSample(300, 740);
+  service::Args counted;
+  counted.SetDouble("debug_sleep_ms", 50.0);
+  counted.SetUint("count", sample.size());
+  service::Args uncounted;
+  uncounted.SetDouble("debug_sleep_ms", 50.0);
+  pipe.Send({AnalyzeInlineRequest(sample, counted),
+             AnalyzeInlineRequest(sample, uncounted)});
+  auto responses = pipe.Finish();
+  ASSERT_EQ(responses.size(), 2u);
+  for (const auto& response : responses) {
+    ASSERT_TRUE(response.ok) << response.payload;
   }
-  EXPECT_EQ(memo_hits, 1u);
+  EXPECT_EQ(fleet.shard_routed_total(0), 1u);
+  EXPECT_EQ(fleet.shard_routed_total(1), 1u);
+  EXPECT_EQ(responses[0].args.GetString("key"),
+            responses[1].args.GetString("key"));
+  EXPECT_EQ(responses[0].args.GetString("pwcet"),
+            responses[1].args.GetString("pwcet"));
+  EXPECT_EQ(responses[0].payload, responses[1].payload);
+  EXPECT_EQ(fleet.engine().cache().stats().size, 1u);
 }
 
 // The fleet METRICS surface: the per-shard counters summed across shards
@@ -309,22 +360,14 @@ std::string FrameBody(const service::Request& request) {
 /// The home shard (ShardFor) of a request's route digest.
 std::size_t HomeShard(const service::ShardedServer& fleet,
                       const service::Request& request) {
-  return fleet.ShardFor(
-      service::ShardedServer::RouteDigest(request, FrameBody(request)));
+  return fleet.ShardFor(service::ShardedServer::RouteDigest(
+      request, HashBytes(FrameBody(request)).lo));
 }
 
 std::uint64_t RoutedTotal(const service::ShardedServer& fleet) {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
     total += fleet.shard_routed_total(i);
-  }
-  return total;
-}
-
-std::uint64_t MemoHits(const service::ShardedServer& fleet) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < fleet.shard_count(); ++i) {
-    total += fleet.shard_memo_hits(i);
   }
   return total;
 }
@@ -339,8 +382,8 @@ TEST(FleetRoutingTest, SameDigestSameShardSameBytes) {
   service::ShardedServer fleet(options);
 
   const auto request = AnalyzeInlineRequest(SyntheticSample(300, 5));
-  const std::uint64_t route =
-      service::ShardedServer::RouteDigest(request, FrameBody(request));
+  const std::uint64_t route = service::ShardedServer::RouteDigest(
+      request, HashBytes(FrameBody(request)).lo);
   const std::size_t expected_shard = fleet.ShardFor(route);
   ASSERT_LT(expected_shard, fleet.shard_count());
   // ShardFor is pure: the same digest maps to the same shard every time.
@@ -668,7 +711,7 @@ TEST(FleetRoutingTest, SessionStaysOnItsShardAfterDeadlineMisses) {
 // Pipelines a campaign of slow analyses over TCP and a SHUTDOWN behind it:
 // every frame written gets exactly one response, in order, and the drain
 // acks after the last analysis.
-TEST(FleetChaosTest, KillShardMidCampaignLosesNothing) {
+TEST(FleetDrainTest, PipelinedTcpBurstLosesNothing) {
   service::ShardedServerOptions options;
   options.shards = 3;
   options.server.enable_debug_hooks = true;  // debug_sleep_ms
