@@ -24,7 +24,7 @@ int main() {
   using namespace spta;
 
   // --- The "board side": dump cycles,path_id CSV. -----------------------
-  std::stringstream wire;  // stands in for a file / serial link
+  std::ostringstream wire;  // stands in for a file / serial link
   {
     const apps::TvcaApp app;
     analysis::CampaignConfig cfg;
@@ -37,7 +37,7 @@ int main() {
   }
 
   // --- The "analysis side": CSV in, certification evidence out. ----------
-  const auto obs = analysis::ReadSamplesCsv(wire);
+  const auto obs = analysis::ReadSamplesCsv(wire.str());
   std::printf("analysis: loaded %zu observations\n\n", obs.size());
 
   std::vector<double> times;

@@ -1,5 +1,7 @@
 #include "analysis/sample_io.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -22,7 +24,7 @@ std::uint64_t CombineRow(std::uint64_t h, std::uint64_t cycles,
   return HashCombine(HashCombine(h, cycles), path_id);
 }
 
-bool ParseHex64(const std::string& s, std::uint64_t* out) {
+bool ParseHex64(std::string_view s, std::uint64_t* out) {
   if (s.empty() || s.size() > 16) return false;
   std::uint64_t v = 0;
   for (const char c : s) {
@@ -51,7 +53,7 @@ std::string Hex64(std::uint64_t v) {
 }
 
 // Trims ASCII whitespace from both ends.
-std::string Trim(const std::string& s) {
+std::string_view Trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
   while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\r')) ++b;
@@ -61,11 +63,41 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-bool ParseDouble(const std::string& s, double* out) {
+// The reference field grammar: strtod over the whole field. Like the C
+// string it reads, the field ends at an embedded NUL.
+bool ParseDoubleStrtod(std::string_view s, double* out) {
+  const std::string text(s);
   char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != s.c_str() && *end == '\0';
+  *out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0';
 }
+
+// Accepts exactly the fields ParseDoubleStrtod accepts, with the same
+// value, trying two exact and cheaper conversions first: a field of at
+// most 15 digits is an integer below 2^53, and std::from_chars rounds
+// correctly like strtod but accepts a subset of its grammar (no leading
+// '+' or whitespace, no hex floats) and reports underflow and overflow as
+// errors; everything it does not take whole goes to strtod.
+bool ParseDouble(std::string_view s, double* out) {
+  if (!s.empty() && s.size() <= 15) {
+    std::uint64_t whole = 0;
+    std::size_t i = 0;
+    for (; i < s.size() && s[i] >= '0' && s[i] <= '9'; ++i) {
+      whole = whole * 10 + static_cast<std::uint64_t>(s[i] - '0');
+    }
+    if (i == s.size()) {
+      *out = static_cast<double>(whole);
+      return true;
+    }
+  }
+  const char* const last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, *out);
+  if (ec == std::errc() && ptr == last) return true;
+  return ParseDoubleStrtod(s, out);
+}
+
+// 2^64: the first double a std::uint64_t cannot hold.
+constexpr double kUint64Limit = 0x1p64;
 
 std::string LineError(std::size_t line_no, const std::string& what) {
   return "samples CSV line " + std::to_string(line_no) + ": " + what;
@@ -73,85 +105,74 @@ std::string LineError(std::size_t line_no, const std::string& what) {
 
 }  // namespace
 
-bool TryReadSamplesCsvWithMeta(std::istream& in,
-                               std::vector<mbpta::PathObservation>* out,
-                               CsvMeta* meta, std::string* error) {
+bool TryReadSamplesCsv(std::string_view text,
+                       std::vector<mbpta::PathObservation>* out,
+                       CsvMeta* meta, std::string* error) {
   out->clear();
   if (meta != nullptr) *meta = CsvMeta{};
-  std::string line;
   std::size_t line_no = 0;
-  while (std::getline(in, line)) {
+  const auto fail = [&](const std::string& what) {
+    *error = LineError(line_no, what);
+    out->clear();
+    return false;
+  };
+  // Lines end at '\n'; a final line without one still counts.
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t newline = std::min(text.find('\n', pos), text.size());
+    const std::string_view trimmed = Trim(text.substr(pos, newline - pos));
+    pos = newline + 1;
     ++line_no;
-    const std::string trimmed = Trim(line);
     if (trimmed.empty() || trimmed[0] == '#') {
       // Metadata rides in comments so legacy readers skip it; a malformed
       // metadata value is a hard error (it means the annotations were
       // themselves damaged), a plain comment is ignored.
-      if (trimmed.rfind(kDigestComment, 0) == 0) {
+      if (trimmed.starts_with(kDigestComment)) {
         std::uint64_t digest = 0;
-        const std::string value =
+        const std::string_view value =
             Trim(trimmed.substr(sizeof(kDigestComment) - 1));
         if (!ParseHex64(value, &digest)) {
-          *error = LineError(line_no, "bad spta-digest '" + value + "'");
-          out->clear();
-          return false;
+          return fail("bad spta-digest '" + std::string(value) + "'");
         }
         if (meta != nullptr) meta->digest = digest;
-      } else if (trimmed.rfind(kFaultsComment, 0) == 0) {
-        const std::string value =
+      } else if (trimmed.starts_with(kFaultsComment)) {
+        const std::string_view value =
             Trim(trimmed.substr(sizeof(kFaultsComment) - 1));
         double faults = 0.0;
         if (!ParseDouble(value, &faults) || !std::isfinite(faults) ||
-            faults < 0.0) {
-          *error = LineError(line_no, "bad spta-faults '" + value + "'");
-          out->clear();
-          return false;
+            faults < 0.0 || faults >= kUint64Limit) {
+          return fail("bad spta-faults '" + std::string(value) + "'");
         }
         if (meta != nullptr) meta->faults = static_cast<std::uint64_t>(faults);
       }
       continue;
     }
-    const auto comma = trimmed.find(',');
-    const std::string first =
-        Trim(comma == std::string::npos ? trimmed : trimmed.substr(0, comma));
+    const std::size_t comma = trimmed.find(',');
+    const std::string_view first = Trim(trimmed.substr(0, comma));
     double cycles = 0.0;
     if (!ParseDouble(first, &cycles)) {
       // Tolerate a header line (non-numeric first field).
       if (out->empty()) continue;
-      *error = LineError(line_no, "bad number '" + first + "'");
-      out->clear();
-      return false;
+      return fail("bad number '" + std::string(first) + "'");
     }
     // Execution times feed straight into the EVT fit; a NaN would quietly
     // corrupt every statistic downstream, so reject it here with context.
     if (!std::isfinite(cycles)) {
-      *error = LineError(line_no,
-                         "non-finite execution time '" + first + "'");
-      out->clear();
-      return false;
+      return fail("non-finite execution time '" + std::string(first) + "'");
     }
     if (cycles < 0.0) {
-      *error = LineError(line_no,
-                         "negative execution time '" + first + "'");
-      out->clear();
-      return false;
+      return fail("negative execution time '" + std::string(first) + "'");
     }
     mbpta::PathObservation obs;
     obs.time = cycles;
-    if (comma != std::string::npos) {
-      const std::string second = Trim(trimmed.substr(comma + 1));
+    if (comma != std::string_view::npos) {
+      const std::string_view second = Trim(trimmed.substr(comma + 1));
       if (!second.empty()) {
         double path = 0.0;
-        if (!ParseDouble(second, &path) || !std::isfinite(path)) {
-          *error = LineError(line_no, "bad path id '" + second + "'");
-          out->clear();
-          return false;
+        if (!ParseDouble(second, &path) || !std::isfinite(path) ||
+            path >= kUint64Limit) {
+          return fail("bad path id '" + std::string(second) + "'");
         }
-        if (path < 0.0) {
-          *error = LineError(line_no, "negative path id");
-          out->clear();
-          return false;
-        }
+        if (path < 0.0) return fail("negative path id");
         obs.path_id = static_cast<std::uint64_t>(path);
       }
     }
@@ -160,16 +181,10 @@ bool TryReadSamplesCsvWithMeta(std::istream& in,
   return true;
 }
 
-bool TryReadSamplesCsv(std::istream& in,
-                       std::vector<mbpta::PathObservation>* out,
-                       std::string* error) {
-  return TryReadSamplesCsvWithMeta(in, out, nullptr, error);
-}
-
-std::vector<mbpta::PathObservation> ReadSamplesCsv(std::istream& in) {
+std::vector<mbpta::PathObservation> ReadSamplesCsv(std::string_view text) {
   std::vector<mbpta::PathObservation> out;
   std::string error;
-  SPTA_REQUIRE_MSG(TryReadSamplesCsv(in, &out, &error), error);
+  SPTA_REQUIRE_MSG(TryReadSamplesCsv(text, &out, nullptr, &error), error);
   return out;
 }
 

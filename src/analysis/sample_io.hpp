@@ -11,33 +11,17 @@
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/campaign.hpp"
 #include "mbpta/per_path.hpp"
 
 namespace spta::analysis {
-
-/// Parses observations from `in`. Accepts an optional header line, blank
-/// lines and `#` comments; a missing path column means path 0. Aborts
-/// (precondition) on malformed numeric fields or invalid execution times
-/// (NaN, infinite or negative — values that would otherwise silently
-/// poison the EVT fit), reporting the line number.
-std::vector<mbpta::PathObservation> ReadSamplesCsv(std::istream& in);
-
-/// Non-aborting variant for untrusted input (the spta_serve ingestion
-/// path): returns false and describes the offending line in `error`
-/// instead of taking the process down. Rejects malformed numbers, NaN,
-/// infinite and negative execution times, and malformed path ids. On
-/// failure `out` is left empty.
-bool TryReadSamplesCsv(std::istream& in,
-                       std::vector<mbpta::PathObservation>* out,
-                       std::string* error);
 
 /// Writes `samples` as `cycles,path_id` CSV with a header.
 void WriteSamplesCsv(std::ostream& out,
@@ -69,13 +53,24 @@ struct CsvMeta {
   bool Tainted() const { return faults > 0; }
 };
 
-/// TryReadSamplesCsv plus metadata extraction. Verifies nothing itself —
+/// Parses observations from CSV `text` (a whole file or request payload).
+/// Accepts an optional header line, blank lines and `#` comments; a
+/// missing path column means path 0. Returns false, leaves `out` empty and
+/// describes the offending line in `error` on a malformed number, a NaN,
+/// infinite or negative execution time (values that would otherwise
+/// silently poison the EVT fit), or a path id that is malformed, negative
+/// or at least 2^64. Numbers follow strtod's grammar. Also extracts the
+/// integrity metadata above into `meta` (may be null), rejecting malformed
+/// values or a fault count of at least 2^64. It verifies nothing itself:
 /// callers compare `meta->digest` against ObservationsDigest(*out)
-/// (AnalyzeObservationsGuarded does this when given the meta). `meta` may
-/// be null.
-bool TryReadSamplesCsvWithMeta(std::istream& in,
-                               std::vector<mbpta::PathObservation>* out,
-                               CsvMeta* meta, std::string* error);
+/// (AnalyzeObservationsGuarded does this when given the meta).
+bool TryReadSamplesCsv(std::string_view text,
+                       std::vector<mbpta::PathObservation>* out,
+                       CsvMeta* meta, std::string* error);
+
+/// TryReadSamplesCsv for trusted input: aborts (precondition) with the
+/// reader's message instead of returning false.
+std::vector<mbpta::PathObservation> ReadSamplesCsv(std::string_view text);
 
 /// Annotated variant: header, digest + fault-count comments, rows.
 void WriteSamplesCsvAnnotated(std::ostream& out,

@@ -1,7 +1,8 @@
 #include "obs/prometheus.hpp"
 
 #include <cmath>
-#include <cstdio>
+
+#include "common/double_text.hpp"
 
 namespace spta::obs {
 
@@ -14,15 +15,10 @@ void PromText::AppendNumber(double value) {
     out_ += value > 0 ? "+Inf" : "-Inf";
     return;
   }
-  // Integral values print without an exponent or trailing zeros (counters
-  // are integers in practice); everything else gets shortest-round-trip.
-  char buf[64];
-  if (value == std::floor(value) && std::fabs(value) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", value);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-  }
-  out_ += buf;
+  // Integral values (counters, in practice) print as plain digits, and
+  // everything else round-trips exactly.
+  char buf[kDoubleTextCapacity];
+  out_.append(buf, FormatDouble(value, buf));
 }
 
 void PromText::Declare(std::string_view name, std::string_view type,

@@ -9,22 +9,28 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+
+#include "common/double_text.hpp"
 
 namespace spta::service {
 
 std::string EncodeSamplePayload(
     std::span<const mbpta::PathObservation> observations) {
-  std::string payload;
-  payload.reserve(observations.size() * 24);
+  // Room for the longest row: the time, ',', a 20-digit path id and '\n'.
+  constexpr std::size_t kMaxRow = kDoubleTextCapacity + 22;
+  std::string payload(observations.size() * kMaxRow, '\0');
+  char* out = payload.data();
   for (const auto& obs : observations) {
-    payload += EncodeDouble(obs.time);
+    out = FormatDouble(obs.time, out);
     if (obs.path_id != 0) {
-      payload.push_back(',');
-      payload += std::to_string(obs.path_id);
+      *out++ = ',';
+      out = std::to_chars(out, out + 20, obs.path_id).ptr;
     }
-    payload.push_back('\n');
+    *out++ = '\n';
   }
+  payload.resize(static_cast<std::size_t>(out - payload.data()));
   return payload;
 }
 

@@ -4,9 +4,11 @@
 // connection, or any istream/ostream in tests) and offers both a
 // synchronous call-per-request API and a raw Send/Receive split for
 // pipelined use (the load generator fires a burst of requests and reaps
-// the responses afterwards). Sample values travel as %.17g text, so the
-// doubles the server analyzes are bit-identical to the client's — the
-// foundation of the served-equals-batch golden guarantee.
+// the responses afterwards). Sample values travel as the %.17g text that
+// FormatDouble (common/double_text.hpp) writes, and the server reads them
+// with the one sample reader, analysis::TryReadSamplesCsv, so the doubles
+// it analyzes are bit-identical to the client's — the foundation of the
+// served-equals-batch golden guarantee.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +25,9 @@
 
 namespace spta::service {
 
-/// Encodes observations as `cycles[,path]` payload lines with full double
-/// precision (path 0 is left implicit, matching the CSV format).
+/// Encodes observations as `cycles[,path]` payload lines, each time as
+/// FormatDouble's %.17g text (path 0 is left implicit, matching the CSV
+/// format).
 std::string EncodeSamplePayload(
     std::span<const mbpta::PathObservation> observations);
 

@@ -1,8 +1,9 @@
 #include "service/protocol.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "common/double_text.hpp"
 
 namespace spta::service {
 namespace {
@@ -223,7 +224,7 @@ void Args::SetUint(const std::string& key, std::uint64_t value) {
 }
 
 void Args::SetDouble(const std::string& key, double value) {
-  values_[key] = EncodeDouble(value);
+  values_[key] = DoubleText(value);
 }
 
 void Args::Erase(const std::string& key) { values_.erase(key); }
@@ -328,12 +329,6 @@ ReadStatus ReadResponse(std::istream& in, Response* response,
     return ReadStatus::kMalformed;
   }
   return ReadStatus::kOk;
-}
-
-std::string EncodeDouble(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 }  // namespace spta::service

@@ -146,11 +146,6 @@ ReadStatus ReadRequest(std::istream& in, Request* request, std::string* error);
 ReadStatus ReadResponse(std::istream& in, Response* response,
                         std::string* error);
 
-/// Formats a double so that strtod round-trips it bit-exactly (%.17g).
-/// Used for sample values on the wire: the golden guarantee that a served
-/// analysis equals the batch analysis bit-for-bit depends on it.
-std::string EncodeDouble(double value);
-
 // --- Buffer-level frame helpers (shared by the blocking istream readers
 // --- above and the incremental FrameReassembler in frame_reader.hpp).
 

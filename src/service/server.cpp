@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <thread>
 
 #include "analysis/sample_io.hpp"
@@ -56,8 +55,8 @@ bool Server::CollectObservations(
     *error = "ANALYZE needs session= or an inline sample payload";
     return false;
   }
-  std::istringstream payload(request.payload);
-  if (!analysis::TryReadSamplesCsv(payload, observations, error)) {
+  if (!analysis::TryReadSamplesCsv(request.payload, observations, nullptr,
+                                   error)) {
     return false;
   }
   if (request.args.Has("count") &&
@@ -105,8 +104,8 @@ Response Server::HandleOpen(const Request& request) {
 Response Server::HandleAppend(const Request& request) {
   std::vector<mbpta::PathObservation> chunk;
   std::string error;
-  std::istringstream payload(request.payload);
-  if (!analysis::TryReadSamplesCsv(payload, &chunk, &error)) {
+  if (!analysis::TryReadSamplesCsv(request.payload, &chunk, nullptr,
+                                   &error)) {
     return ErrResponse("samples", error);
   }
   if (request.args.Has("count") &&

@@ -17,6 +17,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/double_text.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
@@ -324,7 +325,7 @@ bool ShardedServer::TryServeWarm(ShardRuntime& shard, const DualHash& digest,
     memo_->Touch(entry);
     micros = std::chrono::duration<double, std::micro>(Clock::now() - start)
                  .count();
-    const std::string value = EncodeDouble(micros);
+    const std::string value = DoubleText(micros);
     body.reserve(entry->args.size() + value.size() + 1 + entry->body->size() -
                  entry->report);
     body.append(entry->args, 0, entry->split);

@@ -22,8 +22,9 @@ inline constexpr std::uint32_t kTraceVersion = 1;
 /// Writes `t` to `out`. The stream must be binary-clean.
 void WriteTrace(std::ostream& out, const Trace& t);
 
-/// Non-aborting reader for untrusted input (CLI-facing file loads;
-/// mirrors analysis::TryReadSamplesCsv):
+/// Non-aborting reader for untrusted input (CLI-facing file loads; the
+/// false-plus-`error` contract of analysis::TryReadSamplesCsv, which reads
+/// CSV text from memory where this reads a binary stream):
 /// returns false and describes the defect in `error` — bad magic,
 /// unsupported version, implausible record count, out-of-range field or
 /// truncation — instead of taking the process down. On failure `out` is

@@ -389,10 +389,12 @@ TEST(AtomicFile, AnnotatedCsvExportRoundTripsWithDigest) {
       << error;
 
   std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;
   ASSERT_TRUE(
-      analysis::TryReadSamplesCsvWithMeta(in, &readback, &meta, &error))
+      analysis::TryReadSamplesCsv(text.str(), &readback, &meta, &error))
       << error;
   ASSERT_TRUE(meta.digest.has_value());
   EXPECT_EQ(*meta.digest, analysis::ObservationsDigest(readback));

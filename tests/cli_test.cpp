@@ -60,9 +60,9 @@ TEST(SampleIoTest, RoundTrip) {
   samples[1].path_id = 0;
   samples[2].cycles = 175.0;
   samples[2].path_id = 7;
-  std::stringstream ss;
+  std::ostringstream ss;
   analysis::WriteSamplesCsv(ss, samples);
-  const auto obs = analysis::ReadSamplesCsv(ss);
+  const auto obs = analysis::ReadSamplesCsv(ss.str());
   ASSERT_EQ(obs.size(), 3u);
   EXPECT_DOUBLE_EQ(obs[0].time, 100.0);
   EXPECT_EQ(obs[0].path_id, 1u);
@@ -70,8 +70,8 @@ TEST(SampleIoTest, RoundTrip) {
 }
 
 TEST(SampleIoTest, AcceptsCommentsBlanksAndMissingPath) {
-  std::stringstream ss("# comment\n\n1000\n2000, 3\n  1500 \n");
-  const auto obs = analysis::ReadSamplesCsv(ss);
+  const auto obs =
+      analysis::ReadSamplesCsv("# comment\n\n1000\n2000, 3\n  1500 \n");
   ASSERT_EQ(obs.size(), 3u);
   EXPECT_EQ(obs[0].path_id, 0u);
   EXPECT_EQ(obs[1].path_id, 3u);
@@ -79,15 +79,13 @@ TEST(SampleIoTest, AcceptsCommentsBlanksAndMissingPath) {
 }
 
 TEST(SampleIoTest, HeaderLineTolerated) {
-  std::stringstream ss("cycles,path_id\n123,4\n");
-  const auto obs = analysis::ReadSamplesCsv(ss);
+  const auto obs = analysis::ReadSamplesCsv("cycles,path_id\n123,4\n");
   ASSERT_EQ(obs.size(), 1u);
   EXPECT_DOUBLE_EQ(obs[0].time, 123.0);
 }
 
 TEST(SampleIoDeathTest, MalformedNumberMidFileRejected) {
-  std::stringstream ss("100\nnot-a-number\n");
-  EXPECT_DEATH(analysis::ReadSamplesCsv(ss), "bad number");
+  EXPECT_DEATH(analysis::ReadSamplesCsv("100\nnot-a-number\n"), "bad number");
 }
 
 TEST(PathCoverageTest, SinglePathHasFullCoverage) {

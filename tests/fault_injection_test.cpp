@@ -412,12 +412,11 @@ TEST(AnnotatedCsv, DigestAndFaultsSurviveTheRoundTrip) {
   analysis::WriteSamplesCsvAnnotated(out, SyntheticRunSamples(120),
                                      /*faults=*/7);
 
-  std::istringstream in(out.str());
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;
   std::string error;
   ASSERT_TRUE(
-      analysis::TryReadSamplesCsvWithMeta(in, &readback, &meta, &error))
+      analysis::TryReadSamplesCsv(out.str(), &readback, &meta, &error))
       << error;
   ASSERT_TRUE(meta.digest.has_value());
   EXPECT_EQ(*meta.digest, analysis::ObservationsDigest(readback));
@@ -438,12 +437,10 @@ TEST(AnnotatedCsv, RowTamperIsCaughtByTheDigest) {
   // Drop the final data row (truncation attack past the annotations).
   text.erase(text.find_last_of('\n', text.size() - 2) + 1);
 
-  std::istringstream in(text);
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;
   std::string error;
-  ASSERT_TRUE(
-      analysis::TryReadSamplesCsvWithMeta(in, &readback, &meta, &error));
+  ASSERT_TRUE(analysis::TryReadSamplesCsv(text, &readback, &meta, &error));
   ASSERT_TRUE(meta.digest.has_value());
   const auto guarded = analysis::AnalyzeObservationsGuarded(
       readback, {}, analysis::ProvenanceFromMeta(meta));
@@ -453,7 +450,7 @@ TEST(AnnotatedCsv, RowTamperIsCaughtByTheDigest) {
 
 TEST(AnnotatedCsv, LegacyFilesStillLoadWithoutMeta) {
   // A sample file as written before the integrity comments existed.
-  std::istringstream in(
+  const std::string text(
       "cycles,path_id\n"
       "10012,0\n"
       "10480,1\n"
@@ -463,8 +460,7 @@ TEST(AnnotatedCsv, LegacyFilesStillLoadWithoutMeta) {
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;
   std::string error;
-  ASSERT_TRUE(
-      analysis::TryReadSamplesCsvWithMeta(in, &readback, &meta, &error));
+  ASSERT_TRUE(analysis::TryReadSamplesCsv(text, &readback, &meta, &error));
   EXPECT_FALSE(meta.digest.has_value());
   EXPECT_EQ(meta.faults, 0u);
   EXPECT_EQ(readback.size(), 5u);

@@ -95,12 +95,11 @@ TEST(FaultMatrix, SeuTaintFlowsToTypedRejection) {
   std::ostringstream out;
   analysis::WriteSamplesCsvAnnotated(
       out, faulted.samples, faulted.faults_injected + faulted.reseeds_dropped);
-  std::istringstream in(out.str());
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;
   std::string error;
   ASSERT_TRUE(
-      analysis::TryReadSamplesCsvWithMeta(in, &readback, &meta, &error))
+      analysis::TryReadSamplesCsv(out.str(), &readback, &meta, &error))
       << error;
   ASSERT_TRUE(meta.Tainted());
 
@@ -165,12 +164,11 @@ TEST(FaultMatrix, CorruptedStreamsAreCaughtByDigestOrFloors) {
   // matches the rows, typed kIntegrityMismatch before any statistics.
   std::ostringstream out;
   analysis::WriteSamplesCsvAnnotated(out, samples, /*faults=*/0);
-  std::istringstream in(out.str());
   std::vector<mbpta::PathObservation> readback;
   analysis::CsvMeta meta;
   std::string error;
   ASSERT_TRUE(
-      analysis::TryReadSamplesCsvWithMeta(in, &readback, &meta, &error))
+      analysis::TryReadSamplesCsv(out.str(), &readback, &meta, &error))
       << error;
   ASSERT_FALSE(meta.Tainted());
 

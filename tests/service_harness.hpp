@@ -7,11 +7,13 @@
 //
 // The goldens (tests/data/service_golden.*) are one request script that
 // covers every verb — PING, OPEN/APPEND/STATUS/CLOSE, session and inline
-// ANALYZE with warm repeats, hostile ANALYZE parameters, HEALTH, METRICS,
+// ANALYZE with warm repeats, hostile ANALYZE parameters and sample payloads
+// (path ids and a fault count of 2^64 or more), HEALTH, METRICS,
 // METRICS_PROM, TRACE, session errors — ending in a malformed frame, and
 // its response frames. They were recorded through the thread-per-connection
 // server the event loop replaced, after checking that it, ServeScript and
-// the TCP loop served the same bytes. Stored frames are normalized:
+// the TCP loop served the same bytes; the out-of-range sample frames' ERR
+// responses hold the reader's messages verbatim. Stored frames are normalized:
 // analyze_us is dropped, and the four loop-answered verbs keep only their
 // argument names (values vary with time and load) plus role/format.
 #pragma once

@@ -18,6 +18,7 @@
 #include "analysis/campaign.hpp"
 #include "analysis/sample_io.hpp"
 #include "apps/tvca.hpp"
+#include "common/double_text.hpp"
 #include "common/hash.hpp"
 #include "mbpta/convergence.hpp"
 #include "mbpta/mbpta.hpp"
@@ -106,7 +107,7 @@ TEST(ProtocolTest, DoubleEncodingRoundTripsBitExactly) {
   const double values[] = {1.0 / 3.0, 1e-12, 123456789.123456789,
                            0x1.fffffffffffffp+1023};
   for (const double v : values) {
-    const std::string text = service::EncodeDouble(v);
+    const std::string text = DoubleText(v);
     EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
   }
 }
@@ -115,33 +116,33 @@ TEST(SampleIoTest, TryReadRejectsNonFiniteAndNegative) {
   std::vector<mbpta::PathObservation> out;
   std::string error;
 
-  std::istringstream nan_in("cycles,path_id\n100\nnan\n");
-  EXPECT_FALSE(analysis::TryReadSamplesCsv(nan_in, &out, &error));
+  EXPECT_FALSE(analysis::TryReadSamplesCsv("cycles,path_id\n100\nnan\n",
+                                           &out, nullptr, &error));
   EXPECT_NE(error.find("non-finite"), std::string::npos);
   EXPECT_TRUE(out.empty());
 
-  std::istringstream inf_in("100\ninf\n");
-  EXPECT_FALSE(analysis::TryReadSamplesCsv(inf_in, &out, &error));
+  EXPECT_FALSE(
+      analysis::TryReadSamplesCsv("100\ninf\n", &out, nullptr, &error));
   EXPECT_NE(error.find("non-finite"), std::string::npos);
 
-  std::istringstream neg_in("100\n-5\n");
-  EXPECT_FALSE(analysis::TryReadSamplesCsv(neg_in, &out, &error));
+  EXPECT_FALSE(
+      analysis::TryReadSamplesCsv("100\n-5\n", &out, nullptr, &error));
   EXPECT_NE(error.find("negative execution time"), std::string::npos);
 
-  std::istringstream bad_path("100,abc\n");
-  EXPECT_FALSE(analysis::TryReadSamplesCsv(bad_path, &out, &error));
+  EXPECT_FALSE(
+      analysis::TryReadSamplesCsv("100,abc\n", &out, nullptr, &error));
   EXPECT_NE(error.find("bad path id"), std::string::npos);
 
-  std::istringstream good("cycles,path_id\n# comment\n100,1\n200\n");
-  EXPECT_TRUE(analysis::TryReadSamplesCsv(good, &out, &error));
+  EXPECT_TRUE(analysis::TryReadSamplesCsv(
+      "cycles,path_id\n# comment\n100,1\n200\n", &out, nullptr, &error));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].path_id, 1u);
   EXPECT_EQ(out[1].time, 200.0);
 }
 
 TEST(SampleIoDeathTest, AbortingReaderRejectsNaN) {
-  std::istringstream in("100\nnan\n");
-  EXPECT_DEATH(analysis::ReadSamplesCsv(in), "non-finite execution time");
+  EXPECT_DEATH(analysis::ReadSamplesCsv("100\nnan\n"),
+               "non-finite execution time");
 }
 
 /// A cache body from its bytes.

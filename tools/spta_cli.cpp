@@ -108,20 +108,20 @@ using namespace spta;
 std::vector<mbpta::PathObservation> LoadSamples(const Flags& flags,
                                                 analysis::CsvMeta* meta) {
   const std::string input = flags.GetString("input");
-  std::vector<mbpta::PathObservation> obs;
-  std::string error;
-  bool ok = false;
+  std::ostringstream text;
   if (input.empty() || input == "-") {
-    ok = analysis::TryReadSamplesCsvWithMeta(std::cin, &obs, meta, &error);
+    text << std::cin.rdbuf();
   } else {
-    std::ifstream in(input);
+    std::ifstream in(input, std::ios::binary);
     if (!in) {
       std::fprintf(stderr, "spta_cli: cannot open '%s'\n", input.c_str());
       std::exit(2);
     }
-    ok = analysis::TryReadSamplesCsvWithMeta(in, &obs, meta, &error);
+    text << in.rdbuf();
   }
-  if (!ok) {
+  std::vector<mbpta::PathObservation> obs;
+  std::string error;
+  if (!analysis::TryReadSamplesCsv(text.str(), &obs, meta, &error)) {
     std::fprintf(stderr, "spta_cli: %s\n", error.c_str());
     std::exit(2);
   }

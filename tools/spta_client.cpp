@@ -73,6 +73,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -178,20 +179,21 @@ int Usage() {
 
 std::vector<mbpta::PathObservation> LoadSamples(const Flags& flags) {
   const std::string input = flags.GetString("input");
-  std::vector<mbpta::PathObservation> observations;
-  std::string error;
-  bool ok = false;
+  std::ostringstream text;
   if (input.empty() || input == "-") {
-    ok = analysis::TryReadSamplesCsv(std::cin, &observations, &error);
+    text << std::cin.rdbuf();
   } else {
-    std::ifstream in(input);
+    std::ifstream in(input, std::ios::binary);
     if (!in) {
       std::fprintf(stderr, "spta_client: cannot open '%s'\n", input.c_str());
       std::exit(2);
     }
-    ok = analysis::TryReadSamplesCsv(in, &observations, &error);
+    text << in.rdbuf();
   }
-  if (!ok) {
+  std::vector<mbpta::PathObservation> observations;
+  std::string error;
+  if (!analysis::TryReadSamplesCsv(text.str(), &observations, nullptr,
+                                   &error)) {
     std::fprintf(stderr, "spta_client: %s\n", error.c_str());
     std::exit(2);
   }
