@@ -1,7 +1,6 @@
 #include "analysis/sample_io.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -73,11 +72,10 @@ bool ParseDoubleStrtod(std::string_view s, double* out) {
 }
 
 // Accepts exactly the fields ParseDoubleStrtod accepts, with the same
-// value, trying two exact and cheaper conversions first: a field of at
-// most 15 digits is an integer below 2^53, and std::from_chars rounds
-// correctly like strtod but accepts a subset of its grammar (no leading
-// '+' or whitespace, no hex floats) and reports underflow and overflow as
-// errors; everything it does not take whole goes to strtod.
+// value. A field of at most 15 ASCII digits is an integer below 2^53, so
+// it converts exactly without strtod's copy; every other field goes to
+// strtod. Measured samples are usually whole cycle counts, which take the
+// first path.
 bool ParseDouble(std::string_view s, double* out) {
   if (!s.empty() && s.size() <= 15) {
     std::uint64_t whole = 0;
@@ -90,9 +88,6 @@ bool ParseDouble(std::string_view s, double* out) {
       return true;
     }
   }
-  const char* const last = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), last, *out);
-  if (ec == std::errc() && ptr == last) return true;
   return ParseDoubleStrtod(s, out);
 }
 

@@ -2,9 +2,9 @@
 //
 // FormatDouble writes exactly the bytes printf("%.17g") writes, so every
 // number the toolkit puts on the wire or in an exposition keeps its
-// historical spelling, and strtod (or std::from_chars) reads each finite
-// result back bit-exactly: the served-equals-batch guarantee of spta_serve
-// rests on that round trip.
+// historical spelling, and strtod reads each finite result back
+// bit-exactly: the served-equals-batch guarantee of spta_serve rests on
+// that round trip.
 #pragma once
 
 #include <cstddef>
@@ -12,8 +12,10 @@
 
 namespace spta {
 
-/// Room FormatDouble may use; the longest %.17g text is 24 bytes
-/// ("-2.2250738585072014e-308").
+/// The longest text FormatDouble writes ("-2.2250738585072014e-308").
+inline constexpr std::size_t kDoubleTextMaxLength = 24;
+
+/// Room FormatDouble may address, a little more than it writes.
 inline constexpr std::size_t kDoubleTextCapacity = 32;
 
 /// Writes `value` as printf("%.17g") would, without a terminating NUL,

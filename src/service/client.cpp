@@ -18,9 +18,13 @@ namespace spta::service {
 
 std::string EncodeSamplePayload(
     std::span<const mbpta::PathObservation> observations) {
-  // Room for the longest row: the time, ',', a 20-digit path id and '\n'.
-  constexpr std::size_t kMaxRow = kDoubleTextCapacity + 22;
-  std::string payload(observations.size() * kMaxRow, '\0');
+  // Room for the longest row (the longest time, ',', a 20-digit path id and
+  // '\n'), plus the spare bytes FormatDouble may address past the last
+  // time; the slack is given back once the rows are written.
+  constexpr std::size_t kMaxRow = kDoubleTextMaxLength + 22;
+  std::string payload(observations.size() * kMaxRow +
+                          (kDoubleTextCapacity - kDoubleTextMaxLength),
+                      '\0');
   char* out = payload.data();
   for (const auto& obs : observations) {
     out = FormatDouble(obs.time, out);
@@ -31,6 +35,7 @@ std::string EncodeSamplePayload(
     *out++ = '\n';
   }
   payload.resize(static_cast<std::size_t>(out - payload.data()));
+  payload.shrink_to_fit();
   return payload;
 }
 

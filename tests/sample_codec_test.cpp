@@ -2,11 +2,11 @@
 //
 // Writer: FormatDouble must write the bytes of printf("%.17g") for every
 // double, and EncodeSamplePayload's text must read back bit-exactly.
-// Reader: TryReadSamplesCsv parses fields through an integer fast path and
-// std::from_chars before falling back to strtod; a test-local copy of the
-// line-by-line strtod reader it replaced is the oracle. Over a generated
-// corpus both must agree on acceptance, error text, every value's bits and
-// the metadata. The oracle carries the one intended difference from the
+// Reader: TryReadSamplesCsv parses a short digit field as an integer and
+// every other field with strtod; a test-local copy of the line-by-line
+// strtod reader it replaced is the oracle. Over a generated corpus both
+// must agree on acceptance, error text, every value's bits and the
+// metadata. The oracle carries the one intended difference from the
 // replaced reader: a path id or fault count of at least 2^64 is rejected
 // instead of cast out of range.
 
@@ -56,6 +56,7 @@ void ExpectPrintfBytes(double v) {
   char buffer[kDoubleTextCapacity];
   const std::string got(buffer, FormatDouble(v, buffer));
   ASSERT_EQ(got, Printf17g(v)) << "bits 0x" << std::hex << Bits(v);
+  ASSERT_LE(got.size(), kDoubleTextMaxLength);
   ASSERT_EQ(DoubleText(v), got);
 }
 
@@ -188,6 +189,18 @@ TEST(DoubleTextTest, SamplePayloadReadsBackBitExactly) {
   }
   EXPECT_EQ(payload, expected);
   EXPECT_EQ(service::EncodeSamplePayload({}), "");
+
+  // Rows of the longest time text and path id fill the presized buffer to
+  // its last row.
+  const double longest = -2.2250738585072014e-308;
+  ASSERT_EQ(Printf17g(longest).size(), kDoubleTextMaxLength);
+  const std::vector<mbpta::PathObservation> widest(
+      1000, {std::numeric_limits<std::uint64_t>::max(), longest});
+  std::string widest_expected;
+  for (int i = 0; i < 1000; ++i) {
+    widest_expected += Printf17g(longest) + ",18446744073709551615\n";
+  }
+  EXPECT_EQ(service::EncodeSamplePayload(widest), widest_expected);
 }
 
 // --- Reader -----------------------------------------------------------------
@@ -332,7 +345,7 @@ Outcome Read(const std::string& text) {
 
 }  // namespace oracle
 
-// Field spellings that probe every branch of the three-step parse.
+// Field spellings that probe both branches of the parse and strtod's grammar.
 const std::vector<std::string>& Fields() {
   static const std::vector<std::string> fields = [] {
     std::vector<std::string> f = {
@@ -345,7 +358,7 @@ const std::vector<std::string>& Fields() {
         "1234567890123456", "9007199254740991", "9007199254740992",
         "9007199254740993", "9007199254740995", "99999999999999999",
         "100000000000000000", "1e17", "18014398509481985",
-        // Hex floats: strtod takes them, from_chars does not.
+        // Hex floats, which strtod takes.
         "0x1p3", "0X1.8P1", "-0x10", "0x", "0x1p-1080", "0x1.fffffffffffffp1023",
         // Every inf/nan spelling, mixed case.
         "inf", "INF", "Inf", "-inf", "+inf", "infinity", "Infinity",
