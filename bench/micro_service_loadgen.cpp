@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -48,6 +47,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "service/client.hpp"
+#include "service/frame_reader.hpp"
 #include "service/protocol.hpp"
 #include "service/sharded_server.hpp"
 
@@ -111,12 +111,16 @@ std::string EncodeScript(const std::vector<service::Request>& script) {
 }
 
 std::vector<service::Response> DecodeResponses(const std::string& bytes) {
-  std::stringstream stream(bytes);
+  service::FrameReassembler reassembler;
+  reassembler.Feed(bytes);
   std::vector<service::Response> responses;
   service::Response response;
+  std::string type;
+  std::string body;
   std::string error;
-  while (service::ReadResponse(stream, &response, &error) ==
-         service::ReadStatus::kOk) {
+  while (reassembler.Finish(&type, &body, &error) ==
+             service::FrameReassembler::Result::kFrame &&
+         service::BuildResponse(type, body, &response, &error)) {
     responses.push_back(response);
   }
   return responses;
@@ -172,21 +176,17 @@ std::pair<std::vector<service::Response>, double> RunTcp(
     service::ShardedServer& fleet, const std::string& wire,
     std::size_t expected) {
   std::string error;
-  auto connection = service::TcpConnection::Connect(
-      "127.0.0.1", fleet.bound_port(), &error, 60000.0);
+  auto client = service::Client::ConnectTcp("127.0.0.1", fleet.bound_port(),
+                                            &error, 60000.0);
   std::vector<service::Response> responses;
-  if (!connection) {
+  if (!client) {
     std::printf("FAIL: fleet TCP connect: %s\n", error.c_str());
     return {responses, 0.0};
   }
   const auto t0 = Clock::now();
-  connection->out().write(wire.data(),
-                          static_cast<std::streamsize>(wire.size()));
-  connection->out().flush();
+  client->WriteBytes(wire);
   service::Response response;
-  while (responses.size() < expected &&
-         service::ReadResponse(connection->in(), &response, &error) ==
-             service::ReadStatus::kOk) {
+  while (responses.size() < expected && client->Receive(&response, &error)) {
     responses.push_back(response);
   }
   return {responses, Seconds(t0, Clock::now())};

@@ -94,6 +94,14 @@ bool ParseDouble(std::string_view s, double* out) {
 // 2^64: the first double a std::uint64_t cannot hold.
 constexpr double kUint64Limit = 0x1p64;
 
+// Whether a field begins like a number (an ASCII digit, a sign or a
+// point): such a field is never taken for the header.
+bool BeginsLikeNumber(std::string_view field) {
+  if (field.empty()) return false;
+  const char c = field[0];
+  return (c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.';
+}
+
 std::string LineError(std::size_t line_no, const std::string& what) {
   return "samples CSV line " + std::to_string(line_no) + ": " + what;
 }
@@ -106,6 +114,7 @@ bool TryReadSamplesCsv(std::string_view text,
   out->clear();
   if (meta != nullptr) *meta = CsvMeta{};
   std::size_t line_no = 0;
+  bool first_row = true;  // The first non-blank, non-comment line is next.
   const auto fail = [&](const std::string& what) {
     *error = LineError(line_no, what);
     out->clear();
@@ -143,10 +152,13 @@ bool TryReadSamplesCsv(std::string_view text,
     }
     const std::size_t comma = trimmed.find(',');
     const std::string_view first = Trim(trimmed.substr(0, comma));
+    const bool header_allowed = first_row;
+    first_row = false;
     double cycles = 0.0;
     if (!ParseDouble(first, &cycles)) {
-      // Tolerate a header line (non-numeric first field).
-      if (out->empty()) continue;
+      // The one optional header: the first row, when its first field does
+      // not begin like a number.
+      if (header_allowed && !BeginsLikeNumber(first)) continue;
       return fail("bad number '" + std::string(first) + "'");
     }
     // Execution times feed straight into the EVT fit; a NaN would quietly

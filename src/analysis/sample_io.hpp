@@ -54,10 +54,12 @@ struct CsvMeta {
 };
 
 /// Parses observations from CSV `text` (a whole file or request payload).
-/// Accepts an optional header line, blank lines and `#` comments; a
-/// missing path column means path 0. Returns false, leaves `out` empty and
-/// describes the offending line in `error` on a malformed number, a NaN,
-/// infinite or negative execution time (values that would otherwise
+/// Accepts blank lines, `#` comments and one optional header: the first
+/// other line, when its first field does not begin like a number (an ASCII
+/// digit, '+', '-' or '.'). A missing path column means path 0. Returns
+/// false, leaves `out` empty and describes the offending line in `error` on
+/// a malformed number (any other line whose first field does not parse), a
+/// NaN, infinite or negative execution time (values that would otherwise
 /// silently poison the EVT fit), or a path id that is malformed, negative
 /// or at least 2^64. Numbers follow strtod's grammar. Also extracts the
 /// integrity metadata above into `meta` (may be null), rejecting malformed

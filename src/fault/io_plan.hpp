@@ -3,10 +3,11 @@
 // Generates service::IoFault decisions — short reads/writes, injected
 // EINTR/EAGAIN storms, slow-peer stalls, mid-frame disconnects — as a
 // pure function of (campaign_seed, "io", syscall_ordinal), so a failing
-// service interaction is replayable from the seed alone. The plan object
-// is handed to FdStreambuf (one per stream direction pair) through the
-// service::IoFaultHook test hook; the daemon converts resulting stream
-// failures into per-session ERR + metrics, never process death.
+// service interaction is replayable from the seed alone. The plan's Hook()
+// is handed to a service::Client or to a fleet's io_fault_hook_factory as
+// the service::IoFaultHook that GuardedIo consults; the daemon converts
+// resulting connection failures into per-session ERR + metrics, never
+// process death.
 #pragma once
 
 #include <atomic>
@@ -102,8 +103,8 @@ class IoFaultPlan {
   /// The decision for the next syscall (advances the ordinal).
   service::IoFault Next(service::IoOp op, std::size_t requested);
 
-  /// Adapts the plan to the FdStreambuf hook signature. The plan must
-  /// outlive the streambuf.
+  /// Adapts the plan to the IoFaultHook signature. The plan must outlive
+  /// the connection that holds the hook.
   service::IoFaultHook Hook() {
     return [this](service::IoOp op, std::size_t n) { return Next(op, n); };
   }

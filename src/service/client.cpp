@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <utility>
 
 #include "common/double_text.hpp"
 
@@ -39,25 +40,57 @@ std::string EncodeSamplePayload(
   return payload;
 }
 
+Client::Client(int fd, IoFaultHook hook) : fd_(fd), hook_(std::move(hook)) {}
+
+Client::~Client() { ::close(fd_); }
+
 bool Client::Send(const Request& request) {
-  if (!request.trace.valid()) {
-    const obs::TraceContext current = obs::CurrentTraceContext();
-    if (current.valid()) {
-      Request traced = request;
-      traced.trace = current;
-      return WriteRequest(out_, traced);
-    }
+  std::string frame;
+  const obs::TraceContext current = obs::CurrentTraceContext();
+  if (!request.trace.valid() && current.valid()) {
+    Request traced = request;
+    traced.trace = current;
+    AppendRequestFrameWithTrace(traced, &frame);
+  } else {
+    AppendRequestFrameWithTrace(request, &frame);
   }
-  return WriteRequest(out_, request);
+  return WriteBytes(frame);
+}
+
+bool Client::WriteBytes(std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = GuardedIo(fd_, IoOp::kWrite, nullptr, bytes.data(),
+                                bytes.size(), hook_);
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
 }
 
 bool Client::Receive(Response* response, std::string* error) {
-  const ReadStatus status = ReadResponse(in_, response, error);
-  if (status == ReadStatus::kEof) {
-    *error = "connection closed";
-    return false;
+  std::string type;
+  std::string body;
+  for (;;) {
+    const FrameReassembler::Result result =
+        at_eof_ ? reassembler_.Finish(&type, &body, error)
+                : reassembler_.Next(&type, &body, error);
+    if (result == FrameReassembler::Result::kFrame) {
+      return BuildResponse(type, body, response, error);
+    }
+    if (result == FrameReassembler::Result::kMalformed) return false;
+    if (at_eof_) {
+      *error = "connection closed";
+      return false;
+    }
+    char buffer[1 << 16];
+    const ssize_t n =
+        GuardedIo(fd_, IoOp::kRead, buffer, nullptr, sizeof(buffer), hook_);
+    if (n > 0) {
+      reassembler_.Feed(std::string_view(buffer, static_cast<std::size_t>(n)));
+    } else {
+      at_eof_ = true;
+    }
   }
-  return status == ReadStatus::kOk;
 }
 
 Response Client::Call(const Request& request) {
@@ -156,107 +189,75 @@ Response Client::Shutdown() {
 
 namespace {
 
-/// Installs SO_RCVTIMEO/SO_SNDTIMEO when io_timeout_ms > 0. False + errno
-/// message on failure.
-bool InstallIoTimeout(int fd, double io_timeout_ms, std::string* error) {
-  if (io_timeout_ms <= 0.0) return true;
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(io_timeout_ms / 1000.0);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (io_timeout_ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-  if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1000;  // min 1ms
-  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0 ||
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    *error = std::string("setsockopt(timeout): ") + std::strerror(errno);
-    return false;
+/// Opens a `family` stream socket, installs SO_RCVTIMEO/SO_SNDTIMEO when
+/// io_timeout_ms > 0 and connects it to `addr`. The fd, or -1 + `error`
+/// naming `target`.
+int ConnectSocket(int family, const sockaddr* addr, socklen_t addr_len,
+                  const std::string& target, double io_timeout_ms,
+                  std::string* error) {
+  const int fd = ::socket(family, SOCK_STREAM, 0);
+  if (fd < 0) {
+    *error = std::string("socket(): ") + std::strerror(errno);
+    return -1;
   }
-  return true;
+  if (io_timeout_ms > 0.0) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(io_timeout_ms / 1000.0);
+    tv.tv_usec = static_cast<suseconds_t>(
+        (io_timeout_ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
+    if (tv.tv_sec == 0 && tv.tv_usec == 0) tv.tv_usec = 1000;  // min 1ms
+    if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0 ||
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
+      *error = std::string("setsockopt(timeout): ") + std::strerror(errno);
+      ::close(fd);
+      return -1;
+    }
+  }
+  if (::connect(fd, addr, addr_len) != 0) {
+    *error = "connect('" + target + "'): " + std::strerror(errno);
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 }  // namespace
 
-TcpConnection::TcpConnection(int fd)
-    : fd_(fd),
-      in_buf_(std::make_unique<FdStreambuf>(fd)),
-      out_buf_(std::make_unique<FdStreambuf>(fd)),
-      in_(std::make_unique<std::istream>(in_buf_.get())),
-      out_(std::make_unique<std::ostream>(out_buf_.get())) {}
-
-TcpConnection::~TcpConnection() {
-  out_->flush();
-  ::close(fd_);
-}
-
-std::unique_ptr<TcpConnection> TcpConnection::Connect(const std::string& host,
-                                                      std::uint16_t port,
-                                                      std::string* error,
-                                                      double io_timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::string("socket(): ") + std::strerror(errno);
-    return nullptr;
-  }
-  if (!InstallIoTimeout(fd, io_timeout_ms, error)) {
-    ::close(fd);
-    return nullptr;
-  }
+std::unique_ptr<Client> Client::ConnectTcp(const std::string& host,
+                                           std::uint16_t port,
+                                           std::string* error,
+                                           double io_timeout_ms) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     *error = "bad IPv4 address: " + host;
-    ::close(fd);
     return nullptr;
   }
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    *error = "connect('" + host + ":" + std::to_string(port) +
-             "'): " + std::strerror(errno);
-    ::close(fd);
-    return nullptr;
-  }
+  const int fd = ConnectSocket(
+      AF_INET, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr),
+      host + ":" + std::to_string(port), io_timeout_ms, error);
+  if (fd < 0) return nullptr;
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return std::unique_ptr<TcpConnection>(new TcpConnection(fd));
+  return std::make_unique<Client>(fd);
 }
 
-UnixSocketConnection::UnixSocketConnection(int fd)
-    : fd_(fd),
-      in_buf_(std::make_unique<FdStreambuf>(fd)),
-      out_buf_(std::make_unique<FdStreambuf>(fd)),
-      in_(std::make_unique<std::istream>(in_buf_.get())),
-      out_(std::make_unique<std::ostream>(out_buf_.get())) {}
-
-UnixSocketConnection::~UnixSocketConnection() {
-  out_->flush();
-  ::close(fd_);
-}
-
-std::unique_ptr<UnixSocketConnection> UnixSocketConnection::Connect(
-    const std::string& path, std::string* error, double io_timeout_ms) {
-  if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
+std::unique_ptr<Client> Client::ConnectUnix(const std::string& path,
+                                            std::string* error,
+                                            double io_timeout_ms) {
+  sockaddr_un addr{};
+  if (path.size() >= sizeof(addr.sun_path)) {
     *error = "socket path too long: " + path;
     return nullptr;
   }
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = std::string("socket(): ") + std::strerror(errno);
-    return nullptr;
-  }
-  if (!InstallIoTimeout(fd, io_timeout_ms, error)) {
-    ::close(fd);
-    return nullptr;
-  }
-  sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    *error = "connect('" + path + "'): " + std::strerror(errno);
-    ::close(fd);
-    return nullptr;
-  }
-  return std::unique_ptr<UnixSocketConnection>(new UnixSocketConnection(fd));
+  const int fd =
+      ConnectSocket(AF_UNIX, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr), path, io_timeout_ms, error);
+  if (fd < 0) return nullptr;
+  return std::make_unique<Client>(fd);
 }
 
 }  // namespace spta::service

@@ -1,26 +1,28 @@
 // Client side of the spta_serve protocol.
 //
-// A Client wraps a connected request/response stream pair (a Unix-socket
-// connection, or any istream/ostream in tests) and offers both a
-// synchronous call-per-request API and a raw Send/Receive split for
-// pipelined use (the load generator fires a burst of requests and reaps
-// the responses afterwards). Sample values travel as the %.17g text that
-// FormatDouble (common/double_text.hpp) writes, and the server reads them
-// with the one sample reader, analysis::TryReadSamplesCsv, so the doubles
-// it analyzes are bit-identical to the client's — the foundation of the
+// A Client owns one connected stream socket (TCP, AF_UNIX, or a socketpair
+// end in tests) and offers both a synchronous call-per-request API and a
+// raw Send/Receive split for pipelined use (the load generator fires a
+// burst of requests and reaps the responses afterwards). It shares the
+// server's frame stack: frames go out as AppendRequestFrameWithTrace
+// bytes, responses are cut out of received slices by FrameReassembler and
+// decoded by BuildResponse, and every recv/send goes through GuardedIo
+// (fd_stream.hpp). Sample values travel as the %.17g text that FormatDouble
+// (common/double_text.hpp) writes, and the server reads them with the one
+// sample reader, analysis::TryReadSamplesCsv, so the doubles it analyzes
+// are bit-identical to the client's — the foundation of the
 // served-equals-batch golden guarantee.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <memory>
-#include <optional>
-#include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "mbpta/per_path.hpp"
 #include "service/fd_stream.hpp"
+#include "service/frame_reader.hpp"
 #include "service/protocol.hpp"
 
 namespace spta::service {
@@ -33,9 +35,29 @@ std::string EncodeSamplePayload(
 
 class Client {
  public:
-  /// Streams must outlive the client. `in` carries responses, `out`
-  /// requests.
-  Client(std::istream& in, std::ostream& out) : in_(in), out_(out) {}
+  /// Adopts `fd`, a connected stream socket, and closes it on destruction.
+  /// `hook` (may be empty) is consulted before every recv/send; see
+  /// IoFaultHook.
+  explicit Client(int fd, IoFaultHook hook = {});
+  ~Client();
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+
+  /// Connects to a fleet's TCP listener at host:port (IPv4 dotted quad),
+  /// with TCP_NODELAY set so the request/response ping-pong of the
+  /// synchronous API is not held hostage by Nagle. nullptr + `error` on
+  /// failure. `io_timeout_ms` > 0 installs SO_RCVTIMEO/SO_SNDTIMEO on the
+  /// socket — the per-attempt deadline of the resilient client: a recv or
+  /// send that stalls past it fails the attempt (a kernel EAGAIN, which
+  /// GuardedIo does not retry) instead of hanging on a dead or wedged peer.
+  static std::unique_ptr<Client> ConnectTcp(const std::string& host,
+                                            std::uint16_t port,
+                                            std::string* error,
+                                            double io_timeout_ms = 0.0);
+  /// Connects to a listening AF_UNIX socket; otherwise as ConnectTcp.
+  static std::unique_ptr<Client> ConnectUnix(const std::string& path,
+                                             std::string* error,
+                                             double io_timeout_ms = 0.0);
 
   /// Fire one request without waiting (pipelining). False on write error.
   /// When the request carries no trace context and the calling thread
@@ -44,8 +66,13 @@ class Client {
   /// propagates its distributed trace to the server transparently.
   bool Send(const Request& request);
 
+  /// Writes pre-encoded bytes (a burst of frames) as they are. False on
+  /// write error.
+  bool WriteBytes(std::string_view bytes);
+
   /// Reap the next response in order. False on EOF/framing error, with a
-  /// diagnostic in `error`.
+  /// diagnostic in `error` ("connection closed" on EOF between frames).
+  /// A failed recv ends the stream as EOF does.
   bool Receive(Response* response, std::string* error);
 
   /// Send + Receive. Transport failures surface as an ERR response with
@@ -76,66 +103,10 @@ class Client {
   Response Shutdown();
 
  private:
-  std::istream& in_;
-  std::ostream& out_;
-};
-
-/// A TCP connection to a sharded fleet listener, owning its fd and stream
-/// adapters. Same shape as UnixSocketConnection; TCP_NODELAY is set so the
-/// request/response ping-pong of the synchronous Client API is not held
-/// hostage by Nagle.
-class TcpConnection {
- public:
-  /// Connects to host:port (IPv4 dotted quad); nullptr + `error` on
-  /// failure. `io_timeout_ms` as in UnixSocketConnection::Connect.
-  static std::unique_ptr<TcpConnection> Connect(const std::string& host,
-                                                std::uint16_t port,
-                                                std::string* error,
-                                                double io_timeout_ms = 0.0);
-
-  ~TcpConnection();
-  TcpConnection(const TcpConnection&) = delete;
-  TcpConnection& operator=(const TcpConnection&) = delete;
-
-  std::istream& in() { return *in_; }
-  std::ostream& out() { return *out_; }
-
- private:
-  explicit TcpConnection(int fd);
-
   int fd_;
-  std::unique_ptr<FdStreambuf> in_buf_;
-  std::unique_ptr<FdStreambuf> out_buf_;
-  std::unique_ptr<std::istream> in_;
-  std::unique_ptr<std::ostream> out_;
-};
-
-/// An AF_UNIX stream connection owning its fd and stream adapters.
-class UnixSocketConnection {
- public:
-  /// Connects to a listening spta_serve socket; nullptr + `error` on
-  /// failure. `io_timeout_ms` > 0 installs SO_RCVTIMEO/SO_SNDTIMEO on the
-  /// socket — the per-attempt deadline of the resilient client: a read or
-  /// write that stalls past it fails the attempt (EAGAIN, not retried by
-  /// FdStreambuf) instead of hanging on a dead or wedged peer.
-  static std::unique_ptr<UnixSocketConnection> Connect(
-      const std::string& path, std::string* error, double io_timeout_ms = 0.0);
-
-  ~UnixSocketConnection();
-  UnixSocketConnection(const UnixSocketConnection&) = delete;
-  UnixSocketConnection& operator=(const UnixSocketConnection&) = delete;
-
-  std::istream& in() { return *in_; }
-  std::ostream& out() { return *out_; }
-
- private:
-  explicit UnixSocketConnection(int fd);
-
-  int fd_;
-  std::unique_ptr<FdStreambuf> in_buf_;
-  std::unique_ptr<FdStreambuf> out_buf_;
-  std::unique_ptr<std::istream> in_;
-  std::unique_ptr<std::ostream> out_;
+  IoFaultHook hook_;
+  FrameReassembler reassembler_;
+  bool at_eof_ = false;  ///< A recv hit EOF or failed; only Finish is left.
 };
 
 }  // namespace spta::service

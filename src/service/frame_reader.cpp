@@ -65,8 +65,8 @@ FrameReassembler::Result FrameReassembler::Finish(std::string* type,
   std::uint64_t nbytes = 0;
   std::string parse_error;
   if (nl == std::string_view::npos) {
-    // EOF terminates the header line, as getline's does for the blocking
-    // reader; a declared-empty body then completes a whole frame.
+    // EOF terminates the header line, as it does for getline; a
+    // declared-empty body then completes a whole frame.
     obs::TraceContext trace;
     if (!ParseFrameHeaderLine(bank, type, &nbytes, &parse_error, &trace)) {
       return Poison(error, std::move(parse_error));

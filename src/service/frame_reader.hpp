@@ -1,25 +1,25 @@
-// Incremental spta1 frame reassembly for non-blocking transports.
+// Incremental spta1 frame reassembly: the one frame reader, at both ends
+// of the wire.
 //
-// The blocking readers in protocol.hpp pull bytes from an istream and may
-// park a thread mid-frame — acceptable for thread-per-connection, fatal
-// for an epoll event loop where one stalled read would freeze every
-// connection on the shard. FrameReassembler is the event loop's answer:
-// Feed() banks whatever slice the socket produced (a partial header, a
-// split length prefix, three frames glued together) and Next() yields
-// complete frames as they materialize, never blocking and never copying a
-// body more than once.
+// The event loop cannot park a thread mid-frame — one stalled read would
+// freeze every connection on the shard — so it feeds FrameReassembler
+// whatever slice the socket produced (a partial header, a split length
+// prefix, three frames glued together) and Next() yields complete frames
+// as they materialize, never blocking and never copying a body more than
+// once. service::Client reads its responses the same way, feeding the
+// slices of its blocking recv() calls.
 //
-// Semantics are pinned to the blocking reader's, byte for byte: the same
-// headers are accepted, the same diagnostics are produced, and the
-// split-point equivalence battery in tests/protocol_robustness_test.cpp
-// feeds every golden frame through both readers at every byte boundary to
-// prove it. The one deliberate addition is a bound on the header line
-// (the blocking reader's getline would buffer an endless headerless
-// stream; an event loop must cut such a connection off).
+// Semantics are those of the getline + read decoder the service started
+// with, byte for byte: the same headers are accepted and the same
+// diagnostics produced. tests/protocol_robustness_test.cpp keeps a copy of
+// that decoder as its oracle and feeds every golden frame through both at
+// every byte boundary. The one deliberate addition is a bound on the header
+// line (getline would buffer an endless headerless stream; an event loop
+// must cut such a connection off).
 //
 // A malformed frame poisons the reassembler: framing is lost, so every
 // later call reports the same error and the connection must be dropped —
-// the "answer once, then stop reading" discipline of the blocking reader.
+// "answer once, then stop reading".
 #pragma once
 
 #include <cstddef>
@@ -54,20 +54,19 @@ class FrameReassembler {
   /// Feed — several frames may have arrived in one slice.
   Result Next(std::string* type, std::string* body, std::string* error);
 
-  /// EOF edge: the peer closed its write half. Applies the blocking
-  /// reader's end-of-stream semantics to whatever is still banked — a
-  /// final header line needs no newline (getline treats EOF as a line
-  /// terminator), a zero-length body completes, anything else is a
-  /// truncated frame. kNeedMore here means a clean EOF between frames.
+  /// EOF edge: the peer closed its write half. Applies getline + read
+  /// end-of-stream semantics to whatever is still banked — a final header
+  /// line needs no newline (EOF terminates it), a zero-length body
+  /// completes, anything else is a truncated frame. kNeedMore here means a
+  /// clean EOF between frames.
   Result Finish(std::string* type, std::string* body, std::string* error);
 
   /// True after any kMalformed: framing is unrecoverable on this stream.
   bool poisoned() const { return poisoned_; }
 
   /// Trace context of the most recent kFrame (invalid when its header
-  /// carried no — or a malformed — `trace=` token). Matches what the
-  /// blocking ReadRequest would have put on Request::trace for the same
-  /// bytes; the split-point equivalence battery pins that too.
+  /// carried no — or a malformed — `trace=` token). The split-point
+  /// battery pins it at every cut of a traced header.
   const obs::TraceContext& last_trace() const { return last_trace_; }
 
   /// Bytes banked but not yet consumed by a returned frame.

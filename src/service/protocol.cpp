@@ -1,7 +1,6 @@
 #include "service/protocol.hpp"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "common/double_text.hpp"
 
@@ -17,12 +16,6 @@ const char* const kKindNames[] = {"PING",    "OPEN",         "APPEND",
 static_assert(static_cast<int>(std::size(kKindNames)) == kRequestKindCount,
               "wire names must cover every RequestKind");
 
-/// Reads one `\n`-terminated line; false on EOF-before-any-byte.
-bool GetLine(std::istream& in, std::string* line) {
-  line->clear();
-  return static_cast<bool>(std::getline(in, *line));
-}
-
 bool ParseUint(std::string_view s, std::uint64_t* out) {
   if (s.empty()) return false;
   std::uint64_t value = 0;
@@ -34,28 +27,6 @@ bool ParseUint(std::string_view s, std::uint64_t* out) {
   }
   *out = value;
   return true;
-}
-
-/// Common frame reader: yields the TYPE token and splits the body into the
-/// args line and the payload remainder.
-ReadStatus ReadFrame(std::istream& in, std::string* type, Args* args,
-                     std::string* payload, std::string* error,
-                     obs::TraceContext* trace = nullptr) {
-  std::string header;
-  if (!GetLine(in, &header)) return ReadStatus::kEof;
-  std::uint64_t nbytes = 0;
-  if (!ParseFrameHeaderLine(header, type, &nbytes, error, trace)) {
-    return ReadStatus::kMalformed;
-  }
-  std::string body(static_cast<std::size_t>(nbytes), '\0');
-  in.read(body.data(), static_cast<std::streamsize>(nbytes));
-  if (static_cast<std::uint64_t>(in.gcount()) != nbytes) {
-    *error = "truncated frame body (wanted " + std::to_string(nbytes) +
-             " bytes, got " + std::to_string(in.gcount()) + ")";
-    return ReadStatus::kMalformed;
-  }
-  SplitFrameBody(body, args, payload);
-  return ReadStatus::kOk;
 }
 
 }  // namespace
@@ -138,6 +109,17 @@ bool BuildRequest(std::string_view type, std::string_view body,
   return true;
 }
 
+bool BuildResponse(std::string_view type, std::string_view body,
+                   Response* response, std::string* error) {
+  if (type != "OK" && type != "ERR") {
+    *error = "unknown response type '" + std::string(type) + "'";
+    return false;
+  }
+  response->ok = type == "OK";
+  SplitFrameBody(body, &response->args, &response->payload);
+  return true;
+}
+
 namespace {
 
 /// Common frame encoder: TYPE is the verb or OK/ERR. A valid `trace`
@@ -160,13 +142,6 @@ void AppendFrame(std::string_view type, const Args& args,
   }
   out->push_back('\n');
   out->append(body);
-}
-
-/// Writes one encoded frame and flushes it.
-bool WriteFrame(std::ostream& out, const std::string& frame) {
-  out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-  out.flush();
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -284,51 +259,6 @@ Response ErrResponse(const std::string& code, const std::string& message) {
   r.args.Set("code", code);
   r.payload = message;
   return r;
-}
-
-bool WriteRequest(std::ostream& out, const Request& request) {
-  std::string frame;
-  AppendRequestFrameWithTrace(request, &frame);
-  return WriteFrame(out, frame);
-}
-
-bool WriteResponse(std::ostream& out, const Response& response) {
-  std::string frame;
-  AppendResponseFrame(response, &frame);
-  return WriteFrame(out, frame);
-}
-
-ReadStatus ReadRequest(std::istream& in, Request* request,
-                       std::string* error) {
-  std::string verb;
-  const ReadStatus status = ReadFrame(in, &verb, &request->args,
-                                      &request->payload, error,
-                                      &request->trace);
-  if (status != ReadStatus::kOk) return status;
-  const auto kind = ParseRequestKind(verb);
-  if (!kind.has_value()) {
-    *error = "unknown request verb '" + verb + "'";
-    return ReadStatus::kMalformed;
-  }
-  request->kind = *kind;
-  return ReadStatus::kOk;
-}
-
-ReadStatus ReadResponse(std::istream& in, Response* response,
-                        std::string* error) {
-  std::string type;
-  const ReadStatus status =
-      ReadFrame(in, &type, &response->args, &response->payload, error);
-  if (status != ReadStatus::kOk) return status;
-  if (type == "OK") {
-    response->ok = true;
-  } else if (type == "ERR") {
-    response->ok = false;
-  } else {
-    *error = "unknown response type '" + type + "'";
-    return ReadStatus::kMalformed;
-  }
-  return ReadStatus::kOk;
 }
 
 }  // namespace spta::service

@@ -1,7 +1,7 @@
 // Framed request/response protocol for the spta_serve analysis service.
 //
 // The service speaks one wire format over every transport (Unix socket,
-// stdin/stdout pipe mode, in-memory string streams in tests):
+// TCP, the stdin/stdout pipe bridge, in-memory byte strings in tests):
 //
 //   spta1 <TYPE> <nbytes>\n
 //   <nbytes bytes of body>
@@ -14,16 +14,17 @@
 // ANALYZE, CLOSE, METRICS, METRICS_PROM, SHUTDOWN, HEALTH, TRACE);
 // responses carry OK or ERR.
 //
-// This is untrusted-input territory: readers never abort the process on
-// malformed frames — they return kMalformed with a diagnostic and let the
-// server answer ERR and drop the connection.
+// One frame stack serves both ends of the wire: frames are encoded with
+// the Append*Frame writers below, cut out of received bytes by
+// FrameReassembler (frame_reader.hpp), and decoded with BuildRequest /
+// BuildResponse. This is untrusted-input territory: the decoders never
+// abort the process on malformed frames — they report a diagnostic and let
+// the server answer ERR and drop the connection.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <map>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
 
@@ -58,9 +59,9 @@ enum class RequestKind {
 /// Number of RequestKind values (per-verb counter array size).
 inline constexpr int kRequestKindCount = 11;
 
-/// Hard cap on a frame's body length. Enforced BEFORE the body buffer is
-/// allocated, by the blocking readers and the incremental reassembler
-/// alike — a hostile length prefix never costs more than this.
+/// Hard cap on a frame's body length. Enforced by the header parser BEFORE
+/// any body byte is banked — a hostile length prefix never costs more
+/// than this.
 inline constexpr std::uint64_t kMaxFrameBytes = 64ull << 20;  // 64 MiB
 
 /// Wire name of a request kind ("PING", "OPEN", ...).
@@ -115,7 +116,7 @@ struct Request {
   /// part of the body: routing digests and warm-memo keys hash body
   /// bytes, so an id that varies per request must never perturb them.
   /// Invalid (the default) = untraced; AppendRequestFrame ignores it
-  /// (use AppendRequestFrameWithTrace / WriteRequest to emit it).
+  /// (use AppendRequestFrameWithTrace, as Client::Send does, to emit it).
   obs::TraceContext trace;
 };
 
@@ -131,23 +132,8 @@ struct Response {
 Response OkResponse(Args args = {}, std::string payload = {});
 Response ErrResponse(const std::string& code, const std::string& message);
 
-enum class ReadStatus {
-  kOk,
-  kEof,        ///< Clean end of stream before a header line.
-  kMalformed,  ///< Bad header, unknown verb, truncated body.
-};
-
-/// Frame writers. Return false when the stream rejected the write.
-bool WriteRequest(std::ostream& out, const Request& request);
-bool WriteResponse(std::ostream& out, const Response& response);
-
-/// Frame readers; on kMalformed, `error` describes the problem.
-ReadStatus ReadRequest(std::istream& in, Request* request, std::string* error);
-ReadStatus ReadResponse(std::istream& in, Response* response,
-                        std::string* error);
-
-// --- Buffer-level frame helpers (shared by the blocking istream readers
-// --- above and the incremental FrameReassembler in frame_reader.hpp).
+// --- Buffer-level frame helpers (the incremental FrameReassembler in
+// --- frame_reader.hpp cuts frames; these parse and build them).
 
 /// Parses one header line (WITHOUT its trailing newline): the first three
 /// whitespace-separated tokens must be the magic, the TYPE and the decimal
@@ -168,13 +154,17 @@ bool ParseFrameHeaderLine(std::string_view header, std::string* type,
 void SplitFrameBody(std::string_view body, Args* args, std::string* payload);
 
 /// Assembles a Request from a reassembled frame (verb token + raw body
-/// bytes). False on an unknown verb, with the same diagnostic the blocking
-/// reader produces.
+/// bytes). False on an unknown verb, with `error` naming it.
 bool BuildRequest(std::string_view type, std::string_view body,
                   Request* request, std::string* error);
 
-/// Append the wire encoding of a frame to `out` (no stream round trip —
-/// the event loop's write path builds contiguous output buffers).
+/// Assembles a Response from a reassembled frame (OK or ERR + raw body
+/// bytes). False on any other type, with `error` naming it.
+bool BuildResponse(std::string_view type, std::string_view body,
+                   Response* response, std::string* error);
+
+/// Append the wire encoding of a frame to `out` (the event loop and the
+/// client both write contiguous output buffers).
 /// AppendRequestFrame never emits the trace header token — re-encoding a
 /// parsed request is byte-stable regardless of how it arrived.
 void AppendRequestFrame(const Request& request, std::string* out);

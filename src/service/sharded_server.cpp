@@ -757,40 +757,14 @@ void ShardedServer::AcceptReady() {
 
 ssize_t ShardedServer::ConnIo(Conn& conn, IoOp op, char* read_buf,
                               const char* write_buf, std::size_t count) {
-  int injected_eagain = 0;
-  for (;;) {
-    std::size_t n = count;
-    if (conn.hook) {
-      const IoFault fault = conn.hook(op, count);
-      if (!fault.None()) {
-        ++conn.faults_fired;
-        faults_injected_.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (fault.disconnect) {
-        if (op == IoOp::kRead) return 0;  // Peer gone: the reader sees EOF.
-        errno = EPIPE;
-        return -1;
-      }
-      if (fault.error == EINTR) continue;
-      if (fault.error == EAGAIN || fault.error == EWOULDBLOCK) {
-        // Retried, never returned: a loop that waited for the next edge
-        // after an injected EAGAIN would strand the bytes already queued.
-        if (++injected_eagain <= kInjectedEagainBudget) continue;
-        errno = EIO;
-        return -1;
-      }
-      if (fault.error != 0) {
-        errno = fault.error;
-        return -1;
-      }
-      if (fault.cap < n && fault.cap > 0) n = fault.cap;
-    }
-    const ssize_t r = op == IoOp::kRead
-                          ? ::recv(conn.fd, read_buf, n, 0)
-                          : ::send(conn.fd, write_buf, n, MSG_NOSIGNAL);
-    if (r < 0 && errno == EINTR) continue;
-    return r;
+  const std::uint64_t fired = conn.faults_fired;
+  const ssize_t r = GuardedIo(conn.fd, op, read_buf, write_buf, count,
+                              conn.hook, &conn.faults_fired);
+  if (conn.faults_fired != fired) {
+    faults_injected_.fetch_add(conn.faults_fired - fired,
+                               std::memory_order_relaxed);
   }
+  return r;
 }
 
 void ShardedServer::FlushConn(const std::shared_ptr<Conn>& conn) {
@@ -885,8 +859,8 @@ void ShardedServer::ReadConn(const std::shared_ptr<Conn>& conn) {
       continue;  // Edge-triggered: read until EAGAIN.
     }
     if (n == 0) {
-      // EOF flush: trailing bytes may still complete frames under the
-      // blocking reader's end-of-stream rules.
+      // EOF flush: trailing bytes may still complete a frame under
+      // FrameReassembler::Finish's end-of-stream rules.
       ProcessFrames(conn, /*at_eof=*/true);
       conn->read_closed = true;
       return;

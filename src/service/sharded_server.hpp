@@ -131,7 +131,8 @@ struct ShardedServerOptions {
   /// Fault-injection hook factory (tests only). Called once per served
   /// connection with its ordinal (arrival order, from 0); the returned
   /// hook (may be empty) guards every recv/send the loop issues on that
-  /// connection, with FdStreambuf's discipline (service/fd_stream.hpp).
+  /// connection through GuardedIo, the syscall discipline the client
+  /// shares (service/fd_stream.hpp).
   /// Fired faults are counted into METRICS faults_injected; a connection
   /// that closes with faults fired and no SHUTDOWN counts into
   /// sessions_degraded. The fleet itself must survive any decision the
@@ -299,7 +300,8 @@ class ShardedServer {
   bool PushToShard(std::size_t index, Item item);
   void AcceptReady();
   void ReadConn(const std::shared_ptr<Conn>& conn);
-  /// One recv/send on a connection under its fault hook.
+  /// One GuardedIo recv/send on a connection under its fault hook,
+  /// counting fired faults into the connection and faults_injected.
   ssize_t ConnIo(Conn& conn, IoOp op, char* read_buf, const char* write_buf,
                  std::size_t count);
   void FlushConn(const std::shared_ptr<Conn>& conn);

@@ -16,7 +16,6 @@
 // handshake on the same server that absorbed the hostile connections).
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <unistd.h>
 
 #include <atomic>
@@ -47,14 +46,6 @@
 
 namespace spta {
 namespace {
-
-// The hostile-connection row deliberately provokes mid-frame server
-// disconnects; the client side of the test would otherwise die on
-// SIGPIPE when it writes into the dead socket.
-[[maybe_unused]] const bool kSigpipeIgnored = [] {
-  std::signal(SIGPIPE, SIG_IGN);
-  return true;
-}();
 
 std::vector<mbpta::PathObservation> ToObservations(
     const std::vector<analysis::RunSample>& samples) {
@@ -270,11 +261,10 @@ TEST(FaultMatrix, DaemonSurvivesHostileConnectionsAndCountsThem) {
   ASSERT_EQ(fleet.Start(), 0);
 
   const auto connect = [&](double timeout_ms = 0.0) {
-    std::unique_ptr<service::UnixSocketConnection> connection;
+    std::unique_ptr<service::Client> connection;
     std::string error;
     for (int attempt = 0; attempt < 200 && !connection; ++attempt) {
-      connection =
-          service::UnixSocketConnection::Connect(path, &error, timeout_ms);
+      connection = service::Client::ConnectUnix(path, &error, timeout_ms);
       if (!connection) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
@@ -289,7 +279,7 @@ TEST(FaultMatrix, DaemonSurvivesHostileConnectionsAndCountsThem) {
   {
     auto lethal = connect(/*timeout_ms=*/2000.0);
     ASSERT_TRUE(lethal);
-    service::Client client(lethal->in(), lethal->out());
+    service::Client& client = *lethal;
     const auto response = client.Ping();
     EXPECT_FALSE(response.ok);
     EXPECT_EQ(response.args.GetString("code"), "transport");
@@ -305,7 +295,7 @@ TEST(FaultMatrix, DaemonSurvivesHostileConnectionsAndCountsThem) {
   {
     auto faulty = connect();
     ASSERT_TRUE(faulty);
-    service::Client client(faulty->in(), faulty->out());
+    service::Client& client = *faulty;
     EXPECT_TRUE(client.Ping().ok);
     const auto analysis = client.AnalyzeInline(obs, no_iid);
     ASSERT_TRUE(analysis.ok) << analysis.payload;
@@ -315,7 +305,7 @@ TEST(FaultMatrix, DaemonSurvivesHostileConnectionsAndCountsThem) {
   {
     auto faulty = connect();
     ASSERT_TRUE(faulty);
-    service::Client client(faulty->in(), faulty->out());
+    service::Client& client = *faulty;
     const auto analysis = client.AnalyzeInline(obs, no_iid);
     ASSERT_TRUE(analysis.ok) << analysis.payload;
     EXPECT_EQ(analysis.args.GetString("pwcet"), pwcet_over_faults);
@@ -327,7 +317,7 @@ TEST(FaultMatrix, DaemonSurvivesHostileConnectionsAndCountsThem) {
   {
     auto clean = connect();
     ASSERT_TRUE(clean);
-    service::Client client(clean->in(), clean->out());
+    service::Client& client = *clean;
     EXPECT_TRUE(client.Ping().ok);
     const auto metrics = client.Metrics();
     EXPECT_TRUE(metrics.ok);

@@ -1,28 +1,34 @@
-// Adversarial I/O coverage for service/fd_stream: the syscall retry
-// discipline under injected EINTR/EAGAIN storms, short reads and writes,
-// mid-frame disconnects, and real (kernel) EAGAIN as the deadline signal.
-// The contract under test is the one docs/FAULTS.md documents: transient
-// faults are absorbed losslessly, terminal faults fail the STREAM (badbit/
-// EOF) and never the process.
+// Adversarial I/O coverage for service/fd_stream's GuardedIo, driven
+// through service::Client over a socketpair: the syscall retry discipline
+// under injected EINTR/EAGAIN storms, short reads and writes, mid-frame
+// disconnects, and real (kernel) EAGAIN as the deadline signal. The
+// contract under test is the one docs/FAULTS.md documents: transient
+// faults are absorbed losslessly, terminal faults fail the CONNECTION (a
+// false WriteBytes, an ERR code=transport from Call, EOF on Receive) and
+// never the process.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <fcntl.h>
-#include <istream>
-#include <ostream>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "fault/io_plan.hpp"
+#include "service/client.hpp"
 #include "service/fd_stream.hpp"
 
 namespace {
 
 using namespace spta;
-using service::FdStreambuf;
+using service::Client;
 using service::IoFault;
 using service::IoOp;
 
@@ -36,7 +42,14 @@ class SocketPairTest : public ::testing::Test {
     if (fds_[1] >= 0) ::close(fds_[1]);
   }
 
-  /// A payload long enough to force several buffer flushes/refills.
+  /// Hands end `i` to a Client, which closes it.
+  std::unique_ptr<Client> Adopt(int i, service::IoFaultHook hook = {}) {
+    const int fd = fds_[i];
+    fds_[i] = -1;
+    return std::make_unique<Client>(fd, std::move(hook));
+  }
+
+  /// A payload long enough to span many syscalls.
   static std::string Payload() {
     std::string s;
     s.reserve(32 * 1024);
@@ -46,12 +59,20 @@ class SocketPairTest : public ::testing::Test {
     return s;
   }
 
-  std::string ReadAll(std::istream& in) {
+  /// One OK response frame carrying `payload`.
+  static std::string Frame(const std::string& payload) {
+    std::string frame;
+    service::AppendResponseFrame(service::OkResponse({}, payload), &frame);
+    return frame;
+  }
+
+  /// Every response payload `client` receives until the stream ends.
+  static std::string ReadAll(Client& client) {
     std::string got;
-    char buf[4096];
-    while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-      got.append(buf, static_cast<std::size_t>(in.gcount()));
-    }
+    service::Response response;
+    std::string error;
+    while (client.Receive(&response, &error)) got += response.payload;
+    EXPECT_EQ(error, "connection closed");
     return got;
   }
 
@@ -60,156 +81,144 @@ class SocketPairTest : public ::testing::Test {
 
 TEST_F(SocketPairTest, CleanPathRoundTrips) {
   const std::string payload = Payload();
-  {
-    FdStreambuf out_buf(fds_[0]);
-    std::ostream out(&out_buf);
-    out << payload;
-    out.flush();
-    ASSERT_TRUE(out.good());
-  }
-  ::shutdown(fds_[0], SHUT_WR);
-  FdStreambuf in_buf(fds_[1]);
-  std::istream in(&in_buf);
-  EXPECT_EQ(ReadAll(in), payload);
+  auto reader = Adopt(1);
+  ASSERT_TRUE(Adopt(0)->WriteBytes(Frame(payload)));  // Closed after.
+  EXPECT_EQ(ReadAll(*reader), payload);
 }
 
 TEST_F(SocketPairTest, InjectedEintrStormIsRetriedAway) {
   const std::string payload = Payload();
   int writer_faults = 0;
-  {
-    // Every other write syscall is hit with EINTR.
-    FdStreambuf out_buf(fds_[0], [&](IoOp op, std::size_t) {
-      IoFault f;
-      if (op == IoOp::kWrite && ++writer_faults % 2 == 0) f.error = EINTR;
-      return f;
-    });
-    std::ostream out(&out_buf);
-    out << payload;
-    out.flush();
-    ASSERT_TRUE(out.good());
-  }
-  ::shutdown(fds_[0], SHUT_WR);
-
   int reader_faults = 0;
-  FdStreambuf in_buf(fds_[1], [&](IoOp op, std::size_t) {
+  // Every other recv is hit with EINTR.
+  auto reader = Adopt(1, [&](IoOp op, std::size_t) {
     IoFault f;
     if (op == IoOp::kRead && ++reader_faults % 2 == 1) f.error = EINTR;
     return f;
   });
-  std::istream in(&in_buf);
-  EXPECT_EQ(ReadAll(in), payload);
+  {
+    // Every other send is hit with EINTR, under a 4 KiB cap so the frame
+    // takes many sends.
+    auto writer = Adopt(0, [&](IoOp op, std::size_t) {
+      IoFault f;
+      if (op == IoOp::kWrite) {
+        f.cap = 4096;
+        if (++writer_faults % 2 == 0) f.error = EINTR;
+      }
+      return f;
+    });
+    ASSERT_TRUE(writer->WriteBytes(Frame(payload)));
+  }
+  EXPECT_EQ(ReadAll(*reader), payload);
   EXPECT_GT(writer_faults, 0);
   EXPECT_GT(reader_faults, 0);
 }
 
 TEST_F(SocketPairTest, TransientInjectedEagainIsRetriedWithinBudget) {
   const std::string payload = Payload();
-  int count = 0;
+  auto reader = Adopt(1);
   {
     // Bursts of 3 consecutive EAGAINs — under the retry budget, so the
-    // stream must survive them losslessly.
-    FdStreambuf out_buf(fds_[0], [&](IoOp, std::size_t) {
+    // connection must survive them losslessly.
+    int count = 0;
+    auto writer = Adopt(0, [&](IoOp, std::size_t) {
       IoFault f;
+      f.cap = 4096;
       if (++count % 5 < 3) f.error = EAGAIN;
       return f;
     });
-    std::ostream out(&out_buf);
-    out << payload;
-    out.flush();
-    ASSERT_TRUE(out.good());
+    ASSERT_TRUE(writer->WriteBytes(Frame(payload)));
   }
-  ::shutdown(fds_[0], SHUT_WR);
-  FdStreambuf in_buf(fds_[1]);
-  std::istream in(&in_buf);
-  EXPECT_EQ(ReadAll(in), payload);
+  EXPECT_EQ(ReadAll(*reader), payload);
 }
 
 TEST_F(SocketPairTest, PersistentInjectedEagainFailsTheStreamNotTheProcess) {
-  FdStreambuf out_buf(fds_[0], [](IoOp, std::size_t) {
+  auto writer = Adopt(0, [](IoOp, std::size_t) {
     IoFault f;
     f.error = EAGAIN;  // never clears: a wedged peer
     return f;
   });
-  std::ostream out(&out_buf);
-  out << "doomed frame";
-  out.flush();
-  EXPECT_FALSE(out.good());  // bounded retries, then badbit — no spin
+  // Bounded retries, then a failed write — no spin.
+  EXPECT_FALSE(writer->WriteBytes("doomed frame"));
+  const service::Response response = writer->Ping();
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.args.GetString("code"), "transport");
+  EXPECT_EQ(response.payload, "write failed");
 }
 
 TEST_F(SocketPairTest, ShortReadsAndWritesAreLoopedToCompletion) {
   const std::string payload = Payload();
-  // The 7-byte write cap shreds the payload into thousands of tiny skbs,
+  // The 7-byte send cap shreds the frame into thousands of tiny skbs,
   // whose kernel truesize overhead overflows the socketpair send buffer
   // long before 32 KiB of payload is queued — so the reader must drain
   // concurrently or the writer deadlocks.
-  std::string got;
-  std::thread reader([&] {
-    FdStreambuf in_buf(fds_[1], [](IoOp op, std::size_t) {
-      IoFault f;
-      if (op == IoOp::kRead) f.cap = 13;
-      return f;
-    });
-    std::istream in(&in_buf);
-    got = ReadAll(in);
+  auto reader = Adopt(1, [](IoOp op, std::size_t) {
+    IoFault f;
+    if (op == IoOp::kRead) f.cap = 13;
+    return f;
   });
+  std::string got;
+  std::thread reading([&] { got = ReadAll(*reader); });
   {
-    // Cap every write to 7 bytes, every read to 13: worst-case framing.
-    FdStreambuf out_buf(fds_[0], [](IoOp op, std::size_t) {
+    // Cap every send to 7 bytes, every recv to 13: worst-case framing.
+    auto writer = Adopt(0, [](IoOp op, std::size_t) {
       IoFault f;
       if (op == IoOp::kWrite) f.cap = 7;
       return f;
     });
-    std::ostream out(&out_buf);
-    out << payload;
-    out.flush();
-    EXPECT_TRUE(out.good());
+    EXPECT_TRUE(writer->WriteBytes(Frame(payload)));
   }
-  ::shutdown(fds_[0], SHUT_WR);
-  reader.join();
+  reading.join();
   EXPECT_EQ(got, payload);
 }
 
 TEST_F(SocketPairTest, ReadDisconnectIsEofNotACrash) {
+  const std::string whole = Frame("delivered");
   {
-    FdStreambuf out_buf(fds_[0]);
-    std::ostream out(&out_buf);
-    out << "partial";
-    out.flush();
+    // One whole frame, then the first half of a second.
+    auto writer = Adopt(0);
+    const std::string cut = Frame("never completed");
+    ASSERT_TRUE(writer->WriteBytes(whole + cut.substr(0, cut.size() / 2)));
   }
   int reads = 0;
-  FdStreambuf in_buf(fds_[1], [&](IoOp op, std::size_t) {
+  auto reader = Adopt(1, [&](IoOp op, std::size_t) {
     IoFault f;
-    // First refill is clean; the peer "vanishes" on the second.
+    // The first recv is clean; the peer "vanishes" on the second.
     if (op == IoOp::kRead && ++reads >= 2) f.disconnect = true;
     return f;
   });
-  std::istream in(&in_buf);
-  EXPECT_EQ(ReadAll(in), "partial");
-  EXPECT_TRUE(in.eof());
+  service::Response response;
+  std::string error;
+  ASSERT_TRUE(reader->Receive(&response, &error)) << error;
+  EXPECT_EQ(response.payload, "delivered");
+  // The disconnect reads as EOF: the half frame is reported truncated.
+  EXPECT_FALSE(reader->Receive(&response, &error));
+  EXPECT_NE(error.find("truncated frame body"), std::string::npos) << error;
+  EXPECT_GE(reads, 2);
 }
 
 TEST_F(SocketPairTest, WriteDisconnectFailsTheStream) {
-  FdStreambuf out_buf(fds_[0], [](IoOp op, std::size_t) {
+  auto writer = Adopt(0, [](IoOp op, std::size_t) {
     IoFault f;
     if (op == IoOp::kWrite) f.disconnect = true;
     return f;
   });
-  std::ostream out(&out_buf);
-  out << "never arrives";
-  out.flush();
-  EXPECT_FALSE(out.good());
+  EXPECT_FALSE(writer->WriteBytes("never arrives"));
+  const service::Response response = writer->Ping();
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.args.GetString("code"), "transport");
+  EXPECT_EQ(response.payload, "write failed");
 }
 
 TEST_F(SocketPairTest, RealKernelEagainIsTheDeadlineSignal) {
   // A nonblocking fd with no data models an expired SO_RCVTIMEO: the
-  // stream must fail the attempt immediately instead of retrying forever.
+  // client must fail the attempt immediately instead of retrying forever.
   ASSERT_EQ(::fcntl(fds_[1], F_SETFL, O_NONBLOCK), 0);
-  FdStreambuf in_buf(fds_[1]);
-  std::istream in(&in_buf);
-  char c;
-  in.read(&c, 1);
-  EXPECT_TRUE(in.fail());
-  EXPECT_EQ(in.gcount(), 0);
+  auto reader = Adopt(1);
+  service::Response response;
+  std::string error;
+  EXPECT_FALSE(reader->Receive(&response, &error));
+  EXPECT_EQ(error, "connection closed");
 }
 
 TEST_F(SocketPairTest, SeededIoPlanReplaysItsDecisions) {
@@ -254,20 +263,50 @@ TEST_F(SocketPairTest, PlannedFaultsStillDeliverEveryByteWhenTransient) {
 
   const std::string payload = Payload();
   fault::IoFaultPlan writer_plan(config, 11, 0);
-  {
-    FdStreambuf out_buf(fds_[0], writer_plan.Hook());
-    std::ostream out(&out_buf);
-    out << payload;
-    out.flush();
-    ASSERT_TRUE(out.good());
-  }
-  ::shutdown(fds_[0], SHUT_WR);
-
   fault::IoFaultPlan reader_plan(config, 11, 1);
-  FdStreambuf in_buf(fds_[1], reader_plan.Hook());
-  std::istream in(&in_buf);
-  EXPECT_EQ(ReadAll(in), payload);
+  auto reader = Adopt(1, reader_plan.Hook());
+  std::string got;
+  std::thread reading([&] { got = ReadAll(*reader); });
+  EXPECT_TRUE(Adopt(0, writer_plan.Hook())->WriteBytes(Frame(payload)));
+  reading.join();
+  EXPECT_EQ(got, payload);
   EXPECT_GT(writer_plan.faults_fired() + reader_plan.faults_fired(), 0u);
+}
+
+// A real deadline: SO_RCVTIMEO on a client whose peer accepted the
+// connection and never answers. The bound is generous; the point is that
+// Call returns at all.
+TEST(ClientDeadlineTest, SilentPeerAnswersTransportErrInsteadOfHanging) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   addr_len),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+
+  std::string error;
+  auto client = Client::ConnectTcp("127.0.0.1", ntohs(addr.sin_port), &error,
+                                   /*io_timeout_ms=*/200.0);
+  ASSERT_NE(client, nullptr) << error;
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+
+  const auto start = std::chrono::steady_clock::now();
+  const service::Response response = client->Ping();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.args.GetString("code"), "transport");
+  EXPECT_EQ(response.payload, "connection closed");
+  EXPECT_LT(waited, std::chrono::seconds(60));
+  ::close(peer);
+  ::close(listener);
 }
 
 }  // namespace

@@ -307,25 +307,18 @@ class ResilientDriver {
 
   std::uint64_t acked() const { return acked_; }
 
-  void Disconnect() {
-    client_.reset();
-    connection_.reset();
-  }
+  void Disconnect() { client_.reset(); }
 
  private:
   bool EnsureConnected() {
     if (client_) return true;
     std::string error;
-    connection_ = service::TcpConnection::Connect(
+    client_ = service::Client::ConnectTcp(
         "127.0.0.1", static_cast<std::uint16_t>(port_), &error, 2000.0);
-    if (!connection_) return false;
-    client_ = std::make_unique<service::Client>(connection_->in(),
-                                                connection_->out());
-    return true;
+    return client_ != nullptr;
   }
 
   int port_;
-  std::unique_ptr<service::TcpConnection> connection_;
   std::unique_ptr<service::Client> client_;
   std::uint64_t acked_ = 0;
 };

@@ -1,25 +1,29 @@
 // Malformed-frame robustness battery for the spta1 wire protocol.
 //
-// The frame readers sit on the untrusted boundary of spta_serve: anything a
-// client (or a port scanner) writes at the socket flows through ReadRequest
-// before any server logic runs. The contract under attack input is narrow
-// and absolute — return kMalformed (with a diagnostic) or kEof, never
-// crash, never hang, never abort the process. This battery throws
-// truncated headers, oversized and overflowing length fields, garbage
-// bytes, embedded NULs and a seeded random fuzz loop at both readers; it
-// runs under the repo's sanitizer configs (-DSPTA_SANITIZE=address) where
-// any out-of-bounds read in the parsing path becomes a hard failure.
+// The frame decoders sit on the untrusted boundary of spta_serve: anything
+// a client (or a port scanner) writes at the socket flows through
+// FrameReassembler and BuildRequest before any server logic runs. The
+// contract under attack input is narrow and absolute — report a malformed
+// frame (with a diagnostic) or a clean EOF, never crash, never hang, never
+// abort the process. This battery throws truncated headers, oversized and
+// overflowing length fields, garbage bytes, embedded NULs and a seeded
+// random fuzz loop at the request and response decoders; it runs under the
+// repo's sanitizer configs (-DSPTA_SANITIZE=address) where any
+// out-of-bounds read in the parsing path becomes a hard failure.
 //
-// The second half of the battery targets the incremental FrameReassembler
-// (frame_reader.hpp) that the epoll event loop uses instead of blocking
-// istream reads: every golden frame is split at every byte boundary and
-// re-delivered across simulated wakeups, slow-loris connections trickle
-// one byte at a time while other connections make progress, and a seeded
-// chunked fuzz re-checks reader equivalence (same frames, same
-// accept/reject outcome as the blocking reader) over hostile streams.
+// The second half splits frames at every byte boundary and re-delivers
+// them across simulated wakeups, trickles slow-loris connections one byte
+// at a time while other connections make progress, and runs a seeded
+// chunked fuzz. Its oracle is a test-local copy of the getline + read
+// decoder the service started with (namespace oracle below): the
+// reassembler must extract the same frames and reach the same
+// accept/reject outcome from any chunking, on requests (the server's side)
+// and responses (the client's side) alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <istream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,26 +35,48 @@
 namespace spta::service {
 namespace {
 
-/// Feeds `wire` to ReadRequest and returns the status; the assertion that
-/// it returns at all (no crash/abort) is the point.
-ReadStatus RequestStatus(const std::string& wire, std::string* error) {
-  std::istringstream in(wire);
-  Request request;
-  return ReadRequest(in, &request, error);
+using Result = FrameReassembler::Result;
+
+/// Decodes the first frame of `wire` as a connection does at EOF: the
+/// whole wire fed to a FrameReassembler, Finish, then BuildRequest.
+/// kNeedMore is a clean EOF; the assertion that it returns at all (no
+/// crash/abort) is the point.
+Result DecodeRequest(const std::string& wire, Request* request,
+                     std::string* error) {
+  FrameReassembler reassembler;
+  reassembler.Feed(wire);
+  std::string type;
+  std::string body;
+  const Result result = reassembler.Finish(&type, &body, error);
+  if (result != Result::kFrame) return result;
+  request->trace = reassembler.last_trace();
+  return BuildRequest(type, body, request, error) ? Result::kFrame
+                                                  : Result::kMalformed;
 }
 
-ReadStatus ResponseStatus(const std::string& wire, std::string* error) {
-  std::istringstream in(wire);
+Result RequestStatus(const std::string& wire, std::string* error) {
+  Request request;
+  return DecodeRequest(wire, &request, error);
+}
+
+Result ResponseStatus(const std::string& wire, std::string* error) {
+  FrameReassembler reassembler;
+  reassembler.Feed(wire);
+  std::string type;
+  std::string body;
+  const Result result = reassembler.Finish(&type, &body, error);
+  if (result != Result::kFrame) return result;
   Response response;
-  return ReadResponse(in, &response, error);
+  return BuildResponse(type, body, &response, error) ? Result::kFrame
+                                                     : Result::kMalformed;
 }
 
 void ExpectRejectedOrEof(const std::string& wire, const char* what) {
   std::string error;
-  const ReadStatus status = RequestStatus(wire, &error);
-  EXPECT_TRUE(status == ReadStatus::kMalformed || status == ReadStatus::kEof)
+  const Result status = RequestStatus(wire, &error);
+  EXPECT_TRUE(status == Result::kMalformed || status == Result::kNeedMore)
       << what << ": status " << static_cast<int>(status);
-  if (status == ReadStatus::kMalformed) {
+  if (status == Result::kMalformed) {
     EXPECT_FALSE(error.empty()) << what << ": kMalformed needs a diagnostic";
   }
 }
@@ -74,13 +100,13 @@ TEST(ProtocolRobustnessTest, WrongMagic) {
        {"spta2 PING 0\n", "SPTA1 PING 0\n", "spta10 PING 0\n",
         "http/1.1 GET 0\n", "GET / HTTP/1.1\n\n", "xspta1 PING 0\n"}) {
     std::string error;
-    EXPECT_EQ(RequestStatus(wire, &error), ReadStatus::kMalformed)
+    EXPECT_EQ(RequestStatus(wire, &error), Result::kMalformed)
         << "magic: " << wire;
   }
   // NUL-prefixed magic (needs explicit length — a literal would truncate).
   std::string error;
   EXPECT_EQ(RequestStatus(std::string("\0spta1 PING 0\n", 14), &error),
-            ReadStatus::kMalformed);
+            Result::kMalformed);
 }
 
 TEST(ProtocolRobustnessTest, UnknownVerbs) {
@@ -88,12 +114,12 @@ TEST(ProtocolRobustnessTest, UnknownVerbs) {
        {"spta1 FROB 0\n", "spta1 ping 0\n", "spta1 ANALYZE! 0\n",
         "spta1 0 0\n", "spta1 == 0\n"}) {
     std::string error;
-    EXPECT_EQ(RequestStatus(wire, &error), ReadStatus::kMalformed)
+    EXPECT_EQ(RequestStatus(wire, &error), Result::kMalformed)
         << "verb: " << wire;
   }
   // Responses only accept OK/ERR; request verbs must be rejected there.
   std::string error;
-  EXPECT_EQ(ResponseStatus("spta1 PING 0\n", &error), ReadStatus::kMalformed);
+  EXPECT_EQ(ResponseStatus("spta1 PING 0\n", &error), Result::kMalformed);
 }
 
 TEST(ProtocolRobustnessTest, BadLengthFields) {
@@ -105,7 +131,7 @@ TEST(ProtocolRobustnessTest, BadLengthFields) {
         "spta1 PING 18446744073709551615\n",           // UINT64_MAX
         "spta1 PING 67108865\n"}) {                    // kMaxFrameBytes + 1
     std::string error;
-    EXPECT_EQ(RequestStatus(wire, &error), ReadStatus::kMalformed)
+    EXPECT_EQ(RequestStatus(wire, &error), Result::kMalformed)
         << "length: " << wire;
   }
 }
@@ -118,9 +144,9 @@ TEST(ProtocolRobustnessTest, OversizedLengthDoesNotAllocate) {
   ExpectRejectedOrEof("spta1 APPEND 67108864\nshort body", "body truncated");
   std::string error;
   EXPECT_EQ(RequestStatus("spta1 APPEND 9223372036854775807\n", &error),
-            ReadStatus::kMalformed);
+            Result::kMalformed);
   EXPECT_EQ(RequestStatus("spta1 APPEND 4000000000\n", &error),
-            ReadStatus::kMalformed);
+            Result::kMalformed);
 }
 
 TEST(ProtocolRobustnessTest, TruncatedBodies) {
@@ -135,11 +161,10 @@ TEST(ProtocolRobustnessTest, GarbageAndBinaryBytes) {
   wire += std::string("\x00\xff\x7f\n\x01\x02\x03\x04", 8);
   std::string error;
   Request request;
-  std::istringstream in(wire);
   // Binary bytes in the body are legal (8-bit clean framing): the frame
   // must parse, with the NUL preserved in args-line-or-payload handling,
   // and must not trip the sanitizer.
-  EXPECT_EQ(ReadRequest(in, &request, &error), ReadStatus::kOk) << error;
+  EXPECT_EQ(DecodeRequest(wire, &request, &error), Result::kFrame) << error;
   EXPECT_EQ(request.kind, RequestKind::kPing);
 
   // Pure binary garbage where a header should be.
@@ -161,8 +186,7 @@ TEST(ProtocolRobustnessTest, MalformedArgsLineNeverThrows) {
     wire << "spta1 STATUS " << body.size() << "\n" << body;
     std::string error;
     Request request;
-    std::istringstream in(wire.str());
-    EXPECT_EQ(ReadRequest(in, &request, &error), ReadStatus::kOk)
+    EXPECT_EQ(DecodeRequest(wire.str(), &request, &error), Result::kFrame)
         << "args line: " << args_line;
   }
 }
@@ -173,10 +197,11 @@ TEST(ProtocolRobustnessTest, BackToBackFramesAfterRejection) {
   // still parse after arbitrarily bad prior input was handled.
   ExpectRejectedOrEof("spta1 BOGUS 0\n", "bad verb");
   ExpectRejectedOrEof("spta1 INGEST 0\n", "retired verb");
-  std::istringstream in("spta1 PING 1\n\n");
   Request request;
   std::string error;
-  EXPECT_EQ(ReadRequest(in, &request, &error), ReadStatus::kOk) << error;
+  EXPECT_EQ(DecodeRequest("spta1 PING 1\n\n", &request, &error),
+            Result::kFrame)
+      << error;
   EXPECT_EQ(request.kind, RequestKind::kPing);
 }
 
@@ -217,8 +242,8 @@ TEST(ProtocolRobustnessTest, SeededFuzzNeverCrashes) {
       }
     }
     std::string error;
-    const ReadStatus req_status = RequestStatus(wire, &error);
-    if (req_status == ReadStatus::kMalformed) {
+    const Result req_status = RequestStatus(wire, &error);
+    if (req_status == Result::kMalformed) {
       EXPECT_FALSE(error.empty()) << "iter " << iter;
     }
     error.clear();
@@ -231,10 +256,9 @@ TEST(ProtocolRobustnessTest, SeededFuzzNeverCrashes) {
 /// Parses `wire` and returns the request (asserting kOk) so trace-token
 /// tests can inspect what the lenient parser extracted.
 Request ParsedRequest(const std::string& wire) {
-  std::istringstream in(wire);
   Request request;
   std::string error;
-  EXPECT_EQ(ReadRequest(in, &request, &error), ReadStatus::kOk) << error;
+  EXPECT_EQ(DecodeRequest(wire, &request, &error), Result::kFrame) << error;
   return request;
 }
 
@@ -243,9 +267,8 @@ TEST(ProtocolRobustnessTest, ValidTraceTokenParsesAndRoundTrips) {
   request.kind = RequestKind::kPing;
   request.trace.trace_id = 0x0123456789abcdefULL;
   request.trace.span_id = 0x00000000000000aaULL;
-  std::ostringstream out;
-  ASSERT_TRUE(WriteRequest(out, request));
-  const std::string wire = out.str();
+  std::string wire;
+  AppendRequestFrameWithTrace(request, &wire);
   // The token is the documented optional fourth header field.
   EXPECT_NE(wire.find(" trace=0123456789abcdef-00000000000000aa\n"),
             std::string::npos);
@@ -260,9 +283,9 @@ TEST(ProtocolRobustnessTest, UntracedRequestsStayByteIdentical) {
   // frames are unchanged.
   Request request;
   request.kind = RequestKind::kPing;
-  std::ostringstream out;
-  ASSERT_TRUE(WriteRequest(out, request));
-  EXPECT_EQ(out.str(), "spta1 PING 1\n\n");
+  std::string wire;
+  AppendRequestFrameWithTrace(request, &wire);
+  EXPECT_EQ(wire, "spta1 PING 1\n\n");
   // AppendRequestFrame (the digest/memo path) never emits the token,
   // even for a traced request.
   request.trace.trace_id = 0xdead;
@@ -342,6 +365,67 @@ TEST(ProtocolRobustnessTest, SeededTraceTokenFuzzNeverCrashes) {
   }
 }
 
+// --- The oracle: the getline + read decoder the service started with ----
+
+namespace oracle {
+
+enum class Status { kOk, kEof, kMalformed };
+
+/// One frame off `in`: the header line through std::getline (EOF ends the
+/// line), then exactly the announced body through istream::read.
+Status ReadFrame(std::istream& in, std::string* type, std::string* body,
+                 std::string* error, obs::TraceContext* trace) {
+  std::string header;
+  if (!std::getline(in, header)) return Status::kEof;
+  std::uint64_t nbytes = 0;
+  if (!ParseFrameHeaderLine(header, type, &nbytes, error, trace)) {
+    return Status::kMalformed;
+  }
+  body->assign(static_cast<std::size_t>(nbytes), '\0');
+  in.read(body->data(), static_cast<std::streamsize>(nbytes));
+  if (static_cast<std::uint64_t>(in.gcount()) != nbytes) {
+    *error = "truncated frame body (wanted " + std::to_string(nbytes) +
+             " bytes, got " + std::to_string(in.gcount()) + ")";
+    return Status::kMalformed;
+  }
+  return Status::kOk;
+}
+
+Status ReadRequest(std::istream& in, Request* request, std::string* error) {
+  std::string verb;
+  std::string body;
+  const Status status = ReadFrame(in, &verb, &body, error, &request->trace);
+  if (status != Status::kOk) return status;
+  const auto kind = ParseRequestKind(verb);
+  if (!kind.has_value()) {
+    *error = "unknown request verb '" + verb + "'";
+    return Status::kMalformed;
+  }
+  request->kind = *kind;
+  SplitFrameBody(body, &request->args, &request->payload);
+  return Status::kOk;
+}
+
+Status ReadResponse(std::istream& in, Response* response,
+                    std::string* error) {
+  std::string type;
+  std::string body;
+  const Status status = ReadFrame(in, &type, &body, error, nullptr);
+  if (status != Status::kOk) return status;
+  if (type == "OK") {
+    response->ok = true;
+  } else if (type == "ERR") {
+    response->ok = false;
+  } else {
+    *error = "unknown response type '" + type + "'";
+    return Status::kMalformed;
+  }
+  SplitFrameBody(body, &response->args, &response->payload);
+  return Status::kOk;
+}
+
+}  // namespace oracle
+
 // --- Incremental reassembly: split delivery, slow loris, fuzz ------------
 
 /// What a reader extracted from a stream: the re-encoded frames it
@@ -357,20 +441,20 @@ struct StreamOutcome {
   }
 };
 
-StreamOutcome BlockingOutcome(const std::string& wire) {
+StreamOutcome OracleOutcome(const std::string& wire) {
   StreamOutcome outcome;
   std::istringstream in(wire);
   for (;;) {
     Request request;
     std::string error;
-    const ReadStatus status = ReadRequest(in, &request, &error);
-    if (status == ReadStatus::kOk) {
+    const oracle::Status status = oracle::ReadRequest(in, &request, &error);
+    if (status == oracle::Status::kOk) {
       std::string frame;
       AppendRequestFrame(request, &frame);
       outcome.frames.push_back(std::move(frame));
       continue;
     }
-    outcome.malformed = (status == ReadStatus::kMalformed);
+    outcome.malformed = (status == oracle::Status::kMalformed);
     return outcome;
   }
 }
@@ -456,9 +540,9 @@ std::vector<std::string> GoldenFrames() {
 TEST(FrameReassemblerTest, EveryVerbSplitAtEveryByteBoundary) {
   // TCP hands the event loop arbitrary prefixes: every golden frame,
   // split at every byte boundary across two "wakeups", must reassemble
-  // to exactly what the blocking reader parses from the whole wire.
+  // to exactly what the oracle decoder parses from the whole wire.
   for (const std::string& wire : GoldenFrames()) {
-    const StreamOutcome expected = BlockingOutcome(wire);
+    const StreamOutcome expected = OracleOutcome(wire);
     ASSERT_EQ(expected.frames.size(), 1u);
     ASSERT_FALSE(expected.malformed);
     for (std::size_t split = 0; split <= wire.size(); ++split) {
@@ -518,7 +602,7 @@ TEST(FrameReassemblerTest, GluedStreamSplitAtEveryByteBoundary) {
   // at every boundary: same frame sequence out, regardless of the cut.
   std::string wire;
   for (const std::string& frame : GoldenFrames()) wire += frame;
-  const StreamOutcome expected = BlockingOutcome(wire);
+  const StreamOutcome expected = OracleOutcome(wire);
   ASSERT_EQ(expected.frames.size(), GoldenFrames().size());
   ASSERT_FALSE(expected.malformed);
   for (std::size_t split = 0; split <= wire.size(); ++split) {
@@ -572,7 +656,7 @@ TEST(FrameReassemblerTest, SlowLorisInterleavedConnectionsAllComplete) {
 }
 
 TEST(FrameReassemblerTest, HeaderCapCutsOffHeaderlessStream) {
-  // The one deliberate divergence from the blocking reader: a stream that
+  // The one deliberate divergence from the oracle decoder: a stream that
   // never produces a newline must be cut off at max_header_bytes instead
   // of buffering forever.
   FrameReassembler::Limits limits;
@@ -618,7 +702,7 @@ TEST(FrameReassemblerTest, FinishAppliesBlockingEofSemantics) {
               FrameReassembler::Result::kNeedMore);
   }
   {
-    // EOF mid-body: truncated frame, malformed — same as the blocking
+    // EOF mid-body: truncated frame, malformed — same as the oracle
     // reader's announced-N-got-fewer rejection.
     FrameReassembler reassembler;
     reassembler.Feed("spta1 APPEND 10\nabc");
@@ -633,7 +717,7 @@ TEST(FrameReassemblerTest, FinishAppliesBlockingEofSemantics) {
 TEST(FrameReassemblerTest, SeededChunkedFuzzMatchesBlockingReader) {
   // Hostile streams (mutated golden frames, garbage, splices) delivered
   // in random chunk sizes: the incremental reader must extract the SAME
-  // frames and reach the SAME accept/reject outcome as the blocking
+  // frames and reach the SAME accept/reject outcome as the oracle
   // reader fed the whole wire — under the sanitizer builds this is also
   // the memory-safety fuzz for the reassembly path.
   const auto goldens = GoldenFrames();
@@ -676,10 +760,135 @@ TEST(FrameReassemblerTest, SeededChunkedFuzzMatchesBlockingReader) {
       chunks.push_back(chunk);
       covered += chunk;
     }
-    const StreamOutcome expected = BlockingOutcome(wire);
+    const StreamOutcome expected = OracleOutcome(wire);
     const StreamOutcome got = IncrementalOutcome(wire, chunks);
     EXPECT_EQ(got, expected) << "iter " << iter;
   }
+}
+
+// --- Response side: what the client decodes -------------------------------
+
+/// What a response decoder made of a stream: the re-encoded responses it
+/// accepted and the diagnostic that ended it ("" on a clean EOF).
+struct ResponseOutcome {
+  std::vector<std::string> frames;  ///< AppendResponseFrame re-encodings.
+  std::string error;
+
+  bool operator==(const ResponseOutcome&) const = default;
+};
+
+ResponseOutcome OracleResponses(const std::string& wire) {
+  ResponseOutcome outcome;
+  std::istringstream in(wire);
+  for (;;) {
+    Response response;
+    const oracle::Status status =
+        oracle::ReadResponse(in, &response, &outcome.error);
+    if (status != oracle::Status::kOk) return outcome;
+    outcome.frames.emplace_back();
+    AppendResponseFrame(response, &outcome.frames.back());
+  }
+}
+
+/// `wire` delivered as two slices cut at `split`, then EOF — the client's
+/// read pattern: Next after every slice, Finish at EOF, BuildResponse on
+/// every frame.
+ResponseOutcome SplitResponses(const std::string& wire, std::size_t split) {
+  ResponseOutcome outcome;
+  FrameReassembler reassembler;
+  std::string type;
+  std::string body;
+  // False once the stream has ended (clean EOF or an error).
+  const auto drain = [&](bool at_eof) {
+    for (;;) {
+      const Result result =
+          at_eof ? reassembler.Finish(&type, &body, &outcome.error)
+                 : reassembler.Next(&type, &body, &outcome.error);
+      if (result == Result::kNeedMore) return !at_eof;
+      Response response;
+      if (result == Result::kMalformed ||
+          !BuildResponse(type, body, &response, &outcome.error)) {
+        return false;
+      }
+      outcome.frames.emplace_back();
+      AppendResponseFrame(response, &outcome.frames.back());
+    }
+  };
+  reassembler.Feed(std::string_view(wire).substr(0, split));
+  if (!drain(false)) return outcome;
+  reassembler.Feed(std::string_view(wire).substr(split));
+  if (drain(false)) drain(true);
+  return outcome;
+}
+
+std::string ReadGoldenResponses() {
+  std::ifstream in(SPTA_TEST_DATA_DIR "/service_golden.responses",
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// Response frames of every shape: OK and ERR, each with a payload and
+/// with an empty body, and every frame of the served-bytes goldens.
+std::vector<std::string> ResponseFrames() {
+  std::vector<std::string> frames(4);
+  Args args;
+  args.Set("cache", "miss");
+  args.SetDouble("pwcet", 12345.6789);
+  AppendResponseFrame(OkResponse(args, "report line 1\nreport line 2\n"),
+                      &frames[0]);
+  frames[1] = "spta1 OK 0\n";
+  AppendResponseFrame(ErrResponse("busy", "shard queue full"), &frames[2]);
+  frames[3] = "spta1 ERR 0\n";
+  FrameReassembler golden;
+  golden.Feed(ReadGoldenResponses());
+  std::string type;
+  std::string body;
+  std::string error;
+  while (golden.Finish(&type, &body, &error) == Result::kFrame) {
+    frames.push_back("spta1 " + type + " " + std::to_string(body.size()) +
+                     "\n" + body);
+  }
+  return frames;
+}
+
+TEST(FrameReassemblerTest, EveryResponseSplitAtEveryByteBoundary) {
+  const auto frames = ResponseFrames();
+  ASSERT_GT(frames.size(), 10u) << "the golden responses did not load";
+  for (const std::string& wire : frames) {
+    const ResponseOutcome expected = OracleResponses(wire);
+    ASSERT_EQ(expected.frames.size(), 1u) << wire;
+    ASSERT_EQ(expected.error, "");
+    for (std::size_t split = 0; split <= wire.size(); ++split) {
+      EXPECT_EQ(SplitResponses(wire, split), expected)
+          << "frame " << wire.substr(0, wire.find('\n')) << " split at "
+          << split;
+    }
+  }
+  // All of them glued into one stream.
+  std::string glued;
+  for (const std::string& frame : frames) glued += frame;
+  const ResponseOutcome expected = OracleResponses(glued);
+  ASSERT_EQ(expected.frames.size(), frames.size());
+  for (std::size_t split = 0; split <= glued.size(); ++split) {
+    EXPECT_EQ(SplitResponses(glued, split), expected)
+        << "glued responses split at " << split;
+  }
+}
+
+TEST(FrameReassemblerTest, UnknownResponseTypeIsRejectedAtEverySplit) {
+  const std::string wire = "spta1 MAYBE 4\nx=1\n";
+  const ResponseOutcome expected = OracleResponses(wire);
+  ASSERT_TRUE(expected.frames.empty());
+  ASSERT_EQ(expected.error, "unknown response type 'MAYBE'");
+  for (std::size_t split = 0; split <= wire.size(); ++split) {
+    EXPECT_EQ(SplitResponses(wire, split), expected) << "split at " << split;
+  }
+  // A request verb is no response type either.
+  std::string error;
+  EXPECT_EQ(ResponseStatus("spta1 PING 0\n", &error), Result::kMalformed);
+  EXPECT_EQ(error, "unknown response type 'PING'");
 }
 
 }  // namespace

@@ -290,6 +290,7 @@ Outcome Read(const std::string& text) {
   };
   const std::string digest_comment = "# spta-digest=";
   const std::string faults_comment = "# spta-faults=";
+  bool first_row = true;
   while (std::getline(in, line)) {
     ++line_no;
     const std::string trimmed = Trim(line);
@@ -315,9 +316,16 @@ Outcome Read(const std::string& text) {
     const auto comma = trimmed.find(',');
     const std::string first =
         Trim(comma == std::string::npos ? trimmed : trimmed.substr(0, comma));
+    // Only the first row may be the header, and only when its first field
+    // does not begin like a number.
+    const bool header_allowed =
+        first_row && (first.empty() ||
+                      std::string("0123456789+-.").find(first[0]) ==
+                          std::string::npos);
+    first_row = false;
     double cycles = 0.0;
     if (!ParseDouble(first, &cycles)) {
-      if (outcome.rows.empty()) continue;
+      if (header_allowed) continue;
       return fail("bad number '" + first + "'");
     }
     if (!std::isfinite(cycles)) {
@@ -484,7 +492,6 @@ TEST(SampleReaderDifferentialTest, GeneratedDocuments) {
 TEST(SampleReaderDifferentialTest, FallbacksAndTheNewRejections) {
   EXPECT_EQ(Read("+5\n").rows.at(0).first, Bits(5.0));
   EXPECT_EQ(Read("\v\f7\n").rows.at(0).first, Bits(7.0));
-  EXPECT_TRUE(Read("7\f\n").rows.empty());  // a header line to strtod
   EXPECT_EQ(Read("0x1p3\n").rows.at(0).first, Bits(8.0));
   EXPECT_EQ(Read("1e-400\n").rows.at(0).first, Bits(0.0));
   EXPECT_EQ(Read("4.9406564584124654e-324\n").rows.at(0).first,
@@ -505,6 +512,40 @@ TEST(SampleReaderDifferentialTest, FallbacksAndTheNewRejections) {
             "'18446744073709551616'");
   EXPECT_EQ(Read("100,-1e30\n").error,
             "[rejected] samples CSV line 1: negative path id");
+}
+
+// One optional header: the first non-blank, non-comment line, and only when
+// its first field does not begin like a number. Every other line that does
+// not parse is rejected where it stands.
+TEST(SampleReaderDifferentialTest, OnlyTheFirstRowMayBeAHeader) {
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& error) {
+    ExpectSameAsOracle(text);
+    EXPECT_EQ(Read(text).error, "[rejected] samples CSV line " + error)
+        << "input: '" << text << "'";
+  };
+  expect_rejected("abc\ndef\n100\n", "2: bad number 'def'");
+  expect_rejected("10O00\n", "1: bad number '10O00'");
+  expect_rejected("7\f\n", "1: bad number '7\f'");
+  expect_rejected("# note\n\n10O00\n200\n", "3: bad number '10O00'");
+  expect_rejected("100\nabc\n", "2: bad number 'abc'");
+  expect_rejected("+x\n", "1: bad number '+x'");
+  expect_rejected(".\n", "1: bad number '.'");
+
+  for (const std::string header :
+       {"cycles,path_id", "cycles", "time,path", "# c\ncycles,path_id"}) {
+    const std::string text = header + "\n100,2\n200\n";
+    ExpectSameAsOracle(text);
+    const Outcome outcome = Read(text);
+    ASSERT_TRUE(outcome.ok) << header << ": " << outcome.error;
+    ASSERT_EQ(outcome.rows.size(), 2u) << header;
+    EXPECT_EQ(outcome.rows[0].first, Bits(100.0));
+    EXPECT_EQ(outcome.rows[0].second, 2u);
+  }
+  // The golden APPEND of `abc`: a lone header, zero samples, no error.
+  const Outcome lone = Read("abc");
+  EXPECT_TRUE(lone.ok) << lone.error;
+  EXPECT_TRUE(lone.rows.empty());
 }
 
 }  // namespace

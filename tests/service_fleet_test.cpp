@@ -39,7 +39,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -75,19 +74,15 @@ std::vector<service::Response> RunFleetTcp(
     service::ShardedServer& fleet,
     const std::vector<service::Request>& script) {
   std::string error;
-  auto connection = service::TcpConnection::Connect(
+  auto connection = service::Client::ConnectTcp(
       "127.0.0.1", fleet.bound_port(), &error, 20000.0);
   EXPECT_NE(connection, nullptr) << error;
   if (!connection) return {};
-  const std::string bytes = EncodeScript(script);
-  connection->out().write(bytes.data(),
-                          static_cast<std::streamsize>(bytes.size()));
-  connection->out().flush();
+  EXPECT_TRUE(connection->WriteBytes(EncodeScript(script)));
   std::vector<service::Response> responses;
   service::Response response;
   while (responses.size() < script.size() &&
-         service::ReadResponse(connection->in(), &response, &error) ==
-             service::ReadStatus::kOk) {
+         connection->Receive(&response, &error)) {
     responses.push_back(response);
   }
   return responses;
@@ -95,15 +90,20 @@ std::vector<service::Response> RunFleetTcp(
 
 /// Writes `wire` into a fresh connection and reads until the fleet closes
 /// it (the golden script ends in a malformed frame, after which the fleet
-/// answers once and hangs up).
-template <typename Connection>
-std::string ReplayUntilClosed(std::unique_ptr<Connection> connection,
+/// answers once and hangs up). Returns the responses re-encoded as frames;
+/// anything after the last whole frame fails the test.
+std::string ReplayUntilClosed(std::unique_ptr<service::Client> client,
                               const std::string& wire) {
-  if (!connection) return {};
-  connection->out().write(wire.data(),
-                          static_cast<std::streamsize>(wire.size()));
-  connection->out().flush();
-  return std::string(std::istreambuf_iterator<char>(connection->in()), {});
+  if (!client) return {};
+  EXPECT_TRUE(client->WriteBytes(wire));
+  std::string frames;
+  service::Response response;
+  std::string error;
+  while (client->Receive(&response, &error)) {
+    service::AppendResponseFrame(response, &frames);
+  }
+  EXPECT_EQ(error, "connection closed");
+  return frames;
 }
 
 /// Responses answered from the fleet memo, over every shard.
@@ -140,7 +140,7 @@ TEST(FleetEquivalenceTest, EveryTransportServesTheGoldenBytes) {
     ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
     ASSERT_EQ(fleet.Start(), 0);
     testing::ExpectGoldenResponses(
-        ReplayUntilClosed(service::TcpConnection::Connect(
+        ReplayUntilClosed(service::Client::ConnectTcp(
                               "127.0.0.1", fleet.bound_port(), &error,
                               20000.0),
                           wire),
@@ -155,9 +155,8 @@ TEST(FleetEquivalenceTest, EveryTransportServesTheGoldenBytes) {
     ASSERT_EQ(fleet.ListenUnix(path), 0);
     ASSERT_EQ(fleet.Start(), 0);
     testing::ExpectGoldenResponses(
-        ReplayUntilClosed(
-            service::UnixSocketConnection::Connect(path, &error, 20000.0),
-            wire),
+        ReplayUntilClosed(service::Client::ConnectUnix(path, &error, 20000.0),
+                          wire),
         "unix " + error);
     fleet.TriggerShutdown();
     EXPECT_EQ(fleet.Wait(), 0);
@@ -487,15 +486,13 @@ TEST(FleetRoutingTest, MemoAnswersStatelessRepeatWhileEveryShardIsBusy) {
   ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
   ASSERT_EQ(fleet.Start(), 0);
   std::string error;
-  auto first = service::TcpConnection::Connect("127.0.0.1",
-                                               fleet.bound_port(), &error,
-                                               30000.0);
+  auto first = service::Client::ConnectTcp("127.0.0.1", fleet.bound_port(),
+                                           &error, 30000.0);
   ASSERT_NE(first, nullptr) << error;
-  auto second = service::TcpConnection::Connect("127.0.0.1",
-                                                fleet.bound_port(), &error,
-                                                30000.0);
+  auto second = service::Client::ConnectTcp("127.0.0.1", fleet.bound_port(),
+                                            &error, 30000.0);
   ASSERT_NE(second, nullptr) << error;
-  service::Client warm(second->in(), second->out());
+  service::Client& warm = *second;
 
   const auto sample = SyntheticSample(300, 710);
   const auto computed = warm.AnalyzeInline(sample);
@@ -519,8 +516,7 @@ TEST(FleetRoutingTest, MemoAnswersStatelessRepeatWhileEveryShardIsBusy) {
       AnalyzeInlineRequest(SyntheticSample(260, 711), slow),
       AnalyzeInlineRequest(SyntheticSample(260, 712), slow)};
   const std::string bytes = EncodeScript(sleepers);
-  first->out().write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  first->out().flush();
+  ASSERT_TRUE(first->WriteBytes(bytes));
   // HEALTH answers on the loop: once it shows both shards occupied, the
   // repeat goes out.
   ASSERT_TRUE(PollHealthUntil(warm, "the sleepers never occupied both shards",
@@ -538,8 +534,7 @@ TEST(FleetRoutingTest, MemoAnswersStatelessRepeatWhileEveryShardIsBusy) {
 
   service::Response response;
   for (std::size_t i = 0; i < sleepers.size(); ++i) {
-    ASSERT_EQ(service::ReadResponse(first->in(), &response, &error),
-              service::ReadStatus::kOk);
+    ASSERT_TRUE(first->Receive(&response, &error));
     EXPECT_TRUE(response.ok) << response.payload;
   }
   EXPECT_TRUE(warm.Shutdown().ok);
@@ -654,10 +649,10 @@ TEST(FleetRoutingTest, SessionStaysOnItsShardAfterDeadlineMisses) {
   ASSERT_EQ(fleet.ListenTcp("127.0.0.1", 0), 0);
   ASSERT_EQ(fleet.Start(), 0);
   std::string error;
-  auto connection = service::TcpConnection::Connect(
+  auto connection = service::Client::ConnectTcp(
       "127.0.0.1", fleet.bound_port(), &error, 30000.0);
   ASSERT_NE(connection, nullptr) << error;
-  service::Client client(connection->in(), connection->out());
+  service::Client& client = *connection;
   const std::string name = "probe";
   const std::size_t owner = fleet.ShardFor(HashBytes(name).lo);
 
@@ -677,14 +672,10 @@ TEST(FleetRoutingTest, SessionStaysOnItsShardAfterDeadlineMisses) {
   doomed.args.SetDouble("deadline_ms", 1.0);
   script.insert(script.end(), 8, doomed);
   const std::string bytes = EncodeScript(script);
-  connection->out().write(bytes.data(),
-                          static_cast<std::streamsize>(bytes.size()));
-  connection->out().flush();
+  ASSERT_TRUE(connection->WriteBytes(bytes));
   service::Response response;
   for (std::size_t i = 0; i < script.size(); ++i) {
-    ASSERT_EQ(service::ReadResponse(connection->in(), &response, &error),
-              service::ReadStatus::kOk)
-        << error;
+    ASSERT_TRUE(connection->Receive(&response, &error)) << error;
     if (i < 3) {
       EXPECT_TRUE(response.ok) << i << ": " << response.payload;
       continue;
@@ -799,10 +790,9 @@ TEST(FleetWarmStartTest, RestartServesIdenticalBytesFromDisk) {
   // Identical bytes modulo the cache disposition + timing fields.
   service::Response cold;
   {
-    std::stringstream stream(cold_frame);
-    std::string error;
-    ASSERT_EQ(service::ReadResponse(stream, &cold, &error),
-              service::ReadStatus::kOk);
+    const auto decoded = testing::DecodeResponses(cold_frame);
+    ASSERT_EQ(decoded.size(), 1u);
+    cold = decoded[0];
   }
   service::Response warm = responses[0];
   cold.args.Erase("cache");
@@ -1095,7 +1085,7 @@ TEST(FleetHealthTest, WedgedShardReportsDegradedAndStalled) {
 
   // Wedge the only shard: one long ANALYZE executing, one queued behind.
   std::string error;
-  auto busy = service::TcpConnection::Connect(
+  auto busy = service::Client::ConnectTcp(
       "127.0.0.1", fleet.bound_port(), &error, 30000.0);
   ASSERT_NE(busy, nullptr) << error;
   service::Args slow;
@@ -1104,17 +1094,15 @@ TEST(FleetHealthTest, WedgedShardReportsDegradedAndStalled) {
   wedge.push_back(AnalyzeInlineRequest(SyntheticSample(260, 601), slow));
   wedge.push_back(AnalyzeInlineRequest(SyntheticSample(260, 602)));
   const std::string bytes = EncodeScript(wedge);
-  busy->out().write(bytes.data(),
-                    static_cast<std::streamsize>(bytes.size()));
-  busy->out().flush();
+  ASSERT_TRUE(busy->WriteBytes(bytes));
 
   // Past the stall threshold (no completion yet), probe on a SECOND
   // connection: the loop must answer even though the shard is buried.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  auto probe = service::TcpConnection::Connect(
+  auto probe = service::Client::ConnectTcp(
       "127.0.0.1", fleet.bound_port(), &error, 30000.0);
   ASSERT_NE(probe, nullptr) << error;
-  service::Client prober(probe->in(), probe->out());
+  service::Client& prober = *probe;
   const auto health = prober.Health();
   ASSERT_TRUE(health.ok) << health.payload;
   EXPECT_EQ(health.args.GetString("status"), "degraded");
@@ -1125,8 +1113,7 @@ TEST(FleetHealthTest, WedgedShardReportsDegradedAndStalled) {
   // Reap the wedged work, then verify readiness recovers.
   service::Response response;
   for (std::size_t i = 0; i < wedge.size(); ++i) {
-    ASSERT_EQ(service::ReadResponse(busy->in(), &response, &error),
-              service::ReadStatus::kOk);
+    ASSERT_TRUE(busy->Receive(&response, &error));
     EXPECT_TRUE(response.ok) << response.payload;
   }
   const auto recovered = prober.Health();
@@ -1377,10 +1364,10 @@ TEST(FleetTracingTest, EveryVerbJoinsOneConnectedTreeRootedAtTheClient) {
   ASSERT_EQ(fleet.Start(), 0);
 
   std::string error;
-  auto connection = service::TcpConnection::Connect(
+  auto connection = service::Client::ConnectTcp(
       "127.0.0.1", fleet.bound_port(), &error, 30000.0);
   ASSERT_NE(connection, nullptr) << error;
-  service::Client client(connection->in(), connection->out());
+  service::Client& client = *connection;
 
   const obs::TraceContext wire = obs::MintTraceContext();
   std::size_t requests_sent = 0;
@@ -1473,9 +1460,9 @@ TEST(FleetTracingTest, UnixSocketServesTraceExport) {
   ASSERT_EQ(fleet.ListenUnix(path), 0);
   ASSERT_EQ(fleet.Start(), 0);
   std::string error;
-  auto connection = service::UnixSocketConnection::Connect(path, &error);
+  auto connection = service::Client::ConnectUnix(path, &error);
   ASSERT_TRUE(connection) << error;
-  service::Client client(connection->in(), connection->out());
+  service::Client& client = *connection;
   std::vector<service::Response> responses = {client.Ping(), client.Trace()};
   EXPECT_TRUE(client.Shutdown().ok);
   EXPECT_EQ(fleet.Wait(), 0);

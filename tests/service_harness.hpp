@@ -77,12 +77,16 @@ inline std::string EncodeScript(const std::vector<service::Request>& script) {
 
 inline std::vector<service::Response> DecodeResponses(
     const std::string& bytes) {
-  std::stringstream stream(bytes);
+  service::FrameReassembler reassembler;
+  reassembler.Feed(bytes);
   std::vector<service::Response> responses;
   service::Response response;
+  std::string type;
+  std::string body;
   std::string error;
-  while (service::ReadResponse(stream, &response, &error) ==
-         service::ReadStatus::kOk) {
+  while (reassembler.Finish(&type, &body, &error) ==
+             service::FrameReassembler::Result::kFrame &&
+         service::BuildResponse(type, body, &response, &error)) {
     responses.push_back(response);
   }
   return responses;

@@ -26,6 +26,7 @@
 #include "service/client.hpp"
 #include "service/convergence_tracker.hpp"
 #include "service/engine.hpp"
+#include "service/frame_reader.hpp"
 #include "service/protocol.hpp"
 #include "service/result_cache.hpp"
 #include "service/sharded_server.hpp"
@@ -42,6 +43,7 @@ using testing::PipeFleet;
 using testing::RunPipe;
 using testing::RunScript;
 using testing::SyntheticSample;
+using Frame = service::FrameReassembler::Result;
 
 std::vector<double> TimesOf(const std::vector<mbpta::PathObservation>& obs) {
   std::vector<double> times;
@@ -62,13 +64,17 @@ TEST(ProtocolTest, RequestRoundTripsThroughFrame) {
   request.args.SetUint("count", 2);
   request.payload = "100.5\n200.25,3\n";
 
-  std::stringstream wire;
-  ASSERT_TRUE(service::WriteRequest(wire, request));
+  std::string wire;
+  service::AppendRequestFrameWithTrace(request, &wire);
+  service::FrameReassembler reassembler;
+  reassembler.Feed(wire);
 
-  service::Request decoded;
+  std::string type;
+  std::string body;
   std::string error;
-  ASSERT_EQ(service::ReadRequest(wire, &decoded, &error),
-            service::ReadStatus::kOk);
+  ASSERT_EQ(reassembler.Next(&type, &body, &error), Frame::kFrame);
+  service::Request decoded;
+  ASSERT_TRUE(service::BuildRequest(type, body, &decoded, &error)) << error;
   EXPECT_EQ(decoded.kind, service::RequestKind::kAppend);
   EXPECT_EQ(decoded.args.GetString("session"), "s1");
   EXPECT_EQ(decoded.args.GetUint("count", 0), 2u);
@@ -77,30 +83,34 @@ TEST(ProtocolTest, RequestRoundTripsThroughFrame) {
   // And a second frame on the same stream stays framed.
   service::Response response = service::OkResponse();
   response.args.SetDouble("pwcet", 12345.6789);
-  ASSERT_TRUE(service::WriteResponse(wire, response));
+  wire.clear();
+  service::AppendResponseFrame(response, &wire);
+  reassembler.Feed(wire);
+  ASSERT_EQ(reassembler.Next(&type, &body, &error), Frame::kFrame);
   service::Response decoded_response;
-  ASSERT_EQ(service::ReadResponse(wire, &decoded_response, &error),
-            service::ReadStatus::kOk);
+  ASSERT_TRUE(service::BuildResponse(type, body, &decoded_response, &error))
+      << error;
   EXPECT_TRUE(decoded_response.ok);
   EXPECT_DOUBLE_EQ(decoded_response.args.GetDouble("pwcet", 0.0), 12345.6789);
 }
 
 TEST(ProtocolTest, MalformedFramesAreReportedNotFatal) {
-  std::istringstream garbage("not a frame\n");
-  service::Request request;
+  // Each stream ends after its bytes: Finish applies the EOF rules.
+  const auto finish = [](const std::string& wire, std::string* error) {
+    service::FrameReassembler reassembler;
+    reassembler.Feed(wire);
+    std::string type;
+    std::string body;
+    return reassembler.Finish(&type, &body, error);
+  };
   std::string error;
-  EXPECT_EQ(service::ReadRequest(garbage, &request, &error),
-            service::ReadStatus::kMalformed);
+  EXPECT_EQ(finish("not a frame\n", &error), Frame::kMalformed);
   EXPECT_NE(error.find("bad frame header"), std::string::npos);
 
-  std::istringstream truncated("spta1 PING 50\nshort");
-  EXPECT_EQ(service::ReadRequest(truncated, &request, &error),
-            service::ReadStatus::kMalformed);
+  EXPECT_EQ(finish("spta1 PING 50\nshort", &error), Frame::kMalformed);
   EXPECT_NE(error.find("truncated"), std::string::npos);
 
-  std::istringstream eof("");
-  EXPECT_EQ(service::ReadRequest(eof, &request, &error),
-            service::ReadStatus::kEof);
+  EXPECT_EQ(finish("", &error), Frame::kNeedMore);  // A clean EOF.
 }
 
 TEST(ProtocolTest, DoubleEncodingRoundTripsBitExactly) {
@@ -792,9 +802,9 @@ TEST(UnixSocketTest, ClientServerEndToEndOverSocket) {
   ASSERT_EQ(fleet.Start(), 0);
 
   std::string error;
-  auto connection = service::UnixSocketConnection::Connect(path, &error);
+  auto connection = service::Client::ConnectUnix(path, &error);
   ASSERT_TRUE(connection) << error;
-  service::Client client(connection->in(), connection->out());
+  service::Client& client = *connection;
   EXPECT_TRUE(client.Ping().ok);
 
   // HEALTH over the socket is answered by the event loop.

@@ -368,69 +368,52 @@ int main(int argc, char** argv) {
     // state is unusable.
     std::string error;
     service::Response response;
-    std::unique_ptr<service::UnixSocketConnection> unix_connection;
-    std::unique_ptr<service::TcpConnection> tcp_connection;
-    std::istream* in = nullptr;
-    std::ostream* out = nullptr;
+    std::unique_ptr<service::Client> client;
     {
       obs::ScopedSpan connect_span("client", "connect");
-      if (!tcp_target.empty()) {
-        tcp_connection = service::TcpConnection::Connect(tcp_host, tcp_port,
-                                                         &error, timeout_ms);
-        if (tcp_connection) {
-          in = &tcp_connection->in();
-          out = &tcp_connection->out();
-        }
-      } else {
-        unix_connection = service::UnixSocketConnection::Connect(
-            socket_path, &error, timeout_ms);
-        if (unix_connection) {
-          in = &unix_connection->in();
-          out = &unix_connection->out();
-        }
-      }
+      client = tcp_target.empty()
+                   ? service::Client::ConnectUnix(socket_path, &error,
+                                                  timeout_ms)
+                   : service::Client::ConnectTcp(tcp_host, tcp_port, &error,
+                                                 timeout_ms);
     }
-    if (in == nullptr) {
+    if (client == nullptr) {
       response = service::ErrResponse("transport", error);
-    } else {
-      service::Client client(*in, *out);
-      if (command == "ping") {
-        response = client.Ping();
-      } else if (command == "analyze") {
-        response = client.AnalyzeInline(observations, AnalysisOptions(flags));
-      } else if (command == "session") {
-        // Session mode handles its own busy-retry (the ingested sample
-        // lives server-side); only connect/transport failures reach the
-        // outer loop via the returned code.
-        exit_code = RunSession(client, flags, observations, &schedule,
-                               policy);
-        PrintBackoffSummary();
-        return exit_code;
-      } else if (command == "metrics") {
-        if (flags.GetBool("metrics-prom")) {
-          response = client.MetricsProm();
-          if (response.ok) {
-            // Raw scrape body only: args (format=...) would corrupt the
-            // Prometheus text format for a piping consumer.
-            std::fputs(response.payload.c_str(), stdout);
-            return 0;
-          }
-        } else {
-          response = client.Metrics();
-        }
-      } else if (command == "health") {
-        response = client.Health();
-      } else if (command == "trace") {
-        response = client.Trace();
+    } else if (command == "ping") {
+      response = client->Ping();
+    } else if (command == "analyze") {
+      response = client->AnalyzeInline(observations, AnalysisOptions(flags));
+    } else if (command == "session") {
+      // Session mode handles its own busy-retry (the ingested sample
+      // lives server-side); only connect/transport failures reach the
+      // outer loop via the returned code.
+      exit_code = RunSession(*client, flags, observations, &schedule, policy);
+      PrintBackoffSummary();
+      return exit_code;
+    } else if (command == "metrics") {
+      if (flags.GetBool("metrics-prom")) {
+        response = client->MetricsProm();
         if (response.ok) {
-          // Raw JSON body only (like --metrics-prom): args would corrupt
-          // the document for a piping consumer.
+          // Raw scrape body only: args (format=...) would corrupt the
+          // Prometheus text format for a piping consumer.
           std::fputs(response.payload.c_str(), stdout);
           return 0;
         }
-      } else {  // shutdown
-        response = client.Shutdown();
+      } else {
+        response = client->Metrics();
       }
+    } else if (command == "health") {
+      response = client->Health();
+    } else if (command == "trace") {
+      response = client->Trace();
+      if (response.ok) {
+        // Raw JSON body only (like --metrics-prom): args would corrupt
+        // the document for a piping consumer.
+        std::fputs(response.payload.c_str(), stdout);
+        return 0;
+      }
+    } else {  // shutdown
+      response = client->Shutdown();
     }
 
     const std::string code =

@@ -121,14 +121,13 @@ int SupervisorSigtermLeg(const char* fleet_bin) {
   bool served = false;
   for (int attempt = 0; attempt < 100 && !served; ++attempt) {
     std::string error;
-    const auto connection = service::TcpConnection::Connect(
+    const auto client = service::Client::ConnectTcp(
         "127.0.0.1", static_cast<std::uint16_t>(port), &error, 2000.0);
-    if (!connection) {
+    if (!client) {
       ::usleep(50 * 1000);
       continue;
     }
-    service::Client client(connection->in(), connection->out());
-    served = client.Ping().ok;
+    served = client->Ping().ok;
   }
   DrainLog(log_fd, &log);
   if (!served) ::killpg(pid, SIGKILL);
@@ -186,14 +185,14 @@ int main(int argc, char** argv) {
   SMOKE_CHECK(fleet.bound_port() != 0, "ephemeral port");
 
   std::string error;
-  const auto connection = service::TcpConnection::Connect(
+  const auto connection = service::Client::ConnectTcp(
       "127.0.0.1", fleet.bound_port(), &error, 10000.0);
   if (!connection) {
     std::fprintf(stderr, "spta_fleet_smoke: connect failed: %s\n",
                  error.c_str());
     return 1;
   }
-  service::Client client(connection->in(), connection->out());
+  service::Client& client = *connection;
 
   const auto sample = MakeSample(400, 7);
   int issued = 0;
